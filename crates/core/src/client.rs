@@ -41,7 +41,7 @@ use crate::hashtable::{find_in_window, fingerprint, BUCKET_LEN, NPROBE};
 use crate::layout::{self, flags, ObjHeader};
 use crate::protocol::{Event, Request, Response, Status, StoreError};
 use crate::server::StoreDesc;
-use crate::txn::{self, SnapOutcome, TxnKv, TxnShard, TxnSnapshot};
+use crate::txn::{SnapOutcome, TxnKv};
 
 /// The uniform client interface the experiment harness drives. All six
 /// systems of the paper's comparison (eFactory and the five baselines)
@@ -52,6 +52,28 @@ pub trait RemoteKv {
     fn kv_put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError>;
     /// Read `key`; `Ok(None)` means absent.
     fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError>;
+
+    /// The transactional surface, for systems that have one.
+    fn txn(&self) -> Option<&dyn TxnKv> {
+        None
+    }
+
+    /// [`kv_put`](Self::kv_put), riding out transient `NoSpace`/`Busy`
+    /// rejections (a pool filling up under cleaning pressure) with a
+    /// bounded 200 × 50 µs backoff, the way real clients do; the stall is
+    /// part of the PUT's latency.
+    fn kv_put_patient(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        let mut tries = 0;
+        loop {
+            match self.kv_put(key, value) {
+                Err(StoreError::Status(Status::NoSpace | Status::Busy)) if tries < 200 => {
+                    tries += 1;
+                    sim::sleep(sim::micros(50));
+                }
+                other => return other,
+            }
+        }
+    }
 }
 
 /// Client knobs.
@@ -222,13 +244,9 @@ pub struct Client {
     loc_miss_ctr: Counter,
     loc_fill_ctr: Counter,
     loc_inval_ctr: Counter,
-    /// Monotonic transaction-id source. Distinct from `next_req_id`: every
-    /// *attempt* of a transaction gets a fresh txn id (a retried commit is
-    /// a new transaction), while the RPCs inside one attempt reuse their
-    /// request ids across fabric retries as usual.
-    next_txn_id: Cell<u64>,
     /// Registry counters for the transactional surface. `pub(crate)` so
-    /// the sharded/replicated wrappers count their own logical commits.
+    /// the routed [`StoreClient`](crate::store::StoreClient) counts its
+    /// logical commits.
     pub(crate) txn_commit_ctr: Counter,
     pub(crate) txn_conflict_ctr: Counter,
     pub(crate) snap_capture_ctr: Counter,
@@ -337,7 +355,6 @@ impl Client {
             loc_miss_ctr,
             loc_fill_ctr,
             loc_inval_ctr,
-            next_txn_id: Cell::new(1),
             txn_commit_ctr,
             txn_conflict_ctr,
             snap_capture_ctr,
@@ -353,8 +370,8 @@ impl Client {
 
     /// Open the per-op attribution context. `kind`: 0 = GET, 1 = PUT,
     /// 2 = DEL, 3 = TXN, 4 = SNAP (the `critical_path` encoding).
-    /// `pub(crate)` so the sharded/replicated transactional wrappers can
-    /// open one root spanning their multi-shard fan-out.
+    /// `pub(crate)` so the routed client can open one root spanning a
+    /// multi-shard fan-out.
     pub(crate) fn op_root(&self, kind: u64, key: &[u8]) -> OpCtx {
         if current_op() != 0 {
             // Already inside an op (pipelined slot): record execution as a
@@ -376,8 +393,8 @@ impl Client {
     }
 
     /// Sum of every retry counter; deltas across an op give its root
-    /// span's `retries` arg. `pub(crate)` so the pipelined client can
-    /// compute the same delta around a slot execution.
+    /// span's `retries` arg. `pub(crate)` so the routed client can sum it
+    /// across shards.
     pub(crate) fn retry_total(&self) -> u64 {
         self.stats.rpc_retries.get()
             + self.stats.op_retries.get()
@@ -395,7 +412,7 @@ impl Client {
     /// Drain pending server notifications (cleaning state). Cleaning
     /// relocates objects, so both edges flush the location cache — every
     /// cached offset may be stale the moment the cleaner runs.
-    fn poll_events(&self) {
+    pub(crate) fn poll_events(&self) {
         while let Some(ev) = self.qp.try_event() {
             match Event::decode(&ev) {
                 Some(Event::CleanStart) => {
@@ -988,8 +1005,11 @@ impl RemoteKv for Client {
     }
 }
 
-impl TxnShard for Client {
-    fn shard_txn_commit(
+/// Raw per-shard transactional RPCs, driven by the multi-shard drivers in
+/// [`crate::txn`] through the routed client's per-RPC retry.
+impl Client {
+    /// Fused single-shard commit; returns `(status, commit_ts)`.
+    pub(crate) fn shard_txn_commit(
         &self,
         txn_id: u64,
         reads: &[(Vec<u8>, u32)],
@@ -1010,7 +1030,8 @@ impl TxnShard for Client {
         }
     }
 
-    fn shard_txn_prepare(
+    /// 2PC prepare; returns `(status, shard clock)`.
+    pub(crate) fn shard_txn_prepare(
         &self,
         txn_id: u64,
         reads: &[(Vec<u8>, u32)],
@@ -1031,7 +1052,8 @@ impl TxnShard for Client {
         }
     }
 
-    fn shard_txn_decide(
+    /// 2PC decide.
+    pub(crate) fn shard_txn_decide(
         &self,
         txn_id: u64,
         commit: bool,
@@ -1047,7 +1069,8 @@ impl TxnShard for Client {
         }
     }
 
-    fn shard_snap_capture(&self) -> Result<(Status, u64), StoreError> {
+    /// Capture the shard's snapshot clock.
+    pub(crate) fn shard_snap_capture(&self) -> Result<(Status, u64), StoreError> {
         match self.rpc(&Request::SnapCapture)? {
             Response::Snap { status, watermark } => {
                 if status == Status::Ok {
@@ -1064,7 +1087,11 @@ impl TxnShard for Client {
     /// the RPC GET path, but a validation mismatch reports `Busy` instead
     /// of falling forward to a fresher version (that would break the
     /// snapshot cut).
-    fn shard_snap_get(&self, key: &[u8], snap_ts: u64) -> Result<SnapOutcome, StoreError> {
+    pub(crate) fn shard_snap_get(
+        &self,
+        key: &[u8],
+        snap_ts: u64,
+    ) -> Result<SnapOutcome, StoreError> {
         self.snap_get_ctr.inc();
         let busy = |c: &Client| {
             c.snap_retry_ctr.inc();
@@ -1123,54 +1150,12 @@ impl TxnShard for Client {
         Ok(SnapOutcome::Value(value.to_vec()))
     }
 
-    fn shard_get_with_seq(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, u32), StoreError> {
-        self.rpc_get_seq(key)
-    }
-}
-
-impl TxnKv for Client {
-    fn txn_put_all(&self, puts: &[(Vec<u8>, Vec<u8>)]) -> Result<u64, StoreError> {
-        self.poll_events();
-        let first = puts.first().map(|(k, _)| k.as_slice()).unwrap_or(b"");
-        let mut ctx = self.op_root(3, first);
-        let retries_before = self.retry_total();
-        let result = txn::put_all_routed(std::slice::from_ref(self), &self.next_txn_id, puts);
-        ctx.set_retries(self.retry_total() - retries_before);
-        if let Ok(ts) = &result {
-            self.txn_commit_ctr.inc();
-            ctx.arg("commit_ts", *ts);
-        }
-        result
-    }
-
-    fn txn_rmw(
+    /// Read a key together with the version sequence number the server
+    /// will validate a read-modify-write against (`0` = absent).
+    pub(crate) fn shard_get_with_seq(
         &self,
         key: &[u8],
-        f: &mut dyn FnMut(Option<Vec<u8>>) -> Vec<u8>,
-    ) -> Result<u64, StoreError> {
-        self.poll_events();
-        let mut ctx = self.op_root(3, key);
-        let retries_before = self.retry_total();
-        let result = txn::rmw_routed(std::slice::from_ref(self), &self.next_txn_id, key, f);
-        ctx.set_retries(self.retry_total() - retries_before);
-        if let Ok(ts) = &result {
-            self.txn_commit_ctr.inc();
-            ctx.arg("commit_ts", *ts);
-        }
-        result
-    }
-
-    fn snapshot(&self) -> Result<TxnSnapshot, StoreError> {
-        self.poll_events();
-        txn::snapshot_all(std::slice::from_ref(self))
-    }
-
-    fn snap_get(&self, key: &[u8], snap: &TxnSnapshot) -> Result<Option<Vec<u8>>, StoreError> {
-        self.poll_events();
-        let mut ctx = self.op_root(4, key);
-        let retries_before = self.retry_total();
-        let result = txn::snap_get_routed(std::slice::from_ref(self), key, snap);
-        ctx.set_retries(self.retry_total() - retries_before);
-        result
+    ) -> Result<(Option<Vec<u8>>, u32), StoreError> {
+        self.rpc_get_seq(key)
     }
 }

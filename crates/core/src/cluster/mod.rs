@@ -1,10 +1,9 @@
 //! The cluster layer: multi-node placement, a replicated
 //! membership/metadata service, and live shard migration.
 //!
-//! Everything below the [`shard`](crate::shard) layer treats a "store" as
-//! N hash-partitioned shards on one implicit machine. This module hosts
-//! those shards on **N independent server nodes** and makes ownership a
-//! first-class, *changeable* fact:
+//! A [`Store`](crate::store::Store) is N hash-partitioned shards on one
+//! implicit machine. This module hosts those shards on **N independent
+//! server nodes** and makes ownership a first-class, *changeable* fact:
 //!
 //! * [`placement::PlacementMap`] — the deterministic shard→node map,
 //!   tagged with a monotonically increasing **placement epoch**;
@@ -17,8 +16,9 @@
 //!   up through the verifier's delta stream, seal + drain, verify the
 //!   copy byte-identical to the (now frozen) source, and only then flip
 //!   ownership with an epoch bump;
-//! * [`client::ClusterClient`] — clients cache the placement with its
-//!   epoch and retarget transparently on `WrongEpoch` rejections.
+//! * [`StoreClient`](crate::store::StoreClient) over [`Cluster::routes`]
+//!   — clients cache the placement with its epoch and retarget
+//!   transparently on `WrongEpoch` rejections.
 //!
 //! # Topology and naming
 //!
@@ -43,12 +43,10 @@
 //! power failure — restart + recovery over the NVM pool — while *planned*
 //! moves use live migration.
 
-pub mod client;
 pub mod meta;
 pub mod migrate;
 pub mod placement;
 
-pub use client::ClusterClient;
 pub use meta::{MetaClient, MetaCmd, MetaService, MetaState, MetaStats, MetaTiming};
 pub use migrate::{MigrateError, MigrationReport};
 pub use placement::{key_shard, PlacementMap};
@@ -68,6 +66,7 @@ use crate::log::StoreLayout;
 use crate::recovery::{self, RecoveryReport};
 use crate::repl::ReplStats;
 use crate::server::{Server, ServerConfig, ServerShared, StoreDesc};
+use crate::store::Routes;
 
 /// Tunables for a cluster.
 #[derive(Clone)]
@@ -377,6 +376,15 @@ impl Cluster {
     /// The rendezvous clients connect through.
     pub fn handle(&self) -> &Arc<ClusterHandle> {
         &self.handle
+    }
+
+    /// What clients connect with.
+    pub fn routes(&self) -> Routes {
+        Routes::Cluster {
+            meta_nodes: self.meta.nodes().to_vec(),
+            handle: Arc::clone(&self.handle),
+            stats: Arc::clone(&self.stats),
+        }
     }
 
     /// The metadata replicas' fabric nodes.

@@ -6,19 +6,18 @@
 //! * **key → shard** is *static*: [`key_shard`] hashes the key through a
 //!   second splitmix64 round (decorrelated from the in-shard bucket
 //!   [`fingerprint`](crate::hashtable::fingerprint)), and the shard count
-//!   never changes over the life of a store. Every legacy single-node
-//!   path ([`crate::shard::shard_of`], the replicated sharded client, the
-//!   routed transaction drivers) delegates here, so a key maps to the
-//!   same shard on every client, every connection, and every run.
+//!   never changes over the life of a store. The routed
+//!   [`StoreClient`](crate::store::StoreClient) and the transaction
+//!   drivers route here, so a key maps to the same shard on every client,
+//!   every connection, and every run.
 //! * **shard → node** is *dynamic*: a [`PlacementMap`] assigns each shard
 //!   to a cluster node and carries an **epoch** that the replicated
 //!   metadata service bumps on every reassignment (migration flip,
 //!   failover). Clients cache the map tagged with its epoch and learn of
 //!   staleness through `WrongEpoch` rejections.
 //!
-//! The legacy single-node topologies are the degenerate map with every
-//! shard on node 0 at epoch 0 — they never see an epoch bump, which is
-//! what keeps their replay byte-identical across this refactor.
+//! A single-node [`Store`](crate::store::Store) has no placement map: its
+//! shards never move, so it never sees an epoch.
 
 use crate::hashtable::fingerprint;
 
@@ -62,30 +61,14 @@ impl PlacementMap {
         }
     }
 
-    /// The degenerate map the legacy single-node topologies live on:
-    /// every shard on node 0, epoch 0.
-    pub fn single_node(shards: usize) -> PlacementMap {
-        PlacementMap::initial(shards, 1)
-    }
-
     /// Number of shards (fixed for the life of the store).
     pub fn shards(&self) -> usize {
         self.assignment.len()
     }
 
-    /// The shard owning `key` (static; see [`key_shard`]).
-    pub fn shard_of(&self, key: &[u8]) -> usize {
-        key_shard(key, self.assignment.len())
-    }
-
     /// The node hosting `shard` under this map.
     pub fn node_of_shard(&self, shard: usize) -> usize {
         self.assignment[shard] as usize
-    }
-
-    /// The node hosting `key` under this map.
-    pub fn node_of(&self, key: &[u8]) -> usize {
-        self.node_of_shard(self.shard_of(key))
     }
 
     /// Reassign `shard` to `node` and bump the epoch (metadata-service
@@ -157,11 +140,32 @@ mod tests {
     }
 
     #[test]
-    fn single_node_is_degenerate() {
-        let m = PlacementMap::single_node(6);
-        for g in 0..6 {
-            assert_eq!(m.node_of_shard(g), 0);
+    fn routing_is_total_and_spread() {
+        // Every key lands in-range, and a modest key set touches every
+        // shard for every shard count the acceptance sweep uses.
+        for shards in [1usize, 2, 4, 8] {
+            let mut hit = vec![0usize; shards];
+            for i in 0..512u32 {
+                let s = key_shard(format!("user{i:08}").as_bytes(), shards);
+                assert!(s < shards);
+                hit[s] += 1;
+            }
+            assert!(hit.iter().all(|&c| c > 0), "unused shard: {hit:?}");
         }
-        assert_eq!(m.epoch, 0);
+    }
+
+    #[test]
+    fn routing_decorrelated_from_bucket_home() {
+        // Keys of one shard must not collapse onto every N-th fingerprint
+        // residue (which would waste (N-1)/N of the shard's bucket homes).
+        let shards = 4;
+        let mut residues = std::collections::HashSet::new();
+        for i in 0..256u32 {
+            let key = format!("user{i:08}");
+            if key_shard(key.as_bytes(), shards) == 0 {
+                residues.insert(fingerprint(key.as_bytes()) % shards as u64);
+            }
+        }
+        assert!(residues.len() > 1, "shard 0 keys share a fp residue class");
     }
 }

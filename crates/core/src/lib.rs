@@ -29,6 +29,11 @@
 //! requests; [`recovery`] rebuilds a consistent store from the post-crash
 //! media image.
 //!
+//! Around that `Client`/`Server` pair, a [`Store`] shards the key space
+//! over several servers, each optionally mirrored to a backup ([`repl`]);
+//! a [`Cluster`] hosts the shards on several machines; one routed
+//! [`StoreClient`] drives either.
+//!
 //! The comparison systems of the paper (SAW, IMM, Erda, Forca, …) are built
 //! on these same modules in the `efactory-baselines` crate.
 //!
@@ -49,19 +54,16 @@ pub mod recovery;
 pub mod repl;
 pub mod scrub;
 pub mod server;
-pub mod shard;
+pub mod store;
 pub mod txn;
 pub mod verifier;
 
 pub use client::{Client, ClientConfig, GetOutcome, RemoteKv};
 pub use cluster::placement::{key_shard, PlacementMap};
-pub use cluster::{Cluster, ClusterClient, ClusterConfig, MigrationReport};
+pub use cluster::{Cluster, ClusterConfig, MigrationReport};
 pub use pipeline::{OpCompletion, OpKind, PipelineConfig, PipelinedClient};
 pub use protocol::{Status, StoreError};
-pub use repl::{
-    ReplClient, ReplShardedClient, ReplStats, ReplTarget, ReplicatedCluster, ReplicatedDesc,
-    ReplicatedServer,
-};
+pub use repl::{Backup, ReplStats, ReplTarget};
 pub use server::{Server, ServerConfig, ServerStats, StoreDesc};
-pub use shard::{shard_of, ShardedClient, ShardedDesc, ShardedServer};
-pub use txn::{SnapOutcome, TxnKv, TxnShard, TxnSnapshot};
+pub use store::{Routes, ShardRoute, Store, StoreClient};
+pub use txn::{SnapOutcome, TxnKv, TxnSnapshot};

@@ -1,15 +1,15 @@
 //! Pipelined client: a bounded window of K in-flight operations.
 //!
 //! The paper's client-active write scheme keeps the server CPU off the
-//! critical path, but the plain [`Client`] still runs one operation at a
-//! time — a full allocation-RPC round trip per PUT, a bucket-probe RDMA
-//! read per cold GET — so a single client's throughput is capped by latency
-//! rather than by what the fabric or the server can sustain. The
-//! [`PipelinedClient`] lifts that cap the way real RDMA clients do: it
-//! keeps up to `window` operations in flight at once, each on its **own
-//! queue pair** with its own request-id space, and doorbell-batches the
-//! send posts ([`efactory_rnic::SendDoorbell`]) the way PR 2's server
-//! batched its receive-ring refills.
+//! critical path, but the plain [`Client`](crate::Client) still runs one
+//! operation at a time — a full allocation-RPC round trip per PUT, a
+//! bucket-probe RDMA read per cold GET — so a single client's throughput is
+//! capped by latency rather than by what the fabric or the server can
+//! sustain. The [`PipelinedClient`] lifts that cap the way real RDMA
+//! clients do: it keeps up to `window` operations in flight at once, each
+//! on its **own queue pair** with its own request-id space, and
+//! doorbell-batches the send posts ([`efactory_rnic::SendDoorbell`]) the
+//! way PR 2's server batched its receive-ring refills.
 //!
 //! ## Why one QP per slot
 //!
@@ -19,10 +19,11 @@
 //! Interleaving several outstanding ids on one QP would break that
 //! contract — a retry of an older id would be discarded while a newer id
 //! executed, starving the older operation. Giving every pipeline slot a
-//! full [`Client`] (own QP, own monotonic ids, own retry/backoff/
-//! `verify_grace` machinery) composes concurrency with PR 4's retry,
-//! dedup, and lost-update guards *without touching their semantics* — the
-//! server sees `window` perfectly ordinary clients.
+//! full [`StoreClient`] (own QP per shard, own monotonic ids, own
+//! retry/backoff/`verify_grace` machinery, own failover or placement
+//! re-resolution) composes concurrency with the retry, dedup, and
+//! lost-update guards *without touching their semantics* — every shard
+//! sees `window` perfectly ordinary clients, on any topology.
 //!
 //! ## Per-slot state machine
 //!
@@ -37,7 +38,7 @@
 //! lowest-free-first, all waits are deterministic channel receives).
 //!
 //! `window == 1` bypasses the machinery entirely and executes on a single
-//! inner [`Client`], op for op exactly like today's serial client.
+//! inner [`StoreClient`], op for op exactly like the serial client.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -47,17 +48,17 @@ use efactory_rnic::{Fabric, Node, SendDoorbell};
 use efactory_sim as sim;
 use efactory_sim::Nanos;
 
-use crate::client::{Client, ClientConfig};
+use crate::client::{ClientConfig, RemoteKv};
 use crate::hashtable::fingerprint;
 use crate::protocol::{Status, StoreError};
-use crate::server::StoreDesc;
+use crate::store::{Routes, StoreClient};
 use crate::txn::TxnKv;
 
 /// Pipeline knobs.
 #[derive(Debug, Clone)]
 pub struct PipelineConfig {
-    /// Maximum operations in flight (= pipeline slots = QPs). `1` executes
-    /// serially on a single inner [`Client`].
+    /// Maximum operations in flight (= pipeline slots). `1` executes
+    /// serially on a single inner [`StoreClient`].
     pub window: usize,
     /// Doorbell chain length for client-side send posts (`<= 1`: one MMIO
     /// per post). Only the pipelined path charges send-post CPU; the
@@ -146,10 +147,10 @@ struct SlotDone {
 }
 
 /// A client that keeps up to `window` operations in flight. Not `Sync`:
-/// one pipelined client per simulated process, like the plain [`Client`].
+/// one pipelined client per simulated process, like [`StoreClient`].
 pub struct PipelinedClient {
     /// Serial fast path (`window == 1`).
-    sync: Option<Client>,
+    sync: Option<StoreClient>,
     job_txs: Vec<sim::Sender<Job>>,
     comp_rx: Option<sim::Receiver<SlotDone>>,
     handles: Vec<sim::ProcessHandle>,
@@ -172,15 +173,14 @@ pub struct PipelinedClient {
 }
 
 impl PipelinedClient {
-    /// Connect a pipelined client: `window` slots, each a full [`Client`]
-    /// on its own QP from `local` to the server. Must run inside a
-    /// simulated process. `name` seeds the slot process names (determinism
-    /// requires stable names).
+    /// Connect a pipelined client: `window` slots, each a full
+    /// [`StoreClient`] on its own QPs from `local` to the store behind
+    /// `routes`. Must run inside a simulated process. `name` seeds the slot
+    /// process names (determinism requires stable names).
     pub fn connect(
         fabric: &Arc<Fabric>,
         local: &Node,
-        server_node: &Node,
-        desc: StoreDesc,
+        routes: &Routes,
         cfg: PipelineConfig,
         name: &str,
     ) -> Result<PipelinedClient, StoreError> {
@@ -192,43 +192,31 @@ impl PipelinedClient {
         let window_wait_ctr = registry.counter("client.pipeline.window_waits");
         let doorbell_ctr = registry.counter("client.pipeline.doorbells");
         let doorbell = SendDoorbell::new(fabric.cost(), cfg.doorbell_batch);
-        if cfg.window == 1 {
-            let sync = Client::connect(fabric, local, server_node, desc, cfg.client.clone())?;
-            return Ok(PipelinedClient {
-                sync: Some(sync),
-                job_txs: Vec::new(),
-                comp_rx: None,
-                handles: Vec::new(),
-                free: BTreeSet::new(),
-                inflight: 0,
-                readers: HashMap::new(),
-                writers: HashMap::new(),
-                doorbell,
-                next_seq: 0,
-                cfg,
-                submitted_ctr,
-                completed_ctr,
-                hazard_wait_ctr,
-                window_wait_ctr,
-                doorbell_ctr,
-            });
-        }
+        let sync = if cfg.window == 1 {
+            Some(StoreClient::connect(
+                fabric,
+                local,
+                routes,
+                cfg.client.clone(),
+            )?)
+        } else {
+            None
+        };
+        let slots = if sync.is_some() { 0 } else { cfg.window };
         let (comp_tx, comp_rx) = sim::channel::<SlotDone>();
-        let mut job_txs = Vec::with_capacity(cfg.window);
-        let mut handles = Vec::with_capacity(cfg.window);
-        for slot in 0..cfg.window {
+        let mut job_txs = Vec::with_capacity(slots);
+        let mut handles = Vec::with_capacity(slots);
+        for slot in 0..slots {
             let (tx, rx) = sim::channel::<Job>();
             job_txs.push(tx);
             let comp_tx = comp_tx.clone();
             let fabric = Arc::clone(fabric);
             let local = local.clone();
-            let server_node = server_node.clone();
+            let routes = routes.clone();
             let client_cfg = cfg.client.clone();
             let tracer = client_cfg.obs.tracer.clone();
-            let shard = client_cfg.shard as u64;
             handles.push(sim::spawn(&format!("{name}-slot{slot}"), move || {
-                let client = match Client::connect(&fabric, &local, &server_node, desc, client_cfg)
-                {
+                let client = match StoreClient::connect(&fabric, &local, &routes, client_cfg) {
                     Ok(c) => c,
                     Err(e) => panic!("pipeline slot {slot}: connect failed: {e:?}"),
                 };
@@ -265,7 +253,7 @@ impl PipelinedClient {
                                 done_at.saturating_sub(submitted_at),
                                 &[
                                     ("kind", kind_code),
-                                    ("shard", shard),
+                                    ("shard", client.shard_for(&key) as u64),
                                     ("key_fp", fingerprint(&key)),
                                     ("retries", retries),
                                 ],
@@ -294,11 +282,11 @@ impl PipelinedClient {
             }));
         }
         Ok(PipelinedClient {
-            sync: None,
+            sync,
             job_txs,
-            comp_rx: Some(comp_rx),
+            comp_rx: (slots > 0).then_some(comp_rx),
             handles,
-            free: (0..cfg.window).collect(),
+            free: (0..slots).collect(),
             inflight: 0,
             readers: HashMap::new(),
             writers: HashMap::new(),
@@ -528,30 +516,18 @@ impl PipelinedClient {
     }
 }
 
-/// Execute one operation on a slot's inner client. PUTs ride out transient
-/// `NoSpace`/`Busy` rejections with the same bounded backoff the serial
-/// harness loop uses — the stall is part of the operation's latency.
+/// Execute one operation on a slot's client. PUTs ride out transient
+/// `NoSpace`/`Busy` rejections ([`RemoteKv::kv_put_patient`]) — the stall
+/// is part of the operation's latency.
 fn run_op(
-    client: &Client,
+    client: &StoreClient,
     kind: OpKind,
     key: &[u8],
     value: &[u8],
     puts: &[(Vec<u8>, Vec<u8>)],
 ) -> (Result<Option<Vec<u8>>, StoreError>, Option<u64>) {
     let result = match kind {
-        OpKind::Put => {
-            let mut tries = 0;
-            loop {
-                match client.put(key, value) {
-                    Ok(()) => break Ok(None),
-                    Err(StoreError::Status(Status::NoSpace | Status::Busy)) if tries < 200 => {
-                        tries += 1;
-                        sim::sleep(sim::micros(50));
-                    }
-                    Err(e) => break Err(e),
-                }
-            }
-        }
+        OpKind::Put => client.kv_put_patient(key, value).map(|()| None),
         OpKind::Get => client.get(key),
         OpKind::Del => client.del(key).map(|()| None),
         OpKind::Txn => {

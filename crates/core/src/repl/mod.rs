@@ -34,7 +34,8 @@
 //! rebooted primary would run — and starts serving as a full server.
 //! Clients detect the failure (RPC deadline / one-sided read error),
 //! re-resolve through the shared [`ReplHandle`] (the simulated metadata
-//! service), and reconnect to the promoted store ([`ReplClient`]).
+//! service), and reconnect to the promoted store
+//! ([`StoreClient`](crate::store::StoreClient)).
 //!
 //! # Consistency contract
 //!
@@ -64,10 +65,8 @@
 //! promotion, the same bounded-loss contract as any unverified write.
 
 mod backup;
-mod client;
 mod mirror;
 
-pub use client::{ReplClient, ReplShardedClient};
 pub use mirror::Mirror;
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -79,7 +78,7 @@ use efactory_rnic::{Fabric, Node, RemoteMr};
 use efactory_sim as sim;
 
 use crate::log::StoreLayout;
-use crate::server::{Server, ServerConfig, ServerShared, StoreDesc};
+use crate::server::{process_suffix, ServerConfig, ServerShared, StoreDesc};
 
 /// Counters exposed by the replication tier (primary-side mirroring,
 /// backup-side apply, promotion). All monotonically increasing.
@@ -171,25 +170,13 @@ impl ReplHandle {
     }
 }
 
-/// Everything a client needs to talk to a replicated store: the primary's
-/// connection info plus the failover handle.
-#[derive(Clone)]
-pub struct ReplicatedDesc {
-    /// The primary's fabric node.
-    pub primary_node: Node,
-    /// The primary's store descriptor.
-    pub desc: StoreDesc,
-    /// Failover rendezvous (shared with the backup).
-    pub handle: Arc<ReplHandle>,
-}
-
-/// A primary [`Server`] plus its backup replica on a second fabric node.
-pub struct ReplicatedServer {
-    primary: Server,
-    primary_node: Node,
-    backup_node: Node,
-    backup_pool: Arc<PmemPool>,
-    backup_mr: RemoteMr,
+/// A shard's backup replica: a second fabric node with its own NVM pool,
+/// fed by the primary's verifier and promoted to a full server when the
+/// primary dies. Owned by a [`Shard`](crate::store::Shard).
+pub struct Backup {
+    node: Node,
+    pool: Arc<PmemPool>,
+    mr: RemoteMr,
     layout: StoreLayout,
     cfg: ServerConfig,
     stats: Arc<ReplStats>,
@@ -197,63 +184,85 @@ pub struct ReplicatedServer {
     stop: Arc<AtomicBool>,
 }
 
-impl ReplicatedServer {
-    /// Create a fresh primary on `node` plus a backup on a new node named
-    /// `{node}-backup`, with an identical layout over its own pool.
+impl Backup {
+    /// A backup for the primary on `primary`: a new node named
+    /// `{primary}-backup` over a fresh pool of the same layout. Counters
+    /// register as `{cfg.counter_prefix}repl.*`.
     ///
-    /// Log cleaning (when `cfg.clean_enabled`) runs on the primary as in a
-    /// standalone store; the backup re-indexes mirrored objects by content
+    /// Log cleaning (when `cfg.clean_enabled`) runs on the primary as in an
+    /// unreplicated store; the backup re-indexes mirrored objects by content
     /// rather than offset, so relocation is transparent to it (see the
     /// module docs for the swap re-mirror and promotion rules).
-    pub fn format(
+    pub(crate) fn format(
         fabric: &Fabric,
-        node: &Node,
+        primary: &Node,
         layout: StoreLayout,
         cfg: ServerConfig,
-    ) -> ReplicatedServer {
-        let primary = Server::format(fabric, node, layout, cfg.clone());
-        let backup_node = fabric.add_node(&format!("{}-backup", node.name()));
-        let backup_pool = Arc::new(PmemPool::new(layout.total_len()));
-        let backup_mr = backup_node.register_mr(&backup_pool, 0, layout.total_len());
+    ) -> Backup {
+        let node = fabric.add_node(&format!("{}-backup", primary.name()));
+        let pool = Arc::new(PmemPool::new(layout.total_len()));
+        let mr = node.register_mr(&pool, 0, layout.total_len());
         let stats = Arc::new(ReplStats::default());
         stats.register_prefixed(&cfg.obs.registry, &cfg.counter_prefix);
-        ReplicatedServer {
-            primary,
-            primary_node: node.clone(),
-            backup_node,
-            backup_pool,
-            backup_mr,
+        Backup {
+            node,
+            pool,
+            mr,
             layout,
             cfg,
             stats,
-            handle: Arc::new(ReplHandle::default()),
-            stop: Arc::new(AtomicBool::new(false)),
+            handle: Arc::default(),
+            stop: Arc::default(),
         }
     }
 
-    /// The primary server.
-    pub fn primary(&self) -> &Server {
-        &self.primary
+    /// Start the apply loop watching `primary`, and return the mirror
+    /// target the primary's verifier ships to. Must run inside a simulated
+    /// process, before the primary starts.
+    pub(crate) fn start(&self, fabric: &Arc<Fabric>, primary: &Node) -> ReplTarget {
+        let listener =
+            self.node
+                .listen_with(fabric, self.cfg.batched_recv, self.cfg.doorbell_batch);
+        let ctx = backup::BackupCtx {
+            fabric: Arc::clone(fabric),
+            primary: primary.clone(),
+            node: self.node.clone(),
+            pool: Arc::clone(&self.pool),
+            layout: self.layout,
+            cfg: self.cfg.clone(),
+            cost: fabric.cost().clone(),
+            stats: Arc::clone(&self.stats),
+            handle: Arc::clone(&self.handle),
+            stop: Arc::clone(&self.stop),
+        };
+        sim::spawn(
+            &format!("efactory-backup{}", process_suffix(&self.cfg)),
+            move || backup::run(ctx, listener),
+        );
+        ReplTarget {
+            backup: self.node.clone(),
+            mr: self.mr,
+            stats: Arc::clone(&self.stats),
+            batch: self.cfg.doorbell_batch.max(1),
+        }
     }
 
-    /// The primary's shared state (drain checks, stats).
-    pub fn shared(&self) -> &Arc<ServerShared> {
-        self.primary.shared()
-    }
-
-    /// The primary's fabric node.
-    pub fn primary_node(&self) -> &Node {
-        &self.primary_node
+    /// Wind down the apply loop and, if it promoted, the promoted server.
+    pub(crate) fn shutdown(&self) {
+        self.stop.store(true, Ordering::Relaxed);
+        if let Some(p) = self.handle.promoted() {
+            p.shared.stop.store(true, Ordering::Relaxed);
+        }
     }
 
     /// The backup's fabric node.
-    pub fn backup_node(&self) -> &Node {
-        &self.backup_node
+    pub fn node(&self) -> &Node {
+        &self.node
     }
 
     /// The backup's NVM pool (tests, double-fault recovery).
-    pub fn backup_pool(&self) -> &Arc<PmemPool> {
-        &self.backup_pool
+    pub fn pool(&self) -> &Arc<PmemPool> {
+        &self.pool
     }
 
     /// Replication counters.
@@ -264,147 +273,5 @@ impl ReplicatedServer {
     /// Failover rendezvous handle.
     pub fn handle(&self) -> &Arc<ReplHandle> {
         &self.handle
-    }
-
-    /// The geometry shared by primary and backup.
-    pub fn layout(&self) -> StoreLayout {
-        self.layout
-    }
-
-    /// What clients connect with.
-    pub fn desc(&self) -> ReplicatedDesc {
-        ReplicatedDesc {
-            primary_node: self.primary_node.clone(),
-            desc: self.primary.desc(),
-            handle: Arc::clone(&self.handle),
-        }
-    }
-
-    /// Start the backup's apply loop and the primary's processes (with the
-    /// verifier mirroring). Must run inside a simulated process; the
-    /// backup's listener exists when the primary's verifier connects.
-    pub fn start(&self, fabric: &Arc<Fabric>) -> Arc<ServerShared> {
-        let listener =
-            self.backup_node
-                .listen_with(fabric, self.cfg.batched_recv, self.cfg.doorbell_batch);
-        let ctx = backup::BackupCtx {
-            fabric: Arc::clone(fabric),
-            primary: self.primary_node.clone(),
-            node: self.backup_node.clone(),
-            pool: Arc::clone(&self.backup_pool),
-            layout: self.layout,
-            cfg: self.cfg.clone(),
-            cost: fabric.cost().clone(),
-            stats: Arc::clone(&self.stats),
-            handle: Arc::clone(&self.handle),
-            stop: Arc::clone(&self.stop),
-        };
-        let tag = self.cfg.counter_prefix.trim_end_matches('.');
-        let suffix = if tag.is_empty() {
-            String::new()
-        } else {
-            format!("-{tag}")
-        };
-        sim::spawn(&format!("efactory-backup{suffix}"), move || {
-            backup::run(ctx, listener);
-        });
-        self.primary.start_with(
-            fabric,
-            Some(ReplTarget {
-                backup: self.backup_node.clone(),
-                mr: self.backup_mr,
-                stats: Arc::clone(&self.stats),
-                batch: self.cfg.doorbell_batch.max(1),
-            }),
-        )
-    }
-
-    /// Wind down the primary, the backup applier, and (if promotion
-    /// happened) the promoted server.
-    pub fn shutdown(&self) {
-        self.primary.shutdown();
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(p) = self.handle.promoted() {
-            p.shared.stop.store(true, Ordering::Relaxed);
-        }
-    }
-}
-
-/// N independent [`ReplicatedServer`] shards over one fabric — the
-/// replicated analog of [`crate::shard::ShardedServer`]: same hash router,
-/// same per-shard isolation, plus one backup per shard.
-pub struct ReplicatedCluster {
-    servers: Vec<ReplicatedServer>,
-}
-
-impl ReplicatedCluster {
-    /// Create `shards` replicated shards. Primary nodes are named
-    /// `{name}-shard{i}`, backups `{name}-shard{i}-backup`; counters get a
-    /// `shard{i}.` prefix when `shards > 1` (matching `ShardedServer`).
-    pub fn format(
-        fabric: &Fabric,
-        name: &str,
-        layout: StoreLayout,
-        cfg: ServerConfig,
-        shards: usize,
-    ) -> ReplicatedCluster {
-        assert!(shards >= 1, "a store has at least one shard");
-        let mut servers = Vec::with_capacity(shards);
-        for i in 0..shards {
-            let node = fabric.add_node(&format!("{name}-shard{i}"));
-            let mut scfg = cfg.clone();
-            if shards > 1 {
-                scfg.counter_prefix = format!("{}shard{i}.", cfg.counter_prefix);
-            }
-            servers.push(ReplicatedServer::format(fabric, &node, layout, scfg));
-        }
-        ReplicatedCluster { servers }
-    }
-
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.servers.len()
-    }
-
-    /// Shard `i`'s replicated server.
-    pub fn server(&self, i: usize) -> &ReplicatedServer {
-        &self.servers[i]
-    }
-
-    /// Per-shard connection info for [`ReplShardedClient`].
-    pub fn descs(&self) -> Vec<ReplicatedDesc> {
-        self.servers.iter().map(|s| s.desc()).collect()
-    }
-
-    /// Every shard's primary shared state.
-    pub fn shared_all(&self) -> Vec<&Arc<ServerShared>> {
-        self.servers.iter().map(|s| s.shared()).collect()
-    }
-
-    /// Start every shard (backup applier + mirrored primary).
-    pub fn start(&self, fabric: &Arc<Fabric>) {
-        for s in &self.servers {
-            s.start(fabric);
-        }
-    }
-
-    /// Wind down every shard.
-    pub fn shutdown(&self) {
-        for s in &self.servers {
-            s.shutdown();
-        }
-    }
-
-    /// Sum a primary server counter across shards.
-    pub fn stat_sum(&self, pick: impl Fn(&crate::server::ServerStats) -> &Counter) -> u64 {
-        self.servers
-            .iter()
-            .map(|s| pick(&s.shared().stats).get())
-            .sum()
-    }
-
-    /// Sum a replication counter across shards.
-    pub fn repl_stat_sum(&self, pick: impl Fn(&ReplStats) -> &Counter) -> u64 {
-        self.servers.iter().map(|s| pick(s.stats()).get()).sum()
     }
 }

@@ -38,6 +38,7 @@ use crate::hashtable::{Entry, HashTable, HtError};
 use crate::layout::{self, flags, ObjHeader, NIL};
 use crate::log::{LogRegion, StoreLayout};
 use crate::protocol::{Request, Response, Status};
+use crate::store::ShardRoute;
 
 /// Cleaning phase (paper §4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,9 +110,8 @@ pub struct ServerConfig {
     /// eligible version and serve its predecessor — a deliberate
     /// stale-read mutation the consistency checker must catch.
     pub snap_serve_stale: bool,
-    /// Prefix for registry counter names (e.g. `"shard3."` in a
-    /// [`crate::shard::ShardedServer`]); empty for the plain `server.*`
-    /// names.
+    /// Prefix for registry counter names (e.g. `"shard3."` in a sharded
+    /// [`crate::store::Store`]); empty for the plain `server.*` names.
     pub counter_prefix: String,
     /// Observability context (tracer + metrics registry). The default is a
     /// private fully-enabled context; the harness injects one per run.
@@ -478,6 +478,18 @@ pub struct StoreDesc {
     pub layout: StoreLayout,
 }
 
+/// Process-name suffix for a server's processes: `-{prefix}` from its
+/// counter prefix, so each shard gets its own lane in the trace (the
+/// tracer keys spans by simulated process).
+pub(crate) fn process_suffix(cfg: &ServerConfig) -> String {
+    let tag = cfg.counter_prefix.trim_end_matches('.');
+    if tag.is_empty() {
+        String::new()
+    } else {
+        format!("-{tag}")
+    }
+}
+
 /// An eFactory server instance.
 pub struct Server {
     shared: Arc<ServerShared>,
@@ -549,6 +561,16 @@ impl Server {
         &self.shared
     }
 
+    /// How a [`StoreClient`](crate::store::StoreClient) reaches this server
+    /// as one shard.
+    pub fn route(&self) -> ShardRoute {
+        ShardRoute {
+            node: self.shared.node.clone(),
+            desc: self.desc,
+            failover: None,
+        }
+    }
+
     /// Ask all server processes to wind down (they notice on their next
     /// wakeup or request).
     pub fn shutdown(&self) {
@@ -578,14 +600,7 @@ impl Server {
                 .listen_with(fabric, shared.cfg.batched_recv, shared.cfg.doorbell_batch);
         let notifier = listener.notifier();
         *shared.notifier.lock().unwrap() = Some(listener.notifier());
-        // Per-shard process names give each shard its own lane in the
-        // trace (the tracer keys spans by simulated process).
-        let tag = shared.cfg.counter_prefix.trim_end_matches('.');
-        let suffix = if tag.is_empty() {
-            String::new()
-        } else {
-            format!("-{tag}")
-        };
+        let suffix = process_suffix(&shared.cfg);
 
         let h_shared = Arc::clone(&shared);
         sim::spawn(&format!("efactory-handler{suffix}"), move || {

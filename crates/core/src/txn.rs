@@ -53,11 +53,12 @@ use efactory_pmem::PmemPool;
 use efactory_rnic::QpId;
 use efactory_sim as sim;
 
+use crate::cluster::key_shard;
 use crate::hashtable::{fingerprint, HtError};
 use crate::layout::{self, flags, ObjHeader, NIL};
 use crate::protocol::{Response, Status, StoreError};
 use crate::server::{CleanPhase, ServerShared};
-use crate::shard::shard_of;
+use crate::store::ShardConn;
 
 /// Magic key prefix identifying a commit record in the log. NUL-framed so
 /// it can never collide with workload keys (which are printable).
@@ -711,43 +712,8 @@ pub enum SnapOutcome {
     Expired,
 }
 
-/// Raw per-shard transactional RPCs. Implemented by [`crate::Client`] and
-/// the failover-aware [`crate::ReplClient`]; the generic multi-shard
-/// drivers below are written against this trait so sharded and replicated
-/// clients share one coordinator.
-pub trait TxnShard {
-    /// Fused single-shard commit; returns `(status, commit_ts)`.
-    fn shard_txn_commit(
-        &self,
-        txn_id: u64,
-        reads: &[(Vec<u8>, u32)],
-        puts: &[(Vec<u8>, Vec<u8>)],
-    ) -> Result<(Status, u64), StoreError>;
-    /// 2PC prepare; returns `(status, shard clock)`.
-    fn shard_txn_prepare(
-        &self,
-        txn_id: u64,
-        reads: &[(Vec<u8>, u32)],
-        puts: &[(Vec<u8>, Vec<u8>)],
-    ) -> Result<(Status, u64), StoreError>;
-    /// 2PC decide.
-    fn shard_txn_decide(
-        &self,
-        txn_id: u64,
-        commit: bool,
-        commit_ts: u64,
-    ) -> Result<Status, StoreError>;
-    /// Capture the shard's snapshot clock.
-    fn shard_snap_capture(&self) -> Result<(Status, u64), StoreError>;
-    /// Snapshot read at `snap_ts`.
-    fn shard_snap_get(&self, key: &[u8], snap_ts: u64) -> Result<SnapOutcome, StoreError>;
-    /// Read a key together with the version sequence number the server
-    /// will validate a read-modify-write against (`0` = absent).
-    fn shard_get_with_seq(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, u32), StoreError>;
-}
-
-/// The transactional client surface. Object-safe so the harness can drive
-/// any store through `Box<dyn TxnKv>`.
+/// The transactional client surface. Object-safe so the harness can reach
+/// it through [`RemoteKv::txn`](crate::RemoteKv::txn).
 pub trait TxnKv {
     /// Atomically write every `(key, value)` pair (all-or-nothing, exactly
     /// once). Returns the commit timestamp.
@@ -781,8 +747,8 @@ fn bump(next: &Cell<u64>) -> u64 {
 /// Multi-shard `txn_put_all` driver: last-write-wins key dedup, group by
 /// shard, then either a fused single-shard commit or client-coordinated
 /// 2PC in deterministic shard order.
-pub fn put_all_routed<C: TxnShard>(
-    clients: &[C],
+pub(crate) fn put_all_routed(
+    clients: &[ShardConn<'_>],
     next_txn_id: &Cell<u64>,
     puts: &[(Vec<u8>, Vec<u8>)],
 ) -> Result<u64, StoreError> {
@@ -799,7 +765,7 @@ pub fn put_all_routed<C: TxnShard>(
     }
     let mut groups: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); shards];
     for (k, v) in dedup {
-        let s = shard_of(&k, shards);
+        let s = key_shard(&k, shards);
         groups[s].push((k, v));
     }
     let touched: Vec<usize> = (0..shards).filter(|&i| !groups[i].is_empty()).collect();
@@ -811,7 +777,7 @@ pub fn put_all_routed<C: TxnShard>(
         let txn_id = bump(next_txn_id);
         if touched.len() == 1 {
             let i = touched[0];
-            match clients[i].shard_txn_commit(txn_id, &[], &groups[i])? {
+            match clients[i].rpc(|c| c.shard_txn_commit(txn_id, &[], &groups[i]))? {
                 (Status::Ok, ts) => return Ok(ts),
                 (Status::Busy | Status::Conflict, _) => {
                     sim::sleep(TXN_BACKOFF << attempt.min(4));
@@ -825,7 +791,7 @@ pub fn put_all_routed<C: TxnShard>(
         let mut prepared: Vec<usize> = Vec::with_capacity(touched.len());
         let mut retry = false;
         for &i in &touched {
-            match clients[i].shard_txn_prepare(txn_id, &[], &groups[i])? {
+            match clients[i].rpc(|c| c.shard_txn_prepare(txn_id, &[], &groups[i]))? {
                 (Status::Ok, clock) => {
                     clocks.push(clock);
                     prepared.push(i);
@@ -836,7 +802,7 @@ pub fn put_all_routed<C: TxnShard>(
                 }
                 (status, _) => {
                     for &j in &prepared {
-                        clients[j].shard_txn_decide(txn_id, false, 0)?;
+                        clients[j].rpc(|c| c.shard_txn_decide(txn_id, false, 0))?;
                     }
                     return Err(StoreError::Status(status));
                 }
@@ -844,7 +810,7 @@ pub fn put_all_routed<C: TxnShard>(
         }
         if retry {
             for &j in &prepared {
-                clients[j].shard_txn_decide(txn_id, false, 0)?;
+                clients[j].rpc(|c| c.shard_txn_decide(txn_id, false, 0))?;
             }
             sim::sleep(TXN_BACKOFF << attempt.min(4));
             continue;
@@ -853,7 +819,7 @@ pub fn put_all_routed<C: TxnShard>(
         // captured before its prepare can cover this commit.
         let ts = (clocks.iter().copied().max().unwrap() + 1).max(sim::now());
         for &i in &touched {
-            match clients[i].shard_txn_decide(txn_id, true, ts)? {
+            match clients[i].rpc(|c| c.shard_txn_decide(txn_id, true, ts))? {
                 Status::Ok => {}
                 // Presumed abort fired on a participant after others
                 // committed — unreachable while the abort timeout exceeds
@@ -868,18 +834,19 @@ pub fn put_all_routed<C: TxnShard>(
 
 /// Routed read-modify-write: single-key, so always a fused commit on the
 /// owning shard, retried on conflict with a fresh read.
-pub fn rmw_routed<C: TxnShard>(
-    clients: &[C],
+pub(crate) fn rmw_routed(
+    clients: &[ShardConn<'_>],
     next_txn_id: &Cell<u64>,
     key: &[u8],
     f: &mut dyn FnMut(Option<Vec<u8>>) -> Vec<u8>,
 ) -> Result<u64, StoreError> {
-    let c = &clients[shard_of(key, clients.len())];
+    let c = &clients[key_shard(key, clients.len())];
     for attempt in 0..TXN_RETRY_LIMIT {
-        let (val, seq) = c.shard_get_with_seq(key)?;
+        let (val, seq) = c.rpc(|c| c.shard_get_with_seq(key))?;
         let new = f(val);
         let txn_id = bump(next_txn_id);
-        match c.shard_txn_commit(txn_id, &[(key.to_vec(), seq)], &[(key.to_vec(), new)])? {
+        let (reads, puts) = ([(key.to_vec(), seq)], [(key.to_vec(), new)]);
+        match c.rpc(|c| c.shard_txn_commit(txn_id, &reads, &puts))? {
             (Status::Ok, ts) => return Ok(ts),
             (Status::Conflict | Status::Busy, _) => {
                 sim::sleep(TXN_BACKOFF << attempt.min(4));
@@ -891,12 +858,12 @@ pub fn rmw_routed<C: TxnShard>(
 }
 
 /// Capture every shard's clock; the snapshot reads at the minimum.
-pub fn snapshot_all<C: TxnShard>(clients: &[C]) -> Result<TxnSnapshot, StoreError> {
+pub(crate) fn snapshot_all(clients: &[ShardConn<'_>]) -> Result<TxnSnapshot, StoreError> {
     let mut vector = Vec::with_capacity(clients.len());
     for c in clients {
         let mut attempt = 0;
         let wm = loop {
-            match c.shard_snap_capture()? {
+            match c.rpc(|c| c.shard_snap_capture())? {
                 (Status::Ok, wm) => break wm,
                 (Status::Busy, _) if attempt < TXN_RETRY_LIMIT => {
                     attempt += 1;
@@ -912,14 +879,14 @@ pub fn snapshot_all<C: TxnShard>(clients: &[C]) -> Result<TxnSnapshot, StoreErro
 }
 
 /// Routed snapshot read with bounded retry on in-doubt/in-flight versions.
-pub fn snap_get_routed<C: TxnShard>(
-    clients: &[C],
+pub(crate) fn snap_get_routed(
+    clients: &[ShardConn<'_>],
     key: &[u8],
     snap: &TxnSnapshot,
 ) -> Result<Option<Vec<u8>>, StoreError> {
-    let c = &clients[shard_of(key, clients.len())];
+    let c = &clients[key_shard(key, clients.len())];
     for _ in 0..TXN_RETRY_LIMIT {
-        match c.shard_snap_get(key, snap.ts)? {
+        match c.rpc(|c| c.shard_snap_get(key, snap.ts))? {
             SnapOutcome::Value(v) => return Ok(Some(v)),
             SnapOutcome::NotFound => return Ok(None),
             SnapOutcome::Busy => sim::sleep(TXN_BACKOFF),

@@ -2,14 +2,17 @@
 //! systems inside one deterministic simulation, run a YCSB workload with N
 //! closed-loop clients, and report latency/throughput in virtual time.
 
+use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
-use efactory::client::{Client, ClientConfig, RemoteKv};
+use efactory::client::{ClientConfig, RemoteKv};
+use efactory::cluster::{Cluster, ClusterConfig};
 use efactory::log::StoreLayout;
 use efactory::pipeline::{OpCompletion, OpKind, PipelineConfig, PipelinedClient};
-use efactory::server::{Server, ServerConfig};
-use efactory::TxnKv;
+use efactory::protocol::{Status, StoreError};
+use efactory::server::ServerConfig;
+use efactory::store::{Routes, Store, StoreClient};
 use efactory_baselines::{
     CaNoperClient, CaNoperServer, ErdaClient, ErdaServer, ForcaClient, ForcaServer, ImmClient,
     ImmServer, RpcClient, RpcServer, SawClient, SawServer,
@@ -57,6 +60,11 @@ impl SystemKind {
             SystemKind::CaNoper => "CA w/o persistence",
             SystemKind::Rpc => "RPC",
         }
+    }
+
+    /// eFactory, with or without the hybrid read.
+    pub fn is_efactory(self) -> bool {
+        matches!(self, SystemKind::EFactory | SystemKind::EFactoryNoHr)
     }
 
     /// The six systems of Figures 9/10, in the paper's legend order.
@@ -118,9 +126,9 @@ pub struct ExperimentSpec {
     /// fences (eFactory only; 0 = flat per-message charging).
     pub doorbell_batch: usize,
     /// Backup replicas per server (eFactory only; 0 = unreplicated, 1 =
-    /// primary–backup mirroring with one backup node per shard). Composes
-    /// with `Cleaning::Enabled`: the backup indexes mirrored objects by
-    /// content, so relocation is transparent to it.
+    /// primary–backup mirroring with one backup node per shard; single-node
+    /// stores only). Composes with `Cleaning::Enabled`: the backup indexes
+    /// mirrored objects by content, so relocation is transparent to it.
     pub replicas: usize,
     /// Fault injection: power-fail every shard's primary this many virtual
     /// nanoseconds after the measurement window opens. Requires
@@ -136,11 +144,10 @@ pub struct ExperimentSpec {
     /// (repairs/quarantines bit-rotted objects — see [`efactory::scrub`]).
     pub scrub: bool,
     /// Pipeline window per client: each client keeps up to this many
-    /// operations in flight through [`efactory::PipelinedClient`] (one QP
-    /// per slot, per-key hazards, doorbell-batched send posts). `1` (the
-    /// default) drives the plain serial client, op for op identical to the
-    /// pre-pipeline harness. Values above 1 require eFactory with
-    /// `shards == 1` and `replicas == 0`.
+    /// operations in flight through [`efactory::PipelinedClient`] (one
+    /// routed client per slot, per-key hazards, doorbell-batched send
+    /// posts), on any eFactory topology. `1` (the default) drives the
+    /// serial client. Values above 1 require a mix without snapshot reads.
     pub window: usize,
     /// Enable the client-side location cache (key → object offset), so
     /// repeat GETs skip the bucket-probe RDMA read (eFactory only).
@@ -152,12 +159,11 @@ pub struct ExperimentSpec {
     /// `Cleaning::Enabled` a pool swap expires open snapshots; readers
     /// re-capture on `Status::Expired`.
     pub snap_readers: usize,
-    /// Data nodes hosting the shards. `1` (the default) runs the legacy
-    /// single-machine topologies; above 1 the run builds an
+    /// Data nodes hosting the shards. `1` (the default) runs a single-node
+    /// [`efactory::Store`]; above 1 the run builds an
     /// [`efactory::cluster::Cluster`] — shards placed round-robin across
-    /// nodes, a 3-replica metadata service, and cluster-aware clients
-    /// that retarget on placement changes. Requires eFactory with
-    /// `replicas == 0` and `window == 1`.
+    /// nodes, a 3-replica metadata service, and clients that retarget on
+    /// placement changes. Requires eFactory with `replicas == 0`.
     pub nodes: usize,
     /// Live-migrate shard 0 to the next node (`(owner + 1) % nodes`)
     /// this many virtual nanoseconds after the measurement window opens,
@@ -175,11 +181,60 @@ pub struct ExperimentSpec {
 /// transactional mixes — the YCSB-T write-set width.
 pub const TXN_KEYS: usize = 4;
 
-/// A workload client that serves both the plain KV surface and the
-/// transactional/snapshot surface. Implemented by every eFactory client
-/// flavor (single, sharded, replicated); baselines have no equivalent.
-pub trait TxnRemote: RemoteKv + TxnKv {}
-impl<T: RemoteKv + TxnKv> TxnRemote for T {}
+/// A spec combination the harness cannot run, reported by
+/// [`ExperimentSpec::validate`] before any simulation starts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SpecError {
+    /// `shards` or `nodes` is zero.
+    EmptyTopology,
+    /// More than one backup per shard.
+    TooManyReplicas(usize),
+    /// Backups on a multi-node cluster: cluster shards survive node death
+    /// by restart and recovery, and move by live migration, instead.
+    BackupsOnCluster,
+    /// A baseline with shards, nodes, replicas, or a pipeline window: the
+    /// baselines run one serial client against one unreplicated server.
+    BaselineTopology(SystemKind),
+    /// Transactions or snapshot readers on a baseline, which has no
+    /// transactional surface.
+    BaselineTxn(SystemKind),
+    /// Snapshot reads in a pipelined op stream: the pipelined driver has
+    /// no snapshot lane (use `snap_readers` instead).
+    PipelinedSnapReads,
+    /// `fault_at` without a backup to fail over to.
+    FaultNeedsReplicas,
+    /// `migrate_at` without a second node to migrate to.
+    MigrateNeedsNodes,
+}
+
+impl fmt::Display for SpecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SpecError::EmptyTopology => write!(f, "shards and nodes must be at least 1"),
+            SpecError::TooManyReplicas(n) => {
+                write!(f, "{n} replicas: a shard has at most one backup")
+            }
+            SpecError::BackupsOnCluster => {
+                write!(f, "replicas > 0 requires nodes == 1")
+            }
+            SpecError::BaselineTopology(k) => write!(
+                f,
+                "{k:?} runs one unreplicated shard on one node with window 1"
+            ),
+            SpecError::BaselineTxn(k) => write!(
+                f,
+                "{k:?} has no transactions: transactional mixes and snapshot readers require eFactory"
+            ),
+            SpecError::PipelinedSnapReads => {
+                write!(f, "window > 1 cannot drive a mix with snapshot reads")
+            }
+            SpecError::FaultNeedsReplicas => write!(f, "fault_at requires replicas > 0"),
+            SpecError::MigrateNeedsNodes => write!(f, "migrate_at requires nodes > 1"),
+        }
+    }
+}
+
+impl std::error::Error for SpecError {}
 
 impl ExperimentSpec {
     /// A paper-flavored spec: 32-byte keys, 4 K records, 8 clients.
@@ -208,6 +263,38 @@ impl ExperimentSpec {
             migrate_at: None,
             exec: None,
         }
+    }
+
+    /// Check that the harness can run this spec. [`run`] and its siblings
+    /// panic with the error's message before the simulation starts.
+    pub fn validate(&self) -> Result<(), SpecError> {
+        let efactory = self.system.is_efactory();
+        if self.shards == 0 || self.nodes == 0 {
+            return Err(SpecError::EmptyTopology);
+        }
+        if self.replicas > 1 {
+            return Err(SpecError::TooManyReplicas(self.replicas));
+        }
+        if !efactory && (self.shards > 1 || self.nodes > 1 || self.replicas > 0 || self.window > 1)
+        {
+            return Err(SpecError::BaselineTopology(self.system));
+        }
+        if !efactory && (self.mix.transactional() || self.snap_readers > 0) {
+            return Err(SpecError::BaselineTxn(self.system));
+        }
+        if self.nodes > 1 && self.replicas > 0 {
+            return Err(SpecError::BackupsOnCluster);
+        }
+        if self.window > 1 && self.mix.snap_fraction() > 0.0 {
+            return Err(SpecError::PipelinedSnapReads);
+        }
+        if self.fault_at.is_some() && self.replicas == 0 {
+            return Err(SpecError::FaultNeedsReplicas);
+        }
+        if self.migrate_at.is_some() && self.nodes < 2 {
+            return Err(SpecError::MigrateNeedsNodes);
+        }
+        Ok(())
     }
 }
 
@@ -253,27 +340,12 @@ struct Collected {
     end: Nanos,
 }
 
-/// Connection info handed to clients: a single store or a shard set.
-#[derive(Clone)]
-enum AnyDesc {
-    Single(efactory::server::StoreDesc),
-    Sharded(efactory::shard::ShardedDesc),
-    Replicated(Vec<efactory::repl::ReplicatedDesc>),
-    Cluster {
-        handle: Arc<efactory::cluster::ClusterHandle>,
-        meta_nodes: Vec<Node>,
-        stats: Arc<efactory::cluster::ClusterStats>,
-    },
-}
-
 // One AnyServer exists per run and lives behind an Arc; the size gap from
 // the cluster variant's seat tables is irrelevant.
 #[allow(clippy::large_enum_variant)]
 enum AnyServer {
-    Ef(Server),
-    EfSharded(efactory::shard::ShardedServer),
-    EfRepl(efactory::repl::ReplicatedCluster),
-    EfCluster(efactory::cluster::Cluster),
+    Store(Store),
+    Cluster(Cluster),
     Saw(SawServer),
     Imm(ImmServer),
     Erda(ErdaServer),
@@ -283,33 +355,10 @@ enum AnyServer {
 }
 
 impl AnyServer {
-    fn desc(&self) -> AnyDesc {
-        match self {
-            AnyServer::Ef(s) => AnyDesc::Single(s.desc()),
-            AnyServer::EfSharded(s) => AnyDesc::Sharded(s.desc()),
-            AnyServer::EfRepl(s) => AnyDesc::Replicated(s.descs()),
-            AnyServer::EfCluster(c) => AnyDesc::Cluster {
-                handle: Arc::clone(c.handle()),
-                meta_nodes: c.meta_nodes().to_vec(),
-                stats: Arc::clone(c.stats()),
-            },
-            AnyServer::Saw(s) => AnyDesc::Single(s.desc()),
-            AnyServer::Imm(s) => AnyDesc::Single(s.desc()),
-            AnyServer::Erda(s) => AnyDesc::Single(s.desc()),
-            AnyServer::Forca(s) => AnyDesc::Single(s.desc()),
-            AnyServer::CaNoper(s) => AnyDesc::Single(s.desc()),
-            AnyServer::Rpc(s) => AnyDesc::Single(s.desc()),
-        }
-    }
-
     fn start(&self, fabric: &Arc<Fabric>) {
         match self {
-            AnyServer::Ef(s) => {
-                s.start(fabric);
-            }
-            AnyServer::EfSharded(s) => s.start(fabric),
-            AnyServer::EfRepl(s) => s.start(fabric),
-            AnyServer::EfCluster(c) => c.start(),
+            AnyServer::Store(s) => s.start(fabric),
+            AnyServer::Cluster(c) => c.start(),
             AnyServer::Saw(s) => s.start(fabric),
             AnyServer::Imm(s) => s.start(fabric),
             AnyServer::Erda(s) => s.start(fabric),
@@ -321,10 +370,8 @@ impl AnyServer {
 
     fn shutdown(&self) {
         match self {
-            AnyServer::Ef(s) => s.shutdown(),
-            AnyServer::EfSharded(s) => s.shutdown(),
-            AnyServer::EfRepl(s) => s.shutdown(),
-            AnyServer::EfCluster(c) => c.shutdown(),
+            AnyServer::Store(s) => s.shutdown(),
+            AnyServer::Cluster(c) => c.shutdown(),
             AnyServer::Saw(s) => s.shutdown(),
             AnyServer::Imm(s) => s.shutdown(),
             AnyServer::Erda(s) => s.shutdown(),
@@ -334,31 +381,38 @@ impl AnyServer {
         }
     }
 
-    /// Sum a server counter across shards (a single server is one shard).
+    /// Sum a server counter across shards (a baseline is one shard).
     fn stat_sum(
         &self,
         pick: impl Fn(&efactory::server::ServerStats) -> &efactory_obs::Counter,
     ) -> u64 {
         match self {
-            AnyServer::EfSharded(s) => s.stat_sum(pick),
-            AnyServer::EfRepl(s) => s.stat_sum(pick),
-            AnyServer::EfCluster(c) => c.stat_sum(pick),
-            other => pick(other.single_stats()).get(),
+            AnyServer::Store(s) => s.stat_sum(pick),
+            AnyServer::Cluster(c) => c.stat_sum(pick),
+            other => pick(&other.baseline().stats).get(),
         }
     }
 
-    fn single_stats(&self) -> &efactory::server::ServerStats {
+    /// What eFactory clients connect with.
+    fn routes(&self) -> Routes {
         match self {
-            AnyServer::Ef(s) => &s.shared().stats,
-            AnyServer::EfSharded(_) | AnyServer::EfRepl(_) | AnyServer::EfCluster(_) => {
-                unreachable!("multi-server stats go through stat_sum")
+            AnyServer::Store(s) => s.routes(),
+            AnyServer::Cluster(c) => c.routes(),
+            _ => unreachable!("baselines have no routed client"),
+        }
+    }
+
+    fn baseline(&self) -> &efactory_baselines::common::BaseServer {
+        match self {
+            AnyServer::Store(_) | AnyServer::Cluster(_) => {
+                unreachable!("eFactory stores are not baselines")
             }
-            AnyServer::Saw(s) => &s.base().stats,
-            AnyServer::Imm(s) => &s.base().stats,
-            AnyServer::Erda(s) => &s.base().stats,
-            AnyServer::Forca(s) => &s.base().stats,
-            AnyServer::CaNoper(s) => &s.base().stats,
-            AnyServer::Rpc(s) => &s.base().stats,
+            AnyServer::Saw(s) => s.base(),
+            AnyServer::Imm(s) => s.base(),
+            AnyServer::Erda(s) => s.base(),
+            AnyServer::Forca(s) => s.base(),
+            AnyServer::CaNoper(s) => s.base(),
+            AnyServer::Rpc(s) => s.base(),
         }
     }
 
@@ -368,75 +422,79 @@ impl AnyServer {
     /// through `cfg.obs`; baselines share the same `ServerStats` type and
     /// attach here.
     fn attach_obs(&self, obs: &Obs) {
+        let attach = |pool: &PmemPool, prefix: &str| {
+            pool.stats().register_prefixed(&obs.registry, prefix);
+            pool.set_tracer(obs.tracer.clone());
+        };
         match self {
-            AnyServer::Ef(s) => {
-                s.shared().pool.stats().register(&obs.registry);
-                s.shared().pool.set_tracer(obs.tracer.clone());
-            }
-            AnyServer::EfSharded(s) => {
-                for (i, shared) in s.shared_all().into_iter().enumerate() {
-                    let prefix = if s.shards() > 1 {
-                        format!("shard{i}.")
-                    } else {
-                        String::new()
-                    };
-                    shared
-                        .pool
-                        .stats()
-                        .register_prefixed(&obs.registry, &prefix);
-                    shared.pool.set_tracer(obs.tracer.clone());
-                }
-            }
-            AnyServer::EfRepl(s) => {
+            AnyServer::Store(s) => {
                 for i in 0..s.shards() {
                     let prefix = if s.shards() > 1 {
                         format!("shard{i}.")
                     } else {
                         String::new()
                     };
-                    let srv = s.server(i);
-                    let primary = &srv.shared().pool;
-                    primary.stats().register_prefixed(&obs.registry, &prefix);
-                    primary.set_tracer(obs.tracer.clone());
-                    let backup = srv.backup_pool();
-                    backup
-                        .stats()
-                        .register_prefixed(&obs.registry, &format!("{prefix}backup."));
-                    backup.set_tracer(obs.tracer.clone());
+                    let shard = s.shard(i);
+                    attach(&shard.server().shared().pool, &prefix);
+                    if let Some(b) = shard.backup() {
+                        attach(b.pool(), &format!("{prefix}backup."));
+                    }
                 }
             }
-            AnyServer::EfCluster(c) => {
+            AnyServer::Cluster(c) => {
                 for g in 0..c.handle().shards() {
-                    let owner = c.owner_of(g);
-                    let pool = c.shard_pool(g);
-                    pool.stats().register_prefixed(
-                        &obs.registry,
-                        &format!("{}.", efactory::cluster::Cluster::seat_name(owner, g)),
-                    );
-                    pool.set_tracer(obs.tracer.clone());
+                    let seat = Cluster::seat_name(c.owner_of(g), g);
+                    attach(&c.shard_pool(g), &format!("{seat}."));
                 }
             }
             other => {
-                other.single_stats().register(&obs.registry);
-                other.single_pool().stats().register(&obs.registry);
-                other.single_pool().set_tracer(obs.tracer.clone());
+                other.baseline().stats.register(&obs.registry);
+                attach(&other.baseline().pool, "");
             }
         }
     }
 
-    fn single_pool(&self) -> &Arc<PmemPool> {
-        match self {
-            AnyServer::Ef(s) => &s.shared().pool,
-            AnyServer::EfSharded(_) | AnyServer::EfRepl(_) | AnyServer::EfCluster(_) => {
-                unreachable!("multi-server pools go through attach_obs")
-            }
-            AnyServer::Saw(s) => &s.base().pool,
-            AnyServer::Imm(s) => &s.base().pool,
-            AnyServer::Erda(s) => &s.base().pool,
-            AnyServer::Forca(s) => &s.base().pool,
-            AnyServer::CaNoper(s) => &s.base().pool,
-            AnyServer::Rpc(s) => &s.base().pool,
+    /// Connect a workload client: the routed client for eFactory, the
+    /// baseline's own client (against the run's `server` node) otherwise.
+    fn connect(
+        &self,
+        spec: &ExperimentSpec,
+        fabric: &Arc<Fabric>,
+        local: &Node,
+        server_node: &Node,
+        obs: &Obs,
+    ) -> Box<dyn RemoteKv> {
+        fn boxed<C: RemoteKv + 'static>(
+            c: Result<C, StoreError>,
+        ) -> Result<Box<dyn RemoteKv>, StoreError> {
+            c.map(|c| Box::new(c) as Box<dyn RemoteKv>)
         }
+        let sn = server_node;
+        let connected = match self {
+            AnyServer::Store(_) | AnyServer::Cluster(_) => boxed(StoreClient::connect(
+                fabric,
+                local,
+                &self.routes(),
+                client_cfg(spec, obs),
+            )),
+            AnyServer::Saw(s) => boxed(SawClient::connect(fabric, local, sn, s.desc())),
+            AnyServer::Imm(s) => boxed(ImmClient::connect(fabric, local, sn, s.desc())),
+            AnyServer::Erda(s) => boxed(ErdaClient::connect(fabric, local, sn, s.desc())),
+            AnyServer::Forca(s) => boxed(ForcaClient::connect(fabric, local, sn, s.desc())),
+            AnyServer::CaNoper(s) => boxed(CaNoperClient::connect(fabric, local, sn, s.desc())),
+            AnyServer::Rpc(s) => boxed(RpcClient::connect(fabric, local, sn, s.desc())),
+        };
+        connected.unwrap_or_else(|e| panic!("{}: client connect failed: {e}", spec.system.label()))
+    }
+}
+
+/// The eFactory client configuration a spec asks for.
+fn client_cfg(spec: &ExperimentSpec, obs: &Obs) -> ClientConfig {
+    ClientConfig {
+        hybrid_read: spec.system == SystemKind::EFactory,
+        loc_cache: spec.loc_cache,
+        obs: obs.clone(),
+        ..ClientConfig::default()
     }
 }
 
@@ -459,12 +517,6 @@ fn build_server(
     let total_puts = ((spec.clients * spec.ops_per_client) as f64 * write_frac * puts_per_write)
         .ceil() as usize
         + 16;
-    if spec.mix.transactional() || spec.snap_readers > 0 {
-        assert!(
-            matches!(spec.system, SystemKind::EFactory | SystemKind::EFactoryNoHr),
-            "transactional/snapshot workloads require eFactory"
-        );
-    }
     let sized = StoreLayout::for_workload(
         spec.record_count as usize,
         total_puts,
@@ -473,77 +525,51 @@ fn build_server(
         1.3,
         false,
     );
-    assert!(spec.shards >= 1, "a store has at least one shard");
-    match spec.system {
-        SystemKind::EFactory | SystemKind::EFactoryNoHr => {
-            let (layout, mut cfg) = match spec.cleaning {
-                Cleaning::Disabled => (
-                    sized,
-                    ServerConfig {
-                        clean_enabled: false,
-                        ..ServerConfig::default()
-                    },
-                ),
-                Cleaning::Enabled {
-                    threshold,
-                    pool_len,
-                } => (
-                    StoreLayout::new((spec.record_count as usize * 4).max(1024), pool_len, true),
-                    ServerConfig {
-                        clean_enabled: true,
-                        clean_threshold: threshold,
-                        ..ServerConfig::default()
-                    },
-                ),
-            };
-            cfg.obs = obs.clone();
-            cfg.doorbell_batch = spec.doorbell_batch;
-            cfg.scrub_enabled = spec.scrub;
-            if let Some(tweak) = cfg_tweak {
-                tweak(&mut cfg);
-            }
-            if spec.replicas > 0 {
-                assert_eq!(
-                    spec.replicas, 1,
-                    "primary–backup replication supports exactly one backup per shard"
-                );
-                return AnyServer::EfRepl(efactory::repl::ReplicatedCluster::format(
-                    fabric,
-                    "server",
-                    layout,
-                    cfg,
-                    spec.shards,
-                ));
-            }
-            if spec.nodes > 1 {
-                assert_eq!(spec.window, 1, "multi-node runs use the serial client");
-                // The fabric the cluster lives on is the caller's; the
-                // `node` arg ("server") stays unused in this topology.
-                let ccfg =
-                    efactory::cluster::ClusterConfig::new(spec.nodes, spec.shards, layout, cfg);
-                return AnyServer::EfCluster(efactory::cluster::Cluster::format(fabric, ccfg));
-            }
-            if spec.shards > 1 {
-                // Each shard keeps the full-workload layout: the router
-                // spreads keys, but Zipf skew makes the hottest shard's
-                // share unpredictable, and simulated bytes are cheap.
-                AnyServer::EfSharded(efactory::shard::ShardedServer::format(
-                    fabric,
-                    "server",
-                    layout,
-                    cfg,
-                    spec.shards,
-                ))
-            } else {
-                AnyServer::Ef(Server::format(fabric, node, layout, cfg))
-            }
-        }
-        other => {
-            assert_eq!(spec.shards, 1, "{other:?} does not support sharding");
-            assert_eq!(spec.nodes, 1, "{other:?} does not support multi-node");
-            build_baseline(fabric, node, other, sized)
-        }
+    if !spec.system.is_efactory() {
+        return build_baseline(fabric, node, spec.system, sized);
     }
+    let (layout, mut cfg) = match spec.cleaning {
+        Cleaning::Disabled => (
+            sized,
+            ServerConfig {
+                clean_enabled: false,
+                ..ServerConfig::default()
+            },
+        ),
+        Cleaning::Enabled {
+            threshold,
+            pool_len,
+        } => (
+            StoreLayout::new((spec.record_count as usize * 4).max(1024), pool_len, true),
+            ServerConfig {
+                clean_enabled: true,
+                clean_threshold: threshold,
+                ..ServerConfig::default()
+            },
+        ),
+    };
+    cfg.obs = obs.clone();
+    cfg.doorbell_batch = spec.doorbell_batch;
+    cfg.scrub_enabled = spec.scrub;
+    if let Some(tweak) = cfg_tweak {
+        tweak(&mut cfg);
+    }
+    if spec.nodes > 1 {
+        // The fabric the cluster lives on is the caller's; the `node` arg
+        // ("server") stays unused in this topology.
+        let ccfg = ClusterConfig::new(spec.nodes, spec.shards, layout, cfg);
+        return AnyServer::Cluster(Cluster::format(fabric, ccfg));
+    }
+    // Each shard keeps the full-workload layout: the router spreads keys,
+    // but Zipf skew makes the hottest shard's share unpredictable, and
+    // simulated bytes are cheap. A lone unreplicated shard serves from the
+    // run's `server` node; every other shape names its nodes per shard —
+    // node names and creation order are part of a replay.
+    AnyServer::Store(if spec.shards == 1 && spec.replicas == 0 {
+        Store::format_on(fabric, node, layout, cfg, 0)
+    } else {
+        Store::format(fabric, "server", layout, cfg, spec.shards, spec.replicas)
+    })
 }
 
 fn build_baseline(fabric: &Fabric, node: &Node, kind: SystemKind, sized: StoreLayout) -> AnyServer {
@@ -558,197 +584,29 @@ fn build_baseline(fabric: &Fabric, node: &Node, kind: SystemKind, sized: StoreLa
     }
 }
 
-/// Connect a workload client for `kind`. Fallible — any transport error
-/// propagates so the caller can say *which* system failed to connect
-/// instead of panicking with a bare `expect("connect")` at each site.
-fn connect_client(
-    kind: SystemKind,
-    fabric: &Arc<Fabric>,
-    local: &Node,
-    server_node: &Node,
-    any_desc: &AnyDesc,
-    obs: &Obs,
-    loc_cache: bool,
-) -> Result<Box<dyn RemoteKv>, efactory::StoreError> {
-    let ef_cfg = |hybrid_read: bool| ClientConfig {
-        hybrid_read,
-        loc_cache,
-        obs: obs.clone(),
-        ..ClientConfig::default()
-    };
-    let ef_hybrid = |kind: SystemKind| match kind {
-        SystemKind::EFactory => true,
-        SystemKind::EFactoryNoHr => false,
-        other => panic!("{other:?} supports neither sharding nor replication"),
-    };
-    match any_desc {
-        AnyDesc::Sharded(sharded) => {
-            let c = efactory::shard::ShardedClient::connect(
-                fabric,
-                local,
-                sharded,
-                ef_cfg(ef_hybrid(kind)),
-            )?;
-            Ok(Box::new(c))
-        }
-        AnyDesc::Replicated(descs) => {
-            let c = efactory::repl::ReplShardedClient::connect(
-                fabric,
-                local,
-                descs,
-                ef_cfg(ef_hybrid(kind)),
-            )?;
-            Ok(Box::new(c))
-        }
-        AnyDesc::Cluster {
-            handle,
-            meta_nodes,
-            stats,
-        } => {
-            let c = efactory::cluster::ClusterClient::connect(
-                fabric,
-                local,
-                meta_nodes,
-                handle,
-                stats,
-                ef_cfg(ef_hybrid(kind)),
-            )?;
-            Ok(Box::new(c))
-        }
-        AnyDesc::Single(desc) => {
-            let desc = *desc;
-            Ok(match kind {
-                SystemKind::EFactory => Box::new(Client::connect(
-                    fabric,
-                    local,
-                    server_node,
-                    desc,
-                    ef_cfg(true),
-                )?),
-                SystemKind::EFactoryNoHr => Box::new(Client::connect(
-                    fabric,
-                    local,
-                    server_node,
-                    desc,
-                    ef_cfg(false),
-                )?),
-                SystemKind::Saw => Box::new(SawClient::connect(fabric, local, server_node, desc)?),
-                SystemKind::Imm => Box::new(ImmClient::connect(fabric, local, server_node, desc)?),
-                SystemKind::Erda => {
-                    Box::new(ErdaClient::connect(fabric, local, server_node, desc)?)
-                }
-                SystemKind::Forca => {
-                    Box::new(ForcaClient::connect(fabric, local, server_node, desc)?)
-                }
-                SystemKind::CaNoper => {
-                    Box::new(CaNoperClient::connect(fabric, local, server_node, desc)?)
-                }
-                SystemKind::Rpc => Box::new(RpcClient::connect(fabric, local, server_node, desc)?),
-            })
-        }
-    }
-}
-
-fn make_client(
-    kind: SystemKind,
-    fabric: &Arc<Fabric>,
-    local: &Node,
-    server_node: &Node,
-    any_desc: &AnyDesc,
-    obs: &Obs,
-    loc_cache: bool,
-) -> Box<dyn RemoteKv> {
-    connect_client(kind, fabric, local, server_node, any_desc, obs, loc_cache)
-        .unwrap_or_else(|e| panic!("{}: client connect failed: {e}", kind.label()))
-}
-
-/// Connect a transactional workload client (plain KV **and** `TxnKv`
-/// surfaces). Only the eFactory flavors qualify; baselines panic.
-fn make_txn_client(
-    kind: SystemKind,
-    fabric: &Arc<Fabric>,
-    local: &Node,
-    server_node: &Node,
-    any_desc: &AnyDesc,
-    obs: &Obs,
-    loc_cache: bool,
-) -> Box<dyn TxnRemote> {
-    let cfg = ClientConfig {
-        hybrid_read: match kind {
-            SystemKind::EFactory => true,
-            SystemKind::EFactoryNoHr => false,
-            other => panic!("{other:?} has no transactional client"),
-        },
-        loc_cache,
-        obs: obs.clone(),
-        ..ClientConfig::default()
-    };
-    let connected: Result<Box<dyn TxnRemote>, efactory::StoreError> = match any_desc {
-        AnyDesc::Single(desc) => Client::connect(fabric, local, server_node, *desc, cfg)
-            .map(|c| Box::new(c) as Box<dyn TxnRemote>),
-        AnyDesc::Sharded(sharded) => {
-            efactory::shard::ShardedClient::connect(fabric, local, sharded, cfg)
-                .map(|c| Box::new(c) as Box<dyn TxnRemote>)
-        }
-        AnyDesc::Replicated(descs) => {
-            efactory::repl::ReplShardedClient::connect(fabric, local, descs, cfg)
-                .map(|c| Box::new(c) as Box<dyn TxnRemote>)
-        }
-        AnyDesc::Cluster {
-            handle,
-            meta_nodes,
-            stats,
-        } => {
-            efactory::cluster::ClusterClient::connect(fabric, local, meta_nodes, handle, stats, cfg)
-                .map(|c| Box::new(c) as Box<dyn TxnRemote>)
-        }
-    };
-    connected.unwrap_or_else(|e| panic!("{}: txn client connect failed: {e}", kind.label()))
-}
-
 /// Drive one client's workload through a [`PipelinedClient`]
-/// (`spec.window > 1`). Op latencies run submit → completion. Must run
-/// inside the client's simulated process.
+/// (`spec.window > 1`). Op latencies run submit → completion, including
+/// any wait behind the window or a per-key hazard. Must run inside the
+/// client's simulated process.
 #[allow(clippy::too_many_arguments)]
 fn run_pipelined(
     spec: &ExperimentSpec,
     fabric: &Arc<Fabric>,
     node: &Node,
-    server_node: &Node,
-    desc: &AnyDesc,
+    routes: &Routes,
     obs: &Obs,
     cid: usize,
     stream: &mut OpStream,
     get: &mut Vec<Nanos>,
     put: &mut Vec<Nanos>,
 ) {
-    let AnyDesc::Single(desc) = desc else {
-        panic!("window > 1 requires an unsharded, unreplicated eFactory store");
-    };
-    let hybrid = match spec.system {
-        SystemKind::EFactory => true,
-        SystemKind::EFactoryNoHr => false,
-        other => panic!("{other:?} does not support a pipelined client"),
-    };
     let pcfg = PipelineConfig {
         window: spec.window,
         doorbell_batch: spec.doorbell_batch,
-        client: ClientConfig {
-            hybrid_read: hybrid,
-            loc_cache: spec.loc_cache,
-            obs: obs.clone(),
-            ..ClientConfig::default()
-        },
+        client: client_cfg(spec, obs),
     };
-    let mut pc = PipelinedClient::connect(
-        fabric,
-        node,
-        server_node,
-        *desc,
-        pcfg,
-        &format!("client-{cid}"),
-    )
-    .unwrap_or_else(|e| panic!("{}: pipelined connect failed: {e}", spec.system.label()));
+    let mut pc = PipelinedClient::connect(fabric, node, routes, pcfg, &format!("client-{cid}"))
+        .unwrap_or_else(|e| panic!("{}: pipelined connect failed: {e}", spec.system.label()));
     let record = |comps: Vec<OpCompletion>, get: &mut Vec<Nanos>, put: &mut Vec<Nanos>| {
         for comp in comps {
             match &comp.result {
@@ -775,7 +633,7 @@ fn run_pipelined(
             Op::Put { key, value } => pc.submit_put(&key, &value),
             Op::Txn { puts } => pc.submit_txn(&puts),
             Op::SnapRead { .. } => {
-                panic!("pipelined driver has no snapshot-read lane; use spec.snap_readers")
+                unreachable!("validate() rejects snapshot reads when window > 1")
             }
         };
         record(comps, get, put);
@@ -783,18 +641,21 @@ fn run_pipelined(
     record(pc.finish(), get, put);
 }
 
-/// Drive one client's transactional workload through the serial `TxnKv`
-/// client. Latencies: one sample per written key for a transaction (so
-/// throughput counts key-writes), one sample per read key for a snapshot
-/// read. Must run inside the client's simulated process.
-fn run_serial_txn(
-    kv: &dyn TxnRemote,
+/// Drive one client's workload serially. Latencies: one sample per written
+/// key for a transaction (so throughput counts key-writes), one sample per
+/// read key for a snapshot read. Must run inside the client's simulated
+/// process.
+fn run_serial(
+    kv: &dyn RemoteKv,
     ops_per_client: usize,
     stream: &mut OpStream,
     get: &mut Vec<Nanos>,
     put: &mut Vec<Nanos>,
 ) {
-    use efactory::protocol::{Status, StoreError};
+    let txn = || {
+        kv.txn()
+            .expect("validate() keeps transactional mixes on eFactory")
+    };
     for _ in 0..ops_per_client {
         match stream.next_op() {
             Op::Get { key } => {
@@ -804,16 +665,8 @@ fn run_serial_txn(
             }
             Op::Put { key, value } => {
                 let t0 = sim::now();
-                let mut tries = 0;
-                loop {
-                    match kv.kv_put(&key, &value) {
-                        Ok(()) => break,
-                        Err(StoreError::Status(Status::NoSpace | Status::Busy)) if tries < 200 => {
-                            tries += 1;
-                            sim::sleep(sim::micros(50));
-                        }
-                        Err(e) => panic!("put failed: {e:?}"),
-                    }
+                if let Err(e) = kv.kv_put_patient(&key, &value) {
+                    panic!("put failed: {e:?}");
                 }
                 put.push(sim::now() - t0);
             }
@@ -821,7 +674,7 @@ fn run_serial_txn(
                 let t0 = sim::now();
                 // The routed txn driver already retries Busy/Conflict with
                 // backoff; anything surviving that is a real failure.
-                kv.txn_put_all(&puts).expect("txn commit failed");
+                txn().txn_put_all(&puts).expect("txn commit failed");
                 let dt = sim::now() - t0;
                 for _ in 0..puts.len() {
                     put.push(dt);
@@ -833,9 +686,9 @@ fn run_serial_txn(
                 // recycles old-pool offsets); re-capture and restart the
                 // scan — the retry latency is part of the measurement.
                 'scan: loop {
-                    let snap = kv.snapshot().expect("snapshot capture failed");
+                    let snap = txn().snapshot().expect("snapshot capture failed");
                     for k in &keys {
-                        match kv.snap_get(k, &snap) {
+                        match txn().snap_get(k, &snap) {
                             Ok(_) => {}
                             Err(StoreError::Status(Status::Expired)) => continue 'scan,
                             Err(e) => panic!("snap get failed: {e:?}"),
@@ -888,6 +741,9 @@ fn run_inner(
     tweak: Option<CfgTweak>,
     obs: Option<Obs>,
 ) -> RunResult {
+    if let Err(e) = spec.validate() {
+        panic!("invalid experiment spec: {e}");
+    }
     let obs = obs.unwrap_or_default();
     let mut simu = match spec.exec {
         Some(model) => Sim::with_exec(spec.seed, model),
@@ -932,19 +788,10 @@ fn run_inner(
     let obs2 = obs.clone();
     simu.spawn("orchestrator", move || {
         server2.start(&f2);
-        let desc = server2.desc();
 
         // ---- preload ------------------------------------------------------
         let loader_node = f2.add_node("loader");
-        let loader = make_client(
-            spec2.system,
-            &f2,
-            &loader_node,
-            &server_node,
-            &desc,
-            &obs2,
-            spec2.loc_cache,
-        );
+        let loader = server2.connect(&spec2, &f2, &loader_node, &server_node, &obs2);
         let wl = WorkloadConfig {
             mix: spec2.mix,
             record_count: spec2.record_count,
@@ -967,13 +814,7 @@ fn run_inner(
         }
         // Let eFactory's verifier(s) drain so measurement starts from a
         // clean, fully durable store (bounded wait).
-        if matches!(
-            &*server2,
-            AnyServer::Ef(_)
-                | AnyServer::EfSharded(_)
-                | AnyServer::EfRepl(_)
-                | AnyServer::EfCluster(_)
-        ) {
+        if spec2.system.is_efactory() {
             let deadline = sim::now() + sim::millis(500);
             while server2.stat_sum(|s| &s.bg_verified) + server2.stat_sum(|s| &s.bg_timeouts)
                 < spec2.record_count
@@ -985,30 +826,28 @@ fn run_inner(
         // With replication, also wait for the backups to catch up so the
         // measurement (and any injected fault) starts from a fully
         // mirrored store.
-        if let AnyServer::EfRepl(cluster) = &*server2 {
-            let deadline = sim::now() + sim::millis(500);
-            while cluster.repl_stat_sum(|s| &s.applied_objects) < spec2.record_count
-                && sim::now() < deadline
-            {
-                sim::sleep(sim::micros(200));
+        match &*server2 {
+            AnyServer::Store(store) if spec2.replicas > 0 => {
+                let deadline = sim::now() + sim::millis(500);
+                while store.repl_stat_sum(|s| &s.applied_objects) < spec2.record_count
+                    && sim::now() < deadline
+                {
+                    sim::sleep(sim::micros(200));
+                }
             }
+            _ => {}
         }
 
         // ---- measured clients ----------------------------------------------
         if spec2.force_clean {
             match &*server2 {
-                AnyServer::Ef(s) => s.shared().clean_request.store(true, Ordering::Relaxed),
-                AnyServer::EfSharded(s) => {
-                    for shared in s.shared_all() {
+                AnyServer::Store(s) => {
+                    for i in 0..s.shards() {
+                        let shared = s.shard(i).server().shared();
                         shared.clean_request.store(true, Ordering::Relaxed);
                     }
                 }
-                AnyServer::EfRepl(c) => {
-                    for shared in c.shared_all() {
-                        shared.clean_request.store(true, Ordering::Relaxed);
-                    }
-                }
-                AnyServer::EfCluster(c) => {
+                AnyServer::Cluster(c) => {
                     for g in 0..c.config().shards {
                         c.shard_shared(g)
                             .clean_request
@@ -1021,15 +860,12 @@ fn run_inner(
         let t_start = sim::now();
         window2.lock().unwrap().0 = t_start;
         // Fault injection: power-fail every shard's primary at the chosen
-        // instant. Clients ride through via `ReplClient` failover; the
-        // stall is part of the measured latency.
-        if let Some(fault_at) = spec2.fault_at {
-            let AnyServer::EfRepl(cluster) = &*server2 else {
-                panic!("fault_at requires replicas > 0");
-            };
-            for i in 0..cluster.shards() {
+        // instant (validate() guarantees a replicated store). Clients ride
+        // through via failover; the stall is part of the measured latency.
+        if let (Some(fault_at), AnyServer::Store(store)) = (spec2.fault_at, &*server2) {
+            for i in 0..store.shards() {
                 f2.schedule_crash(
-                    cluster.server(i).primary_node(),
+                    store.shard(i).node(),
                     t_start + fault_at,
                     efactory_pmem::CrashSpec::DropAll,
                     spec2.seed ^ 0x0FAB_u64 ^ ((i as u64) << 17),
@@ -1044,15 +880,12 @@ fn run_inner(
         // live cluster rather than race the teardown.
         let mut migrator = None;
         if let Some(migrate_at) = spec2.migrate_at {
-            let AnyServer::EfCluster(_) = &*server2 else {
-                panic!("migrate_at requires nodes > 1");
-            };
             let server3 = Arc::clone(&server2);
             let t0 = t_start + migrate_at;
             migrator = Some(sim::spawn("migrator", move || {
                 sim::sleep(t0.saturating_sub(sim::now()));
-                let AnyServer::EfCluster(c) = &*server3 else {
-                    unreachable!()
+                let AnyServer::Cluster(c) = &*server3 else {
+                    unreachable!("validate() requires nodes > 1 for migrate_at")
                 };
                 let from = c.owner_of(0);
                 let to = (from + 1) % c.config().nodes;
@@ -1071,19 +904,14 @@ fn run_inner(
             let spec3 = spec2.clone();
             let wl = wl.clone();
             let obs3 = obs2.clone();
-            let desc3 = desc.clone();
+            let server3 = Arc::clone(&server2);
             let stop = Arc::clone(&snap_stop);
             snap_handles.push(sim::spawn(&format!("snap-reader-{rid}"), move || {
                 let node = f3.add_node(&format!("snapnode-{rid}"));
-                let kv = make_txn_client(
-                    spec3.system,
-                    &f3,
-                    &node,
-                    &sn,
-                    &desc3,
-                    &obs3,
-                    spec3.loc_cache,
-                );
+                let client = server3.connect(&spec3, &f3, &node, &sn, &obs3);
+                let kv = client
+                    .txn()
+                    .expect("validate() keeps snapshot readers on eFactory");
                 // Deterministic key picks: a per-reader xorshift stream.
                 let mut z = spec3.seed ^ ((rid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                 let mut next_id = || {
@@ -1105,7 +933,6 @@ fn run_inner(
                         // mid-scan; abandon it and re-capture on the next
                         // iteration (readers model periodic scans, not
                         // exactly-once reads).
-                        use efactory::protocol::{Status, StoreError};
                         match kv.snap_get(&wl.key(next_id()), &snap) {
                             Ok(_) => {}
                             Err(StoreError::Status(Status::Expired)) => break,
@@ -1124,35 +951,18 @@ fn run_inner(
             let wl = wl.clone();
             let collected3 = Arc::clone(&collected2);
             let obs3 = obs2.clone();
-            let desc3 = desc.clone();
+            let server3 = Arc::clone(&server2);
             handles.push(sim::spawn(&format!("client-{cid}"), move || {
                 let node = f3.add_node(&format!("cnode-{cid}"));
                 let mut stream = OpStream::new(wl, spec3.seed, cid as u64);
                 let mut get = Vec::with_capacity(spec3.ops_per_client);
                 let mut put = Vec::with_capacity(spec3.ops_per_client);
-                if spec3.mix.transactional() && spec3.window <= 1 {
-                    let kv = make_txn_client(
-                        spec3.system,
-                        &f3,
-                        &node,
-                        &sn,
-                        &desc3,
-                        &obs3,
-                        spec3.loc_cache,
-                    );
-                    run_serial_txn(&*kv, spec3.ops_per_client, &mut stream, &mut get, &mut put);
-                } else if spec3.window > 1 {
-                    // Pipelined closed loop: up to `window` operations in
-                    // flight; the latency of an op runs submit → completion
-                    // (including any wait behind the window or a per-key
-                    // hazard), and slot-level NoSpace/Busy backoff is part
-                    // of it just like the serial loop below.
+                if spec3.window > 1 {
                     run_pipelined(
                         &spec3,
                         &f3,
                         &node,
-                        &sn,
-                        &desc3,
+                        &server3.routes(),
                         &obs3,
                         cid,
                         &mut stream,
@@ -1160,49 +970,8 @@ fn run_inner(
                         &mut put,
                     );
                 } else {
-                    let kv = make_client(
-                        spec3.system,
-                        &f3,
-                        &node,
-                        &sn,
-                        &desc3,
-                        &obs3,
-                        spec3.loc_cache,
-                    );
-                    for _ in 0..spec3.ops_per_client {
-                        match stream.next_op() {
-                            Op::Txn { .. } | Op::SnapRead { .. } => {
-                                unreachable!("transactional ops route through run_serial_txn")
-                            }
-                            Op::Get { key } => {
-                                let t0 = sim::now();
-                                kv.kv_get(&key).expect("get failed");
-                                get.push(sim::now() - t0);
-                            }
-                            Op::Put { key, value } => {
-                                let t0 = sim::now();
-                                // Under heavy cleaning pressure the pool can
-                                // momentarily run out of space; real clients
-                                // back off and retry, and the stall is part of
-                                // the measured latency.
-                                let mut tries = 0;
-                                loop {
-                                    match kv.kv_put(&key, &value) {
-                                        Ok(()) => break,
-                                        Err(efactory::protocol::StoreError::Status(
-                                            efactory::protocol::Status::NoSpace
-                                            | efactory::protocol::Status::Busy,
-                                        )) if tries < 200 => {
-                                            tries += 1;
-                                            sim::sleep(sim::micros(50));
-                                        }
-                                        Err(e) => panic!("put failed: {e:?}"),
-                                    }
-                                }
-                                put.push(sim::now() - t0);
-                            }
-                        }
-                    }
+                    let kv = server3.connect(&spec3, &f3, &node, &sn, &obs3);
+                    run_serial(&*kv, spec3.ops_per_client, &mut stream, &mut get, &mut put);
                 }
                 let mut c = collected3.lock().unwrap();
                 c.get.extend_from_slice(&get);

@@ -21,7 +21,7 @@ pub mod stats;
 pub mod table;
 
 pub use cluster::{
-    run, run_observed, run_with_cost, Cleaning, ExperimentSpec, RunResult, SystemKind,
+    run, run_observed, run_with_cost, Cleaning, ExperimentSpec, RunResult, SpecError, SystemKind,
 };
 pub use report::{json_path_from_args, Report};
 pub use stats::LatencyStats;

@@ -66,11 +66,16 @@ impl Report {
             .u64("replicas", spec.replicas as u64)
             .bool("scrub", spec.scrub)
             .u64("window", spec.window as u64)
-            .bool("loc_cache", spec.loc_cache);
-        // The fault-injection instant appears only when set, so replicated
-        // steady-state runs and failover runs are distinguishable.
+            .bool("loc_cache", spec.loc_cache)
+            .u64("nodes", spec.nodes as u64)
+            .u64("snap_readers", spec.snap_readers as u64);
+        // Injected events appear only when set, so steady-state runs and
+        // failover or migration runs are distinguishable.
         if let Some(fault_at) = spec.fault_at {
             params = params.u64("fault_at_ns", fault_at);
+        }
+        if let Some(migrate_at) = spec.migrate_at {
+            params = params.u64("migrate_at_ns", migrate_at);
         }
         // Same for the lossy-fabric plan: its parameters are stamped only
         // on chaos runs, so a report reader can tell a degraded-but-clean
@@ -273,6 +278,9 @@ mod tests {
         assert!(a.contains("\"fabric.sends\":"));
         assert!(a.contains("\"replicas\":0"));
         assert!(a.contains("\"scrub\":false"));
+        assert!(a.contains("\"nodes\":1"));
+        assert!(a.contains("\"snap_readers\":0"));
+        assert!(!a.contains("\"migrate_at_ns\""), "unset migration omitted");
         assert!(a.contains("\"fabric.crashes\":0"));
         assert!(a.contains("\"fabric.links_down\":0"));
         assert!(a.contains("\"fabric.fault.dropped\":0"));
@@ -299,6 +307,24 @@ mod tests {
         let json = rep.to_json();
         assert!(json.contains("\"replicas\":1"));
         assert!(json.contains("\"fault_at_ns\":5000"));
+    }
+
+    #[test]
+    fn cluster_run_stamps_topology_and_migration_instant() {
+        let s = ExperimentSpec {
+            nodes: 2,
+            shards: 2,
+            snap_readers: 1,
+            migrate_at: Some(7_000),
+            ..spec()
+        };
+        let mut rep = Report::new("test");
+        let r = run_with_cost(&s, CostModel::default());
+        rep.add("run-m", &s, &r);
+        let json = rep.to_json();
+        assert!(json.contains("\"nodes\":2"));
+        assert!(json.contains("\"snap_readers\":1"));
+        assert!(json.contains("\"migrate_at_ns\":7000"));
     }
 
     #[test]

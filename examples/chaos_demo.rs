@@ -22,8 +22,8 @@ use std::sync::Arc;
 use efactory::client::ClientConfig;
 use efactory::layout::{self, flags};
 use efactory::log::StoreLayout;
-use efactory::repl::{ReplClient, ReplicatedServer};
 use efactory::server::ServerConfig;
+use efactory::store::{Store, StoreClient};
 use efactory_rnic::{CostModel, Fabric, FaultPlan};
 use efactory_sim as sim;
 use efactory_sim::Sim;
@@ -43,24 +43,24 @@ fn main() {
         seed ^ 0xFA,
     )));
 
-    // Replication keeps mirrored offsets stable (cleaning off) and gives
-    // the scrubber a repair source; the scrubber itself is opt-in.
+    // The backup gives the scrubber a repair source; the scrubber itself
+    // is opt-in.
     let layout = StoreLayout::new(1024, 1 << 20, false);
     let cfg = ServerConfig {
         scrub_enabled: true,
         ..ServerConfig::default()
     };
     let node = fabric.add_node("store");
-    let server = Arc::new(ReplicatedServer::format(&fabric, &node, layout, cfg));
+    let server = Arc::new(Store::format_on(&fabric, &node, layout, cfg, 1));
 
     let f = Arc::clone(&fabric);
     let server2 = Arc::clone(&server);
     simulation.spawn("demo", move || {
         server2.start(&f);
-        let client = ReplClient::connect(
+        let client = StoreClient::connect(
             &f,
             &f.add_node("client"),
-            &server2.desc(),
+            &server2.routes(),
             ClientConfig::default(),
         )
         .expect("connect");
@@ -75,7 +75,8 @@ fn main() {
             let got = client.get(&k(i)).expect("get").expect("hit");
             assert_eq!(got, v(i), "read-your-write through a lossy fabric");
         }
-        let shared = server2.shared();
+        let shared = server2.shard(0).server().shared();
+        let repl = server2.shard(0).backup().expect("replicated").stats();
         let fs = f.stats();
         let ord = std::sync::atomic::Ordering::Relaxed;
         println!(
@@ -97,7 +98,7 @@ fn main() {
         // Phase 2: wait until the first object is durable and mirrored,
         // then rot its value on the primary.
         let deadline = sim::now() + sim::millis(100);
-        while (shared.stats.bg_verified.get() < 1 || server2.stats().applied_objects.get() < 1)
+        while (shared.stats.bg_verified.get() < 1 || repl.applied_objects.get() < 1)
             && sim::now() < deadline
         {
             sim::sleep(sim::micros(50));

@@ -5,7 +5,7 @@
 //! 3-replica metadata service (leader-based, log-replicated over the same
 //! fabric) that owns the placement map. This demo:
 //!
-//! 1. seeds keys through a [`ClusterClient`] that routes by the
+//! 1. seeds keys through a [`StoreClient`] that routes by the
 //!    epoch-tagged placement map;
 //! 2. power-fails a data node, waits for the death detector to commit
 //!    `NodeDown`, then restarts it and recovers its shards from NVM;
@@ -21,9 +21,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use efactory::client::ClientConfig;
-use efactory::cluster::{Cluster, ClusterClient, ClusterConfig, MetaClient};
+use efactory::cluster::{Cluster, ClusterConfig, MetaClient};
 use efactory::log::StoreLayout;
 use efactory::server::ServerConfig;
+use efactory::store::StoreClient;
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -35,13 +36,11 @@ fn key(i: usize) -> Vec<u8> {
     format!("user{i:04}").into_bytes()
 }
 
-fn connect(cluster: &Cluster, name: &str) -> ClusterClient {
-    ClusterClient::connect(
+fn connect(cluster: &Cluster, name: &str) -> StoreClient {
+    StoreClient::connect(
         cluster.fabric(),
         &cluster.fabric().add_node(name),
-        cluster.meta_nodes(),
-        cluster.handle(),
-        cluster.stats(),
+        &cluster.routes(),
         ClientConfig::default(),
     )
     .expect("cluster client connect")

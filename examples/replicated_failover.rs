@@ -1,8 +1,8 @@
 //! Replicated store demo: primary–backup mirroring with deterministic
 //! failover.
 //!
-//! A [`ReplicatedServer`] pairs the primary with a backup node on the same
-//! simulated fabric. The primary's background verifier doubles as the
+//! A [`Store`] with `replicas = 1` pairs each shard's primary with a
+//! backup node on the same simulated fabric. The primary's background verifier doubles as the
 //! replication point: every object it verifies is shipped to the backup
 //! with a doorbell-batched `rdma_write_imm`, and the backup re-verifies,
 //! persists, and indexes it in its own NVM pool — remote persistence, off
@@ -11,7 +11,7 @@
 //! The demo power-fails the primary at a chosen virtual instant (the
 //! fault-injection hook), lets the backup promote autonomously by replaying
 //! its mirrored log through the standard recovery path, and shows a
-//! [`ReplClient`] riding through the failure transparently.
+//! [`StoreClient`] riding through the failure transparently.
 //!
 //! Run with: `cargo run --release --example replicated_failover`
 
@@ -19,8 +19,8 @@ use std::sync::Arc;
 
 use efactory::client::ClientConfig;
 use efactory::log::StoreLayout;
-use efactory::repl::{ReplClient, ReplicatedServer};
 use efactory::server::ServerConfig;
+use efactory::store::{Store, StoreClient};
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -30,8 +30,8 @@ fn main() {
     let mut simulation = Sim::new(42);
     let fabric = Fabric::new(CostModel::default());
 
-    // Replication forces cleaning off (mirrored offsets must stay stable),
-    // so size the log for the whole workload.
+    // A log sized for the whole workload, so no cleaning pass runs (the
+    // backup would follow one: it indexes mirrored objects by content).
     let layout = StoreLayout::new(1024, 4 << 20, false);
     let cfg = ServerConfig {
         clean_enabled: false,
@@ -39,15 +39,16 @@ fn main() {
         ..ServerConfig::default()
     };
     let node = fabric.add_node("store");
-    let server = ReplicatedServer::format(&fabric, &node, layout, cfg);
+    let server = Store::format_on(&fabric, &node, layout, cfg, 1);
 
     let f = Arc::clone(&fabric);
     simulation.spawn("demo", move || {
         server.start(&f);
-        let client = ReplClient::connect(
+        let backup = || server.shard(0).backup().expect("replicated");
+        let client = StoreClient::connect(
             &f,
             &f.add_node("client"),
-            &server.desc(),
+            &server.routes(),
             ClientConfig::default(),
         )
         .expect("connect");
@@ -63,19 +64,19 @@ fn main() {
         }
         // Wait for the backup to catch up (read-backs made everything
         // durable on the primary; mirroring trails by a few microseconds).
-        while server.stats().applied_objects.get() < 16 {
+        while backup().stats().applied_objects.get() < 16 {
             sim::sleep(sim::micros(50));
         }
         println!(
             "[{:>9} ns] primary serving; backup applied {} objects ({} mirror batches)",
             sim::now(),
-            server.stats().applied_objects.get(),
-            server.stats().mirror_batches.get(),
+            backup().stats().applied_objects.get(),
+            backup().stats().mirror_batches.get(),
         );
 
         // Phase 2: power-fail the primary at a chosen instant.
         f.schedule_crash(
-            server.primary_node(),
+            server.shard(0).node(),
             sim::now() + sim::micros(5),
             CrashSpec::DropAll,
             7,
@@ -96,10 +97,10 @@ fn main() {
                 .expect("put (with failover)");
         }
         println!(
-            "[{:>9} ns] failover complete: on_backup={} promotions={}",
+            "[{:>9} ns] failover complete: failovers={} promotions={}",
             sim::now(),
-            client.on_backup(),
-            server.stats().promotions.get(),
+            client.failovers(),
+            backup().stats().promotions.get(),
         );
 
         // The failover contract, key by key. Keys 0..16 were read back

@@ -1,6 +1,6 @@
 //! Sharded store demo: partition the key space across independent eFactory
-//! shards behind the deterministic client-side router, with doorbell-batched
-//! recv rings.
+//! shards of one [`Store`] behind the routed [`StoreClient`], with
+//! doorbell-batched recv rings.
 //!
 //! Each shard is a complete server — its own fabric node, NVM pools, hash
 //! table, background verifier, and log cleaner — so no path crosses shards:
@@ -12,9 +12,10 @@
 use std::sync::Arc;
 
 use efactory::client::ClientConfig;
+use efactory::key_shard;
 use efactory::log::StoreLayout;
 use efactory::server::ServerConfig;
-use efactory::shard::{shard_of, ShardedClient, ShardedServer};
+use efactory::store::{Store, StoreClient};
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
 use efactory_sim::Sim;
@@ -33,7 +34,7 @@ fn main() {
         doorbell_batch: 16,
         ..ServerConfig::default()
     };
-    let server = ShardedServer::format(&fabric, "store", layout, cfg, SHARDS);
+    let server = Store::format(&fabric, "store", layout, cfg, SHARDS, 0);
 
     let f = Arc::clone(&fabric);
     simulation.spawn("demo", move || {
@@ -41,10 +42,10 @@ fn main() {
 
         // One client machine, connected to every shard. The router is a
         // pure function of the key bytes — every client everywhere agrees.
-        let client = ShardedClient::connect(
+        let client = StoreClient::connect(
             &f,
             &f.add_node("client"),
-            &server.desc(),
+            &server.routes(),
             ClientConfig::default(),
         )
         .expect("connect");
@@ -57,7 +58,7 @@ fn main() {
             println!(
                 "[{:>8} ns] put {key} -> shard {}",
                 sim::now(),
-                shard_of(key.as_bytes(), SHARDS)
+                key_shard(key.as_bytes(), SHARDS)
             );
         }
 
@@ -72,7 +73,7 @@ fn main() {
 
         // Per-shard work is visible in each shard's own stats.
         for i in 0..server.shards() {
-            let st = &server.shard(i).shared().stats;
+            let st = &server.shard(i).server().shared().stats;
             println!(
                 "shard {i}: puts={} gets={} bg_verified={}",
                 st.puts.get(),

@@ -28,8 +28,8 @@ use std::sync::{Arc, Mutex};
 use efactory::client::{Client, ClientConfig};
 use efactory::layout::{self, flags};
 use efactory::log::StoreLayout;
-use efactory::repl::{ReplClient, ReplicatedServer};
 use efactory::server::{Server, ServerConfig};
+use efactory::store::{Store, StoreClient};
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric, FaultPlan};
 use efactory_sim as sim;
@@ -764,7 +764,7 @@ fn bit_rot_replicated_repairs_from_backup() {
     let fabric = Fabric::new(CostModel::default());
     let server_node = fabric.add_node("server");
     let store_layout = StoreLayout::new(256, 256 * 1024, false);
-    let server = Arc::new(ReplicatedServer::format(
+    let server = Arc::new(Store::format_on(
         &fabric,
         &server_node,
         store_layout,
@@ -772,27 +772,29 @@ fn bit_rot_replicated_repairs_from_backup() {
             scrub_enabled: true,
             ..ServerConfig::default()
         },
+        1,
     ));
 
     let f = Arc::clone(&fabric);
     let server2 = Arc::clone(&server);
     simu.spawn("main", move || {
         server2.start(&f);
-        let rdesc = server2.desc();
         let cnode = f.add_node("cnode");
-        let c = ReplClient::connect(&f, &cnode, &rdesc, ClientConfig::default()).expect("connect");
+        let c = StoreClient::connect(&f, &cnode, &server2.routes(), ClientConfig::default())
+            .expect("connect");
         let k = b"rot-key-".to_vec();
         let v = vec![0x33u8; 64];
         c.put(&k, &v).expect("put");
         // Durable *and* mirrored before the rot lands.
-        let shared = server2.shared();
+        let shared = server2.shard(0).server().shared();
+        let repl = server2.shard(0).backup().expect("replicated").stats();
         let deadline = sim::now() + sim::millis(100);
-        while (shared.stats.bg_verified.get() < 1 || server2.stats().applied_objects.get() < 1)
+        while (shared.stats.bg_verified.get() < 1 || repl.applied_objects.get() < 1)
             && sim::now() < deadline
         {
             sim::sleep(sim::micros(50));
         }
-        assert!(server2.stats().applied_objects.get() >= 1, "never mirrored");
+        assert!(repl.applied_objects.get() >= 1, "never mirrored");
 
         let obj_off = shared.logs[0].base();
         let value_off = obj_off + layout::HDR_LEN + layout::pad8(k.len());
@@ -833,7 +835,7 @@ fn full_chaos_replicated_cluster_converges() {
     )));
     let server_node = fabric.add_node("server");
     let store_layout = StoreLayout::new(1024, 1 << 20, false);
-    let server = Arc::new(ReplicatedServer::format(
+    let server = Arc::new(Store::format_on(
         &fabric,
         &server_node,
         store_layout,
@@ -841,6 +843,7 @@ fn full_chaos_replicated_cluster_converges() {
             scrub_enabled: true,
             ..ServerConfig::default()
         },
+        1,
     ));
 
     const PHASE_A: usize = 24; // distinct keys written before the crash
@@ -851,25 +854,26 @@ fn full_chaos_replicated_cluster_converges() {
     let out2 = Arc::clone(&out);
     simu.spawn("main", move || {
         server2.start(&f);
-        let rdesc = server2.desc();
         let cnode = f.add_node("cnode");
-        let c = ReplClient::connect(&f, &cnode, &rdesc, ClientConfig::default()).expect("connect");
+        let c = StoreClient::connect(&f, &cnode, &server2.routes(), ClientConfig::default())
+            .expect("connect");
 
         // Phase A: seed the keyspace, then drain verification + mirroring
         // so the crash window holds no acked-but-unmirrored write.
         for i in 0..PHASE_A {
             c.put(&key(0, i), &value(0, i, 1)).expect("phase A put");
         }
-        let shared = server2.shared();
+        let shared = server2.shard(0).server().shared();
+        let repl = server2.shard(0).backup().expect("replicated").stats();
         let deadline = sim::now() + sim::millis(200);
         while (shared.stats.bg_verified.get() < PHASE_A as u64
-            || server2.stats().applied_objects.get() < PHASE_A as u64)
+            || repl.applied_objects.get() < PHASE_A as u64)
             && sim::now() < deadline
         {
             sim::sleep(sim::micros(100));
         }
         assert!(
-            server2.stats().applied_objects.get() >= PHASE_A as u64,
+            repl.applied_objects.get() >= PHASE_A as u64,
             "phase A never fully mirrored"
         );
 
@@ -899,7 +903,7 @@ fn full_chaos_replicated_cluster_converges() {
                     .expect("phase B put");
             }
         }
-        assert!(c.on_backup(), "phase B must have failed over");
+        assert!(c.failovers() >= 1, "phase B must have failed over");
 
         // Heal the fabric and read the whole keyspace back.
         f.set_fault_plan(None);
@@ -1004,6 +1008,7 @@ struct TxnChaosOutcome {
 /// Run the scripted transactional workload on a standalone store under
 /// `plan`, then read the keyspace back over a healed fabric.
 fn run_txn_chaos(seed: u64, plan: Option<FaultPlan>) -> TxnChaosOutcome {
+    use efactory::store::Routes;
     use efactory::txn::TxnKv;
 
     let scripts = txn_scripts(seed);
@@ -1026,16 +1031,16 @@ fn run_txn_chaos(seed: u64, plan: Option<FaultPlan>) -> TxnChaosOutcome {
     let server2 = Arc::clone(&server);
     simu.spawn("main", move || {
         server2.start(&f);
-        let desc = server2.desc();
+        let routes = Routes::Shards(vec![server2.route()]);
         let commits_acc = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let mut handles = Vec::new();
         for (cid, script) in scripts.iter().cloned().enumerate() {
             let f2 = Arc::clone(&f);
-            let sn = server_node.clone();
+            let routes = routes.clone();
             let commits_acc = Arc::clone(&commits_acc);
             handles.push(sim::spawn(&format!("txn-chaos-{cid}"), move || {
                 let node = f2.add_node(&format!("tnode-{cid}"));
-                let c = Client::connect(&f2, &node, &sn, desc, ClientConfig::default())
+                let c = StoreClient::connect(&f2, &node, &routes, ClientConfig::default())
                     .expect("connect");
                 for (t, set) in script.iter().enumerate() {
                     let writes: Vec<(Vec<u8>, Vec<u8>)> = set
@@ -1058,7 +1063,7 @@ fn run_txn_chaos(seed: u64, plan: Option<FaultPlan>) -> TxnChaosOutcome {
             &f,
             &checker_node,
             &server_node,
-            desc,
+            server2.desc(),
             ClientConfig::default(),
         )
         .expect("checker connect");

@@ -14,9 +14,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use efactory::client::ClientConfig;
-use efactory::cluster::{Cluster, ClusterClient, ClusterConfig, MetaClient, MigrateError};
+use efactory::cluster::{Cluster, ClusterConfig, MetaClient, MigrateError};
 use efactory::log::StoreLayout;
 use efactory::server::ServerConfig;
+use efactory::store::StoreClient;
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -58,13 +59,11 @@ fn with_cluster(
     simu.run().expect_ok();
 }
 
-fn connect(cluster: &Cluster, name: &str) -> ClusterClient {
-    ClusterClient::connect(
+fn connect(cluster: &Cluster, name: &str) -> StoreClient {
+    StoreClient::connect(
         cluster.fabric(),
         &cluster.fabric().add_node(name),
-        cluster.meta_nodes(),
-        cluster.handle(),
-        cluster.stats(),
+        &cluster.routes(),
         ClientConfig::default(),
     )
     .expect("cluster client connect")
@@ -573,16 +572,12 @@ fn faulted_run(seed: u64) -> Vec<(String, u64)> {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let fabric2 = Arc::clone(c2.fabric());
-        let meta_nodes = c2.meta_nodes().to_vec();
-        let handle = Arc::clone(c2.handle());
-        let stats = Arc::clone(c2.stats());
+        let routes = c2.routes();
         let writer = sim::spawn("writer", move || {
-            let w = ClusterClient::connect(
+            let w = StoreClient::connect(
                 &fabric2,
                 &fabric2.add_node("writer-node"),
-                &meta_nodes,
-                &handle,
-                &stats,
+                &routes,
                 ClientConfig::default(),
             )
             .unwrap();

@@ -21,10 +21,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use efactory::client::ClientConfig;
-use efactory::cluster::{Cluster, ClusterClient, ClusterConfig};
+use efactory::cluster::{Cluster, ClusterConfig};
 use efactory::log::StoreLayout;
 use efactory::protocol::{Status, StoreError};
 use efactory::server::ServerConfig;
+use efactory::store::StoreClient;
 use efactory::TxnKv;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -76,13 +77,11 @@ fn with_cluster_cfg(seed: u64, cfg: ClusterConfig, body: impl FnOnce(&Cluster) +
     simu.run().expect_ok();
 }
 
-fn connect(cluster: &Cluster, name: &str) -> ClusterClient {
-    ClusterClient::connect(
+fn connect(cluster: &Cluster, name: &str) -> StoreClient {
+    StoreClient::connect(
         cluster.fabric(),
         &cluster.fabric().add_node(name),
-        cluster.meta_nodes(),
-        cluster.handle(),
-        cluster.stats(),
+        &cluster.routes(),
         client_cfg(),
     )
     .expect("cluster client connect")
@@ -158,16 +157,12 @@ fn live_migration_under_traffic_is_lossless() {
         let stop2 = Arc::clone(&stop);
         let acked2 = Arc::clone(&acked);
         let fabric = Arc::clone(cluster.fabric());
-        let meta_nodes = cluster.meta_nodes().to_vec();
-        let handle = Arc::clone(cluster.handle());
-        let stats = Arc::clone(cluster.stats());
+        let routes = cluster.routes();
         let writer = sim::spawn("writer", move || {
-            let c = ClusterClient::connect(
+            let c = StoreClient::connect(
                 &fabric,
                 &fabric.add_node("writer-node"),
-                &meta_nodes,
-                &handle,
-                &stats,
+                &routes,
                 client_cfg(),
             )
             .expect("writer connect");
@@ -263,16 +258,12 @@ fn migration_with_cleaning_enabled_is_lossless() {
         let stop2 = Arc::clone(&stop);
         let acked2 = Arc::clone(&acked);
         let fabric = Arc::clone(cluster.fabric());
-        let meta_nodes = cluster.meta_nodes().to_vec();
-        let handle = Arc::clone(cluster.handle());
-        let stats = Arc::clone(cluster.stats());
+        let routes = cluster.routes();
         let writer = sim::spawn("writer", move || {
-            let c = ClusterClient::connect(
+            let c = StoreClient::connect(
                 &fabric,
                 &fabric.add_node("writer-node"),
-                &meta_nodes,
-                &handle,
-                &stats,
+                &routes,
                 client_cfg(),
             )
             .expect("writer connect");
@@ -353,12 +344,10 @@ fn loc_cache_is_epoch_fenced_across_router_flip() {
     with_cluster(303, 2, 2, |cluster| {
         // Hybrid-read client with the location cache on: repeat GETs take
         // the pure one-sided path against cached object offsets.
-        let c = ClusterClient::connect(
+        let c = StoreClient::connect(
             cluster.fabric(),
             &cluster.fabric().add_node("cached-client"),
-            cluster.meta_nodes(),
-            cluster.handle(),
-            cluster.stats(),
+            &cluster.routes(),
             ClientConfig {
                 loc_cache: true,
                 ..ClientConfig::default()
@@ -418,16 +407,12 @@ fn transactions_compose_across_migration() {
             let stop2 = Arc::clone(&stop);
             let events2 = Arc::clone(&events);
             let fabric = Arc::clone(cluster.fabric());
-            let meta_nodes = cluster.meta_nodes().to_vec();
-            let handle = Arc::clone(cluster.handle());
-            let stats = Arc::clone(cluster.stats());
+            let routes = cluster.routes();
             writers.push(sim::spawn(&format!("txn-writer-{w}"), move || {
-                let c = ClusterClient::connect(
+                let c = StoreClient::connect(
                     &fabric,
                     &fabric.add_node(&format!("txn-node-{w}")),
-                    &meta_nodes,
-                    &handle,
-                    &stats,
+                    &routes,
                     client_cfg(),
                 )
                 .expect("txn writer connect");
@@ -522,16 +507,12 @@ fn traffic_run(seed: u64) -> Vec<(String, u64)> {
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = Arc::clone(&stop);
         let fabric2 = Arc::clone(c2.fabric());
-        let meta_nodes = c2.meta_nodes().to_vec();
-        let handle = Arc::clone(c2.handle());
-        let stats = Arc::clone(c2.stats());
+        let routes = c2.routes();
         let writer = sim::spawn("writer", move || {
-            let w = ClusterClient::connect(
+            let w = StoreClient::connect(
                 &fabric2,
                 &fabric2.add_node("writer-node"),
-                &meta_nodes,
-                &handle,
-                &stats,
+                &routes,
                 client_cfg(),
             )
             .unwrap();

@@ -19,6 +19,7 @@ use efactory::client::{Client, ClientConfig};
 use efactory::log::StoreLayout;
 use efactory::recovery;
 use efactory::server::{Server, ServerConfig};
+use efactory::store::{Routes, Store, StoreClient};
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -45,7 +46,7 @@ fn crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64) -> Vec<u8> {
     let out2 = Arc::clone(&out);
     simu.spawn("main", move || {
         server.start(&f);
-        let c = connect(&f, &server_node, &server);
+        let c = connect(&f, &server);
         // Make the OLD version durable (write + read-back).
         c.put(b"swept", OLD).unwrap();
         c.get(b"swept").unwrap().unwrap();
@@ -69,7 +70,7 @@ fn crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64) -> Vec<u8> {
         let (server2, _report) = recovery::recover(&f, &server_node, pool, layout, cfg);
         recovery::check_consistency(&server2.shared().pool, &layout);
         server2.start(&f);
-        let c2 = connect(&f, &server_node, &server2);
+        let c2 = connect(&f, &server2);
         let v = c2
             .get(b"swept")
             .unwrap()
@@ -85,16 +86,10 @@ fn crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64) -> Vec<u8> {
     v
 }
 
-fn connect(fabric: &Arc<Fabric>, server_node: &efactory_rnic::Node, server: &Server) -> Client {
+fn connect(fabric: &Arc<Fabric>, server: &Server) -> StoreClient {
     let cnode = fabric.add_node("client");
-    Client::connect(
-        fabric,
-        &cnode,
-        server_node,
-        server.desc(),
-        ClientConfig::default(),
-    )
-    .unwrap()
+    let routes = Routes::Shards(vec![server.route()]);
+    StoreClient::connect(fabric, &cnode, &routes, ClientConfig::default()).unwrap()
 }
 
 fn sweep(spec: CrashSpec, seed: u64) {
@@ -152,7 +147,7 @@ fn sweep_with_full_eviction() {
 // structural check), and require each shard's key to read OLD or NEW —
 // never torn — with the whole sharded store writable afterwards.
 
-use efactory::shard::{shard_of, ShardedClient, ShardedDesc, ShardedServer};
+use efactory::key_shard;
 
 /// Shard counts under test: `EF_TEST_SHARDS` env (comma-separated) or the
 /// acceptance sweep's default.
@@ -171,7 +166,7 @@ fn test_shards() -> Vec<usize> {
 fn key_for_shard(i: usize, shards: usize) -> Vec<u8> {
     (0u32..)
         .map(|n| format!("swept-{n:04}"))
-        .find(|k| shard_of(k.as_bytes(), shards) == i)
+        .find(|k| key_shard(k.as_bytes(), shards) == i)
         .unwrap()
         .into_bytes()
 }
@@ -191,18 +186,18 @@ fn sharded_crash_at(shards: usize, t_crash: Nanos, spec: CrashSpec, seed: u64) -
     let f = Arc::clone(&fabric);
     let cfg2 = cfg.clone();
     simu.spawn("main", move || {
-        let server = ShardedServer::format(&f, "server", layout, cfg2.clone(), shards);
-        let nodes: Vec<_> = (0..shards).map(|i| server.node(i).clone()).collect();
-        let pools: Vec<_> = server
-            .shared_all()
-            .iter()
-            .map(|s| Arc::clone(&s.pool))
+        let server = Store::format(&f, "server", layout, cfg2.clone(), shards, 0);
+        let nodes: Vec<_> = (0..shards)
+            .map(|i| server.shard(i).node().clone())
+            .collect();
+        let pools: Vec<_> = (0..shards)
+            .map(|i| Arc::clone(&server.shard(i).server().shared().pool))
             .collect();
         server.start(&f);
-        let c = ShardedClient::connect(
+        let c = StoreClient::connect(
             &f,
             &f.add_node("client"),
-            &server.desc(),
+            &server.routes(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -232,8 +227,6 @@ fn sharded_crash_at(shards: usize, t_crash: Nanos, spec: CrashSpec, seed: u64) -
 
         // Per-shard reboot + recovery: no cross-shard state, so each shard
         // recovers from its own pool alone.
-        let mut rnodes = Vec::new();
-        let mut rdescs = Vec::new();
         let mut rservers = Vec::new();
         for (i, node) in nodes.iter().enumerate() {
             f.restart_node(node);
@@ -244,17 +237,12 @@ fn sharded_crash_at(shards: usize, t_crash: Nanos, spec: CrashSpec, seed: u64) -
             let (srv, _report) = recovery::recover(&f, node, Arc::clone(&pools[i]), layout, scfg);
             recovery::check_consistency(&srv.shared().pool, &layout);
             srv.start(&f);
-            rnodes.push(node.clone());
-            rdescs.push(srv.desc());
             rservers.push(srv);
         }
-        let c2 = ShardedClient::connect(
+        let c2 = StoreClient::connect(
             &f,
             &f.add_node("client2"),
-            &ShardedDesc {
-                nodes: rnodes,
-                descs: rdescs,
-            },
+            &Routes::Shards(rservers.iter().map(Server::route).collect()),
             ClientConfig::default(),
         )
         .unwrap();
@@ -329,7 +317,12 @@ fn sharded_sweep_word_granular_survival() {
 // Gated on `EF_TEST_REPLICAS` (default on; "0" disables) so CI can run a
 // dedicated replicated lane.
 
-use efactory::repl::ReplicatedServer;
+use efactory::repl::Backup;
+
+/// The backup of a one-shard replicated store.
+fn backup(store: &Store) -> &Backup {
+    store.shard(0).backup().expect("replicated store")
+}
 
 fn replicas_enabled() -> bool {
     std::env::var("EF_TEST_REPLICAS").map_or(true, |v| v.trim() != "0")
@@ -349,7 +342,7 @@ fn replicated_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64, double_fault:
         doorbell_batch: 4, // mirror runs coalesce; the batched path must be crash-safe
         ..ServerConfig::default()
     };
-    let server = ReplicatedServer::format(&fabric, &node, layout, cfg.clone());
+    let server = Store::format_on(&fabric, &node, layout, cfg.clone(), 1);
 
     let out: Arc<std::sync::Mutex<Vec<u8>>> = Arc::default();
     let out2 = Arc::clone(&out);
@@ -359,8 +352,8 @@ fn replicated_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64, double_fault:
         let c = Client::connect(
             &f,
             &f.add_node("client"),
-            server.primary_node(),
-            server.desc().desc,
+            server.shard(0).node(),
+            server.shard(0).server().desc(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -368,14 +361,14 @@ fn replicated_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64, double_fault:
         c.put(b"swept", OLD).unwrap();
         c.get(b"swept").unwrap().unwrap();
         let deadline = sim::now() + sim::millis(50);
-        while server.stats().applied_objects.get() < 1 {
+        while backup(&server).stats().applied_objects.get() < 1 {
             assert!(sim::now() < deadline, "backup never applied OLD");
             sim::sleep(sim::micros(50));
         }
         // Kill the primary at the swept instant via the fault-injection
         // hook; the NEW put races the crash and may fail — both legal.
         f.schedule_crash(
-            server.primary_node(),
+            server.shard(0).node(),
             sim::now() + t_crash,
             spec,
             seed ^ 0xC0FFEE,
@@ -384,7 +377,7 @@ fn replicated_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64, double_fault:
         // Promotion is autonomous — wait for the backup to publish.
         let deadline = sim::now() + sim::millis(500);
         let promoted = loop {
-            if let Some(p) = server.handle().promoted() {
+            if let Some(p) = backup(&server).handle().promoted() {
                 break p;
             }
             assert!(sim::now() < deadline, "backup never promoted");
@@ -409,13 +402,13 @@ fn replicated_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64, double_fault:
             // recover from its own mirrored pool — the ordinary local
             // recovery path, one more time.
             let mut rng = StdRng::seed_from_u64(seed ^ 0xD0B1E);
-            f.crash_node(server.backup_node(), spec, &mut rng);
+            f.crash_node(backup(&server).node(), spec, &mut rng);
             sim::sleep(sim::millis(1));
-            f.restart_node(server.backup_node());
+            f.restart_node(backup(&server).node());
             let (srv2, _report) = recovery::recover(
                 &f,
-                server.backup_node(),
-                Arc::clone(server.backup_pool()),
+                backup(&server).node(),
+                Arc::clone(backup(&server).pool()),
                 layout,
                 ServerConfig {
                     clean_enabled: false,
@@ -424,7 +417,7 @@ fn replicated_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64, double_fault:
             );
             recovery::check_consistency(&srv2.shared().pool, &layout);
             srv2.start(&f);
-            let v2 = read_and_probe(server.backup_node(), srv2.desc(), "client3");
+            let v2 = read_and_probe(backup(&server).node(), srv2.desc(), "client3");
             // The double-fault read may legally differ from the first only
             // by rolling NEW back to OLD (the promoted store's fresh state
             // was torn by the second crash) — never the other way, and
@@ -538,7 +531,7 @@ fn txn_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64) -> bool {
     let out2 = Arc::clone(&out);
     simu.spawn("main", move || {
         server.start(&f);
-        let c = connect(&f, &server_node, &server);
+        let c = connect(&f, &server);
         // Make the OLD write set durable (write + read-back each key).
         for i in 0..TXN_SWEEP_KEYS {
             c.put(&txn_key(i), &txn_old(i)).unwrap();
@@ -566,7 +559,7 @@ fn txn_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64) -> bool {
         let (server2, _report) = recovery::recover(&f, &server_node, pool, layout, cfg);
         recovery::check_consistency(&server2.shared().pool, &layout);
         server2.start(&f);
-        let c2 = connect(&f, &server_node, &server2);
+        let c2 = connect(&f, &server2);
         let mut news = 0usize;
         for i in 0..TXN_SWEEP_KEYS {
             let v = c2
@@ -638,7 +631,7 @@ fn txn_sweep_with_all_dirty_lines_lost() {
 // inside the commit window itself is settled by staging + reconciliation,
 // never by serving two owners.
 
-use efactory::cluster::{Cluster, ClusterClient, ClusterConfig, MetaClient};
+use efactory::cluster::{Cluster, ClusterConfig, MetaClient};
 
 const MIG_KEYS: usize = 16;
 
@@ -684,12 +677,10 @@ fn migration_crash_at(victim: MigVictim, t_crash: Nanos, seed: u64) -> bool {
     simu.spawn("main", move || {
         cl.start();
         sim::sleep(sim::millis(1)); // leader elected, heartbeats flowing
-        let seeder = ClusterClient::connect(
+        let seeder = StoreClient::connect(
             &f,
             &f.add_node("seeder"),
-            cl.meta_nodes(),
-            cl.handle(),
-            cl.stats(),
+            &cl.routes(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -773,12 +764,10 @@ fn migration_crash_at(victim: MigVictim, t_crash: Nanos, seed: u64) -> bool {
 
         // The surviving owner serves every seeded key un-torn and accepts
         // writes.
-        let checker = ClusterClient::connect(
+        let checker = StoreClient::connect(
             &f,
             &f.add_node("checker"),
-            cl.meta_nodes(),
-            cl.handle(),
-            cl.stats(),
+            &cl.routes(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -950,7 +939,7 @@ fn clean_crash_at(t_crash: Option<Nanos>, spec: CrashSpec, seed: u64) -> Option<
     let out2 = Arc::clone(&out);
     simu.spawn("main", move || {
         let shared = server.start(&f);
-        let c = connect(&f, &server_node, &server);
+        let c = connect(&f, &server);
         // Two generations per key → multi-version chains for the pass to
         // walk; the tail keys get tombstoned so reclamation runs too.
         for gen in 0..2u32 {
@@ -1073,7 +1062,7 @@ fn clean_crash_at(t_crash: Option<Nanos>, spec: CrashSpec, seed: u64) -> Option<
         let (server2, _report) = recovery::recover(&f, &server_node, pool, layout, cfg.clone());
         recovery::check_consistency(&server2.shared().pool, &layout);
         let shared2 = server2.start(&f);
-        let c2 = connect(&f, &server_node, &server2);
+        let c2 = connect(&f, &server2);
         let t = t_crash.unwrap();
         for i in 0..CLEAN_KEYS - CLEAN_DEAD {
             let v = c2
@@ -1192,19 +1181,19 @@ fn sharded_clean_crash_at(
     let f = Arc::clone(&fabric);
     let cfg2 = cfg.clone();
     simu.spawn("main", move || {
-        let server = ShardedServer::format(&f, "server", layout, cfg2.clone(), shards);
-        let nodes: Vec<_> = (0..shards).map(|i| server.node(i).clone()).collect();
-        let pools: Vec<_> = server
-            .shared_all()
-            .iter()
-            .map(|s| Arc::clone(&s.pool))
+        let server = Store::format(&f, "server", layout, cfg2.clone(), shards, 0);
+        let nodes: Vec<_> = (0..shards)
+            .map(|i| server.shard(i).node().clone())
             .collect();
-        let shareds: Vec<_> = server.shared_all().into_iter().map(Arc::clone).collect();
+        let shareds: Vec<_> = (0..shards)
+            .map(|i| Arc::clone(server.shard(i).server().shared()))
+            .collect();
+        let pools: Vec<_> = shareds.iter().map(|s| Arc::clone(&s.pool)).collect();
         server.start(&f);
-        let c = ShardedClient::connect(
+        let c = StoreClient::connect(
             &f,
             &f.add_node("client"),
-            &server.desc(),
+            &server.routes(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -1255,8 +1244,6 @@ fn sharded_clean_crash_at(
         controller.join();
         sim::sleep(sim::millis(1));
 
-        let mut rnodes = Vec::new();
-        let mut rdescs = Vec::new();
         let mut rservers = Vec::new();
         for (i, node) in nodes.iter().enumerate() {
             f.restart_node(node);
@@ -1267,17 +1254,12 @@ fn sharded_clean_crash_at(
             let (srv, _report) = recovery::recover(&f, node, Arc::clone(&pools[i]), layout, scfg);
             recovery::check_consistency(&srv.shared().pool, &layout);
             srv.start(&f);
-            rnodes.push(node.clone());
-            rdescs.push(srv.desc());
             rservers.push(srv);
         }
-        let c2 = ShardedClient::connect(
+        let c2 = StoreClient::connect(
             &f,
             &f.add_node("client2"),
-            &ShardedDesc {
-                nodes: rnodes,
-                descs: rdescs,
-            },
+            &Routes::Shards(rservers.iter().map(Server::route).collect()),
             ClientConfig::default(),
         )
         .unwrap();
@@ -1332,7 +1314,7 @@ fn replicated_clean_crash_at(t_crash: Option<Nanos>, spec: CrashSpec, seed: u64)
         clean_poll: sim::micros(5),
         ..ServerConfig::default()
     };
-    let server = ReplicatedServer::format(&fabric, &node, layout, cfg.clone());
+    let server = Store::format_on(&fabric, &node, layout, cfg.clone(), 1);
     let out: Arc<std::sync::Mutex<Option<Nanos>>> = Arc::default();
     let out2 = Arc::clone(&out);
     let f = Arc::clone(&fabric);
@@ -1341,8 +1323,8 @@ fn replicated_clean_crash_at(t_crash: Option<Nanos>, spec: CrashSpec, seed: u64)
         let c = Client::connect(
             &f,
             &f.add_node("client"),
-            server.primary_node(),
-            server.desc().desc,
+            server.shard(0).node(),
+            server.shard(0).server().desc(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -1360,20 +1342,20 @@ fn replicated_clean_crash_at(t_crash: Option<Nanos>, spec: CrashSpec, seed: u64)
         // Every pre-pass object mirrored: 2 generations + tombstones.
         let want = (2 * CLEAN_KEYS + CLEAN_DEAD) as u64;
         let deadline = sim::now() + sim::millis(50);
-        while server.stats().applied_objects.get() < want {
+        while backup(&server).stats().applied_objects.get() < want {
             assert!(sim::now() < deadline, "backup never caught up");
             sim::sleep(sim::micros(50));
         }
 
         let t0 = sim::now();
-        let shared = Arc::clone(server.shared());
+        let shared = Arc::clone(server.shard(0).server().shared());
         shared.clean_request.store(true, Ordering::Relaxed);
         if let Some(t) = t_crash {
-            f.schedule_crash(server.primary_node(), t0 + t, spec, seed ^ 0xC1EA4);
+            f.schedule_crash(server.shard(0).node(), t0 + t, spec, seed ^ 0xC1EA4);
             // Promotion is autonomous — wait for the backup to publish.
             let deadline = sim::now() + sim::millis(500);
             let promoted = loop {
-                if let Some(p) = server.handle().promoted() {
+                if let Some(p) = backup(&server).handle().promoted() {
                     break p;
                 }
                 assert!(sim::now() < deadline, "backup never promoted");

@@ -9,13 +9,15 @@
 //! is an instrumentation bug (a span leaking outside its op, a verb probe
 //! firing on the wrong thread), never rounding noise. These tests pin the
 //! invariant across the configuration surface: shard counts, pipelined
-//! windows, replication, and a lossy-fabric chaos plan.
+//! windows, replication, a lossy-fabric chaos plan, and the transactional
+//! mixes on every store shape.
 
+use efactory_harness::cluster::TXN_KEYS;
 use efactory_harness::{cluster, Cleaning, ExperimentSpec, SystemKind};
 use efactory_obs::critical_path::PhaseKind;
 use efactory_obs::{Breakdown, Obs};
 use efactory_rnic::{CostModel, FaultPlan};
-use efactory_ycsb::Mix;
+use efactory_ycsb::{Mix, Op, OpStream, WorkloadConfig};
 
 fn base(mix: Mix, seed: u64) -> ExperimentSpec {
     ExperimentSpec {
@@ -79,8 +81,7 @@ fn run_checked(tag: &str, spec: &ExperimentSpec) -> Breakdown {
 }
 
 /// The acceptance matrix: {1,4,8} shards × {window 1,16} × {replicas 0,1}
-/// × one chaos plan, restricted to the combinations the harness supports
-/// (a pipelined window requires an unsharded, unreplicated store).
+/// × one chaos plan.
 #[test]
 fn conservation_holds_across_shards_windows_replicas_and_chaos() {
     // Shard sweep.
@@ -103,12 +104,15 @@ fn conservation_holds_across_shards_windows_replicas_and_chaos() {
             .any(|p| p.kind == PhaseKind::Queue && p.total_ns > 0),
         "pipelined run must attribute queue time"
     );
-    // Replication, with and without shards.
+    // Replication, with and without shards, serial and pipelined.
     for shards in [1usize, 4] {
-        let mut s = base(Mix::A, 13);
-        s.shards = shards;
-        s.replicas = 1;
-        run_checked(&format!("repl-shards{shards}"), &s);
+        for window in [1usize, 16] {
+            let mut s = base(Mix::A, 13);
+            s.shards = shards;
+            s.replicas = 1;
+            s.window = window;
+            run_checked(&format!("repl-shards{shards}-window{window}"), &s);
+        }
     }
     // Chaos: a lossy, duplicating, delaying fabric stretches ops with
     // retransmissions and backoff; the invariant must survive retries.
@@ -121,6 +125,53 @@ fn conservation_holds_across_shards_windows_replicas_and_chaos() {
         seed: 77,
     });
     run_checked("chaos", &s);
+}
+
+/// Roots the fold must find for `spec`, from replaying each client's op
+/// stream: one per GET, PUT, and transaction, and one per key of a
+/// snapshot read (the capture itself is not an op).
+fn expected_roots(spec: &ExperimentSpec) -> u64 {
+    let wl = WorkloadConfig {
+        mix: spec.mix,
+        record_count: spec.record_count,
+        key_len: spec.key_len,
+        value_len: spec.value_len,
+        txn_keys: TXN_KEYS,
+    };
+    let mut roots = 0;
+    for cid in 0..spec.clients {
+        let mut stream = OpStream::new(wl.clone(), spec.seed, cid as u64);
+        for _ in 0..spec.ops_per_client {
+            roots += match stream.next_op() {
+                Op::SnapRead { keys } => keys.len() as u64,
+                Op::Get { .. } | Op::Put { .. } | Op::Txn { .. } => 1,
+            };
+        }
+    }
+    roots
+}
+
+/// Transactions and snapshot reads fold like any other op on every store
+/// shape, replicated ones included: exactly one root per GET, PUT,
+/// transaction, and snapshot-key read, each conserving its latency.
+#[test]
+fn transactions_fold_one_root_per_op_on_every_topology() {
+    for mix in [Mix::TxnOnly, Mix::T] {
+        for replicas in [0usize, 1] {
+            for shards in [1usize, 4] {
+                let tag = format!("{mix:?} shards{shards} replicas{replicas}");
+                let mut s = base(mix, 41);
+                s.shards = shards;
+                s.replicas = replicas;
+                let obs = Obs::with_trace_capacity(1 << 18);
+                let r = cluster::run_observed(&s, CostModel::default(), &obs);
+                assert_eq!(obs.tracer.dropped(), 0, "{tag}: trace ring must not drop");
+                let b = r.breakdown.unwrap_or_else(|| panic!("{tag}: no op folded"));
+                assert_eq!(b.ops, expected_roots(&s), "{tag}: one root per op");
+                assert_eq!(b.conservation_max_err_ns, 0, "{tag}: conservation");
+            }
+        }
+    }
 }
 
 /// Percentile attribution identifies the dominant tail subsystem for the

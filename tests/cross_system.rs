@@ -129,7 +129,7 @@ fn replay_sharded(shards: usize, doorbell: usize) -> ReadLog {
     use efactory::client::ClientConfig;
     use efactory::log::StoreLayout;
     use efactory::server::ServerConfig;
-    use efactory::shard::{ShardedClient, ShardedServer};
+    use efactory::store::{Store, StoreClient};
     use efactory_rnic::{CostModel, Fabric};
 
     let mut simu = Sim::new(5);
@@ -138,7 +138,7 @@ fn replay_sharded(shards: usize, doorbell: usize) -> ReadLog {
     let out2 = Arc::clone(&out);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
-        let srv = ShardedServer::format(
+        let srv = Store::format(
             &f,
             "server",
             StoreLayout::new(1024, 4 << 20, true),
@@ -147,9 +147,10 @@ fn replay_sharded(shards: usize, doorbell: usize) -> ReadLog {
                 ..ServerConfig::default()
             },
             shards,
+            0,
         );
         srv.start(&f);
-        let c = ShardedClient::connect(&f, &f.add_node("c"), &srv.desc(), ClientConfig::default())
+        let c = StoreClient::connect(&f, &f.add_node("c"), &srv.routes(), ClientConfig::default())
             .unwrap();
         let results = drive_stream(&c);
         srv.shutdown();

@@ -24,6 +24,7 @@ use efactory::client::{Client, ClientConfig};
 use efactory::log::StoreLayout;
 use efactory::pipeline::{OpKind, PipelineConfig, PipelinedClient};
 use efactory::server::{Server, ServerConfig};
+use efactory::store::Routes;
 use efactory_obs::Obs;
 use efactory_rnic::{CostModel, Fabric, FaultPlan};
 use efactory_sim as sim;
@@ -172,8 +173,9 @@ fn run_pipelined(seed: u64, window: usize, plan: Option<FaultPlan>) -> Outcome {
                 ..ClientConfig::default()
             },
         };
-        let mut pc = PipelinedClient::connect(&f, &node, &server_node, desc, pcfg, "pipe")
-            .expect("pipelined connect");
+        let routes = Routes::Shards(vec![server2.route()]);
+        let mut pc =
+            PipelinedClient::connect(&f, &node, &routes, pcfg, "pipe").expect("pipelined connect");
         let mut rows: Vec<Option<CompletionRow>> = (0..script.len()).map(|_| None).collect();
         let record = |comps: Vec<efactory::pipeline::OpCompletion>,
                       rows: &mut Vec<Option<CompletionRow>>| {

@@ -3,7 +3,7 @@
 //! * **Promoted equivalence**: a client that never observes the failure
 //!   reads the same values from the promoted backup as from a never-failed
 //!   primary.
-//! * **Transparent failover**: a `ReplClient` mid-workload rides through
+//! * **Transparent failover**: a `StoreClient` mid-workload rides through
 //!   the primary's death — its operations succeed against the promoted
 //!   backup with no application-visible error.
 //! * **Determinism**: two identical replicated runs (fault injection
@@ -13,8 +13,9 @@ use std::sync::Arc;
 
 use efactory::client::{Client, ClientConfig};
 use efactory::log::StoreLayout;
-use efactory::repl::{ReplClient, ReplicatedServer};
+use efactory::repl::Backup;
 use efactory::server::ServerConfig;
+use efactory::store::{Store, StoreClient};
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -43,6 +44,11 @@ fn cfg() -> ServerConfig {
     }
 }
 
+/// The backup of a one-shard replicated store.
+fn backup(store: &Store) -> &Backup {
+    store.shard(0).backup().expect("replicated store")
+}
+
 /// Run the workload and read every key back at the end. With `fail: true`
 /// the primary is power-failed after the backup caught up and the final
 /// reads go to the promoted backup; with `fail: false` they go to the
@@ -51,7 +57,7 @@ fn read_after_optional_failover(fail: bool, seed: u64) -> Vec<Option<Vec<u8>>> {
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
     let node = fabric.add_node("server");
-    let server = ReplicatedServer::format(&fabric, &node, layout(), cfg());
+    let server = Store::format_on(&fabric, &node, layout(), cfg(), 1);
 
     let out: Arc<std::sync::Mutex<Vec<Option<Vec<u8>>>>> = Arc::default();
     let out2 = Arc::clone(&out);
@@ -61,8 +67,8 @@ fn read_after_optional_failover(fail: bool, seed: u64) -> Vec<Option<Vec<u8>>> {
         let c = Client::connect(
             &f,
             &f.add_node("client"),
-            server.primary_node(),
-            server.desc().desc,
+            server.shard(0).node(),
+            server.shard(0).server().desc(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -72,7 +78,7 @@ fn read_after_optional_failover(fail: bool, seed: u64) -> Vec<Option<Vec<u8>>> {
         }
         // Wait until the backup has verified + persisted every object.
         let deadline = sim::now() + sim::millis(50);
-        while server.stats().applied_objects.get() < KEYS as u64 {
+        while backup(&server).stats().applied_objects.get() < KEYS as u64 {
             assert!(sim::now() < deadline, "backup never caught up");
             sim::sleep(sim::micros(50));
         }
@@ -80,18 +86,18 @@ fn read_after_optional_failover(fail: bool, seed: u64) -> Vec<Option<Vec<u8>>> {
         type ReadFn = Box<dyn Fn(&[u8]) -> Option<Vec<u8>>>;
         let reads: ReadFn = if fail {
             let mut rng = StdRng::seed_from_u64(seed ^ 0xFA11);
-            f.crash_node(server.primary_node(), CrashSpec::DropAll, &mut rng);
+            f.crash_node(server.shard(0).node(), CrashSpec::DropAll, &mut rng);
             // Promotion is autonomous: the backup notices the dead primary
             // and replays its mirrored log. Wait for it to publish.
             let deadline = sim::now() + sim::millis(200);
             let promoted = loop {
-                if let Some(p) = server.handle().promoted() {
+                if let Some(p) = backup(&server).handle().promoted() {
                     break p;
                 }
                 assert!(sim::now() < deadline, "backup never promoted");
                 sim::sleep(sim::micros(100));
             };
-            assert_eq!(server.stats().promotions.get(), 1);
+            assert_eq!(backup(&server).stats().promotions.get(), 1);
             let c2 = Client::connect(
                 &f,
                 &f.add_node("client2"),
@@ -136,15 +142,15 @@ fn repl_client_rides_through_primary_death() {
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
     let node = fabric.add_node("server");
-    let server = ReplicatedServer::format(&fabric, &node, layout(), cfg());
+    let server = Store::format_on(&fabric, &node, layout(), cfg(), 1);
 
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
         server.start(&f);
-        let c = ReplClient::connect(
+        let c = StoreClient::connect(
             &f,
             &f.add_node("client"),
-            &server.desc(),
+            &server.routes(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -154,14 +160,14 @@ fn repl_client_rides_through_primary_death() {
             c.get(&key(i)).unwrap().unwrap();
         }
         let deadline = sim::now() + sim::millis(50);
-        while server.stats().applied_objects.get() < (KEYS / 2) as u64 {
+        while backup(&server).stats().applied_objects.get() < (KEYS / 2) as u64 {
             assert!(sim::now() < deadline, "backup never caught up");
             sim::sleep(sim::micros(50));
         }
         // Kill the primary at a chosen instant while the client keeps
         // operating — the fault-injection hook runs in its own process.
         f.schedule_crash(
-            server.primary_node(),
+            server.shard(0).node(),
             sim::now() + sim::micros(3),
             CrashSpec::DropAll,
             seed ^ 0xDEAD,
@@ -171,9 +177,8 @@ fn repl_client_rides_through_primary_death() {
         for i in KEYS / 2..KEYS {
             c.put(&key(i), &value(i)).unwrap();
         }
-        assert!(c.on_backup(), "client never failed over");
-        assert!(c.failovers() >= 1);
-        assert_eq!(server.stats().promotions.get(), 1);
+        assert!(c.failovers() >= 1, "client never failed over");
+        assert_eq!(backup(&server).stats().promotions.get(), 1);
         // Everything readable after failover: pre-crash keys were mirrored,
         // post-crash keys were written to the promoted backup.
         for i in 0..KEYS {

@@ -1,15 +1,20 @@
-//! Sharding is transparent: the router is deterministic and total, and a
-//! [`ShardedServer`] behind it is byte-for-byte equivalent to a single
-//! unsharded [`Server`] on any failure-free op sequence.
+//! Topology is transparent: the router is deterministic and total, and a
+//! [`Store`] of any shape behind the routed client is byte-for-byte
+//! equivalent to a single unsharded [`Server`] on any failure-free op
+//! sequence.
 //!
-//! Two layers of evidence:
+//! Three layers of evidence:
 //!
 //! * property tests over the router itself — every key maps to exactly one
 //!   shard, the same one on every call, for every shard count;
 //! * replay equivalence — the same seeded PUT/GET/DEL sequence through an
-//!   unsharded server and through `ShardedServer` at every shard count in
-//!   the acceptance sweep produces identical read results and an identical
-//!   final KV image, doorbell batching on or off.
+//!   unsharded server and through a `Store` at every shard count in the
+//!   acceptance sweep, with and without a backup per shard, serially and
+//!   through a 16-deep pipeline, produces identical read results and an
+//!   identical final KV image, doorbell batching on or off;
+//! * a topology matrix through the harness — shards × replicas × window on
+//!   one node, and shards × window on two nodes, all finish with exact
+//!   sample accounting and no failed PUT.
 //!
 //! The shard counts exercised by the replay tests honor `EF_TEST_SHARDS`
 //! (comma-separated, default `1,2,4,8`) so CI can matrix over counts.
@@ -17,11 +22,16 @@
 use std::sync::{Arc, Mutex};
 
 use efactory::client::{Client, ClientConfig};
+use efactory::key_shard;
 use efactory::log::StoreLayout;
+use efactory::pipeline::{OpKind, PipelineConfig, PipelinedClient};
 use efactory::server::{Server, ServerConfig};
-use efactory::shard::{shard_of, ShardedClient, ShardedServer};
+use efactory::store::{Store, StoreClient};
+use efactory_harness::cluster::TXN_KEYS;
+use efactory_harness::{run, Cleaning, ExperimentSpec, SystemKind};
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim::Sim;
+use efactory_ycsb::{Mix, Op, OpStream, WorkloadConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -47,12 +57,12 @@ proptest! {
         key in proptest::collection::vec(any::<u8>(), 0..48),
         shards in 1usize..=16,
     ) {
-        let s = shard_of(&key, shards);
+        let s = key_shard(&key, shards);
         prop_assert!(s < shards, "shard {} out of range for {}", s, shards);
         // Pure function of the bytes: a second call and a cloned buffer
         // agree (every client, every connection routes identically).
-        prop_assert_eq!(s, shard_of(&key, shards));
-        prop_assert_eq!(s, shard_of(&key.clone(), shards));
+        prop_assert_eq!(s, key_shard(&key, shards));
+        prop_assert_eq!(s, key_shard(&key.clone(), shards));
     }
 }
 
@@ -65,11 +75,11 @@ fn routing_is_stable_across_shard_table_sizes() {
         .map(|i| format!("user{i:010}").into_bytes())
         .collect();
     for k in &keys {
-        assert_eq!(shard_of(k, 1), 0);
+        assert_eq!(key_shard(k, 1), 0);
     }
     for shards in [2usize, 3, 4, 8] {
-        let fwd: Vec<usize> = keys.iter().map(|k| shard_of(k, shards)).collect();
-        let rev: Vec<usize> = keys.iter().rev().map(|k| shard_of(k, shards)).collect();
+        let fwd: Vec<usize> = keys.iter().map(|k| key_shard(k, shards)).collect();
+        let rev: Vec<usize> = keys.iter().rev().map(|k| key_shard(k, shards)).collect();
         assert_eq!(fwd, rev.into_iter().rev().collect::<Vec<_>>());
     }
 }
@@ -136,7 +146,7 @@ impl KvOps for Client {
     }
 }
 
-impl KvOps for ShardedClient {
+impl KvOps for StoreClient {
     fn op_put(&self, key: &[u8], value: &[u8]) {
         self.put(key, value).unwrap()
     }
@@ -195,15 +205,47 @@ fn replay_single(seed: u64, ops: Vec<KvOp>) -> ReadLog {
     v
 }
 
-/// Replay `ops` through a [`ShardedServer`] at `shards` shards.
-fn replay_sharded(seed: u64, ops: Vec<KvOp>, shards: usize, doorbell: usize) -> ReadLog {
+/// Everything a replay observes, driven through a [`PipelinedClient`]: the
+/// GETs' results in submission order (per-key hazards keep each key's
+/// effects in program order, so they equal the serial results), then one
+/// final GET per key.
+fn drive_pipelined(pc: &mut PipelinedClient, ops: &[KvOp]) -> ReadLog {
+    let mut done = Vec::new();
+    for op in ops {
+        done.extend(match *op {
+            KvOp::Put(k, ver) => pc.submit_put(&key_bytes(k), &value_bytes(k, ver)),
+            KvOp::Get(k) => pc.submit_get(&key_bytes(k)),
+            KvOp::Del(k) => pc.submit_del(&key_bytes(k)),
+        });
+    }
+    for k in 0..KEYS {
+        done.extend(pc.submit_get(&key_bytes(k)));
+    }
+    done.extend(pc.drain());
+    done.sort_by_key(|c| c.seq);
+    done.into_iter()
+        .filter(|c| c.kind == OpKind::Get)
+        .map(|c| c.result.expect("pipelined op failed"))
+        .collect()
+}
+
+/// Replay `ops` through a [`Store`] of `shards` shards with `replicas`
+/// backups each, serially (`window == 1`) or pipelined.
+fn replay_store(
+    seed: u64,
+    ops: Vec<KvOp>,
+    shards: usize,
+    replicas: usize,
+    window: usize,
+    doorbell: usize,
+) -> ReadLog {
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
     let out: Arc<Mutex<ReadLog>> = Arc::default();
     let out2 = Arc::clone(&out);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
-        let server = ShardedServer::format(
+        let store = Store::format(
             &f,
             "server",
             StoreLayout::new(256, 1 << 20, true),
@@ -212,17 +254,27 @@ fn replay_sharded(seed: u64, ops: Vec<KvOp>, shards: usize, doorbell: usize) -> 
                 ..ServerConfig::default()
             },
             shards,
+            replicas,
         );
-        server.start(&f);
-        let c = ShardedClient::connect(
-            &f,
-            &f.add_node("c"),
-            &server.desc(),
-            ClientConfig::default(),
-        )
-        .unwrap();
-        *out2.lock().unwrap() = drive(&c, &ops);
-        server.shutdown();
+        store.start(&f);
+        let node = f.add_node("c");
+        *out2.lock().unwrap() = if window == 1 {
+            let c =
+                StoreClient::connect(&f, &node, &store.routes(), ClientConfig::default()).unwrap();
+            drive(&c, &ops)
+        } else {
+            let pcfg = PipelineConfig {
+                window,
+                doorbell_batch: doorbell,
+                client: ClientConfig::default(),
+            };
+            let mut pc =
+                PipelinedClient::connect(&f, &node, &store.routes(), pcfg, "pipe").unwrap();
+            let log = drive_pipelined(&mut pc, &ops);
+            pc.finish();
+            log
+        };
+        store.shutdown();
     });
     simu.run().expect_ok();
     let v = out.lock().unwrap().clone();
@@ -235,18 +287,16 @@ fn sharded_store_is_byte_identical_to_single_server() {
     let reference = replay_single(42, ops.clone());
     assert!(!reference.is_empty());
     for shards in shard_counts() {
-        for doorbell in [0usize, 16] {
-            let got = replay_sharded(42, ops.clone(), shards, doorbell);
-            assert_eq!(
-                got.len(),
-                reference.len(),
-                "{shards} shards (doorbell {doorbell}): op count diverged"
+        for (replicas, window, doorbell) in
+            [(0, 1, 0), (0, 1, 16), (1, 1, 16), (0, 16, 16), (1, 16, 0)]
+        {
+            let got = replay_store(42, ops.clone(), shards, replicas, window, doorbell);
+            let tag = format!(
+                "{shards} shards, {replicas} replicas, window {window}, doorbell {doorbell}"
             );
+            assert_eq!(got.len(), reference.len(), "{tag}: op count diverged");
             for (i, (r, g)) in reference.iter().zip(&got).enumerate() {
-                assert_eq!(
-                    r, g,
-                    "{shards} shards (doorbell {doorbell}): read {i} diverged"
-                );
+                assert_eq!(r, g, "{tag}: read {i} diverged");
             }
         }
     }
@@ -262,8 +312,93 @@ proptest! {
         let ops = op_sequence(seed, n);
         let reference = replay_single(seed, ops.clone());
         for shards in shard_counts() {
-            let got = replay_sharded(seed, ops.clone(), shards, 16);
+            let got = replay_store(seed, ops.clone(), shards, 0, 1, 16);
             prop_assert_eq!(&reference, &got, "{} shards diverged (seed {})", shards, seed);
         }
+    }
+}
+
+// ------------------------------------------------------- topology matrix
+
+/// A tiny YCSB-A run of the given shape.
+fn tiny_spec(shards: usize, replicas: usize, window: usize, nodes: usize) -> ExperimentSpec {
+    ExperimentSpec {
+        system: SystemKind::EFactory,
+        mix: Mix::A,
+        value_len: 64,
+        key_len: 16,
+        clients: 2,
+        ops_per_client: 40,
+        record_count: 48,
+        seed: 5,
+        cleaning: Cleaning::Disabled,
+        force_clean: false,
+        shards,
+        doorbell_batch: 8,
+        replicas,
+        fault_at: None,
+        fault_plan: None,
+        scrub: false,
+        window,
+        loc_cache: false,
+        snap_readers: 0,
+        nodes,
+        migrate_at: None,
+        exec: None,
+    }
+}
+
+/// GET and PUT samples `spec` must produce, from replaying each client's
+/// op stream.
+fn expected_samples(spec: &ExperimentSpec) -> (u64, u64) {
+    let wl = WorkloadConfig {
+        mix: spec.mix,
+        record_count: spec.record_count,
+        key_len: spec.key_len,
+        value_len: spec.value_len,
+        txn_keys: TXN_KEYS,
+    };
+    let (mut get, mut put) = (0, 0);
+    for cid in 0..spec.clients {
+        let mut stream = OpStream::new(wl.clone(), spec.seed, cid as u64);
+        for _ in 0..spec.ops_per_client {
+            match stream.next_op() {
+                Op::Get { .. } => get += 1,
+                Op::Put { .. } => put += 1,
+                Op::Txn { puts } => put += puts.len() as u64,
+                Op::SnapRead { keys } => get += keys.len() as u64,
+            }
+        }
+    }
+    (get, put)
+}
+
+#[test]
+fn topology_matrix_runs_every_shape_through_the_harness() {
+    let mut shapes = Vec::new();
+    for shards in [1, 4] {
+        for replicas in [0, 1] {
+            for window in [1, 16] {
+                shapes.push((shards, replicas, window, 1));
+            }
+        }
+    }
+    for window in [1, 16] {
+        shapes.push((4, 0, window, 2));
+    }
+    for (shards, replicas, window, nodes) in shapes {
+        let tag = format!("shards {shards}, replicas {replicas}, window {window}, nodes {nodes}");
+        let spec = tiny_spec(shards, replicas, window, nodes);
+        let r = run(&spec);
+        let (get, put) = expected_samples(&spec);
+        assert_eq!((r.get.count, r.put.count), (get, put), "{tag}: samples");
+        assert_eq!(r.total_ops, get + put, "{tag}: total ops");
+        let put_failures: u64 = r
+            .counters
+            .iter()
+            .filter(|(n, _)| n.ends_with("server.put_failures"))
+            .map(|(_, v)| v)
+            .sum();
+        assert_eq!(put_failures, 0, "{tag}: failed PUTs");
     }
 }

@@ -24,12 +24,11 @@ use std::sync::{Arc, Mutex};
 use efactory::client::{Client, ClientConfig};
 use efactory::log::StoreLayout;
 use efactory::pipeline::{OpKind, PipelineConfig, PipelinedClient};
-use efactory::repl::{ReplShardedClient, ReplicatedCluster, ReplicatedDesc};
 use efactory::server::{Server, ServerConfig};
-use efactory::shard::{ShardedClient, ShardedDesc, ShardedServer};
+use efactory::store::{Routes, Store, StoreClient};
 use efactory::txn::TxnKv;
+use efactory::RemoteKv;
 use efactory_harness::checker::{self, GetEvent, History, SnapEvent, TxnEvent};
-use efactory_harness::cluster::TxnRemote;
 use efactory_rnic::{CostModel, Fabric, FaultPlan};
 use efactory_sim as sim;
 use efactory_sim::Sim;
@@ -112,21 +111,9 @@ impl Default for Lane {
     }
 }
 
-enum AnyDesc {
-    Sharded(ShardedDesc),
-    Replicated(Vec<ReplicatedDesc>),
-}
-
-fn connect_txn(fabric: &Arc<Fabric>, name: &str, desc: &AnyDesc) -> Box<dyn TxnRemote> {
+fn connect_txn(fabric: &Arc<Fabric>, name: &str, routes: &Routes) -> StoreClient {
     let node = fabric.add_node(name);
-    match desc {
-        AnyDesc::Sharded(d) => Box::new(
-            ShardedClient::connect(fabric, &node, d, ClientConfig::default()).expect("connect"),
-        ),
-        AnyDesc::Replicated(d) => Box::new(
-            ReplShardedClient::connect(fabric, &node, d, ClientConfig::default()).expect("connect"),
-        ),
-    }
+    StoreClient::connect(fabric, &node, routes, ClientConfig::default()).expect("connect")
 }
 
 /// Run one lane's concurrent workload and return the recorded history.
@@ -155,30 +142,14 @@ fn run_lane(seed: u64, lane: Lane) -> History {
         snap_serve_stale: lane.stale,
         ..ServerConfig::default()
     };
-    let desc: Arc<AnyDesc>;
-    let mut repl_cluster = None;
-    let mut sharded_server = None;
-    if lane.replicas > 0 {
-        assert_eq!(lane.replicas, 1, "primary-backup: exactly one backup");
-        let c = ReplicatedCluster::format(&fabric, "server", layout, cfg, lane.shards);
-        desc = Arc::new(AnyDesc::Replicated(c.descs()));
-        repl_cluster = Some(c);
-    } else {
-        let s = ShardedServer::format(&fabric, "server", layout, cfg, lane.shards);
-        desc = Arc::new(AnyDesc::Sharded(s.desc()));
-        sharded_server = Some(s);
-    }
+    let store = Store::format(&fabric, "server", layout, cfg, lane.shards, lane.replicas);
+    let desc = Arc::new(store.routes());
 
     let hist: Arc<Mutex<History>> = Arc::default();
     let out = Arc::clone(&hist);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
-        if let Some(c) = &repl_cluster {
-            c.start(&f);
-        }
-        if let Some(s) = &sharded_server {
-            s.start(&f);
-        }
+        store.start(&f);
         // Preload every key (the history's implicit initial transaction).
         let setup = connect_txn(&f, "setup", &desc);
         for i in 0..KEYS {
@@ -302,27 +273,10 @@ fn run_lane(seed: u64, lane: Lane) -> History {
         if lane.clean {
             // The lane only counts if the cleaner actually interleaved
             // with the workload.
-            let shareds = match (&repl_cluster, &sharded_server) {
-                (Some(c), _) => c.shared_all(),
-                (_, Some(s)) => s.shared_all(),
-                _ => unreachable!(),
-            };
-            let cleaned: u64 = shareds
-                .iter()
-                .map(|sh| {
-                    sh.stats
-                        .cleanings
-                        .load(std::sync::atomic::Ordering::Relaxed)
-                })
-                .sum();
+            let cleaned = store.stat_sum(|s| &s.cleanings);
             assert!(cleaned > 0, "cleaning lane ran zero cleaning passes");
         }
-        if let Some(c) = &repl_cluster {
-            c.shutdown();
-        }
-        if let Some(s) = &sharded_server {
-            s.shutdown();
-        }
+        store.shutdown();
     });
     simu.run().expect_ok();
     Arc::try_unwrap(hist).unwrap().into_inner().unwrap()
@@ -500,18 +454,18 @@ fn pipelined_txn_history_is_consistent() {
             out.lock().unwrap().init.push((key(i), init_val(i)));
         }
 
+        let routes = Routes::Shards(vec![server.route()]);
         let mut handles = Vec::new();
         {
             let f2 = Arc::clone(&f);
-            let sn = server_node.clone();
+            let routes = routes.clone();
             let out = Arc::clone(&out);
             handles.push(sim::spawn("pipelined-writer", move || {
                 let node = f2.add_node("wnode");
                 let mut pc = PipelinedClient::connect(
                     &f2,
                     &node,
-                    &sn,
-                    desc,
+                    &routes,
                     PipelineConfig {
                         window: 16,
                         doorbell_batch: 0,
@@ -557,12 +511,10 @@ fn pipelined_txn_history_is_consistent() {
         }
         {
             let f2 = Arc::clone(&f);
-            let sn = server_node.clone();
+            let routes = routes.clone();
             let out = Arc::clone(&out);
             handles.push(sim::spawn("snap-reader", move || {
-                let node = f2.add_node("rnode");
-                let kv = Client::connect(&f2, &node, &sn, desc, ClientConfig::default())
-                    .expect("connect");
+                let kv = connect_txn(&f2, "rnode", &routes);
                 for _ in 0..2 * SNAPS_PER_READER {
                     let capture_invoke = sim::now();
                     let snap = kv.snapshot().expect("snapshot");

@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use efactory::client::ClientConfig;
 use efactory::log::StoreLayout;
 use efactory::server::ServerConfig;
-use efactory::shard::{ShardedClient, ShardedServer};
+use efactory::store::{Store, StoreClient};
 use efactory::txn::TxnKv;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -56,8 +56,8 @@ fn check_no_torn_snapshot(seed: u64, shards: usize, width: usize, txns: usize, r
         clean_enabled: false,
         ..ServerConfig::default()
     };
-    let server = ShardedServer::format(&fabric, "server", layout, cfg, shards);
-    let desc = Arc::new(server.desc());
+    let server = Store::format(&fabric, "server", layout, cfg, shards, 0);
+    let desc = Arc::new(server.routes());
     let failure: Arc<Mutex<Option<String>>> = Arc::default();
     let fail2 = Arc::clone(&failure);
     let f = Arc::clone(&fabric);
@@ -65,8 +65,7 @@ fn check_no_torn_snapshot(seed: u64, shards: usize, width: usize, txns: usize, r
         server.start(&f);
         // Tag 0 = initial state, written atomically up front.
         let setup_node = f.add_node("setup");
-        let setup =
-            ShardedClient::connect(&f, &setup_node, &desc, ClientConfig::default()).unwrap();
+        let setup = StoreClient::connect(&f, &setup_node, &desc, ClientConfig::default()).unwrap();
         let init: Vec<(Vec<u8>, Vec<u8>)> = (0..width).map(|i| (key(i), tagged(0, i))).collect();
         setup.txn_put_all(&init).unwrap();
 
@@ -83,8 +82,7 @@ fn check_no_torn_snapshot(seed: u64, shards: usize, width: usize, txns: usize, r
             let stop = Arc::clone(&stop);
             handles.push(sim::spawn("prop-writer", move || {
                 let node = f2.add_node("wnode");
-                let kv =
-                    ShardedClient::connect(&f2, &node, &desc, ClientConfig::default()).unwrap();
+                let kv = StoreClient::connect(&f2, &node, &desc, ClientConfig::default()).unwrap();
                 for t in 1..=txns {
                     let writes: Vec<(Vec<u8>, Vec<u8>)> =
                         (0..width).map(|i| (key(i), tagged(t as u64, i))).collect();
@@ -103,8 +101,7 @@ fn check_no_torn_snapshot(seed: u64, shards: usize, width: usize, txns: usize, r
             let fail = Arc::clone(&fail2);
             handles.push(sim::spawn(&format!("prop-reader-{rid}"), move || {
                 let node = f2.add_node(&format!("rnode-{rid}"));
-                let kv =
-                    ShardedClient::connect(&f2, &node, &desc, ClientConfig::default()).unwrap();
+                let kv = StoreClient::connect(&f2, &node, &desc, ClientConfig::default()).unwrap();
                 let mut last_ts = 0u64;
                 let report = |msg: String| {
                     fail.lock().unwrap().get_or_insert(msg);
@@ -185,8 +182,8 @@ fn check_rmw_counter(seed: u64, shards: usize, writers: usize, incs: usize) {
         clean_enabled: false,
         ..ServerConfig::default()
     };
-    let server = ShardedServer::format(&fabric, "server", layout, cfg, shards);
-    let desc = Arc::new(server.desc());
+    let server = Store::format(&fabric, "server", layout, cfg, shards, 0);
+    let desc = Arc::new(server.routes());
     let final_val: Arc<Mutex<Option<u64>>> = Arc::default();
     let out = Arc::clone(&final_val);
     let f = Arc::clone(&fabric);
@@ -200,8 +197,7 @@ fn check_rmw_counter(seed: u64, shards: usize, writers: usize, incs: usize) {
             let ck = counter_key.clone();
             handles.push(sim::spawn(&format!("rmw-writer-{wid}"), move || {
                 let node = f2.add_node(&format!("wnode-{wid}"));
-                let kv =
-                    ShardedClient::connect(&f2, &node, &desc, ClientConfig::default()).unwrap();
+                let kv = StoreClient::connect(&f2, &node, &desc, ClientConfig::default()).unwrap();
                 for _ in 0..incs {
                     kv.txn_rmw(&ck, &mut |old| {
                         let n: u64 = old
@@ -217,7 +213,7 @@ fn check_rmw_counter(seed: u64, shards: usize, writers: usize, incs: usize) {
             h.join();
         }
         let node = f.add_node("verify");
-        let kv = ShardedClient::connect(&f, &node, &desc, ClientConfig::default()).unwrap();
+        let kv = StoreClient::connect(&f, &node, &desc, ClientConfig::default()).unwrap();
         let v = kv.get(&counter_key).unwrap().expect("counter exists");
         *out.lock().unwrap() = Some(String::from_utf8(v).unwrap().parse().unwrap());
         server.shutdown();
