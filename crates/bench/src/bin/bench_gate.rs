@@ -1,55 +1,25 @@
 //! CI perf-regression gate.
 //!
-//! Compares freshly generated bench reports against the committed
-//! `BENCH_*.json` baselines and fails (exit 1) when a key metric drifts
-//! out of band — see `efactory_bench::gate` for the metric set and the
-//! tolerance rules. Always writes a machine-readable diff
+//! Compares every committed `BENCH_*.json` in the baseline directory with
+//! the fresh full-scale report of the same name and fails (exit 1) on any
+//! differing leaf or violated acceptance bound — see `efactory_bench::gate`
+//! for the rules. Always writes a machine-readable diff
 //! (`bench-gate-diff.json` by default) for upload as a CI artifact.
 //!
 //! ```text
 //! bench_gate [--baseline-dir .] [--fresh-dir fresh] [--diff bench-gate-diff.json]
 //! ```
 //!
-//! The fresh reports must be produced by the same bins that made the
-//! baselines, at full scale (the committed baselines are full-scale runs;
-//! comparing a scaled run against them would trip the band spuriously):
-//!
-//! ```text
-//! cargo run --release -p efactory-bench --bin put_get            -- --json fresh/BENCH_put_get.json
-//! cargo run --release -p efactory-bench --bin repl_overhead      -- --json fresh/BENCH_repl.json
-//! cargo run --release -p efactory-bench --bin pipeline_scaling   -- --json fresh/BENCH_pipeline.json
-//! cargo run --release -p efactory-bench --bin latency_breakdown  -- --json fresh/BENCH_breakdown.json
-//! cargo run --release -p efactory-bench --bin txn_bench          -- --json fresh/BENCH_txn.json
-//! cargo run --release -p efactory-bench --bin cluster_bench      -- --json fresh/BENCH_cluster.json
-//! cargo run --release -p efactory-bench --bin cleaning_pressure  -- --json fresh/BENCH_cleaning.json
-//! cargo run --release -p efactory-bench --bin sim_throughput     -- --json fresh/BENCH_sim.json
-//! ```
-//!
-//! On a `stale-baseline` verdict the fix is to refresh the committed
-//! baseline in the same PR (copy the fresh report over the `BENCH_*.json`
-//! at the repo root) so the checked-in trajectory tracks the code.
+//! Each probe writes its default `BENCH_*.json` into the current
+//! directory, so the fresh reports come from running every probe at full
+//! scale inside the fresh directory (the refresh loop in EXPERIMENTS.md).
+//! When a change moves a number on purpose, refresh the committed report
+//! in the same change.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use efactory_bench::gate::{compare_all, diff_json, extract_metrics, Json};
-
-/// The gated report files, by repo-root baseline name.
-const GATED: [&str; 8] = [
-    "BENCH_put_get.json",
-    "BENCH_repl.json",
-    "BENCH_pipeline.json",
-    "BENCH_breakdown.json",
-    "BENCH_txn.json",
-    "BENCH_cluster.json",
-    "BENCH_cleaning.json",
-    "BENCH_sim.json",
-];
-
-fn load(path: &Path) -> Result<Json, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    Json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
-}
+use efactory_bench::gate::{compare_dirs, diff_json};
 
 fn main() -> ExitCode {
     let mut baseline_dir = PathBuf::from(".");
@@ -75,48 +45,45 @@ fn main() -> ExitCode {
         }
     }
 
-    let mut rows = Vec::new();
-    let mut load_errors = 0u32;
-    for file in GATED {
-        let stem = file.strip_suffix(".json").unwrap();
-        let pair = load(&baseline_dir.join(file)).and_then(|b| {
-            let f = load(&fresh_dir.join(file))?;
-            Ok((
-                extract_metrics(stem, &b)?,
-                extract_metrics(stem, &f).map_err(|e| format!("fresh {file}: {e}"))?,
-            ))
-        });
-        match pair {
-            Ok((baseline, fresh)) => rows.extend(compare_all(&baseline, &fresh)),
-            Err(e) => {
-                eprintln!("error: {e}");
-                load_errors += 1;
-            }
+    let (files, diffs) = match compare_dirs(&baseline_dir, &fresh_dir) {
+        Ok((files, _)) if files.is_empty() => {
+            eprintln!("error: no BENCH_*.json in {}", baseline_dir.display());
+            return ExitCode::from(2);
         }
-    }
-
-    println!(
-        "{:<30} {:>14} {:>14} {:>9}  verdict",
-        "metric", "baseline", "fresh", "delta"
-    );
-    for row in &rows {
+        Ok(found) => found,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    for d in &diffs {
         println!(
-            "{:<30} {:>14.6} {:>14.6} {:>+8.2}%  {}",
-            row.name, row.baseline, row.fresh, row.delta_pct, row.verdict
+            "{:<8} {}  baseline {}  fresh {}",
+            d.verdict.as_str(),
+            d.path,
+            d.baseline,
+            d.fresh
         );
     }
-
-    std::fs::write(&diff_path, diff_json(&rows) + "\n")
+    std::fs::write(&diff_path, diff_json(&files, &diffs) + "\n")
         .unwrap_or_else(|e| panic!("failed to write {}: {e}", diff_path.display()));
     println!("diff written to {}", diff_path.display());
 
-    let failing = rows.iter().filter(|r| r.verdict.failing()).count() as u32 + load_errors;
-    if failing > 0 {
-        eprintln!("bench gate FAILED: {failing} metric(s) out of band");
-        eprintln!("(regressions: fix the change; stale-baseline: refresh BENCH_*.json — see EXPERIMENTS.md)");
-        ExitCode::FAILURE
-    } else {
-        println!("bench gate passed: {} metric(s) within band", rows.len());
+    if diffs.is_empty() {
+        println!(
+            "bench gate passed: {} report(s) identical, every bound held",
+            files.len()
+        );
         ExitCode::SUCCESS
+    } else {
+        eprintln!(
+            "bench gate FAILED: {} differing leaf/leaves across {} report(s)",
+            diffs.len(),
+            files.len()
+        );
+        eprintln!(
+            "(a deliberate change refreshes BENCH_*.json in the same commit — see EXPERIMENTS.md)"
+        );
+        ExitCode::FAILURE
     }
 }

@@ -1,28 +1,31 @@
 //! Cluster-layer throughput probe: multi-node placement cost and the
 //! client-visible price of a live shard migration.
 //!
-//! The CI bench gate locks three properties of the cluster layer in over
-//! this report:
+//! Three lanes:
 //!
 //! * **Placement cost** — YCSB-A throughput on a 2-node and a 4-node
 //!   cluster (4 shards, round-robin placement, 3-replica metadata
-//!   service) is drift-banded at ±10%. Routing through the epoch-tagged
-//!   placement map must not regress against the committed trajectory.
-//! * **Migration-window throughput** — the same 2-node run with shard 0
-//!   live-migrated mid-window stays in band: the copy/delta/verify
-//!   stream runs off the client critical path.
-//! * **Migration tail ceiling (hard)** — client p99.9 during the
-//!   migrated run may inflate to at most [`gate`] `MIGRATE_P999_CEILING_X`
-//!   × the quiescent run's p99.9, regardless of what the baseline says.
-//!   The seal→flip window is the only stretch where client ops stall, so
-//!   the tail is where a migration that blocks too long shows up first.
+//!   service). Routing goes through the epoch-tagged placement map.
+//! * **Migration window** — the same 2-node run with shard 0
+//!   live-migrated mid-window: the copy/delta/verify stream runs off the
+//!   client critical path.
+//! * **Migration tail bound** — client p99.9 during the migrated run may
+//!   inflate to at most [`MAX_MIGRATE_P999_INFLATION`] × the quiescent
+//!   run's p99.9. The seal→flip window is the only stretch where client
+//!   ops stall, so the tail is where a migration that blocks too long
+//!   shows up first.
 //!
 //! Always writes `BENCH_cluster.json` (override with `--json`).
 
 use efactory_bench::{scaled_ops, ReportSink};
-use efactory_harness::{cluster, ExperimentSpec, RunResult, SystemKind};
+use efactory_harness::{cluster, Bound, ExperimentSpec, RunResult, SystemKind};
 use efactory_sim::millis;
 use efactory_ycsb::Mix;
+
+/// Acceptance bound: the migrated run's p99.9 over the quiescent run's.
+/// The snapshot copy and the verify stream run off the client critical
+/// path; only the seal→flip window stalls ops, and it must stay short.
+const MAX_MIGRATE_P999_INFLATION: f64 = 5.0;
 
 fn spec(nodes: usize, migrate_at: Option<u64>) -> ExperimentSpec {
     let mut s = ExperimentSpec::paper(SystemKind::EFactory, Mix::A, 256);
@@ -62,9 +65,10 @@ fn main() {
 
     let inflation = mig.all.p999_ns as f64 / n2.all.p999_ns.max(1) as f64;
     println!();
-    println!(
-        "migration p99.9 inflation : {inflation:.2}x  (gate ceiling: {:.1}x)",
-        efactory_bench::gate::MIGRATE_P999_CEILING_X
+    sink.bound(
+        "migrate_p999_inflation_x",
+        inflation,
+        Bound::Max(MAX_MIGRATE_P999_INFLATION),
     );
     sink.write();
 }

@@ -9,13 +9,12 @@
 //! sums ≡ measured latency, exactly) is checked on every run — a non-zero
 //! `conservation_max_err_ns` is a bug in the instrumentation, not noise.
 //!
-//! Always writes `BENCH_breakdown.json` (override with `--json`); the CI
-//! bench gate locks in each subsystem's p99.9 share with a ±5pp band.
+//! Always writes `BENCH_breakdown.json` (override with `--json`).
 //! `--trace <path>` additionally exports the YCSB-A run as Chrome
 //! `trace_event` JSON with the tail exemplars rendered on an overlay lane
 //! (open in Perfetto; the worst ops sit on tid 7).
 
-use efactory_bench::{spec, ReportSink};
+use efactory_bench::{path_flag, spec, ReportSink};
 use efactory_harness::{cluster, SystemKind};
 use efactory_obs::{Obs, Subsystem};
 use efactory_rnic::CostModel;
@@ -26,26 +25,9 @@ use efactory_ycsb::Mix;
 /// percentile cohorts exact).
 const TRACE_CAPACITY: usize = 1 << 20;
 
-fn trace_path_from_args() -> Option<String> {
-    let mut args = std::env::args().peekable();
-    while let Some(a) = args.next() {
-        if a == "--trace" {
-            return Some(args.next().unwrap_or_default());
-        }
-        if let Some(p) = a.strip_prefix("--trace=") {
-            return Some(p.to_string());
-        }
-    }
-    None
-}
-
 fn main() {
     let mut sink = ReportSink::with_default_path("latency-breakdown", Some("BENCH_breakdown.json"));
-    let trace_path = trace_path_from_args();
-    if trace_path.as_deref() == Some("") {
-        eprintln!("error: --trace requires a path (use --trace <path> or --trace=<path>)");
-        std::process::exit(2);
-    }
+    let trace_path = path_flag("trace");
 
     println!("eFactory per-op latency decomposition · 256B values · 8 clients");
     for (mix, label) in [

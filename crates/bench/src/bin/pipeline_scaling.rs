@@ -7,8 +7,8 @@
 //! client near 0.15 Mops no matter how fast the fabric is. The pipelined
 //! client (`efactory::PipelinedClient`) keeps `window` operations in
 //! flight on independent QPs — the same lever Kashyap et al. pull for
-//! persistence batching — and this probe records the scaling curve the CI
-//! bench gate locks in (window=16 must stay ≥ 2× window=1).
+//! persistence batching — and this probe records the scaling curve, with
+//! the acceptance bound that window=16 stays ≥ 2× window=1.
 //!
 //! The second table measures the client-side location cache on a read-only
 //! mix: repeat GETs skip the bucket-probe RDMA read (one object read
@@ -17,10 +17,13 @@
 //! Always writes `BENCH_pipeline.json` (override with `--json`).
 
 use efactory_bench::{scaled_ops, ReportSink};
-use efactory_harness::{cluster, ExperimentSpec, SystemKind};
+use efactory_harness::{cluster, Bound, ExperimentSpec, SystemKind};
 use efactory_ycsb::Mix;
 
 const DOORBELL: usize = 16;
+/// Acceptance bound of the pipelined client: window=16 holds at least
+/// this multiple of window=1 throughput.
+const MIN_WINDOW16_SPEEDUP: f64 = 2.0;
 
 fn spec(mix: Mix, clients: usize, window: usize, loc_cache: bool) -> ExperimentSpec {
     let mut s = ExperimentSpec::paper(SystemKind::EFactory, mix, 256);
@@ -40,12 +43,14 @@ fn main() {
         "workload", "window", "Mops", "p50 µs", "p99 µs", "speedup"
     );
     let mut base_mops = 0.0;
+    let mut speedup = 0.0;
     for window in [1usize, 4, 16] {
         let s = spec(Mix::UpdateOnly, 1, window, false);
         let r = cluster::run(&s);
         if window == 1 {
             base_mops = r.mops;
         }
+        speedup = r.mops / base_mops;
         println!(
             "{:<26} {:>7} {:>9.3} {:>10.2} {:>10.2} {:>8.2}x",
             "Update-only/256B",
@@ -53,10 +58,15 @@ fn main() {
             r.mops,
             r.all.p50_ns as f64 / 1000.0,
             r.all.p99_ns as f64 / 1000.0,
-            r.mops / base_mops,
+            speedup,
         );
         sink.add(&format!("Update-only/256B/window{window}"), &s, &r);
     }
+    sink.bound(
+        "pipeline_window16_speedup",
+        speedup,
+        Bound::Min(MIN_WINDOW16_SPEEDUP),
+    );
 
     println!();
     println!("location cache · YCSB-C (100% GET) · 8 clients · window=1");

@@ -1,21 +1,20 @@
 //! # efactory-bench — benchmark harness
 //!
-//! Two families of targets:
+//! Two families of binaries (`src/bin/`):
 //!
-//! * **Per-figure binaries** (`src/bin/fig*.rs`) regenerate every table and
-//!   figure of the paper's evaluation section. Run e.g.
-//!   `cargo run --release -p efactory-bench --bin fig9`. Results are
-//!   deterministic (virtual-time measurement on a seeded simulator).
-//! * **Criterion micro-benchmarks** (`benches/`) cover the substrates:
-//!   checksum throughput, pmem flush/crash, fabric verbs, hash table, and
-//!   per-system single-op latencies.
+//! * **Per-figure binaries** (`fig*`, `summary`, `ablations`) regenerate
+//!   every table and figure of the paper's evaluation section. Run e.g.
+//!   `cargo run --release -p efactory-bench --bin fig9`.
+//! * **Probes** (`put_get`, `txn_bench`, `sim_throughput`, ...) each write
+//!   one committed `BENCH_*.json` report, which `bench_gate` compares
+//!   exactly against a fresh run ([`gate`]).
 //!
-//! The `EF_OPS_SCALE` environment variable scales the per-client operation
-//! counts of the figure binaries (default 1.0; smaller = faster, noisier).
+//! Results are deterministic (virtual-time measurement on a seeded
+//! simulator). The `EF_OPS_SCALE` environment variable scales the
+//! per-client operation counts (default 1.0; smaller = faster, noisier).
 
-use efactory_harness::{
-    json_path_from_args, ExperimentSpec, LatencyStats, Report, RunResult, SystemKind,
-};
+use efactory_harness::{Bound, ExperimentSpec, LatencyStats, Report, RunResult, SystemKind};
+use efactory_obs::json::Obj;
 use efactory_ycsb::Mix;
 
 pub mod gate;
@@ -39,11 +38,38 @@ pub fn spec(system: SystemKind, mix: Mix, value_len: usize) -> ExperimentSpec {
     s
 }
 
-/// A `--json <path>` report sink shared by every figure binary: records
+/// The value of `--<flag> <path>` (or `--<flag>=<path>`) on the command
+/// line, if the flag is given. A flag without a value exits with status 2
+/// before the benchmark runs, not at write time minutes later.
+pub fn path_flag(flag: &str) -> Option<String> {
+    let path = parse_path_flag(std::env::args(), flag);
+    if path.as_deref() == Some("") {
+        eprintln!("error: --{flag} requires a path (use --{flag} <path> or --{flag}=<path>)");
+        std::process::exit(2);
+    }
+    path
+}
+
+/// [`path_flag`] over explicit arguments; a valueless flag parses as `""`.
+fn parse_path_flag(mut args: impl Iterator<Item = String>, flag: &str) -> Option<String> {
+    let bare = format!("--{flag}");
+    let joined = format!("--{flag}=");
+    while let Some(a) = args.next() {
+        if a == bare {
+            return Some(args.next().unwrap_or_default());
+        }
+        if let Some(p) = a.strip_prefix(&joined) {
+            return Some(p.to_string());
+        }
+    }
+    None
+}
+
+/// A `--json <path>` report sink shared by every bench binary: records
 /// entries only when a path was requested, and writes the rendered
 /// [`Report`] on [`ReportSink::write`]. Pass `--json <path>` (or
-/// `--json=<path>`) to any `fig*` binary to emit its runs as JSON next to
-/// the rendered table (schema: `EXPERIMENTS.md`).
+/// `--json=<path>`) to any binary to emit its runs as JSON next to the
+/// rendered table (schema: `EXPERIMENTS.md`).
 pub struct ReportSink {
     report: Report,
     path: Option<String>,
@@ -57,20 +83,11 @@ impl ReportSink {
     }
 
     /// Like [`ReportSink::from_args`], but falls back to `default_path`
-    /// when no `--json` flag is given (perf-trajectory binaries that should
-    /// always emit).
+    /// when no `--json` flag is given (probes that always emit).
     pub fn with_default_path(figure: &str, default_path: Option<&str>) -> ReportSink {
-        let path =
-            json_path_from_args(std::env::args()).or_else(|| default_path.map(str::to_string));
-        // Reject a valueless `--json` before the benchmark runs, not at
-        // write time minutes later.
-        if path.as_deref() == Some("") {
-            eprintln!("error: --json requires a path (use --json <path> or --json=<path>)");
-            std::process::exit(2);
-        }
         ReportSink {
             report: Report::new(figure),
-            path,
+            path: path_flag("json").or_else(|| default_path.map(str::to_string)),
         }
     }
 
@@ -86,10 +103,34 @@ impl ReportSink {
         }
     }
 
+    /// Record one cluster run plus its wall-clock measurements (no-op when
+    /// disabled).
+    pub fn add_with_wall(
+        &mut self,
+        label: &str,
+        spec: &ExperimentSpec,
+        result: &RunResult,
+        wall: Obj,
+    ) {
+        if self.enabled() {
+            self.report.add_with_wall(label, spec, result, wall);
+        }
+    }
+
     /// Record a latency-only measurement (no-op when disabled).
     pub fn add_latency(&mut self, label: &str, stats: &LatencyStats) {
         if self.enabled() {
             self.report.add_latency(label, stats);
+        }
+    }
+
+    /// Print an acceptance bound and record it in the report, where
+    /// `bench_gate` checks it.
+    pub fn bound(&mut self, name: &str, value: f64, limit: Bound) {
+        let verdict = if limit.holds(value) { "ok" } else { "VIOLATED" };
+        println!("bound {name} = {value:.2} ({limit}): {verdict}");
+        if self.enabled() {
+            self.report.bound(name, value, limit);
         }
     }
 
@@ -135,6 +176,24 @@ mod tests {
         assert_eq!(size_label(1024), "1KB");
         assert_eq!(size_label(4096), "4KB");
         assert_eq!(size_label(100), "100B");
+    }
+
+    #[test]
+    fn path_flag_parsing() {
+        let parse = |v: &[&str], flag| parse_path_flag(v.iter().map(|s| s.to_string()), flag);
+        assert_eq!(
+            parse(&["bin", "--json", "out.json"], "json"),
+            Some("out.json".into())
+        );
+        assert_eq!(
+            parse(&["bin", "--trace=t.json"], "trace"),
+            Some("t.json".into())
+        );
+        assert_eq!(parse(&["bin", "--json", "x"], "trace"), None);
+        // A valueless flag parses as an empty path, which `path_flag`
+        // rejects up front.
+        assert_eq!(parse(&["bin", "--json"], "json"), Some(String::new()));
+        assert_eq!(parse(&["bin", "--json="], "json"), Some(String::new()));
     }
 
     #[test]

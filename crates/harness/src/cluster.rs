@@ -328,7 +328,8 @@ pub struct RunResult {
     pub counters: Vec<(String, u64)>,
     /// Per-op critical-path breakdown folded from the trace over the
     /// measurement window (None when the trace captured no attributed
-    /// ops — e.g. baseline systems that don't emit `"op"` root spans).
+    /// ops — e.g. baseline systems that don't emit `"op"` root spans — or
+    /// when the trace ring overflowed and dropped records).
     /// Serialized separately by the report writer, not via serde.
     pub breakdown: Option<Breakdown>,
 }
@@ -1047,17 +1048,20 @@ fn run_inner(
     }
     // Fold the trace into the per-op critical-path breakdown, clipped to
     // the measurement window (preload ops start before `start` and are
-    // excluded by min_start).
-    let breakdown = {
-        let b = efactory_obs::critical_path::fold(
-            &obs.tracer.records(),
-            &FoldConfig {
-                min_start: start,
-                exemplars: 4,
-            },
-        );
-        (b.ops > 0).then_some(b)
-    };
+    // excluded by min_start). A ring that overflowed kept only its newest
+    // records, so its fold would cover an arbitrary subset of the ops:
+    // skip it.
+    let breakdown = (obs.tracer.dropped() == 0)
+        .then(|| {
+            efactory_obs::critical_path::fold(
+                &obs.tracer.records(),
+                &FoldConfig {
+                    min_start: start,
+                    exemplars: 4,
+                },
+            )
+        })
+        .filter(|b| b.ops > 0);
     RunResult {
         system: spec.system.label(),
         total_ops,

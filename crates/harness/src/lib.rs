@@ -23,7 +23,7 @@ pub mod table;
 pub use cluster::{
     run, run_observed, run_with_cost, Cleaning, ExperimentSpec, RunResult, SpecError, SystemKind,
 };
-pub use report::{json_path_from_args, Report};
+pub use report::{Bound, Report};
 pub use stats::LatencyStats;
 pub use table::Table;
 

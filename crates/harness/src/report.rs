@@ -2,16 +2,22 @@
 //!
 //! Every bench binary can emit its results as JSON (`--json <path>`) so
 //! perf trajectories can be tracked across commits without scraping the
-//! rendered tables. The schema is versioned (`"schema": "efactory-run-report/v2"`)
+//! rendered tables. The schema is versioned (`"schema": "efactory-run-report/v3"`)
 //! and documented in `EXPERIMENTS.md`; rendering is deterministic — entries
 //! appear in insertion order, counters in lexicographic order, and all
-//! numbers use fixed-point formatting — so same seed ⇒ byte-identical file.
+//! numbers use fixed-point formatting — so same seed ⇒ byte-identical file,
+//! apart from the `wall` objects.
 //!
-//! v2 adds two per-entry sections, present whenever the run folded a
-//! critical-path breakdown (eFactory runs with attributed ops): `breakdown`
-//! (per-subsystem phase totals, off-path work, and percentile attribution)
-//! and `tail_exemplars` (the K slowest ops with their full phase timeline).
+//! v2 added two per-entry sections, present whenever the run folded a
+//! critical-path breakdown (eFactory runs with attributed ops whose trace
+//! ring dropped nothing): `breakdown` (per-subsystem phase totals, off-path
+//! work, and percentile attribution) and `tail_exemplars` (the K slowest
+//! ops with their full phase timeline). v3 adds a top-level `bounds` list
+//! (the acceptance bounds the probe checked, `{name, value, min|max}`) and
+//! an optional per-entry `wall` object (wall-clock measurements, the only
+//! numbers that differ between two runs of one seed).
 
+use std::fmt;
 use std::io;
 use std::path::Path;
 
@@ -22,14 +28,41 @@ use crate::cluster::{ExperimentSpec, RunResult};
 use crate::stats::LatencyStats;
 
 /// Schema identifier stamped into every report.
-pub const SCHEMA: &str = "efactory-run-report/v2";
+pub const SCHEMA: &str = "efactory-run-report/v3";
 
-/// A JSON run report: one entry per experiment plus the cost-model
-/// constants the runs were charged with.
+/// The limit of an acceptance bound.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Bound {
+    Min(f64),
+    Max(f64),
+}
+
+impl Bound {
+    /// Whether `value` lies within the limit.
+    pub fn holds(self, value: f64) -> bool {
+        match self {
+            Bound::Min(m) => value >= m,
+            Bound::Max(m) => value <= m,
+        }
+    }
+}
+
+impl fmt::Display for Bound {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Bound::Min(m) => write!(f, "min {m}"),
+            Bound::Max(m) => write!(f, "max {m}"),
+        }
+    }
+}
+
+/// A JSON run report: one entry per experiment, the acceptance bounds the
+/// probe checked, and the cost-model constants the runs were charged with.
 pub struct Report {
     figure: String,
     cost: CostModel,
     entries: Vec<String>,
+    bounds: Vec<String>,
 }
 
 impl Report {
@@ -45,75 +78,39 @@ impl Report {
             figure: figure.to_string(),
             cost,
             entries: Vec::new(),
+            bounds: Vec::new(),
         }
     }
 
     /// Record one experiment's spec + result under `label`.
     pub fn add(&mut self, label: &str, spec: &ExperimentSpec, result: &RunResult) {
-        let mut params = Obj::new()
-            .str("system", result.system)
-            .str("mix", &format!("{:?}", spec.mix))
-            .u64("value_len", spec.value_len as u64)
-            .u64("key_len", spec.key_len as u64)
-            .u64("clients", spec.clients as u64)
-            .u64("ops_per_client", spec.ops_per_client as u64)
-            .u64("record_count", spec.record_count)
-            .u64("seed", result.seed)
-            .str("cleaning", &format!("{:?}", spec.cleaning))
-            .bool("force_clean", spec.force_clean)
-            .u64("shards", spec.shards as u64)
-            .u64("doorbell_batch", spec.doorbell_batch as u64)
-            .u64("replicas", spec.replicas as u64)
-            .bool("scrub", spec.scrub)
-            .u64("window", spec.window as u64)
-            .bool("loc_cache", spec.loc_cache)
-            .u64("nodes", spec.nodes as u64)
-            .u64("snap_readers", spec.snap_readers as u64);
-        // Injected events appear only when set, so steady-state runs and
-        // failover or migration runs are distinguishable.
-        if let Some(fault_at) = spec.fault_at {
-            params = params.u64("fault_at_ns", fault_at);
-        }
-        if let Some(migrate_at) = spec.migrate_at {
-            params = params.u64("migrate_at_ns", migrate_at);
-        }
-        // Same for the lossy-fabric plan: its parameters are stamped only
-        // on chaos runs, so a report reader can tell a degraded-but-clean
-        // fabric from a faulted one at a glance.
-        if let Some(plan) = spec.fault_plan {
-            params = params
-                .f64("fault_drop_p", plan.drop_p, 6)
-                .f64("fault_dup_p", plan.dup_p, 6)
-                .f64("fault_delay_p", plan.delay_p, 6)
-                .u64("fault_delay_ns", plan.delay_ns)
-                .u64("fault_seed", plan.seed);
-        }
-        let params = params.finish();
-        let mut counters = Obj::new();
-        for (name, v) in &result.counters {
-            counters = counters.u64(name, *v);
-        }
-        let mut entry = Obj::new()
-            .str("label", label)
-            .raw("params", &params)
-            .u64("total_ops", result.total_ops)
-            .u64("elapsed_ns", result.elapsed_ns)
-            .f64("mops", result.mops, 6)
-            .raw("get", &latency_json(&result.get))
-            .raw("put", &latency_json(&result.put))
-            .raw("all", &latency_json(&result.all))
-            .u64("server_rpc_gets", result.server_rpc_gets)
-            .u64("bg_verified", result.bg_verified)
-            .u64("cleanings", result.cleanings)
-            .raw("counters", &counters.finish());
-        // v2: the critical-path sections, present only when the run folded
-        // attributed ops (baseline systems emit no "op" roots).
-        if let Some(b) = &result.breakdown {
-            entry = entry
-                .raw("breakdown", &b.to_json())
-                .raw("tail_exemplars", &b.exemplars_json());
-        }
+        self.entries.push(entry(label, spec, result).finish());
+    }
+
+    /// Like [`Report::add`], plus a `wall` object of wall-clock
+    /// measurements, which vary from run to run.
+    pub fn add_with_wall(
+        &mut self,
+        label: &str,
+        spec: &ExperimentSpec,
+        result: &RunResult,
+        wall: Obj,
+    ) {
+        let entry = entry(label, spec, result).raw("wall", &wall.finish());
         self.entries.push(entry.finish());
+    }
+
+    /// Record an acceptance bound: `value` must stay within `limit`.
+    pub fn bound(&mut self, name: &str, value: f64, limit: Bound) {
+        let (key, limit) = match limit {
+            Bound::Min(m) => ("min", m),
+            Bound::Max(m) => ("max", m),
+        };
+        let bound = Obj::new()
+            .str("name", name)
+            .f64("value", value, 6)
+            .raw(key, &limit.to_string());
+        self.bounds.push(bound.finish());
     }
 
     /// Record a latency-only measurement (micro-drivers that bypass the
@@ -129,6 +126,10 @@ impl Report {
 
     /// Render the whole report.
     pub fn to_json(&self) -> String {
+        let mut bounds = Arr::new();
+        for b in &self.bounds {
+            bounds = bounds.raw(b);
+        }
         let mut entries = Arr::new();
         for e in &self.entries {
             entries = entries.raw(e);
@@ -137,6 +138,7 @@ impl Report {
             .str("schema", SCHEMA)
             .str("figure", &self.figure)
             .raw("cost_model", &cost_model_json(&self.cost))
+            .raw("bounds", &bounds.finish())
             .raw("entries", &entries.finish())
             .finish()
     }
@@ -145,6 +147,75 @@ impl Report {
     pub fn write_to(&self, path: impl AsRef<Path>) -> io::Result<()> {
         std::fs::write(path, self.to_json() + "\n")
     }
+}
+
+/// One experiment's entry, left open for optional sections.
+fn entry(label: &str, spec: &ExperimentSpec, result: &RunResult) -> Obj {
+    let mut params = Obj::new()
+        .str("system", result.system)
+        .str("mix", &format!("{:?}", spec.mix))
+        .u64("value_len", spec.value_len as u64)
+        .u64("key_len", spec.key_len as u64)
+        .u64("clients", spec.clients as u64)
+        .u64("ops_per_client", spec.ops_per_client as u64)
+        .u64("record_count", spec.record_count)
+        .u64("seed", result.seed)
+        .str("cleaning", &format!("{:?}", spec.cleaning))
+        .bool("force_clean", spec.force_clean)
+        .u64("shards", spec.shards as u64)
+        .u64("doorbell_batch", spec.doorbell_batch as u64)
+        .u64("replicas", spec.replicas as u64)
+        .bool("scrub", spec.scrub)
+        .u64("window", spec.window as u64)
+        .bool("loc_cache", spec.loc_cache)
+        .u64("nodes", spec.nodes as u64)
+        .u64("snap_readers", spec.snap_readers as u64);
+    // Injected events appear only when set, so steady-state runs and
+    // failover or migration runs are distinguishable.
+    if let Some(fault_at) = spec.fault_at {
+        params = params.u64("fault_at_ns", fault_at);
+    }
+    if let Some(migrate_at) = spec.migrate_at {
+        params = params.u64("migrate_at_ns", migrate_at);
+    }
+    // Same for the lossy-fabric plan: its parameters are stamped only
+    // on chaos runs, so a report reader can tell a degraded-but-clean
+    // fabric from a faulted one at a glance.
+    if let Some(plan) = spec.fault_plan {
+        params = params
+            .f64("fault_drop_p", plan.drop_p, 6)
+            .f64("fault_dup_p", plan.dup_p, 6)
+            .f64("fault_delay_p", plan.delay_p, 6)
+            .u64("fault_delay_ns", plan.delay_ns)
+            .u64("fault_seed", plan.seed);
+    }
+    let params = params.finish();
+    let mut counters = Obj::new();
+    for (name, v) in &result.counters {
+        counters = counters.u64(name, *v);
+    }
+    let mut entry = Obj::new()
+        .str("label", label)
+        .raw("params", &params)
+        .u64("total_ops", result.total_ops)
+        .u64("elapsed_ns", result.elapsed_ns)
+        .f64("mops", result.mops, 6)
+        .raw("get", &latency_json(&result.get))
+        .raw("put", &latency_json(&result.put))
+        .raw("all", &latency_json(&result.all))
+        .u64("server_rpc_gets", result.server_rpc_gets)
+        .u64("bg_verified", result.bg_verified)
+        .u64("cleanings", result.cleanings)
+        .raw("counters", &counters.finish());
+    // v2: the critical-path sections, present only when the run folded
+    // attributed ops (baseline systems emit no "op" roots, and a run
+    // whose trace ring overflowed folds nothing).
+    if let Some(b) = &result.breakdown {
+        entry = entry
+            .raw("breakdown", &b.to_json())
+            .raw("tail_exemplars", &b.exemplars_json());
+    }
+    entry
 }
 
 fn latency_json(s: &LatencyStats) -> String {
@@ -182,24 +253,6 @@ fn cost_model_json(c: &CostModel) -> String {
         .finish()
 }
 
-/// Parse a `--json <path>` argument pair out of `std::env::args`-style
-/// input. Returns the path if the flag is present — possibly empty when
-/// the flag was given without a value (`--json` at end of line, or
-/// `--json=`), which callers should reject up front rather than panic
-/// at write time after the benchmark has run.
-pub fn json_path_from_args(args: impl Iterator<Item = String>) -> Option<String> {
-    let mut args = args.peekable();
-    while let Some(a) = args.next() {
-        if a == "--json" {
-            return Some(args.next().unwrap_or_default());
-        }
-        if let Some(p) = a.strip_prefix("--json=") {
-            return Some(p.to_string());
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -231,30 +284,6 @@ mod tests {
             migrate_at: None,
             exec: None,
         }
-    }
-
-    #[test]
-    fn json_arg_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(
-            json_path_from_args(args(&["bin", "--json", "out.json"]).into_iter()),
-            Some("out.json".to_string())
-        );
-        assert_eq!(
-            json_path_from_args(args(&["bin", "--json=x.json"]).into_iter()),
-            Some("x.json".to_string())
-        );
-        assert_eq!(json_path_from_args(args(&["bin"]).into_iter()), None);
-        // Flag without a value parses as an empty path so callers can
-        // report the mistake instead of silently dropping the report.
-        assert_eq!(
-            json_path_from_args(args(&["bin", "--json"]).into_iter()),
-            Some(String::new())
-        );
-        assert_eq!(
-            json_path_from_args(args(&["bin", "--json="]).into_iter()),
-            Some(String::new())
-        );
     }
 
     #[test]
@@ -292,6 +321,24 @@ mod tests {
         assert!(a.contains("\"conservation_max_err_ns\":0"));
         assert!(a.contains("\"tail_exemplars\":[{\"op\":"));
         assert!(a.contains("\"obs.trace_dropped\":0"));
+    }
+
+    #[test]
+    fn bounds_and_wall_sections_render() {
+        let s = spec();
+        let r = run_with_cost(&s, CostModel::default());
+        let mut rep = Report::new("test");
+        assert!(rep.to_json().contains("\"bounds\":[],\"entries\":[]"));
+        rep.add_with_wall("run-w", &s, &r, Obj::new().u64("wall_ns", 5));
+        rep.bound("speedup", 2.5, Bound::Min(2.0));
+        rep.bound("overhead_pct", 30.0, Bound::Max(25.0));
+        let json = rep.to_json();
+        assert!(json.contains(
+            "\"bounds\":[{\"name\":\"speedup\",\"value\":2.500000,\"min\":2},\
+             {\"name\":\"overhead_pct\",\"value\":30.000000,\"max\":25}]"
+        ));
+        assert!(json.contains("\"wall\":{\"wall_ns\":5}"));
+        assert!(Bound::Min(2.0).holds(2.5) && !Bound::Max(25.0).holds(30.0));
     }
 
     #[test]

@@ -229,3 +229,15 @@ fn breakdown_is_deterministic() {
     };
     assert_eq!(go(), go(), "same seed must fold byte-identical breakdowns");
 }
+
+/// A ring that overflowed kept only its newest records, so a fold would
+/// describe an arbitrary subset of the measured ops. The run reports no
+/// breakdown instead of a partial one.
+#[test]
+fn overflowed_trace_ring_reports_no_breakdown() {
+    let s = base(Mix::A, 31);
+    let obs = Obs::with_trace_capacity(64);
+    let r = cluster::run_observed(&s, CostModel::default(), &obs);
+    assert!(obs.tracer.dropped() > 0, "a 64-record ring must overflow");
+    assert!(r.breakdown.is_none(), "partial trace folded a breakdown");
+}

@@ -113,7 +113,7 @@ fn json_report_is_schema_stamped_and_deterministic() {
     };
     let a = render();
     assert_eq!(a, render(), "same seed must render byte-identical reports");
-    assert!(a.starts_with("{\"schema\":\"efactory-run-report/v2\""));
+    assert!(a.starts_with("{\"schema\":\"efactory-run-report/v3\""));
     for field in [
         "\"cost_model\":",
         "\"net_one_way_ns\":",
