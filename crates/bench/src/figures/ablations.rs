@@ -11,42 +11,33 @@
 //! 4. **Cleaning threshold** — how eagerly log cleaning fires vs its
 //!    latency interference (update-heavy churn).
 
-use efactory_bench::{scaled_ops, ReportSink};
-use efactory_harness::{cluster, Cleaning, ExperimentSpec, SystemKind, Table};
+use efactory_harness::{cluster, Cleaning, ExperimentSpec, Report, SystemKind, Table};
 use efactory_rnic::CostModel;
 use efactory_sim as sim;
 use efactory_ycsb::Mix;
 
-fn base(system: SystemKind, mix: Mix) -> ExperimentSpec {
-    ExperimentSpec {
-        system,
-        mix,
-        value_len: 256,
-        key_len: 32,
-        clients: 8,
-        ops_per_client: scaled_ops(1_500),
-        record_count: 2_048,
-        seed: 21,
-        cleaning: Cleaning::Disabled,
-        force_clean: false,
-        shards: 1,
-        doorbell_batch: 0,
-        replicas: 0,
-        fault_at: None,
-        fault_plan: None,
-        scrub: false,
-        window: 1,
-        loc_cache: false,
-        snap_readers: 0,
-        nodes: 1,
-        migrate_at: None,
-        exec: None,
-    }
+use crate::Scale;
+
+pub fn run(scale: Scale) -> Report {
+    println!("Design ablations (beyond the paper's figures)\n");
+    let base = |system, mix| {
+        scale.spec(ExperimentSpec {
+            ops_per_client: 1_500,
+            record_count: 2_048,
+            seed: 21,
+            ..ExperimentSpec::paper(system, mix, 256)
+        })
+    };
+    let mut report = Report::new("ablations");
+    ablate_recv_batching(base(SystemKind::EFactory, Mix::UpdateOnly), &mut report);
+    ablate_verifier_cadence(base(SystemKind::EFactory, Mix::B), &mut report);
+    ablate_ddio(base(SystemKind::Imm, Mix::UpdateOnly), &mut report);
+    ablate_clean_threshold(base(SystemKind::EFactory, Mix::UpdateOnly), &mut report);
+    report
 }
 
-fn ablate_recv_batching(sink: &mut ReportSink) {
+fn ablate_recv_batching(spec: ExperimentSpec, report: &mut Report) {
     println!("--- ablation 1: receive-region batching (update-only, 256B) ---");
-    let spec = base(SystemKind::EFactory, Mix::UpdateOnly);
     let batched = cluster::run(&spec);
     // Unbatched: emulate by charging the unbatched recv cost for eFactory.
     let base_cost = CostModel::default();
@@ -55,8 +46,8 @@ fn ablate_recv_batching(sink: &mut ReportSink) {
         ..base_cost
     };
     let unbatched = cluster::run_with_cost(&spec, cost);
-    sink.add("recv_batching/batched", &spec, &batched);
-    sink.add("recv_batching/unbatched", &spec, &unbatched);
+    report.add("recv_batching/batched", &spec, &batched);
+    report.add("recv_batching/unbatched", &spec, &unbatched);
     let mut t = Table::new(vec!["config", "Mops/s"]);
     t.row(vec![
         "batched recv ring (eFactory)".to_string(),
@@ -73,7 +64,7 @@ fn ablate_recv_batching(sink: &mut ReportSink) {
     );
 }
 
-fn ablate_verifier_cadence(sink: &mut ReportSink) {
+fn ablate_verifier_cadence(spec: ExperimentSpec, report: &mut Report) {
     println!("--- ablation 2: background-verifier cadence (YCSB-B, 256B) ---");
     let mut t = Table::new(vec![
         "verify_idle",
@@ -82,12 +73,10 @@ fn ablate_verifier_cadence(sink: &mut ReportSink) {
         "bg verified",
     ]);
     for idle_us in [1u64, 2, 10, 50, 200] {
-        // Reach into the server config via a custom run: the harness uses
-        // ServerConfig::default(), so sweep through the cost-model-free
-        // path by rebuilding the spec each time.
-        let spec = base(SystemKind::EFactory, Mix::B);
-        let r = run_with_verify_idle(&spec, sim::micros(idle_us));
-        sink.add(&format!("verifier_cadence/{idle_us}us"), &spec, &r);
+        let r = cluster::run_with_server_cfg(&spec, CostModel::default(), move |cfg| {
+            cfg.verify_idle = sim::micros(idle_us);
+        });
+        report.add(&format!("verifier_cadence/{idle_us}us"), &spec, &r);
         t.row(vec![
             format!("{idle_us} us"),
             format!("{:.3}", r.mops),
@@ -99,31 +88,20 @@ fn ablate_verifier_cadence(sink: &mut ReportSink) {
     println!("slower scans ⇒ more hybrid-read fallbacks hit the RPC path\n");
 }
 
-/// The harness always uses `ServerConfig::default()`; this ablation needs a
-/// custom verifier cadence, so it re-implements the tiny bit of plumbing.
-fn run_with_verify_idle(
-    spec: &ExperimentSpec,
-    verify_idle: efactory_sim::Nanos,
-) -> cluster::RunResult {
-    // Piggy-back on the environment: the verifier idle knob is plumbed via
-    // run_with_server_cfg below.
-    cluster::run_with_server_cfg(spec, CostModel::default(), move |cfg| {
-        cfg.verify_idle = verify_idle;
-    })
-}
-
-fn ablate_ddio(sink: &mut ReportSink) {
+fn ablate_ddio(spec: ExperimentSpec, report: &mut Report) {
     println!("--- ablation 3: DDIO on/off (IMM, update-only, 1KB) ---");
-    let mut spec = base(SystemKind::Imm, Mix::UpdateOnly);
-    spec.value_len = 1024;
+    let spec = ExperimentSpec {
+        value_len: 1024,
+        ..spec
+    };
     let on = cluster::run(&spec);
     let cost = CostModel {
         ddio_enabled: false,
         ..CostModel::default()
     };
     let off = cluster::run_with_cost(&spec, cost);
-    sink.add("ddio/on", &spec, &on);
-    sink.add("ddio/off", &spec, &off);
+    report.add("ddio/on", &spec, &on);
+    report.add("ddio/off", &spec, &off);
     let mut t = Table::new(vec!["config", "Mops/s", "put p50 (us)"]);
     t.row(vec![
         "DDIO on (DMA → cache, flush required)".to_string(),
@@ -141,19 +119,21 @@ fn ablate_ddio(sink: &mut ReportSink) {
     );
 }
 
-fn ablate_clean_threshold(sink: &mut ReportSink) {
+fn ablate_clean_threshold(spec: ExperimentSpec, report: &mut Report) {
     println!("--- ablation 4: cleaning threshold (update-only churn, 512B) ---");
     let mut t = Table::new(vec!["threshold", "Mops/s", "cleanings", "avg latency (us)"]);
     for threshold in [0.4f64, 0.6, 0.8] {
-        let mut spec = base(SystemKind::EFactory, Mix::UpdateOnly);
-        spec.value_len = 512;
-        spec.record_count = 512;
-        spec.cleaning = Cleaning::Enabled {
-            threshold,
-            pool_len: 2 << 20,
+        let spec = ExperimentSpec {
+            value_len: 512,
+            record_count: 512,
+            cleaning: Cleaning::Enabled {
+                threshold,
+                pool_len: 2 << 20,
+            },
+            ..spec.clone()
         };
         let r = cluster::run(&spec);
-        sink.add(&format!("clean_threshold/{threshold:.1}"), &spec, &r);
+        report.add(&format!("clean_threshold/{threshold:.1}"), &spec, &r);
         t.row(vec![
             format!("{threshold:.1}"),
             format!("{:.3}", r.mops),
@@ -163,14 +143,4 @@ fn ablate_clean_threshold(sink: &mut ReportSink) {
     }
     t.print();
     println!("lower thresholds clean more often; each pass pins readers to the RPC path\n");
-}
-
-fn main() {
-    println!("Design ablations (beyond the paper's figures)\n");
-    let mut sink = ReportSink::from_args("ablations");
-    ablate_recv_batching(&mut sink);
-    ablate_verifier_cadence(&mut sink);
-    ablate_ddio(&mut sink);
-    ablate_clean_threshold(&mut sink);
-    sink.write();
 }

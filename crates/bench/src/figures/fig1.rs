@@ -8,13 +8,14 @@
 //! * SAW is *worse* than RPC at every size;
 //! * IMM is slightly (≈5 %) better than RPC.
 
-use efactory_bench::{size_label, spec, ReportSink, VALUE_SIZES};
-use efactory_harness::{cluster, SystemKind, Table};
+use efactory_harness::{cluster, ExperimentSpec, Report, SystemKind, Table};
 use efactory_ycsb::Mix;
 
-fn main() {
+use crate::{size_label, Scale, VALUE_SIZES};
+
+pub fn run(scale: Scale) -> Report {
     println!("Figure 1: durable remote PUT latency (single client, update-only)\n");
-    let mut sink = ReportSink::from_args("fig1");
+    let mut report = Report::new("fig1");
     let systems = [
         SystemKind::CaNoper,
         SystemKind::Saw,
@@ -33,11 +34,13 @@ fn main() {
         // Run RPC first to compute the ratio column.
         let mut results = Vec::new();
         for &system in &systems {
-            let mut s = spec(system, Mix::UpdateOnly, size);
-            s.clients = 1;
-            s.ops_per_client = efactory_bench::scaled_ops(500);
+            let s = scale.spec(ExperimentSpec {
+                clients: 1,
+                ops_per_client: 500,
+                ..ExperimentSpec::paper(system, Mix::UpdateOnly, size)
+            });
             let r = cluster::run(&s);
-            sink.add(&format!("{}/{}", system.label(), size_label(size)), &s, &r);
+            report.add(&format!("{}/{}", system.label(), size_label(size)), &s, &r);
             results.push((system, r));
         }
         let rpc_p50 = results
@@ -58,5 +61,5 @@ fn main() {
     table.print();
     println!();
     println!("expected shape (paper): CA-noper ~0.64x RPC; SAW >1x RPC; IMM ~0.95x RPC");
-    sink.write();
+    report
 }

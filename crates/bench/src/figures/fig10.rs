@@ -11,27 +11,30 @@
 //!   adds another 11–24 %; overall ≈24 %/50 % over Erda/Forca at 16
 //!   clients.
 
-use efactory_bench::{mix_tag, scaled_ops, spec, ReportSink};
-use efactory_harness::{cluster, SystemKind, Table};
+use efactory_harness::{cluster, ExperimentSpec, Report, SystemKind, Table};
 use efactory_ycsb::Mix;
+
+use crate::{mix_tag, Scale};
 
 const CLIENTS: [usize; 5] = [1, 2, 4, 8, 16];
 
-fn main() {
+pub fn run(scale: Scale) -> Report {
     println!("Figure 10: throughput vs number of clients (32B keys, 2048B values)\n");
-    let mut sink = ReportSink::from_args("fig10");
+    let mut report = Report::new("fig10");
     for mix in [Mix::C, Mix::B, Mix::A, Mix::UpdateOnly] {
         println!("--- {} ---", mix_tag(mix));
         let mut table = Table::new(vec!["system", "clients", "Mops/s", "scale vs 1"]);
         for system in SystemKind::comparison() {
             let mut base = None;
             for &clients in &CLIENTS {
-                let mut s = spec(system, mix, 2048);
-                s.clients = clients;
-                // Keep total measured ops roughly constant across points.
-                s.ops_per_client = scaled_ops(16_000 / clients.max(1));
+                let s = scale.spec(ExperimentSpec {
+                    clients,
+                    // Keep total measured ops roughly constant across points.
+                    ops_per_client: 16_000 / clients,
+                    ..ExperimentSpec::paper(system, mix, 2048)
+                });
                 let r = cluster::run(&s);
-                sink.add(
+                report.add(
                     &format!("{}/{}/{}c", mix_tag(mix), system.label(), clients),
                     &s,
                     &r,
@@ -48,5 +51,5 @@ fn main() {
         table.print();
         println!();
     }
-    sink.write();
+    report
 }

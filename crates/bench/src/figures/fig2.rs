@@ -14,12 +14,13 @@ use std::sync::{Arc, Mutex};
 
 use efactory_baselines::common::baseline_layout;
 use efactory_baselines::{ErdaClient, ErdaServer, ForcaClient, ForcaServer};
-use efactory_bench::{scaled_ops, size_label, ReportSink, VALUE_SIZES};
-use efactory_harness::{LatencyStats, Table};
+use efactory_harness::{LatencyStats, Report, Table};
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
 use efactory_sim::{Nanos, Sim};
 use efactory_ycsb::{make_key, make_value};
+
+use crate::{size_label, Scale, VALUE_SIZES};
 
 /// Measure GET-after-PUT latency for one system at one value size.
 fn read_after_write(system: &'static str, value_len: usize, ops: usize) -> LatencyStats {
@@ -73,11 +74,11 @@ fn read_after_write(system: &'static str, value_len: usize, ops: usize) -> Laten
     LatencyStats::from_samples(&mut samples)
 }
 
-fn main() {
+pub fn run(scale: Scale) -> Report {
     println!("Figure 2: GET latency breakdown (read-after-write, single client)\n");
-    let mut sink = ReportSink::from_args("fig2");
+    let mut report = Report::new("fig2");
     let cost = CostModel::default();
-    let ops = scaled_ops(400);
+    let ops = scale.ops(400);
     let mut table = Table::new(vec![
         "system",
         "size",
@@ -89,7 +90,7 @@ fn main() {
     for system in ["Erda", "Forca"] {
         for &size in &VALUE_SIZES {
             let stats = read_after_write(system, size, ops);
-            sink.add_latency(&format!("{}/{}", system, size_label(size)), &stats);
+            report.add_latency(&format!("{}/{}", system, size_label(size)), &stats);
             let total = stats.p50_us();
             let crc = cost.crc(size) as f64 / 1000.0;
             table.row(vec![
@@ -105,5 +106,5 @@ fn main() {
     table.print();
     println!();
     println!("expected shape (paper): at 4KB, CRC ~= 4.4us; ~45% of Erda's and ~35% of Forca's read latency");
-    sink.write();
+    report
 }

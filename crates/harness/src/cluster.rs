@@ -171,7 +171,7 @@ pub struct ExperimentSpec {
     pub migrate_at: Option<Nanos>,
     /// Simulation executor override (`None` = the process default, i.e.
     /// `EF_SIM_EXEC` or fibers). Used by the equivalence tests and the
-    /// `sim_throughput` bench to pin a backend per run. Deliberately
+    /// `sim` bench probe to pin a backend per run. Deliberately
     /// excluded from report params: both backends produce byte-identical
     /// reports, and stamping the executor would break that check.
     pub exec: Option<efactory_sim::ExecModel>,

@@ -9,10 +9,10 @@
 //!   workload, collect latency histograms and throughput.
 //! * [`stats`] — percentile/mean summaries (exact below a threshold,
 //!   streaming log-bucketed histogram above it).
-//! * [`table`] — fixed-width table rendering for the per-figure binaries in
-//!   `efactory-bench`.
+//! * [`table`] — fixed-width table rendering for the figures of the
+//!   `bench` binary in `efactory-bench`.
 //! * [`report`] — versioned JSON run reports (`--json <path>` on every
-//!   bench binary).
+//!   `bench` probe and figure).
 
 pub mod checker;
 pub mod cluster;

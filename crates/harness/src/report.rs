@@ -1,8 +1,8 @@
 //! Machine-readable run reports.
 //!
-//! Every bench binary can emit its results as JSON (`--json <path>`) so
-//! perf trajectories can be tracked across commits without scraping the
-//! rendered tables. The schema is versioned (`"schema": "efactory-run-report/v3"`)
+//! Every `bench` probe and figure can emit its results as JSON
+//! (`--json <path>`) so perf trajectories can be tracked across commits
+//! without scraping the rendered tables. The schema is versioned (`"schema": "efactory-run-report/v3"`)
 //! and documented in `EXPERIMENTS.md`; rendering is deterministic — entries
 //! appear in insertion order, counters in lexicographic order, and all
 //! numbers use fixed-point formatting — so same seed ⇒ byte-identical file,
@@ -149,17 +149,18 @@ impl Report {
     }
 }
 
-/// One experiment's entry, left open for optional sections.
-fn entry(label: &str, spec: &ExperimentSpec, result: &RunResult) -> Obj {
+/// The `params` object every entry renders for `spec`: the spec's
+/// fields, with injected events and fault plans stamped only when set.
+pub fn params_json(spec: &ExperimentSpec) -> String {
     let mut params = Obj::new()
-        .str("system", result.system)
+        .str("system", spec.system.label())
         .str("mix", &format!("{:?}", spec.mix))
         .u64("value_len", spec.value_len as u64)
         .u64("key_len", spec.key_len as u64)
         .u64("clients", spec.clients as u64)
         .u64("ops_per_client", spec.ops_per_client as u64)
         .u64("record_count", spec.record_count)
-        .u64("seed", result.seed)
+        .u64("seed", spec.seed)
         .str("cleaning", &format!("{:?}", spec.cleaning))
         .bool("force_clean", spec.force_clean)
         .u64("shards", spec.shards as u64)
@@ -189,14 +190,18 @@ fn entry(label: &str, spec: &ExperimentSpec, result: &RunResult) -> Obj {
             .u64("fault_delay_ns", plan.delay_ns)
             .u64("fault_seed", plan.seed);
     }
-    let params = params.finish();
+    params.finish()
+}
+
+/// One experiment's entry, left open for optional sections.
+fn entry(label: &str, spec: &ExperimentSpec, result: &RunResult) -> Obj {
     let mut counters = Obj::new();
     for (name, v) in &result.counters {
         counters = counters.u64(name, *v);
     }
     let mut entry = Obj::new()
         .str("label", label)
-        .raw("params", &params)
+        .raw("params", &params_json(spec))
         .u64("total_ops", result.total_ops)
         .u64("elapsed_ns", result.elapsed_ns)
         .f64("mops", result.mops, 6)

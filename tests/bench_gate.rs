@@ -1,6 +1,7 @@
 //! The perf-regression gate (`efactory_bench::gate`) over the committed
 //! `BENCH_*.json` reports: every report parses, carries the current
 //! schema, compares clean against itself and holds its acceptance bounds;
+//! the committed reports are exactly the declared gated probes' reports;
 //! and the comparator fails exactly what it should — an edited counter, a
 //! removed entry, a missing report, a violated bound — while ignoring
 //! wall-clock fields.
@@ -10,7 +11,8 @@ use std::path::Path;
 use efactory_bench::gate::{
     bench_files, check_bounds, compare, compare_dirs, diff_json, load, Diff, Json, Verdict,
 };
-use efactory_harness::report::SCHEMA;
+use efactory_bench::probes;
+use efactory_harness::report::{params_json, SCHEMA};
 
 fn root() -> &'static Path {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -77,6 +79,81 @@ fn committed_reports_share_the_schema_and_hold_their_bounds() {
             }
         }
     }
+}
+
+/// Without running anything: the committed reports are the gated probes'
+/// files, and each carries its probe's name, run labels in order, the
+/// params of each declared full-scale spec, and the declared bounds. An
+/// edited spec, label or limit fails here, naming file and path, until
+/// `bench all --out .` refreshes the reports.
+#[test]
+fn committed_reports_match_the_declared_probes() {
+    let gated = probes::gated();
+    let mut declared: Vec<String> = gated.iter().map(|p| p.file_name()).collect();
+    declared.sort();
+    assert_eq!(bench_files(root()).unwrap(), declared, "committed vs gated");
+
+    let mut mismatches = Vec::new();
+    for probe in &gated {
+        let file = probe.file_name();
+        let report = load(&root().join(&file)).unwrap();
+        let figure = report.get("figure").and_then(Json::as_str);
+        if figure != Some(probe.name) {
+            mismatches.push(format!(
+                "{file}:figure = {figure:?}, declared {:?}",
+                probe.name
+            ));
+        }
+        let labels: Vec<&str> = entries(&report)
+            .iter()
+            .map(|e| e.get("label").and_then(Json::as_str).unwrap_or("?"))
+            .collect();
+        let declared: Vec<&str> = probe.runs.iter().map(|r| r.label.as_str()).collect();
+        if labels != declared {
+            mismatches.push(format!(
+                "{file}:entries labels {labels:?}, declared {declared:?}"
+            ));
+            continue;
+        }
+        for (entry, run) in entries(&report).iter().zip(&probe.runs) {
+            let want = Json::parse(&params_json(&run.spec)).unwrap();
+            let got = entry.get("params").unwrap_or(&Json::Null);
+            for d in compare(&want, got) {
+                mismatches.push(format!(
+                    "{file}:entries[{}].params.{} = {}, declared {}",
+                    run.label, d.path, d.fresh, d.baseline
+                ));
+            }
+        }
+        let bounds: Vec<String> = match report.get("bounds") {
+            Some(Json::Arr(bounds)) => bounds
+                .iter()
+                .map(|b| {
+                    let name = b.get("name").and_then(Json::as_str).unwrap_or("?");
+                    let limit: Vec<String> = ["min", "max"]
+                        .iter()
+                        .filter_map(|k| Some(format!("{k} {}", b.get(k)?)))
+                        .collect();
+                    format!("{name} {}", limit.join(" "))
+                })
+                .collect(),
+            _ => vec![],
+        };
+        let declared: Vec<String> = probe
+            .bounds
+            .iter()
+            .map(|b| format!("{} {}", b.name, b.limit))
+            .collect();
+        if bounds != declared {
+            mismatches.push(format!("{file}:bounds {bounds:?}, declared {declared:?}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "committed reports disagree with the declared probes \
+         (refresh with `bench all --out .`):\n{}",
+        mismatches.join("\n")
+    );
 }
 
 #[test]
