@@ -83,7 +83,7 @@ impl Probe {
     pub fn run(&self, scale: Scale, trace: Option<&Path>) -> Result<Report, String> {
         println!("{} · {} runs", self.name, self.runs.len());
         println!(
-            "{:<34} {:>9} {:>10} {:>10} {:>10} {:>10}",
+            "{:<38} {:>9} {:>10} {:>10} {:>10} {:>10}",
             "run", "Mops", "p50 µs", "p99 µs", "p99.9 µs", "wall ms"
         );
         let mut report = Report::new(self.name);
@@ -107,7 +107,7 @@ impl Probe {
             let eps = events as f64 / (wall_ns as f64 / 1e9);
             let us = |ns: u64| ns as f64 / 1000.0;
             println!(
-                "{:<34} {:>9.3} {:>10.2} {:>10.2} {:>10.2} {:>10}",
+                "{:<38} {:>9.3} {:>10.2} {:>10.2} {:>10.2} {:>10}",
                 run.label,
                 r.mops,
                 us(r.all.p50_ns),

@@ -1,4 +1,4 @@
-//! The nine gated probes. Each declares its runs at full scale, whether it
+//! The ten gated probes. Each declares its runs at full scale, whether it
 //! traces, and its acceptance bounds; [`Probe::run`] executes them, and
 //! `bench gate` compares the committed `BENCH_<name>.json` reports against
 //! fresh ones. `tests/bench_gate.rs` checks the committed reports against
@@ -23,6 +23,7 @@ pub fn gated() -> Vec<Probe> {
         cleaning(),
         shard_scaling(),
         sim(),
+        baselines(),
     ]
 }
 
@@ -428,4 +429,34 @@ fn sim() -> Probe {
         },
     };
     probe("sim", runs, vec![throughput, speedup])
+}
+
+/// **baselines** — the comparison systems at the paper's defaults: every
+/// system but eFactory itself (eFactory w/o hr, SAW, IMM, Erda, Forca, CA
+/// w/o persistence, RPC) on YCSB-A at 256 B and 4 KB. No bounds: the point
+/// is the exact gate, which pins each system's throughput, latency and
+/// counters, so a refactor of the baselines or the harness that moves any
+/// of their numbers fails `bench gate`.
+fn baselines() -> Probe {
+    let mut runs = Vec::new();
+    for system in [
+        SystemKind::EFactoryNoHr,
+        SystemKind::Saw,
+        SystemKind::Imm,
+        SystemKind::Erda,
+        SystemKind::Forca,
+        SystemKind::CaNoper,
+        SystemKind::Rpc,
+    ] {
+        for size in [256, 4096] {
+            let label = format!(
+                "{}/{}/{}",
+                system.label(),
+                mix_tag(Mix::A),
+                size_label(size)
+            );
+            runs.push(run(label, ExperimentSpec::paper(system, Mix::A, size)));
+        }
+    }
+    probe("baselines", runs, vec![])
 }
