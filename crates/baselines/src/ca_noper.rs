@@ -13,177 +13,42 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use efactory::client::RemoteKv;
+use efactory::hashtable::fingerprint;
 use efactory::layout::flags;
-use efactory::log::StoreLayout;
-use efactory::protocol::{Request, Response, Status, StoreError};
-use efactory::server::StoreDesc;
-use efactory_checksum::crc32c;
-use efactory_rnic::{ClientQp, Fabric, Incoming, Node};
+use efactory::protocol::{Request, Response, Status};
+use efactory_rnic::Fabric;
 use efactory_sim as sim;
 
-use crate::common::{read_path, BaseServer};
+use crate::common::{spawn_handler, BaseServer, UNSERVED};
 
-/// CA-w/o-persistence server.
-pub struct CaNoperServer {
-    base: Arc<BaseServer>,
+/// Spawn the request-handler process. Call from within a sim process.
+pub(crate) fn start(base: Arc<BaseServer>, fabric: &Fabric) {
+    spawn_handler(base, fabric, "ca-noper", handle);
 }
 
-impl CaNoperServer {
-    /// Format a fresh store.
-    pub fn format(fabric: &Fabric, node: &Node, layout: StoreLayout) -> Self {
-        CaNoperServer {
-            base: BaseServer::format(fabric, node, layout),
-        }
+fn handle(b: &BaseServer, req: Request) -> Response {
+    let Request::Put { key, vlen, crc } = req else {
+        return UNSERVED;
+    };
+    sim::work(b.cost.cpu_req_handle_ns + b.cost.cpu_hash_ns + b.cost.cpu_alloc_ns);
+    let fp = fingerprint(&key);
+    let fail = |status| Response::Put {
+        status,
+        obj_off: 0,
+        value_off: 0,
+    };
+    // Mutation block: stage + link, no flushes anywhere.
+    let (off, hdr) = match b.stage_object(&key, vlen, crc, b.peek_prev(fp), flags::VALID) {
+        Ok(v) => v,
+        Err(status) => return fail(status),
+    };
+    if let Err(status) = b.link_entry(fp, off, hdr.klen, hdr.vlen, false) {
+        return fail(status);
     }
-
-    /// Rebuild after a crash (see `BaseServer::recover`).
-    pub fn recover(
-        fabric: &Fabric,
-        node: &Node,
-        pool: std::sync::Arc<efactory_pmem::PmemPool>,
-        layout: StoreLayout,
-    ) -> Self {
-        CaNoperServer {
-            base: crate::common::BaseServer::recover(fabric, node, pool, layout),
-        }
-    }
-
-    /// Client-facing descriptor.
-    pub fn desc(&self) -> StoreDesc {
-        self.base.desc()
-    }
-
-    /// Shared base (stats etc.).
-    pub fn base(&self) -> &Arc<BaseServer> {
-        &self.base
-    }
-
-    /// Stop serving.
-    pub fn shutdown(&self) {
-        self.base.shutdown();
-    }
-
-    /// Spawn the request-handler process. Call from within a sim process.
-    pub fn start(&self, fabric: &Arc<Fabric>) {
-        let base = Arc::clone(&self.base);
-        let listener = base.node.listen(fabric, false);
-        sim::spawn("ca-noper-handler", move || {
-            let b = Arc::clone(&base);
-            base.serve(&listener, move |l, msg| {
-                let Incoming::Send { from, payload } = msg else {
-                    return true;
-                };
-                let Some(Request::Put { key, vlen, crc }) = Request::decode(&payload) else {
-                    return true;
-                };
-                sim::work(b.cost.cpu_req_handle_ns + b.cost.cpu_hash_ns + b.cost.cpu_alloc_ns);
-                let fp = efactory::hashtable::fingerprint(&key);
-                // Mutation block: stage + link, no flushes anywhere.
-                let (_, prev) = b.peek_prev(fp);
-                let resp = match b.stage_object(&key, vlen, crc, prev, flags::VALID) {
-                    Ok((off, hdr)) => match b.link_entry(fp, off, hdr.klen, hdr.vlen, false) {
-                        Ok(_) => {
-                            b.stats.puts.fetch_add(1, Ordering::Relaxed);
-                            Response::Put {
-                                status: Status::Ok,
-                                obj_off: off as u64,
-                                value_off: (off + hdr.value_off()) as u64,
-                            }
-                        }
-                        Err(status) => Response::Put {
-                            status,
-                            obj_off: 0,
-                            value_off: 0,
-                        },
-                    },
-                    Err(status) => Response::Put {
-                        status,
-                        obj_off: 0,
-                        value_off: 0,
-                    },
-                };
-                l.reply(from, resp.encode()).is_ok()
-            });
-        });
-    }
-}
-
-/// CA-w/o-persistence client.
-pub struct CaNoperClient {
-    qp: ClientQp,
-    desc: StoreDesc,
-}
-
-impl CaNoperClient {
-    /// Connect to the server on `server_node`.
-    pub fn connect(
-        fabric: &Arc<Fabric>,
-        local: &Node,
-        server_node: &Node,
-        desc: StoreDesc,
-    ) -> Result<Self, StoreError> {
-        Ok(CaNoperClient {
-            qp: fabric.connect(local, server_node)?,
-            desc,
-        })
-    }
-
-    /// Alloc RPC + one-sided value write. No durability whatsoever.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let req = Request::Put {
-            key: key.to_vec(),
-            vlen: value.len() as u32,
-            crc: crc32c(value),
-        };
-        let raw = self.qp.rpc(req.encode())?;
-        match Response::decode(&raw).ok_or(StoreError::Protocol)? {
-            Response::Put {
-                status: Status::Ok,
-                value_off,
-                ..
-            } => {
-                if !value.is_empty() {
-                    self.qp
-                        .rdma_write(&self.desc.mr, value_off as usize, value.to_vec())?;
-                }
-                Ok(())
-            }
-            Response::Put { status, .. } => Err(StoreError::Status(status)),
-            _ => Err(StoreError::Protocol),
-        }
-    }
-
-    /// Two pure RDMA reads; no integrity verification.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let fp = efactory::hashtable::fingerprint(key);
-        let Some(entry) = read_path::fetch_entry(&self.qp, &self.desc, fp)? else {
-            return Ok(None);
-        };
-        let off = entry.current();
-        if off == 0 {
-            return Ok(None);
-        }
-        let Some((hdr, obj)) = read_path::fetch_object(
-            &self.qp,
-            &self.desc,
-            off,
-            entry.klen as usize,
-            entry.vlen as usize,
-            key,
-        )?
-        else {
-            return Ok(None);
-        };
-        Ok(Some(read_path::value_of(&hdr, &obj)))
-    }
-}
-
-impl RemoteKv for CaNoperClient {
-    fn kv_put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.put(key, value)
-    }
-    fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        self.get(key)
+    b.stats.puts.fetch_add(1, Ordering::Relaxed);
+    Response::Put {
+        status: Status::Ok,
+        obj_off: off as u64,
+        value_off: (off + hdr.value_off()) as u64,
     }
 }

@@ -1,22 +1,29 @@
-//! Shared scaffolding for the comparison systems.
+//! Shared server scaffolding for the comparison systems.
 //!
 //! The paper implements SAW, IMM, Erda, and Forca "on the same code base as
 //! eFactory" (§5.3); this module is that code base: the single-pool server
-//! state, object staging, entry linking, and the handler-loop skeleton. The
+//! state, object staging, entry linking, and the handler loops. The
 //! per-system modules differ only in *when* data is flushed and metadata
 //! exposed — which is exactly the design space the paper explores.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use efactory::hashtable::HashTable;
+use efactory::hashtable::{fingerprint, HashTable};
 use efactory::layout::{self, flags, ObjHeader, NIL};
 use efactory::log::{LogRegion, StoreLayout};
-use efactory::protocol::Status;
-use efactory::server::{ServerStats, StoreDesc};
+use efactory::protocol::{Request, Response, Status};
+use efactory::server::{ServerStats, StoreDesc, MAX_KLEN, MAX_VLEN};
 use efactory_pmem::PmemPool;
-use efactory_rnic::{CostModel, Fabric, Incoming, Listener, Node};
-use efactory_sim as sim;
+use efactory_rnic::{CostModel, Fabric, Incoming, Listener, Node, QpId};
+use efactory_sim::{self as sim, Nanos};
+use parking_lot::Mutex;
+
+/// The reply to a request the system does not serve.
+pub const UNSERVED: Response = Response::Ack {
+    status: Status::Corrupt,
+};
 
 /// Single-pool server state shared by every baseline.
 pub struct BaseServer {
@@ -26,8 +33,6 @@ pub struct BaseServer {
     pub pool: Arc<PmemPool>,
     /// Cost model (copied from the fabric).
     pub cost: CostModel,
-    /// Geometry.
-    pub layout: StoreLayout,
     /// Hash index.
     pub ht: HashTable,
     /// The (only) data pool.
@@ -35,7 +40,7 @@ pub struct BaseServer {
     /// Counters (reusing the core definitions).
     pub stats: ServerStats,
     /// Cooperative shutdown.
-    pub stop: AtomicBool,
+    stop: AtomicBool,
     born_epoch: u64,
     desc: StoreDesc,
 }
@@ -47,8 +52,8 @@ impl BaseServer {
         Self::with_pool(fabric, node, pool, layout)
     }
 
-    /// Build over an existing pool (recovery paths).
-    pub fn with_pool(
+    /// Build over an existing pool.
+    fn with_pool(
         fabric: &Fabric,
         node: &Node,
         pool: Arc<PmemPool>,
@@ -62,7 +67,6 @@ impl BaseServer {
             cost: fabric.cost().clone(),
             ht: layout.hashtable(),
             log,
-            layout,
             stats: ServerStats::default(),
             stop: AtomicBool::new(false),
             born_epoch: node.epoch(),
@@ -71,9 +75,9 @@ impl BaseServer {
     }
 
     /// Rebuild after a crash: re-register the region and re-establish the
-    /// log head by scanning persisted headers. Systems whose metadata only
-    /// ever references durable data (SAW, IMM, RPC) need nothing more;
-    /// Erda/Forca additionally self-heal through CRC fallback at read time.
+    /// log head by scanning persisted headers. Every baseline's metadata
+    /// (entries, headers, keys) is persisted at PUT time or never relied
+    /// on, so nothing more is repaired here.
     pub fn recover(
         fabric: &Fabric,
         node: &Node,
@@ -81,7 +85,7 @@ impl BaseServer {
         layout: StoreLayout,
     ) -> Arc<BaseServer> {
         let base = Self::with_pool(fabric, node, pool, layout);
-        let (_, head) = base.log.scan_for_recovery(&base.pool, 256, 16 << 20);
+        let (_, head) = base.log.scan_for_recovery(&base.pool, MAX_KLEN, MAX_VLEN);
         base.log.set_head(head);
         base
     }
@@ -103,13 +107,11 @@ impl BaseServer {
         self.stop.store(true, Ordering::Relaxed);
     }
 
-    /// The previous version's offset for `fp` (0 if the key is new), and
-    /// its bucket if it exists.
-    pub fn peek_prev(&self, fp: u64) -> (Option<usize>, u64) {
-        match self.ht.lookup(&self.pool, fp) {
-            Some((idx, e)) => (Some(idx), e.current()),
-            None => (None, 0),
-        }
+    /// The previous version's offset for `fp` (0 if the key is new).
+    pub fn peek_prev(&self, fp: u64) -> u64 {
+        self.ht
+            .lookup(&self.pool, fp)
+            .map_or(0, |(_, e)| e.current())
     }
 
     /// Allocate and fill an object (header + key) in the log **without**
@@ -190,14 +192,26 @@ impl BaseServer {
         lines
     }
 
+    /// Flush a staged object, mark it durable, and only then link it into
+    /// the hash entry (durable on ack: SAW, IMM, RPC). Charges the flushes
+    /// plus `extra` CPU, counts the PUT, and returns the ack.
+    pub fn persist_and_link(&self, fp: u64, off: usize, hdr: &ObjHeader, extra: Nanos) -> Response {
+        // Mutation block: persist, flag, link.
+        let mut lines = self.persist_range(off, hdr.object_size());
+        lines += self.set_durable(off);
+        let link_lines = match self.link_entry(fp, off, hdr.klen, hdr.vlen, true) {
+            Ok(n) => n,
+            Err(status) => return Response::Ack { status },
+        };
+        sim::work(self.cost.flush((lines + link_lines) * efactory_pmem::LINE) + extra);
+        self.stats.puts.fetch_add(1, Ordering::Relaxed);
+        Response::Ack { status: Status::Ok }
+    }
+
     /// Handler-loop skeleton: ticks a deadline so `stop`/crash are observed
     /// promptly, decodes nothing (systems differ), hands each message to
     /// `f`. `f` returns `false` to stop serving.
-    pub fn serve(
-        self: &Arc<Self>,
-        listener: &Listener,
-        mut f: impl FnMut(&Listener, Incoming) -> bool,
-    ) {
+    pub fn serve(&self, listener: &Listener, mut f: impl FnMut(&Listener, Incoming) -> bool) {
         loop {
             let msg = match listener.recv_deadline(sim::now() + sim::micros(100)) {
                 Ok(m) => m,
@@ -216,6 +230,138 @@ impl BaseServer {
                 return;
             }
         }
+    }
+}
+
+/// Spawn a system's single request handler, `{name}-handler`: it answers
+/// each two-sided request with `handle`'s response. Like every baseline
+/// server, it posts its receive regions one at a time (the optimization
+/// gap the paper credits for eFactory's small-value PUT edge).
+pub fn spawn_handler(
+    base: Arc<BaseServer>,
+    fabric: &Fabric,
+    name: &str,
+    handle: fn(&BaseServer, Request) -> Response,
+) {
+    let listener = base.node.listen(fabric, false);
+    sim::spawn(&format!("{name}-handler"), move || {
+        base.serve(&listener, |l, msg| {
+            let Incoming::Send { from, payload } = msg else {
+                return true;
+            };
+            let resp = Request::decode(&payload).map_or(UNSERVED, |req| handle(&base, req));
+            l.reply(from, resp.encode()).is_ok()
+        });
+    });
+}
+
+/// What tells the staged-completion server that a client's value write
+/// has landed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trigger {
+    /// A `Persist` RPC sent after the RDMA write (SAW).
+    PersistRpc,
+    /// The `write_with_imm` completion itself, whose immediate carries the
+    /// object offset (IMM).
+    WriteImm,
+}
+
+/// A staged (allocated but not yet persisted/linked) PUT.
+struct Pending {
+    fp: u64,
+    hdr: ObjHeader,
+}
+
+/// The staged-completion server of SAW and IMM. As on the paper's
+/// multi-core testbed, two processes on separate cores: the dispatch
+/// thread, `{name}-handler`, serves allocation RPCs, staging each object
+/// without touching the hash entry so no reader can observe non-durable
+/// data; the completion thread, `{name}-completion`, takes each `trigger`,
+/// charges `completion_cost`, flushes the object, and only then exposes
+/// the metadata and acks. Flush work thus pipelines behind dispatch.
+pub fn spawn_staged(
+    base: Arc<BaseServer>,
+    fabric: &Fabric,
+    name: &str,
+    trigger: Trigger,
+    completion_cost: Nanos,
+) {
+    let listener = base.node.listen(fabric, false);
+    let replier = listener.replier();
+    let pending = Arc::new(Mutex::new(HashMap::<u64, Pending>::new()));
+    let (done_tx, done_rx) = sim::channel::<(QpId, u64)>();
+    let worker = Arc::clone(&base);
+    let worker_pending = Arc::clone(&pending);
+    sim::spawn(&format!("{name}-completion"), move || {
+        while let Ok((from, obj_off)) = done_rx.recv() {
+            if worker.stopping() {
+                return;
+            }
+            let taken = worker_pending.lock().remove(&obj_off);
+            let resp = match taken {
+                Some(p) => {
+                    sim::work(completion_cost);
+                    worker.persist_and_link(p.fp, obj_off as usize, &p.hdr, worker.cost.cpu_hash_ns)
+                }
+                None => UNSERVED,
+            };
+            if replier.reply(from, resp.encode()).is_err() {
+                return;
+            }
+        }
+    });
+    sim::spawn(&format!("{name}-handler"), move || {
+        base.serve(&listener, |l, msg| {
+            let done = match msg {
+                Incoming::WriteImm { from, imm, .. } if trigger == Trigger::WriteImm => {
+                    (from, imm as u64)
+                }
+                Incoming::WriteImm { .. } => return true,
+                Incoming::Send { from, payload } => match Request::decode(&payload) {
+                    Some(Request::Put { key, vlen, crc }) => {
+                        let c = &base.cost;
+                        sim::work(c.cpu_req_handle_ns + c.cpu_hash_ns + c.cpu_alloc_ns);
+                        let resp = stage(&base, &mut pending.lock(), &key, vlen, crc);
+                        return l.reply(from, resp.encode()).is_ok();
+                    }
+                    Some(Request::Persist { obj_off }) if trigger == Trigger::PersistRpc => {
+                        (from, obj_off)
+                    }
+                    _ => return l.reply(from, UNSERVED.encode()).is_ok(),
+                },
+            };
+            done_tx.send(done, 0).is_ok()
+        });
+    });
+}
+
+/// Allocate + stage a PUT and remember it until its trigger arrives.
+fn stage(
+    b: &BaseServer,
+    pending: &mut HashMap<u64, Pending>,
+    key: &[u8],
+    vlen: u32,
+    crc: u32,
+) -> Response {
+    // NOTE: runs with the pending-map lock held — it must not yield
+    // simulated time (the CPU charge happens at the dispatch site, before
+    // the lock), or the completion worker would deadlock against the
+    // driver. See the concurrency-discipline note in efactory::server.
+    let fp = fingerprint(key);
+    match b.stage_object(key, vlen, crc, b.peek_prev(fp), flags::VALID) {
+        Ok((off, hdr)) => {
+            pending.insert(off as u64, Pending { fp, hdr });
+            Response::Put {
+                status: Status::Ok,
+                obj_off: off as u64,
+                value_off: (off + hdr.value_off()) as u64,
+            }
+        }
+        Err(status) => Response::Put {
+            status,
+            obj_off: 0,
+            value_off: 0,
+        },
     }
 }
 
@@ -258,57 +404,6 @@ pub mod atomic_region {
             None
         };
         Some((latest, prev))
-    }
-}
-
-/// Client-side helpers shared by the baselines' pure-RDMA read paths.
-pub mod read_path {
-    use efactory::hashtable::{find_in_window, Entry, BUCKET_LEN, NPROBE};
-    use efactory::layout::{self, ObjHeader};
-    use efactory::protocol::StoreError;
-    use efactory::server::StoreDesc;
-    use efactory_rnic::ClientQp;
-
-    /// One-RDMA-read fetch of the probe window; returns the entry for `fp`.
-    pub fn fetch_entry(
-        qp: &ClientQp,
-        desc: &StoreDesc,
-        fp: u64,
-    ) -> Result<Option<Entry>, StoreError> {
-        let ht = desc.layout.hashtable();
-        let window = qp.rdma_read(&desc.mr, ht.entry_off(ht.home(fp)), NPROBE * BUCKET_LEN)?;
-        Ok(find_in_window(&window, fp).map(|(_, e)| e))
-    }
-
-    /// One-RDMA-read fetch of a whole object; decodes the header and
-    /// validates the key. Returns `(header, object bytes)`.
-    pub fn fetch_object(
-        qp: &ClientQp,
-        desc: &StoreDesc,
-        off: u64,
-        klen: usize,
-        vlen: usize,
-        key: &[u8],
-    ) -> Result<Option<(ObjHeader, Vec<u8>)>, StoreError> {
-        let size = layout::object_size(klen, vlen);
-        let obj = qp.rdma_read(&desc.mr, off as usize, size)?;
-        let Some(hdr) = ObjHeader::decode(&obj) else {
-            return Ok(None);
-        };
-        if hdr.klen as usize != key.len() || hdr.klen as usize != klen {
-            return Ok(None);
-        }
-        let ks = hdr.key_off();
-        if &obj[ks..ks + key.len()] != key {
-            return Ok(None);
-        }
-        Ok(Some((hdr, obj)))
-    }
-
-    /// Slice the value out of a fetched object.
-    pub fn value_of(hdr: &ObjHeader, obj: &[u8]) -> Vec<u8> {
-        let vs = hdr.value_off();
-        obj[vs..vs + hdr.vlen as usize].to_vec()
     }
 }
 

@@ -15,87 +15,29 @@
 //! * nothing is ever flushed explicitly — dirty data becomes durable only
 //!   through "natural eviction", so a value read before a crash may vanish
 //!   after it (**non-monotonic reads**, demonstrated in the integration
-//!   tests).
+//!   tests). Recovery re-establishes only the log head: values are not
+//!   repaired, reads self-heal through CRC fallback.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use efactory::client::RemoteKv;
-use efactory::hashtable::Ctl;
+use efactory::hashtable::{fingerprint, Ctl};
 use efactory::layout::{self, flags, ObjHeader};
-use efactory::log::StoreLayout;
 use efactory::protocol::{Request, Response, Status, StoreError};
-use efactory::server::StoreDesc;
+use efactory::server::MAX_VLEN;
 use efactory_checksum::crc32c;
-use efactory_rnic::{ClientQp, CostModel, Fabric, Incoming, Node};
+use efactory_rnic::Fabric;
 use efactory_sim as sim;
 
-use crate::common::{atomic_region, read_path, BaseServer};
+use crate::client::{value_of, BaselineClient};
+use crate::common::{atomic_region, spawn_handler, BaseServer, UNSERVED};
 
-/// Erda server.
-pub struct ErdaServer {
-    base: Arc<BaseServer>,
-}
-
-impl ErdaServer {
-    /// Format a fresh store.
-    pub fn format(fabric: &Fabric, node: &Node, layout: StoreLayout) -> Self {
-        ErdaServer {
-            base: BaseServer::format(fabric, node, layout),
-        }
-    }
-
-    /// Rebuild after a crash: Erda's metadata (entries, headers, keys) is
-    /// persisted at PUT time, so recovery only re-establishes the log head.
-    /// Values are *not* repaired — reads self-heal through CRC fallback,
-    /// which is precisely what makes Erda's reads non-monotonic.
-    pub fn recover(
-        fabric: &Fabric,
-        node: &Node,
-        pool: Arc<efactory_pmem::PmemPool>,
-        layout: StoreLayout,
-    ) -> Self {
-        let base = BaseServer::with_pool(fabric, node, pool, layout);
-        let (_, head) = base.log.scan_for_recovery(&base.pool, 256, 16 << 20);
-        base.log.set_head(head);
-        ErdaServer { base }
-    }
-
-    /// Client-facing descriptor.
-    pub fn desc(&self) -> StoreDesc {
-        self.base.desc()
-    }
-
-    /// Shared base (stats etc.).
-    pub fn base(&self) -> &Arc<BaseServer> {
-        &self.base
-    }
-
-    /// Stop serving.
-    pub fn shutdown(&self) {
-        self.base.shutdown();
-    }
-
-    /// Spawn the request handler. Call from within a sim process.
-    pub fn start(&self, fabric: &Arc<Fabric>) {
-        let base = Arc::clone(&self.base);
-        // Erda posts receive regions one at a time (the optimization gap
-        // the paper credits for eFactory's small-value PUT edge).
-        let listener = base.node.listen(fabric, false);
-        sim::spawn("erda-handler", move || {
-            let b = Arc::clone(&base);
-            base.serve(&listener, move |l, msg| {
-                let Incoming::Send { from, payload } = msg else {
-                    return true;
-                };
-                let Some(Request::Put { key, vlen, crc }) = Request::decode(&payload) else {
-                    return true;
-                };
-                let resp = handle_put(&b, &key, vlen, crc);
-                l.reply(from, resp.encode()).is_ok()
-            });
-        });
-    }
+/// Spawn the request handler. Call from within a sim process.
+pub(crate) fn start(base: Arc<BaseServer>, fabric: &Fabric) {
+    spawn_handler(base, fabric, "erda", |b, req| match req {
+        Request::Put { key, vlen, crc } => handle_put(b, &key, vlen, crc),
+        _ => UNSERVED,
+    });
 }
 
 /// Erda PUT: allocate, persist header+key+entry metadata, and expose the
@@ -103,7 +45,7 @@ impl ErdaServer {
 /// is never flushed.
 pub(crate) fn handle_put(b: &BaseServer, key: &[u8], vlen: u32, crc: u32) -> Response {
     sim::work(b.cost.cpu_req_handle_ns + b.cost.cpu_hash_ns + b.cost.cpu_alloc_ns);
-    let fp = efactory::hashtable::fingerprint(key);
+    let fp = fingerprint(key);
     let fail = |status| Response::Put {
         status,
         obj_off: 0,
@@ -140,113 +82,49 @@ pub(crate) fn handle_put(b: &BaseServer, key: &[u8], vlen: u32, crc: u32) -> Res
     }
 }
 
-/// Erda client.
-pub struct ErdaClient {
-    qp: ClientQp,
-    desc: StoreDesc,
-    cost: CostModel,
+/// Pure one-sided GET with client-side verification and one-step
+/// previous-version fallback.
+pub(crate) fn get(c: &BaselineClient, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+    let Some(entry) = c.fetch_entry(fingerprint(key))? else {
+        return Ok(None);
+    };
+    let Some((latest, prev)) = atomic_region::unpack(entry.slot[0]) else {
+        return Ok(None);
+    };
+    if let Some(v) = fetch_verified(c, latest, entry.klen as usize, entry.vlen as usize, key)? {
+        return Ok(Some(v));
+    }
+    // Latest incomplete: one extra read of the previous version. Its
+    // sizes may differ, so fetch its header first.
+    let Some(prev) = prev else { return Ok(None) };
+    let hraw = c.qp.rdma_read(&c.desc.mr, prev as usize, layout::HDR_LEN)?;
+    let Some(phdr) = ObjHeader::decode(&hraw) else {
+        return Ok(None);
+    };
+    if phdr.klen as usize != key.len() || phdr.vlen as usize > MAX_VLEN {
+        return Ok(None);
+    }
+    fetch_verified(c, prev, phdr.klen as usize, phdr.vlen as usize, key)
 }
 
-impl ErdaClient {
-    /// Connect to the server on `server_node`.
-    pub fn connect(
-        fabric: &Arc<Fabric>,
-        local: &Node,
-        server_node: &Node,
-        desc: StoreDesc,
-    ) -> Result<Self, StoreError> {
-        Ok(ErdaClient {
-            qp: fabric.connect(local, server_node)?,
-            desc,
-            cost: fabric.cost().clone(),
-        })
-    }
-
-    /// RPC alloc + one-sided value write; no durability wait (and none
-    /// coming later either).
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let req = Request::Put {
-            key: key.to_vec(),
-            vlen: value.len() as u32,
-            crc: crc32c(value),
-        };
-        let raw = self.qp.rpc(req.encode())?;
-        match Response::decode(&raw).ok_or(StoreError::Protocol)? {
-            Response::Put {
-                status: Status::Ok,
-                value_off,
-                ..
-            } => {
-                if !value.is_empty() {
-                    self.qp
-                        .rdma_write(&self.desc.mr, value_off as usize, value.to_vec())?;
-                }
-                Ok(())
-            }
-            Response::Put { status, .. } => Err(StoreError::Status(status)),
-            _ => Err(StoreError::Protocol),
-        }
-    }
-
-    /// Fetch + CRC-verify the object at `off` (client pays the CRC cost).
-    fn fetch_verified(
-        &self,
-        off: u64,
-        klen: usize,
-        vlen: usize,
-        key: &[u8],
-    ) -> Result<Option<Vec<u8>>, StoreError> {
-        let Some((hdr, obj)) = read_path::fetch_object(&self.qp, &self.desc, off, klen, vlen, key)?
-        else {
-            return Ok(None);
-        };
-        let value = read_path::value_of(&hdr, &obj);
-        // The client-side CRC on the read critical path — Erda's documented
-        // weakness at large values.
-        sim::work(self.cost.crc(value.len()));
-        if crc32c(&value) == hdr.crc {
-            Ok(Some(value))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// Pure one-sided GET with client-side verification and one-step
-    /// previous-version fallback.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let fp = efactory::hashtable::fingerprint(key);
-        let Some(entry) = read_path::fetch_entry(&self.qp, &self.desc, fp)? else {
-            return Ok(None);
-        };
-        let Some((latest, prev)) = atomic_region::unpack(entry.slot[0]) else {
-            return Ok(None);
-        };
-        if let Some(v) =
-            self.fetch_verified(latest, entry.klen as usize, entry.vlen as usize, key)?
-        {
-            return Ok(Some(v));
-        }
-        // Latest incomplete: one extra read of the previous version. Its
-        // sizes may differ, so fetch its header first.
-        let Some(prev) = prev else { return Ok(None) };
-        let hraw = self
-            .qp
-            .rdma_read(&self.desc.mr, prev as usize, layout::HDR_LEN)?;
-        let Some(phdr) = ObjHeader::decode(&hraw) else {
-            return Ok(None);
-        };
-        if phdr.klen as usize != key.len() || phdr.vlen as usize > 16 << 20 {
-            return Ok(None);
-        }
-        self.fetch_verified(prev, phdr.klen as usize, phdr.vlen as usize, key)
-    }
-}
-
-impl RemoteKv for ErdaClient {
-    fn kv_put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.put(key, value)
-    }
-    fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        self.get(key)
+/// Fetch + CRC-verify the object at `off` (client pays the CRC cost).
+fn fetch_verified(
+    c: &BaselineClient,
+    off: u64,
+    klen: usize,
+    vlen: usize,
+    key: &[u8],
+) -> Result<Option<Vec<u8>>, StoreError> {
+    let Some((hdr, obj)) = c.fetch_object(off, klen, vlen, key)? else {
+        return Ok(None);
+    };
+    let value = value_of(&hdr, &obj);
+    // The client-side CRC on the read critical path — Erda's documented
+    // weakness at large values.
+    sim::work(c.qp.cost().crc(value.len()));
+    if crc32c(&value) == hdr.crc {
+        Ok(Some(value))
+    } else {
+        Ok(None)
     }
 }

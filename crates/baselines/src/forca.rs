@@ -15,84 +15,27 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use efactory::client::RemoteKv;
+use efactory::hashtable::fingerprint;
 use efactory::layout::{self, flags, ObjHeader, NIL};
-use efactory::log::StoreLayout;
-use efactory::protocol::{Request, Response, Status, StoreError};
-use efactory::server::StoreDesc;
+use efactory::protocol::{Request, Response, Status};
 use efactory_checksum::crc32c;
-use efactory_rnic::{ClientQp, Fabric, Incoming, Node};
+use efactory_rnic::Fabric;
 use efactory_sim as sim;
 
-use crate::common::{atomic_region, read_path, BaseServer};
+use crate::common::{atomic_region, spawn_handler, BaseServer, UNSERVED};
 
-/// Forca server.
-pub struct ForcaServer {
-    base: Arc<BaseServer>,
-}
-
-impl ForcaServer {
-    /// Format a fresh store.
-    pub fn format(fabric: &Fabric, node: &Node, layout: StoreLayout) -> Self {
-        ForcaServer {
-            base: BaseServer::format(fabric, node, layout),
+/// Spawn the request handler. Call from within a sim process.
+pub(crate) fn start(base: Arc<BaseServer>, fabric: &Fabric) {
+    spawn_handler(base, fabric, "forca", |b, req| match req {
+        Request::Put { key, vlen, crc } => {
+            // Erda-style allocation + the extra metadata-layer hop and its
+            // flush.
+            sim::work(b.cost.cpu_mem_hop_ns + b.cost.flush_base_ns);
+            crate::erda::handle_put(b, &key, vlen, crc)
         }
-    }
-
-    /// Rebuild after a crash (see `BaseServer::recover`); like Erda, reads
-    /// self-heal through CRC fallback afterwards.
-    pub fn recover(
-        fabric: &Fabric,
-        node: &Node,
-        pool: std::sync::Arc<efactory_pmem::PmemPool>,
-        layout: StoreLayout,
-    ) -> Self {
-        ForcaServer {
-            base: crate::common::BaseServer::recover(fabric, node, pool, layout),
-        }
-    }
-
-    /// Client-facing descriptor.
-    pub fn desc(&self) -> StoreDesc {
-        self.base.desc()
-    }
-
-    /// Shared base (stats etc.).
-    pub fn base(&self) -> &Arc<BaseServer> {
-        &self.base
-    }
-
-    /// Stop serving.
-    pub fn shutdown(&self) {
-        self.base.shutdown();
-    }
-
-    /// Spawn the request handler. Call from within a sim process.
-    pub fn start(&self, fabric: &Arc<Fabric>) {
-        let base = Arc::clone(&self.base);
-        let listener = base.node.listen(fabric, false);
-        sim::spawn("forca-handler", move || {
-            let b = Arc::clone(&base);
-            base.serve(&listener, move |l, msg| {
-                let Incoming::Send { from, payload } = msg else {
-                    return true;
-                };
-                let resp = match Request::decode(&payload) {
-                    Some(Request::Put { key, vlen, crc }) => {
-                        // Erda-style allocation + the extra metadata-layer
-                        // hop and its flush.
-                        sim::work(b.cost.cpu_mem_hop_ns + b.cost.flush_base_ns);
-                        crate::erda::handle_put(&b, &key, vlen, crc)
-                    }
-                    Some(Request::Get { key }) => handle_get(&b, &key),
-                    _ => Response::Ack {
-                        status: Status::Corrupt,
-                    },
-                };
-                l.reply(from, resp.encode()).is_ok()
-            });
-        });
-    }
+        Request::Get { key } => handle_get(b, &key),
+        _ => UNSERVED,
+    });
 }
 
 /// Forca GET: server-side self-verification + persisting before the offset
@@ -112,8 +55,7 @@ fn handle_get(b: &BaseServer, key: &[u8]) -> Response {
         klen: 0,
         vlen: 0,
     };
-    let fp = efactory::hashtable::fingerprint(key);
-    let Some((_, entry)) = b.ht.lookup(&b.pool, fp) else {
+    let Some((_, entry)) = b.ht.lookup(&b.pool, fingerprint(key)) else {
         return not_found;
     };
     let Some((latest, _)) = atomic_region::unpack(entry.slot[0]) else {
@@ -124,14 +66,15 @@ fn handle_get(b: &BaseServer, key: &[u8]) -> Response {
     while off != 0 && off != NIL {
         let hdr = ObjHeader::read_from(&b.pool, off as usize);
         if hdr.klen as usize == key.len() && hdr.has(flags::VALID) {
+            let found = Response::Get {
+                status: Status::Ok,
+                obj_off: off,
+                klen: hdr.klen,
+                vlen: hdr.vlen,
+            };
             if hdr.has(flags::DURABLE) {
                 // Verified + persisted by an earlier read.
-                return Response::Get {
-                    status: Status::Ok,
-                    obj_off: off,
-                    klen: hdr.klen,
-                    vlen: hdr.vlen,
-                };
+                return found;
             }
             let value = layout::read_value(&b.pool, off as usize, &hdr);
             sim::work(b.cost.crc(value.len()));
@@ -140,101 +83,10 @@ fn handle_get(b: &BaseServer, key: &[u8]) -> Response {
                 let mut lines = b.persist_range(off as usize, hdr.object_size());
                 lines += b.set_durable(off as usize);
                 sim::work(b.cost.flush(lines * efactory_pmem::LINE));
-                return Response::Get {
-                    status: Status::Ok,
-                    obj_off: off,
-                    klen: hdr.klen,
-                    vlen: hdr.vlen,
-                };
+                return found;
             }
         }
         off = hdr.pre_ptr;
     }
     not_found
-}
-
-/// Forca client.
-pub struct ForcaClient {
-    qp: ClientQp,
-    desc: StoreDesc,
-}
-
-impl ForcaClient {
-    /// Connect to the server on `server_node`.
-    pub fn connect(
-        fabric: &Arc<Fabric>,
-        local: &Node,
-        server_node: &Node,
-        desc: StoreDesc,
-    ) -> Result<Self, StoreError> {
-        Ok(ForcaClient {
-            qp: fabric.connect(local, server_node)?,
-            desc,
-        })
-    }
-
-    /// Identical to Erda's PUT (client-active, no persistence wait).
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let req = Request::Put {
-            key: key.to_vec(),
-            vlen: value.len() as u32,
-            crc: crc32c(value),
-        };
-        let raw = self.qp.rpc(req.encode())?;
-        match Response::decode(&raw).ok_or(StoreError::Protocol)? {
-            Response::Put {
-                status: Status::Ok,
-                value_off,
-                ..
-            } => {
-                if !value.is_empty() {
-                    self.qp
-                        .rdma_write(&self.desc.mr, value_off as usize, value.to_vec())?;
-                }
-                Ok(())
-            }
-            Response::Put { status, .. } => Err(StoreError::Status(status)),
-            _ => Err(StoreError::Protocol),
-        }
-    }
-
-    /// RPC (server verifies + persists) + one-sided object read.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let raw = self.qp.rpc(Request::Get { key: key.to_vec() }.encode())?;
-        let Response::Get {
-            status,
-            obj_off,
-            klen,
-            vlen,
-        } = Response::decode(&raw).ok_or(StoreError::Protocol)?
-        else {
-            return Err(StoreError::Protocol);
-        };
-        match status {
-            Status::NotFound => return Ok(None),
-            Status::Ok => {}
-            s => return Err(StoreError::Status(s)),
-        }
-        let Some((hdr, obj)) = read_path::fetch_object(
-            &self.qp,
-            &self.desc,
-            obj_off,
-            klen as usize,
-            vlen as usize,
-            key,
-        )?
-        else {
-            return Err(StoreError::Protocol);
-        };
-        Ok(Some(read_path::value_of(&hdr, &obj)))
-    }
-}
-
-impl RemoteKv for ForcaClient {
-    fn kv_put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.put(key, value)
-    }
-    fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        self.get(key)
-    }
 }

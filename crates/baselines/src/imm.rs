@@ -8,267 +8,35 @@
 //! GET: two one-sided RDMA reads, unverified (entries reference only
 //! durable objects).
 
-use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use efactory::client::RemoteKv;
-use efactory::layout::{flags, ObjHeader};
-use efactory::log::StoreLayout;
-use efactory::protocol::{Request, Response, Status, StoreError};
-use efactory::server::StoreDesc;
-use efactory_checksum::crc32c;
-use efactory_rnic::{ClientQp, Fabric, Incoming, Node};
+use efactory::protocol::StoreError;
+use efactory_rnic::Fabric;
 use efactory_sim as sim;
 
-use crate::common::{read_path, BaseServer};
+use crate::client::{ack, BaselineClient};
+use crate::common::{spawn_staged, BaseServer, Trigger};
 
-struct Pending {
-    fp: u64,
-    klen: u16,
-    vlen: u32,
+/// Spawn the staged-completion server: allocation dispatch, and a
+/// completion-queue worker that handles each write_with_imm completion
+/// (completion-event handling + request processing, then flush + metadata
+/// link + ack). Call from within a sim process.
+pub(crate) fn start(base: Arc<BaseServer>, fabric: &Fabric) {
+    let completion_cost = base.cost.cpu_imm_completion_ns + base.cost.cpu_req_handle_ns;
+    spawn_staged(base, fabric, "imm", Trigger::WriteImm, completion_cost);
 }
 
-/// IMM server.
-pub struct ImmServer {
-    base: Arc<BaseServer>,
-}
-
-impl ImmServer {
-    /// Format a fresh store.
-    pub fn format(fabric: &Fabric, node: &Node, layout: StoreLayout) -> Self {
-        // The immediate field is 32 bits and carries the object offset.
-        assert!(
-            layout.total_len() < u32::MAX as usize,
-            "IMM requires the pool offset to fit the 32-bit immediate"
-        );
-        ImmServer {
-            base: BaseServer::format(fabric, node, layout),
-        }
-    }
-
-    /// Rebuild after a crash (see `BaseServer::recover`).
-    pub fn recover(
-        fabric: &Fabric,
-        node: &Node,
-        pool: std::sync::Arc<efactory_pmem::PmemPool>,
-        layout: StoreLayout,
-    ) -> Self {
-        ImmServer {
-            base: crate::common::BaseServer::recover(fabric, node, pool, layout),
-        }
-    }
-
-    /// Client-facing descriptor.
-    pub fn desc(&self) -> StoreDesc {
-        self.base.desc()
-    }
-
-    /// Shared base (stats etc.).
-    pub fn base(&self) -> &Arc<BaseServer> {
-        &self.base
-    }
-
-    /// Stop serving.
-    pub fn shutdown(&self) {
-        self.base.shutdown();
-    }
-
-    /// Spawn the server processes. Like the paper's testbed servers, the
-    /// dispatch thread (allocation RPCs) and the completion-queue thread
-    /// (write_with_imm completions: flush + metadata link + ack) run on
-    /// separate cores, so flush work pipelines behind dispatch.
-    /// Call from within a sim process.
-    pub fn start(&self, fabric: &Arc<Fabric>) {
-        let base = Arc::clone(&self.base);
-        let listener = base.node.listen(fabric, false);
-        let replier = listener.replier();
-        let pending: Arc<parking_lot::Mutex<HashMap<u64, Pending>>> =
-            Arc::new(parking_lot::Mutex::new(HashMap::new()));
-        // Completion worker.
-        let (comp_tx, comp_rx) = sim::channel::<(efactory_rnic::QpId, u64)>();
-        let wbase = Arc::clone(&self.base);
-        let wpending = Arc::clone(&pending);
-        sim::spawn("imm-completion", move || {
-            while let Ok((from, obj_off)) = comp_rx.recv() {
-                if wbase.stopping() {
-                    return;
-                }
-                let taken = wpending.lock().remove(&obj_off);
-                let resp = match taken {
-                    Some(p) => complete_put(&wbase, p, obj_off),
-                    None => Response::Ack {
-                        status: Status::Corrupt,
-                    },
-                };
-                if replier.reply(from, resp.encode()).is_err() {
-                    return;
-                }
-            }
-        });
-        // Dispatch thread.
-        sim::spawn("imm-handler", move || {
-            let b = Arc::clone(&base);
-            base.serve(&listener, move |l, msg| {
-                match msg {
-                    Incoming::Send { from, payload } => {
-                        let Some(Request::Put { key, vlen, crc }) = Request::decode(&payload)
-                        else {
-                            return true;
-                        };
-                        sim::work(
-                            b.cost.cpu_req_handle_ns + b.cost.cpu_hash_ns + b.cost.cpu_alloc_ns,
-                        );
-                        let resp = stage_put(&b, &mut pending.lock(), &key, vlen, crc);
-                        l.reply(from, resp.encode()).is_ok()
-                    }
-                    // Hand the completion to the CQ worker.
-                    Incoming::WriteImm { from, imm, .. } => {
-                        comp_tx.send((from, imm as u64), 0).is_ok()
-                    }
-                }
-            });
-        });
-    }
-}
-
-fn stage_put(
-    b: &BaseServer,
-    pending: &mut HashMap<u64, Pending>,
-    key: &[u8],
-    vlen: u32,
-    crc: u32,
-) -> Response {
-    // NOTE: runs with the pending-map lock held — it must not yield
-    // simulated time (the CPU charge happens at the dispatch site, before
-    // the lock), or the completion worker would deadlock against the
-    // driver. See the concurrency-discipline note in efactory::server.
-    let fp = efactory::hashtable::fingerprint(key);
-    let (_, prev) = b.peek_prev(fp);
-    match b.stage_object(key, vlen, crc, prev, flags::VALID) {
-        Ok((off, hdr)) => {
-            pending.insert(
-                off as u64,
-                Pending {
-                    fp,
-                    klen: hdr.klen,
-                    vlen: hdr.vlen,
-                },
-            );
-            Response::Put {
-                status: Status::Ok,
-                obj_off: off as u64,
-                value_off: (off + hdr.value_off()) as u64,
-            }
-        }
-        Err(status) => Response::Put {
-            status,
-            obj_off: 0,
-            value_off: 0,
-        },
-    }
-}
-
-fn complete_put(b: &BaseServer, p: Pending, obj_off: u64) -> Response {
-    // Completion-event handling + request processing on the critical path.
-    sim::work(b.cost.cpu_imm_completion_ns + b.cost.cpu_req_handle_ns);
-    let off = obj_off as usize;
-    let hdr = ObjHeader::read_from(&b.pool, off);
-    let mut lines = b.persist_range(off, hdr.object_size());
-    lines += b.set_durable(off);
-    let link_lines = match b.link_entry(p.fp, off, p.klen, p.vlen, true) {
-        Ok(n) => n,
-        Err(status) => return Response::Ack { status },
-    };
-    sim::work(b.cost.flush((lines + link_lines) * efactory_pmem::LINE) + b.cost.cpu_hash_ns);
-    b.stats.puts.fetch_add(1, Ordering::Relaxed);
-    Response::Ack { status: Status::Ok }
-}
-
-/// IMM client.
-pub struct ImmClient {
-    qp: ClientQp,
-    desc: StoreDesc,
-}
-
-impl ImmClient {
-    /// Connect to the server on `server_node`.
-    pub fn connect(
-        fabric: &Arc<Fabric>,
-        local: &Node,
-        server_node: &Node,
-        desc: StoreDesc,
-    ) -> Result<Self, StoreError> {
-        Ok(ImmClient {
-            qp: fabric.connect(local, server_node)?,
-            desc,
-        })
-    }
-
-    /// RPC alloc → write_with_imm → server flushes + links → ack. Durable
-    /// on return.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let req = Request::Put {
-            key: key.to_vec(),
-            vlen: value.len() as u32,
-            crc: crc32c(value),
-        };
-        let raw = self.qp.rpc(req.encode())?;
-        let (obj_off, value_off) = match Response::decode(&raw).ok_or(StoreError::Protocol)? {
-            Response::Put {
-                status: Status::Ok,
-                obj_off,
-                value_off,
-            } => (obj_off, value_off),
-            Response::Put { status, .. } => return Err(StoreError::Status(status)),
-            _ => return Err(StoreError::Protocol),
-        };
-        // The immediate carries the object offset back to the server.
-        self.qp.rdma_write_imm(
-            &self.desc.mr,
-            value_off as usize,
-            value.to_vec(),
-            obj_off as u32,
-        )?;
-        // Wait for the server's durability ack.
-        let raw = self.qp.recv_reply_deadline(sim::now() + sim::millis(100))?;
-        match Response::decode(&raw).ok_or(StoreError::Protocol)? {
-            Response::Ack { status: Status::Ok } => Ok(()),
-            Response::Ack { status } => Err(StoreError::Status(status)),
-            _ => Err(StoreError::Protocol),
-        }
-    }
-
-    /// Two pure RDMA reads, unverified.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let fp = efactory::hashtable::fingerprint(key);
-        let Some(entry) = read_path::fetch_entry(&self.qp, &self.desc, fp)? else {
-            return Ok(None);
-        };
-        let off = entry.current();
-        if off == 0 {
-            return Ok(None);
-        }
-        let Some((hdr, obj)) = read_path::fetch_object(
-            &self.qp,
-            &self.desc,
-            off,
-            entry.klen as usize,
-            entry.vlen as usize,
-            key,
-        )?
-        else {
-            return Ok(None);
-        };
-        Ok(Some(read_path::value_of(&hdr, &obj)))
-    }
-}
-
-impl RemoteKv for ImmClient {
-    fn kv_put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.put(key, value)
-    }
-    fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        self.get(key)
-    }
+/// RPC alloc → write_with_imm → server flushes + links → ack. Durable on
+/// return.
+pub(crate) fn put(c: &BaselineClient, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+    let (obj_off, value_off) = c.alloc(key, value)?;
+    // The immediate carries the object offset back to the server.
+    c.qp.rdma_write_imm(
+        &c.desc.mr,
+        value_off as usize,
+        value.to_vec(),
+        obj_off as u32,
+    )?;
+    // Wait for the server's durability ack.
+    ack(&c.qp.recv_reply_deadline(sim::now() + sim::millis(100))?)
 }

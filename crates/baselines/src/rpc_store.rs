@@ -3,84 +3,33 @@
 //! two-sided path; the server copies it from the network buffer into NVM,
 //! flushes, updates metadata, and replies. Durable on ack, but every byte
 //! crosses the server's CPU.
+//!
+//! GET: an RPC lookup + one one-sided object read (data is always durable
+//! here).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use efactory::client::RemoteKv;
+use efactory::hashtable::fingerprint;
 use efactory::layout::flags;
-use efactory::log::StoreLayout;
 use efactory::protocol::{Request, Response, Status, StoreError};
-use efactory::server::StoreDesc;
-use efactory_rnic::{ClientQp, Fabric, Incoming, Node};
+use efactory_checksum::crc32c;
+use efactory_rnic::Fabric;
 use efactory_sim as sim;
 
-use crate::common::{read_path, BaseServer};
+use crate::client::{ack, BaselineClient};
+use crate::common::{spawn_handler, BaseServer, UNSERVED};
 
-/// RPC-store server.
-pub struct RpcServer {
-    base: Arc<BaseServer>,
+/// Spawn the request handler. Call from within a sim process.
+pub(crate) fn start(base: Arc<BaseServer>, fabric: &Fabric) {
+    spawn_handler(base, fabric, "rpc", |b, req| match req {
+        Request::RpcPut { key, value } => handle_put(b, &key, &value),
+        Request::Get { key } => handle_get(b, &key),
+        _ => UNSERVED,
+    });
 }
 
-impl RpcServer {
-    /// Format a fresh store.
-    pub fn format(fabric: &Fabric, node: &Node, layout: StoreLayout) -> Self {
-        RpcServer {
-            base: BaseServer::format(fabric, node, layout),
-        }
-    }
-
-    /// Rebuild after a crash (see `BaseServer::recover`).
-    pub fn recover(
-        fabric: &Fabric,
-        node: &Node,
-        pool: std::sync::Arc<efactory_pmem::PmemPool>,
-        layout: StoreLayout,
-    ) -> Self {
-        RpcServer {
-            base: crate::common::BaseServer::recover(fabric, node, pool, layout),
-        }
-    }
-
-    /// Client-facing descriptor.
-    pub fn desc(&self) -> StoreDesc {
-        self.base.desc()
-    }
-
-    /// Shared base (stats etc.).
-    pub fn base(&self) -> &Arc<BaseServer> {
-        &self.base
-    }
-
-    /// Stop serving.
-    pub fn shutdown(&self) {
-        self.base.shutdown();
-    }
-
-    /// Spawn the request handler. Call from within a sim process.
-    pub fn start(&self, fabric: &Arc<Fabric>) {
-        let base = Arc::clone(&self.base);
-        let listener = base.node.listen(fabric, false);
-        sim::spawn("rpc-handler", move || {
-            let b = Arc::clone(&base);
-            base.serve(&listener, move |l, msg| {
-                let Incoming::Send { from, payload } = msg else {
-                    return true;
-                };
-                let resp = match Request::decode(&payload) {
-                    Some(Request::RpcPut { key, value }) => handle_rpc_put(&b, &key, &value),
-                    Some(Request::Get { key }) => handle_get(&b, &key),
-                    _ => Response::Ack {
-                        status: Status::Corrupt,
-                    },
-                };
-                l.reply(from, resp.encode()).is_ok()
-            });
-        });
-    }
-}
-
-fn handle_rpc_put(b: &BaseServer, key: &[u8], value: &[u8]) -> Response {
+fn handle_put(b: &BaseServer, key: &[u8], value: &[u8]) -> Response {
     // Bulk two-sided receive + copy from the network buffer into NVM.
     sim::work(
         b.cost.cpu_twosided_bulk_ns
@@ -89,33 +38,22 @@ fn handle_rpc_put(b: &BaseServer, key: &[u8], value: &[u8]) -> Response {
             + b.cost.cpu_alloc_ns
             + b.cost.memcpy(value.len()),
     );
-    let fp = efactory::hashtable::fingerprint(key);
-    let crc = efactory_checksum::crc32c(value);
+    let fp = fingerprint(key);
+    let crc = crc32c(value);
     // Mutation block: stage + value copy + persist + link.
-    let (_, prev) = b.peek_prev(fp);
+    let prev = b.peek_prev(fp);
     let (off, hdr) = match b.stage_object(key, value.len() as u32, crc, prev, flags::VALID) {
         Ok(v) => v,
-        Err(status) => {
-            return Response::Ack { status };
-        }
-    };
-    b.pool.write(off + hdr.value_off(), value);
-    let mut lines = b.persist_range(off, hdr.object_size());
-    lines += b.set_durable(off);
-    let link_lines = match b.link_entry(fp, off, hdr.klen, hdr.vlen, true) {
-        Ok(n) => n,
         Err(status) => return Response::Ack { status },
     };
-    sim::work(b.cost.flush((lines + link_lines) * efactory_pmem::LINE));
-    b.stats.puts.fetch_add(1, Ordering::Relaxed);
-    Response::Ack { status: Status::Ok }
+    b.pool.write(off + hdr.value_off(), value);
+    b.persist_and_link(fp, off, &hdr, 0)
 }
 
 fn handle_get(b: &BaseServer, key: &[u8]) -> Response {
     sim::work(b.cost.cpu_req_handle_ns + b.cost.cpu_hash_ns);
     b.stats.gets.fetch_add(1, Ordering::Relaxed);
-    let fp = efactory::hashtable::fingerprint(key);
-    match b.ht.lookup(&b.pool, fp) {
+    match b.ht.lookup(&b.pool, fingerprint(key)) {
         Some((_, e)) if e.current() != 0 => Response::Get {
             status: Status::Ok,
             obj_off: e.current(),
@@ -131,77 +69,11 @@ fn handle_get(b: &BaseServer, key: &[u8]) -> Response {
     }
 }
 
-/// RPC-store client.
-pub struct RpcClient {
-    qp: ClientQp,
-    desc: StoreDesc,
-}
-
-impl RpcClient {
-    /// Connect to the server on `server_node`.
-    pub fn connect(
-        fabric: &Arc<Fabric>,
-        local: &Node,
-        server_node: &Node,
-        desc: StoreDesc,
-    ) -> Result<Self, StoreError> {
-        Ok(RpcClient {
-            qp: fabric.connect(local, server_node)?,
-            desc,
-        })
-    }
-
-    /// One RPC carrying the whole value; durable on ack.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let req = Request::RpcPut {
-            key: key.to_vec(),
-            value: value.to_vec(),
-        };
-        let raw = self.qp.rpc(req.encode())?;
-        match Response::decode(&raw).ok_or(StoreError::Protocol)? {
-            Response::Ack { status: Status::Ok } => Ok(()),
-            Response::Ack { status } => Err(StoreError::Status(status)),
-            _ => Err(StoreError::Protocol),
-        }
-    }
-
-    /// RPC lookup + one-sided object read (data is always durable here).
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let raw = self.qp.rpc(Request::Get { key: key.to_vec() }.encode())?;
-        let Response::Get {
-            status,
-            obj_off,
-            klen,
-            vlen,
-        } = Response::decode(&raw).ok_or(StoreError::Protocol)?
-        else {
-            return Err(StoreError::Protocol);
-        };
-        match status {
-            Status::NotFound => return Ok(None),
-            Status::Ok => {}
-            s => return Err(StoreError::Status(s)),
-        }
-        let Some((hdr, obj)) = read_path::fetch_object(
-            &self.qp,
-            &self.desc,
-            obj_off,
-            klen as usize,
-            vlen as usize,
-            key,
-        )?
-        else {
-            return Err(StoreError::Protocol);
-        };
-        Ok(Some(read_path::value_of(&hdr, &obj)))
-    }
-}
-
-impl RemoteKv for RpcClient {
-    fn kv_put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.put(key, value)
-    }
-    fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        self.get(key)
-    }
+/// One RPC carrying the whole value; durable on ack.
+pub(crate) fn put(c: &BaselineClient, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+    let req = Request::RpcPut {
+        key: key.to_vec(),
+        value: value.to_vec(),
+    };
+    ack(&c.qp.rpc(req.encode())?)
 }

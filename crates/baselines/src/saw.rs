@@ -8,270 +8,25 @@
 //! GET: two one-sided RDMA reads with no verification — safe, because the
 //! hash entry is only ever updated after the data is durable.
 
-use std::collections::HashMap;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use efactory::client::RemoteKv;
-use efactory::layout::{flags, ObjHeader};
-use efactory::log::StoreLayout;
-use efactory::protocol::{Request, Response, Status, StoreError};
-use efactory::server::StoreDesc;
-use efactory_checksum::crc32c;
-use efactory_rnic::{ClientQp, Fabric, Incoming, Node};
-use efactory_sim as sim;
+use efactory::protocol::{Request, StoreError};
+use efactory_rnic::Fabric;
 
-use crate::common::{read_path, BaseServer};
+use crate::client::{ack, BaselineClient};
+use crate::common::{spawn_staged, BaseServer, Trigger};
 
-/// A staged (allocated but not yet persisted/linked) PUT.
-struct Pending {
-    fp: u64,
-    klen: u16,
-    vlen: u32,
+/// Spawn the staged-completion server: allocation dispatch, and a persist
+/// worker that handles each `Persist` request (flush + metadata link +
+/// ack). Call from within a sim process.
+pub(crate) fn start(base: Arc<BaseServer>, fabric: &Fabric) {
+    let persist_cost = base.cost.cpu_req_handle_ns;
+    spawn_staged(base, fabric, "saw", Trigger::PersistRpc, persist_cost);
 }
 
-/// SAW server.
-pub struct SawServer {
-    base: Arc<BaseServer>,
-}
-
-impl SawServer {
-    /// Format a fresh store.
-    pub fn format(fabric: &Fabric, node: &Node, layout: StoreLayout) -> Self {
-        SawServer {
-            base: BaseServer::format(fabric, node, layout),
-        }
-    }
-
-    /// Rebuild after a crash (see `BaseServer::recover`).
-    pub fn recover(
-        fabric: &Fabric,
-        node: &Node,
-        pool: std::sync::Arc<efactory_pmem::PmemPool>,
-        layout: StoreLayout,
-    ) -> Self {
-        SawServer {
-            base: crate::common::BaseServer::recover(fabric, node, pool, layout),
-        }
-    }
-
-    /// Client-facing descriptor.
-    pub fn desc(&self) -> StoreDesc {
-        self.base.desc()
-    }
-
-    /// Shared base (stats etc.).
-    pub fn base(&self) -> &Arc<BaseServer> {
-        &self.base
-    }
-
-    /// Stop serving.
-    pub fn shutdown(&self) {
-        self.base.shutdown();
-    }
-
-    /// Spawn the server processes. As on the paper's multi-core testbed,
-    /// allocation dispatch and persist-request handling (flush + metadata
-    /// link + ack) run on separate cores, so flush work pipelines behind
-    /// dispatch. Call from within a sim process.
-    pub fn start(&self, fabric: &Arc<Fabric>) {
-        let base = Arc::clone(&self.base);
-        let listener = base.node.listen(fabric, false);
-        let replier = listener.replier();
-        let pending: Arc<parking_lot::Mutex<HashMap<u64, Pending>>> =
-            Arc::new(parking_lot::Mutex::new(HashMap::new()));
-        // Persist worker.
-        let (persist_tx, persist_rx) = sim::channel::<(efactory_rnic::QpId, u64)>();
-        let wbase = Arc::clone(&self.base);
-        let wpending = Arc::clone(&pending);
-        sim::spawn("saw-persist", move || {
-            while let Ok((from, obj_off)) = persist_rx.recv() {
-                if wbase.stopping() {
-                    return;
-                }
-                let taken = wpending.lock().remove(&obj_off);
-                let resp = match taken {
-                    Some(p) => persist_put(&wbase, p, obj_off),
-                    None => Response::Ack {
-                        status: Status::Corrupt,
-                    },
-                };
-                if replier.reply(from, resp.encode()).is_err() {
-                    return;
-                }
-            }
-        });
-        // Dispatch thread.
-        sim::spawn("saw-handler", move || {
-            let b = Arc::clone(&base);
-            base.serve(&listener, move |l, msg| {
-                let Incoming::Send { from, payload } = msg else {
-                    return true;
-                };
-                match Request::decode(&payload) {
-                    Some(Request::Put { key, vlen, crc }) => {
-                        sim::work(
-                            b.cost.cpu_req_handle_ns + b.cost.cpu_hash_ns + b.cost.cpu_alloc_ns,
-                        );
-                        let resp = stage_put(&b, &mut pending.lock(), &key, vlen, crc);
-                        l.reply(from, resp.encode()).is_ok()
-                    }
-                    Some(Request::Persist { obj_off }) => {
-                        persist_tx.send((from, obj_off), 0).is_ok()
-                    }
-                    _ => l
-                        .reply(
-                            from,
-                            Response::Ack {
-                                status: Status::Corrupt,
-                            }
-                            .encode(),
-                        )
-                        .is_ok(),
-                }
-            });
-        });
-    }
-}
-
-/// Phase 1: allocate + stage; the hash entry stays untouched so no reader
-/// can observe non-durable data.
-fn stage_put(
-    b: &BaseServer,
-    pending: &mut HashMap<u64, Pending>,
-    key: &[u8],
-    vlen: u32,
-    crc: u32,
-) -> Response {
-    // NOTE: runs with the pending-map lock held — it must not yield
-    // simulated time (the CPU charge happens at the dispatch site, before
-    // the lock), or the completion worker would deadlock against the
-    // driver. See the concurrency-discipline note in efactory::server.
-    let fp = efactory::hashtable::fingerprint(key);
-    let (_, prev) = b.peek_prev(fp);
-    match b.stage_object(key, vlen, crc, prev, flags::VALID) {
-        Ok((off, hdr)) => {
-            pending.insert(
-                off as u64,
-                Pending {
-                    fp,
-                    klen: hdr.klen,
-                    vlen: hdr.vlen,
-                },
-            );
-            Response::Put {
-                status: Status::Ok,
-                obj_off: off as u64,
-                value_off: (off + hdr.value_off()) as u64,
-            }
-        }
-        Err(status) => Response::Put {
-            status,
-            obj_off: 0,
-            value_off: 0,
-        },
-    }
-}
-
-/// Phase 2 (the "send" of send-after-write): flush the object, then expose
-/// the metadata.
-fn persist_put(b: &BaseServer, p: Pending, obj_off: u64) -> Response {
-    sim::work(b.cost.cpu_req_handle_ns);
-    let off = obj_off as usize;
-    let hdr = ObjHeader::read_from(&b.pool, off);
-    // Mutation block: persist, flag, link.
-    let mut lines = b.persist_range(off, hdr.object_size());
-    lines += b.set_durable(off);
-    let link_lines = match b.link_entry(p.fp, off, p.klen, p.vlen, true) {
-        Ok(n) => n,
-        Err(status) => return Response::Ack { status },
-    };
-    sim::work(b.cost.flush((lines + link_lines) * efactory_pmem::LINE) + b.cost.cpu_hash_ns);
-    b.stats.puts.fetch_add(1, Ordering::Relaxed);
-    Response::Ack { status: Status::Ok }
-}
-
-/// SAW client.
-pub struct SawClient {
-    qp: ClientQp,
-    desc: StoreDesc,
-}
-
-impl SawClient {
-    /// Connect to the server on `server_node`.
-    pub fn connect(
-        fabric: &Arc<Fabric>,
-        local: &Node,
-        server_node: &Node,
-        desc: StoreDesc,
-    ) -> Result<Self, StoreError> {
-        Ok(SawClient {
-            qp: fabric.connect(local, server_node)?,
-            desc,
-        })
-    }
-
-    /// RPC alloc → RDMA write → RDMA send (persist) → ack. Durable on
-    /// return.
-    pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let req = Request::Put {
-            key: key.to_vec(),
-            vlen: value.len() as u32,
-            crc: crc32c(value),
-        };
-        let raw = self.qp.rpc(req.encode())?;
-        let (obj_off, value_off) = match Response::decode(&raw).ok_or(StoreError::Protocol)? {
-            Response::Put {
-                status: Status::Ok,
-                obj_off,
-                value_off,
-            } => (obj_off, value_off),
-            Response::Put { status, .. } => return Err(StoreError::Status(status)),
-            _ => return Err(StoreError::Protocol),
-        };
-        if !value.is_empty() {
-            self.qp
-                .rdma_write(&self.desc.mr, value_off as usize, value.to_vec())?;
-        }
-        let raw = self.qp.rpc(Request::Persist { obj_off }.encode())?;
-        match Response::decode(&raw).ok_or(StoreError::Protocol)? {
-            Response::Ack { status: Status::Ok } => Ok(()),
-            Response::Ack { status } => Err(StoreError::Status(status)),
-            _ => Err(StoreError::Protocol),
-        }
-    }
-
-    /// Two pure RDMA reads. No verification needed: the entry only ever
-    /// points at durable objects.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        let fp = efactory::hashtable::fingerprint(key);
-        let Some(entry) = read_path::fetch_entry(&self.qp, &self.desc, fp)? else {
-            return Ok(None);
-        };
-        let off = entry.current();
-        if off == 0 {
-            return Ok(None);
-        }
-        let Some((hdr, obj)) = read_path::fetch_object(
-            &self.qp,
-            &self.desc,
-            off,
-            entry.klen as usize,
-            entry.vlen as usize,
-            key,
-        )?
-        else {
-            return Ok(None);
-        };
-        Ok(Some(read_path::value_of(&hdr, &obj)))
-    }
-}
-
-impl RemoteKv for SawClient {
-    fn kv_put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.put(key, value)
-    }
-    fn kv_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        self.get(key)
-    }
+/// RPC alloc → RDMA write → RDMA send (persist) → ack. Durable on return.
+pub(crate) fn put(c: &BaselineClient, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+    let (obj_off, value_off) = c.alloc(key, value)?;
+    c.write_value(value_off, value)?;
+    ack(&c.qp.rpc(Request::Persist { obj_off }.encode())?)
 }

@@ -15,7 +15,7 @@ usage: bench <probe> [--json PATH] [--trace PATH]
        bench all --out DIR
        bench gate [--baseline-dir DIR] [--fresh-dir DIR] [--diff PATH]
 probes:  put_get repl pipeline breakdown txn cluster cleaning shard_scaling sim
-         (--trace: breakdown only)
+         baselines (--trace: breakdown only)
 figures: fig1 fig2 fig9 fig10 fig11 ablations (--workload: fig9 only)
 EF_OPS_SCALE (a positive number, default 1) scales every run's op count.";
 

@@ -12,9 +12,8 @@
 
 use std::sync::{Arc, Mutex};
 
-use efactory_baselines::common::baseline_layout;
-use efactory_baselines::{ErdaClient, ErdaServer, ForcaClient, ForcaServer};
-use efactory_harness::{LatencyStats, Report, Table};
+use efactory_baselines::{baseline_layout, BaselineClient, BaselineServer};
+use efactory_harness::{LatencyStats, Report, SystemKind, Table};
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
 use efactory_sim::{Nanos, Sim};
@@ -23,7 +22,8 @@ use efactory_ycsb::{make_key, make_value};
 use crate::{size_label, Scale, VALUE_SIZES};
 
 /// Measure GET-after-PUT latency for one system at one value size.
-fn read_after_write(system: &'static str, value_len: usize, ops: usize) -> LatencyStats {
+fn read_after_write(system: SystemKind, value_len: usize, ops: usize) -> LatencyStats {
+    let kind = system.baseline().expect("Figure 2 measures baselines");
     let mut simu = Sim::new(7);
     let fabric = Fabric::new(CostModel::default());
     let server_node = fabric.add_node("server");
@@ -38,35 +38,17 @@ fn read_after_write(system: &'static str, value_len: usize, ops: usize) -> Laten
     simu.spawn("main", move || {
         let cnode = f2.add_node("client");
         let mut samples = Vec::with_capacity(ops);
-        match system {
-            "Erda" => {
-                let srv = ErdaServer::format(&f2, &server_node, layout);
-                srv.start(&f2);
-                let c = ErdaClient::connect(&f2, &cnode, &server_node, srv.desc()).unwrap();
-                for i in 0..ops {
-                    let key = make_key(32, i as u64);
-                    c.put(&key, &make_value(value_len, i as u64, 1)).unwrap();
-                    let t0 = sim::now();
-                    c.get(&key).unwrap().expect("just written");
-                    samples.push(sim::now() - t0);
-                }
-                srv.shutdown();
-            }
-            "Forca" => {
-                let srv = ForcaServer::format(&f2, &server_node, layout);
-                srv.start(&f2);
-                let c = ForcaClient::connect(&f2, &cnode, &server_node, srv.desc()).unwrap();
-                for i in 0..ops {
-                    let key = make_key(32, i as u64);
-                    c.put(&key, &make_value(value_len, i as u64, 1)).unwrap();
-                    let t0 = sim::now();
-                    c.get(&key).unwrap().expect("just written");
-                    samples.push(sim::now() - t0);
-                }
-                srv.shutdown();
-            }
-            other => panic!("unknown system {other}"),
+        let srv = BaselineServer::format(kind, &f2, &server_node, layout);
+        srv.start(&f2);
+        let c = BaselineClient::connect(&f2, &cnode, &srv).unwrap();
+        for i in 0..ops {
+            let key = make_key(32, i as u64);
+            c.put(&key, &make_value(value_len, i as u64, 1)).unwrap();
+            let t0 = sim::now();
+            c.get(&key).unwrap().expect("just written");
+            samples.push(sim::now() - t0);
         }
+        srv.shutdown();
         *lat2.lock().unwrap() = samples;
     });
     simu.run().expect_ok();
@@ -87,14 +69,15 @@ pub fn run(scale: Scale) -> Report {
         "other (us)",
         "crc share",
     ]);
-    for system in ["Erda", "Forca"] {
+    for system in [SystemKind::Erda, SystemKind::Forca] {
         for &size in &VALUE_SIZES {
             let stats = read_after_write(system, size, ops);
-            report.add_latency(&format!("{}/{}", system, size_label(size)), &stats);
+            let label = system.label();
+            report.add_latency(&format!("{label}/{}", size_label(size)), &stats);
             let total = stats.p50_us();
             let crc = cost.crc(size) as f64 / 1000.0;
             table.row(vec![
-                system.to_string(),
+                label.to_string(),
                 size_label(size),
                 format!("{total:.2}"),
                 format!("{crc:.2}"),

@@ -1,4 +1,5 @@
-//! The ten gated probes. Each declares its runs at full scale, whether it
+//! The ten gated probes: nine on eFactory, and `baselines` on the
+//! comparison systems. Each declares its runs at full scale, whether it
 //! traces, and its acceptance bounds; [`Probe::run`] executes them, and
 //! `bench gate` compares the committed `BENCH_<name>.json` reports against
 //! fresh ones. `tests/bench_gate.rs` checks the committed reports against

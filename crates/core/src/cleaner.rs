@@ -63,7 +63,7 @@ use efactory_sim as sim;
 
 use crate::layout::{self, flags, ObjHeader, NIL};
 use crate::protocol::Event;
-use crate::server::{CleanPhase, MigrateSlot, ServerShared};
+use crate::server::{CleanPhase, MigrateSlot, ServerShared, MAX_KLEN, MAX_VLEN};
 
 /// Magic key prefix identifying a cleaning-progress record in the log.
 /// NUL-framed like [`crate::txn::COMMIT_MAGIC`] so it can never collide
@@ -284,12 +284,8 @@ fn clean_pass(
     // record slot, torn client writes under persisted relocations); a
     // scan that stopped at the first hole would relocate nothing and the
     // finish pass would drop every key anchored above it.
-    let offs = shared.logs[old].scan_until_tolerant(
-        &shared.pool,
-        compress_start,
-        shared.cfg.max_klen,
-        shared.cfg.max_vlen,
-    );
+    let offs =
+        shared.logs[old].scan_until_tolerant(&shared.pool, compress_start, MAX_KLEN, MAX_VLEN);
     let mut seen: HashSet<u64> = HashSet::with_capacity(offs.len());
     for &off in offs.iter().rev() {
         if let Some(h) = halted(shared) {
@@ -331,12 +327,7 @@ fn clean_pass(
     // From here on the handler allocates in the new pool; the old pool's
     // head is frozen.
     let merge_end = shared.logs[old].head();
-    let offs2 = shared.logs[old].scan_until_tolerant(
-        &shared.pool,
-        merge_end,
-        shared.cfg.max_klen,
-        shared.cfg.max_vlen,
-    );
+    let offs2 = shared.logs[old].scan_until_tolerant(&shared.pool, merge_end, MAX_KLEN, MAX_VLEN);
     let mut seen2: HashSet<u64> = HashSet::new();
     for &off in offs2.iter().rev() {
         if off < compress_start {
@@ -542,12 +533,7 @@ fn drain_merge_stragglers(shared: &ServerShared, new: usize, fence: usize) -> Re
     // Hole-tolerant: the new pool starts with this pass's reserved (still
     // unwritten, all-zero) terminal record slot, which a size-chain walk
     // would mistake for the unwritten tail and stop at.
-    for off in shared.logs[new].scan_until_tolerant(
-        &shared.pool,
-        head,
-        shared.cfg.max_klen,
-        shared.cfg.max_vlen,
-    ) {
+    for off in shared.logs[new].scan_until_tolerant(&shared.pool, head, MAX_KLEN, MAX_VLEN) {
         if off < fence {
             continue;
         }
@@ -850,10 +836,7 @@ fn successor_matches(shared: &ServerShared, next: u64, fp: u64) -> bool {
         return false;
     }
     let hdr = ObjHeader::read_from(&shared.pool, off);
-    if hdr.klen == 0
-        || hdr.klen as usize > shared.cfg.max_klen
-        || hdr.vlen as usize > shared.cfg.max_vlen
-    {
+    if hdr.klen == 0 || hdr.klen as usize > MAX_KLEN || hdr.vlen as usize > MAX_VLEN {
         return false;
     }
     let key = layout::read_key(&shared.pool, off, &hdr);

@@ -76,44 +76,51 @@ pub trait RemoteKv {
     }
 }
 
+/// Bounded retries for the RPC read path (validation hiccups).
+pub const MAX_RPC_RETRIES: usize = 3;
+
+/// Send attempts per RPC (first try + retries). Retries reuse the same
+/// request id, so the server dedups re-executions. With the
+/// [`RPC_DEADLINE`] per attempt, 6 attempts ride out ~5% message loss with
+/// a residual failure probability around 1e-6 per operation.
+pub const RPC_ATTEMPTS: usize = 6;
+
+/// Per-attempt reply deadline (virtual time). Service times are
+/// microsecond-scale, so 1 ms comfortably covers a loaded server while
+/// keeping loss recovery fast.
+pub const RPC_DEADLINE: Nanos = sim::millis(1);
+
+/// Initial RPC retry backoff, doubled per attempt (deterministic
+/// exponential backoff in virtual time; no randomized jitter, so runs
+/// replay byte-identically).
+pub const RETRY_BACKOFF: Nanos = sim::micros(10);
+
+/// Bounded retries for an idempotent one-sided write that timed out
+/// (transient partition ride-out).
+pub const OP_RETRIES: usize = 5;
+
+/// Initial backoff for those one-sided retries, doubled per attempt.
+pub const OP_BACKOFF: Nanos = sim::micros(100);
+
+/// Client-side bound on the server's verifier timeout: when the
+/// allocation-RPC-to-write-ack window of a PUT reaches this much virtual
+/// time, the client re-reads the version's flag word to detect a verifier
+/// invalidation before reporting success. Measured from *before* the
+/// allocation request is sent, so it upper-bounds the server-side time
+/// since allocation; must not exceed the server's `verify_timeout` (it is
+/// half of the server default).
+pub const VERIFY_GRACE: Nanos = sim::micros(100);
+
+/// Entry cap for the location cache; at capacity, new keys are simply not
+/// cached (deterministic, no eviction order to replay).
+pub const LOC_CACHE_CAP: usize = 65_536;
+
 /// Client knobs.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// Use the hybrid read scheme; `false` gives "eFactory w/o hr" (always
     /// RPC+RDMA read), the factor-analysis configuration of §6.1.
     pub hybrid_read: bool,
-    /// Bounded retries for the RPC read path (validation hiccups).
-    pub max_rpc_retries: usize,
-    /// Send attempts per RPC (first try + retries). Retries reuse the same
-    /// request id, so the server dedups re-executions. With the default
-    /// per-attempt deadline, 6 attempts ride out ~5% message loss with a
-    /// residual failure probability around 1e-6 per operation.
-    pub rpc_attempts: usize,
-    /// Per-attempt reply deadline (virtual time). Service times are
-    /// microsecond-scale, so 1 ms comfortably covers a loaded server while
-    /// keeping loss recovery fast.
-    pub rpc_deadline: Nanos,
-    /// Initial retry backoff, doubled per attempt (deterministic
-    /// exponential backoff in virtual time; no randomized jitter, so runs
-    /// replay byte-identically).
-    pub retry_backoff: Nanos,
-    /// Bounded retries for an idempotent one-sided write that timed out
-    /// (transient partition ride-out).
-    pub op_retries: usize,
-    /// Initial backoff for those one-sided retries, doubled per attempt.
-    pub op_backoff: Nanos,
-    /// Client-side bound on the server's verifier timeout: when the
-    /// allocation-RPC-to-write-ack window of a PUT reaches this much
-    /// virtual time, the client re-reads the version's flag word to detect
-    /// a verifier invalidation before reporting success. Measured from
-    /// *before* the allocation request is sent, so it upper-bounds the
-    /// server-side time since allocation; must not exceed the server's
-    /// `verify_timeout` (the default is half of the server default).
-    pub verify_grace: Nanos,
-    /// Verify the value CRC on one-sided GET paths; a mismatch falls back
-    /// to the RPC path (which re-validates server-side) instead of
-    /// returning silently corrupted bytes.
-    pub verify_value_crc: bool,
     /// Keep a client-side **location cache** (key → object offset +
     /// lengths + version floor) so repeat GETs skip the bucket-probe RDMA
     /// read and go straight to the optimistic object read. Entries are
@@ -126,9 +133,6 @@ pub struct ClientConfig {
     /// another client overwrote the key (reads stay monotonic per client;
     /// the next probe or RPC read refreshes the entry).
     pub loc_cache: bool,
-    /// Entry cap for the location cache; at capacity, new keys are simply
-    /// not cached (deterministic, no eviction order to replay).
-    pub loc_cache_cap: usize,
     /// Shard index this client routes to; recorded on every op's root
     /// trace span so the latency decomposition can attribute per shard.
     pub shard: u32,
@@ -141,16 +145,7 @@ impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
             hybrid_read: true,
-            max_rpc_retries: 3,
-            rpc_attempts: 6,
-            rpc_deadline: efactory_sim::millis(1),
-            retry_backoff: efactory_sim::micros(10),
-            op_retries: 5,
-            op_backoff: efactory_sim::micros(100),
-            verify_grace: efactory_sim::micros(100),
-            verify_value_crc: true,
             loc_cache: false,
-            loc_cache_cap: 65_536,
             shard: 0,
             obs: Obs::new(),
         }
@@ -436,7 +431,7 @@ impl Client {
             return;
         }
         let mut cache = self.loc_cache.borrow_mut();
-        if cache.len() >= self.cfg.loc_cache_cap && !cache.contains_key(key) {
+        if cache.len() >= LOC_CACHE_CAP && !cache.contains_key(key) {
             return;
         }
         cache.insert(
@@ -538,7 +533,7 @@ impl Client {
         }
         let v_start = hdr.value_off();
         let value = &obj[v_start..v_start + hdr.vlen as usize];
-        if self.cfg.verify_value_crc && crc32c(value) != hdr.crc {
+        if crc32c(value) != hdr.crc {
             self.loc_invalidate(key);
             self.note_loc_miss();
             return Ok(CachedOutcome::Miss);
@@ -562,8 +557,8 @@ impl Client {
         rpc_sp.arg("qp", self.qp.id());
         rpc_sp.arg("req", id);
         let payload = req.encode_framed(id);
-        let mut backoff = self.cfg.retry_backoff;
-        for attempt in 0..self.cfg.rpc_attempts.max(1) {
+        let mut backoff = RETRY_BACKOFF;
+        for attempt in 0..RPC_ATTEMPTS {
             if attempt > 0 {
                 self.stats.rpc_retries.set(self.stats.rpc_retries.get() + 1);
                 self.rpc_retry_ctr.inc();
@@ -571,7 +566,7 @@ impl Client {
                 backoff = backoff.saturating_mul(2);
             }
             self.qp.send(payload.clone())?;
-            let deadline = sim::now() + self.cfg.rpc_deadline;
+            let deadline = sim::now() + RPC_DEADLINE;
             loop {
                 match self.qp.recv_reply_deadline(deadline) {
                     Ok(raw) => {
@@ -613,12 +608,12 @@ impl Client {
     /// transient partitions; re-writing the same bytes to the same offset
     /// is harmless).
     fn one_sided_write_retry(&self, off: usize, value: &[u8]) -> Result<(), StoreError> {
-        let mut backoff = self.cfg.op_backoff;
+        let mut backoff = OP_BACKOFF;
         let mut attempt = 0;
         loop {
             match self.qp.rdma_write(&self.desc.mr, off, value.to_vec()) {
                 Ok(()) => return Ok(()),
-                Err(QpError::Timeout) if attempt < self.cfg.op_retries => {
+                Err(QpError::Timeout) if attempt < OP_RETRIES => {
                     attempt += 1;
                     self.note_op_retry();
                     self.backoff_sleep(backoff);
@@ -641,7 +636,7 @@ impl Client {
     /// with a one-sided re-read of the version's flag word whenever the
     /// allocation-to-ack window could have crossed the timeout, and
     /// re-issues the whole operation as a *fresh* logical request, bounded
-    /// by `op_retries`.
+    /// by [`OP_RETRIES`].
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         self.poll_events();
         let mut ctx = self.op_root(1, key);
@@ -652,8 +647,8 @@ impl Client {
     }
 
     fn put_inner(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let mut backoff = self.cfg.op_backoff;
-        for attempt in 0..=self.cfg.op_retries {
+        let mut backoff = OP_BACKOFF;
+        for attempt in 0..=OP_RETRIES {
             if attempt > 0 {
                 self.stats
                     .put_reissues
@@ -704,7 +699,7 @@ impl Client {
                     self.one_sided_write_retry(value_off as usize, value)?;
                 }
                 // Fast path: when the whole allocation-to-write-ack window
-                // stayed inside `verify_grace` (≤ the server's
+                // stayed inside `VERIFY_GRACE` (≤ the server's
                 // `verify_timeout`), the verifier cannot have timed the
                 // version out. Anything that could have stretched it past
                 // the timeout — a retried RPC, a retried (partitioned)
@@ -716,7 +711,7 @@ impl Client {
                 // matches.)
                 let risky = self.stats.rpc_retries.get() != rpc_retries_before
                     || self.stats.op_retries.get() != op_retries_before
-                    || sim::now().saturating_sub(t_start) >= self.cfg.verify_grace;
+                    || sim::now().saturating_sub(t_start) >= VERIFY_GRACE;
                 if risky && !self.version_still_valid(obj_off as usize)? {
                     return Ok(false);
                 }
@@ -736,12 +731,12 @@ impl Client {
     /// timeout retry as the value write. `false` when the verifier
     /// invalidated the version before the value arrived.
     fn version_still_valid(&self, obj_off: usize) -> Result<bool, StoreError> {
-        let mut backoff = self.cfg.op_backoff;
+        let mut backoff = OP_BACKOFF;
         let mut attempt = 0;
         let raw = loop {
             match self.qp.rdma_read(&self.desc.mr, obj_off, 8) {
                 Ok(b) => break b,
-                Err(QpError::Timeout) if attempt < self.cfg.op_retries => {
+                Err(QpError::Timeout) if attempt < OP_RETRIES => {
                     attempt += 1;
                     self.note_op_retry();
                     self.backoff_sleep(backoff);
@@ -889,7 +884,7 @@ impl Client {
         }
         let v_start = hdr.value_off();
         let value = &obj[v_start..v_start + hdr.vlen as usize];
-        if self.cfg.verify_value_crc && crc32c(value) != hdr.crc {
+        if crc32c(value) != hdr.crc {
             // Mid-clean, torn, or bit-rotted object: never hand unverified
             // bytes to the application — degrade to the RPC path.
             return Ok(PureOutcome::Fallback);
@@ -899,7 +894,7 @@ impl Client {
     }
 
     /// Count one GET retry through the server (bounded by
-    /// `max_rpc_retries`), in both the per-client stats and the run-wide
+    /// [`MAX_RPC_RETRIES`]), in both the per-client stats and the run-wide
     /// `client.get_retry` registry counter.
     fn note_get_retry(&self) {
         self.stats.get_retries.set(self.stats.get_retries.get() + 1);
@@ -917,7 +912,7 @@ impl Client {
     /// validates at commit. `0` means absent or tombstoned (matching the
     /// server's read-set validation convention).
     fn rpc_get_seq(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, u32), StoreError> {
-        for _ in 0..=self.cfg.max_rpc_retries {
+        for _ in 0..=MAX_RPC_RETRIES {
             let resp = self.rpc(&Request::Get { key: key.to_vec() })?;
             let Response::Get {
                 status,
@@ -977,7 +972,7 @@ impl Client {
             }
             let v_start = hdr.value_off();
             let value = &obj[v_start..v_start + hdr.vlen as usize];
-            if self.cfg.verify_value_crc && crc32c(value) != hdr.crc {
+            if crc32c(value) != hdr.crc {
                 // The server's copy failed the end-to-end check (bit-rot
                 // not yet scrubbed, or a clean racing us): bounded retry.
                 self.note_get_retry();
@@ -1144,7 +1139,7 @@ impl Client {
         }
         let v_start = hdr.value_off();
         let value = &obj[v_start..v_start + hdr.vlen as usize];
-        if self.cfg.verify_value_crc && crc32c(value) != hdr.crc {
+        if crc32c(value) != hdr.crc {
             return busy(self);
         }
         Ok(SnapOutcome::Value(value.to_vec()))

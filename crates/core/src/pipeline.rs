@@ -20,7 +20,7 @@
 //! contract — a retry of an older id would be discarded while a newer id
 //! executed, starving the older operation. Giving every pipeline slot a
 //! full [`StoreClient`] (own QP per shard, own monotonic ids, own
-//! retry/backoff/`verify_grace` machinery, own failover or placement
+//! retry/backoff/`VERIFY_GRACE` machinery, own failover or placement
 //! re-resolution) composes concurrency with the retry, dedup, and
 //! lost-update guards *without touching their semantics* — every shard
 //! sees `window` perfectly ordinary clients, on any topology.

@@ -55,7 +55,7 @@ use efactory_rnic::{Fabric, Node};
 use crate::hashtable::{fingerprint, Ctl};
 use crate::layout::{self, flags, ObjHeader, NIL};
 use crate::log::StoreLayout;
-use crate::server::{Server, ServerConfig};
+use crate::server::{Server, ServerConfig, MAX_KLEN, MAX_VLEN};
 
 /// What recovery found and did.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -99,7 +99,7 @@ pub fn recover(
             heads[i] = r.base();
             continue;
         }
-        let (region_objs, head) = r.scan_for_recovery(&pool, cfg.max_klen, cfg.max_vlen);
+        let (region_objs, head) = r.scan_for_recovery(&pool, MAX_KLEN, MAX_VLEN);
         objs.extend(region_objs);
         heads[i] = head;
     }
@@ -166,7 +166,7 @@ pub fn recover(
             let mut off = start;
             while off != 0 && off != NIL && in_bounds(off) {
                 let hdr = ObjHeader::read_from(&pool, off as usize);
-                if hdr.klen as usize > cfg.max_klen || hdr.vlen as usize > cfg.max_vlen {
+                if hdr.klen as usize > MAX_KLEN || hdr.vlen as usize > MAX_VLEN {
                     break;
                 }
                 let key = layout::read_key(&pool, off as usize, &hdr);
@@ -274,17 +274,13 @@ pub fn recover(
 /// would destroy fully-mirrored data. The fill heuristic plus dual-slot
 /// candidate walks recover such a mixed image correctly; the records
 /// would not. Returns how many records were erased.
-pub fn neutralize_clean_records(
-    pool: &PmemPool,
-    layout: &StoreLayout,
-    cfg: &ServerConfig,
-) -> usize {
+pub fn neutralize_clean_records(pool: &PmemPool, layout: &StoreLayout) -> usize {
     let mut erased = 0;
     for r in layout.regions().iter() {
         if r.is_empty() {
             continue;
         }
-        let (objs, _head) = r.scan_for_recovery(pool, cfg.max_klen, cfg.max_vlen);
+        let (objs, _head) = r.scan_for_recovery(pool, MAX_KLEN, MAX_VLEN);
         for off in objs {
             let hdr = ObjHeader::read_from(pool, off);
             if crate::cleaner::decode_clean_record(pool, off, &hdr).is_some() {

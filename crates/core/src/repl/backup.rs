@@ -26,7 +26,7 @@ use super::{PromotedStore, ReplHandle, ReplStats};
 use crate::hashtable::{fingerprint, HashTable};
 use crate::layout::{self, flags, ObjHeader, HDR_LEN};
 use crate::log::{LogRegion, StoreLayout};
-use crate::server::ServerConfig;
+use crate::server::{ServerConfig, MAX_KLEN, MAX_VLEN, VERIFY_STEP_COST};
 
 /// Everything the backup's apply process needs.
 pub(crate) struct BackupCtx {
@@ -112,7 +112,7 @@ fn promote(ctx: BackupCtx) {
     let mut sp = tracer.span(Subsystem::Repl, "promote");
     let mut cfg = ctx.cfg.clone();
     cfg.counter_prefix = format!("{}promoted.", ctx.cfg.counter_prefix);
-    let erased = crate::recovery::neutralize_clean_records(&ctx.pool, &ctx.layout, &cfg);
+    let erased = crate::recovery::neutralize_clean_records(&ctx.pool, &ctx.layout);
     sp.arg("clean_records_erased", erased as u64);
     let (srv, report) = crate::recovery::recover(
         &ctx.fabric,
@@ -154,7 +154,7 @@ fn apply_range(
             // promotion's recovery scan will also stop here.
             break;
         }
-        if hdr.klen as usize > ctx.cfg.max_klen || hdr.vlen as usize > ctx.cfg.max_vlen {
+        if hdr.klen as usize > MAX_KLEN || hdr.vlen as usize > MAX_VLEN {
             ctx.stats.apply_failures.inc();
             break;
         }
@@ -179,7 +179,7 @@ fn apply_object(
 ) {
     // Same CRC the primary's verifier paid: the backup re-verifies before
     // persisting, which is what makes its durability promise *remote*.
-    sim::work(ctx.cfg.verify_step_cost + ctx.cost.crc_hw(hdr.vlen as usize));
+    sim::work(VERIFY_STEP_COST + ctx.cost.crc_hw(hdr.vlen as usize));
     let intact = hdr.has(flags::VALID) && {
         let value = layout::read_value(&ctx.pool, off, hdr);
         efactory_checksum::crc32c(&value) == hdr.crc

@@ -222,7 +222,7 @@ impl Backup {
     pub(crate) fn start(&self, fabric: &Arc<Fabric>, primary: &Node) -> ReplTarget {
         let listener =
             self.node
-                .listen_with(fabric, self.cfg.batched_recv, self.cfg.doorbell_batch);
+                .listen_with(fabric, crate::server::BATCHED_RECV, self.cfg.doorbell_batch);
         let ctx = backup::BackupCtx {
             fabric: Arc::clone(fabric),
             primary: primary.clone(),

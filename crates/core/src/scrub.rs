@@ -55,7 +55,7 @@ use efactory_sim as sim;
 use crate::layout::{self, flags, ObjHeader, NIL};
 use crate::log::LogRegion;
 use crate::repl::ReplTarget;
-use crate::server::{CleanPhase, ServerShared};
+use crate::server::{CleanPhase, ServerShared, MAX_KLEN, MAX_VLEN, SCRUB_STEP_COST};
 
 /// Scrubber counters (monotonic), registered under `{prefix}scrub.*`.
 #[derive(Debug, Default)]
@@ -142,7 +142,7 @@ pub fn run(shared: &Arc<ServerShared>, fabric: &Arc<Fabric>, repl: Option<&ReplT
                 break;
             }
             off += scrub_object(shared, repair.as_ref(), off, region, epoch0);
-            sim::work(shared.cfg.scrub_step_cost);
+            sim::work(SCRUB_STEP_COST);
         }
         if !halted {
             shared.scrub.passes.inc();
@@ -162,9 +162,9 @@ fn clean_moved(shared: &ServerShared, epoch0: u64) -> bool {
 }
 
 /// Whether a header can be trusted to size the object it heads.
-fn header_sane(shared: &ServerShared, hdr: &ObjHeader, off: usize, head: usize) -> bool {
-    hdr.klen as usize <= shared.cfg.max_klen
-        && hdr.vlen as usize <= shared.cfg.max_vlen
+fn header_sane(hdr: &ObjHeader, off: usize, head: usize) -> bool {
+    hdr.klen as usize <= MAX_KLEN
+        && hdr.vlen as usize <= MAX_VLEN
         && off + hdr.object_size() <= head
 }
 
@@ -180,7 +180,7 @@ fn scrub_object(
 ) -> usize {
     let head = region.head();
     let hdr = ObjHeader::read_from(&shared.pool, off);
-    if !header_sane(shared, &hdr, off, head) {
+    if !header_sane(&hdr, off, head) {
         if clean_moved(shared, epoch0) {
             // The cleaner owns this pool now; the walk loop will halt the
             // pass. Don't quarantine what may be a half-relocated object
@@ -268,7 +268,7 @@ fn next_reachable(shared: &ServerShared, region: &LogRegion, after: usize) -> Op
                     break;
                 }
                 let hdr = ObjHeader::read_from(&shared.pool, off);
-                if !header_sane(shared, &hdr, off, head) {
+                if !header_sane(&hdr, off, head) {
                     break;
                 }
                 if off > after && best.is_none_or(|b| off < b) {
@@ -297,7 +297,7 @@ fn try_repair(
     // *backup's* header (offsets are 1:1 by construction).
     let hdr_bytes = src.qp.rdma_read(&src.mr, off, layout::HDR_LEN).ok()?;
     let bhdr = ObjHeader::decode(&hdr_bytes)?;
-    if !header_sane(shared, &bhdr, off, head) || !bhdr.has(flags::VALID) {
+    if !header_sane(&bhdr, off, head) || !bhdr.has(flags::VALID) {
         return None;
     }
     let size = bhdr.object_size();

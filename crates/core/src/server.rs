@@ -64,6 +64,23 @@ impl CleanPhase {
     }
 }
 
+/// Fixed CPU charge per object the verifier touches.
+pub const VERIFY_STEP_COST: Nanos = 50;
+
+/// Fixed CPU charge per object the scrubber touches.
+pub const SCRUB_STEP_COST: Nanos = 50;
+
+/// eFactory posts its receive regions through the batched ring (its
+/// optimization over posting them one at a time, as the baselines do).
+pub const BATCHED_RECV: bool = true;
+
+/// Sanity bound on a key's length when scanning or validating a log
+/// object's header (recovery, cleaning, scrubbing, mirroring).
+pub const MAX_KLEN: usize = 256;
+
+/// Sanity bound on a value's length, for the same header checks.
+pub const MAX_VLEN: usize = 16 << 20;
+
 /// Tunables for an eFactory server.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -73,25 +90,17 @@ pub struct ServerConfig {
     /// Verifier sleep when it has nothing to do (or is head-of-line
     /// blocked on an in-flight object).
     pub verify_idle: Nanos,
-    /// Fixed CPU charge per object the verifier touches.
-    pub verify_step_cost: Nanos,
     /// Start log cleaning when the active pool passes this fill fraction.
     pub clean_threshold: f64,
     /// Whether the cleaner process runs at all (needs a second pool).
     pub clean_enabled: bool,
     /// Cleaner poll period while idle.
     pub clean_poll: Nanos,
-    /// Use the batched receive-region ring (eFactory's optimization).
-    pub batched_recv: bool,
     /// Doorbell batching: post recv WRs (and issue the verifier's flush
     /// fences) in chains of this length, amortizing the per-post MMIO cost.
-    /// `0` or `1` keeps the flat per-message charging selected by
-    /// `batched_recv` and per-object verifier fences.
+    /// `0` or `1` keeps the batched ring's flat per-message charging and
+    /// per-object verifier fences.
     pub doorbell_batch: usize,
-    /// Recovery scan sanity bounds.
-    pub max_klen: usize,
-    /// Recovery scan sanity bounds.
-    pub max_vlen: usize,
     /// Run the background CRC scrubber ([`crate::scrub`]). Off by default:
     /// it only earns its keep when media faults are being injected (or
     /// modeled), and every experiment that wants it opts in.
@@ -99,8 +108,6 @@ pub struct ServerConfig {
     /// Scrubber sleep between passes over the log (and while cleaning is
     /// in progress).
     pub scrub_interval: Nanos,
-    /// Fixed CPU charge per object the scrubber touches.
-    pub scrub_step_cost: Nanos,
     /// Presumed-abort timeout for prepared (in-doubt) transactions: a 2PC
     /// participant whose coordinator has not decided within this window is
     /// unilaterally aborted by the handler's sweep. Must exceed the
@@ -123,17 +130,12 @@ impl Default for ServerConfig {
         ServerConfig {
             verify_timeout: sim::micros(200),
             verify_idle: sim::micros(2),
-            verify_step_cost: 50,
             clean_threshold: 0.7,
             clean_enabled: true,
             clean_poll: sim::micros(20),
-            batched_recv: true,
             doorbell_batch: 0,
-            max_klen: 256,
-            max_vlen: 16 << 20,
             scrub_enabled: false,
             scrub_interval: sim::micros(50),
-            scrub_step_cost: 50,
             txn_abort_timeout: sim::millis(5),
             snap_serve_stale: false,
             counter_prefix: String::new(),
@@ -594,10 +596,9 @@ impl Server {
         repl: Option<crate::repl::ReplTarget>,
     ) -> Arc<ServerShared> {
         let shared = Arc::clone(&self.shared);
-        let listener =
-            shared
-                .node
-                .listen_with(fabric, shared.cfg.batched_recv, shared.cfg.doorbell_batch);
+        let listener = shared
+            .node
+            .listen_with(fabric, BATCHED_RECV, shared.cfg.doorbell_batch);
         let notifier = listener.notifier();
         *shared.notifier.lock().unwrap() = Some(listener.notifier());
         let suffix = process_suffix(&shared.cfg);

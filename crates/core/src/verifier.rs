@@ -30,7 +30,7 @@ use efactory_sim as sim;
 
 use crate::layout::{flags, ObjHeader};
 use crate::repl::Mirror;
-use crate::server::{MigrateSlot, ServerShared};
+use crate::server::{MigrateSlot, ServerShared, VERIFY_STEP_COST};
 
 /// Outcome of one verifier step (exposed for tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +197,7 @@ fn step_inner(shared: &ServerShared, defer_fence: bool) -> (StepOutcome, Option<
     }
 
     if !hdr.has(flags::VALID) || hdr.has(flags::DURABLE) {
-        sim::work(shared.cfg.verify_step_cost);
+        sim::work(VERIFY_STEP_COST);
         advance(shared);
         return (StepOutcome::Skipped, Some((cur, size)));
     }
@@ -212,7 +212,7 @@ fn step_inner(shared: &ServerShared, defer_fence: bool) -> (StepOutcome, Option<
         .tracer
         .span(Subsystem::Verifier, "crc_verify");
     sp.arg("off", cur as u64);
-    sim::work(shared.cfg.verify_step_cost + shared.cost.crc_hw(hdr.vlen as usize));
+    sim::work(VERIFY_STEP_COST + shared.cost.crc_hw(hdr.vlen as usize));
     let matched = shared.crc_matches(cur, &hdr);
     drop(sp);
     if matched {

@@ -13,10 +13,7 @@ use efactory::pipeline::{OpCompletion, OpKind, PipelineConfig, PipelinedClient};
 use efactory::protocol::{Status, StoreError};
 use efactory::server::ServerConfig;
 use efactory::store::{Routes, Store, StoreClient};
-use efactory_baselines::{
-    CaNoperClient, CaNoperServer, ErdaClient, ErdaServer, ForcaClient, ForcaServer, ImmClient,
-    ImmServer, RpcClient, RpcServer, SawClient, SawServer,
-};
+use efactory_baselines::{Baseline, BaselineClient, BaselineServer};
 use efactory_obs::{Breakdown, FoldConfig, Obs, Subsystem};
 use efactory_pmem::PmemPool;
 use efactory_rnic::{CostModel, Fabric, FaultPlan, Node};
@@ -64,7 +61,20 @@ impl SystemKind {
 
     /// eFactory, with or without the hybrid read.
     pub fn is_efactory(self) -> bool {
-        matches!(self, SystemKind::EFactory | SystemKind::EFactoryNoHr)
+        self.baseline().is_none()
+    }
+
+    /// The comparison system this kind runs; `None` for eFactory.
+    pub fn baseline(self) -> Option<Baseline> {
+        Some(match self {
+            SystemKind::EFactory | SystemKind::EFactoryNoHr => return None,
+            SystemKind::Saw => Baseline::Saw,
+            SystemKind::Imm => Baseline::Imm,
+            SystemKind::Erda => Baseline::Erda,
+            SystemKind::Forca => Baseline::Forca,
+            SystemKind::CaNoper => Baseline::CaNoper,
+            SystemKind::Rpc => Baseline::Rpc,
+        })
     }
 
     /// The six systems of Figures 9/10, in the paper's legend order.
@@ -347,12 +357,7 @@ struct Collected {
 enum AnyServer {
     Store(Store),
     Cluster(Cluster),
-    Saw(SawServer),
-    Imm(ImmServer),
-    Erda(ErdaServer),
-    Forca(ForcaServer),
-    CaNoper(CaNoperServer),
-    Rpc(RpcServer),
+    Baseline(BaselineServer),
 }
 
 impl AnyServer {
@@ -360,12 +365,7 @@ impl AnyServer {
         match self {
             AnyServer::Store(s) => s.start(fabric),
             AnyServer::Cluster(c) => c.start(),
-            AnyServer::Saw(s) => s.start(fabric),
-            AnyServer::Imm(s) => s.start(fabric),
-            AnyServer::Erda(s) => s.start(fabric),
-            AnyServer::Forca(s) => s.start(fabric),
-            AnyServer::CaNoper(s) => s.start(fabric),
-            AnyServer::Rpc(s) => s.start(fabric),
+            AnyServer::Baseline(s) => s.start(fabric),
         }
     }
 
@@ -373,12 +373,7 @@ impl AnyServer {
         match self {
             AnyServer::Store(s) => s.shutdown(),
             AnyServer::Cluster(c) => c.shutdown(),
-            AnyServer::Saw(s) => s.shutdown(),
-            AnyServer::Imm(s) => s.shutdown(),
-            AnyServer::Erda(s) => s.shutdown(),
-            AnyServer::Forca(s) => s.shutdown(),
-            AnyServer::CaNoper(s) => s.shutdown(),
-            AnyServer::Rpc(s) => s.shutdown(),
+            AnyServer::Baseline(s) => s.shutdown(),
         }
     }
 
@@ -390,7 +385,7 @@ impl AnyServer {
         match self {
             AnyServer::Store(s) => s.stat_sum(pick),
             AnyServer::Cluster(c) => c.stat_sum(pick),
-            other => pick(&other.baseline().stats).get(),
+            AnyServer::Baseline(s) => pick(s.stats()).get(),
         }
     }
 
@@ -399,21 +394,7 @@ impl AnyServer {
         match self {
             AnyServer::Store(s) => s.routes(),
             AnyServer::Cluster(c) => c.routes(),
-            _ => unreachable!("baselines have no routed client"),
-        }
-    }
-
-    fn baseline(&self) -> &efactory_baselines::common::BaseServer {
-        match self {
-            AnyServer::Store(_) | AnyServer::Cluster(_) => {
-                unreachable!("eFactory stores are not baselines")
-            }
-            AnyServer::Saw(s) => s.base(),
-            AnyServer::Imm(s) => s.base(),
-            AnyServer::Erda(s) => s.base(),
-            AnyServer::Forca(s) => s.base(),
-            AnyServer::CaNoper(s) => s.base(),
-            AnyServer::Rpc(s) => s.base(),
+            AnyServer::Baseline(_) => unreachable!("baselines have no routed client"),
         }
     }
 
@@ -448,21 +429,20 @@ impl AnyServer {
                     attach(&c.shard_pool(g), &format!("{seat}."));
                 }
             }
-            other => {
-                other.baseline().stats.register(&obs.registry);
-                attach(&other.baseline().pool, "");
+            AnyServer::Baseline(s) => {
+                s.stats().register(&obs.registry);
+                attach(s.pool(), "");
             }
         }
     }
 
     /// Connect a workload client: the routed client for eFactory, the
-    /// baseline's own client (against the run's `server` node) otherwise.
+    /// baseline's own client (through its server) otherwise.
     fn connect(
         &self,
         spec: &ExperimentSpec,
         fabric: &Arc<Fabric>,
         local: &Node,
-        server_node: &Node,
         obs: &Obs,
     ) -> Box<dyn RemoteKv> {
         fn boxed<C: RemoteKv + 'static>(
@@ -470,7 +450,6 @@ impl AnyServer {
         ) -> Result<Box<dyn RemoteKv>, StoreError> {
             c.map(|c| Box::new(c) as Box<dyn RemoteKv>)
         }
-        let sn = server_node;
         let connected = match self {
             AnyServer::Store(_) | AnyServer::Cluster(_) => boxed(StoreClient::connect(
                 fabric,
@@ -478,12 +457,7 @@ impl AnyServer {
                 &self.routes(),
                 client_cfg(spec, obs),
             )),
-            AnyServer::Saw(s) => boxed(SawClient::connect(fabric, local, sn, s.desc())),
-            AnyServer::Imm(s) => boxed(ImmClient::connect(fabric, local, sn, s.desc())),
-            AnyServer::Erda(s) => boxed(ErdaClient::connect(fabric, local, sn, s.desc())),
-            AnyServer::Forca(s) => boxed(ForcaClient::connect(fabric, local, sn, s.desc())),
-            AnyServer::CaNoper(s) => boxed(CaNoperClient::connect(fabric, local, sn, s.desc())),
-            AnyServer::Rpc(s) => boxed(RpcClient::connect(fabric, local, sn, s.desc())),
+            AnyServer::Baseline(s) => boxed(BaselineClient::connect(fabric, local, s)),
         };
         connected.unwrap_or_else(|e| panic!("{}: client connect failed: {e}", spec.system.label()))
     }
@@ -526,8 +500,8 @@ fn build_server(
         1.3,
         false,
     );
-    if !spec.system.is_efactory() {
-        return build_baseline(fabric, node, spec.system, sized);
+    if let Some(kind) = spec.system.baseline() {
+        return AnyServer::Baseline(BaselineServer::format(kind, fabric, node, sized));
     }
     let (layout, mut cfg) = match spec.cleaning {
         Cleaning::Disabled => (
@@ -571,18 +545,6 @@ fn build_server(
     } else {
         Store::format(fabric, "server", layout, cfg, spec.shards, spec.replicas)
     })
-}
-
-fn build_baseline(fabric: &Fabric, node: &Node, kind: SystemKind, sized: StoreLayout) -> AnyServer {
-    match kind {
-        SystemKind::EFactory | SystemKind::EFactoryNoHr => unreachable!(),
-        SystemKind::Saw => AnyServer::Saw(SawServer::format(fabric, node, sized)),
-        SystemKind::Imm => AnyServer::Imm(ImmServer::format(fabric, node, sized)),
-        SystemKind::Erda => AnyServer::Erda(ErdaServer::format(fabric, node, sized)),
-        SystemKind::Forca => AnyServer::Forca(ForcaServer::format(fabric, node, sized)),
-        SystemKind::CaNoper => AnyServer::CaNoper(CaNoperServer::format(fabric, node, sized)),
-        SystemKind::Rpc => AnyServer::Rpc(RpcServer::format(fabric, node, sized)),
-    }
 }
 
 /// Drive one client's workload through a [`PipelinedClient`]
@@ -792,7 +754,7 @@ fn run_inner(
 
         // ---- preload ------------------------------------------------------
         let loader_node = f2.add_node("loader");
-        let loader = server2.connect(&spec2, &f2, &loader_node, &server_node, &obs2);
+        let loader = server2.connect(&spec2, &f2, &loader_node, &obs2);
         let wl = WorkloadConfig {
             mix: spec2.mix,
             record_count: spec2.record_count,
@@ -901,7 +863,6 @@ fn run_inner(
         let mut snap_handles = Vec::new();
         for rid in 0..spec2.snap_readers {
             let f3 = Arc::clone(&f2);
-            let sn = server_node.clone();
             let spec3 = spec2.clone();
             let wl = wl.clone();
             let obs3 = obs2.clone();
@@ -909,7 +870,7 @@ fn run_inner(
             let stop = Arc::clone(&snap_stop);
             snap_handles.push(sim::spawn(&format!("snap-reader-{rid}"), move || {
                 let node = f3.add_node(&format!("snapnode-{rid}"));
-                let client = server3.connect(&spec3, &f3, &node, &sn, &obs3);
+                let client = server3.connect(&spec3, &f3, &node, &obs3);
                 let kv = client
                     .txn()
                     .expect("validate() keeps snapshot readers on eFactory");
@@ -947,7 +908,6 @@ fn run_inner(
         let mut handles = Vec::new();
         for cid in 0..spec2.clients {
             let f3 = Arc::clone(&f2);
-            let sn = server_node.clone();
             let spec3 = spec2.clone();
             let wl = wl.clone();
             let collected3 = Arc::clone(&collected2);
@@ -971,7 +931,7 @@ fn run_inner(
                         &mut put,
                     );
                 } else {
-                    let kv = server3.connect(&spec3, &f3, &node, &sn, &obs3);
+                    let kv = server3.connect(&spec3, &f3, &node, &obs3);
                     run_serial(&*kv, spec3.ops_per_client, &mut stream, &mut get, &mut put);
                 }
                 let mut c = collected3.lock().unwrap();

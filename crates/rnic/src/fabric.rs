@@ -886,6 +886,11 @@ impl ClientQp {
         self.id
     }
 
+    /// The fabric's cost model, for client-side CPU charges.
+    pub fn cost(&self) -> &CostModel {
+        &self.cost
+    }
+
     fn guard_both(&self) -> Result<(), QpError> {
         self.local.guard()?;
         self.remote.guard()

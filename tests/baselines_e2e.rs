@@ -4,11 +4,7 @@
 use std::sync::Arc;
 
 use efactory::log::StoreLayout;
-use efactory_baselines::common::baseline_layout;
-use efactory_baselines::{
-    CaNoperClient, CaNoperServer, ErdaClient, ErdaServer, ForcaClient, ForcaServer, ImmClient,
-    ImmServer, RpcClient, RpcServer, SawClient, SawServer,
-};
+use efactory_baselines::{baseline_layout, Baseline, BaselineClient, BaselineServer};
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -33,15 +29,15 @@ where
 }
 
 macro_rules! roundtrip_test {
-    ($name:ident, $server:ident, $client:ident) => {
+    ($name:ident, $kind:ident) => {
         #[test]
         fn $name() {
             in_sim(1, |f| {
                 let sn = f.add_node("server");
-                let srv = $server::format(f, &sn, layout());
+                let srv = BaselineServer::format(Baseline::$kind, f, &sn, layout());
                 srv.start(f);
                 let cn = f.add_node("client");
-                let c = $client::connect(f, &cn, &sn, srv.desc()).unwrap();
+                let c = BaselineClient::connect(f, &cn, &srv).unwrap();
                 // Insert, read, overwrite, read.
                 c.put(b"key-a", b"value-1").unwrap();
                 assert_eq!(c.get(b"key-a").unwrap().as_deref(), Some(&b"value-1"[..]));
@@ -61,35 +57,35 @@ macro_rules! roundtrip_test {
     };
 }
 
-roundtrip_test!(ca_noper_roundtrip, CaNoperServer, CaNoperClient);
-roundtrip_test!(rpc_roundtrip, RpcServer, RpcClient);
-roundtrip_test!(saw_roundtrip, SawServer, SawClient);
-roundtrip_test!(imm_roundtrip, ImmServer, ImmClient);
-roundtrip_test!(erda_roundtrip, ErdaServer, ErdaClient);
-roundtrip_test!(forca_roundtrip, ForcaServer, ForcaClient);
+roundtrip_test!(ca_noper_roundtrip, CaNoper);
+roundtrip_test!(rpc_roundtrip, Rpc);
+roundtrip_test!(saw_roundtrip, Saw);
+roundtrip_test!(imm_roundtrip, Imm);
+roundtrip_test!(erda_roundtrip, Erda);
+roundtrip_test!(forca_roundtrip, Forca);
 
 /// SAW and IMM promise durability on PUT ack: an acked write must survive a
 /// worst-case crash.
 macro_rules! durable_on_ack_test {
-    ($name:ident, $server:ident, $client:ident) => {
+    ($name:ident, $kind:ident) => {
         #[test]
         fn $name() {
             in_sim(2, |f| {
                 let sn = f.add_node("server");
-                let srv = $server::format(f, &sn, layout());
-                let pool = Arc::clone(&srv.base().pool);
+                let srv = BaselineServer::format(Baseline::$kind, f, &sn, layout());
+                let pool = Arc::clone(srv.pool());
                 srv.start(f);
                 let cn = f.add_node("client");
-                let c = $client::connect(f, &cn, &sn, srv.desc()).unwrap();
+                let c = BaselineClient::connect(f, &cn, &srv).unwrap();
                 c.put(b"durable-key", b"durable-value").unwrap();
                 // Crash instantly: every unflushed line dies.
                 let mut rng = StdRng::seed_from_u64(9);
                 f.crash_node(&sn, CrashSpec::DropAll, &mut rng);
                 f.restart_node(&sn);
-                let srv2 = $server::recover(f, &sn, pool, layout());
+                let srv2 = BaselineServer::recover(Baseline::$kind, f, &sn, pool, layout());
                 srv2.start(f);
                 let cn2 = f.add_node("client2");
-                let c2 = $client::connect(f, &cn2, &sn, srv2.desc()).unwrap();
+                let c2 = BaselineClient::connect(f, &cn2, &srv2).unwrap();
                 assert_eq!(
                     c2.get(b"durable-key").unwrap().as_deref(),
                     Some(&b"durable-value"[..]),
@@ -101,9 +97,9 @@ macro_rules! durable_on_ack_test {
     };
 }
 
-durable_on_ack_test!(saw_put_is_durable_on_ack, SawServer, SawClient);
-durable_on_ack_test!(imm_put_is_durable_on_ack, ImmServer, ImmClient);
-durable_on_ack_test!(rpc_put_is_durable_on_ack, RpcServer, RpcClient);
+durable_on_ack_test!(saw_put_is_durable_on_ack, Saw);
+durable_on_ack_test!(imm_put_is_durable_on_ack, Imm);
+durable_on_ack_test!(rpc_put_is_durable_on_ack, Rpc);
 
 /// CA w/o persistence: the motivating hazard — an acked PUT is simply gone
 /// after a crash (metadata pointed at data that never reached media).
@@ -111,20 +107,20 @@ durable_on_ack_test!(rpc_put_is_durable_on_ack, RpcServer, RpcClient);
 fn ca_noper_loses_acked_puts_on_crash() {
     in_sim(3, |f| {
         let sn = f.add_node("server");
-        let srv = CaNoperServer::format(f, &sn, layout());
-        let pool = Arc::clone(&srv.base().pool);
+        let srv = BaselineServer::format(Baseline::CaNoper, f, &sn, layout());
+        let pool = Arc::clone(srv.pool());
         srv.start(f);
         let cn = f.add_node("client");
-        let c = CaNoperClient::connect(f, &cn, &sn, srv.desc()).unwrap();
+        let c = BaselineClient::connect(f, &cn, &srv).unwrap();
         c.put(b"k", b"acked-but-volatile").unwrap();
         assert!(c.get(b"k").unwrap().is_some(), "readable before crash");
         let mut rng = StdRng::seed_from_u64(4);
         f.crash_node(&sn, CrashSpec::DropAll, &mut rng);
         f.restart_node(&sn);
-        let srv2 = CaNoperServer::recover(f, &sn, pool, layout());
+        let srv2 = BaselineServer::recover(Baseline::CaNoper, f, &sn, pool, layout());
         srv2.start(f);
         let cn2 = f.add_node("client2");
-        let c2 = CaNoperClient::connect(f, &cn2, &sn, srv2.desc()).unwrap();
+        let c2 = BaselineClient::connect(f, &cn2, &srv2).unwrap();
         // Not even the metadata survived (nothing was flushed): key gone.
         assert_eq!(c2.get(b"k").unwrap(), None, "CA w/o persistence kept data?");
         srv2.shutdown();
@@ -137,11 +133,11 @@ fn ca_noper_loses_acked_puts_on_crash() {
 fn erda_crc_fallback_reads_previous_version_after_crash() {
     in_sim(5, |f| {
         let sn = f.add_node("server");
-        let srv = ErdaServer::format(f, &sn, layout());
-        let pool = Arc::clone(&srv.base().pool);
+        let srv = BaselineServer::format(Baseline::Erda, f, &sn, layout());
+        let pool = Arc::clone(srv.pool());
         srv.start(f);
         let cn = f.add_node("client");
-        let c = ErdaClient::connect(f, &cn, &sn, srv.desc()).unwrap();
+        let c = BaselineClient::connect(f, &cn, &srv).unwrap();
         c.put(b"k", b"version-one").unwrap();
         // Evict v1's value to media (model "natural eviction" of cold
         // data): Erda relies on this happening eventually.
@@ -151,10 +147,10 @@ fn erda_crc_fallback_reads_previous_version_after_crash() {
         let mut rng = StdRng::seed_from_u64(6);
         f.crash_node(&sn, CrashSpec::DropAll, &mut rng);
         f.restart_node(&sn);
-        let srv2 = ErdaServer::recover(f, &sn, pool, layout());
+        let srv2 = BaselineServer::recover(Baseline::Erda, f, &sn, pool, layout());
         srv2.start(f);
         let cn2 = f.add_node("client2");
-        let c2 = ErdaClient::connect(f, &cn2, &sn, srv2.desc()).unwrap();
+        let c2 = BaselineClient::connect(f, &cn2, &srv2).unwrap();
         assert_eq!(
             c2.get(b"k").unwrap().as_deref(),
             Some(&b"version-one"[..]),
@@ -173,11 +169,11 @@ fn erda_crc_fallback_reads_previous_version_after_crash() {
 fn erda_reads_are_non_monotonic_across_crashes() {
     in_sim(7, |f| {
         let sn = f.add_node("server");
-        let srv = ErdaServer::format(f, &sn, layout());
-        let pool = Arc::clone(&srv.base().pool);
+        let srv = BaselineServer::format(Baseline::Erda, f, &sn, layout());
+        let pool = Arc::clone(srv.pool());
         srv.start(f);
         let cn = f.add_node("client");
-        let c = ErdaClient::connect(f, &cn, &sn, srv.desc()).unwrap();
+        let c = BaselineClient::connect(f, &cn, &srv).unwrap();
         c.put(b"k", b"observed").unwrap();
         // The read SUCCEEDS (CRC passes on the volatile data!).
         assert_eq!(c.get(b"k").unwrap().as_deref(), Some(&b"observed"[..]));
@@ -185,10 +181,10 @@ fn erda_reads_are_non_monotonic_across_crashes() {
         let mut rng = StdRng::seed_from_u64(8);
         f.crash_node(&sn, CrashSpec::DropAll, &mut rng);
         f.restart_node(&sn);
-        let srv2 = ErdaServer::recover(f, &sn, pool, layout());
+        let srv2 = BaselineServer::recover(Baseline::Erda, f, &sn, pool, layout());
         srv2.start(f);
         let cn2 = f.add_node("client2");
-        let c2 = ErdaClient::connect(f, &cn2, &sn, srv2.desc()).unwrap();
+        let c2 = BaselineClient::connect(f, &cn2, &srv2).unwrap();
         // ... and after the crash the observed value is gone.
         assert_eq!(
             c2.get(b"k").unwrap(),
@@ -206,21 +202,21 @@ fn erda_reads_are_non_monotonic_across_crashes() {
 fn forca_read_persists_the_value() {
     in_sim(9, |f| {
         let sn = f.add_node("server");
-        let srv = ForcaServer::format(f, &sn, layout());
-        let pool = Arc::clone(&srv.base().pool);
+        let srv = BaselineServer::format(Baseline::Forca, f, &sn, layout());
+        let pool = Arc::clone(srv.pool());
         srv.start(f);
         let cn = f.add_node("client");
-        let c = ForcaClient::connect(f, &cn, &sn, srv.desc()).unwrap();
+        let c = BaselineClient::connect(f, &cn, &srv).unwrap();
         c.put(b"k", b"read-persists-me").unwrap();
         assert!(c.get(b"k").unwrap().is_some(), "server verifies + persists");
 
         let mut rng = StdRng::seed_from_u64(10);
         f.crash_node(&sn, CrashSpec::DropAll, &mut rng);
         f.restart_node(&sn);
-        let srv2 = ForcaServer::recover(f, &sn, pool, layout());
+        let srv2 = BaselineServer::recover(Baseline::Forca, f, &sn, pool, layout());
         srv2.start(f);
         let cn2 = f.add_node("client2");
-        let c2 = ForcaClient::connect(f, &cn2, &sn, srv2.desc()).unwrap();
+        let c2 = BaselineClient::connect(f, &cn2, &srv2).unwrap();
         assert_eq!(
             c2.get(b"k").unwrap().as_deref(),
             Some(&b"read-persists-me"[..])
@@ -235,19 +231,19 @@ fn forca_read_persists_the_value() {
 fn forca_unread_puts_are_lost_but_never_torn() {
     in_sim(11, |f| {
         let sn = f.add_node("server");
-        let srv = ForcaServer::format(f, &sn, layout());
-        let pool = Arc::clone(&srv.base().pool);
+        let srv = BaselineServer::format(Baseline::Forca, f, &sn, layout());
+        let pool = Arc::clone(srv.pool());
         srv.start(f);
         let cn = f.add_node("client");
-        let c = ForcaClient::connect(f, &cn, &sn, srv.desc()).unwrap();
+        let c = BaselineClient::connect(f, &cn, &srv).unwrap();
         c.put(b"k", b"never-read").unwrap();
         let mut rng = StdRng::seed_from_u64(12);
         f.crash_node(&sn, CrashSpec::Words(0.5), &mut rng);
         f.restart_node(&sn);
-        let srv2 = ForcaServer::recover(f, &sn, pool, layout());
+        let srv2 = BaselineServer::recover(Baseline::Forca, f, &sn, pool, layout());
         srv2.start(f);
         let cn2 = f.add_node("client2");
-        let c2 = ForcaClient::connect(f, &cn2, &sn, srv2.desc()).unwrap();
+        let c2 = BaselineClient::connect(f, &cn2, &srv2).unwrap();
         match c2.get(b"k").unwrap() {
             None => {}                               // torn, detected by CRC
             Some(v) => assert_eq!(v, b"never-read"), // survived eviction
@@ -263,16 +259,15 @@ fn forca_unread_puts_are_lost_but_never_torn() {
 fn erda_concurrent_writers_same_key() {
     in_sim(13, |f| {
         let sn = f.add_node("server");
-        let srv = ErdaServer::format(f, &sn, layout());
+        let srv = BaselineServer::format(Baseline::Erda, f, &sn, layout());
         srv.start(f);
         let mut handles = Vec::new();
         for w in 0..4 {
             let f2 = Arc::clone(f);
-            let sn2 = sn.clone();
-            let desc = srv.desc();
+            let srv2 = srv.clone();
             handles.push(sim::spawn(&format!("w{w}"), move || {
                 let cn = f2.add_node(&format!("cn{w}"));
-                let c = ErdaClient::connect(&f2, &cn, &sn2, desc).unwrap();
+                let c = BaselineClient::connect(&f2, &cn, &srv2).unwrap();
                 for i in 0..20 {
                     c.put(b"contested", format!("w{w}i{i}xxxxxxxx").as_bytes())
                         .unwrap();
@@ -283,7 +278,7 @@ fn erda_concurrent_writers_same_key() {
             h.join();
         }
         let cn = f.add_node("reader");
-        let c = ErdaClient::connect(f, &cn, &sn, srv.desc()).unwrap();
+        let c = BaselineClient::connect(f, &cn, &srv).unwrap();
         let v = c.get(b"contested").unwrap().expect("key must exist");
         assert!(v.starts_with(b"w"), "unexpected value");
         srv.shutdown();

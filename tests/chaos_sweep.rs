@@ -411,7 +411,7 @@ fn chaos_replay_is_deterministic() {
 /// legs stay inside the 1 ms deadline, so the old "re-check only after a
 /// retried RPC" guard never fired, the write landed in a version the
 /// verifier had already invalidated, and the PUT reported success while
-/// the update was gone. The `verify_grace` elapsed-time guard must catch
+/// the update was gone. The `VERIFY_GRACE` elapsed-time guard must catch
 /// it: every such PUT is re-issued and the run still converges.
 #[test]
 fn delayed_value_write_past_verifier_timeout_is_reissued_not_lost() {
@@ -708,7 +708,7 @@ fn header_rot_standalone_skips_corpse_and_keeps_scrubbing() {
         assert!(shared.stats.bg_verified.get() >= 3, "never verified");
 
         // Rot the *middle* object's klen field into an unsizable value
-        // (0x0008 → 0xFFF7, far past max_klen).
+        // (0x0008 → 0xFFF7, far past MAX_KLEN).
         let base = shared.logs[0].base();
         let obj_size = layout::object_size(keys[0].len(), v.len());
         let mid_off = base + obj_size;

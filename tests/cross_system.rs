@@ -17,8 +17,7 @@ type ReadLog = Vec<(Vec<u8>, Option<Vec<u8>>)>;
 fn replay(system: SystemKind) -> ReadLog {
     use efactory::log::StoreLayout;
     use efactory::server::{Server, ServerConfig};
-    use efactory_baselines::common::baseline_layout;
-    use efactory_baselines::*;
+    use efactory_baselines::{baseline_layout, BaselineClient, BaselineServer};
     use efactory_rnic::{CostModel, Fabric};
 
     let mut simu = Sim::new(5);
@@ -48,39 +47,15 @@ fn replay(system: SystemKind) -> ReadLog {
                 .unwrap();
                 (Box::new(c), Box::new(move || srv.shutdown()))
             }
-            SystemKind::Saw => {
-                let srv = SawServer::format(&f, &server_node, layout);
+            other => {
+                let kind = other
+                    .baseline()
+                    .expect("eFactory w/o hr is not in this test");
+                let srv = BaselineServer::format(kind, &f, &server_node, layout);
                 srv.start(&f);
-                let c = SawClient::connect(&f, &f.add_node("c"), &server_node, srv.desc()).unwrap();
+                let c = BaselineClient::connect(&f, &f.add_node("c"), &srv).unwrap();
                 (Box::new(c), Box::new(move || srv.shutdown()))
             }
-            SystemKind::Imm => {
-                let srv = ImmServer::format(&f, &server_node, layout);
-                srv.start(&f);
-                let c = ImmClient::connect(&f, &f.add_node("c"), &server_node, srv.desc()).unwrap();
-                (Box::new(c), Box::new(move || srv.shutdown()))
-            }
-            SystemKind::Erda => {
-                let srv = ErdaServer::format(&f, &server_node, layout);
-                srv.start(&f);
-                let c =
-                    ErdaClient::connect(&f, &f.add_node("c"), &server_node, srv.desc()).unwrap();
-                (Box::new(c), Box::new(move || srv.shutdown()))
-            }
-            SystemKind::Forca => {
-                let srv = ForcaServer::format(&f, &server_node, layout);
-                srv.start(&f);
-                let c =
-                    ForcaClient::connect(&f, &f.add_node("c"), &server_node, srv.desc()).unwrap();
-                (Box::new(c), Box::new(move || srv.shutdown()))
-            }
-            SystemKind::Rpc => {
-                let srv = RpcServer::format(&f, &server_node, layout);
-                srv.start(&f);
-                let c = RpcClient::connect(&f, &f.add_node("c"), &server_node, srv.desc()).unwrap();
-                (Box::new(c), Box::new(move || srv.shutdown()))
-            }
-            other => panic!("not in this test: {other:?}"),
         };
         let results = drive_stream(kv.as_ref());
         shutdown();

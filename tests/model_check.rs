@@ -15,11 +15,7 @@ use std::sync::{Arc, Mutex};
 use efactory::client::{Client, ClientConfig, RemoteKv};
 use efactory::log::StoreLayout;
 use efactory::server::{Server, ServerConfig};
-use efactory_baselines::common::baseline_layout;
-use efactory_baselines::{
-    ErdaClient, ErdaServer, ForcaClient, ForcaServer, ImmClient, ImmServer, RpcClient, RpcServer,
-    SawClient, SawServer,
-};
+use efactory_baselines::{baseline_layout, Baseline, BaselineClient, BaselineServer};
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim::Sim;
 use proptest::prelude::*;
@@ -114,7 +110,7 @@ proptest! {
 /// The same sequential-model property for every baseline (fixed random
 /// sequences; baselines lack DELETE so only PUT/GET).
 macro_rules! baseline_model_test {
-    ($name:ident, $server:ident, $client:ident) => {
+    ($name:ident, $kind:ident) => {
         #[test]
         fn $name() {
             for seed in 0..4u64 {
@@ -123,10 +119,11 @@ macro_rules! baseline_model_test {
                 let server_node = fabric.add_node("server");
                 let f = Arc::clone(&fabric);
                 simu.spawn("main", move || {
-                    let srv = $server::format(&f, &server_node, baseline_layout(256, 1 << 20));
+                    let layout = baseline_layout(256, 1 << 20);
+                    let srv = BaselineServer::format(Baseline::$kind, &f, &server_node, layout);
                     srv.start(&f);
                     let cnode = f.add_node("client");
-                    let c = $client::connect(&f, &cnode, &server_node, srv.desc()).unwrap();
+                    let c = BaselineClient::connect(&f, &cnode, &srv).unwrap();
                     let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
                     let mut rng = StdRng::seed_from_u64(seed * 1000 + 1);
                     for _ in 0..120 {
@@ -151,11 +148,11 @@ macro_rules! baseline_model_test {
     };
 }
 
-baseline_model_test!(saw_matches_model, SawServer, SawClient);
-baseline_model_test!(imm_matches_model, ImmServer, ImmClient);
-baseline_model_test!(erda_matches_model, ErdaServer, ErdaClient);
-baseline_model_test!(forca_matches_model, ForcaServer, ForcaClient);
-baseline_model_test!(rpc_matches_model, RpcServer, RpcClient);
+baseline_model_test!(saw_matches_model, Saw);
+baseline_model_test!(imm_matches_model, Imm);
+baseline_model_test!(erda_matches_model, Erda);
+baseline_model_test!(forca_matches_model, Forca);
+baseline_model_test!(rpc_matches_model, Rpc);
 
 /// Concurrent eFactory clients over a shared keyspace: every GET must
 /// return a value some client wrote for that key (or None before any

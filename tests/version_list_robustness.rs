@@ -20,8 +20,7 @@ use efactory::client::{Client, ClientConfig};
 use efactory::log::StoreLayout;
 use efactory::recovery;
 use efactory::server::{Server, ServerConfig};
-use efactory_baselines::common::baseline_layout;
-use efactory_baselines::{ErdaClient, ErdaServer};
+use efactory_baselines::{baseline_layout, Baseline, BaselineClient, BaselineServer};
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -37,10 +36,10 @@ fn erda_loses_key_when_both_tracked_versions_are_torn() {
     let layout = baseline_layout(256, 1 << 20);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
-        let srv = ErdaServer::format(&f, &server_node, layout);
-        let pool = Arc::clone(&srv.base().pool);
+        let srv = BaselineServer::format(Baseline::Erda, &f, &server_node, layout);
+        let pool = Arc::clone(srv.pool());
         srv.start(&f);
-        let c = ErdaClient::connect(&f, &f.add_node("c"), &server_node, srv.desc()).unwrap();
+        let c = BaselineClient::connect(&f, &f.add_node("c"), &srv).unwrap();
         // v1: durable (flush everything, modeling eviction of cold data).
         // Values span many cache lines so a neighbour's header flush cannot
         // accidentally persist a whole value.
@@ -56,9 +55,9 @@ fn erda_loses_key_when_both_tracked_versions_are_torn() {
         let mut rng = StdRng::seed_from_u64(1);
         f.crash_node(&server_node, CrashSpec::DropAll, &mut rng);
         f.restart_node(&server_node);
-        let srv2 = ErdaServer::recover(&f, &server_node, pool, layout);
+        let srv2 = BaselineServer::recover(Baseline::Erda, &f, &server_node, pool, layout);
         srv2.start(&f);
-        let c2 = ErdaClient::connect(&f, &f.add_node("c2"), &server_node, srv2.desc()).unwrap();
+        let c2 = BaselineClient::connect(&f, &f.add_node("c2"), &srv2).unwrap();
         // The 8-byte region tracks only (v3, v2) — both torn. v1 exists in
         // NVM but Erda cannot reach it: the durable value is LOST.
         assert_eq!(
