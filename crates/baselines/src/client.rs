@@ -2,7 +2,7 @@
 
 use efactory::client::RemoteKv;
 use efactory::hashtable::{find_in_window, fingerprint, Entry, BUCKET_LEN, NPROBE};
-use efactory::layout::{self, ObjHeader};
+use efactory::layout::{self, Fetched, ObjHeader};
 use efactory::protocol::{Request, Response, Status, StoreError};
 use efactory::server::StoreDesc;
 use efactory_checksum::crc32c;
@@ -101,11 +101,8 @@ impl BaselineClient {
         if off == 0 {
             return Ok(None);
         }
-        let klen = entry.klen as usize;
-        let Some((hdr, obj)) = self.fetch_object(off, klen, entry.vlen as usize, key)? else {
-            return Ok(None);
-        };
-        Ok(Some(value_of(&hdr, &obj)))
+        let fetched = self.fetch_object(off, entry.klen, entry.vlen, key)?;
+        Ok(fetched.map(|(_, value)| value))
     }
 
     /// Forca and RPC: the server locates the object (Forca also verifies
@@ -126,11 +123,10 @@ impl BaselineClient {
             Status::Ok => {}
             s => return Err(StoreError::Status(s)),
         }
-        let Some((hdr, obj)) = self.fetch_object(obj_off, klen as usize, vlen as usize, key)?
-        else {
+        let Some((_, value)) = self.fetch_object(obj_off, klen, vlen, key)? else {
             return Err(StoreError::Protocol);
         };
-        Ok(Some(value_of(&hdr, &obj)))
+        Ok(Some(value))
     }
 
     /// One-RDMA-read fetch of the probe window; returns the entry for `fp`.
@@ -144,28 +140,19 @@ impl BaselineClient {
         Ok(find_in_window(&window, fp).map(|(_, e)| e))
     }
 
-    /// One-RDMA-read fetch of a whole object; decodes the header and
-    /// validates the key. Returns `(header, object bytes)`.
+    /// One-RDMA-read fetch of a whole object, parsed like eFactory's
+    /// (header, sizes, key) but without its read rule. Returns the header
+    /// and the value bytes.
     pub(crate) fn fetch_object(
         &self,
         off: u64,
-        klen: usize,
-        vlen: usize,
+        klen: u16,
+        vlen: u32,
         key: &[u8],
     ) -> Result<Option<(ObjHeader, Vec<u8>)>, StoreError> {
-        let size = layout::object_size(klen, vlen);
+        let size = layout::object_size(klen as usize, vlen as usize);
         let obj = self.qp.rdma_read(&self.desc.mr, off as usize, size)?;
-        let Some(hdr) = ObjHeader::decode(&obj) else {
-            return Ok(None);
-        };
-        if hdr.klen as usize != key.len() || hdr.klen as usize != klen {
-            return Ok(None);
-        }
-        let ks = hdr.key_off();
-        if &obj[ks..ks + key.len()] != key {
-            return Ok(None);
-        }
-        Ok(Some((hdr, obj)))
+        Ok(Fetched::parse(&obj, key, klen, vlen).map(|f| (f.hdr, f.value().to_vec())))
     }
 }
 
@@ -176,12 +163,6 @@ pub(crate) fn ack(raw: &[u8]) -> Result<(), StoreError> {
         Response::Ack { status } => Err(StoreError::Status(status)),
         _ => Err(StoreError::Protocol),
     }
-}
-
-/// Slice the value out of a fetched object.
-pub(crate) fn value_of(hdr: &ObjHeader, obj: &[u8]) -> Vec<u8> {
-    let vs = hdr.value_off();
-    obj[vs..vs + hdr.vlen as usize].to_vec()
 }
 
 impl RemoteKv for BaselineClient {

@@ -22,14 +22,13 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use efactory::hashtable::{fingerprint, Ctl};
-use efactory::layout::{self, flags, ObjHeader};
+use efactory::layout::{self, flags, ObjHeader, MAX_VLEN};
 use efactory::protocol::{Request, Response, Status, StoreError};
-use efactory::server::MAX_VLEN;
 use efactory_checksum::crc32c;
 use efactory_rnic::Fabric;
 use efactory_sim as sim;
 
-use crate::client::{value_of, BaselineClient};
+use crate::client::BaselineClient;
 use crate::common::{atomic_region, spawn_handler, BaseServer, UNSERVED};
 
 /// Spawn the request handler. Call from within a sim process.
@@ -91,7 +90,7 @@ pub(crate) fn get(c: &BaselineClient, key: &[u8]) -> Result<Option<Vec<u8>>, Sto
     let Some((latest, prev)) = atomic_region::unpack(entry.slot[0]) else {
         return Ok(None);
     };
-    if let Some(v) = fetch_verified(c, latest, entry.klen as usize, entry.vlen as usize, key)? {
+    if let Some(v) = fetch_verified(c, latest, entry.klen, entry.vlen, key)? {
         return Ok(Some(v));
     }
     // Latest incomplete: one extra read of the previous version. Its
@@ -104,21 +103,20 @@ pub(crate) fn get(c: &BaselineClient, key: &[u8]) -> Result<Option<Vec<u8>>, Sto
     if phdr.klen as usize != key.len() || phdr.vlen as usize > MAX_VLEN {
         return Ok(None);
     }
-    fetch_verified(c, prev, phdr.klen as usize, phdr.vlen as usize, key)
+    fetch_verified(c, prev, phdr.klen, phdr.vlen, key)
 }
 
 /// Fetch + CRC-verify the object at `off` (client pays the CRC cost).
 fn fetch_verified(
     c: &BaselineClient,
     off: u64,
-    klen: usize,
-    vlen: usize,
+    klen: u16,
+    vlen: u32,
     key: &[u8],
 ) -> Result<Option<Vec<u8>>, StoreError> {
-    let Some((hdr, obj)) = c.fetch_object(off, klen, vlen, key)? else {
+    let Some((hdr, value)) = c.fetch_object(off, klen, vlen, key)? else {
         return Ok(None);
     };
-    let value = value_of(&hdr, &obj);
     // The client-side CRC on the read critical path — Erda's documented
     // weakness at large values.
     sim::work(c.qp.cost().crc(value.len()));

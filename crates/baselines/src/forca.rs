@@ -18,7 +18,6 @@ use std::sync::Arc;
 use efactory::hashtable::fingerprint;
 use efactory::layout::{self, flags, ObjHeader, NIL};
 use efactory::protocol::{Request, Response, Status};
-use efactory_checksum::crc32c;
 use efactory_rnic::Fabric;
 use efactory_sim as sim;
 
@@ -76,9 +75,9 @@ fn handle_get(b: &BaseServer, key: &[u8]) -> Response {
                 // Verified + persisted by an earlier read.
                 return found;
             }
-            let value = layout::read_value(&b.pool, off as usize, &hdr);
-            sim::work(b.cost.crc(value.len()));
-            if crc32c(&value) == hdr.crc {
+            let intact = layout::value_intact(&b.pool, off as usize, &hdr);
+            sim::work(b.cost.crc(hdr.vlen as usize));
+            if intact {
                 // Persist on the read path and mark verified.
                 let mut lines = b.persist_range(off as usize, hdr.object_size());
                 lines += b.set_durable(off as usize);

@@ -8,7 +8,6 @@
 
 use std::collections::HashMap;
 
-use efactory_checksum::crc32c;
 use efactory_pmem::PmemPool;
 
 use crate::layout::{self, flags, ObjHeader, NIL};
@@ -95,15 +94,13 @@ fn classify(pool: &PmemPool, off: usize, hdr: &ObjHeader) -> VersionState {
     if !hdr.has(flags::VALID) {
         return VersionState::Invalid;
     }
-    let value = layout::read_value(pool, off, hdr);
-    let intact = crc32c(&value) == hdr.crc;
     if hdr.has(flags::DURABLE) {
         if pool.is_persisted(off, hdr.object_size()) {
             VersionState::DurablePersisted
         } else {
             VersionState::DurableVolatile
         }
-    } else if intact {
+    } else if layout::value_intact(pool, off, hdr) {
         VersionState::IntactUnverified
     } else {
         VersionState::Incomplete

@@ -26,7 +26,7 @@ use super::{PromotedStore, ReplHandle, ReplStats};
 use crate::hashtable::{fingerprint, HashTable};
 use crate::layout::{self, flags, ObjHeader, HDR_LEN};
 use crate::log::{LogRegion, StoreLayout};
-use crate::server::{ServerConfig, MAX_KLEN, MAX_VLEN, VERIFY_STEP_COST};
+use crate::server::{ServerConfig, VERIFY_STEP_COST};
 
 /// Everything the backup's apply process needs.
 pub(crate) struct BackupCtx {
@@ -154,7 +154,7 @@ fn apply_range(
             // promotion's recovery scan will also stop here.
             break;
         }
-        if hdr.klen as usize > MAX_KLEN || hdr.vlen as usize > MAX_VLEN {
+        if !hdr.plausible() {
             ctx.stats.apply_failures.inc();
             break;
         }
@@ -180,10 +180,7 @@ fn apply_object(
     // Same CRC the primary's verifier paid: the backup re-verifies before
     // persisting, which is what makes its durability promise *remote*.
     sim::work(VERIFY_STEP_COST + ctx.cost.crc_hw(hdr.vlen as usize));
-    let intact = hdr.has(flags::VALID) && {
-        let value = layout::read_value(&ctx.pool, off, hdr);
-        efactory_checksum::crc32c(&value) == hdr.crc
-    };
+    let intact = hdr.has(flags::VALID) && layout::value_intact(&ctx.pool, off, hdr);
     let mut lines = ctx.pool.flush(off, hdr.object_size());
     ctx.pool.drain();
     if !intact {

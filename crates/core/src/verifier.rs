@@ -28,7 +28,7 @@ use efactory_obs::Subsystem;
 use efactory_rnic::Fabric;
 use efactory_sim as sim;
 
-use crate::layout::{flags, ObjHeader};
+use crate::layout::{self, flags, ObjHeader};
 use crate::repl::Mirror;
 use crate::server::{MigrateSlot, ServerShared, VERIFY_STEP_COST};
 
@@ -213,7 +213,7 @@ fn step_inner(shared: &ServerShared, defer_fence: bool) -> (StepOutcome, Option<
         .span(Subsystem::Verifier, "crc_verify");
     sp.arg("off", cur as u64);
     sim::work(VERIFY_STEP_COST + shared.cost.crc_hw(hdr.vlen as usize));
-    let matched = shared.crc_matches(cur, &hdr);
+    let matched = layout::value_intact(&shared.pool, cur, &hdr);
     drop(sp);
     if matched {
         let mut fl = shared.cfg.obs.tracer.span(Subsystem::Verifier, "flush");

@@ -335,7 +335,7 @@ fn shutdown_mid_clean_unwinds_phase_and_writes_abort_record() {
         // The reserved terminal slot holds a durable Abort record, so a
         // restart's recovery knows the swap never happened.
         let hdr = ObjHeader::read_from(&shared.pool, terminal_off);
-        let rec = efactory::cleaner::decode_clean_record(&shared.pool, terminal_off, &hdr)
+        let rec = efactory::cleaner::decode_clean_record(&shared.pool, terminal_off)
             .expect("terminal slot must hold a decodable cleaning record");
         assert_eq!(rec.stage, efactory::cleaner::STAGE_ABORT);
         assert!(hdr.has(flags::DURABLE));
