@@ -111,7 +111,7 @@ proptest! {
         }
         prop_assert_eq!(region.scan_objects(&pool), expect.clone());
         let fresh = LogRegion::new(0, 1 << 16);
-        let (objs, head) = fresh.scan_for_recovery(&pool, 64, 1 << 12);
+        let (objs, head) = fresh.scan_for_recovery(&pool);
         prop_assert_eq!(objs, expect);
         prop_assert_eq!(head, region.head());
     }
