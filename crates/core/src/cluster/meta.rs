@@ -291,37 +291,23 @@ impl MetaStats {
     }
 }
 
-/// Timing knobs for the service. All deterministic; the election timeout
-/// is staggered per replica so campaigns never tie.
-#[derive(Debug, Clone)]
-pub struct MetaTiming {
-    /// Replica loop tick (listener receive deadline).
-    pub tick: Nanos,
-    /// Leader heartbeat (empty `Append`) period; also the death-sweep
-    /// cadence.
-    pub heartbeat_every: Nanos,
-    /// Base election timeout; replica `r` waits `base + r * stagger`.
-    pub election_base: Nanos,
-    /// Per-replica election stagger.
-    pub election_stagger: Nanos,
-    /// Peer RPC reply deadline (votes, append acks).
-    pub peer_rpc: Nanos,
-    /// A data node silent for this long is proposed down.
-    pub death_timeout: Nanos,
-}
+// Service timing. All deterministic; the election timeout is staggered
+// per replica so campaigns never tie.
 
-impl Default for MetaTiming {
-    fn default() -> Self {
-        MetaTiming {
-            tick: sim::micros(10),
-            heartbeat_every: sim::micros(40),
-            election_base: sim::micros(200),
-            election_stagger: sim::micros(80),
-            peer_rpc: sim::micros(50),
-            death_timeout: sim::micros(400),
-        }
-    }
-}
+/// Metadata replicas (odd).
+const REPLICAS: usize = 3;
+/// Replica loop tick (listener receive deadline).
+const TICK: Nanos = sim::micros(10);
+/// Leader heartbeat (empty `Append`) period; also the death-sweep cadence.
+const HEARTBEAT_EVERY: Nanos = sim::micros(40);
+/// Base election timeout; replica `r` waits `base + r * stagger`.
+const ELECTION_BASE: Nanos = sim::micros(200);
+/// Per-replica election stagger.
+const ELECTION_STAGGER: Nanos = sim::micros(80);
+/// Peer RPC reply deadline (votes, append acks).
+const PEER_RPC: Nanos = sim::micros(50);
+/// A data node silent for this long is proposed down.
+const DEATH_TIMEOUT: Nanos = sim::micros(400);
 
 // ---------------------------------------------------------------------
 // Wire protocol. Peer messages (replica <-> replica) and client messages
@@ -428,47 +414,41 @@ struct Replica {
     last_seen: Vec<Nanos>,
 
     durable: Arc<Mutex<Durable>>,
-    timing: MetaTiming,
     stats: Arc<MetaStats>,
     stop: Arc<AtomicBool>,
 }
 
-/// The service handle: replica nodes + shared state, owned by the
-/// [`Cluster`](super::Cluster).
+/// The service handle: replica nodes + shared state, owned by the control
+/// plane of a [`Store`](crate::store::Store) on several data nodes.
 pub struct MetaService {
     nodes: Vec<Node>,
     /// Per-replica simulated stable storage (survives power failure).
     durable: Vec<Arc<Mutex<Durable>>>,
     data_nodes: usize,
-    timing: MetaTiming,
     stats: Arc<MetaStats>,
     stop: Arc<AtomicBool>,
 }
 
 impl MetaService {
-    /// Create `replicas` replica nodes (named `meta{r}`) on `fabric`.
-    /// Processes start in [`start`](Self::start).
+    /// Create the replica nodes (named `meta{r}`) on `fabric`. Processes
+    /// start in [`start`](Self::start).
     pub fn new(
         fabric: &Fabric,
-        replicas: usize,
         data_nodes: usize,
         init: MetaState,
-        timing: MetaTiming,
         stats: Arc<MetaStats>,
         stop: Arc<AtomicBool>,
     ) -> MetaService {
-        assert!(replicas >= 1 && replicas % 2 == 1, "odd replica count");
-        let nodes = (0..replicas)
+        let nodes = (0..REPLICAS)
             .map(|r| fabric.add_node(&format!("meta{r}")))
             .collect();
-        let durable = (0..replicas)
+        let durable = (0..REPLICAS)
             .map(|_| Arc::new(Mutex::new(Durable::fresh(&init))))
             .collect();
         MetaService {
             nodes,
             durable,
             data_nodes,
-            timing,
             stats,
             stop,
         }
@@ -533,7 +513,6 @@ impl MetaService {
             next_heartbeat: 0,
             last_seen: vec![sim::now(); self.data_nodes],
             durable: Arc::clone(&self.durable[r]),
-            timing: self.timing.clone(),
             stats: Arc::clone(&self.stats),
             stop: Arc::clone(&self.stop),
         };
@@ -547,7 +526,7 @@ impl Replica {
     }
 
     fn election_timeout(&self) -> Nanos {
-        self.timing.election_base + self.r as Nanos * self.timing.election_stagger
+        ELECTION_BASE + self.r as Nanos * ELECTION_STAGGER
     }
 
     fn majority(&self) -> usize {
@@ -583,7 +562,7 @@ impl Replica {
             if self.stopping() {
                 return;
             }
-            match listener.recv_deadline(sim::now() + self.timing.tick) {
+            match listener.recv_deadline(sim::now() + TICK) {
                 Ok(Incoming::Send { from, payload }) => {
                     self.dispatch(&listener, from, &payload);
                 }
@@ -603,7 +582,7 @@ impl Replica {
         let now = sim::now();
         if self.is_leader {
             if now >= self.next_heartbeat {
-                self.next_heartbeat = now + self.timing.heartbeat_every;
+                self.next_heartbeat = now + HEARTBEAT_EVERY;
                 if self.replicate() {
                     self.death_sweep();
                 }
@@ -652,7 +631,7 @@ impl Replica {
             if p == self.r {
                 continue;
             }
-            let deadline = sim::now() + self.timing.peer_rpc;
+            let deadline = sim::now() + PEER_RPC;
             let reply = (|| {
                 let qp = self.peer_qp(p)?;
                 qp.send(req.clone()).ok()?;
@@ -732,7 +711,7 @@ impl Replica {
                 continue;
             }
             self.stats.appends.inc();
-            let deadline = sim::now() + self.timing.peer_rpc;
+            let deadline = sim::now() + PEER_RPC;
             let reply = (|| {
                 let qp = self.peer_qp(p)?;
                 qp.send(msg.clone()).ok()?;
@@ -753,7 +732,7 @@ impl Replica {
                 Some(_) => {}
                 None => {
                     self.peers[p] = None;
-                    self.peer_backoff[p] = sim::now() + 3 * self.timing.heartbeat_every;
+                    self.peer_backoff[p] = sim::now() + 3 * HEARTBEAT_EVERY;
                 }
             }
         }
@@ -837,9 +816,7 @@ impl Replica {
             if !self.is_leader {
                 return; // a failed propose round deposed us mid-sweep
             }
-            if self.state.alive[i]
-                && now.saturating_sub(self.last_seen[i]) > self.timing.death_timeout
-            {
+            if self.state.alive[i] && now.saturating_sub(self.last_seen[i]) > DEATH_TIMEOUT {
                 let cmd = MetaCmd::NodeDown(i as u32);
                 if !self.has_pending(&cmd) {
                     self.propose(cmd);

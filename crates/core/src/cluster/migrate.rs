@@ -52,8 +52,8 @@
 //! Aborting at any step before 7 leaves the source the one owner: the
 //! driver unseals it, detaches the delta stream, and commits
 //! `MigrateAbort`. If the abort proposal itself finds no metadata
-//! majority, the driver parks it ([`Cluster::note_unacked_abort`]) and
-//! [`Cluster::reconcile`] re-proposes it once a majority is reachable —
+//! majority, the driver parks it in the control plane and
+//! [`Store::reconcile`] re-proposes it once a majority is reachable —
 //! otherwise the slot would stay occupied forever, since with both
 //! endpoints alive the death sweep never auto-aborts. A crash of either
 //! endpoint mid-migration is detected by the metadata service's death
@@ -69,11 +69,15 @@ use efactory_sim as sim;
 use sim::Nanos;
 
 use super::meta::{MetaClient, MetaCmd, ProposeOutcome};
-use super::Cluster;
+use super::Plane;
 use crate::protocol::Event;
 use crate::recovery::{self, RecoveryReport};
 use crate::repl::ReplTarget;
 use crate::server::{CleanPhase, MigrateSlot, ServerShared};
+use crate::store::Store;
+
+/// Snapshot and fixup copy chunk (bytes).
+const COPY_CHUNK: usize = 64 * 1024;
 
 /// Why a migration did not commit. In every case the source remains the
 /// owner (the metadata service never saw, or refused, the commit).
@@ -178,7 +182,7 @@ struct Unwind<'a> {
 }
 
 impl Unwind<'_> {
-    fn abort(self, cluster: &Cluster, err: MigrateError) -> MigrateError {
+    fn abort(self, plane: &Plane, err: MigrateError) -> MigrateError {
         if self.attached {
             // Best effort: if the verifier is alive it flushes + drops the
             // delta mirror; if it died with the node, the slot is inert.
@@ -187,7 +191,7 @@ impl Unwind<'_> {
         if self.sealed {
             self.src.unseal();
         }
-        cluster.clear_staged();
+        plane.clear_staged();
         let deadline = sim::now() + sim::millis(2);
         let outcome = self.mc.propose(
             &MetaCmd::MigrateAbort {
@@ -198,11 +202,11 @@ impl Unwind<'_> {
         if matches!(outcome, ProposeOutcome::Unavailable) {
             // The abort may never have reached the log. Both endpoints
             // are (or may be) alive, so the death sweep will never free
-            // the slot for us — park the abort for `Cluster::reconcile`
+            // the slot for us — park the abort for `Store::reconcile`
             // to re-propose once a metadata majority is reachable.
-            cluster.note_unacked_abort(self.shard, self.to);
+            plane.note_unacked_abort(self.shard, self.to);
         }
-        cluster.stats().migrations_aborted.inc();
+        plane.stats.migrations_aborted.inc();
         err
     }
 }
@@ -246,7 +250,7 @@ fn resolve_commit(mc: &mut MetaClient, shard: usize, to: usize) -> Option<Result
     None
 }
 
-impl Cluster {
+impl Store {
     /// Live-migrate `shard` to data node `to`. Runs the full protocol in
     /// the calling (simulated) process; client traffic may keep flowing
     /// throughout. On success the destination serves the shard and every
@@ -254,12 +258,13 @@ impl Cluster {
     /// the drained source would hold.
     pub fn migrate(&self, shard: usize, to: usize) -> Result<MigrationReport, MigrateError> {
         let t_begin = sim::now();
-        let cfg = self.config().clone();
-        let seat = self.handle().seat(shard);
+        let plane = self.plane();
+        let layout = plane.layout;
+        let seat = self.seat(shard);
         let from = seat.owner;
-        let src = seat.shared;
-        let src_node = seat.node;
-        let src_mr = seat.desc.mr;
+        let src = Arc::clone(seat.server.shared());
+        let src_node = src.node.clone();
+        let src_mr = seat.server.desc().mr;
 
         // The driver borrows the destination agent's fabric identity for
         // the control RPCs and the copy verbs.
@@ -297,7 +302,7 @@ impl Cluster {
         }
         // The slot is (again) ours: any abort a previous driver failed to
         // deliver is obsolete, and re-proposing it would kill this run.
-        self.clear_pending_abort();
+        plane.clear_pending_abort();
         self.stats().migrations_started.inc();
 
         // Destination scaffolding: fresh pool, a listener so QPs (the
@@ -305,13 +310,14 @@ impl Cluster {
         // registration covering the whole pool. Offsets line up 1:1 with
         // the source — both pools share one layout.
         let dest_node: Node = self.seat_node(to, shard).clone();
-        let dest_pool = Arc::new(PmemPool::new(cfg.layout.total_len()));
+        let dest_pool = Arc::new(PmemPool::new(layout.total_len()));
         let _dest_listener = dest_node.listen_with(self.fabric(), false, 0);
-        let dest_mr = dest_node.register_mr(&dest_pool, 0, cfg.layout.total_len());
-        // Park the pool in the cluster: it is the destination machine's
-        // NVM and must outlive this driver, whose borrowed endpoint may
-        // die with the destination mid-commit. See `Cluster::reconcile`.
-        self.stage_pool(shard, to, Arc::clone(&dest_pool));
+        let dest_mr = dest_node.register_mr(&dest_pool, 0, layout.total_len());
+        // Park the pool in the control plane: it is the destination
+        // machine's NVM and must outlive this driver, whose borrowed
+        // endpoint may die with the destination mid-commit. See
+        // `Store::reconcile`.
+        plane.stage_pool(shard, to, Arc::clone(&dest_pool));
 
         let mut unwind = Unwind {
             mc: &mut mc,
@@ -337,7 +343,7 @@ impl Cluster {
                 break;
             }
             if sim::now() >= clean_deadline {
-                return Err(unwind.abort(self, MigrateError::CleanTimeout));
+                return Err(unwind.abort(plane, MigrateError::CleanTimeout));
             }
             sim::sleep(sim::micros(50));
         }
@@ -347,7 +353,7 @@ impl Cluster {
             backup: dest_node.clone(),
             mr: dest_mr,
             stats: Arc::clone(self.migrate_repl_stats()),
-            batch: cfg.server.doorbell_batch.max(1),
+            batch: plane.server.doorbell_batch.max(1),
         });
         unwind.attached = true;
         let attach_deadline = sim::now() + sim::millis(2);
@@ -363,10 +369,10 @@ impl Cluster {
                 Some(Ok(cursor)) => break cursor,
                 Some(Err(())) => {
                     unwind.attached = false;
-                    return Err(unwind.abort(self, MigrateError::AttachFailed));
+                    return Err(unwind.abort(plane, MigrateError::AttachFailed));
                 }
                 None if sim::now() >= attach_deadline => {
-                    return Err(unwind.abort(self, MigrateError::AttachFailed));
+                    return Err(unwind.abort(plane, MigrateError::AttachFailed));
                 }
                 None => sim::sleep(sim::micros(2)),
             }
@@ -379,25 +385,25 @@ impl Cluster {
         // would race the delta writes.
         let src_qp = match self.fabric().connect(&local, &src_node) {
             Ok(qp) => qp,
-            Err(_) => return Err(unwind.abort(self, MigrateError::CopyFailed)),
+            Err(_) => return Err(unwind.abort(plane, MigrateError::CopyFailed)),
         };
         let dest_qp = match self.fabric().connect(&local, &dest_node) {
             Ok(qp) => qp,
-            Err(_) => return Err(unwind.abort(self, MigrateError::CopyFailed)),
+            Err(_) => return Err(unwind.abort(plane, MigrateError::CopyFailed)),
         };
         let mut snapshot_bytes = 0u64;
-        let log_base = cfg.layout.regions()[0].base();
+        let log_base = layout.regions()[0].base();
         let prefix_end = (attach_cursor as usize).max(log_base);
         for (lo, hi) in [(0usize, log_base), (log_base, prefix_end)] {
             let mut off = lo;
             while off < hi {
-                let len = cfg.migrate_chunk.min(hi - off);
+                let len = COPY_CHUNK.min(hi - off);
                 let chunk = match read_retry(&src_qp, &src_mr, off, len) {
                     Ok(c) => c,
-                    Err(_) => return Err(unwind.abort(self, MigrateError::CopyFailed)),
+                    Err(_) => return Err(unwind.abort(plane, MigrateError::CopyFailed)),
                 };
                 if write_retry(&dest_qp, &dest_mr, off, &chunk).is_err() {
-                    return Err(unwind.abort(self, MigrateError::CopyFailed));
+                    return Err(unwind.abort(plane, MigrateError::CopyFailed));
                 }
                 snapshot_bytes += len as u64;
                 self.stats().snapshot_bytes.add(len as u64);
@@ -410,8 +416,10 @@ impl Cluster {
         src.seal();
         unwind.sealed = true;
         let t_sealed = sim::now();
-        let drain_deadline =
-            sim::now() + cfg.server.verify_timeout + cfg.server.txn_abort_timeout + sim::millis(2);
+        let drain_deadline = sim::now()
+            + plane.server.verify_timeout
+            + plane.server.txn_abort_timeout
+            + sim::millis(2);
         loop {
             let active = src.active.load(std::sync::atomic::Ordering::Relaxed);
             let head = src.logs[active].head() as u64;
@@ -419,7 +427,7 @@ impl Cluster {
                 break;
             }
             if sim::now() >= drain_deadline || src.node.is_crashed() {
-                return Err(unwind.abort(self, MigrateError::DrainTimeout));
+                return Err(unwind.abort(plane, MigrateError::DrainTimeout));
             }
             sim::sleep(sim::micros(5));
         }
@@ -435,30 +443,30 @@ impl Cluster {
                 break;
             }
             if sim::now() >= detach_deadline || src.node.is_crashed() {
-                return Err(unwind.abort(self, MigrateError::DrainTimeout));
+                return Err(unwind.abort(plane, MigrateError::DrainTimeout));
             }
             sim::sleep(sim::micros(2));
         }
         let delta_objects = self.migrate_repl_stats().mirror_objects.get() - delta_objs_before;
 
         // Step 5: fixup + verify against the frozen source.
-        let total = cfg.layout.total_len();
+        let total = layout.total_len();
         let mut fixup_bytes = 0u64;
         let mut verify_diff_bytes = 0u64;
         for pass in 0..2 {
             let mut off = 0usize;
             while off < total {
-                let len = cfg.migrate_chunk.min(total - off);
+                let len = COPY_CHUNK.min(total - off);
                 let want = match read_retry(&src_qp, &src_mr, off, len) {
                     Ok(c) => c,
-                    Err(_) => return Err(unwind.abort(self, MigrateError::CopyFailed)),
+                    Err(_) => return Err(unwind.abort(plane, MigrateError::CopyFailed)),
                 };
                 let mut have = vec![0u8; len];
                 dest_pool.read(off, &mut have);
                 if want != have {
                     if pass == 0 {
                         if write_retry(&dest_qp, &dest_mr, off, &want).is_err() {
-                            return Err(unwind.abort(self, MigrateError::CopyFailed));
+                            return Err(unwind.abort(plane, MigrateError::CopyFailed));
                         }
                         fixup_bytes += len as u64;
                         self.stats().fixup_bytes.add(len as u64);
@@ -474,19 +482,17 @@ impl Cluster {
         if verify_diff_bytes != 0 {
             // The copy is not byte-identical to the frozen source: never
             // flip ownership onto it.
-            return Err(unwind.abort(self, MigrateError::CopyFailed));
+            return Err(unwind.abort(plane, MigrateError::CopyFailed));
         }
 
         // Step 6: adopt — ordinary recovery over the copied pool, then
         // start serving (replaces the driver's scaffolding listener).
-        let mut dest_cfg = cfg.server.clone();
-        dest_cfg.counter_prefix = format!("{}.", Cluster::seat_name(to, shard));
         let (dest_server, recovery_report) = recovery::recover(
             self.fabric(),
             &dest_node,
             Arc::clone(&dest_pool),
-            cfg.layout,
-            dest_cfg,
+            layout,
+            plane.seat_cfg(to, shard),
         );
         dest_server.start(self.fabric());
 
@@ -505,7 +511,7 @@ impl Cluster {
         // Park the recovered server beside its pool: if the commit's
         // outcome is lost below, reconciliation can still promote (or
         // wind down) a complete destination.
-        self.stage_server(dest_server);
+        plane.stage_server(dest_server);
 
         // Step 7b: the commit point — ownership flips here and only here.
         let outcome = unwind.mc.propose(
@@ -532,13 +538,13 @@ impl Cluster {
             Some(Ok(epoch)) => epoch,
             Some(Err(())) => {
                 // Provably not committed and no longer committable.
-                return Err(unwind.abort(self, MigrateError::CommitRefused));
+                return Err(unwind.abort(plane, MigrateError::CommitRefused));
             }
             None => {
                 // Outcome unknown within the bound: consistency over
                 // availability. Serving the source could double-own the
                 // shard if the commit did land, so it stays sealed and
-                // the destination stays staged; `Cluster::reconcile`
+                // the destination stays staged; `Store::reconcile`
                 // settles both once a metadata majority is reachable
                 // again.
                 return Err(MigrateError::MetaUnavailable);
@@ -547,7 +553,7 @@ impl Cluster {
         // A concurrent reconciliation (a node restart racing this commit)
         // may have settled the staging already; otherwise install the
         // destination ourselves.
-        if let Some(dest_server) = self.take_staged_server() {
+        if let Some(dest_server) = plane.take_staged_server() {
             self.install_seat(shard, to, dest_server);
         }
         self.stats().migrations_committed.inc();

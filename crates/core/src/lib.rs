@@ -30,9 +30,10 @@
 //! media image.
 //!
 //! Around that `Client`/`Server` pair, a [`Store`] shards the key space
-//! over several servers, each optionally mirrored to a backup ([`repl`]);
-//! a [`Cluster`] hosts the shards on several machines; one routed
-//! [`StoreClient`] drives either.
+//! over several servers: on one data node, each optionally mirrored to a
+//! backup ([`repl`]), or on several data nodes under the control plane of
+//! [`cluster`]. Each shard's location is one seat in the store's seat
+//! table, and one routed [`StoreClient`] drives every shape.
 //!
 //! The comparison systems of the paper (SAW, IMM, Erda, Forca, …) are built
 //! on these same modules in the `efactory-baselines` crate.
@@ -60,10 +61,10 @@ pub mod verifier;
 
 pub use client::{Client, ClientConfig, GetOutcome, RemoteKv};
 pub use cluster::placement::{key_shard, PlacementMap};
-pub use cluster::{Cluster, ClusterConfig, MigrationReport};
+pub use cluster::MigrationReport;
 pub use pipeline::{OpCompletion, OpKind, PipelineConfig, PipelinedClient};
 pub use protocol::{Status, StoreError};
 pub use repl::{Backup, ReplStats, ReplTarget};
 pub use server::{Server, ServerConfig, ServerStats, StoreDesc};
-pub use store::{Routes, ShardRoute, Store, StoreClient};
+pub use store::{Routes, Seat, Store, StoreClient};
 pub use txn::{SnapOutcome, TxnKv, TxnSnapshot};

@@ -11,8 +11,8 @@
 //! primary's node marked crashed), the backup drains the in-flight mirror
 //! tail and *promotes*: it runs the ordinary [`crate::recovery`] replay
 //! over the mirrored log — the exact code path a rebooted primary runs —
-//! starts serving, and publishes itself through [`ReplHandle`] for clients
-//! to re-resolve.
+//! starts serving, and takes its shard's seat for clients to re-resolve
+//! to.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -22,11 +22,12 @@ use efactory_pmem::{PmemPool, LINE};
 use efactory_rnic::{CostModel, Fabric, Incoming, Listener, Node, QpError};
 use efactory_sim as sim;
 
-use super::{PromotedStore, ReplHandle, ReplStats};
+use super::{ReplStats, PROMOTED};
 use crate::hashtable::{fingerprint, HashTable};
 use crate::layout::{self, flags, ObjHeader, HDR_LEN};
 use crate::log::{LogRegion, StoreLayout};
 use crate::server::{ServerConfig, VERIFY_STEP_COST};
+use crate::store::{Seat, Seats};
 
 /// Everything the backup's apply process needs.
 pub(crate) struct BackupCtx {
@@ -43,7 +44,9 @@ pub(crate) struct BackupCtx {
     pub cfg: ServerConfig,
     pub cost: CostModel,
     pub stats: Arc<ReplStats>,
-    pub handle: Arc<ReplHandle>,
+    pub seats: Arc<Seats>,
+    /// This backup's shard in `seats`.
+    pub shard: usize,
     pub stop: Arc<std::sync::atomic::AtomicBool>,
 }
 
@@ -124,13 +127,15 @@ fn promote(ctx: BackupCtx) {
     sp.arg("keys_intact", report.keys_intact as u64);
     sp.arg("keys_rolled_back", report.keys_rolled_back as u64);
     sp.arg("keys_lost", report.keys_lost as u64);
-    let shared = srv.start(&ctx.fabric);
+    srv.start(&ctx.fabric);
     ctx.stats.promotions.inc();
-    ctx.handle.publish(PromotedStore {
-        node: ctx.node.clone(),
-        desc: srv.desc(),
-        shared,
-    });
+    ctx.seats.install(
+        ctx.shard,
+        Seat {
+            owner: PROMOTED,
+            server: srv,
+        },
+    );
 }
 
 /// Apply one mirrored run: walk the objects in `[start, start+len)` and

@@ -32,9 +32,10 @@
 //! drains the in-flight mirror tail, and **promotes**: it runs the ordinary
 //! [`crate::recovery`] replay over its mirrored log — the same code path a
 //! rebooted primary would run — and starts serving as a full server.
-//! Clients detect the failure (RPC deadline / one-sided read error),
-//! re-resolve through the shared [`ReplHandle`] (the simulated metadata
-//! service), and reconnect to the promoted store
+//! The promoted server takes the shard's seat in the store's seat table
+//! (the simulated metadata service); clients detect the failure (RPC
+//! deadline / one-sided read error), wait for the seat to change, and
+//! reconnect to the promoted store
 //! ([`StoreClient`](crate::store::StoreClient)).
 //!
 //! # Consistency contract
@@ -70,7 +71,7 @@ mod mirror;
 pub use mirror::Mirror;
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use efactory_obs::{Counter, Registry};
 use efactory_pmem::PmemPool;
@@ -78,7 +79,12 @@ use efactory_rnic::{Fabric, Node, RemoteMr};
 use efactory_sim as sim;
 
 use crate::log::StoreLayout;
-use crate::server::{process_suffix, ServerConfig, ServerShared, StoreDesc};
+use crate::server::{process_suffix, ServerConfig};
+use crate::store::Seats;
+
+/// The owner of a shard's [`Seat`](crate::store::Seat) once its backup has
+/// promoted: the backup's node counts as the shard's second data node.
+pub const PROMOTED: usize = 1;
 
 /// Counters exposed by the replication tier (primary-side mirroring,
 /// backup-side apply, promotion). All monotonically increasing.
@@ -139,37 +145,6 @@ pub struct ReplTarget {
     pub batch: usize,
 }
 
-/// A promoted backup, published through [`ReplHandle`] for clients to
-/// re-resolve to.
-#[derive(Clone)]
-pub struct PromotedStore {
-    /// The backup's node (now serving).
-    pub node: Node,
-    /// Connection descriptor of the promoted store.
-    pub desc: StoreDesc,
-    /// Shared state of the promoted server (shutdown, stats, tests).
-    pub shared: Arc<ServerShared>,
-}
-
-/// The failover rendezvous — a stand-in for the metadata service a real
-/// deployment would query: the backup publishes itself here after
-/// promotion, and clients poll it when the primary stops answering.
-#[derive(Default)]
-pub struct ReplHandle {
-    promoted: Mutex<Option<PromotedStore>>,
-}
-
-impl ReplHandle {
-    /// The promoted backup, if promotion has happened.
-    pub fn promoted(&self) -> Option<PromotedStore> {
-        self.promoted.lock().unwrap().clone()
-    }
-
-    pub(crate) fn publish(&self, p: PromotedStore) {
-        *self.promoted.lock().unwrap() = Some(p);
-    }
-}
-
 /// A shard's backup replica: a second fabric node with its own NVM pool,
 /// fed by the primary's verifier and promoted to a full server when the
 /// primary dies. Owned by a [`Shard`](crate::store::Shard).
@@ -180,7 +155,10 @@ pub struct Backup {
     layout: StoreLayout,
     cfg: ServerConfig,
     stats: Arc<ReplStats>,
-    handle: Arc<ReplHandle>,
+    /// The store's seat table and this backup's shard in it: promotion
+    /// installs the promoted server there.
+    seats: Arc<Seats>,
+    shard: usize,
     stop: Arc<AtomicBool>,
 }
 
@@ -198,6 +176,8 @@ impl Backup {
         primary: &Node,
         layout: StoreLayout,
         cfg: ServerConfig,
+        seats: &Arc<Seats>,
+        shard: usize,
     ) -> Backup {
         let node = fabric.add_node(&format!("{}-backup", primary.name()));
         let pool = Arc::new(PmemPool::new(layout.total_len()));
@@ -211,7 +191,8 @@ impl Backup {
             layout,
             cfg,
             stats,
-            handle: Arc::default(),
+            seats: Arc::clone(seats),
+            shard,
             stop: Arc::default(),
         }
     }
@@ -232,7 +213,8 @@ impl Backup {
             cfg: self.cfg.clone(),
             cost: fabric.cost().clone(),
             stats: Arc::clone(&self.stats),
-            handle: Arc::clone(&self.handle),
+            seats: Arc::clone(&self.seats),
+            shard: self.shard,
             stop: Arc::clone(&self.stop),
         };
         sim::spawn(
@@ -250,8 +232,9 @@ impl Backup {
     /// Wind down the apply loop and, if it promoted, the promoted server.
     pub(crate) fn shutdown(&self) {
         self.stop.store(true, Ordering::Relaxed);
-        if let Some(p) = self.handle.promoted() {
-            p.shared.stop.store(true, Ordering::Relaxed);
+        let seat = self.seats.get(self.shard);
+        if seat.owner == PROMOTED {
+            seat.server.shutdown();
         }
     }
 
@@ -268,10 +251,5 @@ impl Backup {
     /// Replication counters.
     pub fn stats(&self) -> &Arc<ReplStats> {
         &self.stats
-    }
-
-    /// Failover rendezvous handle.
-    pub fn handle(&self) -> &Arc<ReplHandle> {
-        &self.handle
     }
 }

@@ -38,7 +38,6 @@ use crate::hashtable::{Entry, HashTable, HtError};
 use crate::layout::{self, flags, ObjHeader, NIL};
 use crate::log::{LogRegion, StoreLayout};
 use crate::protocol::{Request, Response, Status};
-use crate::store::ShardRoute;
 
 /// Cleaning phase (paper §4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,8 +109,10 @@ pub struct ServerConfig {
     /// eligible version and serve its predecessor — a deliberate
     /// stale-read mutation the consistency checker must catch.
     pub snap_serve_stale: bool,
-    /// Prefix for registry counter names (e.g. `"shard3."` in a sharded
-    /// [`crate::store::Store`]); empty for the plain `server.*` names.
+    /// Prefix for registry counter names: `"shard3."` for shard 3 of a
+    /// [`crate::store::Store`] on one data node, `"n1.g3."` for its seat
+    /// on data node 1 of a store on several; empty for the plain
+    /// `server.*` names.
     pub counter_prefix: String,
     /// Observability context (tracer + metrics registry). The default is a
     /// private fully-enabled context; the harness injects one per run.
@@ -559,7 +560,8 @@ pub(crate) fn process_suffix(cfg: &ServerConfig) -> String {
     }
 }
 
-/// An eFactory server instance.
+/// An eFactory server instance. Clones share the one instance.
+#[derive(Clone)]
 pub struct Server {
     shared: Arc<ServerShared>,
     desc: StoreDesc,
@@ -628,16 +630,6 @@ impl Server {
     /// Shared state (verifier/cleaner/tests).
     pub fn shared(&self) -> &Arc<ServerShared> {
         &self.shared
-    }
-
-    /// How a [`StoreClient`](crate::store::StoreClient) reaches this server
-    /// as one shard.
-    pub fn route(&self) -> ShardRoute {
-        ShardRoute {
-            node: self.shared.node.clone(),
-            desc: self.desc,
-            failover: None,
-        }
     }
 
     /// Ask all server processes to wind down (they notice on their next

@@ -1,12 +1,10 @@
 //! The store: `shards` hash-partitioned eFactory servers on one fabric,
-//! each optionally mirrored to a backup, and the routed client that drives
-//! them.
+//! on one data node or several, and the routed client that drives them.
 //!
 //! Each shard is a complete [`Server`] — its own fabric node (one listener
 //! per node), NVM pool(s), hash table, append log, background verifier,
-//! and log cleaner — plus, with `replicas = 1`, a [`Backup`] on a second
-//! node that the verifier mirrors into (see [`crate::repl`]). Nothing is
-//! shared between shards, so no path coordinates across them:
+//! and log cleaner. Nothing is shared between shards, so no path
+//! coordinates across them:
 //!
 //! * GET's pure one-sided path goes straight to the owning shard's MR;
 //! * PUT's client-active path RPCs the owning shard's handler and then
@@ -14,29 +12,40 @@
 //! * each shard's verifier, cleaner, and backup run as independent
 //!   processes.
 //!
+//! Where a shard is served is its [`Seat`]: one seat table per store,
+//! which every move of a shard installs into and every client connects
+//! through. A shard moves in one of two ways:
+//!
+//! * on one data node with `replicas = 1`, each shard has a [`Backup`] on
+//!   a second node that the verifier mirrors into (see [`crate::repl`]);
+//!   when the primary dies the backup promotes and takes the seat;
+//! * on several data nodes ([`Store::format_nodes`]), the store also holds
+//!   the control plane of [`crate::cluster`] — the metadata service that
+//!   places shards, one agent per node, and live migration — and a
+//!   migration commit or a node restart takes the seat.
+//!
 //! Clients route with [`key_shard`](crate::cluster::placement::key_shard):
 //! every key maps to exactly one shard, the same on every client, every
-//! connection, and every run. The multi-node
-//! [`Cluster`](crate::cluster::Cluster) hosts the same shards on several
-//! machines and is driven by the same [`StoreClient`]; [`Routes`] is what
-//! tells the client which of the two it talks to.
+//! connection, and every run. [`Routes`] tells a [`StoreClient`] how to
+//! re-resolve a shard after an error.
 
 mod client;
 
 pub(crate) use client::ShardConn;
 pub use client::StoreClient;
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use efactory_obs::Counter;
 use efactory_rnic::{Fabric, Node};
 
-use crate::cluster::{ClusterHandle, ClusterStats};
+use crate::cluster::{MetaRoute, Plane};
 use crate::log::StoreLayout;
-use crate::repl::{Backup, ReplHandle, ReplStats};
-use crate::server::{Server, ServerConfig, ServerStats, StoreDesc};
+use crate::repl::{Backup, ReplStats};
+use crate::server::{Server, ServerConfig, ServerStats};
 
-/// One shard: a [`Server`] and its optional backup.
+/// One shard of a store on one data node: its primary [`Server`] and its
+/// optional backup.
 pub struct Shard {
     server: Server,
     backup: Option<Backup>,
@@ -59,10 +68,51 @@ impl Shard {
     }
 }
 
-/// `shards` × (server + `replicas` backups) over one fabric, `replicas`
-/// being 0 or 1.
+/// Where a shard is served now.
+#[derive(Clone)]
+pub struct Seat {
+    /// The owning data node. On a store with backups, the primary is 0
+    /// and a promoted backup is [`PROMOTED`](crate::repl::PROMOTED).
+    pub owner: usize,
+    /// The serving instance.
+    pub server: Server,
+}
+
+/// Each shard's [`Seat`], in shard order, shared by a store, its backups
+/// and its clients.
+#[derive(Default)]
+pub(crate) struct Seats(Mutex<Vec<Seat>>);
+
+impl Seats {
+    pub(crate) fn get(&self, g: usize) -> Seat {
+        self.0.lock().unwrap()[g].clone()
+    }
+
+    pub(crate) fn all(&self) -> Vec<Seat> {
+        self.0.lock().unwrap().clone()
+    }
+
+    pub(crate) fn push(&self, seat: Seat) {
+        self.0.lock().unwrap().push(seat);
+    }
+
+    /// Make `seat` shard `g`'s, returning the seat it replaces.
+    pub(crate) fn install(&self, g: usize, seat: Seat) -> Seat {
+        std::mem::replace(&mut self.0.lock().unwrap()[g], seat)
+    }
+}
+
+/// `shards` eFactory servers over one fabric: on one data node, each with
+/// `replicas` (0 or 1) backups, or on several data nodes under a control
+/// plane ([`Store::format_nodes`]).
 pub struct Store {
-    shards: Vec<Shard>,
+    pub(crate) fabric: Arc<Fabric>,
+    /// Each shard's primary and backup on one data node; empty on several,
+    /// where migrations and restarts replace a shard's server.
+    pub(crate) shards: Vec<Shard>,
+    pub(crate) seats: Arc<Seats>,
+    /// The control plane of a store on several data nodes.
+    pub(crate) plane: Option<Box<Plane>>,
 }
 
 impl Store {
@@ -73,7 +123,7 @@ impl Store {
     /// slack under any skew). Counter names get a `shard{i}.` prefix when
     /// `shards > 1`.
     pub fn format(
-        fabric: &Fabric,
+        fabric: &Arc<Fabric>,
         name: &str,
         layout: StoreLayout,
         cfg: ServerConfig,
@@ -86,7 +136,7 @@ impl Store {
 
     /// A one-shard store served from `node` (backup: `{node}-backup`).
     pub fn format_on(
-        fabric: &Fabric,
+        fabric: &Arc<Fabric>,
         node: &Node,
         layout: StoreLayout,
         cfg: ServerConfig,
@@ -98,7 +148,7 @@ impl Store {
     /// Nodes are drawn lazily, so each backup's node is created right
     /// after its primary's.
     fn build(
-        fabric: &Fabric,
+        fabric: &Arc<Fabric>,
         nodes: impl ExactSizeIterator<Item = Node>,
         layout: StoreLayout,
         cfg: ServerConfig,
@@ -107,6 +157,7 @@ impl Store {
         let n = nodes.len();
         assert!(n >= 1, "a store has at least one shard");
         assert!(replicas <= 1, "a shard has at most one backup");
+        let seats = Arc::new(Seats::default());
         let shards = nodes
             .enumerate()
             .map(|(i, node)| {
@@ -115,48 +166,90 @@ impl Store {
                     scfg.counter_prefix = format!("{}shard{i}.", cfg.counter_prefix);
                 }
                 let server = Server::format(fabric, &node, layout, scfg.clone());
-                let backup = (replicas == 1).then(|| Backup::format(fabric, &node, layout, scfg));
+                seats.push(Seat {
+                    owner: 0,
+                    server: server.clone(),
+                });
+                let backup =
+                    (replicas == 1).then(|| Backup::format(fabric, &node, layout, scfg, &seats, i));
                 Shard { server, backup }
             })
             .collect();
-        Store { shards }
+        Store {
+            fabric: Arc::clone(fabric),
+            shards,
+            seats,
+            plane: None,
+        }
     }
 
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.shards.len()
+        self.seats.0.lock().unwrap().len()
     }
 
-    /// Shard `i`.
+    /// Shard `i` of a store on one data node, as formatted.
     pub fn shard(&self, i: usize) -> &Shard {
         &self.shards[i]
     }
 
-    /// What clients connect with.
-    pub fn routes(&self) -> Routes {
-        Routes::Shards(
-            self.shards
-                .iter()
-                .map(|s| ShardRoute {
-                    failover: s.backup.as_ref().map(|b| Arc::clone(b.handle())),
-                    ..s.server.route()
-                })
-                .collect(),
-        )
+    /// Shard `g`'s backup, if it has one.
+    pub fn backup(&self, g: usize) -> Option<&Backup> {
+        self.shards.get(g).and_then(Shard::backup)
     }
 
-    /// Start every shard: a backup's apply loop first (its listener must
-    /// exist when the primary's verifier connects), then the primary. Must
-    /// run inside a simulated process.
-    pub fn start(&self, fabric: &Arc<Fabric>) {
-        for s in &self.shards {
-            let mirror = s.backup.as_ref().map(|b| b.start(fabric, s.node()));
-            s.server.start_with(fabric, mirror);
+    /// Where shard `g` is served now.
+    pub fn seat(&self, g: usize) -> Seat {
+        self.seats.get(g)
+    }
+
+    /// Shard `g`'s current owner.
+    pub fn owner_of(&self, g: usize) -> usize {
+        self.seat(g).owner
+    }
+
+    /// The fabric the store lives on.
+    pub fn fabric(&self) -> &Arc<Fabric> {
+        &self.fabric
+    }
+
+    /// What clients connect with.
+    pub fn routes(&self) -> Routes {
+        Routes {
+            seats: Arc::clone(&self.seats),
+            backups: self.shards.iter().any(|s| s.backup.is_some()),
+            meta: self.plane.as_deref().map(Plane::meta_route),
         }
     }
 
-    /// Wind down every shard's processes, including promoted backups.
+    /// Start everything: the metadata replicas, then every shard — a
+    /// backup's apply loop before its primary (its listener must exist
+    /// when the primary's verifier connects) — then the node agents. Must
+    /// run inside a simulated process.
+    pub fn start(&self) {
+        if let Some(p) = &self.plane {
+            p.meta.start(&self.fabric);
+        }
+        for (g, seat) in self.seats.all().iter().enumerate() {
+            let mirror = self
+                .backup(g)
+                .map(|b| b.start(&self.fabric, &seat.server.shared().node));
+            seat.server.start_with(&self.fabric, mirror);
+        }
+        if let Some(p) = &self.plane {
+            p.spawn_agents(&self.fabric);
+        }
+    }
+
+    /// Wind down every shard's processes, including promoted backups, and
+    /// the control plane.
     pub fn shutdown(&self) {
+        if let Some(p) = &self.plane {
+            p.stop();
+        }
+        for seat in self.seats.all() {
+            seat.server.shutdown();
+        }
         for s in &self.shards {
             s.server.shutdown();
             if let Some(b) = &s.backup {
@@ -165,11 +258,18 @@ impl Store {
         }
     }
 
-    /// Sum a primary server counter across shards.
+    /// Sum a server counter across the shards' primaries: a promoted
+    /// backup counts under `promoted.` instead, so a failed-over shard
+    /// still sums its dead primary.
     pub fn stat_sum(&self, pick: impl Fn(&ServerStats) -> &Counter) -> u64 {
-        self.shards
+        let seats = self.seats.all();
+        seats
             .iter()
-            .map(|s| pick(&s.server.shared().stats).get())
+            .enumerate()
+            .map(|(g, seat)| {
+                let primary = self.shards.get(g).map_or(&seat.server, Shard::server);
+                pick(&primary.shared().stats).get()
+            })
             .sum()
     }
 
@@ -177,7 +277,7 @@ impl Store {
     pub fn repl_stat_sum(&self, pick: impl Fn(&ReplStats) -> &Counter) -> u64 {
         self.shards
             .iter()
-            .filter_map(|s| s.backup.as_ref())
+            .filter_map(Shard::backup)
             .map(|b| pick(b.stats()).get())
             .sum()
     }
@@ -186,29 +286,28 @@ impl Store {
 /// How a [`StoreClient`] reaches a store's shards, and how it re-resolves
 /// a shard after an error. Cheap to clone into client processes.
 #[derive(Clone)]
-pub enum Routes {
-    /// Fixed servers, one per shard; a shard with a failover handle
-    /// re-resolves to its promoted backup.
-    Shards(Vec<ShardRoute>),
-    /// A [`Cluster`](crate::cluster::Cluster)'s shards, placed by its metadata
-    /// service.
-    Cluster {
-        /// The metadata replicas' fabric nodes.
-        meta_nodes: Vec<Node>,
-        /// The seat table migrations and restarts update.
-        handle: Arc<ClusterHandle>,
-        /// Where retargets and refreshes are counted.
-        stats: Arc<ClusterStats>,
-    },
+pub struct Routes {
+    seats: Arc<Seats>,
+    /// Every shard has a backup to fail over to.
+    backups: bool,
+    /// The metadata service placing the shards, on several data nodes.
+    meta: Option<MetaRoute>,
 }
 
-/// One shard of [`Routes::Shards`].
-#[derive(Clone)]
-pub struct ShardRoute {
-    /// The serving node.
-    pub node: Node,
-    /// Its store descriptor.
-    pub desc: StoreDesc,
-    /// The shard backup's failover rendezvous, if it has a backup.
-    pub failover: Option<Arc<ReplHandle>>,
+impl Routes {
+    /// Fixed servers, one per shard in order, that never re-resolve.
+    pub fn servers<'a>(servers: impl IntoIterator<Item = &'a Server>) -> Routes {
+        let seats = Seats::default();
+        for server in servers {
+            seats.push(Seat {
+                owner: 0,
+                server: server.clone(),
+            });
+        }
+        Routes {
+            seats: Arc::new(seats),
+            backups: false,
+            meta: None,
+        }
+    }
 }

@@ -91,7 +91,7 @@ fn every_get_path_applies_the_one_read_check() {
         };
         let pure = connect(false, true);
         let rpc = connect(false, false);
-        let routes = Routes::Shards(vec![server.route()]);
+        let routes = Routes::servers([&server]);
         let local = fabric.add_node("s");
         let store =
             StoreClient::connect(&fabric, &local, &routes, ClientConfig::default()).unwrap();

@@ -7,7 +7,6 @@ use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
 use efactory::client::{ClientConfig, RemoteKv};
-use efactory::cluster::{Cluster, ClusterConfig};
 use efactory::log::StoreLayout;
 use efactory::pipeline::{OpCompletion, OpKind, PipelineConfig, PipelinedClient};
 use efactory::protocol::{Status, StoreError};
@@ -169,11 +168,12 @@ pub struct ExperimentSpec {
     /// `Cleaning::Enabled` a pool swap expires open snapshots; readers
     /// re-capture on `Status::Expired`.
     pub snap_readers: usize,
-    /// Data nodes hosting the shards. `1` (the default) runs a single-node
-    /// [`efactory::Store`]; above 1 the run builds an
-    /// [`efactory::cluster::Cluster`] — shards placed round-robin across
-    /// nodes, a 3-replica metadata service, and clients that retarget on
-    /// placement changes. Requires eFactory with `replicas == 0`.
+    /// Data nodes hosting the shards. `1` (the default) runs the
+    /// [`efactory::Store`] on one data node; above 1 it runs on several
+    /// ([`efactory::Store::format_nodes`]) — shards placed round-robin
+    /// across nodes, a 3-replica metadata service, and clients that
+    /// retarget on placement changes. Requires eFactory with
+    /// `replicas == 0`.
     pub nodes: usize,
     /// Live-migrate shard 0 to the next node (`(owner + 1) % nodes`)
     /// this many virtual nanoseconds after the measurement window opens,
@@ -351,20 +351,15 @@ struct Collected {
     end: Nanos,
 }
 
-// One AnyServer exists per run and lives behind an Arc; the size gap from
-// the cluster variant's seat tables is irrelevant.
-#[allow(clippy::large_enum_variant)]
 enum AnyServer {
     Store(Store),
-    Cluster(Cluster),
     Baseline(BaselineServer),
 }
 
 impl AnyServer {
     fn start(&self, fabric: &Arc<Fabric>) {
         match self {
-            AnyServer::Store(s) => s.start(fabric),
-            AnyServer::Cluster(c) => c.start(),
+            AnyServer::Store(s) => s.start(),
             AnyServer::Baseline(s) => s.start(fabric),
         }
     }
@@ -372,7 +367,6 @@ impl AnyServer {
     fn shutdown(&self) {
         match self {
             AnyServer::Store(s) => s.shutdown(),
-            AnyServer::Cluster(c) => c.shutdown(),
             AnyServer::Baseline(s) => s.shutdown(),
         }
     }
@@ -384,7 +378,6 @@ impl AnyServer {
     ) -> u64 {
         match self {
             AnyServer::Store(s) => s.stat_sum(pick),
-            AnyServer::Cluster(c) => c.stat_sum(pick),
             AnyServer::Baseline(s) => pick(s.stats()).get(),
         }
     }
@@ -393,16 +386,14 @@ impl AnyServer {
     fn routes(&self) -> Routes {
         match self {
             AnyServer::Store(s) => s.routes(),
-            AnyServer::Cluster(c) => c.routes(),
             AnyServer::Baseline(_) => unreachable!("baselines have no routed client"),
         }
     }
 
-    /// Attach server + pool counters (per-shard prefixed for a sharded
-    /// store) and the pmem tracer to the run's observability context.
-    /// eFactory servers register their server counters at construction
-    /// through `cfg.obs`; baselines share the same `ServerStats` type and
-    /// attach here.
+    /// Attach pool counters (under each server's counter prefix) and the
+    /// pmem tracer to the run's observability context. eFactory servers
+    /// register their server counters at construction through `cfg.obs`;
+    /// baselines share the same `ServerStats` type and attach here.
     fn attach_obs(&self, obs: &Obs) {
         let attach = |pool: &PmemPool, prefix: &str| {
             pool.stats().register_prefixed(&obs.registry, prefix);
@@ -410,23 +401,13 @@ impl AnyServer {
         };
         match self {
             AnyServer::Store(s) => {
-                for i in 0..s.shards() {
-                    let prefix = if s.shards() > 1 {
-                        format!("shard{i}.")
-                    } else {
-                        String::new()
-                    };
-                    let shard = s.shard(i);
-                    attach(&shard.server().shared().pool, &prefix);
-                    if let Some(b) = shard.backup() {
+                for g in 0..s.shards() {
+                    let shared = Arc::clone(s.seat(g).server.shared());
+                    let prefix = &shared.cfg.counter_prefix;
+                    attach(&shared.pool, prefix);
+                    if let Some(b) = s.backup(g) {
                         attach(b.pool(), &format!("{prefix}backup."));
                     }
-                }
-            }
-            AnyServer::Cluster(c) => {
-                for g in 0..c.handle().shards() {
-                    let seat = Cluster::seat_name(c.owner_of(g), g);
-                    attach(&c.shard_pool(g), &format!("{seat}."));
                 }
             }
             AnyServer::Baseline(s) => {
@@ -451,7 +432,7 @@ impl AnyServer {
             c.map(|c| Box::new(c) as Box<dyn RemoteKv>)
         }
         let connected = match self {
-            AnyServer::Store(_) | AnyServer::Cluster(_) => boxed(StoreClient::connect(
+            AnyServer::Store(_) => boxed(StoreClient::connect(
                 fabric,
                 local,
                 &self.routes(),
@@ -530,10 +511,14 @@ fn build_server(
         tweak(&mut cfg);
     }
     if spec.nodes > 1 {
-        // The fabric the cluster lives on is the caller's; the `node` arg
-        // ("server") stays unused in this topology.
-        let ccfg = ClusterConfig::new(spec.nodes, spec.shards, layout, cfg);
-        return AnyServer::Cluster(Cluster::format(fabric, ccfg));
+        // The `node` arg ("server") stays unused in this topology.
+        return AnyServer::Store(Store::format_nodes(
+            fabric,
+            spec.nodes,
+            spec.shards,
+            layout,
+            cfg,
+        ));
     }
     // Each shard keeps the full-workload layout: the router spreads keys,
     // but Zipf skew makes the hottest shard's share unpredictable, and
@@ -802,22 +787,13 @@ fn run_inner(
         }
 
         // ---- measured clients ----------------------------------------------
-        if spec2.force_clean {
-            match &*server2 {
-                AnyServer::Store(s) => {
-                    for i in 0..s.shards() {
-                        let shared = s.shard(i).server().shared();
-                        shared.clean_request.store(true, Ordering::Relaxed);
-                    }
-                }
-                AnyServer::Cluster(c) => {
-                    for g in 0..c.config().shards {
-                        c.shard_shared(g)
-                            .clean_request
-                            .store(true, Ordering::Relaxed);
-                    }
-                }
-                _ => {}
+        if let (true, AnyServer::Store(s)) = (spec2.force_clean, &*server2) {
+            for g in 0..s.shards() {
+                let seat = s.seat(g);
+                seat.server
+                    .shared()
+                    .clean_request
+                    .store(true, Ordering::Relaxed);
             }
         }
         let t_start = sim::now();
@@ -845,14 +821,14 @@ fn run_inner(
         if let Some(migrate_at) = spec2.migrate_at {
             let server3 = Arc::clone(&server2);
             let t0 = t_start + migrate_at;
+            let nodes = spec2.nodes;
             migrator = Some(sim::spawn("migrator", move || {
                 sim::sleep(t0.saturating_sub(sim::now()));
-                let AnyServer::Cluster(c) = &*server3 else {
-                    unreachable!("validate() requires nodes > 1 for migrate_at")
+                let AnyServer::Store(s) = &*server3 else {
+                    unreachable!("validate() keeps migrate_at on eFactory")
                 };
-                let from = c.owner_of(0);
-                let to = (from + 1) % c.config().nodes;
-                c.migrate(0, to).expect("mid-window migration failed");
+                let to = (s.owner_of(0) + 1) % nodes;
+                s.migrate(0, to).expect("mid-window migration failed");
             }));
         }
         // Background snapshot readers: continuous capture + multi-key

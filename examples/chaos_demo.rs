@@ -56,7 +56,7 @@ fn main() {
     let f = Arc::clone(&fabric);
     let server2 = Arc::clone(&server);
     simulation.spawn("demo", move || {
-        server2.start(&f);
+        server2.start();
         let client = StoreClient::connect(
             &f,
             &f.add_node("client"),

@@ -1,9 +1,10 @@
 //! Cluster demo: multi-node placement, node death + recovery, and a live
 //! shard migration under client load.
 //!
-//! A [`Cluster`] places shards round-robin across data nodes and runs a
-//! 3-replica metadata service (leader-based, log-replicated over the same
-//! fabric) that owns the placement map. This demo:
+//! A [`Store`] on several data nodes places shards round-robin across
+//! them and runs a 3-replica metadata service (leader-based,
+//! log-replicated over the same fabric) that owns the placement map. This
+//! demo:
 //!
 //! 1. seeds keys through a [`StoreClient`] that routes by the
 //!    epoch-tagged placement map;
@@ -21,10 +22,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use efactory::client::ClientConfig;
-use efactory::cluster::{Cluster, ClusterConfig, MetaClient};
+use efactory::cluster::MetaClient;
 use efactory::log::StoreLayout;
 use efactory::server::ServerConfig;
-use efactory::store::StoreClient;
+use efactory::store::{Store, StoreClient};
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -36,7 +37,7 @@ fn key(i: usize) -> Vec<u8> {
     format!("user{i:04}").into_bytes()
 }
 
-fn connect(cluster: &Cluster, name: &str) -> StoreClient {
+fn connect(cluster: &Store, name: &str) -> StoreClient {
     StoreClient::connect(
         cluster.fabric(),
         &cluster.fabric().add_node(name),
@@ -49,14 +50,12 @@ fn connect(cluster: &Cluster, name: &str) -> StoreClient {
 fn main() {
     let mut simulation = Sim::new(42);
     let fabric = Fabric::new(CostModel::default());
-    let cluster = Arc::new(Cluster::format(
+    let cluster = Arc::new(Store::format_nodes(
         &fabric,
-        ClusterConfig::new(
-            2,
-            2,
-            StoreLayout::new(512, 512 * 1024, false),
-            ServerConfig::default(),
-        ),
+        2,
+        2,
+        StoreLayout::new(512, 512 * 1024, false),
+        ServerConfig::default(),
     ));
 
     let c = Arc::clone(&cluster);

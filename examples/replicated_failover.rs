@@ -43,7 +43,7 @@ fn main() {
 
     let f = Arc::clone(&fabric);
     simulation.spawn("demo", move || {
-        server.start(&f);
+        server.start();
         let backup = || server.shard(0).backup().expect("replicated");
         let client = StoreClient::connect(
             &f,

@@ -38,7 +38,7 @@ fn main() {
 
     let f = Arc::clone(&fabric);
     simulation.spawn("demo", move || {
-        server.start(&f);
+        server.start();
 
         // One client machine, connected to every shard. The router is a
         // pure function of the key bytes — every client everywhere agrees.

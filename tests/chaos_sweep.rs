@@ -778,7 +778,7 @@ fn bit_rot_replicated_repairs_from_backup() {
     let f = Arc::clone(&fabric);
     let server2 = Arc::clone(&server);
     simu.spawn("main", move || {
-        server2.start(&f);
+        server2.start();
         let cnode = f.add_node("cnode");
         let c = StoreClient::connect(&f, &cnode, &server2.routes(), ClientConfig::default())
             .expect("connect");
@@ -853,7 +853,7 @@ fn full_chaos_replicated_cluster_converges() {
     let out: Arc<Mutex<BTreeMap<Vec<u8>, Vec<u8>>>> = Arc::default();
     let out2 = Arc::clone(&out);
     simu.spawn("main", move || {
-        server2.start(&f);
+        server2.start();
         let cnode = f.add_node("cnode");
         let c = StoreClient::connect(&f, &cnode, &server2.routes(), ClientConfig::default())
             .expect("connect");
@@ -1031,7 +1031,7 @@ fn run_txn_chaos(seed: u64, plan: Option<FaultPlan>) -> TxnChaosOutcome {
     let server2 = Arc::clone(&server);
     simu.spawn("main", move || {
         server2.start(&f);
-        let routes = Routes::Shards(vec![server2.route()]);
+        let routes = Routes::servers([&*server2]);
         let commits_acc = Arc::new(std::sync::atomic::AtomicU64::new(0));
         let mut handles = Vec::new();
         for (cid, script) in scripts.iter().cloned().enumerate() {

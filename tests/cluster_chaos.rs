@@ -14,10 +14,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use efactory::client::ClientConfig;
-use efactory::cluster::{Cluster, ClusterConfig, MetaClient, MigrateError};
+use efactory::cluster::{MetaClient, MigrateError};
 use efactory::log::StoreLayout;
 use efactory::server::ServerConfig;
-use efactory::store::StoreClient;
+use efactory::store::{Store, StoreClient};
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -31,8 +31,10 @@ fn value(i: usize, ver: usize) -> Vec<u8> {
     format!("chaos-value-{i:04}-v{ver:04}-abcdefghijklmnop").into_bytes()
 }
 
-fn config(nodes: usize, shards: usize) -> ClusterConfig {
-    ClusterConfig::new(
+/// A store of `shards` shards on `nodes` data nodes.
+fn format(fabric: &Arc<Fabric>, nodes: usize, shards: usize) -> Store {
+    Store::format_nodes(
+        fabric,
         nodes,
         shards,
         StoreLayout::new(256, 256 * 1024, false),
@@ -44,11 +46,11 @@ fn with_cluster(
     seed: u64,
     nodes: usize,
     shards: usize,
-    body: impl FnOnce(&Arc<Cluster>) + Send + 'static,
+    body: impl FnOnce(&Arc<Store>) + Send + 'static,
 ) {
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
-    let cluster = Arc::new(Cluster::format(&fabric, config(nodes, shards)));
+    let cluster = Arc::new(format(&fabric, nodes, shards));
     let c2 = Arc::clone(&cluster);
     simu.spawn("main", move || {
         c2.start();
@@ -59,7 +61,7 @@ fn with_cluster(
     simu.run().expect_ok();
 }
 
-fn connect(cluster: &Cluster, name: &str) -> StoreClient {
+fn connect(cluster: &Store, name: &str) -> StoreClient {
     StoreClient::connect(
         cluster.fabric(),
         &cluster.fabric().add_node(name),
@@ -71,7 +73,7 @@ fn connect(cluster: &Cluster, name: &str) -> StoreClient {
 
 /// Wait until the metadata service reports no migration in flight and
 /// returns the converged state. Panics past `deadline`.
-fn await_converged(cluster: &Cluster, deadline: Nanos) -> efactory::cluster::MetaState {
+fn await_converged(cluster: &Store, deadline: Nanos) -> efactory::cluster::MetaState {
     let probe = cluster.fabric().add_node("convergence-probe");
     let mut mc = MetaClient::new(cluster.fabric(), &probe, cluster.meta_nodes());
     loop {
@@ -91,7 +93,7 @@ fn await_converged(cluster: &Cluster, deadline: Nanos) -> efactory::cluster::Met
 /// The "exactly one owner" invariant: metadata placement, the rendezvous
 /// seat table, and serving reality agree on who owns `shard`, and every
 /// seeded key reads its expected value through a fresh client.
-fn assert_single_owner(cluster: &Cluster, shard: usize, keys: usize, tag: &str) {
+fn assert_single_owner(cluster: &Store, shard: usize, keys: usize, tag: &str) {
     let state = await_converged(cluster, sim::now() + sim::millis(20));
     let meta_owner = state.placement.node_of_shard(shard);
     let seat_owner = cluster.owner_of(shard);
@@ -116,7 +118,7 @@ fn assert_single_owner(cluster: &Cluster, shard: usize, keys: usize, tag: &str) 
 
 const KEYS: usize = 24;
 
-fn seed_keys(cluster: &Cluster) {
+fn seed_keys(cluster: &Store) {
     let c = connect(cluster, "seeder");
     for i in 0..KEYS {
         c.put(&key(i), &value(i, 0)).unwrap();
@@ -130,7 +132,7 @@ type MigrationSlot = Arc<Mutex<Option<Result<(), String>>>>;
 /// Spawn the migration of `shard` to `to` in its own process; returns a
 /// handle resolving to the result slot.
 fn spawn_migration(
-    cluster: &Arc<Cluster>,
+    cluster: &Arc<Store>,
     shard: usize,
     to: usize,
 ) -> (sim::ProcessHandle, MigrationSlot) {
@@ -149,10 +151,10 @@ fn spawn_migration(
 
 #[test]
 fn dest_kill_mid_migration_aborts_and_retry_succeeds() {
-    let cluster_holder: Arc<Mutex<Option<Arc<Cluster>>>> = Arc::default();
+    let cluster_holder: Arc<Mutex<Option<Arc<Store>>>> = Arc::default();
     let mut simu = Sim::new(1001);
     let fabric = Fabric::new(CostModel::default());
-    let cluster = Arc::new(Cluster::format(&fabric, config(2, 1)));
+    let cluster = Arc::new(format(&fabric, 2, 1));
     let c2 = Arc::clone(&cluster);
     cluster_holder.lock().unwrap().replace(Arc::clone(&cluster));
     simu.spawn("main", move || {
@@ -227,7 +229,7 @@ fn dest_kill_mid_migration_aborts_and_retry_succeeds() {
 #[test]
 fn source_kill_mid_migration_converges_after_restart() {
     with_cluster(1002, 2, 1, |cluster| {
-        // `with_cluster` hands us &Cluster; migrations need an Arc for the
+        // `with_cluster` hands us &Store; migrations need an Arc for the
         // spawned process, so run the driver inline and fire the crash
         // from a controller process instead.
         seed_keys(cluster);
@@ -471,7 +473,7 @@ fn partitioned_stale_meta_leader_cannot_serve_stale_placement() {
 }
 
 /// An abort that finds no metadata majority must not leak the migration
-/// slot: the driver parks it and `Cluster::reconcile` re-proposes it
+/// slot: the driver parks it and `Store::reconcile` re-proposes it
 /// once a quorum is back. (Regression: the abort used to be dropped
 /// after one best-effort attempt — with both endpoints alive the death
 /// sweep never auto-aborts, so the slot stayed occupied and every
@@ -562,7 +564,7 @@ fn faulted_run(seed: u64) -> Vec<(String, u64)> {
     let out2 = Arc::clone(&out);
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
-    let cluster = Arc::new(Cluster::format(&fabric, config(2, 1)));
+    let cluster = Arc::new(format(&fabric, 2, 1));
     let c2 = Arc::clone(&cluster);
     simu.spawn("main", move || {
         c2.start();
@@ -640,7 +642,7 @@ fn faulted_run(seed: u64) -> Vec<(String, u64)> {
             assert_eq!(got, value(i, ver), "key {i} torn under chaos");
         }
         c2.shutdown();
-        *out2.lock().unwrap() = c2.config().server.obs.registry.snapshot();
+        *out2.lock().unwrap() = c2.seat(0).server.shared().cfg.obs.registry.snapshot();
     });
     simu.run().expect_ok();
     let v = out.lock().unwrap().clone();

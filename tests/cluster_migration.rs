@@ -21,11 +21,10 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use efactory::client::ClientConfig;
-use efactory::cluster::{Cluster, ClusterConfig};
 use efactory::log::StoreLayout;
 use efactory::protocol::{Status, StoreError};
 use efactory::server::ServerConfig;
-use efactory::store::StoreClient;
+use efactory::store::{Store, StoreClient};
 use efactory::TxnKv;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -43,8 +42,9 @@ fn layout() -> StoreLayout {
     StoreLayout::new(256, 256 * 1024, false)
 }
 
-fn config(nodes: usize, shards: usize) -> ClusterConfig {
-    ClusterConfig::new(nodes, shards, layout(), ServerConfig::default())
+/// A store of `shards` shards on `nodes` data nodes.
+fn format(fabric: &Arc<Fabric>, nodes: usize, shards: usize) -> Store {
+    Store::format_nodes(fabric, nodes, shards, layout(), ServerConfig::default())
 }
 
 fn client_cfg() -> ClientConfig {
@@ -57,15 +57,19 @@ fn with_cluster(
     seed: u64,
     nodes: usize,
     shards: usize,
-    body: impl FnOnce(&Cluster) + Send + 'static,
+    body: impl FnOnce(&Store) + Send + 'static,
 ) {
-    with_cluster_cfg(seed, config(nodes, shards), body);
+    with_cluster_cfg(seed, |f| format(f, nodes, shards), body);
 }
 
-fn with_cluster_cfg(seed: u64, cfg: ClusterConfig, body: impl FnOnce(&Cluster) + Send + 'static) {
+fn with_cluster_cfg(
+    seed: u64,
+    format: impl FnOnce(&Arc<Fabric>) -> Store,
+    body: impl FnOnce(&Store) + Send + 'static,
+) {
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
-    let cluster = Arc::new(Cluster::format(&fabric, cfg));
+    let cluster = Arc::new(format(&fabric));
     let c2 = Arc::clone(&cluster);
     simu.spawn("main", move || {
         c2.start();
@@ -77,7 +81,7 @@ fn with_cluster_cfg(seed: u64, cfg: ClusterConfig, body: impl FnOnce(&Cluster) +
     simu.run().expect_ok();
 }
 
-fn connect(cluster: &Cluster, name: &str) -> StoreClient {
+fn connect(cluster: &Store, name: &str) -> StoreClient {
     StoreClient::connect(
         cluster.fabric(),
         &cluster.fabric().add_node(name),
@@ -104,9 +108,9 @@ fn quiescent_migration_is_byte_identical() {
         // is exactly what a stop-the-world copy would have produced. The
         // driver poisons the source hash table after its own verify
         // pass, so the live source is no longer comparable post-commit.
-        let total = cluster.config().layout.total_len();
+        let total = layout().total_len();
         let mut stw = vec![0u8; total];
-        cluster.shard_pool(0).read(0, &mut stw);
+        cluster.seat(0).server.shared().pool.read(0, &mut stw);
         let report = cluster.migrate(0, to).expect("migration failed");
         assert_eq!(report.from, from);
         assert_eq!(report.to, to);
@@ -118,7 +122,7 @@ fn quiescent_migration_is_byte_identical() {
         // Independent stop-the-world check: the destination must match
         // the pre-migration source snapshot byte for byte.
         let mut dest = vec![0u8; total];
-        cluster.shard_pool(0).read(0, &mut dest);
+        cluster.seat(0).server.shared().pool.read(0, &mut dest);
         assert!(
             stw == dest,
             "destination pool differs from stop-the-world copy"
@@ -226,18 +230,16 @@ fn live_migration_under_traffic_is_lossless() {
 /// must be able to run its own cleaning pass over the migrated pool.
 #[test]
 fn migration_with_cleaning_enabled_is_lossless() {
-    let cfg = ClusterConfig::new(
-        2,
-        2,
-        StoreLayout::new(256, 256 * 1024, true),
-        ServerConfig {
+    let format = |f: &Arc<Fabric>| {
+        let server = ServerConfig {
             // Low threshold: passes trigger as soon as the seed data
             // lands, so the migrated pool is cleaner-produced.
             clean_threshold: 0.02,
             ..ServerConfig::default()
-        },
-    );
-    with_cluster_cfg(404, cfg, |cluster| {
+        };
+        Store::format_nodes(f, 2, 2, StoreLayout::new(256, 256 * 1024, true), server)
+    };
+    with_cluster_cfg(404, format, |cluster| {
         let seed_client = connect(cluster, "seeder");
         const KEYS: usize = 48;
         for i in 0..KEYS {
@@ -245,7 +247,7 @@ fn migration_with_cleaning_enabled_is_lossless() {
         }
         // Force at least one completed pass over the seed data, so the
         // pool being migrated is a cleaner-produced layout.
-        let src = cluster.shard_shared(0);
+        let src = Arc::clone(cluster.seat(0).server.shared());
         src.clean_request.store(true, Ordering::Relaxed);
         let deadline = sim::now() + sim::millis(50);
         while src.stats.cleanings.get() == 0 {
@@ -311,7 +313,7 @@ fn migration_with_cleaning_enabled_is_lossless() {
         }
 
         // The new owner cleans the migrated pool and nothing is lost.
-        let dst = cluster.shard_shared(0);
+        let dst = Arc::clone(cluster.seat(0).server.shared());
         let before = dst.stats.cleanings.get();
         dst.clean_request.store(true, Ordering::Relaxed);
         let deadline = sim::now() + sim::millis(50);
@@ -495,7 +497,7 @@ fn traffic_run(seed: u64) -> Vec<(String, u64)> {
     let out2 = Arc::clone(&out);
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
-    let cluster = Arc::new(Cluster::format(&fabric, config(2, 2)));
+    let cluster = Arc::new(format(&fabric, 2, 2));
     let c2 = Arc::clone(&cluster);
     simu.spawn("main", move || {
         c2.start();
@@ -532,7 +534,7 @@ fn traffic_run(seed: u64) -> Vec<(String, u64)> {
         stop.store(true, Ordering::Relaxed);
         writer.join();
         c2.shutdown();
-        *out2.lock().unwrap() = c2.config().server.obs.registry.snapshot();
+        *out2.lock().unwrap() = c2.seat(0).server.shared().cfg.obs.registry.snapshot();
     });
     simu.run().expect_ok();
     let v = out.lock().unwrap().clone();
@@ -566,7 +568,7 @@ fn sealed_source_rejects_with_wrong_epoch() {
     with_cluster(505, 2, 1, |cluster| {
         let c = connect(cluster, "client");
         c.put(b"solo-key", b"solo-value").unwrap();
-        let shared = cluster.shard_shared(0);
+        let shared = Arc::clone(cluster.seat(0).server.shared());
         shared.seal();
         // A direct (non-retargeting) client op against the sealed seat
         // must come back WrongEpoch, not hang or succeed. The retry

@@ -124,7 +124,7 @@ fn replay_sharded(shards: usize, doorbell: usize) -> ReadLog {
             shards,
             0,
         );
-        srv.start(&f);
+        srv.start();
         let c = StoreClient::connect(&f, &f.add_node("c"), &srv.routes(), ClientConfig::default())
             .unwrap();
         let results = drive_stream(&c);

@@ -173,7 +173,7 @@ fn run_pipelined(seed: u64, window: usize, plan: Option<FaultPlan>) -> Outcome {
                 ..ClientConfig::default()
             },
         };
-        let routes = Routes::Shards(vec![server2.route()]);
+        let routes = Routes::servers([&*server2]);
         let mut pc =
             PipelinedClient::connect(&f, &node, &routes, pcfg, "pipe").expect("pipelined connect");
         let mut rows: Vec<Option<CompletionRow>> = (0..script.len()).map(|_| None).collect();

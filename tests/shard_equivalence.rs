@@ -256,7 +256,7 @@ fn replay_store(
             shards,
             replicas,
         );
-        store.start(&f);
+        store.start();
         let node = f.add_node("c");
         *out2.lock().unwrap() = if window == 1 {
             let c =

@@ -150,7 +150,7 @@ fn run_lane(seed: u64, lane: Lane) -> History {
     let out = Arc::clone(&hist);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
-        store.start(&f);
+        store.start();
         // Preload every key (the history's implicit initial transaction).
         let setup = connect_txn(&f, "setup", &desc);
         for i in 0..KEYS {
@@ -483,7 +483,7 @@ fn pipelined_txn_history_is_consistent() {
             out.lock().unwrap().init.push((key(i), init_val(i)));
         }
 
-        let routes = Routes::Shards(vec![server.route()]);
+        let routes = Routes::servers([&*server]);
         let mut handles = Vec::new();
         {
             let f2 = Arc::clone(&f);

@@ -62,7 +62,7 @@ fn check_no_torn_snapshot(seed: u64, shards: usize, width: usize, txns: usize, r
     let fail2 = Arc::clone(&failure);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
-        server.start(&f);
+        server.start();
         // Tag 0 = initial state, written atomically up front.
         let setup_node = f.add_node("setup");
         let setup = StoreClient::connect(&f, &setup_node, &desc, ClientConfig::default()).unwrap();
@@ -188,7 +188,7 @@ fn check_rmw_counter(seed: u64, shards: usize, writers: usize, incs: usize) {
     let out = Arc::clone(&final_val);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
-        server.start(&f);
+        server.start();
         let counter_key = b"prop-counter".to_vec();
         let mut handles = Vec::new();
         for wid in 0..writers {
