@@ -11,10 +11,11 @@
 //!
 //! **Staging** appends each write as a normal log version linked at the
 //! head of its key's chain, flagged `VALID | PENDING | DURABLE`. A
-//! `PENDING` head is *in-doubt*: plain reads serve the previous committed
-//! version, snapshot reads wait, and writers back off (`Busy` / `Conflict`)
-//! — which preserves the invariant that chain order equals commit-timestamp
-//! order.
+//! `PENDING` head is *in-doubt*: the handler answers `Busy`, so plain GETs
+//! and snapshot reads wait, and writers back off (`Busy` / `Conflict`) —
+//! which preserves the invariant that chain order equals commit-timestamp
+//! order. Only a location-cache hit still serves the version it cached
+//! (the freshness trade-off `ClientConfig::loc_cache` states).
 //!
 //! **Commit point** is a durable *commit record*: a normal log allocation
 //! (never linked into the hash table) whose key is a magic prefix + txn id
@@ -715,22 +716,26 @@ pub(crate) fn put_all_routed(
         let mut prepared: Vec<usize> = Vec::with_capacity(touched.len());
         let mut retry = false;
         for &i in &touched {
-            match clients[i].rpc(|c| c.shard_txn_prepare(txn_id, &[], &groups[i]))? {
-                (Status::Ok, clock) => {
+            let err = match clients[i].rpc(|c| c.shard_txn_prepare(txn_id, &[], &groups[i])) {
+                Ok((Status::Ok, clock)) => {
                     clocks.push(clock);
                     prepared.push(i);
+                    continue;
                 }
-                (Status::Busy | Status::Conflict, _) => {
+                Ok((Status::Busy | Status::Conflict, _)) => {
                     retry = true;
                     break;
                 }
-                (status, _) => {
-                    for &j in &prepared {
-                        clients[j].rpc(|c| c.shard_txn_decide(txn_id, false, 0))?;
-                    }
-                    return Err(StoreError::Status(status));
-                }
+                Ok((status, _)) => StoreError::Status(status),
+                // A transport error ends the attempt just the same: the
+                // shards already prepared must not hold their in-doubt
+                // heads until the presumed-abort sweep.
+                Err(e) => e,
+            };
+            for &j in &prepared {
+                clients[j].rpc(|c| c.shard_txn_decide(txn_id, false, 0))?;
             }
+            return Err(err);
         }
         if retry {
             for &j in &prepared {

@@ -1,7 +1,9 @@
 //! Failure injection under load: clients that die between the allocation
 //! RPC and the RDMA value write leave half-born objects in the log. The
 //! verifier must time them out, GETs must keep serving the last durable
-//! version, and log cleaning must reclaim the corpses.
+//! version, and log cleaning must reclaim the corpses. A cross-shard
+//! transaction that meets a dead participant must not leave the live ones
+//! in doubt either.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -10,9 +12,14 @@ use efactory::client::{Client, ClientConfig};
 use efactory::log::StoreLayout;
 use efactory::protocol::{Request, Response};
 use efactory::server::{Server, ServerConfig};
+use efactory::store::{Store, StoreClient};
+use efactory::txn::TxnKv;
+use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
 use efactory_sim::Sim;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 #[test]
 fn lost_clients_are_timed_out_and_reclaimed() {
@@ -159,6 +166,56 @@ fn reader_never_sees_partially_written_values() {
             sim::sleep(sim::micros(10));
         }
         server.shutdown();
+    });
+    simu.run().expect_ok();
+}
+
+/// A 2PC prepare that fails in transport (its shard's node is dead) aborts
+/// the participants already prepared, so a plain GET of their keys does
+/// not wait out the presumed-abort sweep behind an in-doubt head.
+#[test]
+fn failed_prepare_aborts_prepared_participants() {
+    let mut simu = Sim::new(83);
+    let fabric = Fabric::new(CostModel::default());
+    let layout = StoreLayout::new(256, 256 * 1024, false);
+    let cfg = ServerConfig {
+        clean_enabled: false,
+        ..ServerConfig::default()
+    };
+    let abort_timeout = cfg.txn_abort_timeout;
+    let store = Store::format(&fabric, "server", layout, cfg, 2, 0);
+    let f = Arc::clone(&fabric);
+    simu.spawn("main", move || {
+        store.start();
+        let c = StoreClient::connect(
+            &f,
+            &f.add_node("client"),
+            &store.routes(),
+            ClientConfig::default(),
+        )
+        .unwrap();
+        // One key per shard: 2PC prepares shard 0 first, then shard 1.
+        let key_on = |g| {
+            (0..)
+                .map(|i| format!("key-{i}").into_bytes())
+                .find(|k| c.shard_for(k) == g)
+                .unwrap()
+        };
+        let (k0, k1) = (key_on(0), key_on(1));
+        c.put(&k0, b"old").unwrap();
+        let mut rng = StdRng::seed_from_u64(83);
+        f.crash_node(store.shard(1).node(), CrashSpec::DropAll, &mut rng);
+
+        let puts = [(k0.clone(), b"new".to_vec()), (k1, b"new".to_vec())];
+        assert!(c.txn_put_all(&puts).is_err(), "shard 1 is dead");
+        let t0 = sim::now();
+        assert_eq!(c.get(&k0).unwrap().as_deref(), Some(&b"old"[..]));
+        let waited = sim::now() - t0;
+        assert!(
+            waited < abort_timeout / 10,
+            "GET waited {waited} ns behind the aborted prepare"
+        );
+        store.shutdown();
     });
     simu.run().expect_ok();
 }
