@@ -6,9 +6,8 @@
 //! deterministic and independent of the host machine.
 //!
 //! * [`cluster`] — build any of the six systems, preload records, run the
-//!   workload, collect latency histograms and throughput.
-//! * [`stats`] — percentile/mean summaries (exact below a threshold,
-//!   streaming log-bucketed histogram above it).
+//!   workload, collect latency samples and throughput.
+//! * [`stats`] — exact nearest-rank percentile and mean summaries.
 //! * [`table`] — fixed-width table rendering for the figures of the
 //!   `bench` binary in `efactory-bench`.
 //! * [`report`] — versioned JSON run reports (`--json <path>` on every

@@ -1,18 +1,11 @@
 //! Latency/throughput statistics for experiment runs.
 //!
-//! Small sample sets are summarized exactly (sort + nearest-rank). Above
-//! [`STREAMING_THRESHOLD`] samples, summarization switches to the streaming
-//! log-bucketed [`Histogram`] from `efactory-obs`: O(1) memory, ≤ ~1.6 %
-//! relative quantile error, and no O(n log n) sort on the hot path. Both
-//! paths use the same nearest-rank convention, and reported quantiles never
-//! under-report the exact ones.
+//! Every summary is exact: the samples are sorted and each quantile is the
+//! nearest-rank sample ([`efactory_obs::nearest_rank`], the one quantile
+//! rule the critical-path fold uses too).
 
-use efactory_obs::Histogram;
+use efactory_obs::nearest_rank;
 use efactory_sim::Nanos;
-
-/// Sample count above which `from_samples` switches from exact
-/// (sort-every-sample) summarization to the streaming histogram.
-pub const STREAMING_THRESHOLD: usize = 100_000;
 
 /// Summary of a latency sample set (virtual nanoseconds).
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize)]
@@ -32,18 +25,10 @@ pub struct LatencyStats {
 }
 
 impl LatencyStats {
-    /// Summarize `samples`: exact for small sets (sorted in place),
-    /// streaming above [`STREAMING_THRESHOLD`].
+    /// Summarize `samples` exactly (sorted in place).
     pub fn from_samples(samples: &mut [Nanos]) -> LatencyStats {
         if samples.is_empty() {
             return LatencyStats::default();
-        }
-        if samples.len() > STREAMING_THRESHOLD {
-            let h = Histogram::new();
-            for &s in samples.iter() {
-                h.record(s);
-            }
-            return LatencyStats::from_histogram(&h);
         }
         samples.sort_unstable();
         let count = samples.len() as u64;
@@ -51,23 +36,10 @@ impl LatencyStats {
         LatencyStats {
             count,
             mean_ns: sum as f64 / count as f64,
-            p50_ns: percentile(samples, 50.0),
-            p99_ns: percentile(samples, 99.0),
-            p999_ns: percentile(samples, 99.9),
+            p50_ns: nearest_rank(samples, 50, 100),
+            p99_ns: nearest_rank(samples, 99, 100),
+            p999_ns: nearest_rank(samples, 999, 1000),
             max_ns: samples.last().copied().unwrap_or(0),
-        }
-    }
-
-    /// Summarize an already-populated streaming histogram (mean and max are
-    /// exact; quantiles carry the histogram's ≤ ~1.6 % relative error).
-    pub fn from_histogram(h: &Histogram) -> LatencyStats {
-        LatencyStats {
-            count: h.count(),
-            mean_ns: h.mean(),
-            p50_ns: h.p50(),
-            p99_ns: h.p99(),
-            p999_ns: h.p999(),
-            max_ns: h.max(),
         }
     }
 
@@ -90,18 +62,6 @@ impl LatencyStats {
     pub fn mean_us(&self) -> f64 {
         self.mean_ns / 1000.0
     }
-}
-
-/// Nearest-rank percentile of a **sorted** slice. An empty slice yields 0 —
-/// total by design, so zero-op runs summarize to an explicit zero report
-/// instead of aborting.
-pub fn percentile(sorted: &[Nanos], p: f64) -> Nanos {
-    assert!((0.0..=100.0).contains(&p));
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
 #[cfg(test)]
@@ -127,10 +87,14 @@ mod tests {
 
     #[test]
     fn percentile_handles_small_sets() {
-        assert_eq!(percentile(&[7], 50.0), 7);
-        assert_eq!(percentile(&[7], 99.0), 7);
-        assert_eq!(percentile(&[1, 2], 99.0), 2);
-        assert_eq!(percentile(&[], 50.0), 0, "empty set summarizes to zero");
+        assert_eq!(nearest_rank(&[7], 50, 100), 7);
+        assert_eq!(nearest_rank(&[7], 99, 100), 7);
+        assert_eq!(nearest_rank(&[1, 2], 99, 100), 2);
+        assert_eq!(
+            nearest_rank(&[], 50, 100),
+            0,
+            "empty set summarizes to zero"
+        );
     }
 
     #[test]
@@ -139,68 +103,5 @@ mod tests {
         let s = LatencyStats::from_samples(&mut v);
         assert_eq!(s.p50_ns, 20);
         assert_eq!(s.max_ns, 30);
-    }
-
-    #[test]
-    fn streaming_switchover_stays_within_error_bound() {
-        // Deterministic pseudo-random samples, > STREAMING_THRESHOLD of them.
-        let n = STREAMING_THRESHOLD + 10_000;
-        let mut x = 0x243f6a8885a308d3u64;
-        let mut v: Vec<Nanos> = Vec::with_capacity(n);
-        for _ in 0..n {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            v.push(1_000 + (x >> 33) % 2_000_000);
-        }
-        let streaming = LatencyStats::from_samples(&mut v.clone());
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(streaming.count, n as u64);
-        assert_eq!(streaming.max_ns, *sorted.last().unwrap());
-        for (approx, p) in [
-            (streaming.p50_ns, 50.0),
-            (streaming.p99_ns, 99.0),
-            (streaming.p999_ns, 99.9),
-        ] {
-            let exact = percentile(&sorted, p);
-            assert!(approx >= exact, "p{p}: streaming {approx} < exact {exact}");
-            let err = (approx - exact) as f64 / exact as f64;
-            assert!(err <= 0.02, "p{p}: error {err} above 2%");
-        }
-        let exact_mean = sorted.iter().map(|&s| s as u128).sum::<u128>() as f64 / n as f64;
-        assert!((streaming.mean_ns - exact_mean).abs() < 1e-6);
-    }
-
-    mod properties {
-        use super::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            // The streaming histogram path must track the exact path within
-            // the documented 2 % bound for any sample set and quantile.
-            #[test]
-            fn histogram_summary_tracks_exact(
-                samples in proptest::collection::vec(1u64..50_000_000, 50..500),
-            ) {
-                let h = Histogram::new();
-                for &s in &samples {
-                    h.record(s);
-                }
-                let streaming = LatencyStats::from_histogram(&h);
-                let mut sorted = samples.clone();
-                sorted.sort_unstable();
-                for (approx, p) in [
-                    (streaming.p50_ns, 50.0),
-                    (streaming.p99_ns, 99.0),
-                    (streaming.p999_ns, 99.9),
-                ] {
-                    let exact = percentile(&sorted, p);
-                    prop_assert!(approx >= exact);
-                    prop_assert!((approx - exact) as f64 <= exact as f64 * 0.02);
-                }
-                prop_assert_eq!(streaming.max_ns, *sorted.last().unwrap());
-            }
-        }
     }
 }

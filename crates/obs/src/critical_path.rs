@@ -29,6 +29,7 @@ use std::collections::HashMap;
 use efactory_sim::Nanos;
 
 use crate::json::{Arr, Obj};
+use crate::nearest_rank;
 use crate::trace::{chrome_us, RecordKind, Subsystem, TraceRecord, OVERLAY_LANE};
 
 /// How a phase spends time on the op's critical path.
@@ -502,9 +503,7 @@ pub fn fold(records: &[TraceRecord], cfg: &FoldConfig) -> Breakdown {
         if latencies.is_empty() {
             break;
         }
-        let n = latencies.len() as u64;
-        let rank = (q_num * n).div_ceil(q_den).clamp(1, n);
-        let threshold = latencies[rank as usize - 1];
+        let threshold = nearest_rank(&latencies, q_num, q_den);
         let mut lane_ns = [0u64; 8];
         let mut total = 0u64;
         let mut cohort = 0u64;

@@ -1,4 +1,4 @@
-//! Named counters, gauges, and histograms in a deterministic registry.
+//! Named counters in a deterministic registry.
 //!
 //! [`Counter`] deliberately mirrors the `AtomicU64` read/update surface
 //! (`fetch_add` / `load` with an ignored ordering argument), so stats
@@ -9,7 +9,6 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::hist::Histogram;
 use crate::json::Obj;
 
 /// A monotonically increasing counter. Cloning is cheap and clones share
@@ -62,43 +61,10 @@ impl std::fmt::Debug for Counter {
     }
 }
 
-/// A settable instantaneous value (same sharing semantics as [`Counter`]).
-#[derive(Clone, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// A fresh zeroed gauge.
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
-    /// Set the value.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-impl std::fmt::Debug for Gauge {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.get())
-    }
-}
-
-enum Metric {
-    Counter(Counter),
-    Gauge(Gauge),
-    Histogram(Histogram),
-}
-
-/// A named-metric registry. Iteration order is lexicographic (`BTreeMap`),
+/// A named-counter registry. Iteration order is lexicographic (`BTreeMap`),
 /// so snapshots and JSON output are deterministic.
 #[derive(Clone, Default)]
-pub struct Registry(Arc<Mutex<BTreeMap<String, Metric>>>);
+pub struct Registry(Arc<Mutex<BTreeMap<String, Counter>>>);
 
 impl Registry {
     /// A fresh empty registry.
@@ -106,7 +72,7 @@ impl Registry {
         Registry::default()
     }
 
-    /// Number of registered metrics.
+    /// Number of registered counters.
     pub fn len(&self) -> usize {
         self.0.lock().unwrap().len()
     }
@@ -118,73 +84,31 @@ impl Registry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut m = self.0.lock().unwrap();
-        match m
+        self.0
+            .lock()
+            .unwrap()
             .entry(name.to_string())
-            .or_insert_with(|| Metric::Counter(Counter::new()))
-        {
-            Metric::Counter(c) => c.clone(),
-            _ => panic!("metric '{name}' is not a counter"),
-        }
-    }
-
-    /// Get or create the gauge named `name`.
-    pub fn gauge(&self, name: &str) -> Gauge {
-        let mut m = self.0.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Gauge::new()))
-        {
-            Metric::Gauge(g) => g.clone(),
-            _ => panic!("metric '{name}' is not a gauge"),
-        }
-    }
-
-    /// Get or create the histogram named `name`.
-    pub fn histogram(&self, name: &str) -> Histogram {
-        let mut m = self.0.lock().unwrap();
-        match m
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(Histogram::new()))
-        {
-            Metric::Histogram(h) => h.clone(),
-            _ => panic!("metric '{name}' is not a histogram"),
-        }
+            .or_default()
+            .clone()
     }
 
     /// Register an existing counter under `name` (sharing its value).
     /// Re-attaching a name replaces the previous binding.
     pub fn attach_counter(&self, name: &str, c: &Counter) {
-        self.0
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), Metric::Counter(c.clone()));
+        self.0.lock().unwrap().insert(name.to_string(), c.clone());
     }
 
-    /// Register an existing histogram under `name`.
-    pub fn attach_histogram(&self, name: &str, h: &Histogram) {
-        self.0
-            .lock()
-            .unwrap()
-            .insert(name.to_string(), Metric::Histogram(h.clone()));
-    }
-
-    /// Scalar snapshot: every counter and gauge as `(name, value)`, plus
-    /// each histogram's count as `<name>.count`. Lexicographic order.
+    /// Every counter as `(name, value)`, in lexicographic order.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
         self.0
             .lock()
             .unwrap()
             .iter()
-            .map(|(name, m)| match m {
-                Metric::Counter(c) => (name.clone(), c.get()),
-                Metric::Gauge(g) => (name.clone(), g.get()),
-                Metric::Histogram(h) => (format!("{name}.count"), h.count()),
-            })
+            .map(|(name, c)| (name.clone(), c.get()))
             .collect()
     }
 
-    /// Render the scalar snapshot as one flat JSON object.
+    /// Render the snapshot as one flat JSON object.
     pub fn to_json(&self) -> String {
         let mut o = Obj::new();
         for (name, v) in self.snapshot() {
@@ -222,17 +146,9 @@ mod tests {
         let pre = Counter::new();
         pre.add(7);
         r.attach_counter("a.first", &pre);
-        r.gauge("m.gauge").set(42);
-        let h = r.histogram("lat");
-        h.record(10);
         assert_eq!(
             r.snapshot(),
-            vec![
-                ("a.first".to_string(), 7),
-                ("lat.count".to_string(), 1),
-                ("m.gauge".to_string(), 42),
-                ("z.second".to_string(), 1),
-            ]
+            vec![("a.first".to_string(), 7), ("z.second".to_string(), 1)]
         );
         // Same name returns the same underlying counter.
         r.counter("z.second").inc();
@@ -245,13 +161,5 @@ mod tests {
         r.counter("b").add(2);
         r.counter("a").add(1);
         assert_eq!(r.to_json(), r#"{"a":1,"b":2}"#);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a counter")]
-    fn kind_mismatch_panics() {
-        let r = Registry::new();
-        r.gauge("x");
-        r.counter("x");
     }
 }

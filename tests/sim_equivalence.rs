@@ -13,7 +13,7 @@
 //!   so a regression fails even if it breaks both executors identically.
 //! * **End-to-end equivalence** — a representative replicated + chaos +
 //!   scrub workload renders a byte-identical run report (params,
-//!   counters, latency histograms, critical-path breakdown) and a
+//!   counters, latency summaries, critical-path breakdown) and a
 //!   byte-identical trace on both executors.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -184,7 +184,7 @@ fn replicated_chaos_report_is_byte_identical_across_executors() {
     let (fiber_json, fiber_trace) = render(ExecModel::Fiber);
     let (thread_json, thread_trace) = render(ExecModel::Thread);
     // The report embeds params, counters (sim.* included), latency
-    // histograms, and the trace-folded breakdown — byte equality here is
+    // summaries, and the trace-folded breakdown — byte equality here is
     // the whole determinism contract in one assert.
     assert_eq!(
         fiber_json, thread_json,
