@@ -79,7 +79,7 @@ impl Probe {
     /// Execute every run at `scale`, print it, and return the report with
     /// every bound evaluated. A traced probe given a `trace` path writes
     /// its last run's Chrome trace there, tail exemplars overlaid on
-    /// `tid` 7.
+    /// `tid` 8 ([`efactory_obs::trace::OVERLAY_LANE`]).
     pub fn run(&self, scale: Scale, trace: Option<&Path>) -> Result<Report, String> {
         println!("{} · {} runs", self.name, self.runs.len());
         println!(

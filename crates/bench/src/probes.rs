@@ -171,7 +171,7 @@ fn pipeline() -> Probe {
 /// `conservation_max_err_ns` is a bug in the instrumentation, not noise.
 /// `--trace <path>` exports the YCSB-A run as Chrome `trace_event` JSON
 /// with the tail exemplars on an overlay lane (open in Perfetto; the worst
-/// ops sit on tid 7).
+/// ops sit on tid 8).
 fn breakdown() -> Probe {
     let runs = vec![
         run("Update-only/256B", ef(Mix::UpdateOnly, 256)),

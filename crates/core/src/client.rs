@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use efactory_checksum::crc32c;
 use efactory_obs::trace::current_op;
-use efactory_obs::{Counter, Obs, OpScope, SpanGuard, Subsystem};
+use efactory_obs::{Counter, Obs, OpScope, Registry, SpanGuard, Subsystem};
 use efactory_rnic::{ClientQp, Fabric, Node, QpError};
 use efactory_sim as sim;
 use efactory_sim::Nanos;
@@ -163,40 +163,88 @@ pub enum GetOutcome {
     RpcOnly,
 }
 
-/// Per-client counters.
-#[derive(Debug, Default)]
+/// One client statistic: this client's own count, plus the run-wide
+/// registry counter of the same name that every client of a run shares.
+/// One increment bumps both.
+#[derive(Debug)]
+pub struct Stat {
+    own: Cell<u64>,
+    run: Counter,
+}
+
+impl Stat {
+    fn new(registry: &Registry, name: &str) -> Stat {
+        Stat {
+            own: Cell::new(0),
+            run: registry.counter(name),
+        }
+    }
+
+    fn inc(&self) {
+        self.own.set(self.own.get() + 1);
+        self.run.inc();
+    }
+
+    /// This client's count.
+    pub fn get(&self) -> u64 {
+        self.own.get()
+    }
+}
+
+/// Per-client counters, each also counted run-wide under its
+/// `client.*` registry name.
+#[derive(Debug)]
 pub struct ClientStats {
     /// GETs served by the pure one-sided path.
-    pub pure_hits: Cell<u64>,
+    pub pure_hits: Stat,
     /// GETs that started pure and fell back to RPC.
-    pub fallbacks: Cell<u64>,
+    pub fallbacks: Stat,
     /// GETs that went straight to RPC (cleaning / hybrid disabled).
-    pub rpc_only: Cell<u64>,
+    pub rpc_only: Stat,
     /// PUTs completed.
-    pub puts: Cell<u64>,
+    pub puts: Stat,
     /// RPC send attempts beyond the first (lost request/reply ride-out).
-    pub rpc_retries: Cell<u64>,
+    pub rpc_retries: Stat,
     /// One-sided verb retries after a timeout (transient-partition
     /// ride-out of the value write / liveness re-read) — a different
     /// failure signal than `rpc_retries`, kept separate.
-    pub op_retries: Cell<u64>,
-    /// GET retries through the server: re-reads after a failed read check,
-    /// and waits on an in-doubt head.
-    pub get_retries: Cell<u64>,
+    pub op_retries: Stat,
+    /// GET retries through the server: re-reads after a failed read check
+    /// (bounded by [`MAX_RPC_RETRIES`]), and waits on an in-doubt head.
+    pub get_retries: Stat,
     /// PUTs re-issued as fresh logical requests because the allocated
     /// version was invalidated while the allocation reply was being
     /// retried (verifier timeout raced a lossy fabric).
-    pub put_reissues: Cell<u64>,
+    pub put_reissues: Stat,
     /// GETs served straight from a location-cache entry (probe skipped).
-    pub loc_hits: Cell<u64>,
+    pub loc_hits: Stat,
     /// Location-cache lookups that missed or failed validation and fell
     /// through to the normal probe.
-    pub loc_misses: Cell<u64>,
+    pub loc_misses: Stat,
     /// Location-cache entries written (new or refreshed).
-    pub loc_fills: Cell<u64>,
+    pub loc_fills: Stat,
     /// Location-cache entries evicted on a structural mismatch (stale
     /// offset after cleaning/invalidation, CRC rot, wrong key bytes).
-    pub loc_invalidations: Cell<u64>,
+    pub loc_invalidations: Stat,
+}
+
+impl ClientStats {
+    fn new(r: &Registry) -> ClientStats {
+        ClientStats {
+            pure_hits: Stat::new(r, "client.pure_hits"),
+            fallbacks: Stat::new(r, "client.fallbacks"),
+            rpc_only: Stat::new(r, "client.rpc_only"),
+            puts: Stat::new(r, "client.puts"),
+            rpc_retries: Stat::new(r, "client.rpc_retry"),
+            op_retries: Stat::new(r, "client.op_retry"),
+            get_retries: Stat::new(r, "client.get_retry"),
+            put_reissues: Stat::new(r, "client.put_reissue"),
+            loc_hits: Stat::new(r, "client.loc_cache.hits"),
+            loc_misses: Stat::new(r, "client.loc_cache.misses"),
+            loc_fills: Stat::new(r, "client.loc_cache.fills"),
+            loc_invalidations: Stat::new(r, "client.loc_cache.invalidations"),
+        }
+    }
 }
 
 /// A connected eFactory client. Not `Sync`: one client per simulated
@@ -211,22 +259,6 @@ pub struct Client {
     /// reuses it across its retry attempts.
     next_req_id: Cell<u64>,
     stats: ClientStats,
-    /// Registry counter mirroring [`ClientStats::get_retries`] (shared by
-    /// name across all clients of one run).
-    get_retry_ctr: Counter,
-    /// Registry counter mirroring [`ClientStats::rpc_retries`].
-    rpc_retry_ctr: Counter,
-    /// Registry counter mirroring [`ClientStats::op_retries`].
-    op_retry_ctr: Counter,
-    /// Registry counter mirroring [`ClientStats::put_reissues`].
-    put_reissue_ctr: Counter,
-    /// Registry counters mirroring the GET-path outcome fields and
-    /// [`ClientStats::puts`], so the run report covers every client
-    /// counter without reaching into per-client stats.
-    pure_hit_ctr: Counter,
-    fallback_ctr: Counter,
-    rpc_only_ctr: Counter,
-    put_ctr: Counter,
     /// Location cache: key → last located object version. Only consulted
     /// when `cfg.loc_cache` is set; flushed whenever cleaning starts or
     /// ends (cleaning is the only thing that *moves* objects).
@@ -235,11 +267,6 @@ pub struct Client {
     /// topologies). Entries stamped with an older epoch are evicted on
     /// lookup instead of dereferenced — see [`LocEntry::epoch`].
     placement_epoch: Cell<u64>,
-    /// Registry counters mirroring the `loc_*` fields of [`ClientStats`].
-    loc_hit_ctr: Counter,
-    loc_miss_ctr: Counter,
-    loc_fill_ctr: Counter,
-    loc_inval_ctr: Counter,
     /// Registry counters for the transactional surface. `pub(crate)` so
     /// the routed [`StoreClient`](crate::store::StoreClient) counts its
     /// logical commits.
@@ -305,18 +332,7 @@ impl Client {
         cfg: ClientConfig,
     ) -> Result<Client, StoreError> {
         let qp = fabric.connect(local, server_node)?;
-        let get_retry_ctr = cfg.obs.registry.counter("client.get_retry");
-        let rpc_retry_ctr = cfg.obs.registry.counter("client.rpc_retry");
-        let op_retry_ctr = cfg.obs.registry.counter("client.op_retry");
-        let put_reissue_ctr = cfg.obs.registry.counter("client.put_reissue");
-        let pure_hit_ctr = cfg.obs.registry.counter("client.pure_hits");
-        let fallback_ctr = cfg.obs.registry.counter("client.fallbacks");
-        let rpc_only_ctr = cfg.obs.registry.counter("client.rpc_only");
-        let put_ctr = cfg.obs.registry.counter("client.puts");
-        let loc_hit_ctr = cfg.obs.registry.counter("client.loc_cache.hits");
-        let loc_miss_ctr = cfg.obs.registry.counter("client.loc_cache.misses");
-        let loc_fill_ctr = cfg.obs.registry.counter("client.loc_cache.fills");
-        let loc_inval_ctr = cfg.obs.registry.counter("client.loc_cache.invalidations");
+        let stats = ClientStats::new(&cfg.obs.registry);
         let txn_commit_ctr = cfg.obs.registry.counter("client.txn.commits");
         let txn_conflict_ctr = cfg.obs.registry.counter("client.txn.conflicts");
         let snap_capture_ctr = cfg.obs.registry.counter("client.txn.snap_captures");
@@ -328,21 +344,9 @@ impl Client {
             cfg,
             cleaning: Cell::new(false),
             next_req_id: Cell::new(1),
-            stats: ClientStats::default(),
-            get_retry_ctr,
-            rpc_retry_ctr,
-            op_retry_ctr,
-            put_reissue_ctr,
-            pure_hit_ctr,
-            fallback_ctr,
-            rpc_only_ctr,
-            put_ctr,
+            stats,
             loc_cache: RefCell::new(HashMap::new()),
             placement_epoch: Cell::new(0),
-            loc_hit_ctr,
-            loc_miss_ctr,
-            loc_fill_ctr,
-            loc_inval_ctr,
             txn_commit_ctr,
             txn_conflict_ctr,
             snap_capture_ctr,
@@ -437,8 +441,7 @@ impl Client {
                 epoch: self.placement_epoch.get(),
             },
         );
-        self.stats.loc_fills.set(self.stats.loc_fills.get() + 1);
-        self.loc_fill_ctr.inc();
+        self.stats.loc_fills.inc();
     }
 
     /// Adopt a new placement epoch (the cluster client calls this after a
@@ -456,16 +459,8 @@ impl Client {
     /// Evict `key`'s entry after a structural validation failure.
     fn loc_invalidate(&self, key: &[u8]) {
         if self.loc_cache.borrow_mut().remove(key).is_some() {
-            self.stats
-                .loc_invalidations
-                .set(self.stats.loc_invalidations.get() + 1);
-            self.loc_inval_ctr.inc();
+            self.stats.loc_invalidations.inc();
         }
-    }
-
-    fn note_loc_miss(&self) {
-        self.stats.loc_misses.set(self.stats.loc_misses.get() + 1);
-        self.loc_miss_ctr.inc();
     }
 
     /// Try to serve a GET from the location cache with a single one-sided
@@ -476,14 +471,14 @@ impl Client {
     /// transient (not yet durable).
     fn try_cached_get(&self, key: &[u8]) -> Result<PureOutcome, StoreError> {
         let Some(entry) = self.loc_cache.borrow().get(key).copied() else {
-            self.note_loc_miss();
+            self.stats.loc_misses.inc();
             return Ok(PureOutcome::Fallback);
         };
         if entry.epoch != self.placement_epoch.get() {
             // Filled under an older placement: the offset belongs to a
             // node that may no longer own the shard. Never dereference it.
             self.loc_invalidate(key);
-            self.note_loc_miss();
+            self.stats.loc_misses.inc();
             return Ok(PureOutcome::Fallback);
         }
         let _sp = self.cfg.obs.tracer.span(Subsystem::Client, "cached_read");
@@ -506,12 +501,11 @@ impl Client {
                 if miss == Read::Stale {
                     self.loc_invalidate(key);
                 }
-                self.note_loc_miss();
+                self.stats.loc_misses.inc();
                 return Ok(PureOutcome::Fallback);
             }
         };
-        self.stats.loc_hits.set(self.stats.loc_hits.get() + 1);
-        self.loc_hit_ctr.inc();
+        self.stats.loc_hits.inc();
         Ok(PureOutcome::Hit(value))
     }
 
@@ -532,8 +526,7 @@ impl Client {
         let mut backoff = RETRY_BACKOFF;
         for attempt in 0..RPC_ATTEMPTS {
             if attempt > 0 {
-                self.stats.rpc_retries.set(self.stats.rpc_retries.get() + 1);
-                self.rpc_retry_ctr.inc();
+                self.stats.rpc_retries.inc();
                 self.backoff_sleep(backoff);
                 backoff = backoff.saturating_mul(2);
             }
@@ -566,16 +559,6 @@ impl Client {
         Err(StoreError::Qp(QpError::Timeout))
     }
 
-    /// Count one one-sided retry (timeout ride-out), in both the
-    /// per-client stats and the run-wide `client.op_retry` registry
-    /// counter. Deliberately distinct from `rpc_retries`: an RPC resend
-    /// and a one-sided redo are different failure signals, and the former
-    /// gates PUT's liveness re-check.
-    fn note_op_retry(&self) {
-        self.stats.op_retries.set(self.stats.op_retries.get() + 1);
-        self.op_retry_ctr.inc();
-    }
-
     /// Idempotent one-sided write with bounded timeout retries (rides out
     /// transient partitions; re-writing the same bytes to the same offset
     /// is harmless).
@@ -587,7 +570,7 @@ impl Client {
                 Ok(()) => return Ok(()),
                 Err(QpError::Timeout) if attempt < OP_RETRIES => {
                     attempt += 1;
-                    self.note_op_retry();
+                    self.stats.op_retries.inc();
                     self.backoff_sleep(backoff);
                     backoff = backoff.saturating_mul(2);
                 }
@@ -622,16 +605,12 @@ impl Client {
         let mut backoff = OP_BACKOFF;
         for attempt in 0..=OP_RETRIES {
             if attempt > 0 {
-                self.stats
-                    .put_reissues
-                    .set(self.stats.put_reissues.get() + 1);
-                self.put_reissue_ctr.inc();
+                self.stats.put_reissues.inc();
                 self.backoff_sleep(backoff);
                 backoff = backoff.saturating_mul(2);
             }
             if self.put_once(key, value)? {
-                self.stats.puts.set(self.stats.puts.get() + 1);
-                self.put_ctr.inc();
+                self.stats.puts.inc();
                 return Ok(());
             }
         }
@@ -710,7 +689,7 @@ impl Client {
                 Ok(b) => break b,
                 Err(QpError::Timeout) if attempt < OP_RETRIES => {
                     attempt += 1;
-                    self.note_op_retry();
+                    self.stats.op_retries.inc();
                     self.backoff_sleep(backoff);
                     backoff = backoff.saturating_mul(2);
                 }
@@ -771,21 +750,18 @@ impl Client {
             };
             match pure {
                 PureOutcome::Hit(v) => {
-                    self.stats.pure_hits.set(self.stats.pure_hits.get() + 1);
-                    self.pure_hit_ctr.inc();
+                    self.stats.pure_hits.inc();
                     return Ok((v, GetOutcome::Pure));
                 }
                 PureOutcome::Fallback => {
-                    self.stats.fallbacks.set(self.stats.fallbacks.get() + 1);
-                    self.fallback_ctr.inc();
+                    self.stats.fallbacks.inc();
                     let _sp = self.cfg.obs.tracer.span(Subsystem::Client, "fallback_rpc");
                     let v = self.rpc_get(key)?;
                     return Ok((v, GetOutcome::Fallback));
                 }
             }
         }
-        self.stats.rpc_only.set(self.stats.rpc_only.get() + 1);
-        self.rpc_only_ctr.inc();
+        self.stats.rpc_only.inc();
         let _sp = self.cfg.obs.tracer.span(Subsystem::Client, "rpc_read");
         let v = self.rpc_get(key)?;
         Ok((v, GetOutcome::RpcOnly))
@@ -838,15 +814,6 @@ impl Client {
         Ok(outcome)
     }
 
-    /// Count one GET retry through the server (a re-read bounded by
-    /// [`MAX_RPC_RETRIES`], or a wait on an in-doubt head), in both the
-    /// per-client stats and the run-wide `client.get_retry` registry
-    /// counter.
-    fn note_get_retry(&self) {
-        self.stats.get_retries.set(self.stats.get_retries.get() + 1);
-        self.get_retry_ctr.inc();
-    }
-
     /// Steps 5–9 of Figure 6: RPC to the server (which guarantees
     /// durability before answering), then a one-sided read of the object.
     fn rpc_get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
@@ -876,7 +843,7 @@ impl Client {
                 if status != Status::Busy {
                     break (status, obj_off, klen, vlen);
                 }
-                self.note_get_retry();
+                self.stats.get_retries.inc();
                 self.backoff_sleep(crate::txn::TXN_BACKOFF);
             };
             match status {
@@ -889,7 +856,7 @@ impl Client {
                 Ok(obj) => obj,
                 Err(QpError::Timeout) => {
                     // Transient partition: retry through the server.
-                    self.note_get_retry();
+                    self.stats.get_retries.inc();
                     continue;
                 }
                 Err(e) => return Err(StoreError::Qp(e)),
@@ -901,14 +868,14 @@ impl Client {
             // through the server. (The server never returns an in-doubt
             // PENDING version; seeing one means the offset was reused.)
             let Some(f) = Fetched::parse(&obj, key, klen, vlen) else {
-                self.note_get_retry();
+                self.stats.get_retries.inc();
                 continue;
             };
             let served = match f.read() {
                 Read::Value(v) => (Some(v.to_vec()), f.hdr.seq),
                 Read::Tombstone => (None, 0),
                 Read::Stale | Read::NotYet => {
-                    self.note_get_retry();
+                    self.stats.get_retries.inc();
                     continue;
                 }
             };
@@ -1053,7 +1020,7 @@ impl Client {
         let obj = match self.qp.rdma_read(&self.desc.mr, obj_off as usize, size) {
             Ok(obj) => obj,
             Err(QpError::Timeout) => {
-                self.note_op_retry();
+                self.stats.op_retries.inc();
                 return busy(self);
             }
             Err(e) => return Err(StoreError::Qp(e)),

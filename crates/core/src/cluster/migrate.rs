@@ -8,9 +8,9 @@
 //!    destination is down, or it already owns the shard). Ownership does
 //!    NOT change yet; the source keeps serving.
 //! 2. **Attach** — the driver parks a delta-stream target in the source
-//!    server's [`MigrateSlot`](crate::server::MigrateSlot); the source's
-//!    *verifier* (the replication point, exactly as in [`crate::repl`])
-//!    connects a [`Mirror`](crate::repl::Mirror) to the destination pool
+//!    server's [`MigrateSlot`]; the source's *verifier* (the replication
+//!    point, exactly as in [`crate::repl`]) connects a
+//!    [`Mirror`](crate::repl::Mirror) to the destination pool
 //!    and acks with its cursor — the **attach cursor**. From here, every
 //!    object the verifier advances past at or above that cursor is
 //!    shipped to the destination as it becomes durable. Traffic flows.
@@ -45,9 +45,10 @@
 //!    onto the RPC fallback where the seal answers `WrongEpoch`, and a
 //!    `CleanStart` event pins polling clients off the pure path entirely.
 //!    Then `MigrateCommit` flips ownership in the metadata service with
-//!    an **epoch bump**, and the new seat is published. The sealed source
-//!    stays up as a tombstone answering `WrongEpoch` — the retarget
-//!    signal for every client that has not yet refreshed.
+//!    an **epoch bump**, and the destination is installed in the seat
+//!    table, which shuts the sealed source down. A client still holding
+//!    a QP to the source then gets a transport error and redials through
+//!    the placement refresh.
 //!
 //! Aborting at any step before 7 leaves the source the one owner: the
 //! driver unseals it, detaches the delta stream, and commits

@@ -17,8 +17,8 @@
 //!   copy byte-identical to the (now frozen) source, and only then flip
 //!   ownership with an epoch bump;
 //! * [`StoreClient`](crate::store::StoreClient) over [`Store::routes`]
-//!   — clients cache the placement with its epoch and retarget
-//!   transparently on `WrongEpoch` rejections.
+//!   — clients retarget transparently on a sealed source's `WrongEpoch`
+//!   or a retired source's transport error.
 //!
 //! The store holds this control plane beside its seat table: a migration
 //! commit or a node restart installs the shard's new server as its seat.

@@ -5,16 +5,17 @@
 //!
 //! * **key → shard** is *static*: [`key_shard`] hashes the key through a
 //!   second splitmix64 round (decorrelated from the in-shard bucket
-//!   [`fingerprint`](crate::hashtable::fingerprint)), and the shard count
-//!   never changes over the life of a store. The routed
+//!   [`fingerprint`]), and the shard count never changes over the life
+//!   of a store. The routed
 //!   [`StoreClient`](crate::store::StoreClient) and the transaction
 //!   drivers route here, so a key maps to the same shard on every client,
 //!   every connection, and every run.
 //! * **shard → node** is *dynamic*: a [`PlacementMap`] assigns each shard
 //!   to a cluster node and carries an **epoch** that the replicated
 //!   metadata service bumps on every reassignment (migration flip,
-//!   failover). Clients cache the map tagged with its epoch and learn of
-//!   staleness through `WrongEpoch` rejections.
+//!   failover). Clients learn of a move from a sealed source's
+//!   `WrongEpoch` or a retired source's transport error, and tag their
+//!   location-cache entries with the epoch.
 //!
 //! A single-node [`Store`](crate::store::Store) has no placement map: its
 //! shards never move, so it never sees an epoch.
@@ -42,9 +43,8 @@ pub fn key_shard(key: &[u8], shards: usize) -> usize {
 /// service; clients hold snapshots and treat the epoch as the cache tag.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PlacementMap {
-    /// Bumped by the metadata service on every reassignment. A server
-    /// whose placement is older than a client's (or vice versa) answers
-    /// `WrongEpoch`, which is the retarget signal.
+    /// Bumped by the metadata service on every reassignment. No request
+    /// carries it: clients tag their location-cache entries with it.
     pub epoch: u64,
     /// `assignment[shard]` = index of the cluster node hosting it.
     pub assignment: Vec<u32>,

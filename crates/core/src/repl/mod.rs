@@ -18,7 +18,7 @@
 //! RDMA-write ack, and the mirror rides behind the verifier exactly like
 //! durability does.
 //!
-//! The backup runs its own apply loop ([`backup`]): on each `WriteImm`
+//! The [`Backup`] runs its own apply loop: on each `WriteImm`
 //! completion it walks the mirrored run object by object, *re-verifies the
 //! CRC*, flushes the bytes to its own media, and only then links its own
 //! hash entry — so an object is indexed on the backup only after **remote
@@ -130,8 +130,8 @@ impl ReplStats {
 }
 
 /// Where a primary's verifier mirrors to. Handed to
-/// [`Server::start_with`]; the verifier process connects its own QP to the
-/// backup at startup.
+/// [`Server::start_with`](crate::server::Server::start_with); the verifier
+/// process connects its own QP to the backup at startup.
 #[derive(Clone)]
 pub struct ReplTarget {
     /// The backup's fabric node (must be listening).

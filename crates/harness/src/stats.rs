@@ -53,11 +53,6 @@ impl LatencyStats {
         self.p99_ns as f64 / 1000.0
     }
 
-    /// p99.9 in microseconds (table rendering).
-    pub fn p999_us(&self) -> f64 {
-        self.p999_ns as f64 / 1000.0
-    }
-
     /// Mean in microseconds (table rendering).
     pub fn mean_us(&self) -> f64 {
         self.mean_ns / 1000.0
@@ -83,6 +78,17 @@ mod tests {
         assert_eq!(s.p999_ns, 100);
         assert_eq!(s.max_ns, 100);
         assert!((s.mean_ns - 50.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn large_sets_are_summarized_exactly() {
+        // Above 100,000 samples the summary stays exact: no bucket edges.
+        let mut v: Vec<Nanos> = (1..=110_000).rev().collect();
+        let s = LatencyStats::from_samples(&mut v);
+        assert_eq!(s.count, 110_000);
+        assert_eq!((s.p50_ns, s.p99_ns, s.p999_ns), (55_000, 108_900, 109_890));
+        assert_eq!(s.max_ns, 110_000);
+        assert!((s.mean_ns - 55_000.5).abs() < 1e-9);
     }
 
     #[test]

@@ -61,16 +61,6 @@ impl Table {
     }
 }
 
-/// Format a megaops value.
-pub fn fmt_mops(v: f64) -> String {
-    format!("{v:.3}")
-}
-
-/// Format microseconds.
-pub fn fmt_us(v: f64) -> String {
-    format!("{v:.2}")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

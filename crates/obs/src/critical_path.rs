@@ -32,6 +32,9 @@ use crate::json::{Arr, Obj};
 use crate::nearest_rank;
 use crate::trace::{chrome_us, RecordKind, Subsystem, TraceRecord, OVERLAY_LANE};
 
+/// Subsystem lanes an op's time is attributed to.
+const LANES: usize = Subsystem::ALL.len();
+
 /// How a phase spends time on the op's critical path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PhaseKind {
@@ -98,7 +101,7 @@ pub struct OpSummary {
     /// Measured latency (root span duration).
     pub latency: Nanos,
     /// Attributed nanoseconds per subsystem lane (sums to `latency`).
-    pub sub_ns: [u64; 8],
+    pub sub_ns: [u64; LANES],
 }
 
 impl OpSummary {
@@ -150,7 +153,7 @@ pub struct PercentileRow {
     pub cohort: u64,
     /// Per-lane share of the cohort's total latency, in hundredths of a
     /// percent (integer math; sums to ~10000).
-    pub share_hundredths: [u64; 8],
+    pub share_hundredths: [u64; LANES],
     /// Subsystem with the largest share (ties break toward lower lane).
     pub dominant: Subsystem,
 }
@@ -387,7 +390,7 @@ pub fn fold(records: &[TraceRecord], cfg: &FoldConfig) -> Breakdown {
             }
         }
 
-        let mut sub_ns = [0u64; 8];
+        let mut sub_ns = [0u64; LANES];
         let mut covered = 0u64;
         for seg in &segments {
             sub_ns[seg.sub.lane() as usize] += seg.dur;
@@ -504,7 +507,7 @@ pub fn fold(records: &[TraceRecord], cfg: &FoldConfig) -> Breakdown {
             break;
         }
         let threshold = nearest_rank(&latencies, q_num, q_den);
-        let mut lane_ns = [0u64; 8];
+        let mut lane_ns = [0u64; LANES];
         let mut total = 0u64;
         let mut cohort = 0u64;
         for s in &summaries {
@@ -516,12 +519,12 @@ pub fn fold(records: &[TraceRecord], cfg: &FoldConfig) -> Breakdown {
                 }
             }
         }
-        let mut share_hundredths = [0u64; 8];
+        let mut share_hundredths = [0u64; LANES];
         for (share, ns) in share_hundredths.iter_mut().zip(lane_ns) {
             *share = (ns * 10_000).checked_div(total).unwrap_or(0);
         }
-        let dominant_lane = (0..7)
-            .max_by_key(|&l| (share_hundredths[l], 6 - l))
+        let dominant_lane = (0..LANES)
+            .max_by_key(|&l| (share_hundredths[l], std::cmp::Reverse(l)))
             .unwrap();
         percentiles.push(PercentileRow {
             label,
@@ -928,7 +931,38 @@ mod tests {
         let ex = b.exemplars_json();
         assert!(ex.contains("\"latency_ns\":1000"));
         let overlay = b.chrome_overlay_events();
-        assert!(overlay[0].contains("\"tid\":7"));
+        assert!(overlay[0].contains("\"tid\":8"));
+    }
+
+    #[test]
+    fn cluster_lane_can_own_the_tail_and_overlay_has_its_own_lane() {
+        // 99 fast client-bound ops and one slow op partly spent in a
+        // Cluster span (a placement refresh): p99.9 is that op alone.
+        let fold_with = |refresh: Nanos| {
+            let mut recs: Vec<TraceRecord> = (0..99u64)
+                .map(|i| span(i + 1, Subsystem::Client, "op", i * 10, 5, &[]))
+                .collect();
+            recs.push(span(100, Subsystem::Client, "op", 5_000, 1_000, &[]));
+            recs.push(span(
+                100,
+                Subsystem::Cluster,
+                "refresh",
+                5_050,
+                refresh,
+                &[],
+            ));
+            fold(&recs, &FoldConfig::default())
+        };
+        let b = fold_with(900);
+        let p999 = b.percentile("p999").unwrap();
+        assert_eq!((p999.threshold_ns, p999.cohort), (1_000, 1));
+        assert_eq!(p999.dominant, Subsystem::Cluster);
+        assert_eq!(p999.share_pct(Subsystem::Cluster), 90.0);
+        // A 50/50 split between the client and cluster lanes goes to the
+        // lower lane.
+        let tie = fold_with(500);
+        assert_eq!(tie.percentile("p999").unwrap().dominant, Subsystem::Client);
+        assert!(Subsystem::ALL.iter().all(|s| s.lane() != OVERLAY_LANE));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::json::Obj;
 
@@ -72,9 +72,15 @@ impl Registry {
         Registry::default()
     }
 
+    fn map(&self) -> MutexGuard<'_, BTreeMap<String, Counter>> {
+        self.0
+            .lock()
+            .expect("a thread panicked while holding the registry")
+    }
+
     /// Number of registered counters.
     pub fn len(&self) -> usize {
-        self.0.lock().unwrap().len()
+        self.map().len()
     }
 
     /// Whether the registry is empty.
@@ -84,25 +90,18 @@ impl Registry {
 
     /// Get or create the counter named `name`.
     pub fn counter(&self, name: &str) -> Counter {
-        self.0
-            .lock()
-            .unwrap()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
+        self.map().entry(name.to_string()).or_default().clone()
     }
 
     /// Register an existing counter under `name` (sharing its value).
     /// Re-attaching a name replaces the previous binding.
     pub fn attach_counter(&self, name: &str, c: &Counter) {
-        self.0.lock().unwrap().insert(name.to_string(), c.clone());
+        self.map().insert(name.to_string(), c.clone());
     }
 
     /// Every counter as `(name, value)`, in lexicographic order.
     pub fn snapshot(&self) -> Vec<(String, u64)> {
-        self.0
-            .lock()
-            .unwrap()
+        self.map()
             .iter()
             .map(|(name, c)| (name.clone(), c.get()))
             .collect()

@@ -180,7 +180,7 @@ fn clock() -> Nanos {
 
 /// Chrome-trace lane (`tid`) used for overlay events appended via
 /// [`Tracer::to_chrome_json_with_overlay`], one past the last subsystem.
-pub const OVERLAY_LANE: u32 = 7;
+pub const OVERLAY_LANE: u32 = Subsystem::ALL.len() as u32;
 
 /// Virtual nanoseconds rendered as Chrome-trace microseconds with integer
 /// math (byte-identical across same-seed runs).
@@ -522,8 +522,8 @@ mod tests {
         let json = t.to_chrome_json();
         assert!(json.contains(r#""args":{"op":5}"#), "{json}");
         let overlay =
-            t.to_chrome_json_with_overlay(&[r#"{"name":"exemplar","tid":7}"#.to_string()]);
-        assert!(overlay.contains(r#"{"name":"exemplar","tid":7}"#));
+            t.to_chrome_json_with_overlay(&[r#"{"name":"exemplar","tid":8}"#.to_string()]);
+        assert!(overlay.contains(r#"{"name":"exemplar","tid":8}"#));
         assert!(overlay.ends_with(r#""displayTimeUnit":"ns","droppedRecords":0}"#));
     }
 }

@@ -980,11 +980,6 @@ impl ClientQp {
             .map_err(|_| QpError::Disconnected)
     }
 
-    /// Block for the next reply from the server.
-    pub fn recv_reply(&self) -> Result<Vec<u8>, QpError> {
-        self.rx.recv().map_err(|_| QpError::Disconnected)
-    }
-
     /// Reply receive with an absolute virtual-time deadline.
     pub fn recv_reply_deadline(&self, deadline: Nanos) -> Result<Vec<u8>, QpError> {
         self.rx.recv_deadline(deadline).map_err(|e| match e {

@@ -875,11 +875,6 @@ impl ProcessHandle {
         let _ = ticket;
         self.kernel.park(me);
     }
-
-    /// Whether the process has exited.
-    pub fn is_finished(&self) -> bool {
-        self.kernel.sched.lock().meta[self.pid].exited
-    }
 }
 
 /// Result of driving a simulation with [`Sim::run`].

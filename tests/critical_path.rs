@@ -3,7 +3,7 @@
 //!
 //! The breakdown's core contract is *exact conservation*: for every
 //! attributed operation, the sum of its phase segments — service, queueing,
-//! and retry, across all seven subsystem lanes — equals the measured
+//! and retry, across all eight subsystem lanes — equals the measured
 //! submit→completion latency to the nanosecond. The fold constructs the
 //! decomposition by interval sweep over the op's own window, so any error
 //! is an instrumentation bug (a span leaking outside its op, a verb probe
@@ -62,7 +62,7 @@ fn run_checked(tag: &str, spec: &ExperimentSpec) -> Breakdown {
         "{tag}: phases + queueing must equal measured latency exactly"
     );
     // Shares of each percentile cohort sum to 100% up to integer
-    // truncation (7 lanes × <0.01% each).
+    // truncation (8 lanes × <0.01% each).
     for p in &b.percentiles {
         let sum: u64 = p.share_hundredths.iter().sum();
         assert!(
@@ -212,6 +212,32 @@ fn tail_attribution_and_exemplars_for_update_only_and_ycsb_a() {
                 sum, e.summary.latency,
                 "{tag}: exemplar timeline conserves its latency"
             );
+        }
+    }
+}
+
+/// The run report's all-op quantiles are the breakdown's cohort thresholds:
+/// both are the nearest-rank samples of the same measured latencies. At
+/// 1,000 ops a float rank for p99.9 is one too high, so this also pins the
+/// integer rule.
+#[test]
+fn report_quantiles_equal_breakdown_thresholds() {
+    for (mix, tag) in [(Mix::UpdateOnly, "update-only"), (Mix::A, "ycsb-a")] {
+        let mut s = base(mix, 21);
+        s.clients = 4;
+        s.ops_per_client = 250;
+        let obs = Obs::with_trace_capacity(1 << 18);
+        let r = cluster::run_observed(&s, CostModel::default(), &obs);
+        assert_eq!(obs.tracer.dropped(), 0, "{tag}: trace ring must not drop");
+        let b = r.breakdown.as_ref().expect("breakdown folded");
+        assert_eq!((r.all.count, b.ops), (1_000, 1_000), "{tag}: op counts");
+        for (label, reported) in [
+            ("p50", r.all.p50_ns),
+            ("p99", r.all.p99_ns),
+            ("p999", r.all.p999_ns),
+        ] {
+            let row = b.percentile(label).expect("percentile row present");
+            assert_eq!(reported, row.threshold_ns, "{tag}: report {label}");
         }
     }
 }
