@@ -311,14 +311,6 @@ impl OpCtx {
             sp.arg("retries", retries);
         }
     }
-
-    /// Attach an arbitrary arg to the root span (e.g. the transaction's
-    /// commit timestamp, joining the op to the server's txn spans).
-    pub(crate) fn arg(&mut self, key: &'static str, value: u64) {
-        if let Some(sp) = &mut self.root {
-            sp.arg(key, value);
-        }
-    }
 }
 
 impl Client {

@@ -37,7 +37,7 @@ use efactory_rnic::{Fabric, Node, QpError};
 use efactory_sim as sim;
 
 use super::{Routes, Seat, Seats};
-use crate::client::{Client, ClientConfig, OpCtx, RemoteKv};
+use crate::client::{Client, ClientConfig, RemoteKv};
 use crate::cluster::{key_shard, ClusterStats, MetaClient};
 use crate::protocol::{Status, StoreError};
 use crate::repl::PROMOTED;
@@ -335,24 +335,20 @@ impl StoreClient {
         kind: u64,
         key: &[u8],
         mut op: impl FnMut(&[ShardConn<'_>]) -> Result<T, StoreError>,
-    ) -> (Result<T, StoreError>, OpCtx) {
+    ) -> Result<T, StoreError> {
         self.poll_events();
         let mut ctx = self.conns[0].borrow().op_root(kind, key);
         let before = self.retry_total();
         let shards = self.shard_conns();
         let result = self.retry(Scope::All, || op(&shards));
         ctx.set_retries(self.retry_total() - before);
-        (result, ctx)
+        result
     }
 
-    /// Count a commit and stamp its timestamp on the op's root.
-    fn committed(
-        &self,
-        (result, mut ctx): (Result<u64, StoreError>, OpCtx),
-    ) -> Result<u64, StoreError> {
-        if let Ok(ts) = &result {
+    /// Count a commit.
+    fn committed(&self, result: Result<u64, StoreError>) -> Result<u64, StoreError> {
+        if result.is_ok() {
             self.conns[0].borrow().txn_commit_ctr.inc();
-            ctx.arg("commit_ts", *ts);
         }
         result
     }
@@ -400,7 +396,6 @@ impl TxnKv for StoreClient {
 
     fn snap_get(&self, key: &[u8], snap: &TxnSnapshot) -> Result<Option<Vec<u8>>, StoreError> {
         self.rooted(4, key, |s| txn::snap_get_routed(s, key, snap))
-            .0
     }
 }
 

@@ -1,7 +1,8 @@
 //! Op-path properties asserted **purely from the recorded trace**: the
 //! observability layer must let an operator reconstruct what the hybrid
 //! read and the background verifier actually did, without peeking at
-//! internal state.
+//! internal state. Each test opts in to tracing with
+//! `Obs::with_trace_capacity`; a default `Obs` records no trace.
 
 use std::sync::Arc;
 
@@ -27,7 +28,7 @@ fn non_durable_get_emits_exactly_one_fallback_span() {
     let mut simu = Sim::new(5);
     let fabric = Fabric::new(CostModel::default());
     let server_node = fabric.add_node("server");
-    let obs = Obs::new();
+    let obs = Obs::with_trace_capacity(1 << 16);
     let cfg = ServerConfig {
         // Verifier effectively asleep: the PUT below stays non-durable
         // until a reader forces persistence.
@@ -62,6 +63,7 @@ fn non_durable_get_emits_exactly_one_fallback_span() {
         server.shutdown();
     });
     simu.run().expect_ok();
+    assert!(!obs.tracer.is_empty(), "the opted-in tracer kept the run");
 
     let fallbacks = obs.tracer.records_named("fallback_rpc");
     assert_eq!(fallbacks.len(), 1, "exactly one fallback span expected");
@@ -84,7 +86,7 @@ fn verifier_timeout_emits_invalidate_event() {
     let mut simu = Sim::new(17);
     let fabric = Fabric::new(CostModel::default());
     let server_node = fabric.add_node("server");
-    let obs = Obs::new();
+    let obs = Obs::with_trace_capacity(1 << 16);
     let cfg = ServerConfig {
         verify_timeout: sim::micros(50),
         obs: obs.clone(),
@@ -114,6 +116,7 @@ fn verifier_timeout_emits_invalidate_event() {
         server.shutdown();
     });
     simu.run().expect_ok();
+    assert!(!obs.tracer.is_empty(), "the opted-in tracer kept the run");
 
     let invalidates: Vec<_> = obs
         .tracer

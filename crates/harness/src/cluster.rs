@@ -337,9 +337,9 @@ pub struct RunResult {
     /// (`server.*`, `pmem.*`, `fabric.*`).
     pub counters: Vec<(String, u64)>,
     /// Per-op critical-path breakdown folded from the trace over the
-    /// measurement window (None when the trace captured no attributed
-    /// ops — e.g. baseline systems that don't emit `"op"` root spans — or
-    /// when the trace ring overflowed and dropped records).
+    /// measurement window (None on an untraced run, when the trace captured
+    /// no attributed ops — e.g. baseline systems that don't emit `"op"`
+    /// root spans — or when the trace ring overflowed and dropped records).
     /// Serialized separately by the report writer, not via serde.
     pub breakdown: Option<Breakdown>,
 }
@@ -653,7 +653,8 @@ fn run_serial(
     }
 }
 
-/// Execute one experiment. Deterministic in `spec.seed`.
+/// Execute one experiment, recording metrics only (no trace, so no
+/// breakdown). Deterministic in `spec.seed`.
 pub fn run(spec: &ExperimentSpec) -> RunResult {
     run_with_cost(spec, CostModel::default())
 }
@@ -664,8 +665,9 @@ pub fn run_with_cost(spec: &ExperimentSpec, cost: CostModel) -> RunResult {
 }
 
 /// Execute one experiment against a caller-supplied observability handle:
-/// the run's metrics land in `obs.registry` and its spans/events in
-/// `obs.tracer`, so the caller can export a trace or inspect counters after
+/// the run's metrics land in `obs.registry` and, when `obs.tracer` is on
+/// ([`Obs::with_trace_capacity`]), its spans/events in `obs.tracer`, so the
+/// caller can export a trace, read the breakdown, or inspect counters after
 /// the run. Deterministic in `spec.seed` — same seed, same trace.
 pub fn run_observed(spec: &ExperimentSpec, cost: CostModel, obs: &Obs) -> RunResult {
     run_inner(spec, cost, None, Some(obs.clone()))
@@ -701,20 +703,22 @@ fn run_inner(
     if let Some(plan) = spec.fault_plan {
         fabric.set_fault_plan(Some(plan));
     }
-    // NIC verbs become spans on the trace's nic lane, covering the verb's
-    // full start→completion window (retransmissions and fault delays
-    // included). The probe fires on the issuing thread, so the record
-    // inherits the active op id for critical-path attribution.
-    let nic_tracer = obs.tracer.clone();
-    fabric.set_verb_probe(move |verb, bytes, start, end| {
-        nic_tracer.record_span_at(
-            Subsystem::Nic,
-            verb,
-            start,
-            end.saturating_sub(start),
-            &[("bytes", bytes as u64)],
-        );
-    });
+    // On a traced run, NIC verbs become spans on the trace's nic lane,
+    // covering the verb's full start→completion window (retransmissions and
+    // fault delays included). The probe fires on the issuing thread, so the
+    // record inherits the active op id for critical-path attribution.
+    if obs.tracer.is_on() {
+        let nic_tracer = obs.tracer.clone();
+        fabric.set_verb_probe(move |verb, bytes, start, end| {
+            nic_tracer.record_span_at(
+                Subsystem::Nic,
+                verb,
+                start,
+                end.saturating_sub(start),
+                &[("bytes", bytes as u64)],
+            );
+        });
+    }
     let server_node = fabric.add_node("server");
     let server = Arc::new(build_server(
         &fabric,
@@ -982,12 +986,12 @@ fn run_inner(
     ] {
         obs.registry.counter(name).store(v, Ordering::Relaxed);
     }
-    // Fold the trace into the per-op critical-path breakdown, clipped to
-    // the measurement window (preload ops start before `start` and are
-    // excluded by min_start). A ring that overflowed kept only its newest
-    // records, so its fold would cover an arbitrary subset of the ops:
-    // skip it.
-    let breakdown = (obs.tracer.dropped() == 0)
+    // Fold a traced run's trace into the per-op critical-path breakdown,
+    // clipped to the measurement window (preload ops start before `start`
+    // and are excluded by min_start). A ring that overflowed kept only its
+    // newest records, so its fold would cover an arbitrary subset of the
+    // ops: skip it.
+    let breakdown = (obs.tracer.is_on() && obs.tracer.dropped() == 0)
         .then(|| {
             efactory_obs::critical_path::fold(
                 &obs.tracer.records(),

@@ -9,8 +9,8 @@
 //! apart from the `wall` objects.
 //!
 //! v2 added two per-entry sections, present whenever the run folded a
-//! critical-path breakdown (eFactory runs with attributed ops whose trace
-//! ring dropped nothing): `breakdown` (per-subsystem phase totals, off-path
+//! critical-path breakdown (traced eFactory runs with attributed ops whose
+//! trace ring dropped nothing): `breakdown` (per-subsystem phase totals, off-path
 //! work, and percentile attribution) and `tail_exemplars` (the K slowest
 //! ops with their full phase timeline). v3 adds a top-level `bounds` list
 //! (the acceptance bounds the probe checked, `{name, value, min|max}`) and
@@ -212,9 +212,10 @@ fn entry(label: &str, spec: &ExperimentSpec, result: &RunResult) -> Obj {
         .u64("bg_verified", result.bg_verified)
         .u64("cleanings", result.cleanings)
         .raw("counters", &counters.finish());
-    // v2: the critical-path sections, present only when the run folded
-    // attributed ops (baseline systems emit no "op" roots, and a run
-    // whose trace ring overflowed folds nothing).
+    // v2: the critical-path sections, present only when a traced run
+    // folded attributed ops (untraced runs and baseline systems, which
+    // emit no "op" roots, fold nothing; nor does a run whose trace ring
+    // overflowed).
     if let Some(b) = &result.breakdown {
         entry = entry
             .raw("breakdown", &b.to_json())
@@ -261,7 +262,8 @@ fn cost_model_json(c: &CostModel) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cluster::{run_with_cost, Cleaning, SystemKind};
+    use crate::cluster::{run_observed, run_with_cost, Cleaning, SystemKind};
+    use efactory_obs::Obs;
     use efactory_ycsb::Mix;
 
     fn spec() -> ExperimentSpec {
@@ -294,10 +296,11 @@ mod tests {
     #[test]
     fn report_is_schema_stamped_and_deterministic() {
         let s = spec();
-        let cost = CostModel::default();
         let render = || {
+            let obs = Obs::with_trace_capacity(1 << 16);
+            let r = run_observed(&s, CostModel::default(), &obs);
+            assert!(!obs.tracer.is_empty(), "a traced run keeps its trace");
             let mut rep = Report::new("test");
-            let r = run_with_cost(&s, cost.clone());
             rep.add("run-a", &s, &r);
             rep.to_json()
         };
@@ -326,6 +329,20 @@ mod tests {
         assert!(a.contains("\"conservation_max_err_ns\":0"));
         assert!(a.contains("\"tail_exemplars\":[{\"op\":"));
         assert!(a.contains("\"obs.trace_dropped\":0"));
+    }
+
+    #[test]
+    fn untraced_report_omits_breakdown_and_exemplars() {
+        let s = spec();
+        let r = run_with_cost(&s, CostModel::default());
+        assert!(r.total_ops > 0 && r.breakdown.is_none());
+        let mut rep = Report::new("test");
+        rep.add("run-u", &s, &r);
+        let json = rep.to_json();
+        assert!(json.contains("\"server.puts\":"));
+        assert!(json.contains("\"obs.trace_dropped\":0"));
+        assert!(!json.contains("\"breakdown\""));
+        assert!(!json.contains("\"tail_exemplars\""));
     }
 
     #[test]

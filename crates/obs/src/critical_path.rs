@@ -708,7 +708,7 @@ mod tests {
             sub,
             name,
             op,
-            args: args.to_vec(),
+            args: args.into(),
         }
     }
 
@@ -726,7 +726,7 @@ mod tests {
             sub,
             name,
             op,
-            args: args.to_vec(),
+            args: args.into(),
         }
     }
 

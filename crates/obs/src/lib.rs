@@ -11,9 +11,9 @@
 //! * [`metrics`] — named [`Counter`]s collected in a [`Registry`].
 //! * [`trace`] — a [`Tracer`] recording *spans* (operation phases with a
 //!   duration) and *instant events*, stamped with [`efactory_sim::try_now`],
-//!   kept in a bounded ring buffer with per-subsystem filtering, and
-//!   exportable as Chrome `trace_event` JSON (load in `chrome://tracing` or
-//!   Perfetto).
+//!   kept in a bounded ring buffer, and exportable as Chrome `trace_event`
+//!   JSON (load in `chrome://tracing` or Perfetto). A tracer is on or off;
+//!   an off tracer keeps nothing and costs one branch per record call.
 //! * [`json`] — a tiny dependency-free JSON writer used by the exporters and
 //!   by the harness's run reports.
 //!
@@ -22,9 +22,9 @@
 //! nearest-rank sample.
 //!
 //! The [`Obs`] bundle (one registry + one tracer) is what gets threaded
-//! through server/client configs; it is cheap to clone (two `Arc`s) and its
-//! `Default` is fully enabled, so existing `..Default::default()` call sites
-//! pick up observability without changes.
+//! through server/client configs; it is cheap to clone (two `Arc`s). A
+//! default `Obs` records metrics only, no trace: a run pays for tracing only
+//! when it asks for it with [`Obs::with_trace_capacity`].
 
 pub mod critical_path;
 pub mod json;
@@ -55,12 +55,13 @@ pub fn nearest_rank(sorted: &[Nanos], num: u64, den: u64) -> Nanos {
 
 /// One observability context: a metrics registry plus a tracer. Threaded
 /// through `ServerConfig`/`ClientConfig` and created per experiment by the
-/// harness so concurrent experiments never share state.
+/// harness so concurrent experiments never share state. The default
+/// context records metrics only; its tracer is off.
 #[derive(Clone, Default)]
 pub struct Obs {
     /// Named counters.
     pub registry: Registry,
-    /// Span/event recorder.
+    /// Span/event recorder (off unless built by [`Obs::with_trace_capacity`]).
     pub tracer: Tracer,
     /// Monotonic op-id source shared by all clones; ids start at 1 (0 is
     /// "unattributed" in trace records).
@@ -68,13 +69,14 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// A fresh, fully enabled context.
+    /// A fresh context that records metrics only (the same as `default`).
     pub fn new() -> Obs {
         Obs::default()
     }
 
-    /// A context whose tracer ring holds up to `capacity` records — used by
-    /// the breakdown bench, whose folds need every per-op span retained.
+    /// A context that also traces, into a ring of up to `capacity` records
+    /// — the one way a run opts in to tracing (the breakdown probe, whose
+    /// folds need every per-op span retained, and the trace tests).
     pub fn with_trace_capacity(capacity: usize) -> Obs {
         Obs {
             tracer: Tracer::with_capacity(capacity),

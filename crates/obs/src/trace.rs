@@ -8,14 +8,16 @@
 //! simulated process — e.g. test drivers between `run_until` calls — are
 //! stamped 0).
 //!
-//! The buffer is a bounded ring: when full, the oldest record is dropped
-//! and counted, so tracing can stay on in long benchmark runs with O(1)
-//! memory. Records carry a subsystem tag; a bitmask filter drops unwanted
-//! subsystems at record time. Everything is deterministic — the export is
+//! A tracer is on or off. The default tracer is off: every record call
+//! returns at one branch, reading neither the virtual clock nor the op
+//! context, and nothing is kept. [`Tracer::with_capacity`] (or
+//! [`Tracer::new`]) turns one on: its buffer is a bounded ring — when full,
+//! the oldest record is dropped and counted, so tracing can stay on in long
+//! benchmark runs with O(1) memory. Records hold their args inline and
+//! allocate nothing. Everything is deterministic — the export is
 //! byte-identical across same-seed runs.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, Mutex};
 
 use efactory_sim::Nanos;
@@ -70,10 +72,6 @@ impl Subsystem {
         }
     }
 
-    fn bit(self) -> u32 {
-        1 << self.lane()
-    }
-
     /// Category label used in exports.
     pub fn label(self) -> &'static str {
         match self {
@@ -98,8 +96,69 @@ pub enum RecordKind {
     Instant,
 }
 
+/// Most numeric attributes one record carries: the widest sites are the
+/// client's `op` roots (kind, shard, key_fp, retries) and the server's txn
+/// stage spans (qp, req, txn, puts).
+pub const MAX_ARGS: usize = 4;
+
+/// A record's numeric attributes, held inline (up to [`MAX_ARGS`]) so
+/// recording allocates nothing. Derefs to the `(key, value)` slice.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Args {
+    len: u8,
+    kv: [(&'static str, u64); MAX_ARGS],
+}
+
+impl Args {
+    /// No attributes.
+    const EMPTY: Args = Args {
+        len: 0,
+        kv: [("", 0); MAX_ARGS],
+    };
+
+    /// Append one attribute. Panics past [`MAX_ARGS`].
+    fn push(&mut self, key: &'static str, value: u64) {
+        let i = usize::from(self.len);
+        assert!(
+            i < MAX_ARGS,
+            "a trace record carries at most {MAX_ARGS} args"
+        );
+        self.kv[i] = (key, value);
+        self.len += 1;
+    }
+}
+
+impl From<&[(&'static str, u64)]> for Args {
+    /// Copy `args` inline. Panics past [`MAX_ARGS`].
+    #[inline]
+    fn from(args: &[(&'static str, u64)]) -> Args {
+        assert!(
+            args.len() <= MAX_ARGS,
+            "a trace record carries at most {MAX_ARGS} args"
+        );
+        Args {
+            len: args.len() as u8,
+            kv: std::array::from_fn(|i| args.get(i).copied().unwrap_or(("", 0))),
+        }
+    }
+}
+
+impl std::ops::Deref for Args {
+    type Target = [(&'static str, u64)];
+
+    fn deref(&self) -> &Self::Target {
+        &self.kv[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for Args {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// One recorded span or event.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceRecord {
     /// Start (span) or occurrence (event) virtual time.
     pub ts: Nanos,
@@ -115,7 +174,7 @@ pub struct TraceRecord {
     /// from the recording thread's [`OpScope`] when the span/event opens.
     pub op: u64,
     /// Optional numeric attributes.
-    pub args: Vec<(&'static str, u64)>,
+    pub args: Args,
 }
 
 /// The op id active for the current simulated *process* (0 when none).
@@ -157,22 +216,33 @@ struct Ring {
 
 struct Inner {
     ring: Mutex<Ring>,
-    mask: AtomicU32,
     capacity: usize,
 }
 
-/// Default ring capacity (records).
-pub const DEFAULT_CAPACITY: usize = 65_536;
+impl Inner {
+    fn ring(&self) -> std::sync::MutexGuard<'_, Ring> {
+        self.ring
+            .lock()
+            .expect("a thread panicked while recording a trace")
+    }
 
-/// The span/event recorder. Cheap to clone; clones share the buffer.
-#[derive(Clone)]
-pub struct Tracer(Arc<Inner>);
-
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::with_capacity(DEFAULT_CAPACITY)
+    fn push(&self, rec: &TraceRecord) {
+        let mut ring = self.ring();
+        if ring.buf.len() == self.capacity {
+            ring.buf.pop_front();
+            ring.dropped += 1;
+        }
+        ring.buf.push_back(*rec);
     }
 }
+
+/// Ring capacity (records) of [`Tracer::new`].
+pub const DEFAULT_CAPACITY: usize = 65_536;
+
+/// The span/event recorder. Cheap to clone; clones share the buffer. The
+/// default tracer is off and keeps nothing.
+#[derive(Clone, Default)]
+pub struct Tracer(Option<Arc<Inner>>);
 
 fn clock() -> Nanos {
     efactory_sim::try_now().unwrap_or(0)
@@ -189,54 +259,43 @@ pub fn chrome_us(ns: Nanos) -> String {
 }
 
 impl Tracer {
-    /// A tracer with the default capacity, all subsystems enabled.
+    /// A tracer that is on, with a ring of [`DEFAULT_CAPACITY`] records.
     pub fn new() -> Tracer {
-        Tracer::default()
+        Tracer::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// A tracer with a custom ring capacity.
+    /// A tracer that is on, with a ring of `capacity` records.
     pub fn with_capacity(capacity: usize) -> Tracer {
-        Tracer(Arc::new(Inner {
+        Tracer(Some(Arc::new(Inner {
             ring: Mutex::new(Ring {
                 buf: VecDeque::new(),
                 dropped: 0,
             }),
-            mask: AtomicU32::new(u32::MAX),
             capacity: capacity.max(1),
-        }))
+        })))
     }
 
-    /// Record only the given subsystems (empty disables everything).
-    pub fn filter(&self, subs: &[Subsystem]) {
-        let mask = subs.iter().fold(0u32, |m, s| m | s.bit());
-        self.0.mask.store(mask, Ordering::Relaxed);
-    }
-
-    /// Whether records from `sub` are currently kept.
-    pub fn enabled(&self, sub: Subsystem) -> bool {
-        self.0.mask.load(Ordering::Relaxed) & sub.bit() != 0
-    }
-
-    fn push(&self, rec: TraceRecord) {
-        let mut ring = self.0.ring.lock().unwrap();
-        if ring.buf.len() == self.0.capacity {
-            ring.buf.pop_front();
-            ring.dropped += 1;
-        }
-        ring.buf.push_back(rec);
+    /// Whether this tracer keeps records.
+    pub fn is_on(&self) -> bool {
+        self.0.is_some()
     }
 
     /// Open a span for `name`; it is recorded (with its duration) when the
-    /// guard drops. Filtered subsystems return an inert guard.
+    /// guard drops. An off tracer returns an inert guard.
+    #[inline]
     pub fn span(&self, sub: Subsystem, name: &'static str) -> SpanGuard {
-        SpanGuard {
-            tracer: self.enabled(sub).then(|| self.clone()),
-            sub,
-            name,
-            start: clock(),
-            op: current_op(),
-            args: Vec::new(),
-        }
+        SpanGuard(self.0.as_ref().map(|inner| OpenSpan {
+            inner: Arc::clone(inner),
+            rec: TraceRecord {
+                ts: clock(),
+                dur: 0,
+                kind: RecordKind::Span,
+                sub,
+                name,
+                op: current_op(),
+                args: Args::EMPTY,
+            },
+        }))
     }
 
     /// Record an already-measured span directly (explicit start + duration),
@@ -251,17 +310,17 @@ impl Tracer {
         dur: Nanos,
         args: &[(&'static str, u64)],
     ) {
-        if !self.enabled(sub) {
+        let Some(inner) = &self.0 else {
             return;
-        }
-        self.push(TraceRecord {
+        };
+        inner.push(&TraceRecord {
             ts,
             dur,
             kind: RecordKind::Span,
             sub,
             name,
             op: current_op(),
-            args: args.to_vec(),
+            args: Args::from(args),
         });
     }
 
@@ -272,23 +331,23 @@ impl Tracer {
 
     /// Record an instant event with numeric attributes.
     pub fn event_args(&self, sub: Subsystem, name: &'static str, args: &[(&'static str, u64)]) {
-        if !self.enabled(sub) {
+        let Some(inner) = &self.0 else {
             return;
-        }
-        self.push(TraceRecord {
+        };
+        inner.push(&TraceRecord {
             ts: clock(),
             dur: 0,
             kind: RecordKind::Instant,
             sub,
             name,
             op: current_op(),
-            args: args.to_vec(),
+            args: Args::from(args),
         });
     }
 
-    /// Number of buffered records.
+    /// Number of buffered records (0 when off).
     pub fn len(&self) -> usize {
-        self.0.ring.lock().unwrap().buf.len()
+        self.0.as_ref().map_or(0, |i| i.ring().buf.len())
     }
 
     /// Whether the buffer is empty.
@@ -296,14 +355,16 @@ impl Tracer {
         self.len() == 0
     }
 
-    /// Records evicted by the ring bound.
+    /// Records evicted by the ring bound (0 when off).
     pub fn dropped(&self) -> u64 {
-        self.0.ring.lock().unwrap().dropped
+        self.0.as_ref().map_or(0, |i| i.ring().dropped)
     }
 
-    /// Snapshot of the buffered records, oldest first.
+    /// Snapshot of the buffered records, oldest first (empty when off).
     pub fn records(&self) -> Vec<TraceRecord> {
-        self.0.ring.lock().unwrap().buf.iter().cloned().collect()
+        self.0
+            .as_ref()
+            .map_or_else(Vec::new, |i| i.ring().buf.iter().copied().collect())
     }
 
     /// Buffered records with the given name (tests and assertions).
@@ -348,7 +409,7 @@ impl Tracer {
                 if r.op != 0 {
                     args = args.u64("op", r.op);
                 }
-                for (k, v) in &r.args {
+                for (k, v) in r.args.iter() {
                     args = args.u64(k, *v);
                 }
                 o = o.raw("args", &args.finish());
@@ -376,39 +437,31 @@ impl std::fmt::Debug for Tracer {
 }
 
 /// Completes its span when dropped. Attach numeric attributes with
-/// [`SpanGuard::arg`].
-pub struct SpanGuard {
-    tracer: Option<Tracer>,
-    sub: Subsystem,
-    name: &'static str,
-    start: Nanos,
-    op: u64,
-    args: Vec<(&'static str, u64)>,
+/// [`SpanGuard::arg`]. Inert when its tracer is off.
+pub struct SpanGuard(Option<OpenSpan>);
+
+/// An open span: its record, complete but for the duration.
+struct OpenSpan {
+    inner: Arc<Inner>,
+    rec: TraceRecord,
 }
 
 impl SpanGuard {
-    /// Attach a numeric attribute to the span.
+    /// Attach a numeric attribute to the span. Panics past [`MAX_ARGS`].
+    #[inline]
     pub fn arg(&mut self, key: &'static str, value: u64) {
-        if self.tracer.is_some() {
-            self.args.push((key, value));
+        if let Some(open) = &mut self.0 {
+            open.rec.args.push(key, value);
         }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(tracer) = self.tracer.take() else {
-            return;
-        };
-        tracer.push(TraceRecord {
-            ts: self.start,
-            dur: clock().saturating_sub(self.start),
-            kind: RecordKind::Span,
-            sub: self.sub,
-            name: self.name,
-            op: self.op,
-            args: std::mem::take(&mut self.args),
-        });
+        if let Some(open) = &mut self.0 {
+            open.rec.dur = clock().saturating_sub(open.rec.ts);
+            open.inner.push(&open.rec);
+        }
     }
 }
 
@@ -428,30 +481,69 @@ mod tests {
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].name, "rpc_alloc");
         assert_eq!(recs[0].kind, RecordKind::Span);
-        assert_eq!(recs[0].args, vec![("vlen", 128)]);
+        assert_eq!(*recs[0].args, [("vlen", 128)]);
         assert_eq!(recs[1].name, "invalidate");
         assert_eq!(recs[1].kind, RecordKind::Instant);
     }
 
     #[test]
-    fn filter_drops_disabled_subsystems() {
+    fn default_tracer_is_off_and_keeps_nothing() {
+        let t = Tracer::default();
+        assert!(!t.is_on() && Tracer::new().is_on());
+        {
+            let _scope = OpScope::enter(4);
+            let mut sp = t.span(Subsystem::Server, "rpc_alloc");
+            sp.arg("vlen", 128);
+        }
+        t.event_args(Subsystem::Verifier, "invalidate", &[("off", 4096)]);
+        t.record_span_at(Subsystem::Nic, "send", 100, 40, &[("bytes", 64)]);
+        assert!(t.is_empty() && t.records().is_empty());
+        assert_eq!(t.dropped(), 0);
+        assert_eq!(
+            t.to_chrome_json(),
+            r#"{"traceEvents":[],"displayTimeUnit":"ns","droppedRecords":0}"#
+        );
+    }
+
+    #[test]
+    fn args_hold_up_to_max_inline() {
         let t = Tracer::new();
-        t.filter(&[Subsystem::Client]);
-        t.event(Subsystem::Server, "ignored");
-        t.span(Subsystem::Verifier, "ignored_span");
-        t.event(Subsystem::Client, "kept");
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.records()[0].name, "kept");
+        {
+            let mut sp = t.span(Subsystem::Client, "op");
+            for (i, k) in ["kind", "shard", "key_fp", "retries"]
+                .into_iter()
+                .enumerate()
+            {
+                sp.arg(k, i as u64);
+            }
+        }
+        let all = [("a", 1), ("b", 2), ("c", 3), ("d", 4)];
+        t.event_args(Subsystem::Server, "e", &all);
+        let recs = t.records();
+        assert_eq!(recs[0].args.len(), MAX_ARGS);
+        assert_eq!(recs[0].args[3], ("retries", 3));
+        assert_eq!(*recs[1].args, all);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 4 args")]
+    fn args_past_max_panic() {
+        let mut sp = Tracer::new().span(Subsystem::Client, "op");
+        for k in ["kind", "shard", "key_fp", "retries", "extra"] {
+            sp.arg(k, 0);
+        }
     }
 
     #[test]
     fn ring_is_bounded_and_counts_drops() {
         let t = Tracer::with_capacity(3);
-        for _ in 0..5 {
-            t.event(Subsystem::Pmem, "tick");
+        for i in 0..5 {
+            t.event_args(Subsystem::Pmem, "tick", &[("i", i)]);
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
+        let kept: Vec<u64> = t.records().iter().map(|r| r.args[0].1).collect();
+        assert_eq!(kept, [2, 3, 4], "the newest records survive, oldest first");
     }
 
     #[test]
@@ -507,9 +599,7 @@ mod tests {
         assert_eq!(recs.len(), 1);
         assert_eq!((recs[0].ts, recs[0].dur, recs[0].op), (100, 40, 3));
         assert_eq!(recs[0].kind, RecordKind::Span);
-        t.filter(&[Subsystem::Client]);
-        t.record_span_at(Subsystem::Nic, "send", 0, 0, &[]);
-        assert_eq!(t.len(), 1, "filtered subsystem records nothing");
+        assert_eq!(*recs[0].args, [("bytes", 64)]);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! A byte-addressable memory pool with an explicit **volatility/persistence
 //! boundary**, standing in for the PMDK-emulated NVM of the paper's testbed.
 //!
-//! The pool keeps two images:
+//! The pool models two images:
 //!
 //! * the **working image** — what CPU loads/stores and NIC DMA observe; this
 //!   models data sitting anywhere in the volatile domain (CPU caches, PCIe
@@ -12,7 +12,7 @@
 //!
 //! A [`write`](PmemPool::write) touches only the working image and marks the
 //! affected 64-byte cache lines *dirty*. [`flush`](PmemPool::flush) (the
-//! CLWB/CLFLUSH analogue) copies dirty lines to media;
+//! CLWB/CLFLUSH analogue) makes dirty lines' working bytes their media;
 //! [`drain`](PmemPool::drain) is the SFENCE analogue (flushes here are
 //! synchronous, so it only participates in the accounting — but call sites
 //! keep the `flush; drain` discipline of real pmem code).
@@ -23,21 +23,42 @@
 //! NVM. After a crash the working image equals the media image, exactly like
 //! a reboot.
 //!
-//! All words are `AtomicU64` so the pool is `Sync`; the discrete-event
+//! Only the working image is stored in full. A clean line's media equals its
+//! working bytes, so the pool keeps media only for dirty lines: when a clean
+//! line is first written, its bytes (its media) are copied aside, or noted
+//! as all-zero without a copy. A flush drops the copy; a crash reverts the
+//! lost words of each dirty line from it.
+//!
+//! Working words are `AtomicU64` so the pool is `Sync`; the discrete-event
 //! executor serializes process execution, so `Relaxed` ordering suffices —
 //! the atomics exist for soundness, and to make 8-byte stores indivisible by
 //! construction.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use efactory_obs::{Counter, Registry, Subsystem, Tracer};
 use rand::Rng;
+
+#[cfg(test)]
+mod oracle;
 
 /// Cache-line size: flush and crash granularity for line-level decisions.
 pub const LINE: usize = 64;
 /// Words (8 B) per cache line.
 const WORDS_PER_LINE: usize = LINE / 8;
+
+/// One cache line as words.
+type LineWords = [u64; WORDS_PER_LINE];
+
+/// Line slot of a clean line: its media is its working bytes.
+const CLEAN: u32 = 0;
+/// Line slot of a dirty line whose media is all zeros (a fresh line, the
+/// common case for log appends), kept without a copy.
+const ZERO_MEDIA: u32 = 1;
+/// Line slots from here on are dirty lines whose media is
+/// `MediaCopies::slab[slot - FIRST_COPY]`.
+const FIRST_COPY: u32 = 2;
 
 /// How a crash treats dirty (unflushed) cache lines.
 ///
@@ -108,33 +129,81 @@ impl PmemStats {
     }
 }
 
+/// Media copies of the dirty lines whose media is not all zeros: a slab of
+/// lines plus the free list of its released entries.
+#[derive(Default)]
+struct MediaCopies {
+    slab: Vec<LineWords>,
+    free: Vec<u32>,
+}
+
+impl MediaCopies {
+    /// Keep `media` and return the line slot naming it.
+    fn keep(&mut self, media: LineWords) -> u32 {
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slab[i as usize] = media;
+                i as usize
+            }
+            None => {
+                self.slab.push(media);
+                self.slab.len() - 1
+            }
+        };
+        u32::try_from(i + FIRST_COPY as usize).expect("media copies overflow a u32 line slot")
+    }
+
+    /// Drop the copy a dirty line's `slot` names.
+    fn release(&mut self, slot: u32) {
+        self.free.push(slot - FIRST_COPY);
+    }
+
+    /// The media of a dirty line with `slot`.
+    fn media(&self, slot: u32) -> LineWords {
+        match slot {
+            ZERO_MEDIA => [0; WORDS_PER_LINE],
+            _ => self.slab[(slot - FIRST_COPY) as usize],
+        }
+    }
+
+    /// XOR `mask` into word `w` of a dirty line's media; returns the line's
+    /// slot, which changes when all-zero media gets a copy to hold the rot.
+    fn xor(&mut self, slot: u32, w: usize, mask: u64) -> u32 {
+        let slot = match slot {
+            ZERO_MEDIA => self.keep([0; WORDS_PER_LINE]),
+            _ => slot,
+        };
+        self.slab[(slot - FIRST_COPY) as usize][w] ^= mask;
+        slot
+    }
+}
+
 /// A simulated persistent-memory pool. See the [crate docs](crate).
 pub struct PmemPool {
     len: usize,
     working: Box<[AtomicU64]>,
-    media: Box<[AtomicU64]>,
-    /// One bit per cache line: working image diverges from media.
-    dirty: Box<[AtomicU64]>,
+    /// One slot per cache line: [`CLEAN`], or dirty with its media in
+    /// [`ZERO_MEDIA`] or a `copies` entry.
+    lines: Box<[AtomicU32]>,
+    copies: Mutex<MediaCopies>,
     stats: PmemStats,
     /// Optional tracer for discrete device events (crash injection).
     tracer: Mutex<Option<Tracer>>,
 }
 
-fn zeroed_words(n: usize) -> Box<[AtomicU64]> {
-    (0..n).map(|_| AtomicU64::new(0)).collect()
-}
+/// The `copies` lock, taken on first use: most calls never need it.
+type LazyGuard<'a> = Option<MutexGuard<'a, MediaCopies>>;
 
 impl PmemPool {
     /// Allocate a pool of `len` bytes (rounded up to a whole cache line),
     /// zero-filled and fully persistent (no dirty lines).
     pub fn new(len: usize) -> Self {
         let len = len.div_ceil(LINE) * LINE;
-        let words = len / 8;
         PmemPool {
             len,
-            working: zeroed_words(words),
-            media: zeroed_words(words),
-            dirty: zeroed_words(len.div_ceil(LINE).div_ceil(64)),
+            working: (0..len / 8).map(|_| AtomicU64::new(0)).collect(),
+            lines: (0..len / LINE).map(|_| AtomicU32::new(CLEAN)).collect(),
+            copies: Mutex::default(),
             stats: PmemStats::default(),
             tracer: Mutex::new(None),
         }
@@ -170,35 +239,64 @@ impl PmemPool {
         );
     }
 
-    #[inline]
-    fn mark_dirty_lines(&self, off: usize, len: usize) {
-        if len == 0 {
-            return;
+    /// The media copies through `guard`, locked on first use.
+    fn lock<'p, 'g>(&'p self, guard: &'g mut LazyGuard<'p>) -> &'g mut MediaCopies {
+        guard.get_or_insert_with(|| self.copies())
+    }
+
+    fn copies(&self) -> MutexGuard<'_, MediaCopies> {
+        self.copies
+            .lock()
+            .expect("a thread panicked while changing pmem media copies")
+    }
+
+    /// Mark lines `first..=last` dirty **before** their working bytes
+    /// change: each clean one keeps its current bytes as its media.
+    fn mark_dirty(&self, first: usize, last: usize) {
+        let mut guard = None;
+        let words = &self.working[first * WORDS_PER_LINE..(last + 1) * WORDS_PER_LINE];
+        for (slot, words) in self.lines[first..=last]
+            .iter()
+            .zip(words.chunks_exact(WORDS_PER_LINE))
+        {
+            if slot.load(Ordering::Relaxed) != CLEAN {
+                continue;
+            }
+            let media: LineWords = std::array::from_fn(|i| words[i].load(Ordering::Relaxed));
+            // OR-fold, not `==`: an array compare calls out to `bcmp`.
+            let kept = if media.iter().fold(0, |acc, w| acc | w) == 0 {
+                ZERO_MEDIA
+            } else {
+                self.lock(&mut guard).keep(media)
+            };
+            slot.store(kept, Ordering::Relaxed);
         }
-        let first = off / LINE;
-        let last = (off + len - 1) / LINE;
-        // One RMW per 64-line tracking word instead of one per line.
-        let (fw, lw) = (first / 64, last / 64);
-        for w in fw..=lw {
-            let lo = if w == fw { first % 64 } else { 0 };
-            let hi = if w == lw { last % 64 } else { 63 };
-            let mask = (!0u64 << lo) & (!0u64 >> (63 - hi));
-            self.dirty[w].fetch_or(mask, Ordering::Relaxed);
+    }
+
+    /// Mark a line clean, dropping its media copy; whether it was dirty.
+    fn make_clean<'p>(&'p self, slot: &AtomicU32, guard: &mut LazyGuard<'p>) -> bool {
+        let s = slot.load(Ordering::Relaxed);
+        if s == CLEAN {
+            return false;
         }
+        slot.store(CLEAN, Ordering::Relaxed);
+        if s >= FIRST_COPY {
+            self.lock(guard).release(s);
+        }
+        true
     }
 
     /// Whether the line containing byte `off` is dirty (unflushed).
     pub fn is_dirty(&self, off: usize) -> bool {
-        let line = off / LINE;
-        self.dirty[line / 64].load(Ordering::Relaxed) & (1 << (line % 64)) != 0
+        self.lines[off / LINE].load(Ordering::Relaxed) != CLEAN
     }
 
     /// Number of dirty lines.
     pub fn dirty_line_count(&self) -> usize {
-        self.dirty
+        self.lines
             .iter()
-            .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
-            .sum()
+            .filter(|s| s.load(Ordering::Relaxed) != CLEAN)
+            .count()
     }
 
     // -- byte-granularity access to the working image -----------------------
@@ -236,6 +334,10 @@ impl PmemPool {
         self.stats
             .bytes_written
             .fetch_add(data.len() as u64, Ordering::Relaxed);
+        if data.is_empty() {
+            return;
+        }
+        self.mark_dirty(off / LINE, (off + data.len() - 1) / LINE);
         let mut i = 0;
         // Head: partial word.
         while i < data.len() && !(off + i).is_multiple_of(8) {
@@ -254,7 +356,6 @@ impl PmemPool {
             self.write_byte(off + i, data[i]);
             i += 1;
         }
-        self.mark_dirty_lines(off, data.len());
     }
 
     #[inline]
@@ -280,60 +381,38 @@ impl PmemPool {
     pub fn write_u64(&self, off: usize, value: u64) {
         self.check_range(off, 8);
         assert_eq!(off % 8, 0, "write_u64 requires 8-byte alignment");
+        // An aligned u64 never crosses a cache line.
+        self.mark_dirty(off / LINE, off / LINE);
         self.working[off / 8].store(value, Ordering::Relaxed);
         self.stats.bytes_written.fetch_add(8, Ordering::Relaxed);
-        // An aligned u64 never crosses a cache line.
-        let line = off / LINE;
-        self.dirty[line / 64].fetch_or(1 << (line % 64), Ordering::Relaxed);
     }
 
     // -- persistence ---------------------------------------------------------
 
     /// Flush every cache line overlapping `[off, off+len)` to media
     /// (CLWB loop). Lines that are not dirty are skipped. Returns the number
-    /// of lines actually copied, so callers can charge NVM write cost only
+    /// of lines actually flushed, so callers can charge NVM write cost only
     /// for real work (eFactory's "selective durability guarantee").
+    ///
+    /// A flushed line's media becomes its working bytes, which is what a
+    /// clean line means, so flushing only drops the line's media copy.
     pub fn flush(&self, off: usize, len: usize) -> usize {
         if len == 0 {
             return 0;
         }
         self.check_range(off, len);
         self.stats.flushes.fetch_add(1, Ordering::Relaxed);
-        let first = off / LINE;
-        let last = (off + len - 1) / LINE;
-        let mut copied = 0;
-        // Walk the dirty bitmap one 64-line tracking word at a time: one
-        // load (and one store when any line is dirty) per word, then copy
-        // only the set-bit lines. The load+store pair is not an atomic RMW;
-        // that is fine because the discrete-event executor serializes pool
-        // access (the atomics exist for soundness, not for concurrency).
-        let (fw, lw) = (first / 64, last / 64);
-        for w in fw..=lw {
-            let lo = if w == fw { first % 64 } else { 0 };
-            let hi = if w == lw { last % 64 } else { 63 };
-            let range_mask = (!0u64 << lo) & (!0u64 >> (63 - hi));
-            let cur = self.dirty[w].load(Ordering::Relaxed);
-            let mut bits = cur & range_mask;
-            if bits == 0 {
-                continue;
-            }
-            self.dirty[w].store(cur & !range_mask, Ordering::Relaxed);
-            while bits != 0 {
-                let line = w * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                copied += 1;
-                let w0 = line * WORDS_PER_LINE;
-                for i in w0..w0 + WORDS_PER_LINE {
-                    self.media[i].store(self.working[i].load(Ordering::Relaxed), Ordering::Relaxed);
-                }
-            }
-        }
-        if copied > 0 {
+        let mut guard = None;
+        let flushed = self.lines[off / LINE..=(off + len - 1) / LINE]
+            .iter()
+            .filter(|slot| self.make_clean(slot, &mut guard))
+            .count();
+        if flushed > 0 {
             self.stats
                 .lines_flushed
-                .fetch_add(copied as u64, Ordering::Relaxed);
+                .fetch_add(flushed as u64, Ordering::Relaxed);
         }
-        copied
+        flushed
     }
 
     /// Ordering fence (SFENCE analogue). Flushes are synchronous in this
@@ -355,12 +434,22 @@ impl PmemPool {
             return true;
         }
         self.check_range(off, len);
-        for addr in off..off + len {
-            let w = addr / 8;
-            let working = self.working[w].load(Ordering::Relaxed).to_le_bytes()[addr % 8];
-            let media = self.media[w].load(Ordering::Relaxed).to_le_bytes()[addr % 8];
-            if working != media {
-                return false;
+        let mut guard = None;
+        let end = off + len;
+        for line in off / LINE..=(end - 1) / LINE {
+            let s = self.lines[line].load(Ordering::Relaxed);
+            if s == CLEAN {
+                continue;
+            }
+            let media = self.lock(&mut guard).media(s);
+            let base = line * LINE;
+            for addr in off.max(base)..end.min(base + LINE) {
+                let i = addr - base;
+                let working =
+                    self.working[addr / 8].load(Ordering::Relaxed).to_le_bytes()[addr % 8];
+                if working != media[i / 8].to_le_bytes()[i % 8] {
+                    return false;
+                }
             }
         }
         true
@@ -370,14 +459,18 @@ impl PmemPool {
 
     /// Simulate a power failure + reboot: dirty data survives according to
     /// `spec`, then the working image is reset to the (new) media image and
-    /// all dirty bits clear.
+    /// all lines are clean.
+    ///
+    /// The RNG is drawn over the dirty lines in ascending order: once per
+    /// line under [`CrashSpec::Lines`], once per word of the line under
+    /// [`CrashSpec::Words`].
     pub fn crash<R: Rng>(&self, spec: CrashSpec, rng: &mut R) -> CrashReport {
         self.stats.crashes.fetch_add(1, Ordering::Relaxed);
         let mut report = CrashReport::default();
-        let lines = self.len / LINE;
-        for line in 0..lines {
-            let mask = 1u64 << (line % 64);
-            if self.dirty[line / 64].load(Ordering::Relaxed) & mask == 0 {
+        let mut copies = self.copies();
+        for (line, slot) in self.lines.iter().enumerate() {
+            let s = slot.load(Ordering::Relaxed);
+            if s == CLEAN {
                 continue;
             }
             report.dirty_lines += 1;
@@ -387,32 +480,27 @@ impl PmemPool {
                 CrashSpec::Lines(p) => rng.gen_bool(p),
                 CrashSpec::Words(_) => true, // decided per word below
             };
-            let w0 = line * WORDS_PER_LINE;
-            for w in w0..w0 + WORDS_PER_LINE {
+            let words = &self.working[line * WORDS_PER_LINE..][..WORDS_PER_LINE];
+            for (word, media) in words.iter().zip(copies.media(s)) {
                 let keep = match spec {
                     CrashSpec::Words(p) => rng.gen_bool(p),
                     _ => keep_line,
                 };
-                let working = self.working[w].load(Ordering::Relaxed);
-                let media = self.media[w].load(Ordering::Relaxed);
-                if working == media {
+                if word.load(Ordering::Relaxed) == media {
                     continue; // clean word inside a dirty line
                 }
                 if keep {
-                    self.media[w].store(working, Ordering::Relaxed);
                     report.words_persisted += 1;
                 } else {
+                    // Reboot: the lost word reads back its media.
+                    word.store(media, Ordering::Relaxed);
                     report.words_lost += 1;
                 }
             }
+            slot.store(CLEAN, Ordering::Relaxed);
         }
-        // Reboot: working := media, dirty cleared.
-        for w in 0..self.working.len() {
-            self.working[w].store(self.media[w].load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        for d in self.dirty.iter() {
-            d.store(0, Ordering::Relaxed);
-        }
+        *copies = MediaCopies::default();
+        drop(copies);
         if let Some(t) = self.tracer.lock().unwrap().as_ref() {
             t.event_args(
                 Subsystem::Pmem,
@@ -436,12 +524,12 @@ impl PmemPool {
         self.check_range(off, len);
         assert_eq!(off % LINE, 0, "zero_region requires line alignment");
         assert_eq!(len % LINE, 0, "zero_region requires line-sized length");
-        for w in off / 8..(off + len) / 8 {
-            self.working[w].store(0, Ordering::Relaxed);
-            self.media[w].store(0, Ordering::Relaxed);
+        let mut guard = None;
+        for slot in &self.lines[off / LINE..(off + len) / LINE] {
+            self.make_clean(slot, &mut guard);
         }
-        for line in off / LINE..(off + len) / LINE {
-            self.dirty[line / 64].fetch_and(!(1 << (line % 64)), Ordering::Relaxed);
+        for w in &self.working[off / 8..(off + len) / 8] {
+            w.store(0, Ordering::Relaxed);
         }
     }
 
@@ -460,12 +548,19 @@ impl PmemPool {
         }
         assert_ne!(pattern, 0, "corrupt_range needs a non-zero XOR pattern");
         self.check_range(off, len);
+        let mut guard = None;
         for i in off..off + len {
             let word = i / 8;
-            let shift = (i % 8) * 8;
-            let mask = (pattern as u64) << shift;
+            let mask = (pattern as u64) << ((i % 8) * 8);
             self.working[word].fetch_xor(mask, Ordering::Relaxed);
-            self.media[word].fetch_xor(mask, Ordering::Relaxed);
+            // A clean line's media is its working bytes, rotted just now; a
+            // dirty line's media copy rots too.
+            let slot = &self.lines[i / LINE];
+            let s = slot.load(Ordering::Relaxed);
+            if s != CLEAN {
+                let s = self.lock(&mut guard).xor(s, word % WORDS_PER_LINE, mask);
+                slot.store(s, Ordering::Relaxed);
+            }
         }
         self.stats.corruptions.add(len as u64);
         if let Some(t) = self.tracer.lock().unwrap().as_ref() {
@@ -487,10 +582,17 @@ impl PmemPool {
     /// Copy of the media image (what a crash right now would leave behind
     /// under [`CrashSpec::DropAll`]).
     pub fn media_snapshot(&self) -> Vec<u8> {
-        let mut out = vec![0u8; self.len];
-        for (i, chunk) in out.chunks_mut(8).enumerate() {
-            let bytes = self.media[i].load(Ordering::Relaxed).to_le_bytes();
-            chunk.copy_from_slice(&bytes[..chunk.len()]);
+        let mut out = self.working_snapshot();
+        let copies = self.copies();
+        for (line, slot) in self.lines.iter().enumerate() {
+            let s = slot.load(Ordering::Relaxed);
+            if s == CLEAN {
+                continue;
+            }
+            let bytes = out[line * LINE..][..LINE].chunks_mut(8);
+            for (chunk, word) in bytes.zip(copies.media(s)) {
+                chunk.copy_from_slice(&word.to_le_bytes());
+            }
         }
         out
     }

@@ -39,11 +39,12 @@ fn tiny_spec() -> ExperimentSpec {
 #[test]
 fn same_seed_runs_emit_byte_identical_traces() {
     let go = || {
-        let obs = Obs::new();
+        let obs = Obs::with_trace_capacity(1 << 16);
         let r = cluster::run_observed(&tiny_spec(), CostModel::default(), &obs);
         // Replay determinism only holds while the ring kept everything: a
         // drop would shift which records survive and silently skew folds.
         assert_eq!(obs.tracer.dropped(), 0, "tiny run must not drop records");
+        assert!(!obs.tracer.is_empty(), "a traced run keeps its trace");
         (obs.tracer.to_chrome_json(), obs.registry.to_json(), r)
     };
     let (trace_a, reg_a, ra) = go();
@@ -123,4 +124,22 @@ fn json_report_is_schema_stamped_and_deterministic() {
     ] {
         assert!(a.contains(field), "report missing {field}");
     }
+}
+
+/// A run pays for tracing only when it asks for it: a default `Obs` keeps
+/// zero trace records, its ring drops nothing, and `cluster::run` (which
+/// builds one) reports `obs.trace_dropped == 0` and folds no breakdown.
+#[test]
+fn default_run_keeps_no_trace() {
+    let spec = tiny_spec();
+    let obs = Obs::default();
+    let observed = cluster::run_observed(&spec, CostModel::default(), &obs);
+    assert!(!obs.tracer.is_on());
+    assert_eq!((obs.tracer.len(), obs.tracer.dropped()), (0, 0));
+    let r = cluster::run(&spec);
+    assert!(r.total_ops > 0);
+    let dropped = r.counters.iter().find(|(n, _)| n == "obs.trace_dropped");
+    assert_eq!(dropped, Some(&("obs.trace_dropped".to_string(), 0)));
+    assert!(r.breakdown.is_none() && observed.breakdown.is_none());
+    assert_eq!(r.counters, observed.counters, "both entry points agree");
 }

@@ -1,5 +1,5 @@
 //! Scale smoke: one 100K-record YCSB-A sweep end-to-end, with the
-//! wall-clock budget asserted in the test itself.
+//! wall-clock budget and a peak-memory ceiling asserted in the test itself.
 //!
 //! The fiber executor exists so CI can afford runs with 10^5–10^6
 //! records; this lane (`EF_TEST_SCALE=1`, release profile in CI) proves
@@ -19,6 +19,13 @@ use efactory_ycsb::Mix;
 /// in single-digit seconds on a release build; ~1M events at even 100×
 /// below the gated floor still fit.
 const BUDGET_SECS: u64 = 300;
+
+/// Peak-RSS (`VmHWM`) ceiling for the sweep's process, in MiB, measured on
+/// a 2-vCPU x86-64 VM: 62.8 MiB (release) and 83.5 MiB (debug) with media
+/// kept only for dirty lines, against 99.9 MiB and 127.3 MiB when every
+/// pool also stored a full media image. Each ceiling sits between its
+/// profile's two values, so a returning full-size image fails it.
+const HWM_CEILING_MB: f64 = if cfg!(debug_assertions) { 105.0 } else { 80.0 };
 
 #[test]
 fn hundred_k_record_ycsb_a_fits_the_wall_budget() {
@@ -52,6 +59,8 @@ fn hundred_k_record_ycsb_a_fits_the_wall_budget() {
     let t0 = Instant::now();
     let r = cluster::run(&spec);
     let wall = t0.elapsed();
+    let hwm = peak_rss_mb();
+    println!("scale smoke: wall {wall:?}, VmHWM {hwm:.1} MiB");
 
     assert_eq!(r.total_ops, 64_000, "sweep must run every measured op");
     let events = r
@@ -64,8 +73,22 @@ fn hundred_k_record_ycsb_a_fits_the_wall_budget() {
     // than that silently skipped the scale this lane exists to exercise.
     assert!(events > 1_000_000, "implausibly few events: {events}");
     assert!(
+        hwm < HWM_CEILING_MB,
+        "100K-record sweep peaked at {hwm:.1} MiB (ceiling {HWM_CEILING_MB} MiB)"
+    );
+    assert!(
         wall.as_secs() < BUDGET_SECS,
         "100K-record sweep blew its wall budget: {wall:?} (limit {BUDGET_SECS}s, \
          {events} events dispatched) — executor wedged or quadratic"
     );
+}
+
+/// Peak resident set of this process (`VmHWM`), in MiB.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse::<f64>().ok())
+        .map_or(0.0, |kb| kb / 1024.0)
 }

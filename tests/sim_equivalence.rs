@@ -175,8 +175,10 @@ fn chaos_spec(exec: ExecModel) -> ExperimentSpec {
 fn replicated_chaos_report_is_byte_identical_across_executors() {
     let render = |exec| {
         let s = chaos_spec(exec);
-        let obs = Obs::new();
+        let obs = Obs::with_trace_capacity(1 << 16);
         let r = cluster::run_observed(&s, CostModel::default(), &obs);
+        assert_eq!(obs.tracer.dropped(), 0, "the ring kept the whole run");
+        assert!(!obs.tracer.is_empty(), "a traced run keeps its trace");
         let mut rep = Report::new("sim-equivalence");
         rep.add("repl-chaos-scrub", &s, &r);
         (rep.to_json(), format!("{:?}", obs.tracer.records()))
