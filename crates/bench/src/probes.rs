@@ -394,8 +394,8 @@ fn shard_scaling() -> Probe {
 ///   switch costs tens of nanoseconds; an executor change that erodes the
 ///   gap below this has re-serialized the hot path.
 fn sim() -> Probe {
-    // The executor is pinned: the fiber rows must not silently turn into
-    // thread rows under a stray `EF_SIM_EXEC=thread`.
+    // The executor is pinned per row, so the fiber rows and the thread row
+    // compare the two backends on the same host.
     let spec = |record_count, clients, exec| ExperimentSpec {
         record_count,
         clients,

@@ -13,10 +13,6 @@
 //! * [`crc32c_bitwise`] — the 1-bit-at-a-time reference used to validate the
 //!   fast path in tests (including property tests over arbitrary inputs).
 //!
-//! An incremental [`Crc32c`] hasher supports streaming computation (the
-//! background verifier checksums values in cache-line-sized chunks while
-//! they may still be landing).
-//!
 //! Note: the *simulated CPU cost* of a verification in the experiments comes
 //! from the cost model in `efactory-rnic` (the paper's CRC costs ≈1.07 ns/B),
 //! not from how fast this code runs on the host.
@@ -101,44 +97,6 @@ fn update(mut crc: u32, mut data: &[u8]) -> u32 {
     crc
 }
 
-/// Incremental CRC32C hasher.
-///
-/// ```
-/// use efactory_checksum::{crc32c, Crc32c};
-/// let mut h = Crc32c::new();
-/// h.update(b"hello ");
-/// h.update(b"world");
-/// assert_eq!(h.finalize(), crc32c(b"hello world"));
-/// ```
-#[derive(Clone, Copy, Debug)]
-pub struct Crc32c {
-    state: u32,
-}
-
-impl Crc32c {
-    /// Start a fresh computation.
-    pub fn new() -> Self {
-        Crc32c { state: !0 }
-    }
-
-    /// Feed more bytes.
-    pub fn update(&mut self, data: &[u8]) {
-        self.state = update(self.state, data);
-    }
-
-    /// Finish and return the checksum. The hasher may keep being updated; a
-    /// later `finalize` reflects all bytes fed so far.
-    pub fn finalize(&self) -> u32 {
-        self.state ^ !0
-    }
-}
-
-impl Default for Crc32c {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,18 +122,6 @@ mod tests {
     fn bitwise_matches_known_vectors() {
         assert_eq!(crc32c_bitwise(b"123456789"), 0xE306_9283);
         assert_eq!(crc32c_bitwise(&[0u8; 32]), 0x8A91_36AA);
-    }
-
-    #[test]
-    fn incremental_matches_oneshot_at_all_split_points() {
-        let data: Vec<u8> = (0..100u8).cycle().take(300).collect();
-        let expect = crc32c(&data);
-        for split in 0..data.len() {
-            let mut h = Crc32c::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finalize(), expect, "split at {split}");
-        }
     }
 
     #[test]
@@ -210,23 +156,6 @@ mod tests {
         #[test]
         fn slice_by_8_equals_bitwise(data in proptest::collection::vec(any::<u8>(), 0..1024)) {
             prop_assert_eq!(crc32c(&data), crc32c_bitwise(&data));
-        }
-
-        #[test]
-        fn incremental_equals_oneshot(
-            data in proptest::collection::vec(any::<u8>(), 0..512),
-            splits in proptest::collection::vec(0usize..512, 0..8),
-        ) {
-            let mut bounds: Vec<usize> = splits.into_iter().map(|s| s % (data.len() + 1)).collect();
-            bounds.sort_unstable();
-            let mut h = Crc32c::new();
-            let mut prev = 0;
-            for b in bounds {
-                h.update(&data[prev..b]);
-                prev = b;
-            }
-            h.update(&data[prev..]);
-            prop_assert_eq!(h.finalize(), crc32c(&data));
         }
     }
 }

@@ -896,8 +896,8 @@ impl RemoteKv for Client {
     }
 }
 
-/// Raw per-shard transactional RPCs, driven by the multi-shard drivers in
-/// [`crate::txn`] through the routed client's per-RPC retry.
+/// Raw per-shard transactional RPCs, which the multi-shard drivers in
+/// [`crate::txn`] call inside one attempt of a routed op.
 impl Client {
     /// Fused single-shard commit; returns `(status, commit_ts)`.
     pub(crate) fn shard_txn_commit(

@@ -31,8 +31,7 @@
 //! client-only endpoint that heartbeats the metadata leader (and lends
 //! its identity to the migration driver). All `nodes × shards` seats are
 //! created up front so names are stable across crashes, restarts, and
-//! repeated migrations; [`efactory_rnic::Fabric::node_by_name`] is the
-//! directory that resolves them.
+//! repeated migrations.
 //!
 //! Cluster shards may run with cleaning enabled: the cleaner and the
 //! migration engine exclude each other at pass granularity (the cleaner's

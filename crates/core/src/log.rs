@@ -108,37 +108,9 @@ impl LogRegion {
         self.head.store(head as u64, Ordering::Relaxed);
     }
 
-    /// Walk object offsets from `base` to the current head by following
-    /// header sizes. Stops early at a zero header word (unwritten space) or
-    /// an implausible size — both matter for recovery scans over a pool
-    /// whose tail was torn by a crash.
-    pub fn scan_objects(&self, pool: &PmemPool) -> Vec<usize> {
-        self.scan_until(pool, self.head())
-    }
-
-    /// Like [`scan_objects`](Self::scan_objects) but with an explicit end
-    /// boundary (the cleaner snapshots the head before scanning, because
-    /// the handler keeps appending behind it).
-    pub fn scan_until(&self, pool: &PmemPool, head: usize) -> Vec<usize> {
-        let mut offs = Vec::new();
-        let mut cur = self.base;
-        while cur + crate::layout::HDR_LEN <= head {
-            let hdr = ObjHeader::read_from(pool, cur);
-            if hdr.klen == 0 && hdr.vlen == 0 && hdr.flags == 0 {
-                break; // unwritten space
-            }
-            let size = hdr.object_size();
-            if size == 0 || cur + size > self.base + self.len {
-                break; // implausible header (torn)
-            }
-            offs.push(cur);
-            cur += size;
-        }
-        offs
-    }
-
-    /// Like [`scan_objects`](Self::scan_objects) but scans the whole region
-    /// (recovery does not know the head yet) and returns the rebuilt head.
+    /// Walk object offsets from `base` by following header sizes, over the
+    /// whole region (recovery does not know the head yet), and return the
+    /// rebuilt head.
     ///
     /// While the cleaner's merge phase is in flight, the handler and the
     /// cleaner allocate from the same region, so a crash can leave a *hole*
@@ -155,9 +127,10 @@ impl LogRegion {
         self.scan_tolerant(pool, self.base + self.len)
     }
 
-    /// Like [`scan_until`](Self::scan_until) but hole-tolerant — the
-    /// cleaner's scans over a pool that has been through a mid-clean crash
-    /// recovery. Such a pool can hold holes *below* its rebuilt head (the
+    /// Walk object offsets from `base` to `head`, the boundary the cleaner
+    /// snapshots before scanning (the handler keeps appending behind it).
+    /// Hole-tolerant, for a pool that has been through a mid-clean crash
+    /// recovery: such a pool can hold holes *below* its rebuilt head (the
     /// crashed pass's reserved-but-never-written terminal record slot, a
     /// torn client write under persisted relocations); a scan that stopped
     /// at the first hole would relocate nothing, and the finish pass would
@@ -334,7 +307,7 @@ mod tests {
             hdr.write_to(&pool, off);
             expect.push(off);
         }
-        assert_eq!(r.scan_objects(&pool), expect);
+        assert_eq!(r.scan_until_tolerant(&pool, r.head()), expect);
     }
 
     #[test]
@@ -353,10 +326,10 @@ mod tests {
             alloc_time: 0,
         }
         .write_to(&pool, off);
-        // Allocated (head moved) but never written: scan must stop after
+        // Allocated (head moved) but never written: the scan finds only
         // the first object.
         r.alloc(object_size(8, 8)).unwrap();
-        assert_eq!(r.scan_objects(&pool).len(), 1);
+        assert_eq!(r.scan_until_tolerant(&pool, r.head()).len(), 1);
     }
 
     #[test]

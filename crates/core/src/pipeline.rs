@@ -8,7 +8,7 @@
 //! sustain. The [`PipelinedClient`] lifts that cap the way real RDMA
 //! clients do: it keeps up to `window` operations in flight at once, each
 //! on its **own queue pair** with its own request-id space, and
-//! doorbell-batches the send posts ([`efactory_rnic::SendDoorbell`]) the
+//! doorbell-batches the send posts ([`efactory_rnic::DoorbellChain`]) the
 //! way PR 2's server batched its receive-ring refills.
 //!
 //! ## Why one QP per slot
@@ -44,7 +44,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 use efactory_obs::{Counter, OpScope, Subsystem};
-use efactory_rnic::{Fabric, Node, SendDoorbell};
+use efactory_rnic::{DoorbellChain, Fabric, Node};
 use efactory_sim as sim;
 use efactory_sim::Nanos;
 
@@ -162,7 +162,7 @@ pub struct PipelinedClient {
     readers: HashMap<Vec<u8>, usize>,
     /// In-flight writers per key (everything must wait for these).
     writers: HashMap<Vec<u8>, usize>,
-    doorbell: SendDoorbell,
+    doorbell: DoorbellChain,
     next_seq: u64,
     cfg: PipelineConfig,
     submitted_ctr: Counter,
@@ -191,7 +191,7 @@ impl PipelinedClient {
         let hazard_wait_ctr = registry.counter("client.pipeline.hazard_waits");
         let window_wait_ctr = registry.counter("client.pipeline.window_waits");
         let doorbell_ctr = registry.counter("client.pipeline.doorbells");
-        let doorbell = SendDoorbell::new(fabric.cost(), cfg.doorbell_batch);
+        let doorbell = DoorbellChain::send(fabric.cost(), cfg.doorbell_batch);
         let sync = if cfg.window == 1 {
             Some(StoreClient::connect(
                 fabric,

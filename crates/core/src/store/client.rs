@@ -1,36 +1,33 @@
-//! The routed client: one [`Client`] per shard, one retry loop.
+//! The routed client: one [`Client`] per shard, one retry loop, one
+//! retry grain.
 //!
 //! [`StoreClient`] sends each key to its shard by [`key_shard`] and runs
 //! transactions over every shard through the drivers in [`crate::txn`].
-//! It connects to each shard's current seat in the store's seat table,
-//! and topologies differ only in how a shard is re-resolved after an
-//! error:
+//! It connects to each shard's current seat in the store's seat table.
+//! The routed op is the unit of retry: a single-key op covers its key's
+//! shard, a transaction or snapshot covers every shard, and a failed
+//! attempt re-resolves what it covered and runs again whole. Topologies
+//! differ only in how they re-resolve:
 //!
 //! * **static** (no backups, one data node): never — the error surfaces
 //!   to the caller;
 //! * **failover** (a store with backups): on a transport error, poll the
-//!   shard's seat every 100 µs for up to 200 ms until the backup has
-//!   promoted, reconnect, and retry — at most twice per op;
+//!   seat table every 100 µs for up to 200 ms until a covered shard's
+//!   backup has promoted, reconnect every covered shard that moved, and
+//!   retry — at most twice per op;
 //! * **placement** (a store on several data nodes): on `WrongEpoch`,
 //!   re-read the placement from the metadata service and reconnect every
-//!   shard whose owner moved; on a transport error, also reconnect the
-//!   shard that failed (every shard, for a multi-shard op). Retries back
-//!   off from 5 µs, doubling up to 250 µs, for 32 tries.
+//!   shard whose owner moved; on a transport error, also reconnect every
+//!   covered shard. Retries back off from 5 µs, doubling up to 250 µs,
+//!   for 32 tries.
 //!
-//! Transactions keep each topology's retry grain. Under failover each RPC
-//! of a transaction retries on its own: a promoted backup stands in for
-//! exactly one shard, so the other participants' prepared state stays
-//! valid. The retried RPC runs on a new QP, outside the old connection's
-//! exactly-once window, so a blind-write transaction may re-execute (same
-//! values, new versions — like a replayed PUT) while read-modify-writes
-//! stay correct through read-set validation. Under placement the whole
-//! transaction retries with a fresh id: a `WrongEpoch` arrives inside a
-//! participant's reply rather than as a transport error, and it voids the
-//! routing the whole attempt ran under. Whenever a prepare fails, with a
-//! status or in transport, [`txn::put_all_routed`] aborts the siblings
-//! already prepared before the error surfaces.
+//! A retried transaction runs under a fresh txn id. Before an attempt's
+//! error surfaces, [`txn::put_all_routed`] aborts every participant it
+//! prepared and did not decide, so the retry never waits on that attempt's
+//! in-doubt heads. A participant that had already committed gets the same
+//! values again as a new version, like a replayed PUT.
 
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 use std::sync::Arc;
 
 use efactory_rnic::{Fabric, Node, QpError};
@@ -40,7 +37,6 @@ use super::{Routes, Seat, Seats};
 use crate::client::{Client, ClientConfig, RemoteKv};
 use crate::cluster::{key_shard, ClusterStats, MetaClient};
 use crate::protocol::{Status, StoreError};
-use crate::repl::PROMOTED;
 use crate::txn::{self, TxnKv, TxnSnapshot};
 
 /// Failovers allowed per op.
@@ -66,8 +62,6 @@ const MAX_BACKOFF: sim::Nanos = 250_000;
 enum Scope {
     /// A single-key op on shard `g`.
     Key(usize),
-    /// One RPC of a multi-shard op, on shard `g`.
-    Rpc(usize),
     /// A whole multi-shard op.
     All,
 }
@@ -75,7 +69,7 @@ enum Scope {
 impl Scope {
     fn covers(self, g: usize) -> bool {
         match self {
-            Scope::Key(s) | Scope::Rpc(s) => s == g,
+            Scope::Key(s) => s == g,
             Scope::All => true,
         }
     }
@@ -109,9 +103,9 @@ pub struct StoreClient {
     owners: RefCell<Vec<usize>>,
     resolve: Resolve,
     /// Transaction-id source shared by every shard connection and kept
-    /// across reconnects: one logical transaction carries one id across
-    /// its 2PC participants, and a replayed id never aliases an earlier
-    /// in-doubt transaction on a promoted backup.
+    /// across reconnects: one attempt carries one id across its 2PC
+    /// participants, and every attempt takes a fresh one, so a retry never
+    /// aliases an earlier attempt's in-doubt state.
     next_txn_id: Cell<u64>,
     failovers: Cell<u64>,
     /// Retries counted by connections since replaced, so
@@ -170,7 +164,8 @@ impl StoreClient {
         key_shard(key, self.conns.len())
     }
 
-    /// How many times a shard re-resolved to its promoted backup.
+    /// How many failovers this client's ops made: each waited for a
+    /// backup to promote and reconnected the shards that moved.
     pub fn failovers(&self) -> u64 {
         self.failovers.get()
     }
@@ -246,8 +241,9 @@ impl StoreClient {
                 Ok(v) => return Ok(v),
                 Err(e) => e,
             };
-            match (&self.resolve, scope) {
-                (Resolve::Failover, Scope::Key(g) | Scope::Rpc(g)) => {
+            match &self.resolve {
+                Resolve::Static => return Err(err),
+                Resolve::Failover => {
                     let transport = matches!(
                         err,
                         StoreError::Qp(QpError::Crashed | QpError::Timeout | QpError::Disconnected)
@@ -256,9 +252,9 @@ impl StoreClient {
                         return Err(err);
                     }
                     failovers += 1;
-                    self.fail_over(g)?;
+                    self.fail_over(scope)?;
                 }
-                (Resolve::Placement(p), Scope::Key(_) | Scope::All) => {
+                Resolve::Placement(p) => {
                     match err {
                         StoreError::Status(Status::WrongEpoch) => {
                             p.stats.client_retargets.inc();
@@ -274,27 +270,24 @@ impl StoreClient {
                         return Err(err);
                     }
                 }
-                _ => return Err(err),
             }
         }
     }
 
-    /// Wait (bounded) for shard `g`'s backup to finish promoting, then
-    /// reconnect to it.
-    fn fail_over(&self, g: usize) -> Result<(), StoreError> {
+    /// Wait (bounded) until a shard `scope` covers has a new owner — its
+    /// backup promoted — then reconnect every covered shard that moved.
+    fn fail_over(&self, scope: Scope) -> Result<(), StoreError> {
         let deadline = sim::now() + FAILOVER_DEADLINE;
-        loop {
-            let seat = self.seats.get(g);
-            if seat.owner == PROMOTED {
-                self.replace(g, self.dial(g, &seat)?);
-                self.failovers.set(self.failovers.get() + 1);
-                return Ok(());
-            }
+        let moved = |g: usize| self.seats.get(g).owner != self.owners.borrow()[g];
+        while !(0..self.conns.len()).any(|g| scope.covers(g) && moved(g)) {
             if sim::now() >= deadline {
                 return Err(StoreError::Qp(QpError::Timeout));
             }
             sim::sleep(sim::micros(100));
         }
+        self.redial(|g, moved| moved && scope.covers(g))?;
+        self.failovers.set(self.failovers.get() + 1);
+        Ok(())
     }
 
     /// Re-read the placement and reconnect every shard whose owner moved,
@@ -308,18 +301,32 @@ impl StoreClient {
         let Some(state) = p.meta.borrow_mut().get_map(sim::now() + sim::millis(2)) else {
             return;
         };
-        for (g, owner) in self.owners.borrow_mut().iter_mut().enumerate() {
-            let seat = self.seats.get(g);
-            if seat.owner != *owner || force.is_some_and(|s| s.covers(g)) {
-                if let Ok(c) = self.dial(g, &seat) {
-                    self.replace(g, c);
-                    *owner = seat.owner;
-                }
-            }
-        }
+        let _ = self.redial(|g, moved| moved || force.is_some_and(|s| s.covers(g)));
         for c in &self.conns {
             c.borrow().set_placement_epoch(state.placement.epoch);
         }
+    }
+
+    /// Reconnect each shard `pick(g, moved)` selects to its current seat,
+    /// where `moved` says the seat's owner is not the one the shard's
+    /// connection targets. A failed reconnect keeps the old connection and
+    /// its owner; the last such error is returned once every pick was
+    /// tried.
+    fn redial(&self, pick: impl Fn(usize, bool) -> bool) -> Result<(), StoreError> {
+        let mut result = Ok(());
+        for (g, owner) in self.owners.borrow_mut().iter_mut().enumerate() {
+            let seat = self.seats.get(g);
+            if pick(g, seat.owner != *owner) {
+                match self.dial(g, &seat) {
+                    Ok(c) => {
+                        self.replace(g, c);
+                        *owner = seat.owner;
+                    }
+                    Err(e) => result = Err(e),
+                }
+            }
+        }
+        result
     }
 
     fn poll_events(&self) {
@@ -334,13 +341,12 @@ impl StoreClient {
         &self,
         kind: u64,
         key: &[u8],
-        mut op: impl FnMut(&[ShardConn<'_>]) -> Result<T, StoreError>,
+        mut op: impl FnMut(&[Ref<'_, Client>]) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         self.poll_events();
         let mut ctx = self.conns[0].borrow().op_root(kind, key);
         let before = self.retry_total();
-        let shards = self.shard_conns();
-        let result = self.retry(Scope::All, || op(&shards));
+        let result = self.retry(Scope::All, || op(&self.shards()));
         ctx.set_retries(self.retry_total() - before);
         result
     }
@@ -353,10 +359,9 @@ impl StoreClient {
         result
     }
 
-    fn shard_conns(&self) -> Vec<ShardConn<'_>> {
-        (0..self.conns.len())
-            .map(|g| ShardConn { client: self, g })
-            .collect()
+    /// Every shard's connection, held for one attempt of an op.
+    fn shards(&self) -> Vec<Ref<'_, Client>> {
+        self.conns.iter().map(RefCell::borrow).collect()
     }
 }
 
@@ -390,29 +395,10 @@ impl TxnKv for StoreClient {
 
     fn snapshot(&self) -> Result<TxnSnapshot, StoreError> {
         self.poll_events();
-        let shards = self.shard_conns();
-        self.retry(Scope::All, || txn::snapshot_all(&shards))
+        self.retry(Scope::All, || txn::snapshot_all(&self.shards()))
     }
 
     fn snap_get(&self, key: &[u8], snap: &TxnSnapshot) -> Result<Option<Vec<u8>>, StoreError> {
         self.rooted(4, key, |s| txn::snap_get_routed(s, key, snap))
-    }
-}
-
-/// Shard `g` of a [`StoreClient`] as the transaction drivers in
-/// [`crate::txn`] see it: every RPC runs under the per-RPC retry.
-pub(crate) struct ShardConn<'a> {
-    client: &'a StoreClient,
-    g: usize,
-}
-
-impl ShardConn<'_> {
-    /// Run one RPC on this shard's connection.
-    pub(crate) fn rpc<T>(
-        &self,
-        op: impl Fn(&Client) -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
-        let (client, g) = (self.client, self.g);
-        client.retry(Scope::Rpc(g), || op(&client.conns[g].borrow()))
     }
 }

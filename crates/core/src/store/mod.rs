@@ -31,7 +31,6 @@
 
 mod client;
 
-pub(crate) use client::ShardConn;
 pub use client::StoreClient;
 
 use std::sync::{Arc, Mutex};

@@ -30,7 +30,9 @@
 //! Single-shard transactions use the fused one-RPC `TxnCommit`; cross-shard
 //! ones run client-coordinated two-phase commit (`TxnPrepare` per shard,
 //! then `TxnDecide`), with a presumed-abort sweep reclaiming prepares whose
-//! coordinator died.
+//! coordinator died. The client drivers run one attempt of a routed op: an
+//! attempt that fails aborts every participant it prepared and did not
+//! decide, and the routed client retries the whole op under a fresh txn id.
 //!
 //! # Snapshots
 //!
@@ -45,7 +47,7 @@
 //! every snapshot, which is sound because recovery discards everything that
 //! was not durably committed).
 
-use std::cell::Cell;
+use std::cell::{Cell, Ref};
 use std::collections::{HashMap, HashSet};
 
 use efactory_checksum::crc32c;
@@ -54,12 +56,12 @@ use efactory_pmem::PmemPool;
 use efactory_rnic::QpId;
 use efactory_sim as sim;
 
+use crate::client::Client;
 use crate::cluster::key_shard;
 use crate::hashtable::fingerprint;
 use crate::layout::{self, flags, ObjHeader, NIL};
 use crate::protocol::{Response, Status, StoreError};
 use crate::server::{CleanPhase, ServerShared};
-use crate::store::ShardConn;
 
 /// Magic key prefix identifying a commit record in the log. NUL-framed so
 /// it can never collide with workload keys (which are printable).
@@ -669,11 +671,15 @@ fn bump(next: &Cell<u64>) -> u64 {
     id
 }
 
-/// Multi-shard `txn_put_all` driver: last-write-wins key dedup, group by
-/// shard, then either a fused single-shard commit or client-coordinated
-/// 2PC in deterministic shard order.
+/// Multi-shard `txn_put_all` driver, one attempt of the routed op per
+/// call: last-write-wins key dedup, group by shard, then either a fused
+/// single-shard commit or client-coordinated 2PC in deterministic shard
+/// order. `Busy`/`Conflict` retries inside the call under a fresh txn id;
+/// any other error ends the attempt for the routed client to re-resolve
+/// and retry whole, after aborting every participant the attempt prepared
+/// and did not decide.
 pub(crate) fn put_all_routed(
-    clients: &[ShardConn<'_>],
+    clients: &[Ref<'_, Client>],
     next_txn_id: &Cell<u64>,
     puts: &[(Vec<u8>, Vec<u8>)],
 ) -> Result<u64, StoreError> {
@@ -698,11 +704,11 @@ pub(crate) fn put_all_routed(
         return Ok(0);
     }
 
-    for attempt in 0..TXN_RETRY_LIMIT {
+    'attempt: for attempt in 0..TXN_RETRY_LIMIT {
         let txn_id = bump(next_txn_id);
         if touched.len() == 1 {
             let i = touched[0];
-            match clients[i].rpc(|c| c.shard_txn_commit(txn_id, &[], &groups[i]))? {
+            match clients[i].shard_txn_commit(txn_id, &[], &groups[i])? {
                 (Status::Ok, ts) => return Ok(ts),
                 (Status::Busy | Status::Conflict, _) => {
                     sim::sleep(TXN_BACKOFF << attempt.min(4));
@@ -713,69 +719,73 @@ pub(crate) fn put_all_routed(
         }
         // 2PC: prepare every touched shard in index order, then decide.
         let mut clocks = Vec::with_capacity(touched.len());
-        let mut prepared: Vec<usize> = Vec::with_capacity(touched.len());
-        let mut retry = false;
-        for &i in &touched {
-            let err = match clients[i].rpc(|c| c.shard_txn_prepare(txn_id, &[], &groups[i])) {
+        for (n, &i) in touched.iter().enumerate() {
+            let err = match clients[i].shard_txn_prepare(txn_id, &[], &groups[i]) {
                 Ok((Status::Ok, clock)) => {
                     clocks.push(clock);
-                    prepared.push(i);
                     continue;
                 }
-                Ok((Status::Busy | Status::Conflict, _)) => {
-                    retry = true;
-                    break;
-                }
-                Ok((status, _)) => StoreError::Status(status),
-                // A transport error ends the attempt just the same: the
-                // shards already prepared must not hold their in-doubt
-                // heads until the presumed-abort sweep.
-                Err(e) => e,
+                Ok((Status::Busy | Status::Conflict, _)) => None,
+                Ok((status, _)) => Some(StoreError::Status(status)),
+                Err(e) => Some(e),
             };
-            for &j in &prepared {
-                clients[j].rpc(|c| c.shard_txn_decide(txn_id, false, 0))?;
+            abort(clients, txn_id, &touched[..n]);
+            match err {
+                Some(e) => return Err(e),
+                None => {
+                    sim::sleep(TXN_BACKOFF << attempt.min(4));
+                    continue 'attempt;
+                }
             }
-            return Err(err);
-        }
-        if retry {
-            for &j in &prepared {
-                clients[j].rpc(|c| c.shard_txn_decide(txn_id, false, 0))?;
-            }
-            sim::sleep(TXN_BACKOFF << attempt.min(4));
-            continue;
         }
         // Strictly above every participant's clock, so no shard's snapshot
         // captured before its prepare can cover this commit.
         let ts = (clocks.iter().copied().max().unwrap() + 1).max(sim::now());
-        for &i in &touched {
-            match clients[i].rpc(|c| c.shard_txn_decide(txn_id, true, ts))? {
-                Status::Ok => {}
+        for (n, &i) in touched.iter().enumerate() {
+            let err = match clients[i].shard_txn_decide(txn_id, true, ts) {
+                Ok(Status::Ok) => continue,
                 // Presumed abort fired on a participant after others
                 // committed — unreachable while the abort timeout exceeds
                 // the worst-case decide latency; surfaced, not masked.
-                status => return Err(StoreError::Status(status)),
-            }
+                Ok(status) => StoreError::Status(status),
+                Err(e) => e,
+            };
+            // A participant drops its prepared state on any decide it
+            // handles, and one this decide could not reach would not hear
+            // an abort either: only the ones after it are left to abort.
+            abort(clients, txn_id, &touched[n + 1..]);
+            return Err(err);
         }
         return Ok(ts);
     }
     Err(StoreError::Status(Status::Busy))
 }
 
+/// Abort `txn_id` on each of `shards`, so no in-doubt head outlives the
+/// failed attempt. Best effort: a participant that cannot be reached is
+/// left to its presumed-abort sweep, or to recovery, which drops every
+/// staged version no commit record names.
+fn abort(clients: &[Ref<'_, Client>], txn_id: u64, shards: &[usize]) {
+    for &j in shards {
+        let _ = clients[j].shard_txn_decide(txn_id, false, 0);
+    }
+}
+
 /// Routed read-modify-write: single-key, so always a fused commit on the
 /// owning shard, retried on conflict with a fresh read.
 pub(crate) fn rmw_routed(
-    clients: &[ShardConn<'_>],
+    clients: &[Ref<'_, Client>],
     next_txn_id: &Cell<u64>,
     key: &[u8],
     f: &mut dyn FnMut(Option<Vec<u8>>) -> Vec<u8>,
 ) -> Result<u64, StoreError> {
     let c = &clients[key_shard(key, clients.len())];
     for attempt in 0..TXN_RETRY_LIMIT {
-        let (val, seq) = c.rpc(|c| c.shard_get_with_seq(key))?;
+        let (val, seq) = c.shard_get_with_seq(key)?;
         let new = f(val);
         let txn_id = bump(next_txn_id);
         let (reads, puts) = ([(key.to_vec(), seq)], [(key.to_vec(), new)]);
-        match c.rpc(|c| c.shard_txn_commit(txn_id, &reads, &puts))? {
+        match c.shard_txn_commit(txn_id, &reads, &puts)? {
             (Status::Ok, ts) => return Ok(ts),
             (Status::Conflict | Status::Busy, _) => {
                 sim::sleep(TXN_BACKOFF << attempt.min(4));
@@ -787,12 +797,12 @@ pub(crate) fn rmw_routed(
 }
 
 /// Capture every shard's clock; the snapshot reads at the minimum.
-pub(crate) fn snapshot_all(clients: &[ShardConn<'_>]) -> Result<TxnSnapshot, StoreError> {
+pub(crate) fn snapshot_all(clients: &[Ref<'_, Client>]) -> Result<TxnSnapshot, StoreError> {
     let mut vector = Vec::with_capacity(clients.len());
     for c in clients {
         let mut attempt = 0;
         let wm = loop {
-            match c.rpc(|c| c.shard_snap_capture())? {
+            match c.shard_snap_capture()? {
                 (Status::Ok, wm) => break wm,
                 (Status::Busy, _) if attempt < TXN_RETRY_LIMIT => {
                     attempt += 1;
@@ -809,13 +819,13 @@ pub(crate) fn snapshot_all(clients: &[ShardConn<'_>]) -> Result<TxnSnapshot, Sto
 
 /// Routed snapshot read with bounded retry on in-doubt/in-flight versions.
 pub(crate) fn snap_get_routed(
-    clients: &[ShardConn<'_>],
+    clients: &[Ref<'_, Client>],
     key: &[u8],
     snap: &TxnSnapshot,
 ) -> Result<Option<Vec<u8>>, StoreError> {
     let c = &clients[key_shard(key, clients.len())];
     for _ in 0..TXN_RETRY_LIMIT {
-        match c.rpc(|c| c.shard_snap_get(key, snap.ts))? {
+        match c.shard_snap_get(key, snap.ts)? {
             SnapOutcome::Value(v) => return Ok(Some(v)),
             SnapOutcome::NotFound => return Ok(None),
             SnapOutcome::Busy => sim::sleep(TXN_BACKOFF),

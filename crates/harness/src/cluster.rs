@@ -179,9 +179,9 @@ pub struct ExperimentSpec {
     /// this many virtual nanoseconds after the measurement window opens,
     /// while the measured workload keeps flowing. Requires `nodes > 1`.
     pub migrate_at: Option<Nanos>,
-    /// Simulation executor override (`None` = the process default, i.e.
-    /// `EF_SIM_EXEC` or fibers). Used by the equivalence tests and the
-    /// `sim` bench probe to pin a backend per run. Deliberately
+    /// Simulation executor override (`None` = [`Sim::new`]'s default:
+    /// fibers where supported, threads elsewhere). Used by the equivalence
+    /// tests and the `sim` bench probe to pin a backend per run. Deliberately
     /// excluded from report params: both backends produce byte-identical
     /// reports, and stamping the executor would break that check.
     pub exec: Option<efactory_sim::ExecModel>,

@@ -167,7 +167,7 @@ pub struct FabricStats {
 type VerbProbeFn = Box<dyn Fn(&'static str, usize, Nanos, Nanos) + Send + Sync>;
 
 /// An optional callback fired on every verb the fabric issues, with the
-/// verb name (`"send"`, `"rdma_read"`, `"rdma_write"`, `"rdma_atomic"`),
+/// verb name (`"send"`, `"rdma_read"`, `"rdma_write"`),
 /// the payload length, and the verb's virtual `[start, end)` window — for
 /// two-sided sends the window is issue → nominal arrival, for one-sided
 /// verbs it is issue → ack (including fault retransmit/delay time). Lets
@@ -315,15 +315,15 @@ impl Node {
             conns: Arc::clone(&conns),
         });
         Listener {
-            node: self.clone(),
-            cost: fabric.cost.clone(),
-            stats: Arc::clone(&fabric.stats),
-            faults: Arc::clone(&fabric.faults),
+            replier: Replier {
+                node: self.clone(),
+                cost: fabric.cost.clone(),
+                stats: Arc::clone(&fabric.stats),
+                faults: Arc::clone(&fabric.faults),
+                conns,
+            },
             rx,
-            conns,
-            batched: batched_recv,
-            doorbell: doorbell_batch,
-            ring_credit: std::cell::Cell::new(0),
+            ring: DoorbellChain::recv(&fabric.cost, batched_recv, doorbell_batch),
         }
     }
 }
@@ -425,21 +425,6 @@ impl Fabric {
         });
         nodes.push(Arc::clone(&inner));
         Node { inner }
-    }
-
-    /// Resolve a node by name — the fabric's directory service. Cluster
-    /// placement maps carry node *names* (stable across crash/restart
-    /// cycles, unlike listeners or MRs); clients resolve them here at
-    /// connection setup. Names are unique by construction (the cluster
-    /// layer derives them from node/shard indices).
-    pub fn node_by_name(&self, name: &str) -> Option<Node> {
-        self.nodes
-            .lock()
-            .iter()
-            .find(|n| n.name == name)
-            .map(|inner| Node {
-                inner: Arc::clone(inner),
-            })
     }
 
     /// Connect `local` to the listener on `remote`. Must be called from
@@ -587,61 +572,26 @@ impl Fabric {
 /// Server-side receive endpoint: surfaces incoming sends and write-imm
 /// completions, and replies to clients by queue-pair id.
 pub struct Listener {
-    node: Node,
-    cost: CostModel,
-    stats: Arc<FabricStats>,
-    faults: Arc<FaultTable>,
+    /// The listener's own reply path; [`replier`](Self::replier) hands out
+    /// clones.
+    replier: Replier,
     rx: sim::Receiver<Incoming>,
-    conns: Arc<Mutex<HashMap<QpId, ConnTx>>>,
-    batched: bool,
-    /// Doorbell chain length for recv-ring refills (<= 1: flat charging).
-    doorbell: usize,
-    /// Posted recv WRs still unconsumed from the last chained refill.
-    ring_credit: std::cell::Cell<usize>,
+    /// Receive-ring refills, charged per consumed message.
+    ring: DoorbellChain,
 }
 
 impl Listener {
     /// Node this listener runs on.
     pub fn node(&self) -> &Node {
-        &self.node
-    }
-
-    fn recv_cost(&self) -> Nanos {
-        if self.batched {
-            self.cost.cpu_recv_post_batched_ns
-        } else {
-            self.cost.cpu_recv_post_ns
-        }
-    }
-
-    /// Charge the receive-post CPU cost for one consumed message. With
-    /// doorbell batching the ring is refilled with one chained post every
-    /// `doorbell` messages: the first WR of the chain pays the doorbell
-    /// MMIO (`cpu_recv_post_ns`), each chained WR only the amortized rate
-    /// (`cpu_recv_post_batched_ns`). A chain of 1 degenerates exactly to
-    /// the unbatched per-message charge.
-    fn charge_recv(&self) {
-        if self.doorbell > 1 {
-            let mut credit = self.ring_credit.get();
-            if credit == 0 {
-                sim::work(
-                    self.cost.cpu_recv_post_ns
-                        + (self.doorbell as Nanos - 1) * self.cost.cpu_recv_post_batched_ns,
-                );
-                credit = self.doorbell;
-            }
-            self.ring_credit.set(credit - 1);
-        } else {
-            sim::work(self.recv_cost());
-        }
+        &self.replier.node
     }
 
     /// Block until a message arrives. Charges the per-message receive-post
     /// CPU cost. Returns `Disconnected` when every client sender is gone.
     pub fn recv(&self) -> Result<Incoming, QpError> {
         let msg = self.rx.recv().map_err(|_| QpError::Disconnected)?;
-        self.node.guard()?;
-        self.charge_recv();
+        self.node().guard()?;
+        self.ring.charge();
         Ok(msg)
     }
 
@@ -651,86 +601,25 @@ impl Listener {
             sim::RecvTimeoutError::Timeout => QpError::Timeout,
             sim::RecvTimeoutError::Disconnected => QpError::Disconnected,
         })?;
-        self.node.guard()?;
-        self.charge_recv();
+        self.node().guard()?;
+        self.ring.charge();
         Ok(msg)
     }
 
     /// Send a reply to the client behind `qp`.
     pub fn reply(&self, qp: QpId, payload: Vec<u8>) -> Result<(), QpError> {
-        self.node.guard()?;
-        let delay = self.cost.one_way(payload.len());
-        self.stats.sends.fetch_add(1, Ordering::Relaxed);
-        self.stats
-            .bytes_on_wire
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        let now = probe_now();
-        self.stats
-            .probe
-            .fire("send", payload.len(), now, now + delay);
-        let conns = self.conns.lock();
-        let tx = conns.get(&qp).ok_or(QpError::Disconnected)?;
-        let Some((delay, dup)) =
-            two_sided_fate(&self.faults, &self.stats, self.node.id(), tx.peer, delay)
-        else {
-            // Reply lost on the wire: the client's RPC deadline fires and
-            // its retry (same request id) gets the deduped resend.
-            return Ok(());
-        };
-        if dup {
-            let _ = tx.reply.send(payload.clone(), delay);
-        }
-        tx.reply
-            .send(payload, delay)
-            .map_err(|_| QpError::Disconnected)
-    }
-
-    /// Push an unsolicited event (notification) to the client behind `qp`.
-    /// Clients read these with [`ClientQp::try_event`].
-    pub fn notify(&self, qp: QpId, payload: Vec<u8>) -> Result<(), QpError> {
-        self.node.guard()?;
-        let delay = self.cost.one_way(payload.len());
-        self.stats.sends.fetch_add(1, Ordering::Relaxed);
-        let now = probe_now();
-        self.stats
-            .probe
-            .fire("send", payload.len(), now, now + delay);
-        let conns = self.conns.lock();
-        let tx = conns.get(&qp).ok_or(QpError::Disconnected)?;
-        tx.event
-            .send(payload, delay)
-            .map_err(|_| QpError::Disconnected)
-    }
-
-    /// Broadcast an event to every connected client (ignoring clients that
-    /// already went away).
-    pub fn notify_all(&self, payload: &[u8]) -> Result<(), QpError> {
-        self.node.guard()?;
-        let delay = self.cost.one_way(payload.len());
-        self.stats.sends.fetch_add(1, Ordering::Relaxed);
-        let now = probe_now();
-        self.stats
-            .probe
-            .fire("send", payload.len(), now, now + delay);
-        for tx in self.conns.lock().values() {
-            let _ = tx.event.send(payload.to_vec(), delay);
-        }
-        Ok(())
-    }
-
-    /// Drop the connection state for `qp` (client went away).
-    pub fn disconnect(&self, qp: QpId) {
-        self.conns.lock().remove(&qp);
+        self.replier.reply(qp, payload)
     }
 
     /// A shareable handle that can push events to this listener's clients
     /// from another process (e.g. the log-cleaning process notifying
     /// clients while the request handler owns the `Listener`).
     pub fn notifier(&self) -> Notifier {
+        let r = &self.replier;
         Notifier {
-            node: self.node.clone(),
-            cost: self.cost.clone(),
-            conns: Arc::clone(&self.conns),
+            node: r.node.clone(),
+            cost: r.cost.clone(),
+            conns: Arc::clone(&r.conns),
         }
     }
 
@@ -738,13 +627,7 @@ impl Listener {
     /// a completion-handling worker that offloads flush work from the
     /// dispatch thread, as multi-core RDMA servers do).
     pub fn replier(&self) -> Replier {
-        Replier {
-            node: self.node.clone(),
-            cost: self.cost.clone(),
-            stats: Arc::clone(&self.stats),
-            faults: Arc::clone(&self.faults),
-            conns: Arc::clone(&self.conns),
-        }
+        self.replier.clone()
     }
 }
 
@@ -776,6 +659,8 @@ impl Replier {
         let Some((delay, dup)) =
             two_sided_fate(&self.faults, &self.stats, self.node.id(), tx.peer, delay)
         else {
+            // Reply lost on the wire: the client's RPC deadline fires and
+            // its retry (same request id) gets the deduped resend.
             return Ok(());
         };
         if dup {
@@ -808,50 +693,66 @@ impl Notifier {
     }
 }
 
-/// Client-side doorbell batching for send posts — the WQE-posting mirror of
-/// the [`Listener`]'s chained receive-ring refill. A pipelined client links
-/// up to `batch` send WQEs behind a single doorbell: the first post of a
-/// chain pays the MMIO (`cpu_send_post_ns`) plus the amortized rate
-/// (`cpu_send_post_batched_ns`) for each chained WQE, and the rest of the
-/// chain posts for free until the credit runs out. `batch <= 1` degenerates
-/// exactly to the flat per-post charge. This is purely a CPU-cost account —
-/// the verbs themselves still go out through [`ClientQp`] as usual.
-pub struct SendDoorbell {
-    cost: CostModel,
-    batch: usize,
+/// A chain of work-request posts behind one doorbell: a [`Listener`]'s
+/// receive-ring refills and a pipelined client's send posts. The first
+/// post of a chain pays the doorbell MMIO plus the amortized rate for each
+/// chained post, and the rest of the chain posts for free until the credit
+/// runs out. A chain of `len <= 1` pays the flat per-post charge instead.
+/// This is purely a CPU-cost account — the verbs themselves go out as
+/// usual.
+pub struct DoorbellChain {
+    len: usize,
+    /// What ringing one chain of `len` posts costs.
+    chain: Nanos,
+    /// What one post costs unchained.
+    flat: Nanos,
+    /// Posts left in the last chain rung.
     credit: std::cell::Cell<usize>,
 }
 
-impl SendDoorbell {
-    /// A doorbell chain of `batch` send WQEs charged per `cost`.
-    pub fn new(cost: &CostModel, batch: usize) -> SendDoorbell {
-        SendDoorbell {
-            cost: cost.clone(),
-            batch,
+impl DoorbellChain {
+    /// Send posts: chains of `batch` send WQEs (MMIO `cpu_send_post_ns`,
+    /// `cpu_send_post_batched_ns` per chained WQE), `cpu_send_post_ns` flat.
+    pub fn send(cost: &CostModel, batch: usize) -> DoorbellChain {
+        let (head, chained) = (cost.cpu_send_post_ns, cost.cpu_send_post_batched_ns);
+        DoorbellChain::new(batch, head, chained, head)
+    }
+
+    /// Receive-ring refills: chains of `batch` recv WRs (MMIO
+    /// `cpu_recv_post_ns`, `cpu_recv_post_batched_ns` per chained WR).
+    /// Flat, the batched receive region (`batched`) posts each message at
+    /// the amortized rate and the plain ring at the full one.
+    fn recv(cost: &CostModel, batched: bool, batch: usize) -> DoorbellChain {
+        let (head, chained) = (cost.cpu_recv_post_ns, cost.cpu_recv_post_batched_ns);
+        DoorbellChain::new(batch, head, chained, if batched { chained } else { head })
+    }
+
+    fn new(len: usize, head: Nanos, chained: Nanos, flat: Nanos) -> DoorbellChain {
+        DoorbellChain {
+            len,
+            chain: head + (len as Nanos).saturating_sub(1) * chained,
+            flat,
             credit: std::cell::Cell::new(0),
         }
     }
 
     /// Chain length this doorbell was built with.
     pub fn batch(&self) -> usize {
-        self.batch
+        self.len
     }
 
-    /// Charge the CPU cost of posting one send WQE. Must run inside a
-    /// simulated process (the charge advances that process's clock).
+    /// Charge the CPU cost of one post. Must run inside a simulated
+    /// process (the charge advances that process's clock).
     pub fn charge(&self) {
-        if self.batch > 1 {
+        if self.len > 1 {
             let mut credit = self.credit.get();
             if credit == 0 {
-                sim::work(
-                    self.cost.cpu_send_post_ns
-                        + (self.batch as Nanos - 1) * self.cost.cpu_send_post_batched_ns,
-                );
-                credit = self.batch;
+                sim::work(self.chain);
+                credit = self.len;
             }
             self.credit.set(credit - 1);
         } else {
-            sim::work(self.cost.cpu_send_post_ns);
+            sim::work(self.flat);
         }
     }
 }
@@ -1047,76 +948,6 @@ impl ClientQp {
         self.local.guard()?;
         self.stats.probe.fire("rdma_read", len, start, probe_now());
         Ok(data)
-    }
-
-    /// One-sided atomic compare-and-swap on the aligned u64 at `off`
-    /// (paper §2.1 lists atomics among the one-sided primitives; eFactory
-    /// itself does not use them, but the fabric is complete for extensions).
-    /// Returns the old value. Like all one-sided ops, the update lands in
-    /// the volatile domain.
-    pub fn rdma_cas(
-        &self,
-        mr: &RemoteMr,
-        off: usize,
-        expected: u64,
-        new: u64,
-    ) -> Result<u64, QpError> {
-        self.guard_both()?;
-        if !off.is_multiple_of(8) {
-            return Err(QpError::AccessViolation);
-        }
-        if self.link_down() {
-            return Err(self.one_sided_partition_timeout());
-        }
-        let start = probe_now();
-        self.one_sided_fault();
-        self.stats.rdma_writes.fetch_add(1, Ordering::Relaxed);
-        // Request reaches the remote NIC, which performs the atomic there.
-        sim::sleep(self.cost.one_way(8));
-        self.remote.guard()?;
-        let old = {
-            let mrs = self.remote.inner.mrs.lock();
-            let entry = self.resolve(&mrs, mr, off, 8)?;
-            let abs = entry.base + off;
-            let old = entry.pool.read_u64(abs);
-            if old == expected {
-                entry.pool.write_u64(abs, new);
-            }
-            old
-        };
-        sim::sleep(self.cost.one_way(8));
-        self.local.guard()?;
-        self.stats.probe.fire("rdma_atomic", 8, start, probe_now());
-        Ok(old)
-    }
-
-    /// One-sided atomic fetch-and-add on the aligned u64 at `off`. Returns
-    /// the pre-add value. Volatile-domain semantics as with `rdma_cas`.
-    pub fn rdma_faa(&self, mr: &RemoteMr, off: usize, add: u64) -> Result<u64, QpError> {
-        self.guard_both()?;
-        if !off.is_multiple_of(8) {
-            return Err(QpError::AccessViolation);
-        }
-        if self.link_down() {
-            return Err(self.one_sided_partition_timeout());
-        }
-        let start = probe_now();
-        self.one_sided_fault();
-        self.stats.rdma_writes.fetch_add(1, Ordering::Relaxed);
-        sim::sleep(self.cost.one_way(8));
-        self.remote.guard()?;
-        let old = {
-            let mrs = self.remote.inner.mrs.lock();
-            let entry = self.resolve(&mrs, mr, off, 8)?;
-            let abs = entry.base + off;
-            let old = entry.pool.read_u64(abs);
-            entry.pool.write_u64(abs, old.wrapping_add(add));
-            old
-        };
-        sim::sleep(self.cost.one_way(8));
-        self.local.guard()?;
-        self.stats.probe.fire("rdma_atomic", 8, start, probe_now());
-        Ok(old)
     }
 
     /// One-sided RDMA write. Returns when the ack arrives — which, per RDMA
@@ -1903,14 +1734,14 @@ mod tests {
         let mut sim = Sim::new(0);
         sim.spawn("poster", || {
             let cost = CostModel::default();
-            let flat = SendDoorbell::new(&cost, 1);
+            let flat = DoorbellChain::send(&cost, 1);
             let t0 = sim::now();
             for _ in 0..8 {
                 flat.charge();
             }
             assert_eq!(sim::now() - t0, 8 * cost.cpu_send_post_ns);
 
-            let chained = SendDoorbell::new(&cost, 4);
+            let chained = DoorbellChain::send(&cost, 4);
             let t1 = sim::now();
             for _ in 0..8 {
                 chained.charge();

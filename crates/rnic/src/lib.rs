@@ -28,7 +28,7 @@ mod fault;
 
 pub use cost::CostModel;
 pub use fabric::{
-    ClientQp, Fabric, FabricStats, Incoming, Listener, Node, NodeId, Notifier, QpError, QpId,
-    RemoteMr, Replier, SendDoorbell, VerbProbe,
+    ClientQp, DoorbellChain, Fabric, FabricStats, Incoming, Listener, Node, NodeId, Notifier,
+    QpError, QpId, RemoteMr, Replier, VerbProbe,
 };
 pub use fault::FaultPlan;

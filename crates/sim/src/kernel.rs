@@ -16,7 +16,8 @@
 //! # Execution backends
 //!
 //! Two interchangeable executors implement the grant/yield handoff (selected
-//! by [`ExecModel`], see `EF_SIM_EXEC`):
+//! by [`ExecModel`]; [`Sim::new`] takes fibers where they are supported and
+//! threads elsewhere, [`Sim::with_exec`] pins one):
 //!
 //! - **Fiber** (default): every process is a user-space stackful coroutine
 //!   hosted *on the driver thread*; a grant is a register-swap context switch
@@ -81,16 +82,6 @@ pub enum ExecModel {
 }
 
 impl ExecModel {
-    /// The model requested by `EF_SIM_EXEC` (`fiber` / `thread`), or the
-    /// target default (fiber where supported) when unset.
-    pub fn from_env() -> ExecModel {
-        match std::env::var("EF_SIM_EXEC").ok().as_deref() {
-            Some("thread") | Some("threads") => ExecModel::Thread,
-            Some("fiber") | Some("fibers") | None => ExecModel::Fiber,
-            Some(other) => panic!("EF_SIM_EXEC must be 'fiber' or 'thread', got '{other}'"),
-        }
-    }
-
     /// Degrade to a supported model (fibers need the arch-specific switch).
     fn resolve(self) -> ExecModel {
         match self {
@@ -730,19 +721,6 @@ pub(crate) fn with_current<R>(f: impl FnOnce(&Arc<Kernel>, Pid) -> R) -> R {
     f(&kernel, pid)
 }
 
-/// True if the caller is executing as a simulated process.
-pub fn in_process() -> bool {
-    CURRENT.with(|c| c.borrow().is_some())
-}
-
-/// Pid of the calling simulated process.
-///
-/// # Panics
-/// Panics when called from outside a simulated process.
-pub fn current_pid() -> Pid {
-    with_current(|_, pid| pid)
-}
-
 /// Read the current *process* context slot (see [`op_ctx_replace`]).
 pub fn op_ctx_get() -> u64 {
     CURRENT.with(|c| match &*c.borrow() {
@@ -927,15 +905,16 @@ pub struct Sim {
 const MAX_BATCH: usize = 1024;
 
 impl Sim {
-    /// Create an empty simulation with the default executor (`EF_SIM_EXEC`,
-    /// fiber where supported). `seed` is made available via [`Sim::seed`]
-    /// for seeding workload/crash RNGs.
+    /// Create an empty simulation on the default executor: fibers where
+    /// they are supported, threads elsewhere. `seed` is made available via
+    /// [`Sim::seed`] for seeding workload/crash RNGs.
     pub fn new(seed: u64) -> Self {
-        Sim::with_exec(seed, ExecModel::from_env())
+        Sim::with_exec(seed, ExecModel::Fiber)
     }
 
-    /// Create an empty simulation on a specific executor. Used by the
-    /// equivalence suites and benches to compare backends directly.
+    /// Create an empty simulation on a specific executor (fibers degrade to
+    /// threads where unsupported). Used by the equivalence suites and
+    /// benches to compare backends directly.
     pub fn with_exec(seed: u64, exec: ExecModel) -> Self {
         install_quiet_abort_hook();
         Sim {

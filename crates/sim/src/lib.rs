@@ -61,7 +61,7 @@ mod time;
 
 pub use chan::{channel, Receiver, RecvError, RecvTimeoutError, SendError, Sender, TryRecvError};
 pub use kernel::{
-    call_at, current_pid, in_process, now, op_ctx_get, op_ctx_replace, sleep, sleep_until, spawn,
-    try_now, work, yield_now, ExecModel, Pid, ProcessHandle, RunOutcome, Sim, SimCounters,
+    call_at, now, op_ctx_get, op_ctx_replace, sleep, sleep_until, spawn, try_now, work, yield_now,
+    ExecModel, Pid, ProcessHandle, RunOutcome, Sim, SimCounters,
 };
 pub use time::{micros, millis, secs, Nanos};

@@ -7,16 +7,21 @@
 //!   the primary's death — its operations succeed against the promoted
 //!   backup with no application-visible error — and a client that
 //!   connects after the promotion reaches the promoted backup directly.
+//! * **Cross-shard transactions across failover**: a 2PC transaction whose
+//!   participant's primary dies mid-protocol retries whole on the promoted
+//!   backup and commits every key, never half of them.
 //! * **Determinism**: two identical replicated runs (fault injection
 //!   included) produce byte-equal `fabric.*`/`repl.*` counter snapshots.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use efactory::client::{Client, ClientConfig};
 use efactory::log::StoreLayout;
 use efactory::repl::{Backup, PROMOTED};
-use efactory::server::ServerConfig;
+use efactory::server::{ServerConfig, ServerStats};
 use efactory::store::{Store, StoreClient};
+use efactory::{key_shard, StoreError, TxnKv};
+use efactory_obs::Counter;
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -215,6 +220,138 @@ fn repl_client_rides_through_primary_death() {
         server.shutdown();
     });
     simu.run().expect_ok();
+}
+
+/// What one cross-shard transaction across a primary's death produced.
+struct TxnAcrossFailover {
+    result: Result<u64, StoreError>,
+    elapsed: sim::Nanos,
+    failovers: u64,
+    /// Each shard's key as a client connected afterwards reads it.
+    reads: Vec<Option<Vec<u8>>>,
+}
+
+/// A 2-shard store with one backup per shard runs one 2-key
+/// `txn_put_all`, one key per shard, over keys that hold `old-{shard}`.
+/// A watcher power-fails shard `victim`'s primary the instant shard
+/// `trigger`'s `pick` counter moves.
+fn txn_across_failover(
+    victim: usize,
+    trigger: usize,
+    pick: fn(&ServerStats) -> &Counter,
+) -> TxnAcrossFailover {
+    let mut simu = Sim::new(29);
+    let fabric = Fabric::new(CostModel::default());
+    let store = Store::format(&fabric, "txf", layout(), cfg(), 2, 1);
+    let keys: Vec<Vec<u8>> = (0..2)
+        .map(|g| {
+            (0..)
+                .map(key)
+                .find(|k| key_shard(k, 2) == g)
+                .expect("some key routes to every shard")
+        })
+        .collect();
+    let out: Arc<Mutex<Option<TxnAcrossFailover>>> = Arc::default();
+    let out2 = Arc::clone(&out);
+    let f = Arc::clone(&fabric);
+    simu.spawn("main", move || {
+        store.start();
+        let c = StoreClient::connect(
+            &f,
+            &f.add_node("client"),
+            &store.routes(),
+            ClientConfig::default(),
+        )
+        .unwrap();
+        for (g, k) in keys.iter().enumerate() {
+            c.put(k, format!("old-{g}").as_bytes()).unwrap();
+            c.get(k).unwrap().unwrap(); // read-back forces durability
+        }
+        let deadline = sim::now() + sim::millis(50);
+        while (0..2).any(|g| store.backup(g).unwrap().stats().applied_objects.get() < 1) {
+            assert!(sim::now() < deadline, "backups never caught up");
+            sim::sleep(sim::micros(50));
+        }
+        let watched = store.shard(trigger).server().clone();
+        let dying = store.shard(victim).node().clone();
+        let before = pick(&watched.shared().stats).get();
+        let fw = Arc::clone(&f);
+        sim::spawn("watcher", move || {
+            let deadline = sim::now() + sim::millis(10);
+            while pick(&watched.shared().stats).get() == before {
+                if sim::now() >= deadline {
+                    return;
+                }
+                sim::sleep(20);
+            }
+            fw.crash_node(
+                &dying,
+                CrashSpec::DropAll,
+                &mut StdRng::seed_from_u64(0xDEAD),
+            );
+        });
+        let puts: Vec<(Vec<u8>, Vec<u8>)> = keys
+            .iter()
+            .enumerate()
+            .map(|(g, k)| (k.clone(), format!("new-{g}").into_bytes()))
+            .collect();
+        let t0 = sim::now();
+        let result = c.txn_put_all(&puts);
+        let elapsed = sim::now() - t0;
+        let reader = StoreClient::connect(
+            &f,
+            &f.add_node("reader"),
+            &store.routes(),
+            ClientConfig::default(),
+        )
+        .unwrap();
+        let reads = keys.iter().map(|k| reader.get(k).unwrap()).collect();
+        *out2.lock().unwrap() = Some(TxnAcrossFailover {
+            result,
+            elapsed,
+            failovers: c.failovers(),
+            reads,
+        });
+        store.shutdown();
+    });
+    simu.run().expect_ok();
+    let outcome = out.lock().unwrap().take().expect("the run finished");
+    outcome
+}
+
+/// Both keys read their new values.
+fn assert_all_new(t: &TxnAcrossFailover) {
+    assert!(t.result.is_ok(), "txn failed: {:?}", t.result);
+    assert!(t.failovers >= 1, "the client never failed over");
+    for (g, v) in t.reads.iter().enumerate() {
+        assert_eq!(
+            v.as_deref(),
+            Some(format!("new-{g}").as_bytes()),
+            "shard {g} lost its part of the transaction"
+        );
+    }
+}
+
+#[test]
+fn txn_commits_whole_when_a_prepared_participant_dies_before_its_decide() {
+    // Shard 0 is committing; shard 1 is prepared and not yet decided.
+    let t = txn_across_failover(1, 0, |s| &s.txn_decides);
+    assert_all_new(&t);
+}
+
+#[test]
+fn txn_commits_whole_when_a_prepared_participant_dies_mid_prepare() {
+    // Shard 0 is prepared; shard 1 is preparing.
+    let t = txn_across_failover(0, 1, |s| &s.txn_prepares);
+    assert_all_new(&t);
+    // The failed attempt aborted shard 1's prepare, so the retry never
+    // waited for the presumed-abort sweep to free its in-doubt head.
+    let timeout = cfg().txn_abort_timeout;
+    assert!(
+        t.elapsed < timeout / 5,
+        "took {} ns; the abort timeout is {timeout} ns",
+        t.elapsed
+    );
 }
 
 #[test]
