@@ -25,14 +25,19 @@
 //! reads additionally verify the value CRC embedded in the object header:
 //! a mismatch (mid-clean or bit-rotted object) degrades to the RPC path
 //! instead of returning corrupt data.
+//!
+//! **One attempt per call.** A [`Client`] talks to one shard, and each of
+//! its methods is one attempt of an op: the retries above stay inside the
+//! call, but it opens no trace root and hands `Busy`/`NoSpace` rejections
+//! back. The routed [`StoreClient`](crate::store::StoreClient) owns both:
+//! it opens each op's root `"op"` span and re-attempts the op whole.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 use efactory_checksum::crc32c;
-use efactory_obs::trace::current_op;
-use efactory_obs::{Counter, Obs, OpScope, Registry, SpanGuard, Subsystem};
+use efactory_obs::{Counter, Obs, Registry, Subsystem};
 use efactory_rnic::{ClientQp, Fabric, Node, QpError};
 use efactory_sim as sim;
 use efactory_sim::Nanos;
@@ -45,7 +50,11 @@ use crate::txn::{SnapOutcome, TxnKv};
 
 /// The uniform client interface the experiment harness drives. All six
 /// systems of the paper's comparison (eFactory and the five baselines)
-/// implement it, so workloads are system-agnostic.
+/// implement it, so workloads are system-agnostic. Each call returns the
+/// system's own answer: eFactory's routed
+/// [`StoreClient`](crate::store::StoreClient) rides out transient
+/// `Busy`/`NoSpace` rejections inside the call, while a plain [`Client`]
+/// and the baselines hand them back.
 pub trait RemoteKv {
     /// Store `value` under `key` with whatever durability contract the
     /// system provides.
@@ -57,23 +66,13 @@ pub trait RemoteKv {
     fn txn(&self) -> Option<&dyn TxnKv> {
         None
     }
+}
 
-    /// [`kv_put`](Self::kv_put), riding out transient `NoSpace`/`Busy`
-    /// rejections (a pool filling up under cleaning pressure) with a
-    /// bounded 200 × 50 µs backoff, the way real clients do; the stall is
-    /// part of the PUT's latency.
-    fn kv_put_patient(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        let mut tries = 0;
-        loop {
-            match self.kv_put(key, value) {
-                Err(StoreError::Status(Status::NoSpace | Status::Busy)) if tries < 200 => {
-                    tries += 1;
-                    sim::sleep(sim::micros(50));
-                }
-                other => return other,
-            }
-        }
-    }
+/// A backoff sleep before a re-attempt, recorded as a retry-classified
+/// phase of the current op.
+pub(crate) fn backoff_sleep(obs: &Obs, d: Nanos) {
+    let _sp = obs.tracer.span(Subsystem::Client, "backoff");
+    sim::sleep(d);
 }
 
 /// Bounded retries for the RPC read path (validation hiccups).
@@ -133,9 +132,6 @@ pub struct ClientConfig {
     /// another client overwrote the key (reads stay monotonic per client;
     /// the next probe or RPC read refreshes the entry).
     pub loc_cache: bool,
-    /// Shard index this client routes to; recorded on every op's root
-    /// trace span so the latency decomposition can attribute per shard.
-    pub shard: u32,
     /// Observability context; the harness passes the same one the server
     /// uses so client and server phases land in a single trace.
     pub obs: Obs,
@@ -146,7 +142,6 @@ impl Default for ClientConfig {
         ClientConfig {
             hybrid_read: true,
             loc_cache: false,
-            shard: 0,
             obs: Obs::new(),
         }
     }
@@ -293,26 +288,6 @@ struct LocEntry {
     epoch: u64,
 }
 
-/// RAII context for one logical client operation: owns the root `"op"`
-/// trace span and the thread's op-id attribution scope. When an outer
-/// scope already owns the op (the pipelined client measures its own
-/// submit→completion window), the context records an `"exec"` child span
-/// instead of a second root.
-pub(crate) struct OpCtx {
-    root: Option<SpanGuard>,
-    _scope: Option<OpScope>,
-}
-
-impl OpCtx {
-    /// Attach the op's observed retry count to the root span (set just
-    /// before the context drops and the span records).
-    pub(crate) fn set_retries(&mut self, retries: u64) {
-        if let Some(sp) = &mut self.root {
-            sp.arg("retries", retries);
-        }
-    }
-}
-
 impl Client {
     /// Connect `local` to the server on `server_node` described by `desc`.
     /// Must run inside a simulated process.
@@ -352,45 +327,13 @@ impl Client {
         &self.stats
     }
 
-    /// Open the per-op attribution context. `kind`: 0 = GET, 1 = PUT,
-    /// 2 = DEL, 3 = TXN, 4 = SNAP (the `critical_path` encoding).
-    /// `pub(crate)` so the routed client can open one root spanning a
-    /// multi-shard fan-out.
-    pub(crate) fn op_root(&self, kind: u64, key: &[u8]) -> OpCtx {
-        if current_op() != 0 {
-            // Already inside an op (pipelined slot): record execution as a
-            // child phase of the owning op instead of opening a new root.
-            return OpCtx {
-                root: Some(self.cfg.obs.tracer.span(Subsystem::Client, "exec")),
-                _scope: None,
-            };
-        }
-        let scope = OpScope::enter(self.cfg.obs.next_op_id());
-        let mut sp = self.cfg.obs.tracer.span(Subsystem::Client, "op");
-        sp.arg("kind", kind);
-        sp.arg("shard", self.cfg.shard as u64);
-        sp.arg("key_fp", fingerprint(key));
-        OpCtx {
-            root: Some(sp),
-            _scope: Some(scope),
-        }
-    }
-
-    /// Sum of every retry counter; deltas across an op give its root
-    /// span's `retries` arg. `pub(crate)` so the routed client can sum it
-    /// across shards.
+    /// Sum of every retry counter. The routed client sums it across shards
+    /// into each op root's `retries` arg.
     pub(crate) fn retry_total(&self) -> u64 {
         self.stats.rpc_retries.get()
             + self.stats.op_retries.get()
             + self.stats.get_retries.get()
             + self.stats.put_reissues.get()
-    }
-
-    /// A backoff sleep, recorded as a retry-classified phase of the
-    /// current op.
-    fn backoff_sleep(&self, backoff: Nanos) {
-        let _sp = self.cfg.obs.tracer.span(Subsystem::Client, "backoff");
-        sim::sleep(backoff);
     }
 
     /// Drain pending server notifications (cleaning state). Cleaning
@@ -519,7 +462,7 @@ impl Client {
         for attempt in 0..RPC_ATTEMPTS {
             if attempt > 0 {
                 self.stats.rpc_retries.inc();
-                self.backoff_sleep(backoff);
+                backoff_sleep(&self.cfg.obs, backoff);
                 backoff = backoff.saturating_mul(2);
             }
             self.qp.send(payload.clone())?;
@@ -563,7 +506,7 @@ impl Client {
                 Err(QpError::Timeout) if attempt < OP_RETRIES => {
                     attempt += 1;
                     self.stats.op_retries.inc();
-                    self.backoff_sleep(backoff);
+                    backoff_sleep(&self.cfg.obs, backoff);
                     backoff = backoff.saturating_mul(2);
                 }
                 Err(e) => return Err(StoreError::Qp(e)),
@@ -586,19 +529,11 @@ impl Client {
     /// by [`OP_RETRIES`].
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         self.poll_events();
-        let mut ctx = self.op_root(1, key);
-        let retries_before = self.retry_total();
-        let result = self.put_inner(key, value);
-        ctx.set_retries(self.retry_total() - retries_before);
-        result
-    }
-
-    fn put_inner(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
         let mut backoff = OP_BACKOFF;
         for attempt in 0..=OP_RETRIES {
             if attempt > 0 {
                 self.stats.put_reissues.inc();
-                self.backoff_sleep(backoff);
+                backoff_sleep(&self.cfg.obs, backoff);
                 backoff = backoff.saturating_mul(2);
             }
             if self.put_once(key, value)? {
@@ -682,7 +617,7 @@ impl Client {
                 Err(QpError::Timeout) if attempt < OP_RETRIES => {
                     attempt += 1;
                     self.stats.op_retries.inc();
-                    self.backoff_sleep(backoff);
+                    backoff_sleep(&self.cfg.obs, backoff);
                     backoff = backoff.saturating_mul(2);
                 }
                 Err(e) => return Err(StoreError::Qp(e)),
@@ -696,20 +631,15 @@ impl Client {
     /// Delete `key` (tombstone).
     pub fn del(&self, key: &[u8]) -> Result<(), StoreError> {
         self.poll_events();
-        let mut ctx = self.op_root(2, key);
-        let retries_before = self.retry_total();
         // The cached location now points at a superseded version; drop it
         // (not counted as an invalidation — nothing went stale underneath
         // us, we made it stale).
         self.loc_cache.borrow_mut().remove(key);
-        let result = match self.rpc(&Request::Del { key: key.to_vec() }) {
-            Ok(Response::Ack { status: Status::Ok }) => Ok(()),
-            Ok(Response::Ack { status }) => Err(StoreError::Status(status)),
-            Ok(_) => Err(StoreError::Protocol),
-            Err(e) => Err(e),
-        };
-        ctx.set_retries(self.retry_total() - retries_before);
-        result
+        match self.rpc(&Request::Del { key: key.to_vec() })? {
+            Response::Ack { status: Status::Ok } => Ok(()),
+            Response::Ack { status } => Err(StoreError::Status(status)),
+            _ => Err(StoreError::Protocol),
+        }
     }
 
     /// Read `key`. `Ok(None)` means not found (or deleted).
@@ -720,14 +650,6 @@ impl Client {
     /// Like [`get`](Self::get), also reporting which path served the read.
     pub fn get_traced(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, GetOutcome), StoreError> {
         self.poll_events();
-        let mut ctx = self.op_root(0, key);
-        let retries_before = self.retry_total();
-        let result = self.get_inner(key);
-        ctx.set_retries(self.retry_total() - retries_before);
-        result
-    }
-
-    fn get_inner(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, GetOutcome), StoreError> {
         if self.cfg.hybrid_read && !self.cleaning.get() {
             // Step 1-4 of Figure 6: the optimistic pure RDMA read path.
             let pure = {
@@ -836,7 +758,7 @@ impl Client {
                     break (status, obj_off, klen, vlen);
                 }
                 self.stats.get_retries.inc();
-                self.backoff_sleep(crate::txn::TXN_BACKOFF);
+                backoff_sleep(&self.cfg.obs, crate::txn::TXN_BACKOFF);
             };
             match status {
                 Status::NotFound => return Ok((None, 0)),

@@ -39,18 +39,23 @@
 //!
 //! `window == 1` bypasses the machinery entirely and executes on a single
 //! inner [`StoreClient`], op for op exactly like the serial client.
+//!
+//! A slot records its op's root `"op"` span from submit to completion, so
+//! the wait for a slot or a hazard (`window_wait`) and the send post
+//! (`pipeline_dispatch`) are part of the op; the slot's routed client,
+//! running inside that op, opens no root of its own.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
-use efactory_obs::{Counter, OpScope, Subsystem};
+use efactory_obs::{Counter, OpScope, RootKind, Subsystem};
 use efactory_rnic::{DoorbellChain, Fabric, Node};
 use efactory_sim as sim;
 use efactory_sim::Nanos;
 
-use crate::client::{ClientConfig, RemoteKv};
+use crate::client::ClientConfig;
 use crate::hashtable::fingerprint;
-use crate::protocol::{Status, StoreError};
+use crate::protocol::StoreError;
 use crate::store::{Routes, StoreClient};
 use crate::txn::TxnKv;
 
@@ -232,19 +237,17 @@ impl PipelinedClient {
                             submitted_at,
                         } => {
                             // The slot owns the op's root span: its window
-                            // is submit→completion, so time spent queued
-                            // behind the pipeline window shows up as
-                            // unattributed client gap in the breakdown.
+                            // is submit→completion.
                             let scope = OpScope::enter(op);
                             let retries_before = client.retry_total();
                             let (result, commit_ts) = run_op(&client, kind, &key, &value, &puts);
                             let retries = client.retry_total() - retries_before;
                             let done_at = sim::now();
-                            let kind_code = match kind {
-                                OpKind::Get => 0u64,
-                                OpKind::Put => 1,
-                                OpKind::Del => 2,
-                                OpKind::Txn => 3,
+                            let root = match kind {
+                                OpKind::Get => RootKind::Get,
+                                OpKind::Put => RootKind::Put,
+                                OpKind::Del => RootKind::Del,
+                                OpKind::Txn => RootKind::Txn,
                             };
                             tracer.record_span_at(
                                 Subsystem::Client,
@@ -252,7 +255,7 @@ impl PipelinedClient {
                                 submitted_at,
                                 done_at.saturating_sub(submitted_at),
                                 &[
-                                    ("kind", kind_code),
+                                    ("kind", root.code()),
                                     ("shard", client.shard_for(&key) as u64),
                                     ("key_fp", fingerprint(&key)),
                                     ("retries", retries),
@@ -396,19 +399,20 @@ impl PipelinedClient {
             }
         }
         // Posting the work request: one doorbell chain across up to
-        // `doorbell_batch` submissions. The dispatch span runs under the
-        // op's attribution scope so the post shows up in its breakdown.
+        // `doorbell_batch` submissions. The wait for a slot or a hazard
+        // and the post both run under the op's attribution scope, so they
+        // show up in its breakdown as `window_wait` and `pipeline_dispatch`.
         let op = self.cfg.client.obs.next_op_id();
         let scope = OpScope::enter(op);
+        let tracer = &self.cfg.client.obs.tracer;
+        let waited = sim::now() - submitted_at;
+        if waited > 0 {
+            tracer.record_span_at(Subsystem::Client, "window_wait", submitted_at, waited, &[]);
+        }
+        let sp = tracer.span(Subsystem::Client, "pipeline_dispatch");
         self.doorbell.charge();
-        self.doorbell_ctr.inc();
-        let sp = self
-            .cfg
-            .client
-            .obs
-            .tracer
-            .span(Subsystem::Client, "pipeline_dispatch");
         drop(sp);
+        self.doorbell_ctr.inc();
         drop(scope);
         self.job_txs[slot]
             .send(
@@ -516,9 +520,8 @@ impl PipelinedClient {
     }
 }
 
-/// Execute one operation on a slot's client. PUTs ride out transient
-/// `NoSpace`/`Busy` rejections ([`RemoteKv::kv_put_patient`]) — the stall
-/// is part of the operation's latency.
+/// Execute one operation on a slot's client; the routed client rides out
+/// transient rejections, so their stall is part of the op's latency.
 fn run_op(
     client: &StoreClient,
     kind: OpKind,
@@ -526,28 +529,13 @@ fn run_op(
     value: &[u8],
     puts: &[(Vec<u8>, Vec<u8>)],
 ) -> (Result<Option<Vec<u8>>, StoreError>, Option<u64>) {
-    let result = match kind {
-        OpKind::Put => client.kv_put_patient(key, value).map(|()| None),
-        OpKind::Get => client.get(key),
-        OpKind::Del => client.del(key).map(|()| None),
-        OpKind::Txn => {
-            // Conflicts join the transient-rejection retry set: the hazard
-            // bookkeeping serializes this client's own conflicting ops, but
-            // other clients' transactions can still collide with ours.
-            let mut tries = 0;
-            loop {
-                match client.txn_put_all(puts) {
-                    Ok(ts) => return (Ok(None), Some(ts)),
-                    Err(StoreError::Status(Status::NoSpace | Status::Busy | Status::Conflict))
-                        if tries < 200 =>
-                    {
-                        tries += 1;
-                        sim::sleep(sim::micros(50));
-                    }
-                    Err(e) => return (Err(e), None),
-                }
-            }
-        }
-    };
-    (result, None)
+    match kind {
+        OpKind::Put => (client.put(key, value).map(|()| None), None),
+        OpKind::Get => (client.get(key), None),
+        OpKind::Del => (client.del(key).map(|()| None), None),
+        OpKind::Txn => match client.txn_put_all(puts) {
+            Ok(ts) => (Ok(None), Some(ts)),
+            Err(e) => (Err(e), None),
+        },
+    }
 }

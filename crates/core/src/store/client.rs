@@ -1,13 +1,17 @@
 //! The routed client: one [`Client`] per shard, one retry loop, one
-//! retry grain.
+//! retry grain, one root per op.
 //!
 //! [`StoreClient`] sends each key to its shard by [`key_shard`] and runs
 //! transactions over every shard through the drivers in [`crate::txn`].
 //! It connects to each shard's current seat in the store's seat table.
 //! The routed op is the unit of retry: a single-key op covers its key's
 //! shard, a transaction or snapshot covers every shard, and a failed
-//! attempt re-resolves what it covered and runs again whole. Topologies
-//! differ only in how they re-resolve:
+//! attempt re-resolves what it covered and runs again whole. A `Client`
+//! call is one attempt; `StoreClient::retry` is the one loop that
+//! re-attempts an op. On every topology it rides out transient
+//! `Busy`/`NoSpace` rejections (a pool filling up under cleaning pressure,
+//! a PUT on an in-doubt head) with 200 waits of 50 µs. Topologies differ
+//! only in how they re-resolve other errors:
 //!
 //! * **static** (no backups, one data node): never — the error surfaces
 //!   to the caller;
@@ -19,7 +23,14 @@
 //!   re-read the placement from the metadata service and reconnect every
 //!   shard whose owner moved; on a transport error, also reconnect every
 //!   covered shard. Retries back off from 5 µs, doubling up to 250 µs,
-//!   for 32 tries.
+//!   for 32 tries per op.
+//!
+//! Every op but a snapshot capture runs inside one root `"op"` span,
+//! opened at its first attempt and closed when it returns, so the
+//! critical-path fold sees one root per op; each wait above is a
+//! `backoff` phase of it, and the root's `retries` arg counts every
+//! re-attempt inside the op. A pipeline slot records its op's root itself
+//! (submit → completion), so inside a slot the routed client opens none.
 //!
 //! A retried transaction runs under a fresh txn id. Before an attempt's
 //! error surfaces, [`txn::put_all_routed`] aborts every participant it
@@ -30,14 +41,23 @@
 use std::cell::{Cell, Ref, RefCell};
 use std::sync::Arc;
 
+use efactory_obs::trace::current_op;
+use efactory_obs::{OpScope, RootKind, Subsystem};
 use efactory_rnic::{Fabric, Node, QpError};
 use efactory_sim as sim;
 
 use super::{Routes, Seat, Seats};
-use crate::client::{Client, ClientConfig, RemoteKv};
+use crate::client::{backoff_sleep, Client, ClientConfig, RemoteKv};
 use crate::cluster::{key_shard, ClusterStats, MetaClient};
+use crate::hashtable::fingerprint;
 use crate::protocol::{Status, StoreError};
 use crate::txn::{self, TxnKv, TxnSnapshot};
+
+/// `Busy`/`NoSpace` re-attempts per op, each after [`PATIENCE_WAIT`].
+const PATIENCE: usize = 200;
+
+/// The wait before each `Busy`/`NoSpace` re-attempt.
+const PATIENCE_WAIT: sim::Nanos = sim::micros(50);
 
 /// Failovers allowed per op.
 const MAX_FAILOVERS: usize = 2;
@@ -108,9 +128,10 @@ pub struct StoreClient {
     /// aliases an earlier attempt's in-doubt state.
     next_txn_id: Cell<u64>,
     failovers: Cell<u64>,
-    /// Retries counted by connections since replaced, so
+    /// Re-attempts no live connection counts: every routed re-attempt,
+    /// plus the retries of connections since replaced, so
     /// [`retry_total`](Self::retry_total) never goes backwards.
-    retired_retries: Cell<u64>,
+    retries: Cell<u64>,
 }
 
 impl StoreClient {
@@ -149,10 +170,10 @@ impl StoreClient {
             resolve,
             next_txn_id: Cell::new(1),
             failovers: Cell::new(0),
-            retired_retries: Cell::new(0),
+            retries: Cell::new(0),
         };
-        for (g, seat) in seats.iter().enumerate() {
-            let c = client.dial(g, seat)?;
+        for seat in &seats {
+            let c = client.dial(seat)?;
             c.set_placement_epoch(epoch);
             client.conns.push(RefCell::new(c));
         }
@@ -172,23 +193,24 @@ impl StoreClient {
 
     /// Store `value` under `key` on the owning shard.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
-        self.on_key(key, |c| c.put(key, value))
+        self.on_key(RootKind::Put, key, |c| c.put(key, value))
     }
 
     /// Read `key` from the owning shard.
     pub fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
-        self.on_key(key, |c| c.get(key))
+        self.on_key(RootKind::Get, key, |c| c.get(key))
     }
 
     /// Delete `key` (tombstone) on the owning shard.
     pub fn del(&self, key: &[u8]) -> Result<(), StoreError> {
-        self.on_key(key, |c| c.del(key))
+        self.on_key(RootKind::Del, key, |c| c.del(key))
     }
 
-    /// Sum of every connection's retry counters; deltas across an op give
-    /// its root span's `retries` arg.
+    /// Every re-attempt this client made: each connection's retry
+    /// counters plus the routed re-attempts. Deltas across an op give its
+    /// root span's `retries` arg.
     pub(crate) fn retry_total(&self) -> u64 {
-        self.retired_retries.get()
+        self.retries.get()
             + self
                 .conns
                 .iter()
@@ -198,41 +220,71 @@ impl StoreClient {
 
     fn on_key<T>(
         &self,
+        kind: RootKind,
         key: &[u8],
         op: impl Fn(&Client) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         let g = self.shard_for(key);
-        self.retry(Scope::Key(g), || op(&self.conns[g].borrow()))
+        self.rooted(kind, Scope::Key(g), key, || op(&self.conns[g].borrow()))
     }
 
-    /// Connect shard `g`'s client to `seat`.
-    fn dial(&self, g: usize, seat: &Seat) -> Result<Client, StoreError> {
-        let mut cfg = self.cfg.clone();
-        cfg.shard = g as u32;
+    /// Connect a shard's client to `seat`.
+    fn dial(&self, seat: &Seat) -> Result<Client, StoreError> {
         let server = &seat.server;
         Client::connect(
             &self.fabric,
             &self.local,
             &server.shared().node,
             server.desc(),
-            cfg,
+            self.cfg.clone(),
         )
     }
 
     fn replace(&self, g: usize, c: Client) {
         let old = self.conns[g].replace(c);
-        self.retired_retries
-            .set(self.retired_retries.get() + old.retry_total());
+        self.retries.set(self.retries.get() + old.retry_total());
     }
 
-    /// The one retry loop: run `op`, and after an error re-resolve what
-    /// `scope` covered the way the topology prescribes (see the module
-    /// docs), or hand the error back.
+    /// Run `op` under [`retry`](Self::retry) as one op: inside a root
+    /// `"op"` span of `kind` that carries the op's shard, key fingerprint
+    /// and re-attempts — unless the caller already runs an op (a pipeline
+    /// slot, which records the root itself).
+    fn rooted<T>(
+        &self,
+        kind: RootKind,
+        scope: Scope,
+        key: &[u8],
+        op: impl FnMut() -> Result<T, StoreError>,
+    ) -> Result<T, StoreError> {
+        if current_op() != 0 {
+            return self.retry(scope, op);
+        }
+        let _op = OpScope::enter(self.cfg.obs.next_op_id());
+        let mut root = self.cfg.obs.tracer.span(Subsystem::Client, "op");
+        root.arg("kind", kind.code());
+        root.arg(
+            "shard",
+            match scope {
+                Scope::Key(g) => g as u64,
+                Scope::All => 0,
+            },
+        );
+        root.arg("key_fp", fingerprint(key));
+        let before = self.retry_total();
+        let result = self.retry(scope, op);
+        root.arg("retries", self.retry_total() - before);
+        result
+    }
+
+    /// The one retry loop: run `op`, and after an error wait out a
+    /// transient rejection or re-resolve what `scope` covered the way the
+    /// topology prescribes (see the module docs), or hand the error back.
     fn retry<T>(
         &self,
         scope: Scope,
         mut op: impl FnMut() -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
+        let mut patience = 0;
         let mut failovers = 0;
         let mut tries = 0;
         let mut backoff = sim::micros(5);
@@ -241,36 +293,38 @@ impl StoreClient {
                 Ok(v) => return Ok(v),
                 Err(e) => e,
             };
-            match &self.resolve {
-                Resolve::Static => return Err(err),
-                Resolve::Failover => {
-                    let transport = matches!(
-                        err,
-                        StoreError::Qp(QpError::Crashed | QpError::Timeout | QpError::Disconnected)
-                    );
-                    if !transport || failovers == MAX_FAILOVERS {
-                        return Err(err);
-                    }
+            match (&self.resolve, err) {
+                (_, StoreError::Status(Status::Busy | Status::NoSpace)) if patience < PATIENCE => {
+                    patience += 1;
+                    backoff_sleep(&self.cfg.obs, PATIENCE_WAIT);
+                }
+                (
+                    Resolve::Failover,
+                    StoreError::Qp(QpError::Crashed | QpError::Timeout | QpError::Disconnected),
+                ) if failovers < MAX_FAILOVERS => {
                     failovers += 1;
                     self.fail_over(scope)?;
                 }
-                Resolve::Placement(p) => {
-                    match err {
-                        StoreError::Status(Status::WrongEpoch) => {
-                            p.stats.client_retargets.inc();
-                            self.refresh(p, None);
-                        }
-                        StoreError::Qp(_) => self.refresh(p, Some(scope)),
-                        _ => return Err(err),
+                (
+                    Resolve::Placement(p),
+                    err @ (StoreError::Status(Status::WrongEpoch) | StoreError::Qp(_)),
+                ) => {
+                    if let StoreError::Qp(_) = err {
+                        self.refresh(p, Some(scope));
+                    } else {
+                        p.stats.client_retargets.inc();
+                        self.refresh(p, None);
                     }
-                    sim::sleep(backoff);
+                    backoff_sleep(&self.cfg.obs, backoff);
                     backoff = (backoff * 2).min(MAX_BACKOFF);
                     tries += 1;
                     if tries == MAX_TRIES {
                         return Err(err);
                     }
                 }
+                (_, err) => return Err(err),
             }
+            self.retries.set(self.retries.get() + 1);
         }
     }
 
@@ -283,7 +337,7 @@ impl StoreClient {
             if sim::now() >= deadline {
                 return Err(StoreError::Qp(QpError::Timeout));
             }
-            sim::sleep(sim::micros(100));
+            backoff_sleep(&self.cfg.obs, sim::micros(100));
         }
         self.redial(|g, moved| moved && scope.covers(g))?;
         self.failovers.set(self.failovers.get() + 1);
@@ -317,7 +371,7 @@ impl StoreClient {
         for (g, owner) in self.owners.borrow_mut().iter_mut().enumerate() {
             let seat = self.seats.get(g);
             if pick(g, seat.owner != *owner) {
-                match self.dial(g, &seat) {
+                match self.dial(&seat) {
                     Ok(c) => {
                         self.replace(g, c);
                         *owner = seat.owner;
@@ -329,28 +383,6 @@ impl StoreClient {
         result
     }
 
-    fn poll_events(&self) {
-        for c in &self.conns {
-            c.borrow().poll_events();
-        }
-    }
-
-    /// Run a multi-shard op under the whole-op retry, inside one `"op"`
-    /// root of `kind` that carries the op's retries.
-    fn rooted<T>(
-        &self,
-        kind: u64,
-        key: &[u8],
-        mut op: impl FnMut(&[Ref<'_, Client>]) -> Result<T, StoreError>,
-    ) -> Result<T, StoreError> {
-        self.poll_events();
-        let mut ctx = self.conns[0].borrow().op_root(kind, key);
-        let before = self.retry_total();
-        let result = self.retry(Scope::All, || op(&self.shards()));
-        ctx.set_retries(self.retry_total() - before);
-        result
-    }
-
     /// Count a commit.
     fn committed(&self, result: Result<u64, StoreError>) -> Result<u64, StoreError> {
         if result.is_ok() {
@@ -359,9 +391,17 @@ impl StoreClient {
         result
     }
 
-    /// Every shard's connection, held for one attempt of an op.
+    /// Every shard's connection, held for one attempt of a multi-shard op,
+    /// each with its pending server notifications drained.
     fn shards(&self) -> Vec<Ref<'_, Client>> {
-        self.conns.iter().map(RefCell::borrow).collect()
+        self.conns
+            .iter()
+            .map(|c| {
+                let c = c.borrow();
+                c.poll_events();
+                c
+            })
+            .collect()
     }
 }
 
@@ -380,8 +420,8 @@ impl RemoteKv for StoreClient {
 impl TxnKv for StoreClient {
     fn txn_put_all(&self, puts: &[(Vec<u8>, Vec<u8>)]) -> Result<u64, StoreError> {
         let first = puts.first().map_or(&[][..], |(k, _)| k.as_slice());
-        self.committed(self.rooted(3, first, |s| {
-            txn::put_all_routed(s, &self.next_txn_id, puts)
+        self.committed(self.rooted(RootKind::Txn, Scope::All, first, || {
+            txn::put_all_routed(&self.shards(), &self.next_txn_id, puts)
         }))
     }
 
@@ -390,15 +430,18 @@ impl TxnKv for StoreClient {
         key: &[u8],
         f: &mut dyn FnMut(Option<Vec<u8>>) -> Vec<u8>,
     ) -> Result<u64, StoreError> {
-        self.committed(self.rooted(3, key, |s| txn::rmw_routed(s, &self.next_txn_id, key, f)))
+        self.committed(self.rooted(RootKind::Txn, Scope::All, key, || {
+            txn::rmw_routed(&self.shards(), &self.next_txn_id, key, f)
+        }))
     }
 
     fn snapshot(&self) -> Result<TxnSnapshot, StoreError> {
-        self.poll_events();
         self.retry(Scope::All, || txn::snapshot_all(&self.shards()))
     }
 
     fn snap_get(&self, key: &[u8], snap: &TxnSnapshot) -> Result<Option<Vec<u8>>, StoreError> {
-        self.rooted(4, key, |s| txn::snap_get_routed(s, key, snap))
+        self.rooted(RootKind::Snap, Scope::All, key, || {
+            txn::snap_get_routed(&self.shards(), key, snap)
+        })
     }
 }

@@ -450,7 +450,6 @@ fn client_cfg(spec: &ExperimentSpec, obs: &Obs) -> ClientConfig {
         hybrid_read: spec.system == SystemKind::EFactory,
         loc_cache: spec.loc_cache,
         obs: obs.clone(),
-        ..ClientConfig::default()
     }
 }
 
@@ -613,15 +612,16 @@ fn run_serial(
             }
             Op::Put { key, value } => {
                 let t0 = sim::now();
-                if let Err(e) = kv.kv_put_patient(&key, &value) {
+                if let Err(e) = kv.kv_put(&key, &value) {
                     panic!("put failed: {e:?}");
                 }
                 put.push(sim::now() - t0);
             }
             Op::Txn { puts } => {
                 let t0 = sim::now();
-                // The routed txn driver already retries Busy/Conflict with
-                // backoff; anything surviving that is a real failure.
+                // The routed txn driver retries Busy/Conflict with backoff
+                // and the routed client rides out Busy/NoSpace; anything
+                // surviving that is a real failure.
                 txn().txn_put_all(&puts).expect("txn commit failed");
                 let dt = sim::now() - t0;
                 for _ in 0..puts.len() {

@@ -1,12 +1,12 @@
 //! Critical-path folding: per-op causal latency decomposition.
 //!
-//! Every client operation records a root `"op"` span plus attributed child
-//! spans (RPC windows, NIC verbs, backoffs) via the tracer's op-id
-//! propagation ([`crate::trace::OpScope`]). Server-side handler spans carry
-//! `(qp, req)` args and are joined to the op's `"rpc"` child; verifier and
-//! replication work is joined by log offset and reported as *off-path*
-//! time (the paper's async-persistence claim: it must not appear inside
-//! the op's measured latency).
+//! Every client operation records one root `"op"` span, around all of its
+//! attempts, plus attributed child spans (RPC windows, NIC verbs, backoffs)
+//! via the tracer's op-id propagation ([`crate::trace::OpScope`]).
+//! Server-side handler spans carry `(qp, req)` args and are joined to the
+//! op's `"rpc"` child; verifier and replication work is joined by log
+//! offset and reported as *off-path* time (the paper's async-persistence
+//! claim: it must not appear inside the op's measured latency).
 //!
 //! [`fold`] turns the flat record buffer into:
 //!
@@ -30,7 +30,7 @@ use efactory_sim::Nanos;
 
 use crate::json::{Arr, Obj};
 use crate::nearest_rank;
-use crate::trace::{chrome_us, RecordKind, Subsystem, TraceRecord, OVERLAY_LANE};
+use crate::trace::{chrome_us, RecordKind, RootKind, Subsystem, TraceRecord, OVERLAY_LANE};
 
 /// Subsystem lanes an op's time is attributed to.
 const LANES: usize = Subsystem::ALL.len();
@@ -88,7 +88,7 @@ pub struct Segment {
 pub struct OpSummary {
     /// Operation id.
     pub op: u64,
-    /// 0 = GET, 1 = PUT, 2 = DEL.
+    /// The root's `kind` arg, a [`RootKind`] code.
     pub kind_code: u64,
     /// Shard the op routed to.
     pub shard: u64,
@@ -105,13 +105,9 @@ pub struct OpSummary {
 }
 
 impl OpSummary {
-    /// Op-kind label.
+    /// Op-kind label (`"unknown"` for a code outside [`RootKind`]).
     pub fn kind_label(&self) -> &'static str {
-        match self.kind_code {
-            0 => "get",
-            1 => "put",
-            _ => "del",
-        }
+        RootKind::label(self.kind_code)
     }
 }
 

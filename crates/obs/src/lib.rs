@@ -33,7 +33,7 @@ pub mod trace;
 
 pub use critical_path::{Breakdown, FoldConfig};
 pub use metrics::{Counter, Registry};
-pub use trace::{OpScope, RecordKind, SpanGuard, Subsystem, TraceRecord, Tracer};
+pub use trace::{OpScope, RecordKind, RootKind, SpanGuard, Subsystem, TraceRecord, Tracer};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -188,6 +188,41 @@ pub fn current_op() -> u64 {
     efactory_sim::op_ctx_get()
 }
 
+/// What an op's root `"op"` span measured. The root's `kind` arg is the
+/// kind's code, its index in [`RootKind::LABELS`]: the one table of op
+/// kinds, shared by the root writers and the critical-path fold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RootKind {
+    /// A plain GET.
+    Get,
+    /// A plain PUT.
+    Put,
+    /// A delete.
+    Del,
+    /// A transaction (multi-key commit or read-modify-write).
+    Txn,
+    /// One key of a snapshot read.
+    Snap,
+}
+
+impl RootKind {
+    /// Each kind's export label, indexed by its code.
+    pub const LABELS: [&'static str; 5] = ["get", "put", "del", "txn", "snap"];
+
+    /// The root's `kind` arg.
+    pub fn code(self) -> u64 {
+        self as u64
+    }
+
+    /// The label of kind code `code` (`"unknown"` outside the table).
+    pub fn label(code: u64) -> &'static str {
+        usize::try_from(code)
+            .ok()
+            .and_then(|i| Self::LABELS.get(i))
+            .map_or("unknown", |l| l)
+    }
+}
+
 /// Marks the current process as executing op `op` until dropped; spans and
 /// events recorded meanwhile inherit the id. Nests: the previous id is
 /// restored on drop.
@@ -588,6 +623,16 @@ mod tests {
         assert_eq!(recs[1].name, "outer_span");
         assert_eq!(recs[1].op, 7, "span captures op at open");
         assert_eq!(recs[2].op, 9, "nested scope wins while active");
+    }
+
+    #[test]
+    fn root_kinds_are_one_table_of_codes_and_labels() {
+        use RootKind::*;
+        let labels = [Get, Put, Del, Txn, Snap].map(|k| RootKind::label(k.code()));
+        assert_eq!(labels, ["get", "put", "del", "txn", "snap"]);
+        assert_eq!(labels, RootKind::LABELS);
+        assert_eq!(RootKind::label(5), "unknown");
+        assert_eq!(RootKind::label(u64::MAX), "unknown");
     }
 
     #[test]

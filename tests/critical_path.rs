@@ -9,13 +9,16 @@
 //! is an instrumentation bug (a span leaking outside its op, a verb probe
 //! firing on the wrong thread), never rounding noise. These tests pin the
 //! invariant across the configuration surface: shard counts, pipelined
-//! windows, replication, a lossy-fabric chaos plan, and the transactional
-//! mixes on every store shape.
+//! windows, replication, a lossy-fabric chaos plan, the transactional
+//! mixes on every store shape, cleaning backpressure and a failover.
+//!
+//! `EF_TEST_CHAOS` is a seed, as in every suite: a non-zero value adds a
+//! serial and a window-16 chaos lane whose fault plan it seeds.
 
 use efactory_harness::cluster::TXN_KEYS;
-use efactory_harness::{cluster, Cleaning, ExperimentSpec, SystemKind};
+use efactory_harness::{cluster, Cleaning, ExperimentSpec, RunResult, SystemKind};
 use efactory_obs::critical_path::PhaseKind;
-use efactory_obs::{Breakdown, Obs};
+use efactory_obs::{Breakdown, Obs, RootKind, Subsystem};
 use efactory_rnic::{CostModel, FaultPlan};
 use efactory_ycsb::{Mix, Op, OpStream, WorkloadConfig};
 
@@ -46,13 +49,24 @@ fn base(mix: Mix, seed: u64) -> ExperimentSpec {
     }
 }
 
-/// Run `spec` with a roomy trace ring and return the folded breakdown,
-/// checking the invariants every configuration must uphold.
-fn run_checked(tag: &str, spec: &ExperimentSpec) -> Breakdown {
+/// The lossy, duplicating, delaying fabric of the chaos lanes.
+fn chaos_plan(seed: u64) -> FaultPlan {
+    FaultPlan {
+        drop_p: 0.02,
+        dup_p: 0.01,
+        delay_p: 0.05,
+        delay_ns: 2_000,
+        seed,
+    }
+}
+
+/// Run `spec` with a roomy trace ring and return the run with its folded
+/// breakdown, checking the invariants every configuration must uphold.
+fn run_checked(tag: &str, spec: &ExperimentSpec) -> (RunResult, Breakdown) {
     let obs = Obs::with_trace_capacity(1 << 18);
-    let r = cluster::run_observed(spec, CostModel::default(), &obs);
+    let mut r = cluster::run_observed(spec, CostModel::default(), &obs);
     assert_eq!(obs.tracer.dropped(), 0, "{tag}: trace ring must not drop");
-    let b = r.breakdown.expect("eFactory runs fold a breakdown");
+    let b = r.breakdown.take().expect("eFactory runs fold a breakdown");
     assert_eq!(
         b.ops, r.total_ops,
         "{tag}: every measured op folds exactly once"
@@ -77,7 +91,17 @@ fn run_checked(tag: &str, spec: &ExperimentSpec) -> Breakdown {
             "{tag}: dominant must hold the largest share"
         );
     }
-    b
+    (r, b)
+}
+
+/// Total folded nanoseconds of the client phase `phase`, checking its kind.
+fn client_phase_ns(b: &Breakdown, phase: &str, kind: PhaseKind) -> u64 {
+    b.phases
+        .iter()
+        .filter(|p| p.sub == Subsystem::Client && p.phase == phase)
+        .inspect(|p| assert_eq!(p.kind, kind, "{phase} is {kind:?} time"))
+        .map(|p| p.total_ns)
+        .sum()
 }
 
 /// The acceptance matrix: {1,4,8} shards × {window 1,16} × {replicas 0,1}
@@ -94,16 +118,22 @@ fn conservation_holds_across_shards_windows_replicas_and_chaos() {
     let mut s = base(Mix::UpdateOnly, 12);
     s.window = 16;
     s.doorbell_batch = 16;
-    let b = run_checked("window16", &s);
+    let (_, b) = run_checked("window16", &s);
     // With 16 in-flight slots per client the submit→completion window
     // includes real queueing, which the fold must surface as Queue time
-    // rather than silently fold into service.
+    // rather than silently fold into service: the submitter's wait for a
+    // slot or a hazard is `window_wait`, and its send post is
+    // `pipeline_dispatch`. The slot's client opens no phase of its own
+    // around the op it runs, so no `exec` hides the phases inside it.
     assert!(
-        b.phases
-            .iter()
-            .any(|p| p.kind == PhaseKind::Queue && p.total_ns > 0),
-        "pipelined run must attribute queue time"
+        client_phase_ns(&b, "window_wait", PhaseKind::Queue) > 0,
+        "pipelined run must attribute its window wait"
     );
+    assert!(
+        client_phase_ns(&b, "pipeline_dispatch", PhaseKind::Service) > 0,
+        "pipelined run must attribute its send posts"
+    );
+    assert!(b.phases.iter().all(|p| p.phase != "exec"), "no exec phase");
     // Replication, with and without shards, serial and pipelined.
     for shards in [1usize, 4] {
         for window in [1usize, 16] {
@@ -117,20 +147,77 @@ fn conservation_holds_across_shards_windows_replicas_and_chaos() {
     // Chaos: a lossy, duplicating, delaying fabric stretches ops with
     // retransmissions and backoff; the invariant must survive retries.
     let mut s = base(Mix::A, 14);
-    s.fault_plan = Some(FaultPlan {
-        drop_p: 0.02,
-        dup_p: 0.01,
-        delay_p: 0.05,
-        delay_ns: 2_000,
-        seed: 77,
-    });
+    s.fault_plan = Some(chaos_plan(77));
     run_checked("chaos", &s);
+    // `EF_TEST_CHAOS=<seed>` folds a fabric of its own, serial and
+    // pipelined.
+    let chaos: u64 = std::env::var("EF_TEST_CHAOS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0);
+    if chaos > 0 {
+        for window in [1usize, 16] {
+            let mut s = base(Mix::A, 14);
+            s.window = window;
+            s.fault_plan = Some(chaos_plan(chaos));
+            run_checked(&format!("chaos{chaos}-window{window}"), &s);
+        }
+    }
+}
+
+/// Cleaning backpressure: PUTs that meet a full pool wait out `Busy` in
+/// the routed client, 50 µs at a time. Each PUT is one root however often
+/// it waited, so the fold's p99.9 is the report's, and its worst exemplar
+/// is the worst PUT, its waits folded as `backoff`.
+#[test]
+fn cleaning_tail_folds_whole_puts_with_their_backoff() {
+    let mut s = base(Mix::UpdateOnly, 21);
+    s.clients = 4;
+    s.ops_per_client = 100;
+    s.value_len = 256;
+    s.cleaning = Cleaning::Enabled {
+        threshold: 0.75,
+        pool_len: 64 << 10,
+    };
+    let (r, b) = run_checked("cleaning", &s);
+    let p999 = b.percentile("p999").expect("p999 row present");
+    assert_eq!(
+        r.all.p999_ns, p999.threshold_ns,
+        "report p99.9 is the fold's"
+    );
+    let worst = &b.exemplars[0];
+    assert_eq!(
+        worst.summary.latency, r.put.max_ns,
+        "worst exemplar is the worst PUT"
+    );
+    assert!(
+        worst
+            .segments
+            .iter()
+            .any(|seg| seg.phase == "backoff" && seg.kind == PhaseKind::Retry),
+        "the worst PUT waited out cleaning as backoff"
+    );
+}
+
+/// A primary fails mid-run: the PUTs it strands fail over to the promoted
+/// backup inside one op, so the worst exemplar is the worst PUT.
+#[test]
+fn failover_tail_folds_whole_puts() {
+    let mut s = base(Mix::UpdateOnly, 13);
+    s.replicas = 1;
+    s.fault_at = Some(20_000);
+    let (r, b) = run_checked("failover", &s);
+    assert_eq!(
+        b.exemplars[0].summary.latency, r.put.max_ns,
+        "worst exemplar is the worst PUT"
+    );
 }
 
 /// Roots the fold must find for `spec`, from replaying each client's op
 /// stream: one per GET, PUT, and transaction, and one per key of a
-/// snapshot read (the capture itself is not an op).
-fn expected_roots(spec: &ExperimentSpec) -> u64 {
+/// snapshot read (the capture itself is not an op). Also the kinds those
+/// roots carry.
+fn expected_roots(spec: &ExperimentSpec) -> (u64, Vec<RootKind>) {
     let wl = WorkloadConfig {
         mix: spec.mix,
         record_count: spec.record_count,
@@ -138,22 +225,29 @@ fn expected_roots(spec: &ExperimentSpec) -> u64 {
         value_len: spec.value_len,
         txn_keys: TXN_KEYS,
     };
-    let mut roots = 0;
+    let (mut roots, mut kinds) = (0, Vec::new());
     for cid in 0..spec.clients {
         let mut stream = OpStream::new(wl.clone(), spec.seed, cid as u64);
         for _ in 0..spec.ops_per_client {
-            roots += match stream.next_op() {
-                Op::SnapRead { keys } => keys.len() as u64,
-                Op::Get { .. } | Op::Put { .. } | Op::Txn { .. } => 1,
+            let (n, kind) = match stream.next_op() {
+                Op::SnapRead { keys } => (keys.len() as u64, RootKind::Snap),
+                Op::Get { .. } => (1, RootKind::Get),
+                Op::Put { .. } => (1, RootKind::Put),
+                Op::Txn { .. } => (1, RootKind::Txn),
             };
+            roots += n;
+            if !kinds.contains(&kind) {
+                kinds.push(kind);
+            }
         }
     }
-    roots
+    (roots, kinds)
 }
 
 /// Transactions and snapshot reads fold like any other op on every store
 /// shape, replicated ones included: exactly one root per GET, PUT,
-/// transaction, and snapshot-key read, each conserving its latency.
+/// transaction, and snapshot-key read, each conserving its latency and
+/// labelled with a kind its mix issues.
 #[test]
 fn transactions_fold_one_root_per_op_on_every_topology() {
     for mix in [Mix::TxnOnly, Mix::T] {
@@ -167,8 +261,16 @@ fn transactions_fold_one_root_per_op_on_every_topology() {
                 let r = cluster::run_observed(&s, CostModel::default(), &obs);
                 assert_eq!(obs.tracer.dropped(), 0, "{tag}: trace ring must not drop");
                 let b = r.breakdown.unwrap_or_else(|| panic!("{tag}: no op folded"));
-                assert_eq!(b.ops, expected_roots(&s), "{tag}: one root per op");
+                let (roots, kinds) = expected_roots(&s);
+                assert_eq!(b.ops, roots, "{tag}: one root per op");
                 assert_eq!(b.conservation_max_err_ns, 0, "{tag}: conservation");
+                for e in &b.exemplars {
+                    assert!(
+                        kinds.iter().any(|k| k.code() == e.summary.kind_code),
+                        "{tag}: exemplar kind {} not in {kinds:?}",
+                        e.summary.kind_label()
+                    );
+                }
             }
         }
     }
@@ -183,7 +285,7 @@ fn tail_attribution_and_exemplars_for_update_only_and_ycsb_a() {
         let mut s = base(mix, 21);
         s.clients = 4;
         s.ops_per_client = 100;
-        let b = run_checked(tag, &s);
+        let (_, b) = run_checked(tag, &s);
         let p999 = b.percentile("p999").expect("p999 row present");
         assert!(p999.cohort >= 1, "{tag}: tail cohort non-empty");
         assert!(
