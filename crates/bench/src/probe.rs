@@ -49,24 +49,22 @@ pub struct Check {
 }
 
 /// A probe's finished runs, looked up by label.
-pub struct Results(Vec<(String, RunResult, f64)>);
+pub struct Results(Vec<(String, RunResult)>);
 
 impl Results {
     /// The result of the run labelled `label`.
     pub fn get(&self, label: &str) -> &RunResult {
-        &self.find(label).1
-    }
-
-    /// Simulator events dispatched per wall-clock second by that run.
-    pub fn events_per_wall_sec(&self, label: &str) -> f64 {
-        self.find(label).2
-    }
-
-    fn find(&self, label: &str) -> &(String, RunResult, f64) {
         self.0
             .iter()
-            .find(|(l, ..)| l == label)
+            .find(|(l, _)| l == label)
+            .map(|(_, r)| r)
             .unwrap_or_else(|| panic!("a bound reads undeclared run {label:?}"))
+    }
+
+    /// Simulator events dispatched per wall-clock second inside that run's
+    /// measurement window.
+    pub fn window_events_per_sec(&self, label: &str) -> f64 {
+        self.get(label).host.window_events_per_sec()
     }
 }
 
@@ -118,11 +116,19 @@ impl Probe {
             if self.traced {
                 print_attribution(&r, &obs);
             }
+            // The run's whole wall time first, then its split at the
+            // window's edges: before the window (format, load, start) and
+            // inside it.
             let wall = Obj::new()
                 .u64("wall_ns", wall_ns)
-                .f64("events_per_wall_sec", eps, 0);
+                .f64("events_per_wall_sec", eps, 0)
+                .u64("load_ns", r.host.load_ns)
+                .u64("load_events", r.host.load_events)
+                .u64("window_ns", r.host.window_ns)
+                .u64("window_events", r.host.window_events)
+                .f64("window_events_per_sec", r.host.window_events_per_sec(), 0);
             report.add_with_wall(&run.label, &spec, &r, wall);
-            results.0.push((run.label.clone(), r, eps));
+            results.0.push((run.label.clone(), r));
             last_obs = Some(obs);
         }
         for check in &self.bounds {
@@ -138,7 +144,7 @@ impl Probe {
             );
             report.bound(check.name, value, check.limit);
         }
-        if let (Some(path), Some(obs), Some((.., r, _))) = (trace, last_obs, results.0.last()) {
+        if let (Some(path), Some(obs), Some((_, r))) = (trace, last_obs, results.0.last()) {
             let b = r
                 .breakdown
                 .as_ref()

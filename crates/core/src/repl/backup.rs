@@ -171,10 +171,10 @@ fn apply_range(
     ctx.stats.applied_bytes.add((off - start) as u64);
 }
 
-/// Apply one mirrored object: re-verify its CRC, persist the bytes, and —
-/// only if intact — link the backup's own hash entry. Invalidated or torn
-/// objects keep their bytes (the log prefix must stay hole-free for
-/// promotion's replay) but are never indexed.
+/// Apply one mirrored object: charge the CRC re-verify the primary's
+/// verifier paid (the backup re-verifies before persisting, which is what
+/// makes its durability promise *remote*), run the apply step, and charge
+/// its flushes.
 fn apply_object(
     ctx: &BackupCtx,
     ht: &HashTable,
@@ -182,36 +182,51 @@ fn apply_object(
     off: usize,
     hdr: &ObjHeader,
 ) {
-    // Same CRC the primary's verifier paid: the backup re-verifies before
-    // persisting, which is what makes its durability promise *remote*.
     sim::work(VERIFY_STEP_COST + ctx.cost.crc_hw(hdr.vlen as usize));
-    let intact = hdr.has(flags::VALID) && layout::value_intact(&ctx.pool, off, hdr);
-    let mut lines = ctx.pool.flush(off, hdr.object_size());
-    ctx.pool.drain();
+    let lines = apply_step(&ctx.pool, ht, regions, &ctx.stats, off, hdr);
+    sim::work(ctx.cost.flush(lines * LINE));
+}
+
+/// The apply step, which charges no virtual time: persist the object's
+/// bytes and — only if intact — link the backup's own hash entry.
+/// Invalidated or torn objects keep their bytes (the log prefix must stay
+/// hole-free for promotion's replay) but are never indexed. Returns the
+/// lines flushed. The apply loop and `Backup::load_object` both run it,
+/// so a loaded backup is indexed exactly as a mirrored one.
+pub(super) fn apply_step(
+    pool: &PmemPool,
+    ht: &HashTable,
+    regions: &[LogRegion; 2],
+    stats: &ReplStats,
+    off: usize,
+    hdr: &ObjHeader,
+) -> usize {
+    let intact = hdr.has(flags::VALID) && layout::value_intact(pool, off, hdr);
+    let mut lines = pool.flush(off, hdr.object_size());
+    pool.drain();
     if !intact {
-        sim::work(ctx.cost.flush(lines * LINE));
-        return;
+        return lines;
     }
-    let key = layout::read_key(&ctx.pool, off, hdr);
+    let key = layout::read_key(pool, off, hdr);
     let fp = fingerprint(&key);
-    match ht.lookup_or_claim(&ctx.pool, fp) {
+    match ht.lookup_or_claim(pool, fp) {
         Ok((idx, entry)) => {
             // Mutation block (no yields): mirror the primary's index state
             // for this key — newest version wins, single live slot.
             let slot = if regions[1].contains(off) { 1 } else { 0 };
-            ht.set_slot(&ctx.pool, idx, slot, off as u64);
-            ht.set_slot(&ctx.pool, idx, 1 - slot, 0);
-            ht.set_sizes(&ctx.pool, idx, hdr.klen, hdr.vlen);
+            ht.set_slot(pool, idx, slot, off as u64);
+            ht.set_slot(pool, idx, 1 - slot, 0);
+            ht.set_sizes(pool, idx, hdr.klen, hdr.vlen);
             ht.set_ctl(
-                &ctx.pool,
+                pool,
                 idx,
                 entry.ctl.with_mark(slot).with_new_valid(false).bumped(),
             );
-            lines += ht.persist_entry(&ctx.pool, idx);
+            lines += ht.persist_entry(pool, idx);
         }
         Err(_) => {
-            ctx.stats.apply_failures.inc();
+            stats.apply_failures.inc();
         }
     }
-    sim::work(ctx.cost.flush(lines * LINE));
+    lines
 }

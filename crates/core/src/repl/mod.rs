@@ -78,6 +78,7 @@ use efactory_pmem::PmemPool;
 use efactory_rnic::{Fabric, Node, RemoteMr};
 use efactory_sim as sim;
 
+use crate::layout::ObjHeader;
 use crate::log::StoreLayout;
 use crate::server::{process_suffix, ServerConfig};
 use crate::store::Seats;
@@ -227,6 +228,21 @@ impl Backup {
             stats: Arc::clone(&self.stats),
             batch: self.cfg.doorbell_batch.max(1),
         }
+    }
+
+    /// Load the object at `off` of `primary`, the pool of this backup's
+    /// primary, where [`Store::load`](crate::store::Store::load) has just
+    /// linked it durable: copy its bytes to the same offset here and run
+    /// the apply loop's step on them. Charges no virtual time and counts
+    /// `repl.applied_*`, as the apply loop does.
+    pub(crate) fn load_object(&self, primary: &PmemPool, off: usize, hdr: &ObjHeader) {
+        let mut bytes = vec![0u8; hdr.object_size()];
+        primary.read(off, &mut bytes);
+        self.pool.write(off, &bytes);
+        let (ht, regions) = (self.layout.hashtable(), self.layout.regions());
+        backup::apply_step(&self.pool, &ht, &regions, &self.stats, off, hdr);
+        self.stats.applied_objects.inc();
+        self.stats.applied_bytes.add(bytes.len() as u64);
     }
 
     /// Wind down the apply loop and, if it promoted, the promoted server.

@@ -143,7 +143,8 @@ impl Default for ServerConfig {
 /// metrics [`Registry`] (see [`ServerStats::register`]).
 #[derive(Debug, Default)]
 pub struct ServerStats {
-    /// PUT requests handled.
+    /// PUT requests handled, plus records a bulk load
+    /// ([`crate::store::Store::load`]) linked.
     pub puts: Counter,
     /// DELETE requests handled.
     pub dels: Counter,
@@ -454,7 +455,8 @@ impl ServerShared {
     }
 
     /// Link a new version of `key` at the head of its chain: the one
-    /// no-yield block PUT/DEL allocation and transactional staging share.
+    /// no-yield block PUT/DEL allocation, transactional staging and the bulk
+    /// load share.
     /// It claims the bucket, answers `Busy` on an in-doubt (`VALID |
     /// PENDING`) head, allocates, writes the header (`flags`) and key,
     /// links the predecessor, persists, and links and persists the hash
@@ -493,7 +495,10 @@ impl ServerShared {
             next_ptr: NIL,
             crc,
             seq: entry.ctl.seq() as u32 + 1,
-            alloc_time: sim::now(),
+            // A bulk load ([`crate::store::Store::load`]) links outside the
+            // simulation, at instant 0; nothing reads `alloc_time` once the
+            // object is durable.
+            alloc_time: sim::try_now().unwrap_or(0),
         };
         hdr.write_to(&self.pool, off);
         self.pool.write(off + hdr.key_off(), key);

@@ -24,22 +24,27 @@
 //!   places shards, one agent per node, and live migration — and a
 //!   migration commit or a node restart takes the seat.
 //!
-//! Clients route with [`key_shard`](crate::cluster::placement::key_shard):
-//! every key maps to exactly one shard, the same on every client, every
-//! connection, and every run. [`Routes`] tells a [`StoreClient`] how to
-//! re-resolve a shard after an error.
+//! Clients route with [`key_shard`]: every key maps to exactly one
+//! shard, the same on every client, every connection, and every run.
+//! [`Routes`] tells a [`StoreClient`] how to re-resolve a shard after an
+//! error.
 
 mod client;
 
 pub use client::StoreClient;
 
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
+use efactory_checksum::crc32c;
 use efactory_obs::Counter;
 use efactory_rnic::{Fabric, Node};
 
+use crate::cluster::placement::key_shard;
 use crate::cluster::{MetaRoute, Plane};
+use crate::layout::flags;
 use crate::log::StoreLayout;
+use crate::protocol::Status;
 use crate::repl::{Backup, ReplStats};
 use crate::server::{Server, ServerConfig, ServerStats};
 
@@ -219,6 +224,49 @@ impl Store {
             backups: self.shards.iter().any(|s| s.backup.is_some()),
             meta: self.plane.as_deref().map(Plane::meta_route),
         }
+    }
+
+    /// Write `records` straight into a freshly formatted store, before
+    /// [`start`](Self::start): each record ends in the state a drained PUT
+    /// leaves, without simulating one. The record goes to its
+    /// [`key_shard`] seat as one version, written whole, flushed, flagged
+    /// `DURABLE` and linked by the no-yield block PUTs and staging share,
+    /// and the seat's verifier cursor moves past it; on a replicated shard
+    /// the backup copies the object and indexes it through its apply step.
+    ///
+    /// The load runs outside the simulation and charges no virtual time.
+    /// It counts what it stores, not the work it skips: each record is one
+    /// `server.puts` on its seat, pool writes count under `pmem.*` and a
+    /// backup's apply step under `repl.applied_*`, while client, fabric,
+    /// verifier and mirror counters stay at 0. It writes no commit
+    /// timestamp, so a loaded version reads as timestamp 0, like a
+    /// recovered one. Records stream through one at a time. Fails with
+    /// the status of the first record that did not fit.
+    pub fn load(
+        &self,
+        records: impl IntoIterator<Item = (Vec<u8>, Vec<u8>)>,
+    ) -> Result<(), Status> {
+        let seats = self.seats.all();
+        for (key, value) in records {
+            let g = key_shard(&key, seats.len());
+            let shared = seats[g].server.shared();
+            let vlen = value.len() as u32;
+            let (off, hdr, _) =
+                shared.link_version(&key, vlen, crc32c(&value), flags::VALID, Some(&value))?;
+            debug_assert_eq!(
+                shared.cursor.load(Ordering::Relaxed) as usize,
+                off,
+                "load runs before the verifier has work"
+            );
+            shared
+                .cursor
+                .store((off + hdr.object_size()) as u64, Ordering::Relaxed);
+            shared.stats.puts.inc();
+            if let Some(b) = self.backup(g) {
+                b.load_object(&shared.pool, off, &hdr);
+            }
+        }
+        Ok(())
     }
 
     /// Start everything: the metadata replicas, then every shard — a

@@ -5,8 +5,10 @@
 use std::fmt;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 use efactory::client::{ClientConfig, RemoteKv};
+use efactory::cluster::MetaClient;
 use efactory::log::StoreLayout;
 use efactory::pipeline::{OpCompletion, OpKind, PipelineConfig, PipelinedClient};
 use efactory::protocol::{Status, StoreError};
@@ -333,6 +335,8 @@ pub struct RunResult {
     pub cleanings: u64,
     /// Seed the run was driven by (determinism provenance).
     pub seed: u64,
+    /// Host time and kernel events before and inside the window.
+    pub host: HostSplit,
     /// End-of-run metric registry snapshot, sorted by name
     /// (`server.*`, `pmem.*`, `fabric.*`).
     pub counters: Vec<(String, u64)>,
@@ -342,6 +346,49 @@ pub struct RunResult {
     /// root spans — or when the trace ring overflowed and dropped records).
     /// Serialized separately by the report writer, not via serde.
     pub breakdown: Option<Breakdown>,
+}
+
+/// Where a run's host time and kernel events went: before the
+/// measurement window opened (format, load and start, or a comparison
+/// system's preload) and inside it. Wall-clock, so it differs between two
+/// runs of one seed; reports keep it in their `wall` objects.
+#[derive(Debug, Clone, Copy, Default, serde::Serialize)]
+pub struct HostSplit {
+    /// Host ns from the run's start to the window's opening.
+    pub load_ns: u64,
+    /// Host ns from the window's opening to its close.
+    pub window_ns: u64,
+    /// Kernel events dispatched before the window opened.
+    pub load_events: u64,
+    /// Kernel events dispatched inside the window.
+    pub window_events: u64,
+}
+
+impl HostSplit {
+    /// Kernel events dispatched per host second inside the window.
+    pub fn window_events_per_sec(&self) -> f64 {
+        self.window_events as f64 / (self.window_ns.max(1) as f64 / 1e9)
+    }
+}
+
+/// One edge of the measurement window: its virtual instant, with the host
+/// clock and the kernel's dispatched-event count there.
+#[derive(Clone, Copy)]
+struct Edge {
+    at: Nanos,
+    host: Instant,
+    events: u64,
+}
+
+impl Edge {
+    /// The edge at this instant. Must run inside a simulated process.
+    fn now() -> Edge {
+        Edge {
+            at: sim::now(),
+            host: Instant::now(),
+            events: sim::events_dispatched(),
+        }
+    }
 }
 
 #[derive(Default)]
@@ -442,6 +489,22 @@ impl AnyServer {
         };
         connected.unwrap_or_else(|e| panic!("{}: client connect failed: {e}", spec.system.label()))
     }
+}
+
+/// Record `id` as every system's store starts with it: eFactory's load and
+/// the comparison systems' loader PUT the same bytes.
+fn preload_record(wl: &WorkloadConfig, id: u64) -> (Vec<u8>, Vec<u8>) {
+    (wl.key(id), make_value(wl.value_len, id, 0))
+}
+
+/// Why a measured GET that found nothing fails the run: every key an op
+/// stream draws was preloaded and no mix deletes one, so the store lost
+/// the record.
+fn lost_record(key: &[u8]) -> String {
+    format!(
+        "GET found no record for preloaded key {:?}",
+        String::from_utf8_lossy(key)
+    )
 }
 
 /// The eFactory client configuration a spec asks for.
@@ -556,9 +619,10 @@ fn run_pipelined(
         .unwrap_or_else(|e| panic!("{}: pipelined connect failed: {e}", spec.system.label()));
     let record = |comps: Vec<OpCompletion>, get: &mut Vec<Nanos>, put: &mut Vec<Nanos>| {
         for comp in comps {
-            match &comp.result {
-                Ok(_) => {}
-                Err(e) => panic!("{:?} failed: {e:?}", comp.kind),
+            match (&comp.kind, &comp.result) {
+                (_, Err(e)) => panic!("{:?} failed: {e:?}", comp.kind),
+                (OpKind::Get, Ok(None)) => panic!("{}", lost_record(&comp.key)),
+                _ => {}
             }
             match comp.kind {
                 OpKind::Get => get.push(comp.latency()),
@@ -607,7 +671,8 @@ fn run_serial(
         match stream.next_op() {
             Op::Get { key } => {
                 let t0 = sim::now();
-                kv.kv_get(&key).expect("get failed");
+                let found = kv.kv_get(&key).expect("get failed");
+                assert!(found.is_some(), "{}", lost_record(&key));
                 get.push(sim::now() - t0);
             }
             Op::Put { key, value } => {
@@ -694,6 +759,7 @@ fn run_inner(
     if let Err(e) = spec.validate() {
         panic!("invalid experiment spec: {e}");
     }
+    let t_host = Instant::now();
     let obs = obs.unwrap_or_default();
     let mut simu = match spec.exec {
         Some(model) => Sim::with_exec(spec.seed, model),
@@ -728,9 +794,23 @@ fn run_inner(
         tweak.as_deref(),
     ));
     server.attach_obs(&obs);
+    let wl = WorkloadConfig {
+        mix: spec.mix,
+        record_count: spec.record_count,
+        key_len: spec.key_len,
+        value_len: spec.value_len,
+        txn_keys: TXN_KEYS,
+    };
+    // eFactory's store is loaded straight into its image before it starts;
+    // the comparison systems preload through their own PUT paths below.
+    if let AnyServer::Store(store) = &*server {
+        store
+            .load((0..spec.record_count).map(|id| preload_record(&wl, id)))
+            .unwrap_or_else(|s| panic!("{}: load failed: {s:?}", spec.system.label()));
+    }
 
     let collected: Arc<Mutex<Collected>> = Arc::default();
-    let window: Arc<Mutex<(Nanos, Nanos)>> = Arc::default(); // (start, end)
+    let window: Arc<Mutex<Option<(Edge, Edge)>>> = Arc::default();
 
     let spec2 = spec.clone();
     let f2 = Arc::clone(&fabric);
@@ -741,56 +821,38 @@ fn run_inner(
     simu.spawn("orchestrator", move || {
         server2.start(&f2);
 
-        // ---- preload ------------------------------------------------------
-        let loader_node = f2.add_node("loader");
-        let loader = server2.connect(&spec2, &f2, &loader_node, &obs2);
-        let wl = WorkloadConfig {
-            mix: spec2.mix,
-            record_count: spec2.record_count,
-            key_len: spec2.key_len,
-            value_len: spec2.value_len,
-            txn_keys: TXN_KEYS,
-        };
-        for id in 0..spec2.record_count {
-            loader
-                .kv_put(&wl.key(id), &make_value(spec2.value_len, id, 0))
-                .expect("preload put");
-        }
-        // Forca verifies+persists on *first read*; sweep the keyspace once
-        // so measurement starts from the verified steady state (mirroring
-        // eFactory's drained-verifier start below).
-        if matches!(spec2.system, SystemKind::Forca) {
+        // ---- comparison systems' preload ------------------------------------
+        // Each comparison system's PUT path ends in its own state (Erda's
+        // packed two-version entry, CA's unflushed lines, ...), so they keep
+        // a loader client.
+        if !spec2.system.is_efactory() {
+            let loader_node = f2.add_node("loader");
+            let loader = server2.connect(&spec2, &f2, &loader_node, &obs2);
             for id in 0..spec2.record_count {
-                loader.kv_get(&wl.key(id)).expect("preload warm get");
+                let (key, value) = preload_record(&wl, id);
+                loader.kv_put(&key, &value).expect("preload put");
             }
-        }
-        // Let eFactory's verifier(s) drain so measurement starts from a
-        // clean, fully durable store (bounded wait).
-        if spec2.system.is_efactory() {
-            let deadline = sim::now() + sim::millis(500);
-            while server2.stat_sum(|s| &s.bg_verified) + server2.stat_sum(|s| &s.bg_timeouts)
-                < spec2.record_count
-                && sim::now() < deadline
-            {
-                sim::sleep(sim::micros(200));
-            }
-        }
-        // With replication, also wait for the backups to catch up so the
-        // measurement (and any injected fault) starts from a fully
-        // mirrored store.
-        match &*server2 {
-            AnyServer::Store(store) if spec2.replicas > 0 => {
-                let deadline = sim::now() + sim::millis(500);
-                while store.repl_stat_sum(|s| &s.applied_objects) < spec2.record_count
-                    && sim::now() < deadline
-                {
-                    sim::sleep(sim::micros(200));
+            // Forca verifies+persists on *first read*; sweep the keyspace
+            // once so measurement starts from the verified steady state, as
+            // eFactory's loaded store does.
+            if matches!(spec2.system, SystemKind::Forca) {
+                for id in 0..spec2.record_count {
+                    loader.kv_get(&wl.key(id)).expect("preload warm get");
                 }
             }
-            _ => {}
         }
 
         // ---- measured clients ----------------------------------------------
+        // A store on several data nodes serves its placement map once its
+        // metadata service has elected a leader. Read the map once here, so
+        // the election runs before the window, not inside every measured
+        // client's connect.
+        if let (true, AnyServer::Store(s)) = (spec2.nodes > 1, &*server2) {
+            let reader = f2.add_node("map-reader");
+            MetaClient::new(&f2, &reader, s.meta_nodes())
+                .get_map(sim::now() + sim::millis(5))
+                .expect("the metadata service never served its placement map");
+        }
         if let (true, AnyServer::Store(s)) = (spec2.force_clean, &*server2) {
             for g in 0..s.shards() {
                 let seat = s.seat(g);
@@ -800,8 +862,8 @@ fn run_inner(
                     .store(true, Ordering::Relaxed);
             }
         }
-        let t_start = sim::now();
-        window2.lock().unwrap().0 = t_start;
+        let open = Edge::now();
+        let t_start = open.at;
         // Fault injection: power-fail every shard's primary at the chosen
         // instant (validate() guarantees a replicated store). Clients ride
         // through via failover; the stall is part of the measured latency.
@@ -927,10 +989,14 @@ fn run_inner(
         for h in &snap_handles {
             h.join();
         }
+        let close = Edge {
+            at: collected2.lock().unwrap().end,
+            ..Edge::now()
+        };
         if let Some(h) = migrator {
             h.join();
         }
-        window2.lock().unwrap().1 = collected2.lock().unwrap().end;
+        *window2.lock().unwrap() = Some((open, close));
         server2.shutdown();
     });
 
@@ -940,8 +1006,18 @@ fn run_inner(
     }
 
     let mut c = collected.lock().unwrap();
-    let (start, end) = *window.lock().unwrap();
-    let elapsed = end.saturating_sub(start).max(1);
+    let (open, close) = window
+        .lock()
+        .unwrap()
+        .expect("the orchestrator closes the window");
+    let start = open.at;
+    let elapsed = close.at.saturating_sub(start).max(1);
+    let host = HostSplit {
+        load_ns: open.host.duration_since(t_host).as_nanos() as u64,
+        window_ns: close.host.duration_since(open.host).as_nanos() as u64,
+        load_events: open.events,
+        window_events: close.events - open.events,
+    };
     let total_ops = (c.get.len() + c.put.len()) as u64;
     let mut all: Vec<Nanos> = c.get.iter().chain(c.put.iter()).copied().collect();
     // Mirror the fabric's raw telemetry into the registry so the final
@@ -1014,6 +1090,7 @@ fn run_inner(
         bg_verified: server.stat_sum(|s| &s.bg_verified),
         cleanings: server.stat_sum(|s| &s.cleanings),
         seed: spec.seed,
+        host,
         counters: obs.registry.snapshot(),
         breakdown,
     }

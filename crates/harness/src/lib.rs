@@ -5,7 +5,7 @@
 //! workloads, measured in the simulator's virtual time so results are
 //! deterministic and independent of the host machine.
 //!
-//! * [`cluster`] — build any of the six systems, preload records, run the
+//! * [`cluster`] — build any of the six systems, load records, run the
 //!   workload, collect latency samples and throughput.
 //! * [`stats`] — exact nearest-rank percentile and mean summaries.
 //! * [`table`] — fixed-width table rendering for the figures of the
@@ -20,7 +20,8 @@ pub mod stats;
 pub mod table;
 
 pub use cluster::{
-    run, run_observed, run_with_cost, Cleaning, ExperimentSpec, RunResult, SpecError, SystemKind,
+    run, run_observed, run_with_cost, Cleaning, ExperimentSpec, HostSplit, RunResult, SpecError,
+    SystemKind,
 };
 pub use report::{Bound, Report};
 pub use stats::LatencyStats;

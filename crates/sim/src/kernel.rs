@@ -758,6 +758,14 @@ pub fn try_now() -> Option<Nanos> {
     CURRENT.with(|c| c.borrow().as_ref().map(|cur| cur.kernel.now()))
 }
 
+/// Events the kernel has dispatched so far (the live
+/// [`SimCounters::events_dispatched`]), callable only from within a
+/// simulated process. Lets a process count the events of one stretch of a
+/// run, such as a measured window.
+pub fn events_dispatched() -> u64 {
+    with_current(|k, _| k.sched.lock().events_dispatched)
+}
+
 /// Suspend the calling process for `d` virtual nanoseconds.
 pub fn sleep(d: Nanos) {
     with_current(|k, pid| {

@@ -89,8 +89,10 @@ fn run_counters_cover_all_subsystems() {
     sorted.sort_unstable();
     assert_eq!(names, sorted, "snapshot must be lexicographically sorted");
     let get = |n: &str| r.counters.iter().find(|(k, _)| k == n).unwrap().1;
-    // Preload + measured PUTs all flow through the server counter.
-    assert!(get("server.puts") >= spec.record_count);
+    // The load counts one PUT per record it links, and the spec injects
+    // no faults, so no PUT is re-executed: the server counts exactly the
+    // records and the measured PUTs.
+    assert_eq!(get("server.puts"), spec.record_count + r.put.count);
     assert!(get("pmem.bytes_written") > 0);
     assert!(get("fabric.bytes_on_wire") > 0);
     assert_eq!(r.seed, spec.seed);

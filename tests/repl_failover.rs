@@ -399,7 +399,12 @@ fn replicated_runs_are_byte_identical() {
             .map(|(_, v)| *v)
             .unwrap_or_else(|| panic!("counter {name} missing from snapshot"))
     };
-    assert!(get("repl.mirror_objects") >= 64, "preload was not mirrored");
+    // Loaded records reach the backup through its apply step, not the
+    // mirror.
+    assert!(
+        get("repl.applied_objects") >= 64,
+        "the load was not applied on the backup"
+    );
     assert_eq!(get("repl.promotions"), 1, "fault must promote the backup");
     assert_eq!(a.total_ops, b.total_ops);
     assert_eq!(a.elapsed_ns, b.elapsed_ns);
