@@ -257,7 +257,7 @@ fn inflation(base_ns: u64, value_ns: u64) -> f64 {
 /// * **Migration window** — the same 2-node run with shard 0
 ///   live-migrated 2 ms into the measurement window, while the eight
 ///   clients keep operating and retarget on WrongEpoch: the
-///   copy/delta/verify stream runs off the client critical path.
+///   copy/fixup/verify passes run off the client critical path.
 /// * **Migration tail bound** — client p99.9 during the migrated run may
 ///   inflate to at most 5× the quiescent run's p99.9. The seal→flip
 ///   window is the only stretch where client ops stall, so the tail is

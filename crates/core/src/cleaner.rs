@@ -62,7 +62,7 @@ use efactory_sim as sim;
 
 use crate::layout::{self, flags, ObjHeader, NIL};
 use crate::protocol::Event;
-use crate::server::{CleanPhase, MigrateSlot, ServerShared};
+use crate::server::{CleanPhase, ServerShared};
 
 /// Magic key prefix identifying a cleaning-progress record in the log.
 /// NUL-framed like [`crate::txn::COMMIT_MAGIC`] so it can never collide
@@ -174,17 +174,16 @@ fn halted(shared: &ServerShared) -> Option<Halt> {
 /// Cleaner main loop: watch the active pool, clean when it fills up.
 ///
 /// The gate also defers to migration: no pass starts while the shard is
-/// sealed or a migration delta stream is attached (the migration driver,
-/// symmetrically, waits for an in-flight pass to finish before attaching —
-/// both claims flip atomically with their checks, so exactly one side
-/// wins). A deferred `clean_request` is left pending rather than swallowed.
+/// sealed (the migration driver, symmetrically, waits for an in-flight
+/// pass to finish before it seals — both claims flip atomically with their
+/// checks, so exactly one side wins). A deferred `clean_request` is left
+/// pending rather than swallowed.
 pub fn run(shared: &ServerShared, notifier: &Notifier) {
     loop {
         if shared.stopping() {
             return;
         }
-        let migrating = !matches!(*shared.migrate_out.lock().unwrap(), MigrateSlot::Idle);
-        if shared.phase() == CleanPhase::Normal && !shared.is_sealed() && !migrating {
+        if shared.phase() == CleanPhase::Normal && !shared.is_sealed() {
             let active = shared.active.load(Ordering::Relaxed);
             let requested = shared.clean_request.swap(false, Ordering::Relaxed);
             if (requested || shared.logs[active].fill_frac() >= shared.cfg.clean_threshold)

@@ -494,15 +494,19 @@ impl Client {
         Err(StoreError::Qp(QpError::Timeout))
     }
 
-    /// Idempotent one-sided write with bounded timeout retries (rides out
-    /// transient partitions; re-writing the same bytes to the same offset
-    /// is harmless).
-    fn one_sided_write_retry(&self, off: usize, value: &[u8]) -> Result<(), StoreError> {
+    /// An idempotent one-sided verb with bounded timeout retries (rides
+    /// out transient partitions): up to [`OP_RETRIES`] re-issues, each
+    /// counted in `op_retries` and slept as a `backoff` that doubles from
+    /// [`OP_BACKOFF`].
+    fn one_sided_retry<T>(
+        &self,
+        mut verb: impl FnMut() -> Result<T, QpError>,
+    ) -> Result<T, StoreError> {
         let mut backoff = OP_BACKOFF;
         let mut attempt = 0;
         loop {
-            match self.qp.rdma_write(&self.desc.mr, off, value.to_vec()) {
-                Ok(()) => return Ok(()),
+            match verb() {
+                Ok(done) => return Ok(done),
                 Err(QpError::Timeout) if attempt < OP_RETRIES => {
                     attempt += 1;
                     self.stats.op_retries.inc();
@@ -574,7 +578,12 @@ impl Client {
                 if !value.is_empty() {
                     let mut sp = self.cfg.obs.tracer.span(Subsystem::Client, "rdma_write");
                     sp.arg("vlen", value.len() as u64);
-                    self.one_sided_write_retry(value_off as usize, value)?;
+                    // Re-writing the same bytes to the same offset is
+                    // harmless, so a timed-out write is simply re-issued.
+                    self.one_sided_retry(|| {
+                        self.qp
+                            .rdma_write(&self.desc.mr, value_off as usize, value.to_vec())
+                    })?;
                 }
                 // Fast path: when the whole allocation-to-write-ack window
                 // stayed inside `VERIFY_GRACE` (≤ the server's
@@ -609,20 +618,7 @@ impl Client {
     /// timeout retry as the value write. `false` when the verifier
     /// invalidated the version before the value arrived.
     fn version_still_valid(&self, obj_off: usize) -> Result<bool, StoreError> {
-        let mut backoff = OP_BACKOFF;
-        let mut attempt = 0;
-        let raw = loop {
-            match self.qp.rdma_read(&self.desc.mr, obj_off, 8) {
-                Ok(b) => break b,
-                Err(QpError::Timeout) if attempt < OP_RETRIES => {
-                    attempt += 1;
-                    self.stats.op_retries.inc();
-                    backoff_sleep(&self.cfg.obs, backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
-                Err(e) => return Err(StoreError::Qp(e)),
-            }
-        };
+        let raw = self.one_sided_retry(|| self.qp.rdma_read(&self.desc.mr, obj_off, 8))?;
         let w0 = u64::from_le_bytes(raw[..8].try_into().unwrap());
         let (_, _, fl) = ObjHeader::from_word0(w0);
         Ok(fl & flags::VALID != 0)

@@ -7,34 +7,27 @@
 //!    metadata log (rejected if a migration is already in flight, the
 //!    destination is down, or it already owns the shard). Ownership does
 //!    NOT change yet; the source keeps serving.
-//! 2. **Attach** — the driver parks a delta-stream target in the source
-//!    server's [`MigrateSlot`]; the source's *verifier* (the replication
-//!    point, exactly as in [`crate::repl`]) connects a
-//!    [`Mirror`](crate::repl::Mirror) to the destination pool
-//!    and acks with its cursor — the **attach cursor**. From here, every
-//!    object the verifier advances past at or above that cursor is
-//!    shipped to the destination as it becomes durable. Traffic flows.
-//! 3. **Snapshot copy** — the driver bulk-copies the stable prefix: the
-//!    hash-table region and the log below the attach cursor, in chunks,
-//!    with one-sided reads from the source and writes into the
-//!    destination pool. Log bytes below the cursor are stable (verified
-//!    objects never change their payload), so this copy races nothing;
-//!    the churning hash table is copied best-effort and reconciled in
-//!    step 5. Traffic still flows.
-//! 4. **Seal + drain** — the source is sealed: every client data op is
-//!    answered `WrongEpoch` (the retarget signal); `TxnDecide` stays
-//!    admissible so 2PC transactions prepared before the seal still
-//!    resolve (PR 7's atomicity composes unchanged). The driver waits for
-//!    the verifier to drain to the log head — in-flight one-sided value
-//!    writes either land (verified + delta-shipped) or time out
-//!    (invalidated + delta-shipped); in-doubt transactions resolve by
-//!    decide or presumed-abort. Bounded by `verify_timeout` +
-//!    `txn_abort_timeout`. The delta stream is then flushed and detached;
-//!    the source pool is now frozen.
+//! 2. **Live copy** — the driver bulk-copies the source's hash table and
+//!    its log up to the active pool's head, in chunks, with one-sided
+//!    reads from the source and writes into the destination pool, whose
+//!    offsets line up 1:1 with the source's. Traffic flows, and nothing
+//!    pins the copied bytes: client writes, the verifier's flag updates
+//!    and a cleaning pass keep changing them. The copy only moves most of
+//!    the pool before the seal; step 5 repairs the rest.
+//! 3. **Seal** — the driver waits until no cleaning pass is in flight,
+//!    then seals the source without yielding in between: every client
+//!    data op is answered `WrongEpoch` (the retarget signal) and the
+//!    cleaner starts no new pass; `TxnDecide` stays admissible so 2PC
+//!    transactions prepared before the seal still resolve atomically.
+//! 4. **Drain** — the driver waits for the verifier to drain to the log
+//!    head: in-flight one-sided value writes either land (verified) or
+//!    time out (invalidated); in-doubt transactions resolve by decide or
+//!    presumed-abort. Bounded by `verify_timeout` + `txn_abort_timeout`.
+//!    The source pool is now frozen.
 //! 5. **Fixup + verify** — one chunked compare-and-rewrite pass over the
 //!    whole pool catches everything the live copy could not pin down
-//!    (hash-table churn, flag-word updates below the cursor, delta runs
-//!    lost to transient faults). A second pass asserts **zero**
+//!    (bytes changed after the copy read them, the log above the copy's
+//!    head, the inactive cleaning pool). A second pass asserts **zero**
 //!    differences: the destination is byte-identical to the frozen
 //!    source — exactly what a stop-the-world copy would have produced.
 //! 6. **Adopt** — ordinary [`crate::recovery`] runs over the copied pool
@@ -51,17 +44,18 @@
 //!    the placement refresh.
 //!
 //! Aborting at any step before 7 leaves the source the one owner: the
-//! driver unseals it, detaches the delta stream, and commits
-//! `MigrateAbort`. If the abort proposal itself finds no metadata
-//! majority, the driver parks it in the control plane and
-//! [`Store::reconcile`] re-proposes it once a majority is reachable —
-//! otherwise the slot would stay occupied forever, since with both
-//! endpoints alive the death sweep never auto-aborts. A crash of either
-//! endpoint mid-migration is detected by the metadata service's death
-//! sweep, which auto-aborts the migration; the invariant "exactly one
-//! owner per shard" holds at every instant because ownership only ever
-//! changes inside `MigrateCommit`.
+//! driver unseals it and commits `MigrateAbort`. If the abort proposal
+//! itself finds no metadata majority, the driver parks it in the control
+//! plane and [`Store::reconcile`] re-proposes it once a majority is
+//! reachable — otherwise the slot would stay occupied forever, since with
+//! both endpoints alive the death sweep never auto-aborts. A crash of
+//! either endpoint mid-migration is detected by the metadata service's
+//! death sweep, which auto-aborts the migration; the invariant "exactly
+//! one owner per shard" holds at every instant because ownership only
+//! ever changes inside `MigrateCommit`.
 
+use std::ops::Range;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use efactory_pmem::PmemPool;
@@ -70,14 +64,13 @@ use efactory_sim as sim;
 use sim::Nanos;
 
 use super::meta::{MetaClient, MetaCmd, ProposeOutcome};
-use super::Plane;
+use super::{ClusterStats, Plane};
 use crate::protocol::Event;
 use crate::recovery::{self, RecoveryReport};
-use crate::repl::ReplTarget;
-use crate::server::{CleanPhase, MigrateSlot, ServerShared};
+use crate::server::{CleanPhase, ServerShared};
 use crate::store::Store;
 
-/// Snapshot and fixup copy chunk (bytes).
+/// Copy, fixup and verify chunk (bytes).
 const COPY_CHUNK: usize = 64 * 1024;
 
 /// Why a migration did not commit. In every case the source remains the
@@ -89,11 +82,8 @@ pub enum MigrateError {
     Rejected,
     /// No metadata leader/majority reachable within the deadline.
     MetaUnavailable,
-    /// The source verifier could not connect the delta stream to the
-    /// destination (source dead or link down).
-    AttachFailed,
-    /// The snapshot/fixup copy failed (an endpoint died or a partition
-    /// outlasted the retry budget).
+    /// The copy, fixup or verify pass failed (an endpoint died or a
+    /// partition outlasted the retry budget).
     CopyFailed,
     /// The sealed source did not drain within the bound (its verifier
     /// died — e.g. the source was power-failed mid-migration).
@@ -102,9 +92,9 @@ pub enum MigrateError {
     /// the migration was auto-aborted under us (endpoint declared dead).
     CommitRefused,
     /// The source's log cleaner kept a pass in flight past the wait
-    /// bound, so the delta stream was never attached. Cleaning rewrites
-    /// the log (and ultimately swaps pools) under the mirror's feet;
-    /// migration serializes behind it rather than racing it.
+    /// bound, so the source was never sealed. A pass keeps rewriting the
+    /// log (and ultimately swaps pools) on a sealed shard, so the seal
+    /// waits for it rather than freezing a half-cleaned pool.
     CleanTimeout,
 }
 
@@ -119,13 +109,8 @@ pub struct MigrationReport {
     pub to: usize,
     /// Placement epoch after the commit.
     pub epoch: u64,
-    /// Verifier cursor at delta attach (exclusive upper bound of the
-    /// stable snapshot prefix).
-    pub attach_cursor: u64,
     /// Bytes bulk-copied while traffic flowed.
     pub snapshot_bytes: u64,
-    /// Objects shipped by the delta stream.
-    pub delta_objects: u64,
     /// Bytes rewritten by the post-drain fixup pass.
     pub fixup_bytes: u64,
     /// Differences found by the final verify pass — 0 by construction;
@@ -141,35 +126,83 @@ pub struct MigrationReport {
     pub recovery: RecoveryReport,
 }
 
-/// Bounded one-sided op with timeout retries (transient partitions).
-fn read_retry(qp: &ClientQp, mr: &RemoteMr, off: usize, len: usize) -> Result<Vec<u8>, QpError> {
+/// A one-sided verb with timeout retries (transient partitions): up to
+/// four attempts, each timeout slept out with a backoff doubling from 2 µs.
+fn retry<T>(mut verb: impl FnMut() -> Result<T, QpError>) -> Result<T, QpError> {
     let mut backoff = sim::micros(2);
     for _ in 0..4 {
-        match qp.rdma_read(mr, off, len) {
-            Ok(b) => return Ok(b),
+        match verb() {
             Err(QpError::Timeout) => {
                 sim::sleep(backoff);
                 backoff *= 2;
             }
-            Err(e) => return Err(e),
+            done => return done,
         }
     }
     Err(QpError::Timeout)
 }
 
-fn write_retry(qp: &ClientQp, mr: &RemoteMr, off: usize, data: &[u8]) -> Result<(), QpError> {
-    let mut backoff = sim::micros(2);
-    for _ in 0..4 {
-        match qp.rdma_write(mr, off, data.to_vec()) {
-            Ok(()) => return Ok(()),
-            Err(QpError::Timeout) => {
-                sim::sleep(backoff);
-                backoff *= 2;
+/// What a chunk pass does with each chunk it reads from the source.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// Write every chunk to the destination (the live copy).
+    Copy,
+    /// Rewrite the chunks that differ from the destination's.
+    Fixup,
+    /// Count the differing bytes; write nothing.
+    Verify,
+}
+
+/// The driver's copy path: one-sided reads from the source pool, writes
+/// into the destination pool, and local reads of the destination to
+/// compare against.
+struct Copier<'a> {
+    src_qp: ClientQp,
+    src_mr: RemoteMr,
+    dest_qp: ClientQp,
+    dest_mr: RemoteMr,
+    dest_pool: &'a PmemPool,
+    stats: &'a ClusterStats,
+}
+
+impl Copier<'_> {
+    /// Run `pass` over `range` of the pool, one [`COPY_CHUNK`] at a time.
+    /// Returns the bytes the pass copied, rewrote, or found differing.
+    fn pass(&self, pass: Pass, range: Range<usize>) -> Result<u64, QpError> {
+        let end = range.end;
+        let mut total = 0u64;
+        for off in range.step_by(COPY_CHUNK) {
+            let len = COPY_CHUNK.min(end - off);
+            let want = retry(|| self.src_qp.rdma_read(&self.src_mr, off, len))?;
+            let bytes = match pass {
+                Pass::Copy => len,
+                Pass::Fixup | Pass::Verify => {
+                    let mut have = vec![0u8; len];
+                    self.dest_pool.read(off, &mut have);
+                    if want == have {
+                        0
+                    } else if pass == Pass::Fixup {
+                        len
+                    } else {
+                        want.iter().zip(&have).filter(|(a, b)| a != b).count()
+                    }
+                }
+            } as u64;
+            if pass != Pass::Verify && bytes > 0 {
+                retry(|| self.dest_qp.rdma_write(&self.dest_mr, off, want.clone()))?;
             }
-            Err(e) => return Err(e),
+            match pass {
+                Pass::Copy => {
+                    self.stats.snapshot_bytes.add(bytes);
+                    self.stats.snapshot_chunks.inc();
+                }
+                Pass::Fixup => self.stats.fixup_bytes.add(bytes),
+                Pass::Verify => self.stats.verify_diff_bytes.add(bytes),
+            }
+            total += bytes;
         }
+        Ok(total)
     }
-    Err(QpError::Timeout)
 }
 
 /// Everything the abort path needs to unwind.
@@ -179,16 +212,10 @@ struct Unwind<'a> {
     to: usize,
     src: &'a Arc<ServerShared>,
     sealed: bool,
-    attached: bool,
 }
 
 impl Unwind<'_> {
-    fn abort(self, plane: &Plane, err: MigrateError) -> MigrateError {
-        if self.attached {
-            // Best effort: if the verifier is alive it flushes + drops the
-            // delta mirror; if it died with the node, the slot is inert.
-            *self.src.migrate_out.lock().unwrap() = MigrateSlot::Detach;
-        }
+    fn abort(&mut self, plane: &Plane, err: MigrateError) -> MigrateError {
         if self.sealed {
             self.src.unseal();
         }
@@ -306,12 +333,18 @@ impl Store {
         plane.clear_pending_abort();
         self.stats().migrations_started.inc();
 
-        // Destination scaffolding: fresh pool, a listener so QPs (the
-        // delta mirror's and the driver's) can connect, and a
-        // registration covering the whole pool. Offsets line up 1:1 with
-        // the source — both pools share one layout.
+        // Destination scaffolding: fresh pool, a listener so the driver's
+        // QP can connect, and a registration covering the whole pool.
+        // Offsets line up 1:1 with the source — both pools share one
+        // layout. Its pmem counters and tracer are the destination seat's,
+        // so the new owner's pool work shows under that seat.
         let dest_node: Node = self.seat_node(to, shard).clone();
+        let dest_cfg = plane.seat_cfg(to, shard);
         let dest_pool = Arc::new(PmemPool::new(layout.total_len()));
+        dest_pool
+            .stats()
+            .register_prefixed(&dest_cfg.obs.registry, &dest_cfg.counter_prefix);
+        dest_pool.set_tracer(dest_cfg.obs.tracer.clone());
         let _dest_listener = dest_node.listen_with(self.fabric(), false, 0);
         let dest_mr = dest_node.register_mr(&dest_pool, 0, layout.total_len());
         // Park the pool in the control plane: it is the destination
@@ -326,105 +359,58 @@ impl Store {
             to,
             src: &src,
             sealed: false,
-            attached: false,
         };
 
-        // Step 2: attach the delta stream through the verifier — but only
-        // once no cleaning pass is in flight. The cleaner relocates
-        // objects and swaps pools, which would invalidate the snapshot
-        // cursor and the 1:1 offset mapping the delta mirror relies on.
-        // Its run() gate refuses to start a pass while `migrate_out` is
-        // non-Idle, and a pass claims its phase without yielding, so after
-        // this loop observes `Normal` the Attach store below (no yields in
-        // between) parks the slot before any new pass can begin: exactly
-        // one side wins the race.
+        let (src_qp, dest_qp) = self
+            .fabric()
+            .connect(&local, &src_node)
+            .and_then(|src_qp| Ok((src_qp, self.fabric().connect(&local, &dest_node)?)))
+            .map_err(|_| unwind.abort(plane, MigrateError::CopyFailed))?;
+        let copier = Copier {
+            src_qp,
+            src_mr,
+            dest_qp,
+            dest_mr,
+            dest_pool: &dest_pool,
+            stats: self.stats(),
+        };
+
+        // Step 2: copy the pool live, up to the active pool's log head: the
+        // hash table, then the log from its base.
+        let log_base = layout.regions()[0].base();
+        let head = src.logs[src.active.load(Ordering::Relaxed)].head();
+        let snapshot_bytes = copier
+            .pass(Pass::Copy, 0..log_base)
+            .and_then(|table| Ok(table + copier.pass(Pass::Copy, log_base..head)?))
+            .map_err(|_| unwind.abort(plane, MigrateError::CopyFailed))?;
+
+        // Step 3: seal once no cleaning pass is in flight. A pass keeps
+        // relocating objects and swapping pools on a sealed shard, so the
+        // source would never freeze under it. The cleaner's run() gate
+        // refuses to start a pass on a sealed shard, and a pass claims its
+        // phase without yielding, so after this loop observes `Normal` the
+        // seal below (no yields in between) lands before any new pass can
+        // begin: exactly one side wins the race.
         let clean_deadline = sim::now() + sim::millis(100);
-        loop {
-            if src.phase() == CleanPhase::Normal {
-                break;
-            }
+        while src.phase() != CleanPhase::Normal {
             if sim::now() >= clean_deadline {
                 return Err(unwind.abort(plane, MigrateError::CleanTimeout));
             }
             sim::sleep(sim::micros(50));
         }
-
-        let delta_objs_before = self.migrate_repl_stats().mirror_objects.get();
-        *src.migrate_out.lock().unwrap() = MigrateSlot::Attach(ReplTarget {
-            backup: dest_node.clone(),
-            mr: dest_mr,
-            stats: Arc::clone(self.migrate_repl_stats()),
-            batch: plane.server.doorbell_batch.max(1),
-        });
-        unwind.attached = true;
-        let attach_deadline = sim::now() + sim::millis(2);
-        let attach_cursor = loop {
-            // Scope the guard: sleeping while holding the slot lock would
-            // wedge the verifier, which takes it every loop iteration.
-            let state = match *src.migrate_out.lock().unwrap() {
-                MigrateSlot::Active { cursor } => Some(Ok(cursor)),
-                MigrateSlot::Failed => Some(Err(())),
-                _ => None,
-            };
-            match state {
-                Some(Ok(cursor)) => break cursor,
-                Some(Err(())) => {
-                    unwind.attached = false;
-                    return Err(unwind.abort(plane, MigrateError::AttachFailed));
-                }
-                None if sim::now() >= attach_deadline => {
-                    return Err(unwind.abort(plane, MigrateError::AttachFailed));
-                }
-                None => sim::sleep(sim::micros(2)),
-            }
-        };
-
-        // Step 3: snapshot-copy the stable prefix while traffic flows.
-        // [0, log base) covers the hash table (+ any metadata);
-        // [log base, attach cursor) is the settled log prefix. The log at
-        // or above the cursor is the delta stream's job — copying it here
-        // would race the delta writes.
-        let src_qp = match self.fabric().connect(&local, &src_node) {
-            Ok(qp) => qp,
-            Err(_) => return Err(unwind.abort(plane, MigrateError::CopyFailed)),
-        };
-        let dest_qp = match self.fabric().connect(&local, &dest_node) {
-            Ok(qp) => qp,
-            Err(_) => return Err(unwind.abort(plane, MigrateError::CopyFailed)),
-        };
-        let mut snapshot_bytes = 0u64;
-        let log_base = layout.regions()[0].base();
-        let prefix_end = (attach_cursor as usize).max(log_base);
-        for (lo, hi) in [(0usize, log_base), (log_base, prefix_end)] {
-            let mut off = lo;
-            while off < hi {
-                let len = COPY_CHUNK.min(hi - off);
-                let chunk = match read_retry(&src_qp, &src_mr, off, len) {
-                    Ok(c) => c,
-                    Err(_) => return Err(unwind.abort(plane, MigrateError::CopyFailed)),
-                };
-                if write_retry(&dest_qp, &dest_mr, off, &chunk).is_err() {
-                    return Err(unwind.abort(plane, MigrateError::CopyFailed));
-                }
-                snapshot_bytes += len as u64;
-                self.stats().snapshot_bytes.add(len as u64);
-                self.stats().snapshot_chunks.inc();
-                off += len;
-            }
-        }
-
-        // Step 4: seal, then drain the verifier to the log head.
         src.seal();
         unwind.sealed = true;
         let t_sealed = sim::now();
+
+        // Step 4: drain the verifier to the log head.
         let drain_deadline = sim::now()
             + plane.server.verify_timeout
             + plane.server.txn_abort_timeout
             + sim::millis(2);
         loop {
-            let active = src.active.load(std::sync::atomic::Ordering::Relaxed);
+            let active = src.active.load(Ordering::Relaxed);
             let head = src.logs[active].head() as u64;
-            if src.cursor.load(std::sync::atomic::Ordering::Relaxed) >= head {
+            if src.cursor.load(Ordering::Relaxed) >= head {
                 break;
             }
             if sim::now() >= drain_deadline || src.node.is_crashed() {
@@ -434,52 +420,12 @@ impl Store {
         }
         self.stats().drain_waits.inc();
 
-        // Flush + detach the delta stream (the verifier services the
-        // slot; Idle means the flush happened).
-        *src.migrate_out.lock().unwrap() = MigrateSlot::Detach;
-        let detach_deadline = sim::now() + sim::millis(2);
-        loop {
-            if matches!(*src.migrate_out.lock().unwrap(), MigrateSlot::Idle) {
-                unwind.attached = false;
-                break;
-            }
-            if sim::now() >= detach_deadline || src.node.is_crashed() {
-                return Err(unwind.abort(plane, MigrateError::DrainTimeout));
-            }
-            sim::sleep(sim::micros(2));
-        }
-        let delta_objects = self.migrate_repl_stats().mirror_objects.get() - delta_objs_before;
-
-        // Step 5: fixup + verify against the frozen source.
+        // Step 5: fixup + verify the whole pool against the frozen source.
         let total = layout.total_len();
-        let mut fixup_bytes = 0u64;
-        let mut verify_diff_bytes = 0u64;
-        for pass in 0..2 {
-            let mut off = 0usize;
-            while off < total {
-                let len = COPY_CHUNK.min(total - off);
-                let want = match read_retry(&src_qp, &src_mr, off, len) {
-                    Ok(c) => c,
-                    Err(_) => return Err(unwind.abort(plane, MigrateError::CopyFailed)),
-                };
-                let mut have = vec![0u8; len];
-                dest_pool.read(off, &mut have);
-                if want != have {
-                    if pass == 0 {
-                        if write_retry(&dest_qp, &dest_mr, off, &want).is_err() {
-                            return Err(unwind.abort(plane, MigrateError::CopyFailed));
-                        }
-                        fixup_bytes += len as u64;
-                        self.stats().fixup_bytes.add(len as u64);
-                    } else {
-                        let diff = want.iter().zip(&have).filter(|(a, b)| a != b).count() as u64;
-                        verify_diff_bytes += diff;
-                        self.stats().verify_diff_bytes.add(diff);
-                    }
-                }
-                off += len;
-            }
-        }
+        let (fixup_bytes, verify_diff_bytes) = copier
+            .pass(Pass::Fixup, 0..total)
+            .and_then(|fixup| Ok((fixup, copier.pass(Pass::Verify, 0..total)?)))
+            .map_err(|_| unwind.abort(plane, MigrateError::CopyFailed))?;
         if verify_diff_bytes != 0 {
             // The copy is not byte-identical to the frozen source: never
             // flip ownership onto it.
@@ -493,7 +439,7 @@ impl Store {
             &dest_node,
             Arc::clone(&dest_pool),
             layout,
-            plane.seat_cfg(to, shard),
+            dest_cfg,
         );
         dest_server.start(self.fabric());
 
@@ -564,9 +510,7 @@ impl Store {
             from,
             to,
             epoch,
-            attach_cursor,
             snapshot_bytes,
-            delta_objects,
             fixup_bytes,
             verify_diff_bytes,
             sealed_ns: sim::now() - t_sealed,

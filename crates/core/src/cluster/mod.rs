@@ -11,10 +11,10 @@
 //!   (3 replicas over the same simulated fabric) that owns the placement
 //!   map, detects node death via heartbeats on the virtual clock, and
 //!   serializes every ownership change;
-//! * [`migrate`] — **live shard migration**: snapshot-copy the shard's
-//!   pool to the destination while client traffic keeps flowing, catch
-//!   up through the verifier's delta stream, seal + drain, verify the
-//!   copy byte-identical to the (now frozen) source, and only then flip
+//! * [`migrate`] — **live shard migration**: copy the shard's pool to
+//!   the destination while client traffic keeps flowing, seal + drain,
+//!   repair what the copy raced in a fixup pass, verify the copy
+//!   byte-identical to the (now frozen) source, and only then flip
 //!   ownership with an epoch bump;
 //! * [`StoreClient`](crate::store::StoreClient) over [`Store::routes`]
 //!   — clients retarget transparently on a sealed source's `WrongEpoch`
@@ -33,11 +33,11 @@
 //! created up front so names are stable across crashes, restarts, and
 //! repeated migrations.
 //!
-//! Cluster shards may run with cleaning enabled: the cleaner and the
-//! migration engine exclude each other at pass granularity (the cleaner's
-//! gate skips sealed or migrating shards; [`migrate`] waits for any
-//! in-flight pass to finish or abort before parking its delta-stream
-//! attachment — see [`migrate::MigrateError::CleanTimeout`]). A migrated
+//! Cluster shards may run with cleaning enabled: a pass may run during a
+//! migration's live copy (the fixup pass repairs whatever it rewrote), and
+//! the two exclude each other only at the seal — the cleaner's gate starts
+//! no pass on a sealed shard, and [`migrate`] seals only once no pass is
+//! in flight (see [`migrate::MigrateError::CleanTimeout`]). A migrated
 //! copy is taken from a sealed, drained source, so it is a crash-consistent
 //! image and the standard recovery rules — including cleaning-progress
 //! records — apply to it unchanged. Shards run without per-shard backups:
@@ -66,7 +66,6 @@ use sim::Nanos;
 
 use crate::log::StoreLayout;
 use crate::recovery::{self, RecoveryReport};
-use crate::repl::ReplStats;
 use crate::server::{Server, ServerConfig};
 use crate::store::{Seat, Seats, Store};
 
@@ -157,7 +156,7 @@ pub(crate) struct Plane {
     layout: StoreLayout,
     /// Per-shard server template; each seat's counter prefix is its seat
     /// name. `clean_enabled` is honored per shard (see module docs for
-    /// how cleaning and migration serialize).
+    /// where cleaning and migration exclude each other).
     server: ServerConfig,
     /// `seat_nodes[i][g]` = fabric node `n{i}.g{g}`.
     seat_nodes: Vec<Vec<Node>>,
@@ -165,8 +164,6 @@ pub(crate) struct Plane {
     agent_nodes: Vec<Node>,
     pub(crate) meta: MetaService,
     stats: Arc<ClusterStats>,
-    /// Delta-stream (migration mirror) counters, under `cluster.migrate.`.
-    migrate_repl: Arc<ReplStats>,
     /// In-flight migration's destination artifacts (at most one — the
     /// metadata service serializes migrations).
     staged: Mutex<Option<StagedMigration>>,
@@ -337,8 +334,6 @@ impl Store {
 
         let stats = Arc::new(ClusterStats::default());
         stats.register(&server.obs.registry);
-        let migrate_repl = Arc::new(ReplStats::default());
-        migrate_repl.register_prefixed(&server.obs.registry, "cluster.migrate.");
         let meta_stats = Arc::new(MetaStats::default());
         meta_stats.register(&server.obs.registry);
 
@@ -357,7 +352,6 @@ impl Store {
             agent_nodes,
             meta,
             stats,
-            migrate_repl,
             staged: Mutex::new(None),
             pending_abort: Mutex::new(None),
             stop,
@@ -392,11 +386,6 @@ impl Store {
     /// Cluster-layer counters.
     pub fn stats(&self) -> &Arc<ClusterStats> {
         &self.plane().stats
-    }
-
-    /// Delta-stream (migration mirror) counters.
-    pub fn migrate_repl_stats(&self) -> &Arc<ReplStats> {
-        &self.plane().migrate_repl
     }
 
     /// Agent (client-only) fabric node of data node `i` — also the local
@@ -503,7 +492,7 @@ impl Store {
     /// seat endpoint the node hosts (in-flight DMA torn per `spec`) —
     /// the seats it currently owns, retired tombstone seats, and equally
     /// the scaffolding seat of a migration *to* this node, so a staged
-    /// destination pool stops absorbing delta/snapshot writes the
+    /// destination pool stops absorbing copy and fixup writes the
     /// instant the machine dies. The metadata leader notices the
     /// heartbeat silence and commits `NodeDown`.
     pub fn crash_data_node(&self, i: usize, spec: CrashSpec, seed: u64) {

@@ -22,15 +22,13 @@
 //! observes a stale epoch abandons its cursor update.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use efactory_obs::Subsystem;
-use efactory_rnic::Fabric;
 use efactory_sim as sim;
 
 use crate::layout::{self, flags, ObjHeader};
 use crate::repl::Mirror;
-use crate::server::{MigrateSlot, ServerShared, VERIFY_STEP_COST};
+use crate::server::{ServerShared, VERIFY_STEP_COST};
 
 /// Outcome of one verifier step (exposed for tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,7 +45,8 @@ pub enum StepOutcome {
     Invalidated,
 }
 
-/// Run the verifier until the server stops.
+/// Run the verifier until the server stops, optionally mirroring the log
+/// to a backup replica.
 ///
 /// With `cfg.doorbell_batch > 1` the per-object flush fence is batched:
 /// the CLWBs of each persisted object still issue per object (inside
@@ -56,11 +55,6 @@ pub enum StepOutcome {
 /// the whole chain of flushes, mirroring the doorbell-batched recv ring.
 /// The fence is forced before the verifier sleeps, so no persisted-but-
 /// unfenced object outlives an idle period.
-pub fn run(shared: &ServerShared) {
-    run_with_mirror(shared, None, None)
-}
-
-/// Run the verifier, optionally mirroring the log to a backup replica.
 ///
 /// The verifier is the replication point: every object it advances past —
 /// persisted, already durable, or invalidated — is pushed to the mirror,
@@ -68,21 +62,10 @@ pub fn run(shared: &ServerShared) {
 /// doorbell-batched `rdma_write_imm` per run (see [`crate::repl`]). The
 /// mirror is flushed before every idle sleep, so a quiescent primary never
 /// sits on an unshipped tail.
-pub fn run_with_mirror(
-    shared: &ServerShared,
-    fabric: Option<&Arc<Fabric>>,
-    mut mirror: Option<Mirror>,
-) {
+pub fn run(shared: &ServerShared, mut mirror: Option<Mirror>) {
     let batch = shared.cfg.doorbell_batch.max(1);
     let mut unfenced = 0usize;
-    // Live-migration delta stream: attached mid-run through the
-    // `migrate_out` slot (see [`MigrateSlot`]); ships the same hole-free
-    // object stream as the replication mirror, aimed at the destination's
-    // copy pool. The slot poll is a plain mutex with no simulated-time
-    // cost, so runs that never migrate replay byte-identically.
-    let mut delta: Option<Mirror> = None;
     while !shared.stopping() {
-        poll_migrate_slot(shared, fabric, &mut delta);
         let fence = |unfenced: &mut usize| {
             if *unfenced > 0 {
                 sim::work(shared.cost.flush_base_ns);
@@ -90,22 +73,14 @@ pub fn run_with_mirror(
             }
         };
         let (outcome, mirrored) = step_inner(shared, batch > 1);
-        if let Some((off, size)) = mirrored {
-            if let Some(m) = mirror.as_mut() {
-                m.push(shared, off, size);
-            }
-            if let Some(d) = delta.as_mut() {
-                d.push(shared, off, size);
-            }
+        if let (Some(m), Some((off, size))) = (mirror.as_mut(), mirrored) {
+            m.push(shared, off, size);
         }
         match outcome {
             StepOutcome::Idle | StepOutcome::Waiting => {
                 fence(&mut unfenced);
                 if let Some(m) = mirror.as_mut() {
                     m.flush(shared);
-                }
-                if let Some(d) = delta.as_mut() {
-                    d.flush(shared);
                 }
                 sim::sleep(shared.cfg.verify_idle)
             }
@@ -119,39 +94,6 @@ pub fn run_with_mirror(
                 // `step` charged simulated work, which already yielded.
             }
         }
-    }
-}
-
-/// Service the migration rendezvous slot: connect the delta mirror on
-/// `Attach` (acking with the cursor at attach — the snapshot copy's upper
-/// bound), flush and drop it on `Detach`.
-fn poll_migrate_slot(
-    shared: &ServerShared,
-    fabric: Option<&Arc<Fabric>>,
-    delta: &mut Option<Mirror>,
-) {
-    let mut slot = shared.migrate_out.lock().unwrap();
-    match &*slot {
-        MigrateSlot::Attach(target) => {
-            let connected = fabric.and_then(|f| Mirror::connect(f, shared, target));
-            *slot = match connected {
-                Some(m) => {
-                    *delta = Some(m);
-                    MigrateSlot::Active {
-                        cursor: shared.cursor.load(Ordering::Relaxed),
-                    }
-                }
-                None => MigrateSlot::Failed,
-            };
-        }
-        MigrateSlot::Detach => {
-            drop(slot);
-            if let Some(mut d) = delta.take() {
-                d.flush(shared);
-            }
-            *shared.migrate_out.lock().unwrap() = MigrateSlot::Idle;
-        }
-        _ => {}
     }
 }
 

@@ -11,8 +11,8 @@
 //! 2. power-fails a data node, waits for the death detector to commit
 //!    `NodeDown`, then restarts it and recovers its shards from NVM;
 //! 3. live-migrates shard 0 to the other node while a background writer
-//!    keeps the cluster under load — snapshot copy, delta catch-up over
-//!    the verifier stream, then an epoch-bumped router flip. Clients
+//!    keeps the cluster under load — live copy, seal, a fixup pass over
+//!    what the copy raced, then an epoch-bumped router flip. Clients
 //!    retarget on `WrongEpoch`; the destination's bytes verify identical
 //!    to a stop-the-world copy.
 //!
@@ -137,11 +137,10 @@ fn main() {
         );
         println!(
             "[{:>9} ns] migration committed at epoch {}: {} snapshot bytes, \
-             {} delta objects, {} fixup bytes, verify diff 0",
+             {} fixup bytes, verify diff 0",
             sim::now(),
             report.epoch,
             report.snapshot_bytes,
-            report.delta_objects,
             report.fixup_bytes,
         );
 

@@ -7,8 +7,11 @@
 //!   top of the driver's own fixup/verify passes.
 //! * **Live migration is lossless**: a writer keeps acknowledging PUTs
 //!   while the shard moves; every acknowledged write is readable from
-//!   the new owner afterwards, none duplicated, and the delta stream
-//!   demonstrably carried traffic.
+//!   the new owner afterwards, none duplicated, and the fixup pass
+//!   demonstrably repaired bytes the live copy raced.
+//! * **Cleaning composes**: a shard migrates off a cleaner-produced pool,
+//!   and a pass still in flight when the live copy ends holds the seal
+//!   back until it finishes.
 //! * **Epoch fencing**: PR 5's client location cache is epoch-tagged —
 //!   a client whose cache was hot on the old owner must not serve stale
 //!   bytes after the router flip.
@@ -16,6 +19,10 @@
 //!   stay atomic; the trace-based checker accepts the history.
 //! * **Determinism**: an entire migration-under-traffic run replays
 //!   byte-identically from the same seed.
+//!
+//! `EF_TEST_CHAOS` is a seed, as in every suite: a non-zero value runs the
+//! two cleaning migrations a second time, on a fabric armed with a chaos
+//! plan it seeds.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -26,7 +33,7 @@ use efactory::protocol::{Status, StoreError};
 use efactory::server::ServerConfig;
 use efactory::store::{Store, StoreClient};
 use efactory::TxnKv;
-use efactory_rnic::{CostModel, Fabric};
+use efactory_rnic::{CostModel, Fabric, FaultPlan};
 use efactory_sim as sim;
 use efactory_sim::Sim;
 
@@ -49,6 +56,27 @@ fn format(fabric: &Arc<Fabric>, nodes: usize, shards: usize) -> Store {
 
 fn client_cfg() -> ClientConfig {
     ClientConfig::default()
+}
+
+/// The fabrics a cleaning migration runs on: a fault-free one and, when
+/// `EF_TEST_CHAOS` is a non-zero seed, a lossy, duplicating, delaying one
+/// whose plan that seed draws.
+fn fault_plans() -> Vec<Option<FaultPlan>> {
+    let chaos: u64 = std::env::var("EF_TEST_CHAOS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0);
+    let mut plans = vec![None];
+    if chaos > 0 {
+        plans.push(Some(FaultPlan::chaos(
+            0.02,
+            0.01,
+            0.05,
+            sim::micros(2),
+            chaos,
+        )));
+    }
+    plans
 }
 
 /// Build + start a cluster and hand it to `body` inside a simulated
@@ -187,8 +215,8 @@ fn live_migration_under_traffic_is_lossless() {
         let report = cluster.migrate(0, 1 - from).expect("live migration failed");
         assert_eq!(report.verify_diff_bytes, 0);
         assert!(
-            report.delta_objects > 0,
-            "delta stream carried nothing — migration did not race traffic"
+            report.fixup_bytes > 0,
+            "fixup rewrote nothing — the live copy did not race traffic"
         );
 
         // Let the writer observe the new placement, then stop it.
@@ -230,7 +258,14 @@ fn live_migration_under_traffic_is_lossless() {
 /// must be able to run its own cleaning pass over the migrated pool.
 #[test]
 fn migration_with_cleaning_enabled_is_lossless() {
-    let format = |f: &Arc<Fabric>| {
+    for plan in fault_plans() {
+        migrate_cleaned_shard_under_traffic(plan);
+    }
+}
+
+fn migrate_cleaned_shard_under_traffic(plan: Option<FaultPlan>) {
+    let format = move |f: &Arc<Fabric>| {
+        f.set_fault_plan(plan);
         let server = ServerConfig {
             // Low threshold: passes trigger as soon as the seed data
             // lands, so the migrated pool is cleaner-produced.
@@ -336,6 +371,62 @@ fn migration_with_cleaning_enabled_is_lossless() {
             assert!(
                 got_ver >= want_min,
                 "key {i} regressed after post-move clean"
+            );
+        }
+    });
+}
+
+/// The seal waits out a cleaning pass that started during the live copy.
+/// The source is asked to clean just as the move begins; the pass is
+/// still in flight when the copy ends, so the driver seals only after it
+/// finishes, and the fixup pass repairs whatever it rewrote under the
+/// copy. Sealing mid-pass would freeze nothing: the pass keeps rewriting
+/// the sealed pool, and the verify pass finds the copy differs.
+#[test]
+fn seal_waits_out_a_cleaning_pass_started_during_the_copy() {
+    for plan in fault_plans() {
+        migrate_while_cleaning(plan);
+    }
+}
+
+fn migrate_while_cleaning(plan: Option<FaultPlan>) {
+    let format = move |f: &Arc<Fabric>| {
+        f.set_fault_plan(plan);
+        let server = ServerConfig {
+            // Only the request below starts a pass.
+            clean_threshold: 0.99,
+            ..ServerConfig::default()
+        };
+        Store::format_nodes(f, 2, 2, StoreLayout::new(4096, 1 << 20, true), server)
+    };
+    with_cluster_cfg(606, format, |cluster| {
+        const KEYS: usize = 1500;
+        let c = connect(cluster, "seeder");
+        for ver in 0..2 {
+            for i in 0..KEYS {
+                c.put(&key(i), &value(i, ver)).unwrap();
+            }
+        }
+
+        let src = Arc::clone(cluster.seat(0).server.shared());
+        let cleanings = src.stats.cleanings.get();
+        src.clean_request.store(true, Ordering::Relaxed);
+        let from = cluster.owner_of(0);
+        let report = cluster
+            .migrate(0, 1 - from)
+            .expect("migration during a cleaning pass failed");
+        assert_eq!(report.verify_diff_bytes, 0);
+        assert!(
+            src.stats.cleanings.get() > cleanings,
+            "no cleaning pass ran during the migration"
+        );
+
+        let reader = connect(cluster, "reader");
+        for i in 0..KEYS {
+            assert_eq!(
+                reader.get(&key(i)).unwrap().as_deref(),
+                Some(&value(i, 1)[..]),
+                "key {i} does not read its last value after the move"
             );
         }
     });

@@ -90,13 +90,19 @@ fn every_registered_counter_lands_in_the_report() {
 
     // The cluster lane: multi-node placement with a live migration fired
     // mid-window, registering the cluster.*/meta.*/cluster.migrate.*
-    // families (including the migration delta stream's repl counters).
+    // families. The migration moves shard 0 from node 0 to node 1, and
+    // the pool it creates there counts its pmem work under that seat.
     let mut clu = spec();
     clu.nodes = 2;
     clu.shards = 2;
     clu.ops_per_client = 150;
     clu.migrate_at = Some(50_000);
-    names.extend(audit("cluster-migrate", &clu));
+    let clu_names = audit("cluster-migrate", &clu);
+    assert!(
+        clu_names.iter().any(|n| n == "n1.g0.pmem.flushes"),
+        "the migrated shard's destination pool registered no pmem counters"
+    );
+    names.extend(clu_names);
 
     // The cleaning lane: dual pools with a forced pass mid-window so the
     // server.cleaner.* family (including the backpressure counters) is
@@ -206,11 +212,6 @@ fn every_registered_counter_lands_in_the_report() {
         "cluster.node_restarts",
         "cluster.client.retargets",
         "cluster.client.refreshes",
-        // cluster layer: delta-stream mirror counters
-        "cluster.migrate.repl.mirror_objects",
-        "cluster.migrate.repl.mirror_bytes",
-        "cluster.migrate.repl.mirror_batches",
-        "cluster.migrate.repl.applied_objects",
         // replicated metadata service
         "meta.elections",
         "meta.terms",
