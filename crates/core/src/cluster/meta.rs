@@ -3,54 +3,51 @@
 //! Three (by default) replica processes, each on its own fabric node
 //! (`meta{r}`), keep the cluster's control-plane state — the placement
 //! map, per-node liveness, and the at-most-one in-flight migration —
-//! consistent through a small leader-based replicated log:
+//! consistent by replicating one small versioned [`MetaState`]:
 //!
 //! * **Terms + election.** Replicas start as followers. A follower that
 //!   hears nothing from a leader for its (deterministically staggered)
 //!   election timeout campaigns: it bumps its term, votes for itself, and
 //!   requests votes from its peers. A vote is granted at most once per
-//!   term and only to a candidate whose log is at least as up-to-date
-//!   (last term, then length) — the classic rule that keeps committed
-//!   entries on whoever wins. Majority grants make a leader.
-//! * **Log replication.** The leader appends commands from `Propose`
-//!   RPCs and replicates synchronously: every `Append` carries the
-//!   leader's *entire* log (the control-plane log is tiny — node
-//!   up/downs and migration edges — so wholesale shipping buys a much
-//!   simpler consistency argument: a follower with a stale or divergent
-//!   suffix is simply overwritten by the authoritative log). An entry is
-//!   committed once a majority (leader included) holds it; only then is
-//!   it applied and the proposer answered.
+//!   term and only to a candidate whose version `(term, index)` is at
+//!   least the voter's — Raft's up-to-date rule, with the version in
+//!   place of (last log term, length). Majority grants make a leader.
+//! * **State replication.** The leader applies a command from a
+//!   `Propose` RPC to its state, bumps the version to
+//!   `(term, index + 1)`, and replicates synchronously: every `Append`
+//!   carries the leader's version and *whole* state (a few dozen bytes),
+//!   which a follower at an equal or newer term adopts in place of its
+//!   own. A proposal is committed once a majority (leader included) acks
+//!   the round that ships it; only then is the proposer answered.
 //! * **Death detection via the virtual clock.** Each data node's agent
 //!   heartbeats the leader. The leader sweeps `last_seen` on its
-//!   heartbeat tick and proposes `NodeDown` through the log when a node
-//!   has been silent past the death timeout; a heartbeat from a down
-//!   node proposes `NodeUp`. Liveness transitions are therefore
-//!   replicated facts, not per-replica opinions.
+//!   heartbeat tick and proposes `NodeDown` when a node has been silent
+//!   past the death timeout; a heartbeat from a down node proposes
+//!   `NodeUp`. Liveness transitions are therefore replicated facts, not
+//!   per-replica opinions.
 //!
-//! Simplifications vs. full Raft, on purpose (and documented in
-//! DESIGN.md §10): full-suffix `Append` instead of per-follower
-//! nextIndex repair (each `Append` ships the latest snapshot plus every
-//! entry above it, so a stale or divergent follower is simply
-//! overwritten), and no commit-from-previous-term subtlety (wholesale
-//! replacement makes the follower's log equal the leader's before the
-//! ack that commits). Two load-bearing rules the simplifications do NOT
-//! relax:
+//! Shipping the whole state replaces Raft's log, per-follower nextIndex
+//! repair and compaction on purpose (DESIGN.md §10). Three load-bearing
+//! rules it does NOT relax:
 //!
-//! * **Persistence.** Term, vote, snapshot, and log are written to the
+//! * **Persistence.** Term, vote, version and state are written to the
 //!   replica's simulated stable storage before they are acted on over
 //!   the network, and a power-failed replica reboots *from* that
 //!   storage. Without this, a restarted replica could double-vote in a
 //!   term it already voted in, or grant a vote to a candidate missing a
-//!   committed entry — letting an acknowledged command be erased.
+//!   committed state — letting an acknowledged command be erased.
+//! * **Replicate-at-election.** A new leader stamps its state with its
+//!   own term, `(term, index + 1)` (Raft's no-op entry), persists it, and
+//!   runs a replication round before serving. A state it inherited from
+//!   an older term is committed only through that stamp: counting the
+//!   replicas that hold it is not enough, because a candidate holding an
+//!   uncommitted state written in a later (but still older) term could
+//!   then win a vote and erase it (Raft's "Figure 8").
 //! * **Read-index + step-down.** The leader only answers `GetMap` after
 //!   a replication round confirms a majority still follows it, and any
 //!   round that loses its majority makes it step down — so a deposed
 //!   leader on the wrong side of a partition can never serve a stale
 //!   placement map as authoritative.
-//!
-//! The log is compacted: once the applied prefix passes a threshold it
-//! is folded into a `MetaState` snapshot and truncated, keeping
-//! heartbeat `Append`s O(recent history) instead of O(all history).
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -62,7 +59,7 @@ use sim::Nanos;
 
 use super::placement::PlacementMap;
 
-/// Control-plane commands, totally ordered by the replicated log.
+/// Control-plane commands, applied one at a time by the leader.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetaCmd {
     /// `node` stopped heartbeating: mark it dead. Aborts an in-flight
@@ -132,12 +129,12 @@ impl MetaCmd {
     }
 }
 
-/// The applied (committed-prefix) control-plane state.
+/// The replicated control-plane state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MetaState {
     /// Who owns which shard, tagged with the placement epoch.
     pub placement: PlacementMap,
-    /// Per data node liveness, as decided through the log.
+    /// Per data node liveness, as decided by the leader's death sweep.
     pub alive: Vec<bool>,
     /// The at-most-one in-flight migration: `(shard, destination)`.
     pub migrating: Option<(u32, u32)>,
@@ -154,10 +151,9 @@ impl MetaState {
         }
     }
 
-    /// Apply one committed command. Total and deterministic: invalid
-    /// commands (e.g. a commit for a migration that was already aborted)
-    /// are no-ops, so every replica's applied state is a pure function of
-    /// the committed log prefix.
+    /// Apply one command. Total and deterministic: invalid commands (e.g.
+    /// a commit for a migration that was already aborted) are no-ops, so
+    /// a proposer reads what its command did from the returned state.
     pub fn apply(&mut self, cmd: &MetaCmd) {
         match *cmd {
             MetaCmd::NodeDown(n) => {
@@ -252,17 +248,15 @@ pub struct MetaStats {
     pub elections: Counter,
     /// Highest term ever adopted (gauge-as-counter: monotone max).
     pub terms: Counter,
-    /// Log entries committed (majority-acked) by a leader.
+    /// Proposals committed: a majority acked the round that shipped them.
     pub commits: Counter,
-    /// Committed entries applied to a replica's state machine.
-    pub applies: Counter,
     /// Append RPCs sent by leaders (heartbeats included).
     pub appends: Counter,
     /// Data-node heartbeats processed by a leader.
     pub heartbeats: Counter,
-    /// `NodeDown` transitions committed.
+    /// `NodeDown` proposals committed (each transition once).
     pub node_downs: Counter,
-    /// `NodeUp` transitions committed.
+    /// `NodeUp` proposals committed (each transition once).
     pub node_ups: Counter,
     /// Proposals rejected by leader-side validation.
     pub rejects: Counter,
@@ -273,11 +267,10 @@ pub struct MetaStats {
 impl MetaStats {
     /// Attach every counter to `reg` under `meta.*` names.
     pub fn register(&self, reg: &Registry) {
-        let pairs: [(&str, &Counter); 10] = [
+        let pairs: [(&str, &Counter); 9] = [
             ("meta.elections", &self.elections),
             ("meta.terms", &self.terms),
             ("meta.commits", &self.commits),
-            ("meta.applies", &self.applies),
             ("meta.appends", &self.appends),
             ("meta.heartbeats", &self.heartbeats),
             ("meta.node_downs", &self.node_downs),
@@ -341,39 +334,29 @@ fn get_u64(b: &[u8], off: usize) -> Option<u64> {
         .map(|s| u64::from_le_bytes(s.try_into().unwrap()))
 }
 
-/// Fold the applied prefix into the snapshot once this many applied
-/// entries sit above it (keeps every `Append` O(recent history)).
-const COMPACT_AT: usize = 32;
+fn get_u32(b: &[u8], off: usize) -> Option<u32> {
+    b.get(off..off + 4)
+        .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
+}
 
-/// A replica's simulated stable storage: exactly the state Raft requires
-/// to survive a power failure — current term, vote, and the log (here:
-/// snapshot + suffix). The [`MetaService`] owns one cell per replica; a
-/// restarted replica process reboots from it, so a vote it granted or an
-/// entry it acknowledged can never be un-acknowledged by a crash. The
-/// store is atomic (the sim's cooperative scheduling cannot preempt it),
-/// modelling an fsync'd write that completes before the next message is
-/// sent.
+/// A state's version, `(term, index)`: the term of the leader that wrote
+/// it and the number of writes since format. Versions compare as Raft
+/// compares (last log term, length).
+type Version = (u64, u64);
+
+/// A replica's simulated stable storage: exactly what must survive a
+/// power failure — current term, vote, and the versioned state. The
+/// [`MetaService`] owns one cell per replica; a restarted replica process
+/// reboots from it, so a vote it granted or a state it acknowledged can
+/// never be un-acknowledged by a crash. The store is atomic (the sim's
+/// cooperative scheduling cannot preempt it), modelling an fsync'd write
+/// that completes before the next message is sent.
 #[derive(Clone)]
 struct Durable {
     term: u64,
     voted_for: Option<u32>,
-    snap_base: usize,
-    snap_last_term: u64,
-    snap_state: MetaState,
-    log: Vec<(u64, MetaCmd)>,
-}
-
-impl Durable {
-    fn fresh(init: &MetaState) -> Durable {
-        Durable {
-            term: 0,
-            voted_for: None,
-            snap_base: 0,
-            snap_last_term: 0,
-            snap_state: init.clone(),
-            log: Vec::new(),
-        }
-    }
+    version: Version,
+    state: MetaState,
 }
 
 /// One replica of the metadata service.
@@ -396,17 +379,7 @@ struct Replica {
     voted_for: Option<u32>,
     is_leader: bool,
     leader_hint: u32,
-    /// Entries compacted into `snap_state` (absolute count) and the term
-    /// of the last one — the log below this index no longer exists.
-    snap_base: usize,
-    snap_last_term: u64,
-    /// The applied state at exactly `snap_base` entries.
-    snap_state: MetaState,
-    /// Log suffix: entry `i` here has absolute index `snap_base + i`.
-    log: Vec<(u64, MetaCmd)>,
-    /// Committed / applied prefixes, in absolute entry counts.
-    commit: usize,
-    applied: usize,
+    version: Version,
     state: MetaState,
 
     last_contact: Nanos,
@@ -443,7 +416,14 @@ impl MetaService {
             .map(|r| fabric.add_node(&format!("meta{r}")))
             .collect();
         let durable = (0..REPLICAS)
-            .map(|_| Arc::new(Mutex::new(Durable::fresh(&init))))
+            .map(|_| {
+                Arc::new(Mutex::new(Durable {
+                    term: 0,
+                    voted_for: None,
+                    version: (0, 0),
+                    state: init.clone(),
+                }))
+            })
             .collect();
         MetaService {
             nodes,
@@ -470,13 +450,11 @@ impl MetaService {
     }
 
     /// Re-admit a power-failed replica: restart its node and reboot the
-    /// process from its simulated stable storage. Term, vote, snapshot,
-    /// and log survive the failure — the classic Raft requirement — so
-    /// the restarted replica can neither double-vote in a term it
-    /// already voted in nor elect a candidate missing a committed entry.
-    /// Only the commit/applied cursors are volatile; they are relearned
-    /// from the next leader `Append` (or re-established by winning an
-    /// election and replicating).
+    /// process from its simulated stable storage. Term, vote, version and
+    /// state survive the failure — the classic Raft requirement — so the
+    /// restarted replica can neither double-vote in a term it already
+    /// voted in nor elect a candidate missing a committed state. It
+    /// reboots a follower and learns the leader from the next `Append`.
     pub fn restart_replica(&self, fabric: &Arc<Fabric>, r: usize) {
         fabric.restart_node(&self.nodes[r]);
         self.spawn_replica(fabric, r);
@@ -499,16 +477,8 @@ impl MetaService {
             voted_for: d.voted_for,
             is_leader: false,
             leader_hint: 0,
-            snap_base: d.snap_base,
-            snap_last_term: d.snap_last_term,
-            // Commit knowledge is volatile: resume applied at the
-            // snapshot and relearn the commit point from the next leader
-            // round. Entries in the restored suffix re-apply then.
-            commit: d.snap_base,
-            applied: d.snap_base,
-            state: d.snap_state.clone(),
-            snap_state: d.snap_state,
-            log: d.log,
+            version: d.version,
+            state: d.state,
             last_contact: sim::now(),
             next_heartbeat: 0,
             last_seen: vec![sim::now(); self.data_nodes],
@@ -533,27 +503,15 @@ impl Replica {
         self.n_replicas / 2 + 1
     }
 
-    /// Absolute log length: snapshot-covered entries + live suffix.
-    fn abs_len(&self) -> usize {
-        self.snap_base + self.log.len()
-    }
-
-    /// Term of the last log entry (falling back to the snapshot's).
-    fn last_log_term(&self) -> u64 {
-        self.log.last().map_or(self.snap_last_term, |e| e.0)
-    }
-
-    /// Write the Raft-persistent state (term, vote, snapshot, log) to
-    /// stable storage. Must run after every mutation of those fields and
-    /// before the mutation is acted on over the network.
+    /// Write term, vote, version and state to stable storage. Must run
+    /// after every mutation of those fields and before the mutation is
+    /// acted on over the network.
     fn persist(&self) {
         *self.durable.lock().unwrap() = Durable {
             term: self.term,
             voted_for: self.voted_for,
-            snap_base: self.snap_base,
-            snap_last_term: self.snap_last_term,
-            snap_state: self.snap_state.clone(),
-            log: self.log.clone(),
+            version: self.version,
+            state: self.state.clone(),
         };
     }
 
@@ -619,12 +577,11 @@ impl Replica {
         self.voted_for = Some(self.r as u32);
         self.persist();
         self.last_contact = sim::now();
-        let (last_term, last_len) = (self.last_log_term(), self.abs_len());
         let mut req = vec![M_REQUEST_VOTE];
         put_u64(&mut req, self.term);
         req.extend_from_slice(&(self.r as u32).to_le_bytes());
-        put_u64(&mut req, last_term);
-        put_u64(&mut req, last_len as u64);
+        put_u64(&mut req, self.version.0);
+        put_u64(&mut req, self.version.1);
 
         let mut votes = 1usize; // self
         for p in 0..self.n_replicas {
@@ -663,41 +620,33 @@ impl Replica {
             let now = sim::now();
             self.last_seen.iter_mut().for_each(|t| *t = now);
             self.stats.elections.inc();
-            // Establish the committed prefix BEFORE serving: the log
-            // entries inherited from the previous term are not known
-            // committed (or applied) until a replication round succeeds,
-            // and a read or proposal validated against the lagging state
-            // in that window would be answered from the past — e.g. a
-            // `MigrateCommit` rejected because the already-majority-held
-            // `MigrateStart` has not been applied here yet.
+            // Stamp the inherited state with this term, then replicate it
+            // BEFORE serving. Counting the replicas that hold an
+            // older-term state does not commit it — a candidate holding an
+            // uncommitted state from a later term could still win a vote
+            // and erase it — but a majority holding this term's stamp
+            // does. Serving before the round would also answer from a
+            // state no majority may hold yet.
+            self.version = (self.term, self.version.1 + 1);
+            self.persist();
             self.replicate();
         }
     }
 
-    /// Ship the snapshot + log suffix to every peer; commit once a
-    /// majority holds it. Doubles as the heartbeat AND as the leadership
-    /// confirmation: returns `true` iff a majority acked this round. A
-    /// round that loses its majority steps the leader down — a quorum on
-    /// the other side of a partition may already follow a newer leader,
-    /// so continuing to serve reads or validate proposals here would use
+    /// Ship the version and state to every peer. Doubles as the
+    /// heartbeat AND as the leadership confirmation: returns `true` iff a
+    /// majority acked this round, i.e. holds this state. A round that
+    /// loses its majority steps the leader down — a quorum on the other
+    /// side of a partition may already follow a newer leader, so
+    /// continuing to serve reads or validate proposals here would use
     /// stale state.
     fn replicate(&mut self) -> bool {
         let mut msg = vec![M_APPEND];
         put_u64(&mut msg, self.term);
         msg.extend_from_slice(&(self.r as u32).to_le_bytes());
-        put_u64(&mut msg, self.commit as u64);
-        put_u64(&mut msg, self.snap_base as u64);
-        put_u64(&mut msg, self.snap_last_term);
-        let snap = self.snap_state.encode();
-        msg.extend_from_slice(&(snap.len() as u32).to_le_bytes());
-        msg.extend_from_slice(&snap);
-        put_u64(&mut msg, self.log.len() as u64);
-        for (term, cmd) in &self.log {
-            put_u64(&mut msg, *term);
-            let c = cmd.encode();
-            msg.extend_from_slice(&(c.len() as u16).to_le_bytes());
-            msg.extend_from_slice(&c);
-        }
+        put_u64(&mut msg, self.version.0);
+        put_u64(&mut msg, self.version.1);
+        msg.extend_from_slice(&self.state.encode());
 
         let mut acks = 1usize; // self
         for p in 0..self.n_replicas {
@@ -741,73 +690,30 @@ impl Replica {
             self.last_contact = sim::now();
             return false;
         }
-        if self.commit < self.abs_len() {
-            let newly = self.abs_len() - self.commit;
-            self.commit = self.abs_len();
-            self.stats.commits.add(newly as u64);
-            self.apply_committed();
-        }
         true
     }
 
-    fn apply_committed(&mut self) {
-        while self.applied < self.commit {
-            let cmd = self.log[self.applied - self.snap_base].1.clone();
-            match cmd {
-                MetaCmd::NodeDown(_) => self.stats.node_downs.inc(),
-                MetaCmd::NodeUp(_) => self.stats.node_ups.inc(),
-                _ => {}
-            }
-            self.state.apply(&cmd);
-            self.applied += 1;
-            self.stats.applies.inc();
-        }
-        self.maybe_compact();
-    }
-
-    /// Fold the applied prefix into the snapshot once it outgrows the
-    /// threshold and truncate it from the log, so `Append` traffic stays
-    /// proportional to recent history rather than all history.
-    fn maybe_compact(&mut self) {
-        let applied_suffix = self.applied - self.snap_base;
-        if applied_suffix < COMPACT_AT {
-            return;
-        }
-        self.snap_last_term = self.log[applied_suffix - 1].0;
-        self.log.drain(..applied_suffix);
-        self.snap_base = self.applied;
-        self.snap_state = self.state.clone();
-        self.persist();
-    }
-
-    /// Is `cmd` already sitting in the uncommitted tail? Re-proposing an
-    /// identical command while one is in flight (e.g. a `NodeDown` per
-    /// sweep tick during a no-majority window) would only grow the log.
-    fn has_pending(&self, cmd: &MetaCmd) -> bool {
-        self.log[self.commit - self.snap_base..]
-            .iter()
-            .any(|(_, c)| c == cmd)
-    }
-
-    /// Leader-side proposal: validate against applied state, append,
-    /// replicate synchronously. `true` iff committed.
+    /// Leader-side proposal: apply `cmd` to the state, bump the version,
+    /// persist, and replicate synchronously. `true` iff committed. A
+    /// failed round leaves the new state in place, uncommitted, and steps
+    /// the leader down.
     fn propose(&mut self, cmd: MetaCmd) -> bool {
         if !self.is_leader {
             return false;
         }
-        // Leader-side validation keeps obviously-invalid commands out of
-        // the log; apply() is still total for safety.
-        let mut probe = self.state.clone();
-        let before = probe.clone();
-        probe.apply(&cmd);
-        if probe == before && !matches!(cmd, MetaCmd::NodeUp(_) | MetaCmd::NodeDown(_)) {
-            self.stats.rejects.inc();
+        self.state.apply(&cmd);
+        self.version = (self.term, self.version.1 + 1);
+        self.persist();
+        if !self.replicate() {
             return false;
         }
-        self.log.push((self.term, cmd));
-        self.persist();
-        self.replicate();
-        self.commit >= self.abs_len()
+        self.stats.commits.inc();
+        match cmd {
+            MetaCmd::NodeDown(_) => self.stats.node_downs.inc(),
+            MetaCmd::NodeUp(_) => self.stats.node_ups.inc(),
+            _ => {}
+        }
+        true
     }
 
     fn death_sweep(&mut self) {
@@ -817,10 +723,7 @@ impl Replica {
                 return; // a failed propose round deposed us mid-sweep
             }
             if self.state.alive[i] && now.saturating_sub(self.last_seen[i]) > DEATH_TIMEOUT {
-                let cmd = MetaCmd::NodeDown(i as u32);
-                if !self.has_pending(&cmd) {
-                    self.propose(cmd);
-                }
+                self.propose(MetaCmd::NodeDown(i as u32));
             }
         }
     }
@@ -839,16 +742,11 @@ impl Replica {
 
     fn on_request_vote(&mut self, b: &[u8]) -> Vec<u8> {
         let term = get_u64(b, 1).unwrap_or(0);
-        let cand = b
-            .get(9..13)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-            .unwrap_or(0);
-        let cand_last_term = get_u64(b, 13).unwrap_or(0);
-        let cand_len = get_u64(b, 21).unwrap_or(0) as usize;
+        let cand = get_u32(b, 9).unwrap_or(0);
+        let cand_version = (get_u64(b, 13).unwrap_or(0), get_u64(b, 21).unwrap_or(0));
         self.adopt_term(term);
-        let up_to_date = (cand_last_term, cand_len) >= (self.last_log_term(), self.abs_len());
         let grant = term == self.term
-            && up_to_date
+            && cand_version >= self.version
             && (self.voted_for.is_none() || self.voted_for == Some(cand));
         if grant {
             self.voted_for = Some(cand);
@@ -863,32 +761,17 @@ impl Replica {
 
     fn on_append(&mut self, b: &[u8]) -> Vec<u8> {
         let term = get_u64(b, 1).unwrap_or(0);
-        let leader = b
-            .get(9..13)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-            .unwrap_or(0);
         let mut ok = false;
         if term >= self.term {
             self.adopt_term(term);
             self.is_leader = false;
-            self.leader_hint = leader;
+            self.leader_hint = get_u32(b, 9).unwrap_or(0);
             self.last_contact = sim::now();
-            if let Some(m) = decode_append(b) {
-                self.snap_base = m.snap_base;
-                self.snap_last_term = m.snap_last_term;
-                self.log = m.log;
-                if self.applied < m.snap_base {
-                    // Our applied prefix ends inside the leader's
-                    // snapshot: jump straight to the snapshot state.
-                    self.state = m.snap_state.clone();
-                    self.applied = m.snap_base;
-                }
-                self.snap_state = m.snap_state;
-                // Committed prefixes agree, so entries we already applied
-                // stay committed even under a leader whose commit
-                // knowledge lags ours (hence the `max`).
-                self.commit = m.commit.min(self.abs_len()).max(self.applied);
-                self.apply_committed();
+            let version = get_u64(b, 13).zip(get_u64(b, 21));
+            if let (Some(version), Some(state)) = (version, b.get(29..).and_then(MetaState::decode))
+            {
+                self.version = version;
+                self.state = state;
                 self.persist();
                 ok = true;
             }
@@ -899,46 +782,45 @@ impl Replica {
         r
     }
 
+    /// The `NotLeader` reply to a client RPC: status and leader hint.
+    fn not_leader(&self, op: u8) -> Vec<u8> {
+        let mut r = vec![op, S_NOT_LEADER];
+        r.extend_from_slice(&self.leader_hint.to_le_bytes());
+        r
+    }
+
     fn on_get_map(&mut self) -> Vec<u8> {
-        let mut r = vec![R_MAP];
         // Read-index: confirm leadership with a majority round before
         // answering. A deposed leader partitioned away from the quorum
         // otherwise serves a placement map that predates commits on the
         // other side — e.g. telling a migration driver its commit
         // "provably did not land" while the real leader flipped
         // ownership, double-owning the shard.
-        if self.is_leader && self.replicate() {
-            self.stats.getmaps.inc();
-            r.push(S_OK);
-            r.extend_from_slice(&self.state.encode());
-        } else {
-            r.push(S_NOT_LEADER);
-            r.extend_from_slice(&self.leader_hint.to_le_bytes());
+        if !(self.is_leader && self.replicate()) {
+            return self.not_leader(R_MAP);
         }
+        self.stats.getmaps.inc();
+        let mut r = vec![R_MAP, S_OK];
+        r.extend_from_slice(&self.state.encode());
         r
     }
 
     fn on_propose(&mut self, b: &[u8]) -> Vec<u8> {
-        let mut r = vec![R_PROPOSE];
         if !self.is_leader {
-            r.push(S_NOT_LEADER);
-            r.extend_from_slice(&self.leader_hint.to_le_bytes());
-            return r;
+            return self.not_leader(R_PROPOSE);
         }
+        let mut r = vec![R_PROPOSE];
         let Some((cmd, _)) = MetaCmd::decode(&b[1..]) else {
             r.push(S_REJECTED);
             return r;
         };
         // Distinguish "invalid" from "no majority reachable".
         let mut probe = self.state.clone();
-        let before = probe.clone();
         probe.apply(&cmd);
-        if probe == before {
+        if probe == self.state {
             self.stats.rejects.inc();
             r.push(S_REJECTED);
-            return r;
-        }
-        if self.propose(cmd) {
+        } else if self.propose(cmd) {
             r.push(S_OK);
             r.extend_from_slice(&self.state.encode());
         } else {
@@ -948,70 +830,19 @@ impl Replica {
     }
 
     fn on_heartbeat(&mut self, b: &[u8]) -> Vec<u8> {
-        let mut r = vec![R_HEARTBEAT_ACK];
         if !self.is_leader {
-            r.push(S_NOT_LEADER);
-            r.extend_from_slice(&self.leader_hint.to_le_bytes());
-            return r;
+            return self.not_leader(R_HEARTBEAT_ACK);
         }
-        let node = b
-            .get(1..5)
-            .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-            .unwrap_or(u32::MAX) as usize;
+        let node = get_u32(b, 1).unwrap_or(u32::MAX) as usize;
         if node < self.data_nodes {
             self.stats.heartbeats.inc();
             self.last_seen[node] = sim::now();
             if !self.state.alive[node] {
-                let cmd = MetaCmd::NodeUp(node as u32);
-                if !self.has_pending(&cmd) {
-                    self.propose(cmd);
-                }
+                self.propose(MetaCmd::NodeUp(node as u32));
             }
         }
-        r.push(S_OK);
-        r
+        vec![R_HEARTBEAT_ACK, S_OK]
     }
-}
-
-/// Decoded body of an `Append`: the leader's snapshot plus every entry
-/// above it, and its commit point.
-struct AppendMsg {
-    commit: usize,
-    snap_base: usize,
-    snap_last_term: u64,
-    snap_state: MetaState,
-    log: Vec<(u64, MetaCmd)>,
-}
-
-fn decode_append(b: &[u8]) -> Option<AppendMsg> {
-    let commit = get_u64(b, 13)? as usize;
-    let snap_base = get_u64(b, 21)? as usize;
-    let snap_last_term = get_u64(b, 29)?;
-    let snap_len = b
-        .get(37..41)
-        .map(|s| u32::from_le_bytes(s.try_into().unwrap()))? as usize;
-    let snap_state = MetaState::decode(b.get(41..41 + snap_len)?)?;
-    let mut off = 41 + snap_len;
-    let n = get_u64(b, off)? as usize;
-    off += 8;
-    let mut log = Vec::with_capacity(n);
-    for _ in 0..n {
-        let term = get_u64(b, off)?;
-        off += 8;
-        let len = u16::from_le_bytes(b.get(off..off + 2)?.try_into().unwrap()) as usize;
-        off += 2;
-        let (cmd, used) = MetaCmd::decode(b.get(off..off + len)?)?;
-        debug_assert_eq!(used, len);
-        off += len;
-        log.push((term, cmd));
-    }
-    Some(AppendMsg {
-        commit,
-        snap_base,
-        snap_last_term,
-        snap_state,
-        log,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -1054,88 +885,73 @@ impl MetaClient {
         }
     }
 
-    /// One RPC against the presumed leader; `Err(hint)` asks the caller
-    /// to re-dial `hint` (or the next replica when `None`).
-    fn try_rpc(&mut self, r: usize, req: &[u8]) -> Result<Vec<u8>, Option<usize>> {
+    /// One RPC against replica `r`; `None` on any transport failure, which
+    /// also drops the connection.
+    fn try_rpc(&mut self, r: usize, req: &[u8]) -> Option<Vec<u8>> {
         if self.conn.as_ref().map(|(i, _)| *i) != Some(r) {
-            match self.fabric.connect(&self.local, &self.nodes[r]) {
-                Ok(qp) => self.conn = Some((r, qp)),
-                Err(_) => {
-                    self.conn = None;
-                    return Err(None);
-                }
-            }
+            self.conn = self
+                .fabric
+                .connect(&self.local, &self.nodes[r])
+                .ok()
+                .map(|qp| (r, qp));
         }
-        let qp = &self.conn.as_ref().unwrap().1;
+        let qp = &self.conn.as_ref()?.1;
         let deadline = sim::now() + self.rpc_timeout;
-        if qp.send(req.to_vec()).is_err() {
+        let reply = qp
+            .send(req.to_vec())
+            .ok()
+            .and_then(|_| qp.recv_reply_deadline(deadline).ok());
+        if reply.is_none() {
             self.conn = None;
-            return Err(None);
         }
-        match qp.recv_reply_deadline(deadline) {
-            Ok(b) => Ok(b),
-            Err(_) => {
-                self.conn = None;
-                Err(None)
-            }
-        }
+        reply
     }
 
-    /// Run `req` against the service, following `NotLeader` hints, until
-    /// `deadline`. The closure maps a raw leader reply to `Some(T)` or
-    /// `None` (= malformed / retry).
+    /// Run `req` against the service until `deadline`, starting at the
+    /// presumed leader and following `NotLeader` hints. `parse` maps the
+    /// `(status, body)` of a `reply_op` reply to `Some(T)`, or to `None`
+    /// (malformed: try the next replica).
     fn leader_rpc<T>(
         &mut self,
         req: &[u8],
+        reply_op: u8,
         deadline: Nanos,
-        mut parse: impl FnMut(&[u8]) -> Option<LeaderReply<T>>,
+        parse: impl Fn(u8, &[u8]) -> Option<T>,
     ) -> Option<T> {
         let mut r = self.conn.as_ref().map(|(i, _)| *i).unwrap_or(0);
         loop {
             if sim::now() >= deadline {
                 return None;
             }
-            match self.try_rpc(r, req) {
-                Ok(b) => match parse(&b) {
-                    Some(LeaderReply::Done(t)) => return Some(t),
-                    Some(LeaderReply::NotLeader(hint)) => {
-                        let hint = hint as usize;
-                        r = if hint < self.nodes.len() && hint != r {
-                            hint
-                        } else {
-                            (r + 1) % self.nodes.len()
-                        };
-                        self.conn = None;
-                        sim::sleep(sim::micros(5));
+            let mut hint = None;
+            if let Some(b) = self
+                .try_rpc(r, req)
+                .filter(|b| b.first() == Some(&reply_op))
+            {
+                match b.get(1) {
+                    Some(&S_NOT_LEADER) => hint = get_u32(&b, 2).map(|h| h as usize),
+                    Some(&status) => {
+                        if let Some(t) = parse(status, &b[2..]) {
+                            return Some(t);
+                        }
                     }
-                    None => {
-                        r = (r + 1) % self.nodes.len();
-                        self.conn = None;
-                        sim::sleep(sim::micros(5));
-                    }
-                },
-                Err(_) => {
-                    r = (r + 1) % self.nodes.len();
-                    sim::sleep(sim::micros(5));
+                    None => {}
                 }
             }
+            let n = self.nodes.len();
+            r = hint.filter(|&h| h < n && h != r).unwrap_or((r + 1) % n);
+            self.conn = None;
+            sim::sleep(sim::micros(5));
         }
     }
 
     /// Fetch the committed control-plane state from the leader.
     pub fn get_map(&mut self, deadline: Nanos) -> Option<MetaState> {
-        self.leader_rpc(&[M_GET_MAP], deadline, |b| {
-            if b.first() != Some(&R_MAP) {
-                return None;
-            }
-            match b.get(1) {
-                Some(&S_OK) => MetaState::decode(&b[2..]).map(LeaderReply::Done),
-                Some(&S_NOT_LEADER) => Some(LeaderReply::NotLeader(
-                    b.get(2..6)
-                        .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-                        .unwrap_or(u32::MAX),
-                )),
-                _ => None,
+        self.leader_rpc(&[M_GET_MAP], R_MAP, deadline, |status, body| {
+            if status == S_OK {
+                MetaState::decode(body)
+            } else {
+                None
             }
         })
     }
@@ -1144,22 +960,11 @@ impl MetaClient {
     pub fn propose(&mut self, cmd: &MetaCmd, deadline: Nanos) -> ProposeOutcome {
         let mut req = vec![M_PROPOSE];
         req.extend_from_slice(&cmd.encode());
-        let out = self.leader_rpc(&req, deadline, |b| {
-            if b.first() != Some(&R_PROPOSE) {
-                return None;
-            }
-            match b.get(1) {
-                Some(&S_OK) => MetaState::decode(&b[2..])
-                    .map(|s| LeaderReply::Done(ProposeOutcome::Committed(s))),
-                Some(&S_REJECTED) => Some(LeaderReply::Done(ProposeOutcome::Rejected)),
-                Some(&S_UNAVAILABLE) => Some(LeaderReply::Done(ProposeOutcome::Unavailable)),
-                Some(&S_NOT_LEADER) => Some(LeaderReply::NotLeader(
-                    b.get(2..6)
-                        .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-                        .unwrap_or(u32::MAX),
-                )),
-                _ => None,
-            }
+        let out = self.leader_rpc(&req, R_PROPOSE, deadline, |status, body| match status {
+            S_OK => MetaState::decode(body).map(ProposeOutcome::Committed),
+            S_REJECTED => Some(ProposeOutcome::Rejected),
+            S_UNAVAILABLE => Some(ProposeOutcome::Unavailable),
+            _ => None,
         });
         out.unwrap_or(ProposeOutcome::Unavailable)
     }
@@ -1169,27 +974,11 @@ impl MetaClient {
     pub fn heartbeat(&mut self, node: usize, deadline: Nanos) -> bool {
         let mut req = vec![M_HEARTBEAT];
         req.extend_from_slice(&(node as u32).to_le_bytes());
-        self.leader_rpc(&req, deadline, |b| {
-            if b.first() != Some(&R_HEARTBEAT_ACK) {
-                return None;
-            }
-            match b.get(1) {
-                Some(&S_OK) => Some(LeaderReply::Done(())),
-                Some(&S_NOT_LEADER) => Some(LeaderReply::NotLeader(
-                    b.get(2..6)
-                        .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
-                        .unwrap_or(u32::MAX),
-                )),
-                _ => None,
-            }
+        self.leader_rpc(&req, R_HEARTBEAT_ACK, deadline, |status, _| {
+            (status == S_OK).then_some(())
         })
         .is_some()
     }
-}
-
-enum LeaderReply<T> {
-    Done(T),
-    NotLeader(u32),
 }
 
 #[cfg(test)]

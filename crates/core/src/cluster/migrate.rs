@@ -4,7 +4,7 @@
 //! # Protocol (the migration state machine)
 //!
 //! 1. **Start** — `MigrateStart{shard, to}` is committed through the
-//!    metadata log (rejected if a migration is already in flight, the
+//!    metadata service (rejected if a migration is already in flight, the
 //!    destination is down, or it already owns the shard). Ownership does
 //!    NOT change yet; the source keeps serving.
 //! 2. **Live copy** — the driver bulk-copies the source's hash table and
@@ -228,7 +228,7 @@ impl Unwind<'_> {
             deadline,
         );
         if matches!(outcome, ProposeOutcome::Unavailable) {
-            // The abort may never have reached the log. Both endpoints
+            // The abort may never have reached a majority. Both endpoints
             // are (or may be) alive, so the death sweep will never free
             // the slot for us — park the abort for `Store::reconcile`
             // to re-propose once a metadata majority is reachable.
@@ -241,7 +241,7 @@ impl Unwind<'_> {
 
 /// The commit proposal came back `Unavailable` — ambiguous: the command
 /// may have replicated before the ack was lost (or the leader died and
-/// the command died with it). Resolve against the authoritative log: an
+/// the command died with it). Resolve against the authoritative map: an
 /// owner flip to `to` means it committed; a slot that is no longer ours
 /// means it provably did not and can no longer (the death sweep's
 /// auto-abort won the race); a slot still holding this exact migration
@@ -307,9 +307,9 @@ impl Store {
             },
             sim::now() + sim::millis(2),
         ) {
-            // `apply` is total: a conflicting entry ahead of ours in the
-            // log can no-op our command even though the proposal itself
-            // "committed". Trust the returned state, not the status.
+            // `apply` is total: a conflicting command ahead of ours can
+            // no-op it even though the proposal itself "committed". Trust
+            // the returned state, not the status.
             ProposeOutcome::Committed(state)
                 if state.migrating == Some((shard as u32, to as u32)) => {}
             ProposeOutcome::Committed(_) => return Err(MigrateError::Rejected),
@@ -469,16 +469,16 @@ impl Store {
         );
         let resolved = match outcome {
             // Believe the flip only if the returned state shows it (apply
-            // is total, so a conflicting entry ahead of ours can no-op
+            // is total, so a conflicting command ahead of ours can no-op
             // the command under a "committed" status).
             ProposeOutcome::Committed(state) if state.placement.node_of_shard(shard) == to => {
                 Some(Ok(state.placement.epoch))
             }
             // Everything else is ambiguous, not refused: `Unavailable`
             // may have replicated before the ack was lost, and `Rejected`
-            // may be our own commit landing in a previous leader's log
+            // may be our own commit landing in a previous leader's state
             // and the retry reaching its successor as a duplicate. Settle
-            // against the authoritative log.
+            // against the authoritative map.
             _ => resolve_commit(unwind.mc, shard, to),
         };
         let epoch = match resolved {

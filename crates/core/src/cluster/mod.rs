@@ -7,10 +7,10 @@
 //!
 //! * [`placement::PlacementMap`] — the deterministic shard→node map,
 //!   tagged with a monotonically increasing **placement epoch**;
-//! * [`meta`] — a small leader-based, log-replicated metadata service
-//!   (3 replicas over the same simulated fabric) that owns the placement
-//!   map, detects node death via heartbeats on the virtual clock, and
-//!   serializes every ownership change;
+//! * [`meta`] — a small leader-based metadata service (3 replicas over
+//!   the same simulated fabric) that replicates one versioned state: it
+//!   owns the placement map, detects node death via heartbeats on the
+//!   virtual clock, and serializes every ownership change;
 //! * [`migrate`] — **live shard migration**: copy the shard's pool to
 //!   the destination while client traffic keeps flowing, seal + drain,
 //!   repair what the copy raced in a fixup pass, verify the copy
@@ -569,7 +569,7 @@ impl Store {
     }
 
     /// Restart metadata replica `r` from its simulated stable storage:
-    /// term, vote, snapshot, and log survive the power failure (see
+    /// term, vote, version and state survive the power failure (see
     /// [`MetaService::restart_replica`]). Must run inside a simulated
     /// process.
     pub fn restart_meta_replica(&self, r: usize) {

@@ -14,7 +14,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use efactory::client::ClientConfig;
-use efactory::cluster::{MetaClient, MigrateError};
+use efactory::cluster::meta::ProposeOutcome;
+use efactory::cluster::{MetaClient, MetaCmd, MigrateError};
 use efactory::log::StoreLayout;
 use efactory::server::ServerConfig;
 use efactory::store::{Store, StoreClient};
@@ -420,6 +421,79 @@ fn committed_placement_survives_meta_majority_power_failure() {
         );
         cluster.restart_meta_replica(0);
         assert_single_owner(cluster, 0, KEYS, "post-meta-power-fail");
+    });
+}
+
+/// A state a new metadata leader inherited from an older term is
+/// committed only by the stamp of its own term, never by counting the
+/// replicas that hold it. (Regression, Raft's "Figure 8": a leader used
+/// to commit an inherited `MigrateStart` by replicating it alone, so a
+/// candidate holding an uncommitted state from a later term could then
+/// win a vote and erase a start a client had already been served.)
+#[test]
+fn served_meta_state_survives_a_later_terms_candidate() {
+    with_cluster(808, 2, 2, |cluster| {
+        let probe = cluster.fabric().add_node("figure8-probe");
+        let mut mc = MetaClient::new(cluster.fabric(), &probe, cluster.meta_nodes());
+        let served = |mc: &mut MetaClient| {
+            let deadline = sim::now() + sim::millis(20);
+            loop {
+                if let Some(s) = mc.get_map(sim::now() + sim::micros(500)) {
+                    break s;
+                }
+                assert!(sim::now() < deadline, "no metadata leader was elected");
+                sim::sleep(sim::micros(100));
+            }
+        };
+        // Crash `peers`, then propose `cmd` to the leader `served` just
+        // found. The pause lets any heartbeat round in flight finish, so
+        // the leader is still leading when `cmd` arrives; a prompt
+        // `Unavailable` shows it applied `cmd` and then lost its round.
+        let propose_alone = |mc: &mut MetaClient, peers: &[usize], cmd: MetaCmd| {
+            sim::sleep(sim::micros(5));
+            for &r in peers {
+                cluster.crash_meta_replica(r, 0xF8_0000 + r as u64);
+            }
+            let t = sim::now();
+            let out = mc.propose(&cmd, t + sim::micros(500));
+            assert_eq!(out, ProposeOutcome::Unavailable, "{cmd:?} reached a peer");
+            assert!(
+                sim::now() - t < sim::micros(50),
+                "{cmd:?} never reached a leader"
+            );
+        };
+
+        // 1. Leader 0 takes X with both peers down: X lands on replica 0
+        //    alone, uncommitted.
+        served(&mut mc);
+        propose_alone(&mut mc, &[1, 2], MetaCmd::MigrateStart { shard: 0, to: 1 });
+
+        // 2. Replicas 1 and 2 elect 1 in a later term, which takes Y with
+        //    its only peer down: Y lands on replica 1 alone.
+        cluster.crash_meta_replica(0, 0xF8_0010);
+        cluster.restart_meta_replica(1);
+        cluster.restart_meta_replica(2);
+        served(&mut mc);
+        propose_alone(&mut mc, &[2], MetaCmd::MigrateStart { shard: 1, to: 0 });
+
+        // 3. Replicas 0 and 2 elect a leader, which serves a state.
+        cluster.crash_meta_replica(1, 0xF8_0011);
+        cluster.restart_meta_replica(0);
+        cluster.restart_meta_replica(2);
+        let at_step3 = served(&mut mc).migrating;
+
+        // 4. Replicas 1 and 2 elect a leader. Every state served from here
+        //    on must still hold step 3's migration slot.
+        cluster.crash_meta_replica(0, 0xF8_0020);
+        cluster.restart_meta_replica(1);
+        for _ in 0..10 {
+            assert_eq!(
+                served(&mut mc).migrating,
+                at_step3,
+                "a later leader erased a metadata state that was already served"
+            );
+            sim::sleep(sim::micros(100));
+        }
     });
 }
 

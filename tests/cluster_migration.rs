@@ -8,7 +8,8 @@
 //! * **Live migration is lossless**: a writer keeps acknowledging PUTs
 //!   while the shard moves; every acknowledged write is readable from
 //!   the new owner afterwards, none duplicated, and the fixup pass
-//!   demonstrably repaired bytes the live copy raced.
+//!   demonstrably repaired bytes the live copy raced — one write is
+//!   timed to land after the copy fixed its head.
 //! * **Cleaning composes**: a shard migrates off a cleaner-produced pool,
 //!   and a pass still in flight when the live copy ends holds the seal
 //!   back until it finishes.
@@ -28,6 +29,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use efactory::client::ClientConfig;
+use efactory::cluster::key_shard;
 use efactory::log::StoreLayout;
 use efactory::protocol::{Status, StoreError};
 use efactory::server::ServerConfig;
@@ -209,6 +211,32 @@ fn live_migration_under_traffic_is_lossless() {
             }
         });
 
+        // Racer: connected before the move, it PUTs one shard-0 key once
+        // the driver has committed the start, which it counts just before
+        // it fixes the copy's head. That write lands above the copied log,
+        // so only the fixup pass can carry it to the new owner.
+        let racer_key = (0..)
+            .map(|i| format!("racer-{i}").into_bytes())
+            .find(|k| key_shard(k, 2) == 0)
+            .unwrap();
+        let fabric = Arc::clone(cluster.fabric());
+        let routes = cluster.routes();
+        let stats = Arc::clone(cluster.stats());
+        let k = racer_key.clone();
+        let racer = sim::spawn("racer", move || {
+            let c = StoreClient::connect(
+                &fabric,
+                &fabric.add_node("racer-node"),
+                &routes,
+                client_cfg(),
+            )
+            .expect("racer connect");
+            while stats.migrations_started.get() == 0 {
+                sim::sleep(sim::micros(1));
+            }
+            c.put(&k, b"raced").expect("racer put failed");
+        });
+
         // Give the writer a head start so the migration races real load.
         sim::sleep(sim::micros(200));
         let from = cluster.owner_of(0);
@@ -218,6 +246,7 @@ fn live_migration_under_traffic_is_lossless() {
             report.fixup_bytes > 0,
             "fixup rewrote nothing — the live copy did not race traffic"
         );
+        racer.join();
 
         // Let the writer observe the new placement, then stop it.
         sim::sleep(sim::millis(1));
@@ -240,6 +269,12 @@ fn live_migration_under_traffic_is_lossless() {
             );
             assert_eq!(got, value(i, got_ver), "key {i} bytes corrupted");
         }
+        assert_eq!(cluster.owner_of(0), 1 - from);
+        assert_eq!(
+            fresh.get(&racer_key).unwrap().as_deref(),
+            Some(&b"raced"[..]),
+            "the write that raced the copy is missing from the new owner"
+        );
         // The writer demonstrably retargeted (its old conns saw the seal).
         assert!(
             cluster.stats().client_retargets.get() > 0,

@@ -12,6 +12,11 @@
 //! Determinism makes this sweep exact: the same seed reproduces the same
 //! interleaving, so each grid point examines one precise cut of the
 //! protocol.
+//!
+//! `EF_TEST_CHAOS` is a seed, as in every suite: a non-zero value adds a
+//! second pass of the migration sweeps (that seed as the `Sim` seed, every
+//! crash instant shifted by `seed % 5 µs`) and of the three mid-clean
+//! sweeps (their grid shifted by `seed % step`).
 
 use std::sync::Arc;
 
@@ -26,6 +31,14 @@ use efactory_sim as sim;
 use efactory_sim::{Nanos, Sim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// `EF_TEST_CHAOS` as a seed: `Some` when it is set and non-zero.
+fn chaos_seed() -> Option<u64> {
+    std::env::var("EF_TEST_CHAOS")
+        .ok()
+        .and_then(|v| v.trim().parse().ok())
+        .filter(|&seed| seed != 0)
+}
 
 const OLD: &[u8] = b"old-value-0123456789abcdef";
 const NEW: &[u8] = b"new-value-fedcba9876543210";
@@ -653,7 +666,7 @@ enum MigVictim {
     /// ambiguous-outcome case.
     Dest,
     /// One metadata replica (0 = the initial leader, forcing a
-    /// re-election; 1/2 = a follower, whose durable log must still serve
+    /// re-election; 1/2 = a follower, whose durable state must still serve
     /// the surviving majority): the commit must ride it out either way.
     MetaReplica(usize),
 }
@@ -799,7 +812,22 @@ fn migration_crash_at(victim: MigVictim, t_crash: Nanos, seed: u64) -> bool {
     v
 }
 
+/// The passes of a migration sweep, as `(Sim seed, shift of every crash
+/// instant)`: the sweep's own seed unshifted, then a non-zero
+/// `EF_TEST_CHAOS` seed shifted by `seed % 5 µs`.
+fn migration_passes(seed: u64) -> Vec<(u64, Nanos)> {
+    let mut passes = vec![(seed, 0)];
+    passes.extend(chaos_seed().map(|chaos| (chaos, chaos % sim::micros(5))));
+    passes
+}
+
 fn migration_sweep(victim: MigVictim, seed: u64) {
+    for (seed, shift) in migration_passes(seed) {
+        migration_sweep_pass(victim, seed, shift);
+    }
+}
+
+fn migration_sweep_pass(victim: MigVictim, seed: u64, shift: Nanos) {
     // The quiescent migration spans ~85 µs of virtual time; the coarse
     // grid covers the whole protocol plus a post-commit tail, and the
     // fine grid brackets the adopt/commit window where the ambiguous
@@ -809,7 +837,7 @@ fn migration_sweep(victim: MigVictim, seed: u64) {
     let mut saw_commit = false;
     let mut saw_fail = false;
     for t in points {
-        if migration_crash_at(victim, t, seed) {
+        if migration_crash_at(victim, t + shift, seed) {
             saw_commit = true;
         } else {
             saw_fail = true;
@@ -819,18 +847,18 @@ fn migration_sweep(victim: MigVictim, seed: u64) {
     // faults kill the migration, post-commit faults cannot un-commit it.
     assert!(
         saw_commit,
-        "{victim:?}: sweep never committed — late points should land after the flip"
+        "{victim:?} (seed {seed}): sweep never committed — late points should land after the flip"
     );
     match victim {
         // Losing one of three metadata replicas must never kill the
         // commit — the majority rides out the re-election.
         MigVictim::MetaReplica(_) => assert!(
             !saw_fail,
-            "a single metadata replica loss aborted a migration"
+            "a single metadata replica loss aborted a migration (seed {seed})"
         ),
         _ => assert!(
             saw_fail,
-            "{victim:?}: sweep never aborted — early points should kill the migration"
+            "{victim:?} (seed {seed}): sweep never aborted — early points should kill the migration"
         ),
     }
 }
@@ -852,15 +880,18 @@ fn migration_sweep_meta_replica_power_fail() {
 
 /// Coarse follower sweep: losing a non-leader replica mid-migration must
 /// never kill the commit either — and when it reboots, it reboots from
-/// its durable log, not empty (an empty rebootee granting votes is the
-/// classic committed-entry-erasure interleaving).
+/// its durable term, vote, version and state, not empty (an empty
+/// rebootee granting votes is the classic committed-state-erasure
+/// interleaving).
 #[test]
 fn migration_sweep_meta_follower_power_fail() {
-    for t in (0..=90).step_by(15).map(sim::micros) {
-        assert!(
-            migration_crash_at(MigVictim::MetaReplica(2), t, 304),
-            "a follower replica loss at t={t} aborted a migration"
-        );
+    for (seed, shift) in migration_passes(304) {
+        for t in (0..=90).step_by(15).map(|us| sim::micros(us) + shift) {
+            assert!(
+                migration_crash_at(MigVictim::MetaReplica(2), t, seed),
+                "a follower replica loss at t={t} (seed {seed}) aborted a migration"
+            );
+        }
     }
 }
 
@@ -1132,19 +1163,35 @@ fn mid_clean_sweep(spec: CrashSpec, seed: u64) {
     let start = w.begin.saturating_sub(pad);
     let stop = w.end + pad;
     let step = ((stop - start) / 48).max(200);
-    let mut t = start;
-    let (mut in_compress, mut in_merge, mut past_end) = (false, false, false);
-    while t <= stop {
-        clean_crash_at(Some(t), spec, seed);
-        in_compress |= t >= w.begin && t < w.merge;
-        in_merge |= t >= w.merge && t < w.end;
-        past_end |= t >= w.end;
-        t += step;
+    // A non-zero `EF_TEST_CHAOS` seed adds a pass over the grid shifted by
+    // `seed % step`.
+    for shift in [0]
+        .into_iter()
+        .chain(chaos_seed().map(|chaos| chaos % step))
+    {
+        let mut t = start + shift;
+        let (mut in_compress, mut in_merge, mut past_end) = (false, false, false);
+        while t <= stop + shift {
+            clean_crash_at(Some(t), spec, seed);
+            in_compress |= t >= w.begin && t < w.merge;
+            in_merge |= t >= w.merge && t < w.end;
+            past_end |= t >= w.end;
+            t += step;
+        }
+        // The grid must actually cut every stage of the pass.
+        assert!(
+            in_compress,
+            "sweep (shift {shift}) never crashed inside compress"
+        );
+        assert!(
+            in_merge,
+            "sweep (shift {shift}) never crashed inside merge/finish"
+        );
+        assert!(
+            past_end,
+            "sweep (shift {shift}) never crashed after the swap"
+        );
     }
-    // The grid must actually cut every stage of the pass.
-    assert!(in_compress, "sweep never crashed inside compress");
-    assert!(in_merge, "sweep never crashed inside merge/finish");
-    assert!(past_end, "sweep never crashed after the swap");
 }
 
 #[test]

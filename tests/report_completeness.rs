@@ -216,7 +216,6 @@ fn every_registered_counter_lands_in_the_report() {
         "meta.elections",
         "meta.terms",
         "meta.commits",
-        "meta.applies",
         "meta.appends",
         "meta.heartbeats",
         "meta.node_downs",
