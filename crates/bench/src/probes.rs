@@ -183,8 +183,9 @@ fn breakdown() -> Probe {
     }
 }
 
-/// **txn** — multi-key atomic commit cost vs singleton PUTs, and
-/// snapshot-reader interference with the write path. Two bounds:
+/// **txn** — multi-key atomic commit cost vs singleton PUTs,
+/// snapshot-reader interference with the write path, and the cross-shard
+/// commit path. Three bounds:
 ///
 /// * **Commit overhead** — per-key throughput of 4-key atomic batches
 ///   (`Mix::TxnOnly`; one latency sample per written key) must stay
@@ -197,25 +198,39 @@ fn breakdown() -> Probe {
 ///   any lock a writer could block on. Writer throughput with two
 ///   background snapshot readers must stay within 5% of the reader-free
 ///   run.
+/// * **Shard scaling** — the same 4-key batches over 4 shards, where most
+///   write sets span several shards and commit by two-phase commit, must
+///   keep at least the 1-shard throughput. Each 2PC round (prepare,
+///   decide) and each snapshot capture posts to every participant before
+///   waiting on any, so a commit costs two round trips however many
+///   shards it touches; one round trip per participant would fall below
+///   the bound.
 ///
-/// The YCSB-T run (50% 4-key txns / 35% GET / 15% snapshot read) is the
-/// mixed data point of the trajectory, with no bound of its own.
+/// The YCSB-T runs (50% 4-key txns / 35% GET / 15% snapshot read) on 1
+/// and 4 shards are the mixed data points of the trajectory, with no
+/// bound of their own.
 fn txn() -> Probe {
-    let spec = |mix, snap_readers| ExperimentSpec {
+    let spec = |mix, snap_readers, shards| ExperimentSpec {
         ops_per_client: 8_000,
         snap_readers,
+        shards,
         ..ef(mix, 256)
     };
     let runs = vec![
-        run(UPDATE_ONLY, spec(Mix::UpdateOnly, 0)),
-        run("Txn-only/256B", spec(Mix::TxnOnly, 0)),
-        run("Update-only/256B/snap_readers2", spec(Mix::UpdateOnly, 2)),
-        run("YCSB-T/256B", spec(Mix::T, 0)),
+        run(UPDATE_ONLY, spec(Mix::UpdateOnly, 0, 1)),
+        run(TXN_ONLY, spec(Mix::TxnOnly, 0, 1)),
+        run(
+            "Update-only/256B/snap_readers2",
+            spec(Mix::UpdateOnly, 2, 1),
+        ),
+        run("YCSB-T/256B", spec(Mix::T, 0, 1)),
+        run("Txn-only/256B/shards4", spec(Mix::TxnOnly, 0, 4)),
+        run("YCSB-T/256B/shards4", spec(Mix::T, 0, 4)),
     ];
     let overhead = Check {
         name: "txn_overhead_pct",
         limit: Bound::Max(25.0),
-        value: |r| loss_pct(r.get(UPDATE_ONLY).mops, r.get("Txn-only/256B").mops),
+        value: |r| loss_pct(r.get(UPDATE_ONLY).mops, r.get(TXN_ONLY).mops),
     };
     let interference = Check {
         name: "snap_interference_pct",
@@ -225,8 +240,16 @@ fn txn() -> Probe {
             loss_pct(put_mops(r.get(UPDATE_ONLY)), put_mops(with_readers))
         },
     };
-    probe("txn", runs, vec![overhead, interference])
+    let scaling = Check {
+        name: "txn_shard_scaling_x",
+        limit: Bound::Min(1.0),
+        value: |r| r.get("Txn-only/256B/shards4").mops / r.get(TXN_ONLY).mops,
+    };
+    probe("txn", runs, vec![overhead, interference, scaling])
 }
+
+/// The 1-shard 4-key-batch run the overhead and shard-scaling bounds read.
+const TXN_ONLY: &str = "Txn-only/256B";
 
 /// The reader-free singleton-PUT run both `txn` bounds compare against.
 const UPDATE_ONLY: &str = "Update-only/256B/snap_readers0";

@@ -37,7 +37,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use efactory_checksum::crc32c;
-use efactory_obs::{Counter, Obs, Registry, Subsystem};
+use efactory_obs::{Counter, Obs, Registry, SpanGuard, Subsystem};
 use efactory_rnic::{ClientQp, Fabric, Node, QpError};
 use efactory_sim as sim;
 use efactory_sim::Nanos;
@@ -444,29 +444,48 @@ impl Client {
         Ok(PureOutcome::Hit(value))
     }
 
-    /// One logical RPC: framed with a fresh request id, retried with
-    /// deterministic exponential backoff until an attempt's deadline is
-    /// answered. Every attempt reuses the id, so the server executes at
-    /// most once; replies carrying an older id (stragglers from a timed-out
-    /// attempt, or fault-injected duplicates) are discarded.
+    /// One logical RPC: [`post`](Self::post), then [`wait`](Self::wait).
     fn rpc(&self, req: &Request) -> Result<Response, StoreError> {
+        self.wait(self.post(req)?)
+    }
+
+    /// Send `req` framed with a fresh request id, without waiting for the
+    /// reply. The returned [`Posted`] is this QP's one outstanding request:
+    /// [`wait`](Self::wait) for it before posting again.
+    pub(crate) fn post(&self, req: &Request) -> Result<Posted, StoreError> {
         let id = self.next_req_id.get();
         self.next_req_id.set(id + 1);
         // The span covers all attempts; its (qp, req) args join it to the
         // server's handler span in the critical-path fold.
-        let mut rpc_sp = self.cfg.obs.tracer.span(Subsystem::Client, "rpc");
-        rpc_sp.arg("qp", self.qp.id());
-        rpc_sp.arg("req", id);
+        let mut span = self.cfg.obs.tracer.span(Subsystem::Client, "rpc");
+        span.arg("qp", self.qp.id());
+        span.arg("req", id);
         let payload = req.encode_framed(id);
+        self.qp.send(payload.clone())?;
+        Ok(Posted {
+            id,
+            payload,
+            sent_at: sim::now(),
+            _span: span,
+        })
+    }
+
+    /// Wait for a posted request's reply, resending it with deterministic
+    /// exponential backoff each time an attempt's deadline passes
+    /// unanswered. Every attempt reuses the id, so the server executes at
+    /// most once; replies carrying an older id (stragglers from a timed-out
+    /// attempt, or fault-injected duplicates) are discarded.
+    pub(crate) fn wait(&self, posted: Posted) -> Result<Response, StoreError> {
         let mut backoff = RETRY_BACKOFF;
+        let mut deadline = posted.sent_at + RPC_DEADLINE;
         for attempt in 0..RPC_ATTEMPTS {
             if attempt > 0 {
                 self.stats.rpc_retries.inc();
                 backoff_sleep(&self.cfg.obs, backoff);
                 backoff = backoff.saturating_mul(2);
+                self.qp.send(posted.payload.clone())?;
+                deadline = sim::now() + RPC_DEADLINE;
             }
-            self.qp.send(payload.clone())?;
-            let deadline = sim::now() + RPC_DEADLINE;
             loop {
                 match self.qp.recv_reply_deadline(deadline) {
                     Ok(raw) => {
@@ -474,7 +493,7 @@ impl Client {
                             return Err(StoreError::Protocol);
                         };
                         match rid {
-                            Some(rid) if rid == id => return Ok(resp),
+                            Some(rid) if rid == posted.id => return Ok(resp),
                             // A stale or duplicated reply for an earlier id:
                             // keep draining until this attempt's deadline.
                             Some(_) => continue,
@@ -796,6 +815,15 @@ impl Client {
     }
 }
 
+/// A request sent on a [`Client`]'s QP whose reply has not been waited
+/// for. Its `rpc` span stays open until [`Client::wait`] returns.
+pub(crate) struct Posted {
+    id: u64,
+    payload: Vec<u8>,
+    sent_at: Nanos,
+    _span: SpanGuard,
+}
+
 /// What a one-sided read path produced.
 enum PureOutcome {
     /// Served: the value, or `None` for an absent or deleted key.
@@ -839,56 +867,13 @@ impl Client {
         }
     }
 
-    /// 2PC prepare; returns `(status, shard clock)`.
-    pub(crate) fn shard_txn_prepare(
-        &self,
-        txn_id: u64,
-        reads: &[(Vec<u8>, u32)],
-        puts: &[(Vec<u8>, Vec<u8>)],
-    ) -> Result<(Status, u64), StoreError> {
-        match self.rpc(&Request::TxnPrepare {
-            txn_id,
-            reads: reads.to_vec(),
-            puts: puts.to_vec(),
-        })? {
-            Response::TxnAck { status, commit_ts } => {
-                if status == Status::Conflict {
-                    self.txn_conflict_ctr.inc();
-                }
-                Ok((status, commit_ts))
-            }
-            _ => Err(StoreError::Protocol),
-        }
-    }
-
-    /// 2PC decide.
-    pub(crate) fn shard_txn_decide(
-        &self,
-        txn_id: u64,
-        commit: bool,
-        commit_ts: u64,
-    ) -> Result<Status, StoreError> {
-        match self.rpc(&Request::TxnDecide {
-            txn_id,
-            commit,
-            commit_ts,
-        })? {
-            Response::TxnAck { status, .. } => Ok(status),
-            _ => Err(StoreError::Protocol),
-        }
-    }
-
-    /// Capture the shard's snapshot clock.
-    pub(crate) fn shard_snap_capture(&self) -> Result<(Status, u64), StoreError> {
-        match self.rpc(&Request::SnapCapture)? {
-            Response::Snap { status, watermark } => {
-                if status == Status::Ok {
-                    self.snap_capture_ctr.inc();
-                }
-                Ok((status, watermark))
-            }
-            _ => Err(StoreError::Protocol),
-        }
+    /// [`post`](Self::post) `req` as a work request chained behind an
+    /// earlier post's doorbell, as the second and later posts of a
+    /// fanned-out round are: charges the chained-WR rate
+    /// `cpu_send_post_batched_ns` first.
+    pub(crate) fn post_chained(&self, req: &Request) -> Result<Posted, StoreError> {
+        sim::work(self.qp.cost().cpu_send_post_batched_ns);
+        self.post(req)
     }
 
     /// Snapshot read: RPC chooses the version visible at `snap_ts`, then a

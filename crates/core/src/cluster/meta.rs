@@ -7,11 +7,18 @@
 //!
 //! * **Terms + election.** Replicas start as followers. A follower that
 //!   hears nothing from a leader for its (deterministically staggered)
-//!   election timeout campaigns: it bumps its term, votes for itself, and
-//!   requests votes from its peers. A vote is granted at most once per
-//!   term and only to a candidate whose version `(term, index)` is at
-//!   least the voter's — Raft's up-to-date rule, with the version in
-//!   place of (last log term, length). Majority grants make a leader.
+//!   election timeout first runs a pre-vote (Raft thesis §9.6): it asks
+//!   its peers whether they would vote for it at `term + 1`, without
+//!   raising its own term. A peer grants a pre-vote only if it would
+//!   grant that vote and has heard from no leader within the base
+//!   election timeout. Only a majority of pre-votes starts a campaign: the
+//!   follower bumps its term, votes for itself, and requests votes from
+//!   its peers. A vote is granted at most once per term and only to a
+//!   candidate whose version `(term, index)` is at least the voter's —
+//!   Raft's up-to-date rule, with the version in place of (last log term,
+//!   length). Majority grants make a leader. A replica cut off from its
+//!   peers therefore never raises its term, and cannot depose a working
+//!   leader with an inflated one once its links heal.
 //! * **State replication.** The leader applies a command from a
 //!   `Propose` RPC to its state, bumps the version to
 //!   `(term, index + 1)`, and replicates synchronously: every `Append`
@@ -309,12 +316,14 @@ const DEATH_TIMEOUT: Nanos = sim::micros(400);
 
 const M_REQUEST_VOTE: u8 = 0x01;
 const M_APPEND: u8 = 0x02;
+const M_PRE_VOTE: u8 = 0x03;
 const M_GET_MAP: u8 = 0x10;
 const M_PROPOSE: u8 = 0x11;
 const M_HEARTBEAT: u8 = 0x12;
 
 const R_VOTE: u8 = 0x81;
 const R_APPEND_ACK: u8 = 0x82;
+const R_PRE_VOTE: u8 = 0x83;
 const R_MAP: u8 = 0x90;
 const R_PROPOSE: u8 = 0x91;
 const R_HEARTBEAT_ACK: u8 = 0x92;
@@ -383,6 +392,10 @@ struct Replica {
     state: MetaState,
 
     last_contact: Nanos,
+    /// When this replica last accepted an `Append` from a leader (`None`
+    /// since boot): a follower that heard from one within
+    /// [`ELECTION_BASE`] refuses pre-votes.
+    last_leader: Option<Nanos>,
     next_heartbeat: Nanos,
     last_seen: Vec<Nanos>,
 
@@ -480,6 +493,7 @@ impl MetaService {
             version: d.version,
             state: d.state,
             last_contact: sim::now(),
+            last_leader: None,
             next_heartbeat: 0,
             last_seen: vec![sim::now(); self.data_nodes],
             durable: Arc::clone(&self.durable[r]),
@@ -572,43 +586,77 @@ impl Replica {
         }
     }
 
+    /// A vote request for this replica at `term`: `op` (`RequestVote` or
+    /// pre-vote), the term, the candidate and its version.
+    fn vote_request(&self, op: u8, term: u64) -> Vec<u8> {
+        let mut req = vec![op];
+        put_u64(&mut req, term);
+        req.extend_from_slice(&(self.r as u32).to_le_bytes());
+        put_u64(&mut req, self.version.0);
+        put_u64(&mut req, self.version.1);
+        req
+    }
+
+    /// Send `req`, a vote request for `term` whose replies are `reply_op`,
+    /// to every peer at once, then collect the replies under one
+    /// deadline, so an unreachable peer delays the round by one
+    /// [`PEER_RPC`], not the replies of the others. Returns the grants,
+    /// this replica's own included, or `None` once a reply carries a newer
+    /// term, which this replica then adopts. A reply to an earlier request
+    /// (its echoed term differs, or it answers another op) is skipped.
+    fn poll_votes(&mut self, req: &[u8], reply_op: u8, term: u64) -> Option<usize> {
+        let deadline = sim::now() + PEER_RPC;
+        let (n, me) = (self.n_replicas, self.r);
+        let mut asked = Vec::with_capacity(n - 1);
+        for p in (0..n).filter(|&p| p != me) {
+            match self.peer_qp(p).map(|qp| qp.send(req.to_vec())) {
+                Some(Ok(())) => asked.push(p),
+                _ => self.peers[p] = None,
+            }
+        }
+        let mut votes = 1usize; // self
+        for p in asked {
+            let reply = self.peers[p].as_ref().and_then(|qp| loop {
+                let b = qp.recv_reply_deadline(deadline).ok()?;
+                if b.first() == Some(&reply_op) && get_u64(&b, 10) == Some(term) {
+                    return Some(b);
+                }
+            });
+            let Some(b) = reply else {
+                self.peers[p] = None;
+                continue;
+            };
+            let voter_term = get_u64(&b, 1).unwrap_or(0);
+            if voter_term > self.term {
+                self.adopt_term(voter_term);
+                return None;
+            }
+            if b.get(9) == Some(&1) {
+                votes += 1;
+            }
+        }
+        Some(votes)
+    }
+
+    /// Election timeout: a pre-vote round, then, on a majority of
+    /// pre-votes, a campaign at `term + 1`.
     fn campaign(&mut self) {
+        self.last_contact = sim::now();
+        let pre = self.vote_request(M_PRE_VOTE, self.term + 1);
+        if self
+            .poll_votes(&pre, R_PRE_VOTE, self.term + 1)
+            .is_none_or(|votes| votes < self.majority())
+        {
+            return;
+        }
         self.adopt_term(self.term + 1);
         self.voted_for = Some(self.r as u32);
         self.persist();
         self.last_contact = sim::now();
-        let mut req = vec![M_REQUEST_VOTE];
-        put_u64(&mut req, self.term);
-        req.extend_from_slice(&(self.r as u32).to_le_bytes());
-        put_u64(&mut req, self.version.0);
-        put_u64(&mut req, self.version.1);
-
-        let mut votes = 1usize; // self
-        for p in 0..self.n_replicas {
-            if p == self.r {
-                continue;
-            }
-            let deadline = sim::now() + PEER_RPC;
-            let reply = (|| {
-                let qp = self.peer_qp(p)?;
-                qp.send(req.clone()).ok()?;
-                qp.recv_reply_deadline(deadline).ok()
-            })();
-            match reply {
-                Some(b) if b.first() == Some(&R_VOTE) => {
-                    let term = get_u64(&b, 1).unwrap_or(0);
-                    if term > self.term {
-                        self.adopt_term(term);
-                        return;
-                    }
-                    if b.get(9) == Some(&1) {
-                        votes += 1;
-                    }
-                }
-                Some(_) => {}
-                None => self.peers[p] = None,
-            }
-        }
+        let req = self.vote_request(M_REQUEST_VOTE, self.term);
+        let Some(votes) = self.poll_votes(&req, R_VOTE, self.term) else {
+            return;
+        };
         if votes >= self.majority() {
             self.is_leader = true;
             self.leader_hint = self.r as u32;
@@ -731,6 +779,7 @@ impl Replica {
     fn dispatch(&mut self, listener: &Listener, from: efactory_rnic::QpId, payload: &[u8]) {
         let reply = match payload.first() {
             Some(&M_REQUEST_VOTE) => self.on_request_vote(payload),
+            Some(&M_PRE_VOTE) => self.on_pre_vote(payload),
             Some(&M_APPEND) => self.on_append(payload),
             Some(&M_GET_MAP) => self.on_get_map(),
             Some(&M_PROPOSE) => self.on_propose(payload),
@@ -740,23 +789,58 @@ impl Replica {
         let _ = listener.reply(from, reply);
     }
 
+    /// Whether this replica would vote for `cand` at `term` given its
+    /// version: never below its own term, at most one candidate per term,
+    /// and only for a version at least its own.
+    fn would_vote(&self, term: u64, cand: u32, cand_version: Version) -> bool {
+        cand_version >= self.version
+            && (term > self.term || (term == self.term && self.voted_for.is_none_or(|v| v == cand)))
+    }
+
+    /// The `(term, candidate, version)` of a vote request.
+    fn parse_vote(b: &[u8]) -> (u64, u32, Version) {
+        (
+            get_u64(b, 1).unwrap_or(0),
+            get_u32(b, 9).unwrap_or(0),
+            (get_u64(b, 13).unwrap_or(0), get_u64(b, 21).unwrap_or(0)),
+        )
+    }
+
+    /// A vote reply: `op`, this replica's term, the grant, and the term
+    /// the request asked about (so the candidate can tell it from a reply
+    /// to an earlier request).
+    fn vote_reply(&self, op: u8, grant: bool, asked: u64) -> Vec<u8> {
+        let mut r = vec![op];
+        put_u64(&mut r, self.term);
+        r.push(grant as u8);
+        put_u64(&mut r, asked);
+        r
+    }
+
     fn on_request_vote(&mut self, b: &[u8]) -> Vec<u8> {
-        let term = get_u64(b, 1).unwrap_or(0);
-        let cand = get_u32(b, 9).unwrap_or(0);
-        let cand_version = (get_u64(b, 13).unwrap_or(0), get_u64(b, 21).unwrap_or(0));
+        let (term, cand, cand_version) = Self::parse_vote(b);
         self.adopt_term(term);
-        let grant = term == self.term
-            && cand_version >= self.version
-            && (self.voted_for.is_none() || self.voted_for == Some(cand));
+        let grant = self.would_vote(term, cand, cand_version);
         if grant {
             self.voted_for = Some(cand);
             self.persist();
             self.last_contact = sim::now();
         }
-        let mut r = vec![R_VOTE];
-        put_u64(&mut r, self.term);
-        r.push(grant as u8);
-        r
+        self.vote_reply(R_VOTE, grant, term)
+    }
+
+    /// A pre-vote changes nothing here — no term adopted, no vote
+    /// recorded, no timer reset. It is granted iff this replica would
+    /// grant the vote and has heard from no leader (itself included)
+    /// within [`ELECTION_BASE`].
+    fn on_pre_vote(&self, b: &[u8]) -> Vec<u8> {
+        let (term, cand, cand_version) = Self::parse_vote(b);
+        let heard_leader = self.is_leader
+            || self
+                .last_leader
+                .is_some_and(|t| sim::now().saturating_sub(t) < ELECTION_BASE);
+        let grant = !heard_leader && self.would_vote(term, cand, cand_version);
+        self.vote_reply(R_PRE_VOTE, grant, term)
     }
 
     fn on_append(&mut self, b: &[u8]) -> Vec<u8> {
@@ -767,6 +851,7 @@ impl Replica {
             self.is_leader = false;
             self.leader_hint = get_u32(b, 9).unwrap_or(0);
             self.last_contact = sim::now();
+            self.last_leader = Some(self.last_contact);
             let version = get_u64(b, 13).zip(get_u64(b, 21));
             if let (Some(version), Some(state)) = (version, b.get(29..).and_then(MetaState::decode))
             {

@@ -30,8 +30,13 @@
 //! Single-shard transactions use the fused one-RPC `TxnCommit`; cross-shard
 //! ones run client-coordinated two-phase commit (`TxnPrepare` per shard,
 //! then `TxnDecide`), with a presumed-abort sweep reclaiming prepares whose
-//! coordinator died. The client drivers run one attempt of a routed op: an
-//! attempt that fails aborts every participant it prepared and did not
+//! coordinator died. Each phase is one fanned-out round: the client posts
+//! to every participant before it waits on any, so a commit costs two
+//! round trips however many shards it touches. The order of the prepares
+//! does not matter for deadlock freedom, because a prepare never waits: a
+//! participant whose key holds an in-doubt or newer head answers `Busy` or
+//! `Conflict` at once. The client drivers run one attempt of a routed op:
+//! an attempt that fails aborts every participant it prepared and did not
 //! decide, and the routed client retries the whole op under a fresh txn id.
 //!
 //! # Snapshots
@@ -40,12 +45,13 @@
 //! `ts = max(W+1, now)` and advances `W`. `SnapCapture` bumps `W` to `now`
 //! and returns it, so every *later* commit is strictly above the captured
 //! clock, and every commit acknowledged *before* the capture is at or
-//! below it. A multi-shard snapshot captures every shard's clock and reads
-//! at `S = min(vector)`: a version is visible iff its commit timestamp is
-//! `<= S`. Timestamps live in a per-shard in-memory map (rebuilt empty
-//! after a crash — recovered versions read as timestamp 0, i.e. visible in
-//! every snapshot, which is sound because recovery discards everything that
-//! was not durably committed).
+//! below it. A multi-shard snapshot captures every shard's clock, all in
+//! one fanned-out round, and reads at `S = min(vector)`: a version is
+//! visible iff its commit timestamp is `<= S`. Timestamps live in a
+//! per-shard in-memory map (rebuilt empty after a crash — recovered
+//! versions read as timestamp 0, i.e. visible in every snapshot, which is
+//! sound because recovery discards everything that was not durably
+//! committed).
 
 use std::cell::{Cell, Ref};
 use std::collections::{HashMap, HashSet};
@@ -60,7 +66,7 @@ use crate::client::Client;
 use crate::cluster::key_shard;
 use crate::hashtable::fingerprint;
 use crate::layout::{self, flags, ObjHeader, NIL};
-use crate::protocol::{Response, Status, StoreError};
+use crate::protocol::{Request, Response, Status, StoreError};
 use crate::server::{CleanPhase, ServerShared};
 
 /// Magic key prefix identifying a commit record in the log. NUL-framed so
@@ -673,11 +679,15 @@ fn bump(next: &Cell<u64>) -> u64 {
 
 /// Multi-shard `txn_put_all` driver, one attempt of the routed op per
 /// call: last-write-wins key dedup, group by shard, then either a fused
-/// single-shard commit or client-coordinated 2PC in deterministic shard
-/// order. `Busy`/`Conflict` retries inside the call under a fresh txn id;
-/// any other error ends the attempt for the routed client to re-resolve
-/// and retry whole, after aborting every participant the attempt prepared
-/// and did not decide.
+/// single-shard commit or client-coordinated 2PC in two fanned-out
+/// [`round`]s, prepare then decide. `Busy`/`Conflict` retries inside the
+/// call under a fresh txn id; any other error ends the attempt for the
+/// routed client to re-resolve and retry whole. Every round acts only once
+/// all its replies are in: a prepare round with any reply but `Ok` aborts
+/// exactly the participants that answered `Ok` (one more round), and the
+/// first other reply in shard order decides between backing off and
+/// erroring out. A failed decide round leaves nothing to abort, since
+/// every participant was sent its decide.
 pub(crate) fn put_all_routed(
     clients: &[Ref<'_, Client>],
     next_txn_id: &Cell<u64>,
@@ -704,7 +714,7 @@ pub(crate) fn put_all_routed(
         return Ok(0);
     }
 
-    'attempt: for attempt in 0..TXN_RETRY_LIMIT {
+    for attempt in 0..TXN_RETRY_LIMIT {
         let txn_id = bump(next_txn_id);
         if touched.len() == 1 {
             let i = touched[0];
@@ -717,58 +727,110 @@ pub(crate) fn put_all_routed(
                 (status, _) => return Err(StoreError::Status(status)),
             }
         }
-        // 2PC: prepare every touched shard in index order, then decide.
-        let mut clocks = Vec::with_capacity(touched.len());
-        for (n, &i) in touched.iter().enumerate() {
-            let err = match clients[i].shard_txn_prepare(txn_id, &[], &groups[i]) {
-                Ok((Status::Ok, clock)) => {
-                    clocks.push(clock);
+        let mut prepares: Vec<_> = round(clients, &touched, |i| Request::TxnPrepare {
+            txn_id,
+            reads: Vec::new(),
+            puts: groups[i].clone(),
+        })
+        .into_iter()
+        .map(|r| r.and_then(ack))
+        .collect();
+        // One conflicting attempt, however many participants reported it.
+        if prepares
+            .iter()
+            .any(|p| matches!(p, Ok((Status::Conflict, _))))
+        {
+            clients[touched[0]].txn_conflict_ctr.inc();
+        }
+        let is_ok = |p: &Result<(Status, u64), StoreError>| matches!(p, Ok((Status::Ok, _)));
+        if let Some(refused) = prepares.iter().position(|p| !is_ok(p)) {
+            let prepared: Vec<usize> = touched
+                .iter()
+                .zip(&prepares)
+                .filter(|(_, p)| is_ok(p))
+                .map(|(&i, _)| i)
+                .collect();
+            abort(clients, txn_id, &prepared);
+            match prepares.swap_remove(refused)? {
+                (Status::Busy | Status::Conflict, _) => {
+                    sim::sleep(TXN_BACKOFF << attempt.min(4));
                     continue;
                 }
-                Ok((Status::Busy | Status::Conflict, _)) => None,
-                Ok((status, _)) => Some(StoreError::Status(status)),
-                Err(e) => Some(e),
-            };
-            abort(clients, txn_id, &touched[..n]);
-            match err {
-                Some(e) => return Err(e),
-                None => {
-                    sim::sleep(TXN_BACKOFF << attempt.min(4));
-                    continue 'attempt;
-                }
+                (status, _) => return Err(StoreError::Status(status)),
             }
         }
         // Strictly above every participant's clock, so no shard's snapshot
         // captured before its prepare can cover this commit.
-        let ts = (clocks.iter().copied().max().unwrap() + 1).max(sim::now());
-        for (n, &i) in touched.iter().enumerate() {
-            let err = match clients[i].shard_txn_decide(txn_id, true, ts) {
-                Ok(Status::Ok) => continue,
+        let clock = prepares.iter().flatten().map(|&(_, c)| c).max().unwrap();
+        let ts = (clock + 1).max(sim::now());
+        let decides = round(clients, &touched, |_| Request::TxnDecide {
+            txn_id,
+            commit: true,
+            commit_ts: ts,
+        });
+        for d in decides {
+            match d.and_then(ack)? {
+                (Status::Ok, _) => {}
                 // Presumed abort fired on a participant after others
                 // committed — unreachable while the abort timeout exceeds
                 // the worst-case decide latency; surfaced, not masked.
-                Ok(status) => StoreError::Status(status),
-                Err(e) => e,
-            };
-            // A participant drops its prepared state on any decide it
-            // handles, and one this decide could not reach would not hear
-            // an abort either: only the ones after it are left to abort.
-            abort(clients, txn_id, &touched[n + 1..]);
-            return Err(err);
+                (status, _) => return Err(StoreError::Status(status)),
+            }
         }
         return Ok(ts);
     }
     Err(StoreError::Status(Status::Busy))
 }
 
-/// Abort `txn_id` on each of `shards`, so no in-doubt head outlives the
-/// failed attempt. Best effort: a participant that cannot be reached is
-/// left to its presumed-abort sweep, or to recovery, which drops every
-/// staged version no commit record names.
-fn abort(clients: &[Ref<'_, Client>], txn_id: u64, shards: &[usize]) {
-    for &j in shards {
-        let _ = clients[j].shard_txn_decide(txn_id, false, 0);
+/// One fanned-out round: post each participant in `shards` its request
+/// `req(shard)` before waiting on any, then wait for every reply, in
+/// shard order. Each participant has its own QP with this one request
+/// outstanding on it, so the per-QP exactly-once dedup is untouched. The
+/// posts after the first ride the first one's doorbell chain
+/// ([`Client::post_chained`]). A participant whose post failed answers
+/// with that error.
+fn round(
+    clients: &[Ref<'_, Client>],
+    shards: &[usize],
+    req: impl Fn(usize) -> Request,
+) -> Vec<Result<Response, StoreError>> {
+    let posted: Vec<_> = shards
+        .iter()
+        .enumerate()
+        .map(|(n, &i)| {
+            if n == 0 {
+                clients[i].post(&req(i))
+            } else {
+                clients[i].post_chained(&req(i))
+            }
+        })
+        .collect();
+    shards
+        .iter()
+        .zip(posted)
+        .map(|(&i, p)| p.and_then(|p| clients[i].wait(p)))
+        .collect()
+}
+
+/// A `TxnAck` reply's `(status, commit_ts)`; a prepare's `commit_ts` is
+/// the shard's clock.
+fn ack(resp: Response) -> Result<(Status, u64), StoreError> {
+    match resp {
+        Response::TxnAck { status, commit_ts } => Ok((status, commit_ts)),
+        _ => Err(StoreError::Protocol),
     }
+}
+
+/// Abort `txn_id` on each of `shards` in one round, so no in-doubt head
+/// outlives the failed attempt. Best effort: a participant that cannot be
+/// reached is left to its presumed-abort sweep, or to recovery, which
+/// drops every staged version no commit record names.
+fn abort(clients: &[Ref<'_, Client>], txn_id: u64, shards: &[usize]) {
+    round(clients, shards, |_| Request::TxnDecide {
+        txn_id,
+        commit: false,
+        commit_ts: 0,
+    });
 }
 
 /// Routed read-modify-write: single-key, so always a fused commit on the
@@ -796,22 +858,45 @@ pub(crate) fn rmw_routed(
     Err(StoreError::Status(Status::Conflict))
 }
 
-/// Capture every shard's clock; the snapshot reads at the minimum.
+/// Capture every shard's clock in one fanned-out [`round`]; the snapshot
+/// reads at the minimum. The shards that answer `Busy` are re-posted
+/// together after [`TXN_BACKOFF`]. Any other failure surfaces once the
+/// round's replies are all in, the first in shard order.
 pub(crate) fn snapshot_all(clients: &[Ref<'_, Client>]) -> Result<TxnSnapshot, StoreError> {
-    let mut vector = Vec::with_capacity(clients.len());
-    for c in clients {
-        let mut attempt = 0;
-        let wm = loop {
-            match c.shard_snap_capture()? {
-                (Status::Ok, wm) => break wm,
-                (Status::Busy, _) if attempt < TXN_RETRY_LIMIT => {
-                    attempt += 1;
-                    sim::sleep(TXN_BACKOFF);
+    let mut vector = vec![0; clients.len()];
+    let mut pending: Vec<usize> = (0..clients.len()).collect();
+    let mut attempt = 0;
+    while !pending.is_empty() {
+        let replies = round(clients, &pending, |_| Request::SnapCapture);
+        let mut busy = Vec::new();
+        let mut failed = None;
+        for (&i, reply) in pending.iter().zip(replies) {
+            let reply = reply.and_then(|resp| match resp {
+                Response::Snap { status, watermark } => Ok((status, watermark)),
+                _ => Err(StoreError::Protocol),
+            });
+            match reply {
+                Ok((Status::Ok, wm)) => {
+                    clients[i].snap_capture_ctr.inc();
+                    vector[i] = wm;
                 }
-                (status, _) => return Err(StoreError::Status(status)),
+                Ok((Status::Busy, _)) if attempt < TXN_RETRY_LIMIT => busy.push(i),
+                Ok((status, _)) => {
+                    failed.get_or_insert(StoreError::Status(status));
+                }
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
             }
-        };
-        vector.push(wm);
+        }
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        if !busy.is_empty() {
+            attempt += 1;
+            sim::sleep(TXN_BACKOFF);
+        }
+        pending = busy;
     }
     let ts = vector.iter().copied().min().unwrap_or(0);
     Ok(TxnSnapshot { ts, vector })

@@ -546,6 +546,60 @@ fn partitioned_stale_meta_leader_cannot_serve_stale_placement() {
     });
 }
 
+/// A metadata replica cut off from both peers never raises its term, so
+/// once its links heal it cannot depose the leader the quorum elected
+/// meanwhile: every campaign starts with a pre-vote, which a replica
+/// without peers never wins and which a peer that hears from a leader
+/// refuses. (Regression: the cut-off replica bumped its term on every
+/// election timeout, from 2 to 7, and 91 µs after the heal its
+/// inflated-term campaign deposed the quorum's leader.)
+#[test]
+fn healed_meta_replica_does_not_depose_the_quorums_leader() {
+    let mut simu = Sim::new(1010);
+    let fabric = Fabric::new(CostModel::default());
+    let cfg = ServerConfig::default();
+    let registry = cfg.obs.registry.clone();
+    let cluster = Store::format_nodes(&fabric, 2, 1, StoreLayout::new(256, 256 * 1024, false), cfg);
+    simu.spawn("main", move || {
+        cluster.start();
+        sim::sleep(sim::millis(1));
+        let counter = |name: &str| registry.counter(name).get();
+        // Cut replica 0 (the deterministic initial leader) off from both
+        // peers and let the quorum side {1, 2} elect a successor.
+        let meta = cluster.meta_nodes().to_vec();
+        cluster.fabric().fail_link(&meta[0], &meta[1]);
+        cluster.fabric().fail_link(&meta[0], &meta[2]);
+        sim::sleep(sim::millis(1));
+        let probe = cluster.fabric().add_node("prevote-probe");
+        let mut mc = MetaClient::new(cluster.fabric(), &probe, cluster.meta_nodes());
+        assert!(
+            mc.get_map(sim::now() + sim::millis(5)).is_some(),
+            "the quorum side never elected a leader"
+        );
+        let (elections, term) = (counter("meta.elections"), counter("meta.terms"));
+
+        // Ten of replica 0's election timeouts, cut off.
+        sim::sleep(sim::millis(3));
+        assert_eq!(
+            counter("meta.terms"),
+            term,
+            "the cut-off replica raised its term"
+        );
+
+        cluster.fabric().heal_link(&meta[0], &meta[1]);
+        cluster.fabric().heal_link(&meta[0], &meta[2]);
+        sim::sleep(sim::millis(1));
+        assert_eq!(
+            (counter("meta.elections"), counter("meta.terms")),
+            (elections, term),
+            "the healed replica forced an election"
+        );
+        assert!(mc.get_map(sim::now() + sim::millis(5)).is_some());
+        cluster.shutdown();
+    });
+    simu.run().expect_ok();
+}
+
 /// An abort that finds no metadata majority must not leak the migration
 /// slot: the driver parks it and `Store::reconcile` re-proposes it
 /// once a quorum is back. (Regression: the abort used to be dropped

@@ -15,7 +15,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use efactory::client::{Client, ClientConfig};
+use efactory::client::{Client, ClientConfig, RPC_DEADLINE};
 use efactory::log::StoreLayout;
 use efactory::repl::{Backup, PROMOTED};
 use efactory::server::{ServerConfig, ServerStats};
@@ -344,12 +344,14 @@ fn txn_commits_whole_when_a_prepared_participant_dies_mid_prepare() {
     // Shard 0 is prepared; shard 1 is preparing.
     let t = txn_across_failover(0, 1, |s| &s.txn_prepares);
     assert_all_new(&t);
-    // The failed attempt aborted shard 1's prepare, so the retry never
-    // waited for the presumed-abort sweep to free its in-doubt head.
+    // Shard 0's prepare was in flight when its primary died, so the
+    // attempt waited out one RPC deadline before failing over. It then
+    // aborted shard 1's prepare, so the retry never waited for the
+    // presumed-abort sweep to free its in-doubt head.
     let timeout = cfg().txn_abort_timeout;
     assert!(
-        t.elapsed < timeout / 5,
-        "took {} ns; the abort timeout is {timeout} ns",
+        t.elapsed < RPC_DEADLINE + timeout / 5,
+        "took {} ns; the RPC deadline is {RPC_DEADLINE} ns, the abort timeout {timeout} ns",
         t.elapsed
     );
 }

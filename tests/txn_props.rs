@@ -16,18 +16,23 @@
 //! * **Commit validation** — concurrent CAS-style read-modify-writes on
 //!   one key never lose an update: the final counter equals the total
 //!   number of committed increments.
+//! * **One round trip per round** — a cross-shard commit's prepare and
+//!   decide rounds and a snapshot's clock capture fan out to every
+//!   participant at once, so their latency does not grow with the number
+//!   of shards they touch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use efactory::client::ClientConfig;
+use efactory::cluster::key_shard;
 use efactory::log::StoreLayout;
 use efactory::server::ServerConfig;
 use efactory::store::{Store, StoreClient};
 use efactory::txn::TxnKv;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
-use efactory_sim::Sim;
+use efactory_sim::{Nanos, Sim};
 use proptest::prelude::*;
 
 fn key(i: usize) -> Vec<u8> {
@@ -252,4 +257,72 @@ proptest! {
     ) {
         check_rmw_counter(seed, shards, writers, incs);
     }
+}
+
+/// Latencies on an idle store of `shards` shards (no cleaning, one
+/// client): a 4-key `txn_put_all` whose keys land on `spread` distinct
+/// shards, one key per shard round-robin, and a snapshot capture. Each is
+/// timed on its second run, after the first has created the keys.
+fn idle_latencies(shards: usize, spread: usize) -> (Nanos, Nanos) {
+    let mut simu = Sim::new(5);
+    let fabric = Fabric::new(CostModel::default());
+    let layout = StoreLayout::new(1024, 1 << 20, false);
+    let cfg = ServerConfig {
+        clean_enabled: false,
+        ..ServerConfig::default()
+    };
+    let store = Store::format(&fabric, "server", layout, cfg, shards, 0);
+    let mut keys: Vec<Vec<u8>> = Vec::new();
+    let mut i = 0;
+    while keys.len() < 4 {
+        let k = key(i);
+        if key_shard(&k, shards) == keys.len() % spread {
+            keys.push(k);
+        }
+        i += 1;
+    }
+    let puts: Vec<(Vec<u8>, Vec<u8>)> = keys.into_iter().map(|k| (k, vec![7; 64])).collect();
+    let out: Arc<Mutex<Option<(Nanos, Nanos)>>> = Arc::default();
+    let out2 = Arc::clone(&out);
+    let f = Arc::clone(&fabric);
+    simu.spawn("main", move || {
+        store.start();
+        let node = f.add_node("client");
+        let kv = StoreClient::connect(&f, &node, &store.routes(), ClientConfig::default()).unwrap();
+        let timed = |op: &dyn Fn()| {
+            op();
+            let t0 = sim::now();
+            op();
+            sim::now() - t0
+        };
+        let commit = timed(&|| {
+            kv.txn_put_all(&puts).expect("txn commit");
+        });
+        let capture = timed(&|| {
+            kv.snapshot().expect("snapshot");
+        });
+        *out2.lock().unwrap() = Some((commit, capture));
+        store.shutdown();
+    });
+    simu.run().expect_ok();
+    let latencies = out.lock().unwrap().take().expect("the run finished");
+    latencies
+}
+
+/// A fanned-out round costs one round trip, not one per participant: a
+/// 4-key commit spread over 4 shards stays within 1.25x of one spread over
+/// 2, and a 4-shard snapshot capture within 1.25x of a 1-shard one.
+#[test]
+fn a_round_costs_one_round_trip_not_one_per_participant() {
+    let (commit4, capture4) = idle_latencies(4, 4);
+    let (commit2, _) = idle_latencies(4, 2);
+    let (_, capture1) = idle_latencies(1, 1);
+    assert!(
+        commit4 * 4 <= commit2 * 5,
+        "a commit over 4 shards took {commit4} ns, over 2 shards {commit2} ns"
+    );
+    assert!(
+        capture4 * 4 <= capture1 * 5,
+        "a 4-shard snapshot took {capture4} ns, a 1-shard one {capture1} ns"
+    );
 }
