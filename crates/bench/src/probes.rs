@@ -77,9 +77,10 @@ fn put_get() -> Probe {
 /// client-visible costs are second-order (extra fabric traffic, the
 /// verifier spending cycles shipping runs). This probe measures that
 /// overhead on the paper's Update-only and YCSB-A mixes at 256 B values,
-/// plus one failover run (primary power-failed mid-window, clients ride
-/// through to the promoted backup) so the trajectory records the cost of
-/// the fault path too.
+/// plus one failover run (the primary's data node power-failed
+/// mid-window, the backup promoted through a committed `NodeDown`,
+/// clients riding through on the new placement) so the trajectory records
+/// the cost of the fault path too.
 fn repl() -> Probe {
     let spec = |mix, replicas| ExperimentSpec {
         doorbell_batch: DOORBELL,
@@ -95,8 +96,8 @@ fn repl() -> Probe {
             ));
         }
     }
-    // Failover run: the primary dies mid-window; clients fail over to the
-    // promoted backup and finish the workload there.
+    // Failover run: the primary's data node dies mid-window; the metadata
+    // service promotes the backup, and clients finish the workload there.
     let failover = ExperimentSpec {
         fault_at: Some(micros(200)),
         ..spec(Mix::UpdateOnly, 1)

@@ -27,11 +27,16 @@
 //!   own. A proposal is committed once a majority (leader included) acks
 //!   the round that ships it; only then is the proposer answered.
 //! * **Death detection via the virtual clock.** Each data node's agent
-//!   heartbeats the leader. The leader sweeps `last_seen` on its
-//!   heartbeat tick and proposes `NodeDown` when a node has been silent
-//!   past the death timeout; a heartbeat from a down node proposes
-//!   `NodeUp`. Liveness transitions are therefore replicated facts, not
-//!   per-replica opinions.
+//!   heartbeats the leader, and the leader answers with its state. The
+//!   leader sweeps `last_seen` on its heartbeat tick and proposes
+//!   `NodeDown` when a node has been silent past the death timeout; a
+//!   heartbeat from a down node proposes `NodeUp`. Liveness transitions
+//!   are therefore replicated facts, not per-replica opinions.
+//! * **One ownership authority.** Only [`MetaState::apply`] changes who
+//!   serves a shard: a `MigrateCommit`, or a `NodeDown` that promotes each
+//!   shard of the dead node whose backup is in sync. A backup leaves sync
+//!   through a committed `BackupLost` (its mirror failed) or the death of
+//!   its node, and never comes back in this state machine.
 //!
 //! Shipping the whole state replaces Raft's log, per-follower nextIndex
 //! repair and compaction on purpose (DESIGN.md §10). Three load-bearing
@@ -70,7 +75,9 @@ use super::placement::PlacementMap;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum MetaCmd {
     /// `node` stopped heartbeating: mark it dead. Aborts an in-flight
-    /// migration touching it (the driver observes and gives up).
+    /// migration touching it (the driver observes and gives up), moves
+    /// each shard it owns whose backup is in sync to the backup's node,
+    /// and takes every backup it holds out of sync.
     NodeDown(u32),
     /// `node` is heartbeating again (restarted + recovered).
     NodeUp(u32),
@@ -83,6 +90,9 @@ pub enum MetaCmd {
     /// Abandon the in-flight migration of `shard`; the source stays the
     /// one owner.
     MigrateAbort { shard: u32 },
+    /// The mirror to `shard`'s backup failed: the backup is out of sync
+    /// and can no longer be promoted.
+    BackupLost { shard: u32 },
 }
 
 impl MetaCmd {
@@ -110,6 +120,10 @@ impl MetaCmd {
                 b.push(5);
                 b.extend_from_slice(&shard.to_le_bytes());
             }
+            MetaCmd::BackupLost { shard } => {
+                b.push(6);
+                b.extend_from_slice(&shard.to_le_bytes());
+            }
         }
         b
     }
@@ -131,6 +145,7 @@ impl MetaCmd {
             )),
             4 => Some((MetaCmd::MigrateCommit { shard: u32_at(1)? }, 5)),
             5 => Some((MetaCmd::MigrateAbort { shard: u32_at(1)? }, 5)),
+            6 => Some((MetaCmd::BackupLost { shard: u32_at(1)? }, 5)),
             _ => None,
         }
     }
@@ -145,22 +160,39 @@ pub struct MetaState {
     pub alive: Vec<bool>,
     /// The at-most-one in-flight migration: `(shard, destination)`.
     pub migrating: Option<(u32, u32)>,
+    /// `backups[shard]`: the data node holding the shard's in-sync backup,
+    /// the only copy a promotion may serve; `None` when the shard has no
+    /// backup or its backup fell out of sync.
+    pub backups: Vec<Option<u32>>,
 }
 
 impl MetaState {
-    /// The initial state every replica boots with: round-robin placement,
-    /// everyone alive, nothing migrating.
-    pub fn initial(shards: usize, nodes: usize) -> MetaState {
+    /// The initial state every replica boots with: shards round-robin
+    /// over `nodes` data nodes, everyone alive, nothing migrating. With
+    /// `replicas > 0` each shard's backup sits on its owner's next data
+    /// node, in sync; one node with backups gets a second, backup-only
+    /// data node.
+    pub fn initial(shards: usize, nodes: usize, replicas: usize) -> MetaState {
+        let data_nodes = if replicas > 0 { nodes.max(2) } else { nodes };
+        let placement = PlacementMap::initial(shards, nodes);
+        let backups = (0..shards)
+            .map(|g| {
+                let next = (placement.node_of_shard(g) + 1) % data_nodes;
+                (replicas > 0).then_some(next as u32)
+            })
+            .collect();
         MetaState {
-            placement: PlacementMap::initial(shards, nodes),
-            alive: vec![true; nodes],
+            placement,
+            alive: vec![true; data_nodes],
             migrating: None,
+            backups,
         }
     }
 
     /// Apply one command. Total and deterministic: invalid commands (e.g.
     /// a commit for a migration that was already aborted) are no-ops, so
     /// a proposer reads what its command did from the returned state.
+    /// This is the only code that changes who serves a shard.
     pub fn apply(&mut self, cmd: &MetaCmd) {
         match *cmd {
             MetaCmd::NodeDown(n) => {
@@ -175,6 +207,17 @@ impl MetaState {
                         self.migrating = None;
                     }
                 }
+                // Promote each of `n`'s shards whose backup is in sync (one
+                // epoch bump each), and drop every backup `n` held.
+                for (g, backup) in self.backups.iter_mut().enumerate() {
+                    if self.placement.node_of_shard(g) == n as usize {
+                        if let Some(b) = backup.take() {
+                            self.placement.reassign(g, b as usize);
+                        }
+                    } else if *backup == Some(n) {
+                        *backup = None;
+                    }
+                }
             }
             MetaCmd::NodeUp(n) => {
                 if let Some(a) = self.alive.get_mut(n as usize) {
@@ -182,11 +225,14 @@ impl MetaState {
                 }
             }
             MetaCmd::MigrateStart { shard, to } => {
+                // The destination's seat for the shard must be free: its
+                // owner's, or its in-sync backup's.
                 let valid = self.migrating.is_none()
                     && (shard as usize) < self.placement.shards()
                     && (to as usize) < self.alive.len()
                     && self.alive[to as usize]
-                    && self.placement.node_of_shard(shard as usize) != to as usize;
+                    && self.placement.node_of_shard(shard as usize) != to as usize
+                    && self.backups[shard as usize] != Some(to);
                 if valid {
                     self.migrating = Some((shard, to));
                 }
@@ -194,7 +240,9 @@ impl MetaState {
             MetaCmd::MigrateCommit { shard } => {
                 if let Some((g, to)) = self.migrating {
                     if g == shard {
+                        // The backup mirrored the source, not the copy.
                         self.placement.reassign(g as usize, to as usize);
+                        self.backups[g as usize] = None;
                         self.migrating = None;
                     }
                 }
@@ -204,6 +252,11 @@ impl MetaState {
                     if g == shard {
                         self.migrating = None;
                     }
+                }
+            }
+            MetaCmd::BackupLost { shard } => {
+                if let Some(b) = self.backups.get_mut(shard as usize) {
+                    *b = None;
                 }
             }
         }
@@ -220,6 +273,9 @@ impl MetaState {
                 b.extend_from_slice(&to.to_le_bytes());
             }
             None => b.push(0),
+        }
+        for backup in &self.backups {
+            b.extend_from_slice(&backup.unwrap_or(u32::MAX).to_le_bytes());
         }
         b
     }
@@ -239,10 +295,15 @@ impl MetaState {
             }
             _ => None,
         };
+        off += if migrating.is_some() { 9 } else { 1 };
+        let backups = (0..placement.shards())
+            .map(|g| get_u32(b, off + 4 * g).map(|n| (n != u32::MAX).then_some(n)))
+            .collect::<Option<_>>()?;
         Some(MetaState {
             placement,
             alive,
             migrating,
+            backups,
         })
     }
 }
@@ -265,6 +326,8 @@ pub struct MetaStats {
     pub node_downs: Counter,
     /// `NodeUp` proposals committed (each transition once).
     pub node_ups: Counter,
+    /// Shards a committed `NodeDown` moved to their in-sync backup's node.
+    pub promotions: Counter,
     /// Proposals rejected by leader-side validation.
     pub rejects: Counter,
     /// `GetMap` reads served by a leader.
@@ -274,7 +337,7 @@ pub struct MetaStats {
 impl MetaStats {
     /// Attach every counter to `reg` under `meta.*` names.
     pub fn register(&self, reg: &Registry) {
-        let pairs: [(&str, &Counter); 9] = [
+        let pairs: [(&str, &Counter); 10] = [
             ("meta.elections", &self.elections),
             ("meta.terms", &self.terms),
             ("meta.commits", &self.commits),
@@ -282,6 +345,7 @@ impl MetaStats {
             ("meta.heartbeats", &self.heartbeats),
             ("meta.node_downs", &self.node_downs),
             ("meta.node_ups", &self.node_ups),
+            ("meta.promotions", &self.promotions),
             ("meta.rejects", &self.rejects),
             ("meta.getmaps", &self.getmaps),
         ];
@@ -306,6 +370,8 @@ const ELECTION_BASE: Nanos = sim::micros(200);
 const ELECTION_STAGGER: Nanos = sim::micros(80);
 /// Peer RPC reply deadline (votes, append acks).
 const PEER_RPC: Nanos = sim::micros(50);
+/// How often a vote round checks its peers' queues for replies.
+const VOTE_POLL: Nanos = sim::micros(1);
 /// A data node silent for this long is proposed down.
 const DEATH_TIMEOUT: Nanos = sim::micros(400);
 
@@ -346,6 +412,17 @@ fn get_u64(b: &[u8], off: usize) -> Option<u64> {
 fn get_u32(b: &[u8], off: usize) -> Option<u32> {
     b.get(off..off + 4)
         .map(|s| u32::from_le_bytes(s.try_into().unwrap()))
+}
+
+/// The reply to peer round `round` on `qp` by `deadline`, skipping replies
+/// to earlier rounds. A peer reply is `[op, term, flag, round]`.
+fn recv_round(qp: &ClientQp, round: u64, deadline: Nanos) -> Result<Vec<u8>, QpError> {
+    loop {
+        let b = qp.recv_reply_deadline(deadline)?;
+        if get_u64(&b, 10) == Some(round) {
+            return Ok(b);
+        }
+    }
 }
 
 /// A state's version, `(term, index)`: the term of the leader that wrote
@@ -398,6 +475,11 @@ struct Replica {
     last_leader: Option<Nanos>,
     next_heartbeat: Nanos,
     last_seen: Vec<Nanos>,
+    /// Peer rounds (vote rounds and appends) this process has run. Every
+    /// peer request carries its round and every reply echoes it, so a
+    /// reply to an earlier round — a late one, or a copy the fabric
+    /// delivered twice — is never read as this round's.
+    round: u64,
 
     durable: Arc<Mutex<Durable>>,
     stats: Arc<MetaStats>,
@@ -405,7 +487,7 @@ struct Replica {
 }
 
 /// The service handle: replica nodes + shared state, owned by the control
-/// plane of a [`Store`](crate::store::Store) on several data nodes.
+/// plane of a [`Store`](crate::store::Store).
 pub struct MetaService {
     nodes: Vec<Node>,
     /// Per-replica simulated stable storage (survives power failure).
@@ -496,6 +578,7 @@ impl MetaService {
             last_leader: None,
             next_heartbeat: 0,
             last_seen: vec![sim::now(); self.data_nodes],
+            round: 0,
             durable: Arc::clone(&self.durable[r]),
             stats: Arc::clone(&self.stats),
             stop: Arc::clone(&self.stop),
@@ -586,54 +669,74 @@ impl Replica {
         }
     }
 
-    /// A vote request for this replica at `term`: `op` (`RequestVote` or
-    /// pre-vote), the term, the candidate and its version.
-    fn vote_request(&self, op: u8, term: u64) -> Vec<u8> {
+    /// Start the next peer round: its number, which every reply to it
+    /// echoes.
+    fn next_round(&mut self) -> u64 {
+        self.round += 1;
+        self.round
+    }
+
+    /// Ask every peer at once for a vote (`op` is `RequestVote` or
+    /// pre-vote) for this replica at `term`, then collect the replies to
+    /// this round under one [`PEER_RPC`] deadline, checking every peer's
+    /// queue each [`VOTE_POLL`]. Returns the grants, this replica's own
+    /// included, as soon as they reach a majority or every asked peer has
+    /// answered, so a silent peer delays the round only when the others
+    /// cannot decide it; `None` once a reply carries a newer term, which
+    /// this replica then adopts. However the round ends, every peer that
+    /// has not answered has its QP dropped, as after a timeout; the next
+    /// round re-dials it.
+    fn poll_votes(&mut self, op: u8, term: u64) -> Option<usize> {
+        let round = self.next_round();
         let mut req = vec![op];
         put_u64(&mut req, term);
         req.extend_from_slice(&(self.r as u32).to_le_bytes());
         put_u64(&mut req, self.version.0);
         put_u64(&mut req, self.version.1);
-        req
-    }
-
-    /// Send `req`, a vote request for `term` whose replies are `reply_op`,
-    /// to every peer at once, then collect the replies under one
-    /// deadline, so an unreachable peer delays the round by one
-    /// [`PEER_RPC`], not the replies of the others. Returns the grants,
-    /// this replica's own included, or `None` once a reply carries a newer
-    /// term, which this replica then adopts. A reply to an earlier request
-    /// (its echoed term differs, or it answers another op) is skipped.
-    fn poll_votes(&mut self, req: &[u8], reply_op: u8, term: u64) -> Option<usize> {
+        put_u64(&mut req, round);
         let deadline = sim::now() + PEER_RPC;
         let (n, me) = (self.n_replicas, self.r);
-        let mut asked = Vec::with_capacity(n - 1);
+        let mut pending = Vec::with_capacity(n - 1);
         for p in (0..n).filter(|&p| p != me) {
-            match self.peer_qp(p).map(|qp| qp.send(req.to_vec())) {
-                Some(Ok(())) => asked.push(p),
+            match self.peer_qp(p).map(|qp| qp.send(req.clone())) {
+                Some(Ok(())) => pending.push(p),
                 _ => self.peers[p] = None,
             }
         }
         let mut votes = 1usize; // self
-        for p in asked {
-            let reply = self.peers[p].as_ref().and_then(|qp| loop {
-                let b = qp.recv_reply_deadline(deadline).ok()?;
-                if b.first() == Some(&reply_op) && get_u64(&b, 10) == Some(term) {
-                    return Some(b);
+        let mut newer = None;
+        while votes < self.majority()
+            && newer.is_none()
+            && !pending.is_empty()
+            && sim::now() < deadline
+        {
+            sim::sleep(VOTE_POLL);
+            let mut still = Vec::with_capacity(pending.len());
+            for p in pending {
+                let reply = self.peers[p]
+                    .as_ref()
+                    .map(|qp| recv_round(qp, round, sim::now()));
+                match reply {
+                    Some(Ok(b)) => {
+                        let voter_term = get_u64(&b, 1).unwrap_or(0);
+                        if voter_term > self.term {
+                            newer = newer.max(Some(voter_term));
+                        } else if b.get(9) == Some(&1) {
+                            votes += 1;
+                        }
+                    }
+                    Some(Err(QpError::Timeout)) => still.push(p),
+                    _ => self.peers[p] = None,
                 }
-            });
-            let Some(b) = reply else {
-                self.peers[p] = None;
-                continue;
-            };
-            let voter_term = get_u64(&b, 1).unwrap_or(0);
-            if voter_term > self.term {
-                self.adopt_term(voter_term);
-                return None;
             }
-            if b.get(9) == Some(&1) {
-                votes += 1;
-            }
+            pending = still;
+        }
+        for p in pending {
+            self.peers[p] = None;
+        }
+        if let Some(t) = newer {
+            self.adopt_term(t);
+            return None;
         }
         Some(votes)
     }
@@ -642,9 +745,8 @@ impl Replica {
     /// pre-votes, a campaign at `term + 1`.
     fn campaign(&mut self) {
         self.last_contact = sim::now();
-        let pre = self.vote_request(M_PRE_VOTE, self.term + 1);
         if self
-            .poll_votes(&pre, R_PRE_VOTE, self.term + 1)
+            .poll_votes(M_PRE_VOTE, self.term + 1)
             .is_none_or(|votes| votes < self.majority())
         {
             return;
@@ -653,8 +755,7 @@ impl Replica {
         self.voted_for = Some(self.r as u32);
         self.persist();
         self.last_contact = sim::now();
-        let req = self.vote_request(M_REQUEST_VOTE, self.term);
-        let Some(votes) = self.poll_votes(&req, R_VOTE, self.term) else {
+        let Some(votes) = self.poll_votes(M_REQUEST_VOTE, self.term) else {
             return;
         };
         if votes >= self.majority() {
@@ -689,11 +790,13 @@ impl Replica {
     /// continuing to serve reads or validate proposals here would use
     /// stale state.
     fn replicate(&mut self) -> bool {
+        let round = self.next_round();
         let mut msg = vec![M_APPEND];
         put_u64(&mut msg, self.term);
         msg.extend_from_slice(&(self.r as u32).to_le_bytes());
         put_u64(&mut msg, self.version.0);
         put_u64(&mut msg, self.version.1);
+        put_u64(&mut msg, round);
         msg.extend_from_slice(&self.state.encode());
 
         let mut acks = 1usize; // self
@@ -712,10 +815,10 @@ impl Replica {
             let reply = (|| {
                 let qp = self.peer_qp(p)?;
                 qp.send(msg.clone()).ok()?;
-                qp.recv_reply_deadline(deadline).ok()
+                recv_round(qp, round, deadline).ok()
             })();
             match reply {
-                Some(b) if b.first() == Some(&R_APPEND_ACK) => {
+                Some(b) => {
                     self.peer_backoff[p] = 0;
                     let term = get_u64(&b, 1).unwrap_or(0);
                     if term > self.term {
@@ -726,7 +829,6 @@ impl Replica {
                         acks += 1;
                     }
                 }
-                Some(_) => {}
                 None => {
                     self.peers[p] = None;
                     self.peer_backoff[p] = sim::now() + 3 * HEARTBEAT_EVERY;
@@ -749,6 +851,7 @@ impl Replica {
         if !self.is_leader {
             return false;
         }
+        let epoch = self.state.placement.epoch;
         self.state.apply(&cmd);
         self.version = (self.term, self.version.1 + 1);
         self.persist();
@@ -757,7 +860,13 @@ impl Replica {
         }
         self.stats.commits.inc();
         match cmd {
-            MetaCmd::NodeDown(_) => self.stats.node_downs.inc(),
+            MetaCmd::NodeDown(_) => {
+                self.stats.node_downs.inc();
+                // Each shard a `NodeDown` moves bumps the epoch once.
+                self.stats
+                    .promotions
+                    .add(self.state.placement.epoch - epoch);
+            }
             MetaCmd::NodeUp(_) => self.stats.node_ups.inc(),
             _ => {}
         }
@@ -806,14 +915,13 @@ impl Replica {
         )
     }
 
-    /// A vote reply: `op`, this replica's term, the grant, and the term
-    /// the request asked about (so the candidate can tell it from a reply
-    /// to an earlier request).
-    fn vote_reply(&self, op: u8, grant: bool, asked: u64) -> Vec<u8> {
+    /// A reply to the vote request `req`: `op`, this replica's term, the
+    /// grant, and the request's round.
+    fn vote_reply(&self, op: u8, grant: bool, req: &[u8]) -> Vec<u8> {
         let mut r = vec![op];
         put_u64(&mut r, self.term);
         r.push(grant as u8);
-        put_u64(&mut r, asked);
+        put_u64(&mut r, get_u64(req, 29).unwrap_or(0));
         r
     }
 
@@ -826,7 +934,7 @@ impl Replica {
             self.persist();
             self.last_contact = sim::now();
         }
-        self.vote_reply(R_VOTE, grant, term)
+        self.vote_reply(R_VOTE, grant, b)
     }
 
     /// A pre-vote changes nothing here — no term adopted, no vote
@@ -840,7 +948,7 @@ impl Replica {
                 .last_leader
                 .is_some_and(|t| sim::now().saturating_sub(t) < ELECTION_BASE);
         let grant = !heard_leader && self.would_vote(term, cand, cand_version);
-        self.vote_reply(R_PRE_VOTE, grant, term)
+        self.vote_reply(R_PRE_VOTE, grant, b)
     }
 
     fn on_append(&mut self, b: &[u8]) -> Vec<u8> {
@@ -853,7 +961,7 @@ impl Replica {
             self.last_contact = sim::now();
             self.last_leader = Some(self.last_contact);
             let version = get_u64(b, 13).zip(get_u64(b, 21));
-            if let (Some(version), Some(state)) = (version, b.get(29..).and_then(MetaState::decode))
+            if let (Some(version), Some(state)) = (version, b.get(37..).and_then(MetaState::decode))
             {
                 self.version = version;
                 self.state = state;
@@ -864,6 +972,7 @@ impl Replica {
         let mut r = vec![R_APPEND_ACK];
         put_u64(&mut r, self.term);
         r.push(ok as u8);
+        put_u64(&mut r, get_u64(b, 29).unwrap_or(0));
         r
     }
 
@@ -914,6 +1023,10 @@ impl Replica {
         r
     }
 
+    /// Note a data node's heartbeat and answer with the state, which the
+    /// node's agent acts on (see [`MetaClient::heartbeat`]). A leader only
+    /// serves while its last replication round held a majority, so the
+    /// state it answers with was committed.
     fn on_heartbeat(&mut self, b: &[u8]) -> Vec<u8> {
         if !self.is_leader {
             return self.not_leader(R_HEARTBEAT_ACK);
@@ -922,11 +1035,13 @@ impl Replica {
         if node < self.data_nodes {
             self.stats.heartbeats.inc();
             self.last_seen[node] = sim::now();
-            if !self.state.alive[node] {
-                self.propose(MetaCmd::NodeUp(node as u32));
+            if !self.state.alive[node] && !self.propose(MetaCmd::NodeUp(node as u32)) {
+                return self.not_leader(R_HEARTBEAT_ACK);
             }
         }
-        vec![R_HEARTBEAT_ACK, S_OK]
+        let mut r = vec![R_HEARTBEAT_ACK, S_OK];
+        r.extend_from_slice(&self.state.encode());
+        r
     }
 }
 
@@ -1054,15 +1169,15 @@ impl MetaClient {
         out.unwrap_or(ProposeOutcome::Unavailable)
     }
 
-    /// One heartbeat for data node `node`. `false` when no leader
-    /// acknowledged (caller just tries again next period).
-    pub fn heartbeat(&mut self, node: usize, deadline: Nanos) -> bool {
+    /// One heartbeat for data node `node`, answered with the leader's
+    /// committed state. `None` when no leader acknowledged (caller just
+    /// tries again next period).
+    pub fn heartbeat(&mut self, node: usize, deadline: Nanos) -> Option<MetaState> {
         let mut req = vec![M_HEARTBEAT];
         req.extend_from_slice(&(node as u32).to_le_bytes());
-        self.leader_rpc(&req, R_HEARTBEAT_ACK, deadline, |status, _| {
-            (status == S_OK).then_some(())
+        self.leader_rpc(&req, R_HEARTBEAT_ACK, deadline, |status, body| {
+            (status == S_OK).then(|| MetaState::decode(body)).flatten()
         })
-        .is_some()
     }
 }
 
@@ -1078,6 +1193,7 @@ mod tests {
             MetaCmd::MigrateStart { shard: 7, to: 2 },
             MetaCmd::MigrateCommit { shard: 7 },
             MetaCmd::MigrateAbort { shard: 1 },
+            MetaCmd::BackupLost { shard: 2 },
         ];
         for c in &cmds {
             let b = c.encode();
@@ -1089,16 +1205,19 @@ mod tests {
 
     #[test]
     fn state_encoding_roundtrips() {
-        let mut s = MetaState::initial(8, 4);
+        let mut s = MetaState::initial(8, 4, 1);
         s.alive[2] = false;
         s.migrating = Some((5, 3));
+        s.backups[6] = None;
         let b = s.encode();
         assert_eq!(MetaState::decode(&b).unwrap(), s);
+        let s = MetaState::initial(2, 1, 0);
+        assert_eq!(MetaState::decode(&s.encode()).unwrap(), s);
     }
 
     #[test]
     fn apply_is_total_and_guards_invariants() {
-        let mut s = MetaState::initial(4, 3);
+        let mut s = MetaState::initial(4, 3, 0);
         // Start to a dead node: rejected (no-op).
         s.alive[2] = false;
         s.apply(&MetaCmd::MigrateStart { shard: 0, to: 2 });
@@ -1125,5 +1244,33 @@ mod tests {
         assert!(!s.alive[2]);
         s.apply(&MetaCmd::NodeUp(2));
         assert!(s.alive[2]);
+    }
+
+    #[test]
+    fn node_down_promotes_only_in_sync_backups() {
+        // Two data nodes, four shards: node 0 owns 0 and 2, node 1 owns 1
+        // and 3, and each backup sits on the other node.
+        let mut s = MetaState::initial(4, 2, 1);
+        assert_eq!(s.backups, vec![Some(1), Some(0), Some(1), Some(0)]);
+        // A migration may not land on the shard's in-sync backup.
+        s.apply(&MetaCmd::MigrateStart { shard: 0, to: 1 });
+        assert_eq!(s.migrating, None);
+        // Shard 2's mirror failed: its backup may never be promoted.
+        s.apply(&MetaCmd::BackupLost { shard: 2 });
+        s.apply(&MetaCmd::NodeDown(0));
+        assert_eq!(s.placement.assignment, vec![1, 1, 0, 1]);
+        assert_eq!(s.placement.epoch, 1, "one epoch bump per promotion");
+        assert_eq!(s.backups, vec![None; 4]);
+        // A one-node store with backups gets a backup-only second node.
+        let one = MetaState::initial(2, 1, 1);
+        assert_eq!(one.alive.len(), 2);
+        assert_eq!(one.placement.assignment, vec![0, 0]);
+        assert_eq!(one.backups, vec![Some(1), Some(1)]);
+        // A migration commit leaves the moved shard without a backup.
+        let mut m = MetaState::initial(2, 3, 1);
+        m.apply(&MetaCmd::MigrateStart { shard: 0, to: 2 });
+        m.apply(&MetaCmd::MigrateCommit { shard: 0 });
+        assert_eq!(m.placement.node_of_shard(0), 2);
+        assert_eq!(m.backups, vec![None, Some(2)]);
     }
 }

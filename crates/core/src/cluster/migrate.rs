@@ -65,7 +65,6 @@ use sim::Nanos;
 
 use super::meta::{MetaClient, MetaCmd, ProposeOutcome};
 use super::{ClusterStats, Plane};
-use crate::protocol::Event;
 use crate::recovery::{self, RecoveryReport};
 use crate::server::{CleanPhase, ServerShared};
 use crate::store::Store;
@@ -331,6 +330,13 @@ impl Store {
         // The slot is (again) ours: any abort a previous driver failed to
         // deliver is obsolete, and re-proposing it would kill this run.
         plane.clear_pending_abort();
+        // A backup of the shard on the destination is out of sync (the
+        // metadata service refuses a start onto an in-sync one), and its
+        // seat is about to take the copy: retire it, so no agent ever
+        // promotes it.
+        if let Some(b) = self.backup(shard).filter(|b| b.data_node() == to) {
+            b.claim();
+        }
         self.stats().migrations_started.inc();
 
         // Destination scaffolding: fresh pool, a listener so the driver's
@@ -444,16 +450,9 @@ impl Store {
         dest_server.start(self.fabric());
 
         // Step 7a: decommission the source's read paths *before* the
-        // flip, so no straggler can be served stale bytes afterwards:
-        // poison every occupied hash entry (pure probes fall back to RPC,
-        // where the seal answers `WrongEpoch`) and pin polling clients
-        // off the pure path entirely.
-        src.ht.for_each_occupied(&src.pool, |idx, e| {
-            src.ht.set_ctl(&src.pool, idx, e.ctl.with_new_valid(true));
-        });
-        if let Some(n) = src.notifier.lock().unwrap().as_ref() {
-            let _ = n.notify_all(&Event::CleanStart.encode());
-        }
+        // flip, so no straggler can be served stale bytes afterwards: pure
+        // probes fall back to RPC, where the seal answers `WrongEpoch`.
+        src.retire_reads();
 
         // Park the recovered server beside its pool: if the commit's
         // outcome is lost below, reconciliation can still promote (or

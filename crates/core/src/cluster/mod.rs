@@ -1,16 +1,19 @@
-//! The cluster layer: a [`Store`] on several data nodes — multi-node
-//! placement, a replicated membership/metadata service, and live shard
-//! migration.
+//! The cluster layer: a [`Store`] under a control plane — multi-node
+//! placement, a replicated membership/metadata service, backup promotion,
+//! and live shard migration.
 //!
 //! [`Store::format_nodes`] hosts a store's shards on **N independent
-//! server nodes** and makes ownership a first-class, *changeable* fact:
+//! server nodes**, optionally with one backup per shard, and makes
+//! ownership a first-class, *changeable* fact:
 //!
 //! * [`placement::PlacementMap`] — the deterministic shard→node map,
 //!   tagged with a monotonically increasing **placement epoch**;
 //! * [`meta`] — a small leader-based metadata service (3 replicas over
 //!   the same simulated fabric) that replicates one versioned state: it
-//!   owns the placement map, detects node death via heartbeats on the
-//!   virtual clock, and serializes every ownership change;
+//!   owns the placement map and each shard's in-sync backup, detects node
+//!   death via heartbeats on the virtual clock, and serializes every
+//!   ownership change — it is the only code that decides who serves a
+//!   shard;
 //! * [`migrate`] — **live shard migration**: copy the shard's pool to
 //!   the destination while client traffic keeps flowing, seal + drain,
 //!   repair what the copy raced in a fixup pass, verify the copy
@@ -21,7 +24,25 @@
 //!   or a retired source's transport error.
 //!
 //! The store holds this control plane beside its seat table: a migration
-//! commit or a node restart installs the shard's new server as its seat.
+//! commit, a promotion or a node restart installs the shard's new server
+//! as its seat.
+//!
+//! # Node agents and promotion
+//!
+//! Each data node runs an agent that heartbeats the metadata leader and
+//! acts on the committed state every heartbeat is answered with:
+//!
+//! * when the placement names this node for a shard whose backup it
+//!   holds, the agent fences the deposed owner, lets the backup drain its
+//!   in-flight mirror tail, recovers it and installs it as the shard's
+//!   seat ([`crate::repl`]);
+//! * when a shard this node serves lost its mirror, the agent commits
+//!   `BackupLost` and only then, if the committed placement still names
+//!   this node, lets the shard take writes again.
+//!
+//! A shard without an in-sync backup survives its node's death the way
+//! the single-node system survives power failure: restart and recovery
+//! over the NVM pool ([`Store::restart_data_node`]).
 //!
 //! # Topology and naming
 //!
@@ -40,10 +61,7 @@
 //! in flight (see [`migrate::MigrateError::CleanTimeout`]). A migrated
 //! copy is taken from a sealed, drained source, so it is a crash-consistent
 //! image and the standard recovery rules — including cleaning-progress
-//! records — apply to it unchanged. Shards run without per-shard backups:
-//! node death is survived the same way the single-node system survives
-//! power failure — restart + recovery over the NVM pool — while *planned*
-//! moves use live migration.
+//! records — apply to it unchanged.
 
 pub mod meta;
 pub mod migrate;
@@ -66,6 +84,7 @@ use sim::Nanos;
 
 use crate::log::StoreLayout;
 use crate::recovery::{self, RecoveryReport};
+use crate::repl::Backup;
 use crate::server::{Server, ServerConfig};
 use crate::store::{Seat, Seats, Store};
 
@@ -149,8 +168,9 @@ pub(crate) struct StagedMigration {
     server: Option<Server>,
 }
 
-/// The control plane of a store on several data nodes: data seats, node
-/// agents, the replicated metadata service, and the migration staging.
+/// The control plane of a store on several data nodes or with backups:
+/// data seats, node agents, the replicated metadata service, and the
+/// migration staging.
 pub(crate) struct Plane {
     /// Per-shard NVM geometry.
     layout: StoreLayout,
@@ -196,26 +216,26 @@ impl Plane {
         cfg
     }
 
-    /// One agent per data node: heartbeats the metadata leader so the
-    /// death detector sees the node, for as long as the node is up. It
-    /// survives crash/restart cycles of its node (heartbeats simply fail
-    /// while the node is down), mirroring a host daemon that comes back
-    /// with the machine.
-    pub(crate) fn spawn_agents(&self, fabric: &Arc<Fabric>) {
+    /// One [`Agent`] per data node. It survives crash/restart cycles of
+    /// its node (heartbeats simply fail while the node is down),
+    /// mirroring a host daemon that comes back with the machine.
+    pub(crate) fn spawn_agents(
+        &self,
+        fabric: &Arc<Fabric>,
+        seats: &Arc<Seats>,
+        backups: &[Option<Backup>],
+    ) {
         for (i, local) in self.agent_nodes.iter().enumerate() {
-            let fabric = Arc::clone(fabric);
-            let local = local.clone();
-            let meta_nodes = self.meta.nodes().to_vec();
-            let stop = Arc::clone(&self.stop);
-            sim::spawn(&format!("efactory-agent-n{i}"), move || {
-                let mut mc = MetaClient::new(&fabric, &local, &meta_nodes);
-                while !stop.load(Ordering::Relaxed) {
-                    if !local.is_crashed() {
-                        mc.heartbeat(i, sim::now() + AGENT_HEARTBEAT / 2);
-                    }
-                    sim::sleep(AGENT_HEARTBEAT);
-                }
-            });
+            let agent = Agent {
+                i,
+                fabric: Arc::clone(fabric),
+                local: local.clone(),
+                mc: MetaClient::new(fabric, local, self.meta.nodes()),
+                seats: Arc::clone(seats),
+                backups: backups.to_vec(),
+                stop: Arc::clone(&self.stop),
+            };
+            sim::spawn(&format!("efactory-agent-n{i}"), move || agent.run());
         }
     }
 
@@ -307,28 +327,122 @@ impl Plane {
     }
 }
 
+/// Data node `i`'s agent: heartbeats the metadata leader so the death
+/// detector sees the node, and acts on the committed state each heartbeat
+/// is answered with (see the module docs).
+struct Agent {
+    i: usize,
+    fabric: Arc<Fabric>,
+    local: Node,
+    mc: MetaClient,
+    seats: Arc<Seats>,
+    backups: Vec<Option<Backup>>,
+    stop: Arc<AtomicBool>,
+}
+
+impl Agent {
+    fn run(mut self) {
+        while !self.stop.load(Ordering::Relaxed) {
+            if !self.local.is_crashed() {
+                let deadline = sim::now() + AGENT_HEARTBEAT / 2;
+                if let Some(state) = self.mc.heartbeat(self.i, deadline) {
+                    self.promote(&state);
+                    self.report_lost_mirrors(&state);
+                }
+            }
+            sim::sleep(AGENT_HEARTBEAT);
+        }
+    }
+
+    /// Serve every shard `state` moved onto a backup this node holds:
+    /// fence each deposed owner first, then, once each claimed backup has
+    /// drained, recover it and install it as the shard's seat.
+    fn promote(&self, state: &MetaState) {
+        let mut claimed = Vec::new();
+        for (g, b) in self.backups.iter().enumerate() {
+            let Some(b) = b else { continue };
+            let here = b.data_node() == self.i && state.placement.node_of_shard(g) == self.i;
+            let seat = self.seats.get(g);
+            if here && seat.owner != self.i && b.claim() {
+                seat.server.shared().depose();
+                claimed.push((g, b));
+            }
+        }
+        for (g, b) in claimed {
+            let server = b.promote(&self.fabric);
+            let seat = Seat {
+                owner: self.i,
+                server: server.clone(),
+            };
+            self.seats.install(g, seat).server.shutdown();
+            if self.stop.load(Ordering::Relaxed) {
+                // The store shut down while the backup drained.
+                server.shutdown();
+            }
+        }
+    }
+
+    /// Let each shard this node serves whose mirror failed take writes
+    /// again once a committed state shows this node still owning it with
+    /// its backup out of sync, committing `BackupLost` first where `state`
+    /// still counts the backup. A shard the state has moved away (its
+    /// backup promoted) stays `Busy` to writes until the promotion fences
+    /// it.
+    fn report_lost_mirrors(&mut self, state: &MetaState) {
+        let me = self.i;
+        let unbacked_here =
+            |s: &MetaState, g: usize| s.placement.node_of_shard(g) == me && s.backups[g].is_none();
+        for (g, seat) in self.seats.all().into_iter().enumerate() {
+            let shared = seat.server.shared();
+            if seat.owner != me
+                || state.placement.node_of_shard(g) != me
+                || !shared.mirror_lost.load(Ordering::Relaxed)
+            {
+                continue;
+            }
+            let lost = unbacked_here(state, g)
+                || matches!(
+                    self.mc.propose(
+                        &MetaCmd::BackupLost { shard: g as u32 },
+                        sim::now() + AGENT_HEARTBEAT,
+                    ),
+                    meta::ProposeOutcome::Committed(s) if unbacked_here(&s, g)
+                );
+            if lost {
+                shared.mirror_lost.store(false, Ordering::Relaxed);
+            }
+        }
+    }
+}
+
 impl Store {
-    /// A store of `shards` shards on `nodes` data nodes: create all fabric
-    /// nodes, format the initial owners' shards (round-robin placement:
-    /// shard `g` on node `g % nodes`), and build the unstarted metadata
-    /// service. Each shard gets the full `layout`, and its counters the
-    /// prefix `n{i}.g{g}.` of its seat.
+    /// A store of `shards` shards on `nodes` data nodes, each shard with
+    /// `replicas` (0 or 1) backups: create all fabric nodes, format the
+    /// initial owners' shards (round-robin placement: shard `g` on node
+    /// `g % nodes`) and each backup on its owner's next data node, and
+    /// build the unstarted metadata service. One node with backups gets a
+    /// second, backup-only data node. Each shard and backup gets the full
+    /// `layout`, and its counters the prefix `n{i}.g{g}.` of its seat.
     pub fn format_nodes(
         fabric: &Arc<Fabric>,
         nodes: usize,
         shards: usize,
+        replicas: usize,
         layout: StoreLayout,
         server: ServerConfig,
     ) -> Store {
         assert!(nodes >= 1 && shards >= 1);
-        let seat_nodes: Vec<Vec<Node>> = (0..nodes)
+        assert!(replicas <= 1, "a shard has at most one backup");
+        let init = MetaState::initial(shards, nodes, replicas);
+        let data_nodes = init.alive.len();
+        let seat_nodes: Vec<Vec<Node>> = (0..data_nodes)
             .map(|i| {
                 (0..shards)
                     .map(|g| fabric.add_node(&seat_name(i, g)))
                     .collect()
             })
             .collect();
-        let agent_nodes: Vec<Node> = (0..nodes)
+        let agent_nodes: Vec<Node> = (0..data_nodes)
             .map(|i| fabric.add_node(&format!("n{i}.agent")))
             .collect();
 
@@ -340,8 +454,8 @@ impl Store {
         let stop = Arc::new(AtomicBool::new(false));
         let meta = MetaService::new(
             fabric,
-            nodes,
-            MetaState::initial(shards, nodes),
+            data_nodes,
+            init.clone(),
             meta_stats,
             Arc::clone(&stop),
         );
@@ -357,25 +471,32 @@ impl Store {
             stop,
         };
         let seats = Arc::new(Seats::default());
+        let mut backups = Vec::with_capacity(shards);
         for g in 0..shards {
-            let owner = g % nodes;
+            let owner = init.placement.node_of_shard(g);
             let node = &plane.seat_nodes[owner][g];
             let server = Server::format(fabric, node, layout, plane.seat_cfg(owner, g));
             seats.push(Seat { owner, server });
+            backups.push(init.backups[g].map(|b| {
+                let b = b as usize;
+                let cfg = plane.seat_cfg(b, g);
+                Backup::format(&plane.seat_nodes[b][g], b, layout, cfg, &plane.stop)
+            }));
         }
         Store {
             fabric: Arc::clone(fabric),
-            shards: Vec::new(),
             seats,
+            backups,
             plane: Some(Box::new(plane)),
         }
     }
 
-    /// The control plane; only a store on several data nodes has one.
+    /// The control plane; a store without backups on one data node has
+    /// none.
     fn plane(&self) -> &Plane {
         self.plane
             .as_ref()
-            .expect("a store on one data node has no control plane")
+            .expect("a store without backups on one data node has no control plane")
     }
 
     /// The metadata replicas' fabric nodes.

@@ -17,8 +17,8 @@
 //!   `WrongEpoch` or a retired source's transport error, and tag their
 //!   location-cache entries with the epoch.
 //!
-//! A single-node [`Store`](crate::store::Store) has no placement map: its
-//! shards never move, so it never sees an epoch.
+//! A [`Store`](crate::store::Store) without backups on one data node has
+//! no placement map: its shards never move, so it never sees an epoch.
 
 use crate::hashtable::fingerprint;
 
@@ -72,7 +72,7 @@ impl PlacementMap {
     }
 
     /// Reassign `shard` to `node` and bump the epoch (metadata-service
-    /// apply path for migration flips and failovers).
+    /// apply path for migration flips and promotions).
     pub fn reassign(&mut self, shard: usize, node: usize) {
         self.assignment[shard] = node as u32;
         self.epoch += 1;

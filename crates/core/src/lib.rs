@@ -30,9 +30,10 @@
 //! media image.
 //!
 //! Around that `Client`/`Server` pair, a [`Store`] shards the key space
-//! over several servers: on one data node, each optionally mirrored to a
-//! backup ([`repl`]), or on several data nodes under the control plane of
-//! [`cluster`]. Each shard's location is one seat in the store's seat
+//! over several servers: on one data node without backups, or under the
+//! control plane of [`cluster`] — on several data nodes, or with each
+//! shard mirrored to a backup ([`repl`]) that the metadata service alone
+//! may promote. Each shard's location is one seat in the store's seat
 //! table, and one routed [`StoreClient`] drives every shape.
 //!
 //! The comparison systems of the paper (SAW, IMM, Erda, Forca, …) are built

@@ -1,5 +1,6 @@
 //! Primary-side mirroring: ship verified log runs to the backup.
 
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use efactory_obs::Subsystem;
@@ -15,10 +16,11 @@ use crate::server::ServerShared;
 /// carries the run's log offset (so the backup knows where the bytes
 /// landed without any metadata exchange).
 ///
-/// The mirror degrades, never blocks: if a write to the backup fails
-/// (backup crashed, link partitioned), the mirror marks itself dead and the
-/// primary continues unreplicated — availability of the primary is never
-/// held hostage to the replica.
+/// A write to the backup that fails (backup crashed, link partitioned)
+/// ends the mirror for good and sets the shard's
+/// [`mirror_lost`](ServerShared::mirror_lost): the primary answers writes
+/// with `Busy` until the metadata service commits `BackupLost`, then runs
+/// unreplicated. A stopped server (a deposed owner) ships nothing.
 pub struct Mirror {
     qp: ClientQp,
     mr: RemoteMr,
@@ -32,8 +34,8 @@ pub struct Mirror {
 
 impl Mirror {
     /// Connect the verifier's QP to the backup. Must run inside a simulated
-    /// process (the verifier's own). Returns `None` — unreplicated
-    /// operation — if the backup is unreachable.
+    /// process (the verifier's own). Returns `None`, with the mirror
+    /// counted lost, if the backup is unreachable.
     pub fn connect(
         fabric: &Arc<Fabric>,
         shared: &ServerShared,
@@ -50,6 +52,7 @@ impl Mirror {
             }),
             Err(_) => {
                 target.stats.mirror_failures.inc();
+                shared.mirror_lost.store(true, Ordering::Relaxed);
                 None
             }
         }
@@ -85,7 +88,7 @@ impl Mirror {
         let Some((start, len, objs)) = self.run.take() else {
             return;
         };
-        if self.dead {
+        if self.dead || shared.stopping() {
             return;
         }
         let mut data = vec![0u8; len];
@@ -105,8 +108,9 @@ impl Mirror {
                 self.stats.mirror_bytes.add(len as u64);
             }
             Err(_) => {
-                // Backup gone: degrade to unreplicated operation.
+                // Backup gone: hold writes until the loss commits.
                 self.dead = true;
+                shared.mirror_lost.store(true, Ordering::Relaxed);
                 self.stats.mirror_failures.inc();
             }
         }

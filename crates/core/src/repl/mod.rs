@@ -2,9 +2,9 @@
 //! with deterministic failover.
 //!
 //! eFactory makes a single server crash-*consistent*; this module makes it
-//! *available*: each server gets a *backup node* on the same simulated
-//! fabric, holding a byte-identical copy of the primary's log in its own
-//! NVM pool, indexed by its own hash table.
+//! *available*: each shard gets a *backup* on another data node of the
+//! same simulated fabric, holding a byte-identical copy of the primary's
+//! log in its own NVM pool, indexed by its own hash table.
 //!
 //! # Replication point: the verifier
 //!
@@ -26,17 +26,26 @@
 //!
 //! # Failover
 //!
-//! A fault-injection hook ([`efactory_rnic::Fabric::schedule_crash`]) kills
-//! the primary's node at a chosen virtual instant. The backup's apply loop
-//! notices (its receive deadline fires with the primary marked crashed),
-//! drains the in-flight mirror tail, and **promotes**: it runs the ordinary
-//! [`crate::recovery`] replay over its mirrored log — the same code path a
-//! rebooted primary would run — and starts serving as a full server.
-//! The promoted server takes the shard's seat in the store's seat table
-//! (the simulated metadata service); clients detect the failure (RPC
-//! deadline / one-sided read error), wait for the seat to change, and
-//! reconnect to the promoted store
-//! ([`StoreClient`](crate::store::StoreClient)).
+//! The backup never decides to promote itself: the metadata service of
+//! [`crate::cluster`] is the one ownership authority. It records each
+//! shard's in-sync backup, and a committed `NodeDown` for the primary's
+//! data node moves every shard whose backup is in sync to the backup's
+//! node, with an epoch bump. The backup node's agent sees that placement,
+//! fences the deposed primary (sealed, read paths poisoned, processes
+//! stopped), lets the apply loop drain the in-flight mirror tail, drops
+//! the mirror's registration on the backup node, and runs the ordinary
+//! [`crate::recovery`] replay over the mirrored log — the same code path a
+//! rebooted primary would run. The promoted server takes the shard's
+//! [`Seat`](crate::store::Seat); clients learn of the move from the
+//! placement map, like any other ([`StoreClient`](crate::store::StoreClient)).
+//!
+//! A mirror write that fails (backup crashed, link cut) ends the mirror
+//! for good and makes the primary answer `Busy` to writes until the
+//! metadata service commits `BackupLost` for the shard; from then on the
+//! shard runs unreplicated and its stale backup is never promoted. A
+//! primary whose shard a `NodeDown` moved first stays `Busy` until the
+//! promotion fences it. Bringing a stale backup back in sync is not
+//! implemented.
 //!
 //! # Consistency contract
 //!
@@ -44,10 +53,13 @@
 //! advanced object is mirrored, including invalidated ones, so the backup's
 //! recovery scan never stops early). Failover therefore preserves the
 //! paper's old-or-new guarantee per key: a version is readable on the
-//! promoted backup iff it was mirrored and intact — never torn. Versions
-//! the primary acknowledged but had not yet verified+mirrored roll back to
-//! the previous durable version, the same contract a primary-local crash
-//! gives.
+//! promoted backup iff it was mirrored and intact — never torn. Only the
+//! mirror's in-flight tail can roll back: versions the primary
+//! acknowledged but had not yet verified and mirrored return to the
+//! previous durable version, the same contract a primary-local crash
+//! gives. Nothing written after a known mirror failure is lost, because
+//! the primary takes no write until the failure is committed and the
+//! stale backup can no longer be promoted.
 //!
 //! # Cleaning under replication
 //!
@@ -73,19 +85,14 @@ pub use mirror::Mirror;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use efactory_obs::{Counter, Registry};
+use efactory_obs::{Counter, Registry, Subsystem};
 use efactory_pmem::PmemPool;
 use efactory_rnic::{Fabric, Node, RemoteMr};
 use efactory_sim as sim;
 
 use crate::layout::ObjHeader;
 use crate::log::StoreLayout;
-use crate::server::{process_suffix, ServerConfig};
-use crate::store::Seats;
-
-/// The owner of a shard's [`Seat`](crate::store::Seat) once its backup has
-/// promoted: the backup's node counts as the shard's second data node.
-pub const PROMOTED: usize = 1;
+use crate::server::{process_suffix, Server, ServerConfig};
 
 /// Counters exposed by the replication tier (primary-side mirroring,
 /// backup-side apply, promotion). All monotonically increasing.
@@ -97,8 +104,8 @@ pub struct ReplStats {
     pub mirror_objects: Counter,
     /// Log bytes mirrored to the backup.
     pub mirror_bytes: Counter,
-    /// Mirror writes that failed (backup unreachable; mirroring degrades
-    /// to unreplicated operation).
+    /// Mirror writes that failed (backup unreachable): each ends the
+    /// mirror and holds the primary's writes until `BackupLost` commits.
     pub mirror_failures: Counter,
     /// Objects the backup verified, persisted, and indexed.
     pub applied_objects: Counter,
@@ -146,81 +153,90 @@ pub struct ReplTarget {
     pub batch: usize,
 }
 
-/// A shard's backup replica: a second fabric node with its own NVM pool,
-/// fed by the primary's verifier and promoted to a full server when the
-/// primary dies. Owned by a [`Shard`](crate::store::Shard).
+/// A shard's backup replica: a pool of the shard's layout on another data
+/// node's seat for the shard, fed by the primary's verifier, and served
+/// from that seat once the metadata service promotes it (see the module
+/// docs). Clones share the one backup.
+#[derive(Clone)]
 pub struct Backup {
+    /// The data node holding the backup.
+    data_node: usize,
     node: Node,
     pool: Arc<PmemPool>,
     mr: RemoteMr,
     layout: StoreLayout,
+    /// The config the promoted server runs with.
     cfg: ServerConfig,
     stats: Arc<ReplStats>,
-    /// The store's seat table and this backup's shard in it: promotion
-    /// installs the promoted server there.
-    seats: Arc<Seats>,
-    shard: usize,
+    /// Taken for a promotion, or retired: the apply loop drains and exits.
+    claimed: Arc<AtomicBool>,
+    /// The apply loop is running.
+    applying: Arc<AtomicBool>,
+    /// The store is shutting down.
     stop: Arc<AtomicBool>,
 }
 
 impl Backup {
-    /// A backup for the primary on `primary`: a new node named
-    /// `{primary}-backup` over a fresh pool of the same layout. Counters
-    /// register as `{cfg.counter_prefix}repl.*`.
-    ///
-    /// Log cleaning (when `cfg.clean_enabled`) runs on the primary as in an
-    /// unreplicated store; the backup re-indexes mirrored objects by content
-    /// rather than offset, so relocation is transparent to it (see the
-    /// module docs for the swap re-mirror and promotion rules).
+    /// A backup on `node`, the seat of data node `data_node`, over a fresh
+    /// pool of `layout`. `cfg` is the seat's: its counter prefix names the
+    /// pool's `pmem.*` counters, the `repl.*` counters and the promoted
+    /// server's. Log cleaning runs
+    /// on the primary as in an unreplicated store; the backup re-indexes
+    /// mirrored objects by content rather than offset, so relocation is
+    /// transparent to it (see the module docs for the swap re-mirror and
+    /// promotion rules).
     pub(crate) fn format(
-        fabric: &Fabric,
-        primary: &Node,
+        node: &Node,
+        data_node: usize,
         layout: StoreLayout,
         cfg: ServerConfig,
-        seats: &Arc<Seats>,
-        shard: usize,
+        stop: &Arc<AtomicBool>,
     ) -> Backup {
-        let node = fabric.add_node(&format!("{}-backup", primary.name()));
         let pool = Arc::new(PmemPool::new(layout.total_len()));
+        pool.stats()
+            .register_prefixed(&cfg.obs.registry, &cfg.counter_prefix);
+        pool.set_tracer(cfg.obs.tracer.clone());
         let mr = node.register_mr(&pool, 0, layout.total_len());
         let stats = Arc::new(ReplStats::default());
         stats.register_prefixed(&cfg.obs.registry, &cfg.counter_prefix);
         Backup {
-            node,
+            data_node,
+            node: node.clone(),
             pool,
             mr,
             layout,
             cfg,
             stats,
-            seats: Arc::clone(seats),
-            shard,
-            stop: Arc::default(),
+            claimed: Arc::default(),
+            applying: Arc::default(),
+            stop: Arc::clone(stop),
         }
     }
 
-    /// Start the apply loop watching `primary`, and return the mirror
-    /// target the primary's verifier ships to. Must run inside a simulated
-    /// process, before the primary starts.
-    pub(crate) fn start(&self, fabric: &Arc<Fabric>, primary: &Node) -> ReplTarget {
+    /// Start the apply loop, and return the mirror target the primary's
+    /// verifier ships to. Must run inside a simulated process, before the
+    /// primary starts.
+    pub(crate) fn start(&self, fabric: &Arc<Fabric>) -> ReplTarget {
         let listener =
             self.node
                 .listen_with(fabric, crate::server::BATCHED_RECV, self.cfg.doorbell_batch);
         let ctx = backup::BackupCtx {
-            fabric: Arc::clone(fabric),
-            primary: primary.clone(),
             node: self.node.clone(),
             pool: Arc::clone(&self.pool),
             layout: self.layout,
-            cfg: self.cfg.clone(),
             cost: fabric.cost().clone(),
             stats: Arc::clone(&self.stats),
-            seats: Arc::clone(&self.seats),
-            shard: self.shard,
+            claimed: Arc::clone(&self.claimed),
             stop: Arc::clone(&self.stop),
         };
+        self.applying.store(true, Ordering::Relaxed);
+        let applying = Arc::clone(&self.applying);
         sim::spawn(
             &format!("efactory-backup{}", process_suffix(&self.cfg)),
-            move || backup::run(ctx, listener),
+            move || {
+                backup::run(ctx, listener);
+                applying.store(false, Ordering::Relaxed);
+            },
         );
         ReplTarget {
             backup: self.node.clone(),
@@ -245,13 +261,52 @@ impl Backup {
         self.stats.applied_bytes.add(bytes.len() as u64);
     }
 
-    /// Wind down the apply loop and, if it promoted, the promoted server.
-    pub(crate) fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
-        let seat = self.seats.get(self.shard);
-        if seat.owner == PROMOTED {
-            seat.server.shutdown();
+    /// Take the backup for a promotion, or retire it: `false` if it was
+    /// already taken. Either way its apply loop drains the in-flight
+    /// mirror tail and exits.
+    pub(crate) fn claim(&self) -> bool {
+        !self.claimed.swap(true, Ordering::Relaxed)
+    }
+
+    /// Serve the claimed backup: wait for its apply loop to drain and
+    /// exit, drop the mirror's registration and listener on the backup's
+    /// node (nothing the deposed primary still sends lands in this pool),
+    /// and replay the mirrored log through the standard recovery path.
+    /// Must run inside a simulated process.
+    ///
+    /// Cleaning-progress records are erased first: the mirror re-sends a
+    /// swapped pool lowest-offset-first, so the backup image can hold a
+    /// `Done` record whose relocated data never arrived — recovery's record
+    /// rules assume a crash-consistent primary image and would zero the
+    /// fully-mirrored old region. With the records gone, recovery falls
+    /// back to the fill heuristic + dual-slot candidate walks, which handle
+    /// the mixed image correctly.
+    pub(crate) fn promote(&self, fabric: &Arc<Fabric>) -> Server {
+        while self.applying.load(Ordering::Relaxed) {
+            sim::sleep(sim::micros(5));
         }
+        fabric.restart_node(&self.node);
+        let mut sp = self.cfg.obs.tracer.span(Subsystem::Repl, "promote");
+        let erased = crate::recovery::neutralize_clean_records(&self.pool, &self.layout);
+        sp.arg("clean_records_erased", erased as u64);
+        let (srv, report) = crate::recovery::recover(
+            fabric,
+            &self.node,
+            Arc::clone(&self.pool),
+            self.layout,
+            self.cfg.clone(),
+        );
+        sp.arg("keys_intact", report.keys_intact as u64);
+        sp.arg("keys_rolled_back", report.keys_rolled_back as u64);
+        sp.arg("keys_lost", report.keys_lost as u64);
+        srv.start(fabric);
+        self.stats.promotions.inc();
+        srv
+    }
+
+    /// The data node holding the backup.
+    pub fn data_node(&self) -> usize {
+        self.data_node
     }
 
     /// The backup's fabric node.
@@ -259,7 +314,7 @@ impl Backup {
         &self.node
     }
 
-    /// The backup's NVM pool (tests, double-fault recovery).
+    /// The backup's NVM pool (tests).
     pub fn pool(&self) -> &Arc<PmemPool> {
         &self.pool
     }

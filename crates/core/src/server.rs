@@ -37,7 +37,7 @@ use efactory_sim::Nanos;
 use crate::hashtable::{Entry, HashTable, HtError};
 use crate::layout::{self, flags, ObjHeader, NIL};
 use crate::log::{LogRegion, StoreLayout};
-use crate::protocol::{Request, Response, Status};
+use crate::protocol::{Event, Request, Response, Status};
 
 /// Cleaning phase (paper §4.4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,6 +298,13 @@ pub struct ServerShared {
     /// answers PUT/DEL with `Busy` (retryable backpressure) instead of
     /// consuming the bytes the stalled clean needs to make progress.
     pub clean_stalled: AtomicBool,
+    /// The mirror to this shard's backup failed and the metadata service
+    /// has not yet committed `BackupLost` for it: the handler answers
+    /// writes (PUT, DEL, transaction prepare and commit) with `Busy`, so
+    /// no write is acknowledged while a promotion could still serve the
+    /// stale backup. The owning node's agent clears it once the loss
+    /// commits (see [`crate::cluster`]).
+    pub mirror_lost: AtomicBool,
     /// Node crash epoch at server creation; a later epoch means this server
     /// instance died with a crash and must never touch state again (even if
     /// the node was restarted for a recovered instance).
@@ -349,6 +356,29 @@ impl ServerShared {
     /// Whether the shard is sealed.
     pub fn is_sealed(&self) -> bool {
         self.sealed.load(Ordering::Relaxed)
+    }
+
+    /// Push every reader off this server's one-sided read path: poison
+    /// each occupied hash entry (`new_valid`), so a pure probe falls back
+    /// to an RPC, and tell polling clients a cleaning pass started, which
+    /// pins them off the pure path. A retired owner runs this before its
+    /// successor serves the shard.
+    pub(crate) fn retire_reads(&self) {
+        self.ht.for_each_occupied(&self.pool, |idx, e| {
+            self.ht.set_ctl(&self.pool, idx, e.ctl.with_new_valid(true));
+        });
+        if let Some(n) = self.notifier.lock().unwrap().as_ref() {
+            let _ = n.notify_all(&Event::CleanStart.encode());
+        }
+    }
+
+    /// Fence an owner a promotion deposed: seal it, push readers off its
+    /// one-sided path, and stop its processes, so it acknowledges no
+    /// further request and its verifier ships no further mirror run.
+    pub(crate) fn depose(&self) {
+        self.seal();
+        self.retire_reads();
+        self.stop.store(true, Ordering::Relaxed);
     }
 
     /// Pool index new allocations go to, given the cleaning phase: the old
@@ -586,6 +616,7 @@ impl Server {
             stop: AtomicBool::new(false),
             clean_request: AtomicBool::new(false),
             clean_stalled: AtomicBool::new(false),
+            mirror_lost: AtomicBool::new(false),
             born_epoch: node.epoch(),
             txn: std::sync::Mutex::new(crate::txn::TxnState::default()),
             sealed: AtomicBool::new(false),
@@ -868,9 +899,10 @@ fn insert_version(shared: &ServerShared, key: &[u8], vlen: u32, crc: u32) -> Res
     };
 
     // A stalled cleaner is parked on destination-pool space: consuming
-    // more bytes here would starve it, so push back with a retryable Busy
-    // (no failure counter — the client backs off and retries).
-    if shared.clean_stalled.load(Ordering::Relaxed) {
+    // more bytes here would starve it; a lost mirror must not take writes
+    // a promotion could drop. Push back with a retryable Busy (no failure
+    // counter — the client backs off and retries).
+    if shared.clean_stalled.load(Ordering::Relaxed) || shared.mirror_lost.load(Ordering::Relaxed) {
         return refused(Status::Busy);
     }
 

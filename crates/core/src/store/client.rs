@@ -10,20 +10,17 @@
 //! call is one attempt; `StoreClient::retry` is the one loop that
 //! re-attempts an op. On every topology it rides out transient
 //! `Busy`/`NoSpace` rejections (a pool filling up under cleaning pressure,
-//! a PUT on an in-doubt head) with 200 waits of 50 µs. Topologies differ
-//! only in how they re-resolve other errors:
+//! a PUT on an in-doubt head, a primary whose mirror just failed) with 200
+//! waits of 50 µs. Stores differ only in how they re-resolve other errors:
 //!
 //! * **static** (no backups, one data node): never — the error surfaces
 //!   to the caller;
-//! * **failover** (a store with backups): on a transport error, poll the
-//!   seat table every 100 µs for up to 200 ms until a covered shard's
-//!   backup has promoted, reconnect every covered shard that moved, and
-//!   retry — at most twice per op;
-//! * **placement** (a store on several data nodes): on `WrongEpoch`,
-//!   re-read the placement from the metadata service and reconnect every
-//!   shard whose owner moved; on a transport error, also reconnect every
-//!   covered shard. Retries back off from 5 µs, doubling up to 250 µs,
-//!   for 32 tries per op.
+//! * **placement** (every store with a control plane: several data nodes,
+//!   or backups): on `WrongEpoch`, re-read the placement from the metadata
+//!   service and reconnect every shard whose owner moved; on a transport
+//!   error, also reconnect every covered shard. A migration commit and a
+//!   promotion reach the client the same way. Retries back off from 5 µs,
+//!   doubling up to 250 µs, for 32 tries per op.
 //!
 //! Every op but a snapshot capture runs inside one root `"op"` span,
 //! opened at its first attempt and closed when it returns, so the
@@ -42,8 +39,8 @@ use std::cell::{Cell, Ref, RefCell};
 use std::sync::Arc;
 
 use efactory_obs::trace::current_op;
-use efactory_obs::{OpScope, RootKind, Subsystem};
-use efactory_rnic::{Fabric, Node, QpError};
+use efactory_obs::{Obs, OpScope, RootKind, Subsystem};
+use efactory_rnic::{Fabric, Node};
 use efactory_sim as sim;
 
 use super::{Routes, Seat, Seats};
@@ -59,23 +56,41 @@ const PATIENCE: usize = 200;
 /// The wait before each `Busy`/`NoSpace` re-attempt.
 const PATIENCE_WAIT: sim::Nanos = sim::micros(50);
 
-/// Failovers allowed per op.
-const MAX_FAILOVERS: usize = 2;
-
-/// How long a failover polls the seat for a promotion. Comfortably
-/// covers crash detection (the backup's 100 µs receive deadline) plus
-/// drain and replay.
-const FAILOVER_DEADLINE: sim::Nanos = 200_000_000; // 200 virtual ms
-
 /// Placement retries per op. A migrating shard answers `WrongEpoch` for
 /// its whole sealed window (drain + fixup + verify + destination
-/// recovery), so the budget must outlast it: with the capped backoff below
-/// this rides out ~7 ms of rejections while still surfacing a persistently
-/// dead owner as an error.
+/// recovery), and a dead owner's shard waits for its death to commit and
+/// its backup to promote, so the budget must outlast both: with the capped
+/// backoff below this rides out ~7 ms of rejections while still surfacing
+/// a persistently dead owner as an error.
 const MAX_TRIES: usize = 32;
 
 /// Placement retry backoff cap (the budget above assumes this).
 const MAX_BACKOFF: sim::Nanos = 250_000;
+
+/// The placement retry schedule of one op (or one shard's connect): a
+/// wait before each re-attempt, from 5 µs doubling up to [`MAX_BACKOFF`],
+/// and [`MAX_TRIES`] waits in all.
+struct Backoff {
+    wait: sim::Nanos,
+    waits: usize,
+}
+
+impl Backoff {
+    fn new() -> Backoff {
+        Backoff {
+            wait: sim::micros(5),
+            waits: 0,
+        }
+    }
+
+    /// Wait out the next step; `false` once this was the last one.
+    fn wait(&mut self, obs: &Obs) -> bool {
+        backoff_sleep(obs, self.wait);
+        self.wait = (self.wait * 2).min(MAX_BACKOFF);
+        self.waits += 1;
+        self.waits < MAX_TRIES
+    }
+}
 
 /// What a failed attempt covered, which decides what it re-resolves.
 #[derive(Clone, Copy)]
@@ -98,9 +113,7 @@ impl Scope {
 enum Resolve {
     /// Errors surface.
     Static,
-    /// Wait for the shard's backup to promote.
-    Failover,
-    /// Cluster placement through the metadata service.
+    /// Placement through the metadata service.
     Placement(Box<Placement>),
 }
 
@@ -127,7 +140,6 @@ pub struct StoreClient {
     /// participants, and every attempt takes a fresh one, so a retry never
     /// aliases an earlier attempt's in-doubt state.
     next_txn_id: Cell<u64>,
-    failovers: Cell<u64>,
     /// Re-attempts no live connection counts: every routed re-attempt,
     /// plus the retries of connections since replaced, so
     /// [`retry_total`](Self::retry_total) never goes backwards.
@@ -136,7 +148,9 @@ pub struct StoreClient {
 
 impl StoreClient {
     /// Connect `local` to every shard behind `routes`, at its current
-    /// seat. Must run inside a simulated process.
+    /// seat. On a store with a control plane, a seat that cannot be dialed
+    /// (its owner just died) is retried with the placement backoff until
+    /// the shard's new seat takes it. Must run inside a simulated process.
     pub fn connect(
         fabric: &Arc<Fabric>,
         local: &Node,
@@ -155,27 +169,38 @@ impl StoreClient {
                 };
                 (Resolve::Placement(Box::new(p)), state.placement.epoch)
             }
-            None if routes.backups => (Resolve::Failover, 0),
             None => (Resolve::Static, 0),
         };
-        let seats = routes.seats.all();
-        assert!(!seats.is_empty(), "a store has at least one shard");
+        let shards = routes.seats.all().len();
+        assert!(shards > 0, "a store has at least one shard");
         let mut client = StoreClient {
             fabric: Arc::clone(fabric),
             local: local.clone(),
             cfg,
             seats: Arc::clone(&routes.seats),
-            conns: Vec::with_capacity(seats.len()),
-            owners: RefCell::new(seats.iter().map(|s| s.owner).collect()),
+            conns: Vec::with_capacity(shards),
+            owners: RefCell::new(Vec::with_capacity(shards)),
             resolve,
             next_txn_id: Cell::new(1),
-            failovers: Cell::new(0),
             retries: Cell::new(0),
         };
-        for seat in &seats {
-            let c = client.dial(seat)?;
+        for g in 0..shards {
+            let mut backoff = Backoff::new();
+            let (c, owner) = loop {
+                let seat = client.seats.get(g);
+                match client.dial(&seat) {
+                    Ok(c) => break (c, seat.owner),
+                    Err(e) => {
+                        let placement = matches!(client.resolve, Resolve::Placement(_));
+                        if !(placement && backoff.wait(&client.cfg.obs)) {
+                            return Err(e);
+                        }
+                    }
+                }
+            };
             c.set_placement_epoch(epoch);
             client.conns.push(RefCell::new(c));
+            client.owners.get_mut().push(owner);
         }
         Ok(client)
     }
@@ -183,12 +208,6 @@ impl StoreClient {
     /// The shard `key` routes to.
     pub fn shard_for(&self, key: &[u8]) -> usize {
         key_shard(key, self.conns.len())
-    }
-
-    /// How many failovers this client's ops made: each waited for a
-    /// backup to promote and reconnected the shards that moved.
-    pub fn failovers(&self) -> u64 {
-        self.failovers.get()
     }
 
     /// Store `value` under `key` on the owning shard.
@@ -285,9 +304,7 @@ impl StoreClient {
         mut op: impl FnMut() -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         let mut patience = 0;
-        let mut failovers = 0;
-        let mut tries = 0;
-        let mut backoff = sim::micros(5);
+        let mut backoff = Backoff::new();
         loop {
             let err = match op() {
                 Ok(v) => return Ok(v),
@@ -299,13 +316,6 @@ impl StoreClient {
                     backoff_sleep(&self.cfg.obs, PATIENCE_WAIT);
                 }
                 (
-                    Resolve::Failover,
-                    StoreError::Qp(QpError::Crashed | QpError::Timeout | QpError::Disconnected),
-                ) if failovers < MAX_FAILOVERS => {
-                    failovers += 1;
-                    self.fail_over(scope)?;
-                }
-                (
                     Resolve::Placement(p),
                     err @ (StoreError::Status(Status::WrongEpoch) | StoreError::Qp(_)),
                 ) => {
@@ -315,10 +325,7 @@ impl StoreClient {
                         p.stats.client_retargets.inc();
                         self.refresh(p, None);
                     }
-                    backoff_sleep(&self.cfg.obs, backoff);
-                    backoff = (backoff * 2).min(MAX_BACKOFF);
-                    tries += 1;
-                    if tries == MAX_TRIES {
+                    if !backoff.wait(&self.cfg.obs) {
                         return Err(err);
                     }
                 }
@@ -326,22 +333,6 @@ impl StoreClient {
             }
             self.retries.set(self.retries.get() + 1);
         }
-    }
-
-    /// Wait (bounded) until a shard `scope` covers has a new owner — its
-    /// backup promoted — then reconnect every covered shard that moved.
-    fn fail_over(&self, scope: Scope) -> Result<(), StoreError> {
-        let deadline = sim::now() + FAILOVER_DEADLINE;
-        let moved = |g: usize| self.seats.get(g).owner != self.owners.borrow()[g];
-        while !(0..self.conns.len()).any(|g| scope.covers(g) && moved(g)) {
-            if sim::now() >= deadline {
-                return Err(StoreError::Qp(QpError::Timeout));
-            }
-            backoff_sleep(&self.cfg.obs, sim::micros(100));
-        }
-        self.redial(|g, moved| moved && scope.covers(g))?;
-        self.failovers.set(self.failovers.get() + 1);
-        Ok(())
     }
 
     /// Re-read the placement and reconnect every shard whose owner moved,
@@ -355,7 +346,7 @@ impl StoreClient {
         let Some(state) = p.meta.borrow_mut().get_map(sim::now() + sim::millis(2)) else {
             return;
         };
-        let _ = self.redial(|g, moved| moved || force.is_some_and(|s| s.covers(g)));
+        self.redial(|g, moved| moved || force.is_some_and(|s| s.covers(g)));
         for c in &self.conns {
             c.borrow().set_placement_epoch(state.placement.epoch);
         }
@@ -364,23 +355,17 @@ impl StoreClient {
     /// Reconnect each shard `pick(g, moved)` selects to its current seat,
     /// where `moved` says the seat's owner is not the one the shard's
     /// connection targets. A failed reconnect keeps the old connection and
-    /// its owner; the last such error is returned once every pick was
-    /// tried.
-    fn redial(&self, pick: impl Fn(usize, bool) -> bool) -> Result<(), StoreError> {
-        let mut result = Ok(());
+    /// its owner for the next try.
+    fn redial(&self, pick: impl Fn(usize, bool) -> bool) {
         for (g, owner) in self.owners.borrow_mut().iter_mut().enumerate() {
             let seat = self.seats.get(g);
             if pick(g, seat.owner != *owner) {
-                match self.dial(&seat) {
-                    Ok(c) => {
-                        self.replace(g, c);
-                        *owner = seat.owner;
-                    }
-                    Err(e) => result = Err(e),
+                if let Ok(c) = self.dial(&seat) {
+                    self.replace(g, c);
+                    *owner = seat.owner;
                 }
             }
         }
-        result
     }
 
     /// Count a commit.

@@ -14,15 +14,13 @@
 //!
 //! Where a shard is served is its [`Seat`]: one seat table per store,
 //! which every move of a shard installs into and every client connects
-//! through. A shard moves in one of two ways:
-//!
-//! * on one data node with `replicas = 1`, each shard has a [`Backup`] on
-//!   a second node that the verifier mirrors into (see [`crate::repl`]);
-//!   when the primary dies the backup promotes and takes the seat;
-//! * on several data nodes ([`Store::format_nodes`]), the store also holds
-//!   the control plane of [`crate::cluster`] — the metadata service that
-//!   places shards, one agent per node, and live migration — and a
-//!   migration commit or a node restart takes the seat.
+//! through. A store without backups on one data node ([`Store::format`])
+//! never moves a shard. Every other store — on several data nodes, or with
+//! a [`Backup`] per shard mirrored by the verifier (see [`crate::repl`]) —
+//! holds the control plane of [`crate::cluster`] ([`Store::format_nodes`]):
+//! the metadata service decides who serves each shard, and a migration
+//! commit, a promotion after a committed `NodeDown`, or a node restart
+//! installs the new seat.
 //!
 //! Clients route with [`key_shard`]: every key maps to exactly one
 //! shard, the same on every client, every connection, and every run.
@@ -48,42 +46,17 @@ use crate::protocol::Status;
 use crate::repl::{Backup, ReplStats};
 use crate::server::{Server, ServerConfig, ServerStats};
 
-/// One shard of a store on one data node: its primary [`Server`] and its
-/// optional backup.
-pub struct Shard {
-    server: Server,
-    backup: Option<Backup>,
-}
-
-impl Shard {
-    /// The primary server.
-    pub fn server(&self) -> &Server {
-        &self.server
-    }
-
-    /// The primary's fabric node.
-    pub fn node(&self) -> &Node {
-        &self.server.shared().node
-    }
-
-    /// The backup, when the store is replicated.
-    pub fn backup(&self) -> Option<&Backup> {
-        self.backup.as_ref()
-    }
-}
-
 /// Where a shard is served now.
 #[derive(Clone)]
 pub struct Seat {
-    /// The owning data node. On a store with backups, the primary is 0
-    /// and a promoted backup is [`PROMOTED`](crate::repl::PROMOTED).
+    /// The owning data node.
     pub owner: usize,
     /// The serving instance.
     pub server: Server,
 }
 
-/// Each shard's [`Seat`], in shard order, shared by a store, its backups
-/// and its clients.
+/// Each shard's [`Seat`], in shard order, shared by a store, its node
+/// agents and its clients.
 #[derive(Default)]
 pub(crate) struct Seats(Mutex<Vec<Seat>>);
 
@@ -106,26 +79,27 @@ impl Seats {
     }
 }
 
-/// `shards` eFactory servers over one fabric: on one data node, each with
-/// `replicas` (0 or 1) backups, or on several data nodes under a control
-/// plane ([`Store::format_nodes`]).
+/// `shards` eFactory servers over one fabric: on one data node without
+/// backups ([`Store::format`]), or under a control plane
+/// ([`Store::format_nodes`]).
 pub struct Store {
     pub(crate) fabric: Arc<Fabric>,
-    /// Each shard's primary and backup on one data node; empty on several,
-    /// where migrations and restarts replace a shard's server.
-    pub(crate) shards: Vec<Shard>,
     pub(crate) seats: Arc<Seats>,
-    /// The control plane of a store on several data nodes.
+    /// Each shard's backup as formatted, in shard order (empty without
+    /// backups). Only the metadata service decides whether one may serve.
+    pub(crate) backups: Vec<Option<Backup>>,
+    /// The control plane: present on several data nodes or with backups.
     pub(crate) plane: Option<Box<Plane>>,
 }
 
 impl Store {
-    /// Create `shards` freshly formatted shards on new nodes named
-    /// `{name}-shard{i}` (backups: `{name}-shard{i}-backup`), each with a
-    /// full copy of `layout` (the per-shard fill is what matters for
-    /// cleaning, so a layout sized for the whole workload leaves generous
-    /// slack under any skew). Counter names get a `shard{i}.` prefix when
-    /// `shards > 1`.
+    /// Create `shards` freshly formatted shards, each with a full copy of
+    /// `layout` (the per-shard fill is what matters for cleaning, so a
+    /// layout sized for the whole workload leaves generous slack under any
+    /// skew). Without backups the shards sit on one data node, on new
+    /// fabric nodes named `{name}-shard{i}`, and counter names get a
+    /// `shard{i}.` prefix when `shards > 1`. With `replicas = 1` this is
+    /// [`format_nodes`](Self::format_nodes) on one data node.
     pub fn format(
         fabric: &Arc<Fabric>,
         name: &str,
@@ -134,55 +108,44 @@ impl Store {
         shards: usize,
         replicas: usize,
     ) -> Store {
+        if replicas > 0 {
+            return Self::format_nodes(fabric, 1, shards, replicas, layout, cfg);
+        }
         let nodes = (0..shards).map(|i| fabric.add_node(&format!("{name}-shard{i}")));
-        Self::build(fabric, nodes, layout, cfg, replicas)
+        Self::build(fabric, nodes, layout, cfg)
     }
 
-    /// A one-shard store served from `node` (backup: `{node}-backup`).
+    /// A one-shard store without backups served from `node`.
     pub fn format_on(
         fabric: &Arc<Fabric>,
         node: &Node,
         layout: StoreLayout,
         cfg: ServerConfig,
-        replicas: usize,
     ) -> Store {
-        Self::build(fabric, std::iter::once(node.clone()), layout, cfg, replicas)
+        Self::build(fabric, std::iter::once(node.clone()), layout, cfg)
     }
 
-    /// Nodes are drawn lazily, so each backup's node is created right
-    /// after its primary's.
     fn build(
         fabric: &Arc<Fabric>,
         nodes: impl ExactSizeIterator<Item = Node>,
         layout: StoreLayout,
         cfg: ServerConfig,
-        replicas: usize,
     ) -> Store {
         let n = nodes.len();
         assert!(n >= 1, "a store has at least one shard");
-        assert!(replicas <= 1, "a shard has at most one backup");
         let seats = Arc::new(Seats::default());
-        let shards = nodes
-            .enumerate()
-            .map(|(i, node)| {
-                let mut scfg = cfg.clone();
-                if n > 1 {
-                    scfg.counter_prefix = format!("{}shard{i}.", cfg.counter_prefix);
-                }
-                let server = Server::format(fabric, &node, layout, scfg.clone());
-                seats.push(Seat {
-                    owner: 0,
-                    server: server.clone(),
-                });
-                let backup =
-                    (replicas == 1).then(|| Backup::format(fabric, &node, layout, scfg, &seats, i));
-                Shard { server, backup }
-            })
-            .collect();
+        for (i, node) in nodes.enumerate() {
+            let mut scfg = cfg.clone();
+            if n > 1 {
+                scfg.counter_prefix = format!("{}shard{i}.", cfg.counter_prefix);
+            }
+            let server = Server::format(fabric, &node, layout, scfg);
+            seats.push(Seat { owner: 0, server });
+        }
         Store {
             fabric: Arc::clone(fabric),
-            shards,
             seats,
+            backups: Vec::new(),
             plane: None,
         }
     }
@@ -192,14 +155,10 @@ impl Store {
         self.seats.0.lock().unwrap().len()
     }
 
-    /// Shard `i` of a store on one data node, as formatted.
-    pub fn shard(&self, i: usize) -> &Shard {
-        &self.shards[i]
-    }
-
-    /// Shard `g`'s backup, if it has one.
+    /// Shard `g`'s backup as formatted, if the store has backups. Whether
+    /// it is still in sync is the metadata service's to say.
     pub fn backup(&self, g: usize) -> Option<&Backup> {
-        self.shards.get(g).and_then(Shard::backup)
+        self.backups.get(g).and_then(Option::as_ref)
     }
 
     /// Where shard `g` is served now.
@@ -221,7 +180,6 @@ impl Store {
     pub fn routes(&self) -> Routes {
         Routes {
             seats: Arc::clone(&self.seats),
-            backups: self.shards.iter().any(|s| s.backup.is_some()),
             meta: self.plane.as_deref().map(Plane::meta_route),
         }
     }
@@ -278,18 +236,16 @@ impl Store {
             p.meta.start(&self.fabric);
         }
         for (g, seat) in self.seats.all().iter().enumerate() {
-            let mirror = self
-                .backup(g)
-                .map(|b| b.start(&self.fabric, &seat.server.shared().node));
+            let mirror = self.backup(g).map(|b| b.start(&self.fabric));
             seat.server.start_with(&self.fabric, mirror);
         }
         if let Some(p) = &self.plane {
-            p.spawn_agents(&self.fabric);
+            p.spawn_agents(&self.fabric, &self.seats, &self.backups);
         }
     }
 
-    /// Wind down every shard's processes, including promoted backups, and
-    /// the control plane.
+    /// Wind down the control plane, every backup's apply loop, and every
+    /// shard's current server.
     pub fn shutdown(&self) {
         if let Some(p) = &self.plane {
             p.stop();
@@ -297,34 +253,22 @@ impl Store {
         for seat in self.seats.all() {
             seat.server.shutdown();
         }
-        for s in &self.shards {
-            s.server.shutdown();
-            if let Some(b) = &s.backup {
-                b.shutdown();
-            }
-        }
     }
 
-    /// Sum a server counter across the shards' primaries: a promoted
-    /// backup counts under `promoted.` instead, so a failed-over shard
-    /// still sums its dead primary.
+    /// Sum a server counter across the shards' current servers.
     pub fn stat_sum(&self, pick: impl Fn(&ServerStats) -> &Counter) -> u64 {
         let seats = self.seats.all();
         seats
             .iter()
-            .enumerate()
-            .map(|(g, seat)| {
-                let primary = self.shards.get(g).map_or(&seat.server, Shard::server);
-                pick(&primary.shared().stats).get()
-            })
+            .map(|seat| pick(&seat.server.shared().stats).get())
             .sum()
     }
 
     /// Sum a replication counter across backups.
     pub fn repl_stat_sum(&self, pick: impl Fn(&ReplStats) -> &Counter) -> u64 {
-        self.shards
+        self.backups
             .iter()
-            .filter_map(Shard::backup)
+            .flatten()
             .map(|b| pick(b.stats()).get())
             .sum()
     }
@@ -335,9 +279,8 @@ impl Store {
 #[derive(Clone)]
 pub struct Routes {
     seats: Arc<Seats>,
-    /// Every shard has a backup to fail over to.
-    backups: bool,
-    /// The metadata service placing the shards, on several data nodes.
+    /// The metadata service placing the shards, on a store with a control
+    /// plane.
     meta: Option<MetaRoute>,
 }
 
@@ -353,7 +296,6 @@ impl Routes {
         }
         Routes {
             seats: Arc::new(seats),
-            backups: false,
             meta: None,
         }
     }

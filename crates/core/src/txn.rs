@@ -55,6 +55,7 @@
 
 use std::cell::{Cell, Ref};
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::Ordering;
 
 use efactory_checksum::crc32c;
 use efactory_obs::Subsystem;
@@ -310,7 +311,7 @@ pub(crate) fn handle_txn_commit(
     sp.arg("txn", txn_id);
     sp.arg("puts", puts.len() as u64);
     sim::work(shared.cost.cpu_req_handle_ns);
-    if shared.phase() != CleanPhase::Normal {
+    if shared.phase() != CleanPhase::Normal || shared.mirror_lost.load(Ordering::Relaxed) {
         return txn_ack(Status::Busy, 0);
     }
     let v = validate_reads(shared, reads);
@@ -360,7 +361,7 @@ pub(crate) fn handle_txn_prepare(
     sp.arg("txn", txn_id);
     sim::work(shared.cost.cpu_req_handle_ns);
     shared.stats.txn_prepares.inc();
-    if shared.phase() != CleanPhase::Normal {
+    if shared.phase() != CleanPhase::Normal || shared.mirror_lost.load(Ordering::Relaxed) {
         return txn_ack(Status::Busy, 0);
     }
     if shared

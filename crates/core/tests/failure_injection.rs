@@ -204,7 +204,11 @@ fn failed_prepare_aborts_prepared_participants() {
         let (k0, k1) = (key_on(0), key_on(1));
         c.put(&k0, b"old").unwrap();
         let mut rng = StdRng::seed_from_u64(83);
-        f.crash_node(store.shard(1).node(), CrashSpec::DropAll, &mut rng);
+        f.crash_node(
+            &store.seat(1).server.shared().node,
+            CrashSpec::DropAll,
+            &mut rng,
+        );
 
         let puts = [(k0.clone(), b"new".to_vec()), (k1, b"new".to_vec())];
         assert!(c.txn_put_all(&puts).is_err(), "shard 1 is dead");

@@ -136,14 +136,18 @@ pub struct ExperimentSpec {
     /// Doorbell batch length for recv-ring refills and verifier flush
     /// fences (eFactory only; 0 = flat per-message charging).
     pub doorbell_batch: usize,
-    /// Backup replicas per server (eFactory only; 0 = unreplicated, 1 =
-    /// primary–backup mirroring with one backup node per shard; single-node
-    /// stores only). Composes with `Cleaning::Enabled`: the backup indexes
-    /// mirrored objects by content, so relocation is transparent to it.
+    /// Backup replicas per shard (eFactory only; 0 = unreplicated, 1 =
+    /// primary–backup mirroring, each backup on its owner's next data
+    /// node, under the metadata service of a control plane; one data node
+    /// gets a second, backup-only one). Composes with `Cleaning::Enabled`:
+    /// the backup indexes mirrored objects by content, so relocation is
+    /// transparent to it.
     pub replicas: usize,
-    /// Fault injection: power-fail every shard's primary this many virtual
-    /// nanoseconds after the measurement window opens. Requires
-    /// `replicas > 0`; clients ride through via transparent failover.
+    /// Fault injection: power-fail data node 0 (its agent and every seat
+    /// it hosts) this many virtual nanoseconds after the measurement
+    /// window opens. Requires `replicas > 0`; the metadata service
+    /// promotes the in-sync backups of the shards the node owned, and
+    /// clients ride through on the new placement.
     pub fault_at: Option<Nanos>,
     /// Fault injection: a lossy-fabric plan installed as the default for
     /// every link (message drop/duplicate/delay — see
@@ -170,16 +174,17 @@ pub struct ExperimentSpec {
     /// `Cleaning::Enabled` a pool swap expires open snapshots; readers
     /// re-capture on `Status::Expired`.
     pub snap_readers: usize,
-    /// Data nodes hosting the shards. `1` (the default) runs the
-    /// [`efactory::Store`] on one data node; above 1 it runs on several
-    /// ([`efactory::Store::format_nodes`]) — shards placed round-robin
-    /// across nodes, a 3-replica metadata service, and clients that
-    /// retarget on placement changes. Requires eFactory with
-    /// `replicas == 0`.
+    /// Data nodes owning the shards. `1` (the default) runs the
+    /// [`efactory::Store`] on one data node; above 1, or with backups, it
+    /// runs under a control plane ([`efactory::Store::format_nodes`]) —
+    /// shards placed round-robin across nodes, a 3-replica metadata
+    /// service, and clients that retarget on placement changes. Requires
+    /// eFactory.
     pub nodes: usize,
     /// Live-migrate shard 0 to the next node (`(owner + 1) % nodes`)
     /// this many virtual nanoseconds after the measurement window opens,
-    /// while the measured workload keeps flowing. Requires `nodes > 1`.
+    /// while the measured workload keeps flowing. Requires `nodes > 1`
+    /// and `replicas = 0`.
     pub migrate_at: Option<Nanos>,
     /// Simulation executor override (`None` = [`Sim::new`]'s default:
     /// fibers where supported, threads elsewhere). Used by the equivalence
@@ -201,9 +206,6 @@ pub enum SpecError {
     EmptyTopology,
     /// More than one backup per shard.
     TooManyReplicas(usize),
-    /// Backups on a multi-node cluster: cluster shards survive node death
-    /// by restart and recovery, and move by live migration, instead.
-    BackupsOnCluster,
     /// A baseline with shards, nodes, replicas, or a pipeline window: the
     /// baselines run one serial client against one unreplicated server.
     BaselineTopology(SystemKind),
@@ -217,6 +219,9 @@ pub enum SpecError {
     FaultNeedsReplicas,
     /// `migrate_at` without a second node to migrate to.
     MigrateNeedsNodes,
+    /// `migrate_at` with backups: the next node holds shard 0's in-sync
+    /// backup, which a migration may not overwrite.
+    MigrateWithBackups,
 }
 
 impl fmt::Display for SpecError {
@@ -225,9 +230,6 @@ impl fmt::Display for SpecError {
             SpecError::EmptyTopology => write!(f, "shards and nodes must be at least 1"),
             SpecError::TooManyReplicas(n) => {
                 write!(f, "{n} replicas: a shard has at most one backup")
-            }
-            SpecError::BackupsOnCluster => {
-                write!(f, "replicas > 0 requires nodes == 1")
             }
             SpecError::BaselineTopology(k) => write!(
                 f,
@@ -242,6 +244,7 @@ impl fmt::Display for SpecError {
             }
             SpecError::FaultNeedsReplicas => write!(f, "fault_at requires replicas > 0"),
             SpecError::MigrateNeedsNodes => write!(f, "migrate_at requires nodes > 1"),
+            SpecError::MigrateWithBackups => write!(f, "migrate_at requires replicas = 0"),
         }
     }
 }
@@ -294,9 +297,6 @@ impl ExperimentSpec {
         if !efactory && (self.mix.transactional() || self.snap_readers > 0) {
             return Err(SpecError::BaselineTxn(self.system));
         }
-        if self.nodes > 1 && self.replicas > 0 {
-            return Err(SpecError::BackupsOnCluster);
-        }
         if self.window > 1 && self.mix.snap_fraction() > 0.0 {
             return Err(SpecError::PipelinedSnapReads);
         }
@@ -305,6 +305,9 @@ impl ExperimentSpec {
         }
         if self.migrate_at.is_some() && self.nodes < 2 {
             return Err(SpecError::MigrateNeedsNodes);
+        }
+        if self.migrate_at.is_some() && self.replicas > 0 {
+            return Err(SpecError::MigrateWithBackups);
         }
         Ok(())
     }
@@ -448,13 +451,10 @@ impl AnyServer {
         };
         match self {
             AnyServer::Store(s) => {
+                // A backup registers its own pool, under its seat's prefix.
                 for g in 0..s.shards() {
                     let shared = Arc::clone(s.seat(g).server.shared());
-                    let prefix = &shared.cfg.counter_prefix;
-                    attach(&shared.pool, prefix);
-                    if let Some(b) = s.backup(g) {
-                        attach(b.pool(), &format!("{prefix}backup."));
-                    }
+                    attach(&shared.pool, &shared.cfg.counter_prefix);
                 }
             }
             AnyServer::Baseline(s) => {
@@ -578,6 +578,7 @@ fn build_server(
             fabric,
             spec.nodes,
             spec.shards,
+            spec.replicas,
             layout,
             cfg,
         ));
@@ -585,10 +586,10 @@ fn build_server(
     // Each shard keeps the full-workload layout: the router spreads keys,
     // but Zipf skew makes the hottest shard's share unpredictable, and
     // simulated bytes are cheap. A lone unreplicated shard serves from the
-    // run's `server` node; every other shape names its nodes per shard —
-    // node names and creation order are part of a replay.
+    // run's `server` node; every other shape names its nodes — node names
+    // and creation order are part of a replay.
     AnyServer::Store(if spec.shards == 1 && spec.replicas == 0 {
-        Store::format_on(fabric, node, layout, cfg, 0)
+        Store::format_on(fabric, node, layout, cfg)
     } else {
         Store::format(fabric, "server", layout, cfg, spec.shards, spec.replicas)
     })
@@ -843,11 +844,12 @@ fn run_inner(
         }
 
         // ---- measured clients ----------------------------------------------
-        // A store on several data nodes serves its placement map once its
+        // A store with a control plane serves its placement map once its
         // metadata service has elected a leader. Read the map once here, so
         // the election runs before the window, not inside every measured
         // client's connect.
-        if let (true, AnyServer::Store(s)) = (spec2.nodes > 1, &*server2) {
+        let plane = spec2.nodes > 1 || spec2.replicas > 0;
+        if let (true, AnyServer::Store(s)) = (plane, &*server2) {
             let reader = f2.add_node("map-reader");
             MetaClient::new(&f2, &reader, s.meta_nodes())
                 .get_map(sim::now() + sim::millis(5))
@@ -864,18 +866,20 @@ fn run_inner(
         }
         let open = Edge::now();
         let t_start = open.at;
-        // Fault injection: power-fail every shard's primary at the chosen
-        // instant (validate() guarantees a replicated store). Clients ride
-        // through via failover; the stall is part of the measured latency.
-        if let (Some(fault_at), AnyServer::Store(store)) = (spec2.fault_at, &*server2) {
-            for i in 0..store.shards() {
-                f2.schedule_crash(
-                    store.shard(i).node(),
-                    t_start + fault_at,
-                    efactory_pmem::CrashSpec::DropAll,
-                    spec2.seed ^ 0x0FAB_u64 ^ ((i as u64) << 17),
-                );
-            }
+        // Fault injection: power-fail data node 0 at the chosen instant
+        // (validate() guarantees backups, hence a control plane). Clients
+        // ride through once the metadata service promotes its shards'
+        // backups; the stall is part of the measured latency.
+        if let Some(fault_at) = spec2.fault_at {
+            let server3 = Arc::clone(&server2);
+            let seed = spec2.seed ^ 0x0FAB;
+            sim::spawn("fault", move || {
+                sim::sleep_until(t_start + fault_at);
+                let AnyServer::Store(s) = &*server3 else {
+                    unreachable!("validate() keeps fault_at on eFactory")
+                };
+                s.crash_data_node(0, efactory_pmem::CrashSpec::DropAll, seed);
+            });
         }
         // Live migration mid-window: shard 0 moves to the next node
         // while the measured clients keep operating. The driver runs in

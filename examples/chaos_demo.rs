@@ -50,8 +50,7 @@ fn main() {
         scrub_enabled: true,
         ..ServerConfig::default()
     };
-    let node = fabric.add_node("store");
-    let server = Arc::new(Store::format_on(&fabric, &node, layout, cfg, 1));
+    let server = Arc::new(Store::format(&fabric, "store", layout, cfg, 1, 1));
 
     let f = Arc::clone(&fabric);
     let server2 = Arc::clone(&server);
@@ -75,8 +74,9 @@ fn main() {
             let got = client.get(&k(i)).expect("get").expect("hit");
             assert_eq!(got, v(i), "read-your-write through a lossy fabric");
         }
-        let shared = server2.shard(0).server().shared();
-        let repl = server2.shard(0).backup().expect("replicated").stats();
+        let primary = server2.seat(0).server;
+        let shared = primary.shared();
+        let repl = server2.backup(0).expect("replicated").stats();
         let fs = f.stats();
         let ord = std::sync::atomic::Ordering::Relaxed;
         println!(

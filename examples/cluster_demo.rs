@@ -54,6 +54,7 @@ fn main() {
         &fabric,
         2,
         2,
+        0,
         StoreLayout::new(512, 512 * 1024, false),
         ServerConfig::default(),
     ));

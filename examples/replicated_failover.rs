@@ -2,16 +2,19 @@
 //! failover.
 //!
 //! A [`Store`] with `replicas = 1` pairs each shard's primary with a
-//! backup node on the same simulated fabric. The primary's background verifier doubles as the
+//! backup on another data node of the same simulated fabric, under a
+//! metadata service. The primary's background verifier doubles as the
 //! replication point: every object it verifies is shipped to the backup
 //! with a doorbell-batched `rdma_write_imm`, and the backup re-verifies,
 //! persists, and indexes it in its own NVM pool — remote persistence, off
 //! the client's critical path.
 //!
-//! The demo power-fails the primary at a chosen virtual instant (the
-//! fault-injection hook), lets the backup promote autonomously by replaying
-//! its mirrored log through the standard recovery path, and shows a
-//! [`StoreClient`] riding through the failure transparently.
+//! The demo power-fails the primary's data node at a chosen virtual
+//! instant. The metadata service notices the silent heartbeats, commits
+//! the node's death and moves the shard to its in-sync backup; the backup
+//! node's agent replays the mirrored log through the standard recovery
+//! path and takes the seat, and a [`StoreClient`] rides through the
+//! failure on the new placement.
 //!
 //! Run with: `cargo run --release --example replicated_failover`
 
@@ -21,6 +24,7 @@ use efactory::client::ClientConfig;
 use efactory::log::StoreLayout;
 use efactory::server::ServerConfig;
 use efactory::store::{Store, StoreClient};
+use efactory_obs::Obs;
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
@@ -33,18 +37,20 @@ fn main() {
     // A log sized for the whole workload, so no cleaning pass runs (the
     // backup would follow one: it indexes mirrored objects by content).
     let layout = StoreLayout::new(1024, 4 << 20, false);
+    let obs = Obs::default();
     let cfg = ServerConfig {
         clean_enabled: false,
         doorbell_batch: 8,
+        obs: obs.clone(),
         ..ServerConfig::default()
     };
-    let node = fabric.add_node("store");
-    let server = Store::format_on(&fabric, &node, layout, cfg, 1);
+    let server = Arc::new(Store::format(&fabric, "store", layout, cfg, 1, 1));
+    let promotions = move || obs.registry.counter("meta.promotions").get();
 
     let f = Arc::clone(&fabric);
     simulation.spawn("demo", move || {
         server.start();
-        let backup = || server.shard(0).backup().expect("replicated");
+        let backup = || server.backup(0).expect("replicated");
         let client = StoreClient::connect(
             &f,
             &f.add_node("client"),
@@ -74,21 +80,22 @@ fn main() {
             backup().stats().mirror_batches.get(),
         );
 
-        // Phase 2: power-fail the primary at a chosen instant.
-        f.schedule_crash(
-            server.shard(0).node(),
-            sim::now() + sim::micros(5),
-            CrashSpec::DropAll,
-            7,
-        );
+        // Phase 2: power-fail the primary's data node (its agent and every
+        // seat it hosts) at a chosen instant.
+        let dying = Arc::clone(&server);
+        let at = sim::now() + sim::micros(5);
+        sim::spawn("crash-controller", move || {
+            sim::sleep_until(at);
+            dying.crash_data_node(0, CrashSpec::DropAll, 7);
+        });
         println!(
-            "[{:>9} ns] primary power-fails in 5 µs; writes continue",
+            "[{:>9} ns] primary's data node power-fails in 5 µs; writes continue",
             sim::now()
         );
 
         // Phase 3: keep operating. Some of these land on the dying primary
-        // and fail over transparently: the client detects the dead QP,
-        // polls the replication handle for the promoted backup, reconnects,
+        // and ride through: the client re-reads the placement until the
+        // metadata service has moved the shard to its backup, reconnects,
         // and retries.
         for i in 16..32u32 {
             let key = format!("user{i:04}");
@@ -97,9 +104,10 @@ fn main() {
                 .expect("put (with failover)");
         }
         println!(
-            "[{:>9} ns] failover complete: failovers={} promotions={}",
+            "[{:>9} ns] failover complete: shard 0 on data node {}, meta.promotions={} repl.promotions={}",
             sim::now(),
-            client.failovers(),
+            server.owner_of(0),
+            promotions(),
             backup().stats().promotions.get(),
         );
 

@@ -73,7 +73,8 @@ fn main() {
 
         // Per-shard work is visible in each shard's own stats.
         for i in 0..server.shards() {
-            let st = &server.shard(i).server().shared().stats;
+            let seat = server.seat(i);
+            let st = &seat.server.shared().stats;
             println!(
                 "shard {i}: puts={} gets={} bg_verified={}",
                 st.puts.get(),

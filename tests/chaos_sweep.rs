@@ -762,16 +762,16 @@ fn header_rot_standalone_skips_corpse_and_keeps_scrubbing() {
 fn bit_rot_replicated_repairs_from_backup() {
     let mut simu = Sim::new(6);
     let fabric = Fabric::new(CostModel::default());
-    let server_node = fabric.add_node("server");
     let store_layout = StoreLayout::new(256, 256 * 1024, false);
-    let server = Arc::new(Store::format_on(
+    let server = Arc::new(Store::format(
         &fabric,
-        &server_node,
+        "server",
         store_layout,
         ServerConfig {
             scrub_enabled: true,
             ..ServerConfig::default()
         },
+        1,
         1,
     ));
 
@@ -786,8 +786,9 @@ fn bit_rot_replicated_repairs_from_backup() {
         let v = vec![0x33u8; 64];
         c.put(&k, &v).expect("put");
         // Durable *and* mirrored before the rot lands.
-        let shared = server2.shard(0).server().shared();
-        let repl = server2.shard(0).backup().expect("replicated").stats();
+        let primary = server2.seat(0).server;
+        let shared = primary.shared();
+        let repl = server2.backup(0).expect("replicated").stats();
         let deadline = sim::now() + sim::millis(100);
         while (shared.stats.bg_verified.get() < 1 || repl.applied_objects.get() < 1)
             && sim::now() < deadline
@@ -833,16 +834,16 @@ fn full_chaos_replicated_cluster_converges() {
         sim::micros(3),
         seed ^ 0xFA,
     )));
-    let server_node = fabric.add_node("server");
     let store_layout = StoreLayout::new(1024, 1 << 20, false);
-    let server = Arc::new(Store::format_on(
+    let server = Arc::new(Store::format(
         &fabric,
-        &server_node,
+        "server",
         store_layout,
         ServerConfig {
             scrub_enabled: true,
             ..ServerConfig::default()
         },
+        1,
         1,
     ));
 
@@ -863,8 +864,9 @@ fn full_chaos_replicated_cluster_converges() {
         for i in 0..PHASE_A {
             c.put(&key(0, i), &value(0, i, 1)).expect("phase A put");
         }
-        let shared = server2.shard(0).server().shared();
-        let repl = server2.shard(0).backup().expect("replicated").stats();
+        let primary = server2.seat(0).server;
+        let shared = primary.shared();
+        let repl = server2.backup(0).expect("replicated").stats();
         let deadline = sim::now() + sim::millis(200);
         while (shared.stats.bg_verified.get() < PHASE_A as u64
             || repl.applied_objects.get() < PHASE_A as u64)
@@ -891,9 +893,9 @@ fn full_chaos_replicated_cluster_converges() {
         }
         assert_eq!(shared.scrub.repaired.get(), 2, "rot never repaired");
 
-        // Crash the primary; phase B rides through the failover.
-        let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
-        f.crash_node(&server_node, CrashSpec::DropAll, &mut rng);
+        // Power-fail the primary's data node; phase B rides through the
+        // promotion the metadata service commits.
+        server2.crash_data_node(0, CrashSpec::DropAll, seed ^ 0xC0FFEE);
         for i in 0..PHASE_B {
             let k = i % PHASE_A;
             if i % 5 == 4 {
@@ -903,7 +905,8 @@ fn full_chaos_replicated_cluster_converges() {
                     .expect("phase B put");
             }
         }
-        assert!(c.failovers() >= 1, "phase B must have failed over");
+        assert_eq!(server2.owner_of(0), 1, "phase B must have failed over");
+        assert_eq!(repl.promotions.get(), 1);
 
         // Heal the fabric and read the whole keyspace back.
         f.set_fault_plan(None);

@@ -20,7 +20,7 @@ use efactory::log::StoreLayout;
 use efactory::server::ServerConfig;
 use efactory::store::{Store, StoreClient};
 use efactory_pmem::CrashSpec;
-use efactory_rnic::{CostModel, Fabric};
+use efactory_rnic::{CostModel, Fabric, FaultPlan};
 use efactory_sim as sim;
 use efactory_sim::{Nanos, Sim};
 
@@ -38,6 +38,7 @@ fn format(fabric: &Arc<Fabric>, nodes: usize, shards: usize) -> Store {
         fabric,
         nodes,
         shards,
+        0,
         StoreLayout::new(256, 256 * 1024, false),
         ServerConfig::default(),
     )
@@ -559,7 +560,14 @@ fn healed_meta_replica_does_not_depose_the_quorums_leader() {
     let fabric = Fabric::new(CostModel::default());
     let cfg = ServerConfig::default();
     let registry = cfg.obs.registry.clone();
-    let cluster = Store::format_nodes(&fabric, 2, 1, StoreLayout::new(256, 256 * 1024, false), cfg);
+    let cluster = Store::format_nodes(
+        &fabric,
+        2,
+        1,
+        0,
+        StoreLayout::new(256, 256 * 1024, false),
+        cfg,
+    );
     simu.spawn("main", move || {
         cluster.start();
         sim::sleep(sim::millis(1));
@@ -598,6 +606,106 @@ fn healed_meta_replica_does_not_depose_the_quorums_leader() {
         cluster.shutdown();
     });
     simu.run().expect_ok();
+}
+
+/// A vote round stops waiting once a majority has granted: when the
+/// leader is cut off, the quorum side elects a successor within replica
+/// 1's election timeout (280 µs) of the last append it heard, at most one
+/// 40 µs heartbeat before the cut, without waiting out the 50 µs peer
+/// deadline of the silent replica in its pre-vote or vote round.
+/// (Regression: each round waited out that deadline, and the successor was
+/// elected 375 µs after the cut.)
+#[test]
+fn quorum_elects_a_successor_without_waiting_out_the_cut_off_replica() {
+    let mut simu = Sim::new(1010);
+    let fabric = Fabric::new(CostModel::default());
+    let cfg = ServerConfig::default();
+    let registry = cfg.obs.registry.clone();
+    let cluster = Store::format_nodes(
+        &fabric,
+        2,
+        1,
+        0,
+        StoreLayout::new(256, 256 * 1024, false),
+        cfg,
+    );
+    simu.spawn("main", move || {
+        cluster.start();
+        sim::sleep(sim::millis(1));
+        let elections = registry.counter("meta.elections");
+        let before = elections.get();
+        let meta = cluster.meta_nodes().to_vec();
+        cluster.fabric().fail_link(&meta[0], &meta[1]);
+        cluster.fabric().fail_link(&meta[0], &meta[2]);
+        let cut = sim::now();
+        while elections.get() == before {
+            assert!(sim::now() < cut + sim::millis(1), "no successor elected");
+            sim::sleep(sim::micros(1));
+        }
+        let took = sim::now() - cut;
+        assert!(
+            took <= sim::micros(280 + 40),
+            "successor elected {took} ns after the cut"
+        );
+        cluster.shutdown();
+    });
+    simu.run().expect_ok();
+}
+
+/// A peer reply to an earlier round never counts in a later one. The
+/// link between replica 0 (the initial leader) and replica 2 either slows
+/// every message by 5 µs, so replica 2's replies to the pre-vote and vote
+/// arrive after replica 1 has decided them, or delivers every message
+/// twice, so every reply from replica 2 has stale copies queued behind
+/// it. Then both of the leader's links are cut just after a heartbeat
+/// round, and a proposal that neither peer receives must not commit.
+/// (Regression: the leader read the late vote reply, or a copy of an
+/// earlier ack, as the next round's ack; once both links were cut it
+/// counted such a stale ack and reported the proposal `Committed`.)
+#[test]
+fn stale_peer_reply_never_commits_an_append_both_peers_miss() {
+    let slow = FaultPlan::chaos(0.0, 0.0, 1.0, sim::micros(5), 1011);
+    let twice = FaultPlan::chaos(0.0, 1.0, 0.0, 0, 1011);
+    for plan in [slow, twice] {
+        let mut simu = Sim::new(1011);
+        let fabric = Fabric::new(CostModel::default());
+        let cfg = ServerConfig::default();
+        let registry = cfg.obs.registry.clone();
+        let cluster = Store::format_nodes(
+            &fabric,
+            2,
+            1,
+            0,
+            StoreLayout::new(256, 256 * 1024, false),
+            cfg,
+        );
+        simu.spawn("main", move || {
+            let meta = cluster.meta_nodes().to_vec();
+            cluster.fabric().set_link_fault(&meta[0], &meta[2], plan);
+            cluster.start();
+            sim::sleep(sim::millis(1));
+            // Cut both links just after a heartbeat round, so the
+            // proposal's round is the first after the cut.
+            let appends = registry.counter("meta.appends");
+            let before = appends.get();
+            while appends.get() == before {
+                sim::sleep(sim::micros(1));
+            }
+            sim::sleep(sim::micros(20));
+            cluster.fabric().fail_link(&meta[0], &meta[1]);
+            cluster.fabric().fail_link(&meta[0], &meta[2]);
+            let probe = cluster.fabric().add_node("stale-reply-probe");
+            let mut mc = MetaClient::new(cluster.fabric(), &probe, cluster.meta_nodes());
+            let cmd = MetaCmd::MigrateStart { shard: 0, to: 1 };
+            assert_eq!(
+                mc.propose(&cmd, sim::now() + sim::micros(200)),
+                ProposeOutcome::Unavailable,
+                "a proposal no peer received was reported committed ({plan:?})"
+            );
+            cluster.shutdown();
+        });
+        simu.run().expect_ok();
+    }
 }
 
 /// An abort that finds no metadata majority must not leak the migration

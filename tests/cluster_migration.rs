@@ -53,7 +53,7 @@ fn layout() -> StoreLayout {
 
 /// A store of `shards` shards on `nodes` data nodes.
 fn format(fabric: &Arc<Fabric>, nodes: usize, shards: usize) -> Store {
-    Store::format_nodes(fabric, nodes, shards, layout(), ServerConfig::default())
+    Store::format_nodes(fabric, nodes, shards, 0, layout(), ServerConfig::default())
 }
 
 fn client_cfg() -> ClientConfig {
@@ -307,7 +307,7 @@ fn migrate_cleaned_shard_under_traffic(plan: Option<FaultPlan>) {
             clean_threshold: 0.02,
             ..ServerConfig::default()
         };
-        Store::format_nodes(f, 2, 2, StoreLayout::new(256, 256 * 1024, true), server)
+        Store::format_nodes(f, 2, 2, 0, StoreLayout::new(256, 256 * 1024, true), server)
     };
     with_cluster_cfg(404, format, |cluster| {
         let seed_client = connect(cluster, "seeder");
@@ -432,7 +432,7 @@ fn migrate_while_cleaning(plan: Option<FaultPlan>) {
             clean_threshold: 0.99,
             ..ServerConfig::default()
         };
-        Store::format_nodes(f, 2, 2, StoreLayout::new(4096, 1 << 20, true), server)
+        Store::format_nodes(f, 2, 2, 0, StoreLayout::new(4096, 1 << 20, true), server)
     };
     with_cluster_cfg(606, format, |cluster| {
         const KEYS: usize = 1500;

@@ -201,10 +201,10 @@ fn sharded_crash_at(shards: usize, t_crash: Nanos, spec: CrashSpec, seed: u64) -
     simu.spawn("main", move || {
         let server = Store::format(&f, "server", layout, cfg2.clone(), shards, 0);
         let nodes: Vec<_> = (0..shards)
-            .map(|i| server.shard(i).node().clone())
+            .map(|i| server.seat(i).server.shared().node.clone())
             .collect();
         let pools: Vec<_> = (0..shards)
-            .map(|i| Arc::clone(&server.shard(i).server().shared().pool))
+            .map(|i| Arc::clone(&server.seat(i).server.shared().pool))
             .collect();
         server.start();
         let c = StoreClient::connect(
@@ -322,51 +322,75 @@ fn sharded_sweep_word_granular_survival() {
 // ------------------------------------------------------------- replicated
 //
 // The same sweep philosophy applied to failover: power-fail the PRIMARY at
-// every swept instant while a NEW version is in flight, let the backup
-// promote autonomously, and require the promoted store to read OLD or NEW —
-// never torn — and stay writable. The cut now sweeps the whole replication
-// pipeline: client write → primary verify → mirror ship → backup apply.
+// every swept instant while a NEW version is in flight (its data node
+// power-fails through `Store::crash_data_node`), let the metadata service
+// commit its death and promote the backup, and require the promoted store
+// to read OLD or NEW — never torn — and stay writable. The cut now sweeps
+// the whole replication pipeline: client write → primary verify → mirror
+// ship → backup apply.
 //
 // Gated on `EF_TEST_REPLICAS` (default on; "0" disables) so CI can run a
 // dedicated replicated lane.
 
-use efactory::repl::{Backup, PROMOTED};
+use efactory::repl::Backup;
 
 /// The backup of a one-shard replicated store.
 fn backup(store: &Store) -> &Backup {
-    store.shard(0).backup().expect("replicated store")
+    store.backup(0).expect("replicated store")
+}
+
+/// Power-fail data node 0 of `store` (its agent and every seat it hosts)
+/// at `at`, from a controller process.
+fn crash_node0_at(store: &Arc<Store>, at: Nanos, spec: CrashSpec, seed: u64) {
+    let store = Arc::clone(store);
+    sim::spawn("controller", move || {
+        sim::sleep_until(at);
+        store.crash_data_node(0, spec, seed);
+    });
+}
+
+/// Wait until shard 0 is served by its backup's node, and return the
+/// promoted server.
+fn await_promotion(store: &Store) -> Server {
+    let deadline = sim::now() + sim::millis(500);
+    while store.owner_of(0) != backup(store).data_node() {
+        assert!(sim::now() < deadline, "backup never promoted");
+        sim::sleep(sim::micros(100));
+    }
+    store.seat(0).server
 }
 
 fn replicas_enabled() -> bool {
     std::env::var("EF_TEST_REPLICAS").map_or(true, |v| v.trim() != "0")
 }
 
-/// One replicated sweep point: kill the primary at `t_crash` mid-write,
-/// wait for autonomous promotion, and return what the promoted backup holds
-/// for the key. With `double_fault` the promoted backup is then
-/// power-failed too, recovered from its own pool, and re-read.
+/// One replicated sweep point: kill the primary's data node at `t_crash`
+/// mid-write, wait for the promotion, and return what the promoted backup
+/// holds for the key. With `double_fault` the promoted backup's data node
+/// is then power-failed too, restarted and recovered from its own pool,
+/// and re-read.
 fn replicated_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64, double_fault: bool) -> Vec<u8> {
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
-    let node = fabric.add_node("server");
     let layout = StoreLayout::new(256, 256 * 1024, false);
     let cfg = ServerConfig {
         clean_enabled: false,
         doorbell_batch: 4, // mirror runs coalesce; the batched path must be crash-safe
         ..ServerConfig::default()
     };
-    let server = Store::format_on(&fabric, &node, layout, cfg.clone(), 1);
+    let server = Arc::new(Store::format(&fabric, "server", layout, cfg, 1, 1));
 
     let out: Arc<std::sync::Mutex<Vec<u8>>> = Arc::default();
     let out2 = Arc::clone(&out);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
         server.start();
+        let primary = server.seat(0).server;
         let c = Client::connect(
             &f,
             &f.add_node("client"),
-            server.shard(0).node(),
-            server.shard(0).server().desc(),
+            &primary.shared().node,
+            primary.desc(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -378,25 +402,11 @@ fn replicated_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64, double_fault:
             assert!(sim::now() < deadline, "backup never applied OLD");
             sim::sleep(sim::micros(50));
         }
-        // Kill the primary at the swept instant via the fault-injection
-        // hook; the NEW put races the crash and may fail — both legal.
-        f.schedule_crash(
-            server.shard(0).node(),
-            sim::now() + t_crash,
-            spec,
-            seed ^ 0xC0FFEE,
-        );
+        // Kill the primary's data node at the swept instant; the NEW put
+        // races the crash and may fail — both legal.
+        crash_node0_at(&server, sim::now() + t_crash, spec, seed ^ 0xC0FFEE);
         let _ = c.put(b"swept", NEW);
-        // Promotion is autonomous — wait for the backup to take the seat.
-        let deadline = sim::now() + sim::millis(500);
-        let promoted = loop {
-            let seat = server.seat(0);
-            if seat.owner == PROMOTED {
-                break seat.server;
-            }
-            assert!(sim::now() < deadline, "backup never promoted");
-            sim::sleep(sim::micros(100));
-        };
+        let promoted = await_promotion(&server);
         let read_and_probe =
             |node: &efactory_rnic::Node, desc: efactory::server::StoreDesc, tag: &str| -> Vec<u8> {
                 let c2 = Client::connect(&f, &f.add_node(tag), node, desc, ClientConfig::default())
@@ -412,26 +422,17 @@ fn replicated_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64, double_fault:
         let mut v = read_and_probe(&promoted.shared().node, promoted.desc(), "client2");
 
         if double_fault {
-            // Second fault: the promoted backup power-fails too, and must
-            // recover from its own mirrored pool — the ordinary local
-            // recovery path, one more time.
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xD0B1E);
-            f.crash_node(backup(&server).node(), spec, &mut rng);
+            // Second fault: the promoted backup's data node power-fails
+            // too, and its restart must recover the shard from the
+            // mirrored pool — the ordinary local recovery path, one more
+            // time.
+            let b = backup(&server).data_node();
+            server.crash_data_node(b, spec, seed ^ 0xD0B1E);
             sim::sleep(sim::millis(1));
-            f.restart_node(backup(&server).node());
-            let (srv2, _report) = recovery::recover(
-                &f,
-                backup(&server).node(),
-                Arc::clone(backup(&server).pool()),
-                layout,
-                ServerConfig {
-                    clean_enabled: false,
-                    ..ServerConfig::default()
-                },
-            );
+            assert_eq!(server.restart_data_node(b).len(), 1);
+            let srv2 = server.seat(0).server;
             recovery::check_consistency(&srv2.shared().pool, &layout);
-            srv2.start(&f);
-            let v2 = read_and_probe(backup(&server).node(), srv2.desc(), "client3");
+            let v2 = read_and_probe(&srv2.shared().node, srv2.desc(), "client3");
             // The double-fault read may legally differ from the first only
             // by rolling NEW back to OLD (the promoted store's fresh state
             // was torn by the second crash) — never the other way, and
@@ -440,7 +441,6 @@ fn replicated_crash_at(t_crash: Nanos, spec: CrashSpec, seed: u64, double_fault:
                 assert_eq!(v, NEW, "double fault resurrected a newer value");
                 assert_eq!(v2, OLD, "double fault produced a torn value");
             }
-            srv2.shutdown();
             v = v2;
         }
         server.shutdown();
@@ -684,6 +684,7 @@ fn migration_crash_at(victim: MigVictim, t_crash: Nanos, seed: u64) -> bool {
         &fabric,
         2,
         1,
+        0,
         layout,
         ServerConfig::default(),
     ));
@@ -1234,10 +1235,10 @@ fn sharded_clean_crash_at(
     simu.spawn("main", move || {
         let server = Store::format(&f, "server", layout, cfg2.clone(), shards, 0);
         let nodes: Vec<_> = (0..shards)
-            .map(|i| server.shard(i).node().clone())
+            .map(|i| server.seat(i).server.shared().node.clone())
             .collect();
         let shareds: Vec<_> = (0..shards)
-            .map(|i| Arc::clone(server.shard(i).server().shared()))
+            .map(|i| Arc::clone(server.seat(i).server.shared()))
             .collect();
         let pools: Vec<_> = shareds.iter().map(|s| Arc::clone(&s.pool)).collect();
         server.start();
@@ -1358,24 +1359,24 @@ fn sharded_mid_clean_sweep() {
 fn replicated_clean_crash_at(t_crash: Option<Nanos>, spec: CrashSpec, seed: u64) -> Option<Nanos> {
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
-    let node = fabric.add_node("server");
     let layout = StoreLayout::new(256, 96 * 1024, true);
     let cfg = ServerConfig {
         clean_threshold: 2.0,
         clean_poll: sim::micros(5),
         ..ServerConfig::default()
     };
-    let server = Store::format_on(&fabric, &node, layout, cfg.clone(), 1);
+    let server = Arc::new(Store::format(&fabric, "server", layout, cfg, 1, 1));
     let out: Arc<std::sync::Mutex<Option<Nanos>>> = Arc::default();
     let out2 = Arc::clone(&out);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
         server.start();
+        let primary = server.seat(0).server;
         let c = Client::connect(
             &f,
             &f.add_node("client"),
-            server.shard(0).node(),
-            server.shard(0).server().desc(),
+            &primary.shared().node,
+            primary.desc(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -1399,20 +1400,11 @@ fn replicated_clean_crash_at(t_crash: Option<Nanos>, spec: CrashSpec, seed: u64)
         }
 
         let t0 = sim::now();
-        let shared = Arc::clone(server.shard(0).server().shared());
+        let shared = Arc::clone(primary.shared());
         shared.clean_request.store(true, Ordering::Relaxed);
         if let Some(t) = t_crash {
-            f.schedule_crash(server.shard(0).node(), t0 + t, spec, seed ^ 0xC1EA4);
-            // Promotion is autonomous — wait for the backup to take the seat.
-            let deadline = sim::now() + sim::millis(500);
-            let promoted = loop {
-                let seat = server.seat(0);
-                if seat.owner == PROMOTED {
-                    break seat.server;
-                }
-                assert!(sim::now() < deadline, "backup never promoted");
-                sim::sleep(sim::micros(100));
-            };
+            crash_node0_at(&server, t0 + t, spec, seed ^ 0xC1EA4);
+            let promoted = await_promotion(&server);
             let c2 = Client::connect(
                 &f,
                 &f.add_node("client2"),

@@ -1,5 +1,11 @@
 //! Replication + failover acceptance tests.
 //!
+//! Every store with backups runs the metadata service, which alone decides
+//! who serves a shard: a backup is promoted only through a committed
+//! `NodeDown` for its primary's data node, and only while it is in sync.
+//! Data nodes die through `Store::crash_data_node` (agent plus seats): an
+//! agent that keeps heartbeating keeps its node alive.
+//!
 //! * **Promoted equivalence**: a client that never observes the failure
 //!   reads the same values from the promoted backup as from a never-failed
 //!   primary.
@@ -7,27 +13,38 @@
 //!   the primary's death — its operations succeed against the promoted
 //!   backup with no application-visible error — and a client that
 //!   connects after the promotion reaches the promoted backup directly.
+//! * **Partition, then crash**: a cut between primary and backup takes the
+//!   backup out of sync before the primary dies, so nothing read back
+//!   before the crash is lost.
+//! * **Deposed primary**: a primary whose mirror failed acks no write once
+//!   its shard has moved to the backup, even if its node is heard again
+//!   before the promotion fences it.
 //! * **Cross-shard transactions across failover**: a 2PC transaction whose
 //!   participant's primary dies mid-protocol retries whole on the promoted
 //!   backup and commits every key, never half of them.
-//! * **Determinism**: two identical replicated runs (fault injection
-//!   included) produce byte-equal `fabric.*`/`repl.*` counter snapshots.
+//! * **Harness runs**: two identical replicated runs (fault injection
+//!   included) produce byte-equal counter snapshots, and a run on two data
+//!   nodes promotes exactly the shards the failed node owned.
+//!
+//! `EF_TEST_CHAOS` is a seed, as in every suite: a non-zero value shifts
+//! every crash instant by `seed % 5 µs` (the transaction tests crash when
+//! a counter moves, not at an instant).
 
 use std::sync::{Arc, Mutex};
 
 use efactory::client::{Client, ClientConfig, RPC_DEADLINE};
 use efactory::log::StoreLayout;
-use efactory::repl::{Backup, PROMOTED};
+use efactory::repl::Backup;
 use efactory::server::{ServerConfig, ServerStats};
 use efactory::store::{Store, StoreClient};
 use efactory::{key_shard, StoreError, TxnKv};
+use efactory_harness::cluster::{run, Cleaning, ExperimentSpec, SystemKind};
 use efactory_obs::Counter;
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric};
 use efactory_sim as sim;
-use efactory_sim::Sim;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use efactory_sim::{Nanos, Sim};
+use efactory_ycsb::Mix;
 
 const KEYS: usize = 24;
 
@@ -50,31 +67,67 @@ fn cfg() -> ServerConfig {
     }
 }
 
-/// The backup of a one-shard replicated store.
-fn backup(store: &Store) -> &Backup {
-    store.shard(0).backup().expect("replicated store")
+/// How far `EF_TEST_CHAOS` shifts every crash instant: `seed % 5 µs`.
+fn shift() -> Nanos {
+    std::env::var("EF_TEST_CHAOS")
+        .ok()
+        .and_then(|v| v.trim().parse::<u64>().ok())
+        .map_or(0, |seed| seed % sim::micros(5))
+}
+
+/// The backup of shard `g`.
+fn backup(store: &Store, g: usize) -> &Backup {
+    store.backup(g).expect("replicated store")
+}
+
+/// Counter `name` of the registry `store` reports into.
+fn counter(store: &Store, name: &str) -> u64 {
+    let snapshot = store.seat(0).server.shared().cfg.obs.registry.snapshot();
+    snapshot
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| *v)
+        .unwrap_or_else(|| panic!("counter {name} missing"))
+}
+
+/// Wait until the backup of every shard `store` has applied `n` objects.
+fn await_applied(store: &Store, n: u64) {
+    let deadline = sim::now() + sim::millis(50);
+    while (0..store.shards()).any(|g| backup(store, g).stats().applied_objects.get() < n) {
+        assert!(sim::now() < deadline, "backup never caught up");
+        sim::sleep(sim::micros(50));
+    }
+}
+
+/// Power-fail data node `i` of `store` at `at`, from a controller process.
+fn crash_at(store: &Arc<Store>, i: usize, at: Nanos, seed: u64) {
+    let store = Arc::clone(store);
+    sim::spawn("crash-controller", move || {
+        sim::sleep_until(at);
+        store.crash_data_node(i, CrashSpec::DropAll, seed);
+    });
 }
 
 /// Run the workload and read every key back at the end. With `fail: true`
-/// the primary is power-failed after the backup caught up and the final
-/// reads go to the promoted backup; with `fail: false` they go to the
-/// never-failed primary.
+/// the primary's data node is power-failed after the backup caught up and
+/// the final reads go to the promoted backup; with `fail: false` they go
+/// to the never-failed primary.
 fn read_after_optional_failover(fail: bool, seed: u64) -> Vec<Option<Vec<u8>>> {
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
-    let node = fabric.add_node("server");
-    let server = Store::format_on(&fabric, &node, layout(), cfg(), 1);
+    let store = Arc::new(Store::format(&fabric, "server", layout(), cfg(), 1, 1));
 
-    let out: Arc<std::sync::Mutex<Vec<Option<Vec<u8>>>>> = Arc::default();
+    let out: Arc<Mutex<Vec<Option<Vec<u8>>>>> = Arc::default();
     let out2 = Arc::clone(&out);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
-        server.start();
+        store.start();
+        let primary = store.seat(0).server;
         let c = Client::connect(
             &f,
             &f.add_node("client"),
-            server.shard(0).node(),
-            server.shard(0).server().desc(),
+            &primary.shared().node,
+            primary.desc(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -82,29 +135,22 @@ fn read_after_optional_failover(fail: bool, seed: u64) -> Vec<Option<Vec<u8>>> {
             c.put(&key(i), &value(i)).unwrap();
             c.get(&key(i)).unwrap().unwrap(); // read-back forces durability
         }
-        // Wait until the backup has verified + persisted every object.
-        let deadline = sim::now() + sim::millis(50);
-        while backup(&server).stats().applied_objects.get() < KEYS as u64 {
-            assert!(sim::now() < deadline, "backup never caught up");
-            sim::sleep(sim::micros(50));
-        }
+        await_applied(&store, KEYS as u64);
 
         type ReadFn = Box<dyn Fn(&[u8]) -> Option<Vec<u8>>>;
         let reads: ReadFn = if fail {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xFA11);
-            f.crash_node(server.shard(0).node(), CrashSpec::DropAll, &mut rng);
-            // Promotion is autonomous: the backup notices the dead primary
-            // and replays its mirrored log. Wait for it to take the seat.
+            crash_at(&store, 0, sim::now() + shift(), seed ^ 0xFA11);
+            // The metadata service commits the node's death and promotes
+            // the backup; its agent installs it in the seat.
+            let to = backup(&store, 0).data_node();
             let deadline = sim::now() + sim::millis(200);
-            let promoted = loop {
-                let seat = server.seat(0);
-                if seat.owner == PROMOTED {
-                    break seat.server;
-                }
+            while store.owner_of(0) != to {
                 assert!(sim::now() < deadline, "backup never promoted");
                 sim::sleep(sim::micros(100));
-            };
-            assert_eq!(backup(&server).stats().promotions.get(), 1);
+            }
+            let promoted = store.seat(0).server;
+            assert_eq!(backup(&store, 0).stats().promotions.get(), 1);
+            assert_eq!(counter(&store, "meta.promotions"), 1);
             let c2 = Client::connect(
                 &f,
                 &f.add_node("client2"),
@@ -117,11 +163,8 @@ fn read_after_optional_failover(fail: bool, seed: u64) -> Vec<Option<Vec<u8>>> {
         } else {
             Box::new(move |k| c.get(k).unwrap())
         };
-        let mut vals = Vec::new();
-        for i in 0..KEYS {
-            vals.push(reads(&key(i)));
-        }
-        server.shutdown();
+        let vals = (0..KEYS).map(|i| reads(&key(i))).collect();
+        store.shutdown();
         *out2.lock().unwrap() = vals;
     });
     simu.run().expect_ok();
@@ -148,16 +191,15 @@ fn repl_client_rides_through_primary_death() {
     let seed = 11u64;
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
-    let node = fabric.add_node("server");
-    let server = Store::format_on(&fabric, &node, layout(), cfg(), 1);
+    let store = Arc::new(Store::format(&fabric, "server", layout(), cfg(), 1, 1));
 
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
-        server.start();
+        store.start();
         let c = StoreClient::connect(
             &f,
             &f.add_node("client"),
-            &server.routes(),
+            &store.routes(),
             ClientConfig::default(),
         )
         .unwrap();
@@ -166,26 +208,22 @@ fn repl_client_rides_through_primary_death() {
             c.put(&key(i), &value(i)).unwrap();
             c.get(&key(i)).unwrap().unwrap();
         }
-        let deadline = sim::now() + sim::millis(50);
-        while backup(&server).stats().applied_objects.get() < (KEYS / 2) as u64 {
-            assert!(sim::now() < deadline, "backup never caught up");
-            sim::sleep(sim::micros(50));
-        }
-        // Kill the primary at a chosen instant while the client keeps
-        // operating — the fault-injection hook runs in its own process.
-        f.schedule_crash(
-            server.shard(0).node(),
-            sim::now() + sim::micros(3),
-            CrashSpec::DropAll,
+        await_applied(&store, (KEYS / 2) as u64);
+        // Kill the primary's data node at a chosen instant while the
+        // client keeps operating.
+        crash_at(
+            &store,
+            0,
+            sim::now() + sim::micros(3) + shift(),
             seed ^ 0xDEAD,
         );
-        // Second half: some of these hit the dying primary and must fail
-        // over transparently to the promoted backup.
+        // Second half: some of these hit the dying primary and must ride
+        // through to the promoted backup.
         for i in KEYS / 2..KEYS {
             c.put(&key(i), &value(i)).unwrap();
         }
-        assert!(c.failovers() >= 1, "client never failed over");
-        assert_eq!(backup(&server).stats().promotions.get(), 1);
+        assert_eq!(counter(&store, "meta.promotions"), 1);
+        assert_eq!(backup(&store, 0).stats().promotions.get(), 1);
         // Everything readable after failover: pre-crash keys were mirrored,
         // post-crash keys were written to the promoted backup.
         for i in 0..KEYS {
@@ -196,14 +234,16 @@ fn repl_client_rides_through_primary_death() {
             );
         }
         // A client that connects after the promotion dials the promoted
-        // backup straight from the seat table: no failover needed.
+        // backup straight from the seat table: it never re-reads the
+        // placement.
         let late = StoreClient::connect(
             &f,
             &f.add_node("late-client"),
-            &server.routes(),
+            &store.routes(),
             ClientConfig::default(),
         )
         .unwrap();
+        let refreshes = store.stats().client_refreshes.get();
         for i in 0..KEYS {
             assert_eq!(
                 late.get(&key(i)).unwrap().as_deref(),
@@ -216,8 +256,89 @@ fn repl_client_rides_through_primary_death() {
             late.get(b"late-key").unwrap().as_deref(),
             Some(&b"late-value"[..])
         );
-        assert_eq!(late.failovers(), 0, "a post-promotion connect failed over");
-        server.shutdown();
+        assert_eq!(
+            store.stats().client_refreshes.get(),
+            refreshes,
+            "a post-promotion connect re-read the placement"
+        );
+        store.shutdown();
+    });
+    simu.run().expect_ok();
+}
+
+/// ROADMAP item 10's scenario. One shard, one backup: PUT `k1` and read
+/// it back; cut the primary–backup link for 2 ms, writing and reading
+/// `k2` during the cut; heal, write and read `k3`; then power-fail the
+/// primary's data node. The failed mirror took the backup out of sync, so
+/// the metadata service never promotes it: every later read of `k2`/`k3`
+/// errors or returns what was read back, and after a restart of the data
+/// node all three keys read back.
+#[test]
+fn partition_then_crash_loses_no_read_back_value() {
+    let seed = 7u64;
+    let mut simu = Sim::new(seed);
+    let fabric = Fabric::new(CostModel::default());
+    let store = Arc::new(Store::format(&fabric, "server", layout(), cfg(), 1, 1));
+
+    let f = Arc::clone(&fabric);
+    simu.spawn("main", move || {
+        store.start();
+        let c = StoreClient::connect(
+            &f,
+            &f.add_node("client"),
+            &store.routes(),
+            ClientConfig::default(),
+        )
+        .unwrap();
+        let kvs: [(&[u8], &[u8]); 3] = [(b"k1", b"v1"), (b"k2", b"v2"), (b"k3", b"v3")];
+        let put_read = |(k, v): (&[u8], &[u8])| {
+            c.put(k, v).unwrap();
+            assert_eq!(c.get(k).unwrap().as_deref(), Some(v), "{k:?} not read back");
+        };
+        put_read(kvs[0]);
+        await_applied(&store, 1);
+
+        let primary = store.seat(0).server.shared().node.clone();
+        let backup_node = backup(&store, 0).node().clone();
+        f.fail_link(&primary, &backup_node);
+        let cut = sim::now();
+        put_read(kvs[1]);
+        sim::sleep_until(cut + sim::millis(2));
+        f.heal_link(&primary, &backup_node);
+        put_read(kvs[2]);
+        let stats = backup(&store, 0).stats();
+        assert_eq!(
+            stats.mirror_failures.get(),
+            1,
+            "the cut never failed the mirror"
+        );
+
+        crash_at(&store, 0, sim::now() + shift(), seed ^ 0xC0DE);
+        let end = sim::now() + sim::millis(5);
+        while sim::now() < end {
+            for (k, v) in &kvs[1..] {
+                if let Ok(got) = c.get(k) {
+                    assert_eq!(
+                        got.as_deref(),
+                        Some(*v),
+                        "{k:?} rolled back after the crash"
+                    );
+                }
+            }
+            sim::sleep(sim::micros(500));
+        }
+        assert_eq!(
+            counter(&store, "meta.promotions"),
+            0,
+            "a stale backup was promoted"
+        );
+        assert_eq!(stats.promotions.get(), 0);
+
+        store.restart_data_node(0);
+        for (k, v) in kvs {
+            assert_eq!(c.get(k).unwrap().as_deref(), Some(v), "{k:?} lost");
+        }
+        store.shutdown();
     });
     simu.run().expect_ok();
 }
@@ -226,15 +347,100 @@ fn repl_client_rides_through_primary_death() {
 struct TxnAcrossFailover {
     result: Result<u64, StoreError>,
     elapsed: sim::Nanos,
-    failovers: u64,
+    promotions: u64,
     /// Each shard's key as a client connected afterwards reads it.
     reads: Vec<Option<Vec<u8>>>,
 }
 
-/// A 2-shard store with one backup per shard runs one 2-key
-/// `txn_put_all`, one key per shard, over keys that hold `old-{shard}`.
-/// A watcher power-fails shard `victim`'s primary the instant shard
-/// `trigger`'s `pick` counter moves.
+/// A primary whose mirror failed acks no write once a committed
+/// `NodeDown` has moved its shard to the backup, even when its node's
+/// heartbeats come back before the backup's agent fences it: the promoted
+/// backup would not hold that write. Node 0's agent is cut off from the
+/// metadata service while the mirror dies, so `BackupLost` cannot commit
+/// and the in-sync backup is promoted; node 1's agent is cut off from just
+/// before `NodeDown(0)` commits until 150 µs after, so node 0's agent hears
+/// the new placement first.
+#[test]
+fn deposed_primary_with_a_dead_mirror_acks_no_write() {
+    let seed = 9u64;
+    let mut simu = Sim::new(seed);
+    let fabric = Fabric::new(CostModel::default());
+    let store = Arc::new(Store::format(&fabric, "server", layout(), cfg(), 1, 1));
+
+    let f = Arc::clone(&fabric);
+    simu.spawn("main", move || {
+        store.start();
+        let c = StoreClient::connect(
+            &f,
+            &f.add_node("client"),
+            &store.routes(),
+            ClientConfig::default(),
+        )
+        .unwrap();
+        c.put(b"k1", b"v1").unwrap();
+        await_applied(&store, 1);
+        // Cut or heal data node `i`'s agent's links to every metadata
+        // replica.
+        fn set_agent_links(store: &Store, i: usize, up: bool) {
+            for m in store.meta_nodes() {
+                if up {
+                    store.fabric().heal_link(store.agent_node(i), m);
+                } else {
+                    store.fabric().fail_link(store.agent_node(i), m);
+                }
+            }
+        }
+
+        let cut = sim::now();
+        set_agent_links(&store, 0, false);
+        let primary = store.seat(0).server.shared().node.clone();
+        f.fail_link(&primary, backup(&store, 0).node());
+        c.put(b"k2", b"v2").unwrap();
+        sim::sleep_until(cut + sim::micros(350));
+        set_agent_links(&store, 1, false);
+        while counter(&store, "meta.node_downs") == 0 {
+            assert!(
+                sim::now() < cut + sim::millis(1),
+                "node 0 never declared down"
+            );
+            sim::sleep(sim::micros(1));
+        }
+        assert_eq!(backup(&store, 0).stats().mirror_failures.get(), 1);
+        set_agent_links(&store, 0, true);
+        let healer = Arc::clone(&store);
+        let heal_at = sim::now() + sim::micros(150);
+        sim::spawn("heal-node-1", move || {
+            sim::sleep_until(heal_at);
+            set_agent_links(&healer, 1, true);
+        });
+
+        sim::sleep(sim::micros(80));
+        c.put(b"k3", b"v3").unwrap();
+        while store.owner_of(0) != 1 {
+            assert!(sim::now() < cut + sim::millis(5), "backup never promoted");
+            sim::sleep(sim::micros(10));
+        }
+        assert_eq!(
+            counter(&store, "meta.node_downs"),
+            1,
+            "node 1 declared down"
+        );
+        for (k, v) in [(&b"k1"[..], &b"v1"[..]), (b"k3", b"v3")] {
+            assert_eq!(
+                c.get(k).unwrap().as_deref(),
+                Some(v),
+                "{k:?} acked, then lost"
+            );
+        }
+        store.shutdown();
+    });
+    simu.run().expect_ok();
+}
+
+/// Two data nodes, two shards and one backup per shard (shard `g` on node
+/// `g`, its backup on the other node) run one 2-key `txn_put_all`, one key
+/// per shard, over keys that hold `old-{shard}`. A watcher power-fails
+/// data node `victim` the instant shard `trigger`'s `pick` counter moves.
 fn txn_across_failover(
     victim: usize,
     trigger: usize,
@@ -242,7 +448,7 @@ fn txn_across_failover(
 ) -> TxnAcrossFailover {
     let mut simu = Sim::new(29);
     let fabric = Fabric::new(CostModel::default());
-    let store = Store::format(&fabric, "txf", layout(), cfg(), 2, 1);
+    let store = Arc::new(Store::format_nodes(&fabric, 2, 2, 1, layout(), cfg()));
     let keys: Vec<Vec<u8>> = (0..2)
         .map(|g| {
             (0..)
@@ -267,15 +473,10 @@ fn txn_across_failover(
             c.put(k, format!("old-{g}").as_bytes()).unwrap();
             c.get(k).unwrap().unwrap(); // read-back forces durability
         }
-        let deadline = sim::now() + sim::millis(50);
-        while (0..2).any(|g| store.backup(g).unwrap().stats().applied_objects.get() < 1) {
-            assert!(sim::now() < deadline, "backups never caught up");
-            sim::sleep(sim::micros(50));
-        }
-        let watched = store.shard(trigger).server().clone();
-        let dying = store.shard(victim).node().clone();
+        await_applied(&store, 1);
+        let watched = store.seat(trigger).server;
         let before = pick(&watched.shared().stats).get();
-        let fw = Arc::clone(&f);
+        let dying = Arc::clone(&store);
         sim::spawn("watcher", move || {
             let deadline = sim::now() + sim::millis(10);
             while pick(&watched.shared().stats).get() == before {
@@ -284,11 +485,7 @@ fn txn_across_failover(
                 }
                 sim::sleep(20);
             }
-            fw.crash_node(
-                &dying,
-                CrashSpec::DropAll,
-                &mut StdRng::seed_from_u64(0xDEAD),
-            );
+            dying.crash_data_node(victim, CrashSpec::DropAll, 0xDEAD);
         });
         let puts: Vec<(Vec<u8>, Vec<u8>)> = keys
             .iter()
@@ -309,7 +506,7 @@ fn txn_across_failover(
         *out2.lock().unwrap() = Some(TxnAcrossFailover {
             result,
             elapsed,
-            failovers: c.failovers(),
+            promotions: counter(&store, "meta.promotions"),
             reads,
         });
         store.shutdown();
@@ -322,7 +519,7 @@ fn txn_across_failover(
 /// Both keys read their new values.
 fn assert_all_new(t: &TxnAcrossFailover) {
     assert!(t.result.is_ok(), "txn failed: {:?}", t.result);
-    assert!(t.failovers >= 1, "the client never failed over");
+    assert_eq!(t.promotions, 1, "the dead node's shard was not promoted");
     for (g, v) in t.reads.iter().enumerate() {
         assert_eq!(
             v.as_deref(),
@@ -356,15 +553,10 @@ fn txn_commits_whole_when_a_prepared_participant_dies_mid_prepare() {
     );
 }
 
-#[test]
-fn replicated_runs_are_byte_identical() {
-    use efactory_harness::cluster::{run, Cleaning, ExperimentSpec, SystemKind};
-    use efactory_ycsb::Mix;
-
-    // A full replicated harness run with mid-window fault injection: same
-    // spec twice must produce byte-equal counter snapshots — fabric.*,
-    // repl.*, server.*, everything.
-    let spec = ExperimentSpec {
+/// A tiny replicated YCSB-A harness spec whose fault power-fails data
+/// node 0 40 µs into the window.
+fn faulted_spec(nodes: usize, shards: usize) -> ExperimentSpec {
+    ExperimentSpec {
         system: SystemKind::EFactory,
         mix: Mix::A,
         value_len: 128,
@@ -375,39 +567,71 @@ fn replicated_runs_are_byte_identical() {
         seed: 23,
         cleaning: Cleaning::Disabled,
         force_clean: false,
-        shards: 1,
+        shards,
         doorbell_batch: 8,
         replicas: 1,
-        fault_at: Some(sim::micros(40)),
+        fault_at: Some(sim::micros(40) + shift()),
         fault_plan: None,
         scrub: false,
         window: 1,
         loc_cache: false,
         snap_readers: 0,
-        nodes: 1,
+        nodes,
         migrate_at: None,
         exec: None,
-    };
+    }
+}
+
+/// Counter `name` of a harness run's snapshot.
+fn run_counter(counters: &[(String, u64)], name: &str) -> u64 {
+    counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map(|(_, v)| *v)
+        .unwrap_or_else(|| panic!("counter {name} missing from snapshot"))
+}
+
+#[test]
+fn replicated_runs_are_byte_identical() {
+    // A full replicated harness run with mid-window fault injection: same
+    // spec twice must produce byte-equal counter snapshots — fabric.*,
+    // repl.*, server.*, meta.*, everything.
+    let spec = faulted_spec(1, 1);
     let a = run(&spec);
     let b = run(&spec);
     assert_eq!(
         a.counters, b.counters,
         "replicated runs with fault injection must replay byte-identically"
     );
-    let get = |name: &str| {
-        a.counters
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
-            .unwrap_or_else(|| panic!("counter {name} missing from snapshot"))
-    };
-    // Loaded records reach the backup through its apply step, not the
-    // mirror.
+    // Shard 0's backup sits on the backup-only data node 1. Loaded records
+    // reach it through its apply step, not the mirror.
     assert!(
-        get("repl.applied_objects") >= 64,
+        run_counter(&a.counters, "n1.g0.repl.applied_objects") >= 64,
         "the load was not applied on the backup"
     );
-    assert_eq!(get("repl.promotions"), 1, "fault must promote the backup");
+    assert_eq!(run_counter(&a.counters, "n1.g0.repl.promotions"), 1);
+    assert_eq!(
+        run_counter(&a.counters, "meta.promotions"),
+        1,
+        "fault must promote the backup"
+    );
     assert_eq!(a.total_ops, b.total_ops);
     assert_eq!(a.elapsed_ns, b.elapsed_ns);
+}
+
+#[test]
+fn two_node_run_promotes_every_shard_node_zero_owned() {
+    // Node 0 owns shard 0 and holds shard 1's backup; node 1 owns shard 1
+    // and holds shard 0's. Killing node 0 promotes shard 0 only, and every
+    // op still succeeds (the harness fails the run on any error).
+    let spec = faulted_spec(2, 2);
+    let r = run(&spec);
+    assert_eq!(r.total_ops, (spec.clients * spec.ops_per_client) as u64);
+    let owned_by_0 = (0..spec.shards).filter(|g| g % spec.nodes == 0).count();
+    assert_eq!(
+        run_counter(&r.counters, "meta.promotions"),
+        owned_by_0 as u64
+    );
+    assert_eq!(run_counter(&r.counters, "n1.g0.repl.promotions"), 1);
+    assert_eq!(run_counter(&r.counters, "n0.g1.repl.promotions"), 0);
 }

@@ -140,15 +140,16 @@ fn every_registered_counter_lands_in_the_report() {
         "client.pipeline.hazard_waits",
         "client.pipeline.window_waits",
         "client.pipeline.doorbells",
-        // replication tier
-        "repl.mirror_objects",
-        "repl.mirror_bytes",
-        "repl.mirror_batches",
-        "repl.mirror_failures",
-        "repl.applied_objects",
-        "repl.applied_bytes",
-        "repl.apply_failures",
-        "repl.promotions",
+        // replication tier, named by the backup's seat: shard 0's backup
+        // on the backup-only data node 1
+        "n1.g0.repl.mirror_objects",
+        "n1.g0.repl.mirror_bytes",
+        "n1.g0.repl.mirror_batches",
+        "n1.g0.repl.mirror_failures",
+        "n1.g0.repl.applied_objects",
+        "n1.g0.repl.applied_bytes",
+        "n1.g0.repl.apply_failures",
+        "n1.g0.repl.promotions",
         // log cleaner (progress + backpressure)
         "server.cleanings",
         "server.relocated",
@@ -220,6 +221,7 @@ fn every_registered_counter_lands_in_the_report() {
         "meta.heartbeats",
         "meta.node_downs",
         "meta.node_ups",
+        "meta.promotions",
         "meta.rejects",
         "meta.getmaps",
     ] {

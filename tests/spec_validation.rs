@@ -60,11 +60,12 @@ fn validate_rejects_two_backups() {
 }
 
 #[test]
-fn validate_rejects_a_replicated_cluster() {
-    rejects(
-        |s| (s.nodes, s.replicas) = (2, 1),
-        SpecError::BackupsOnCluster,
-    );
+fn validate_accepts_a_replicated_cluster() {
+    // Backups on several data nodes: each sits on its owner's next node.
+    let mut s = tiny(SystemKind::EFactory, Mix::A);
+    (s.shards, s.nodes, s.replicas) = (2, 2, 1);
+    assert_eq!(s.validate(), Ok(()));
+    assert_eq!(run(&s).total_ops, (s.clients * s.ops_per_client) as u64);
 }
 
 #[test]
@@ -109,6 +110,15 @@ fn validate_rejects_a_fault_without_a_backup() {
 #[test]
 fn validate_rejects_a_migration_without_a_second_node() {
     rejects(|s| s.migrate_at = Some(1_000), SpecError::MigrateNeedsNodes);
+}
+
+#[test]
+fn validate_rejects_a_migration_with_backups() {
+    // The next node, where the migration would go, holds shard 0's backup.
+    rejects(
+        |s| (s.migrate_at, s.nodes, s.replicas) = (Some(1_000), 3, 1),
+        SpecError::MigrateWithBackups,
+    );
 }
 
 #[test]

@@ -7,8 +7,8 @@
 //! image except each object's `alloc_time` word (virtual time on the PUT
 //! path, 0 for a load), with no dirty line on either side, and `inspect`
 //! must report the same keys and versions and no violation. A loaded
-//! replicated store must then survive its primary's power failure: the
-//! backup promotes and the routed client reads every record.
+//! replicated store must then survive its primaries' data node power
+//! failure: the backups promote and the routed client reads every record.
 
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
@@ -17,7 +17,6 @@ use efactory::client::{ClientConfig, RemoteKv};
 use efactory::inspect::{inspect, StoreReport};
 use efactory::layout::{ObjHeader, HDR_LEN};
 use efactory::log::StoreLayout;
-use efactory::repl::PROMOTED;
 use efactory::server::ServerConfig;
 use efactory::store::{Store, StoreClient};
 use efactory_pmem::{CrashSpec, PmemPool};
@@ -36,7 +35,7 @@ const ALLOC_TIME: usize = HDR_LEN - 8;
 enum Shape {
     /// One unreplicated shard.
     OneShard,
-    /// Four shards, each with one backup.
+    /// Four shards on one data node, each with one backup on a second.
     Replicated,
     /// Four shards placed over two data nodes.
     TwoNodes,
@@ -67,7 +66,7 @@ impl Shape {
         match self {
             Shape::OneShard => {
                 let (layout, cfg) = plain();
-                Store::format_on(fabric, &fabric.add_node("server"), layout, cfg, 0)
+                Store::format_on(fabric, &fabric.add_node("server"), layout, cfg)
             }
             Shape::Replicated => {
                 let (layout, cfg) = plain();
@@ -75,7 +74,7 @@ impl Shape {
             }
             Shape::TwoNodes => {
                 let (layout, cfg) = plain();
-                Store::format_nodes(fabric, 2, 4, layout, cfg)
+                Store::format_nodes(fabric, 2, 4, 0, layout, cfg)
             }
             Shape::Cleaning => {
                 let layout = StoreLayout::new(1024, 64 * 1024, true);
@@ -83,7 +82,7 @@ impl Shape {
                     clean_enabled: true,
                     ..ServerConfig::default()
                 };
-                Store::format_on(fabric, &fabric.add_node("server"), layout, cfg, 0)
+                Store::format_on(fabric, &fabric.add_node("server"), layout, cfg)
             }
         }
     }
@@ -261,8 +260,9 @@ fn loaded_cleaning_layout_matches_the_put_path() {
     assert_same_images(Shape::Cleaning);
 }
 
-/// A loaded replicated store survives its primary's power failure: the
-/// backup promotes from the loaded image and serves every record.
+/// A loaded replicated store survives its primaries' data node power
+/// failure: every backup promotes from the loaded image, and the shards
+/// serve every record.
 #[test]
 fn loaded_backup_promotes_and_serves_every_record() {
     let shape = Shape::Replicated;
@@ -281,17 +281,19 @@ fn loaded_backup_promotes_and_serves_every_record() {
             ClientConfig::default(),
         )
         .expect("client connects");
-        f.schedule_crash(s.shard(0).node(), sim::now(), CrashSpec::DropAll, SEED);
+        s.crash_data_node(0, CrashSpec::DropAll, SEED);
         sim::sleep(sim::micros(1));
         for (key, value) in records(shape) {
             let got = client.kv_get(&key).expect("GET rides out the failover");
             assert_eq!(got.as_deref(), Some(&value[..]), "record lost");
             *r.lock().unwrap() += 1;
         }
-        assert_eq!(s.owner_of(0), PROMOTED, "shard 0's backup took the seat");
+        for g in 0..s.shards() {
+            assert_eq!(s.owner_of(g), 1, "shard {g}'s backup took the seat");
+        }
         s.shutdown();
     });
     simu.run().expect_ok();
     assert_eq!(*read.lock().unwrap(), shape.records());
-    assert_eq!(store.backup(0).unwrap().stats().promotions.get(), 1);
+    assert_eq!(store.repl_stat_sum(|r| &r.promotions), 4);
 }
