@@ -16,7 +16,7 @@ use efactory::log::{LogRegion, StoreLayout};
 use efactory::protocol::{Request, Response, Status};
 use efactory::server::{ServerStats, StoreDesc};
 use efactory_pmem::PmemPool;
-use efactory_rnic::{CostModel, Fabric, Incoming, Listener, Node, QpId};
+use efactory_rnic::{CostModel, Fabric, Incoming, Listener, Node, QpError, QpId};
 use efactory_sim::{self as sim, Nanos};
 use parking_lot::Mutex;
 
@@ -215,7 +215,7 @@ impl BaseServer {
         loop {
             let msg = match listener.recv_deadline(sim::now() + sim::micros(100)) {
                 Ok(m) => m,
-                Err(efactory_rnic::QpError::Timeout) => {
+                Err(QpError::Timeout) => {
                     if self.stopping() {
                         return;
                     }
@@ -231,6 +231,13 @@ impl BaseServer {
             }
         }
     }
+}
+
+/// Whether a handler keeps serving after sending `reply`: a reply to a
+/// client whose QP is gone fails with `Disconnected` and is skipped. Only
+/// a crash ends the handler.
+fn served(reply: Result<(), QpError>) -> bool {
+    reply != Err(QpError::Crashed)
 }
 
 /// Spawn a system's single request handler, `{name}-handler`: it answers
@@ -250,7 +257,7 @@ pub fn spawn_handler(
                 return true;
             };
             let resp = Request::decode(&payload).map_or(UNSERVED, |req| handle(&base, req));
-            l.reply(from, resp.encode()).is_ok()
+            served(l.reply(from, resp.encode()))
         });
     });
 }
@@ -305,7 +312,7 @@ pub fn spawn_staged(
                 }
                 None => UNSERVED,
             };
-            if replier.reply(from, resp.encode()).is_err() {
+            if !served(replier.reply(from, resp.encode())) {
                 return;
             }
         }
@@ -322,12 +329,12 @@ pub fn spawn_staged(
                         let c = &base.cost;
                         sim::work(c.cpu_req_handle_ns + c.cpu_hash_ns + c.cpu_alloc_ns);
                         let resp = stage(&base, &mut pending.lock(), &key, vlen, crc);
-                        return l.reply(from, resp.encode()).is_ok();
+                        return served(l.reply(from, resp.encode()));
                     }
                     Some(Request::Persist { obj_off }) if trigger == Trigger::PersistRpc => {
                         (from, obj_off)
                     }
-                    _ => return l.reply(from, UNSERVED.encode()).is_ok(),
+                    _ => return served(l.reply(from, UNSERVED.encode())),
                 },
             };
             done_tx.send(done, 0).is_ok()

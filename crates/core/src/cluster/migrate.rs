@@ -3,10 +3,12 @@
 //!
 //! # Protocol (the migration state machine)
 //!
-//! 1. **Start** — `MigrateStart{shard, to}` is committed through the
-//!    metadata service (rejected if a migration is already in flight, the
-//!    destination is down, or it already owns the shard). Ownership does
-//!    NOT change yet; the source keeps serving.
+//! 1. **Start** — the driver records the migration in the control plane
+//!    (refused while another one is recorded), then commits
+//!    `MigrateStart{shard, to}` through the metadata service (rejected if
+//!    a migration is already in flight, the destination is down, or it
+//!    already owns the shard). Ownership does NOT change yet; the source
+//!    keeps serving.
 //! 2. **Live copy** — the driver bulk-copies the source's hash table and
 //!    its log up to the active pool's head, in chunks, with one-sided
 //!    reads from the source and writes into the destination pool, whose
@@ -30,29 +32,45 @@
 //!    head, the inactive cleaning pool). A second pass asserts **zero**
 //!    differences: the destination is byte-identical to the frozen
 //!    source — exactly what a stop-the-world copy would have produced.
-//! 6. **Adopt** — ordinary [`crate::recovery`] runs over the copied pool
-//!    (the same code path a rebooted owner would run) and the destination
-//!    server starts.
-//! 7. **Decommission + commit** — the source's hash-table entries are
+//!    The verified copy is then persisted on the destination.
+//! 6. **Decommission + commit** — the source's hash-table entries are
 //!    poisoned (`new_valid`), pushing any straggler's pure one-sided read
 //!    onto the RPC fallback where the seal answers `WrongEpoch`, and a
 //!    `CleanStart` event pins polling clients off the pure path entirely.
-//!    Then `MigrateCommit` flips ownership in the metadata service with
-//!    an **epoch bump**, and the destination is installed in the seat
-//!    table, which shuts the sealed source down. A client still holding
-//!    a QP to the source then gets a transport error and redials through
-//!    the placement refresh.
+//!    Then the record wants the commit, and `MigrateCommit` flips
+//!    ownership in the metadata service with an **epoch bump**.
+//! 7. **Adopt** — once a committed placement names the destination,
+//!    ordinary [`crate::recovery`] runs over the copied pool (the same
+//!    code path a rebooted owner would run), and the destination server
+//!    starts and is installed in the seat table, which shuts the sealed
+//!    source down. A client still holding a QP to the source then gets a
+//!    transport error and redials through the placement refresh.
 //!
-//! Aborting at any step before 7 leaves the source the one owner: the
-//! driver unseals it and commits `MigrateAbort`. If the abort proposal
-//! itself finds no metadata majority, the driver parks it in the control
-//! plane and [`Store::reconcile`] re-proposes it once a majority is
-//! reachable — otherwise the slot would stay occupied forever, since with
-//! both endpoints alive the death sweep never auto-aborts. A crash of
-//! either endpoint mid-migration is detected by the metadata service's
-//! death sweep, which auto-aborts the migration; the invariant "exactly
-//! one owner per shard" holds at every instant because ownership only
-//! ever changes inside `MigrateCommit`.
+//! # Settling
+//!
+//! A migration settles the way a promotion does: from committed state.
+//! The driver's record in the control plane holds the shard, the
+//! destination, the start's placement epoch, the destination pool and
+//! what the driver wants — to keep copying, to commit, or to abort. The
+//! settle step
+//! (`Plane::settle`) runs on the driver's own proposal replies, on every
+//! node agent's heartbeat reply, and on the state a node restart reads.
+//! It adopts the copy once a placement newer than the start names the
+//! destination, re-proposes the commit or abort while the slot still
+//! holds the migration, and drops the record once the slot has moved on,
+//! unsealing the source if the slot is empty. So a commit or abort whose
+//! ack was lost, or that found no metadata majority, is finished by
+//! whoever next reads committed state, and a start whose ack was lost
+//! ends in an abort.
+//!
+//! Aborting at any step before 6 leaves the source the one owner: the
+//! driver unseals it and wants the abort. A crash of either endpoint
+//! mid-migration is detected by the metadata service's death sweep, which
+//! auto-aborts the migration; the invariant "exactly one owner per shard"
+//! holds at every instant because ownership only ever changes inside
+//! `MigrateCommit`. After the commit is proposed the driver never unseals
+//! the source itself: if no committed state shows the outcome within its
+//! bound, the source stays sealed until the settle step learns it.
 
 use std::ops::Range;
 use std::sync::atomic::Ordering;
@@ -64,22 +82,26 @@ use efactory_sim as sim;
 use sim::Nanos;
 
 use super::meta::{MetaClient, MetaCmd, ProposeOutcome};
-use super::{ClusterStats, Plane};
-use crate::recovery::{self, RecoveryReport};
-use crate::server::{CleanPhase, ServerShared};
+use super::{ClusterStats, Migration, Want};
+use crate::server::CleanPhase;
 use crate::store::Store;
 
 /// Copy, fixup and verify chunk (bytes).
 const COPY_CHUNK: usize = 64 * 1024;
 
-/// Why a migration did not commit. In every case the source remains the
-/// owner (the metadata service never saw, or refused, the commit).
+/// Why a migration did not commit. In every case but a `MetaUnavailable`
+/// after the commit was proposed, the source remains the owner (the
+/// metadata service never saw, or refused, the commit).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MigrateError {
-    /// The metadata service refused `MigrateStart` (migration already in
-    /// flight, destination down, or destination already owns the shard).
+    /// Another migration is still recorded, or the metadata service
+    /// refused `MigrateStart` (migration already in flight, destination
+    /// down, or destination already owns the shard).
     Rejected,
-    /// No metadata leader/majority reachable within the deadline.
+    /// No metadata leader/majority reachable within the deadline. After
+    /// the commit was proposed this leaves the outcome unknown: the source
+    /// stays sealed, and the settle step finishes the migration once a
+    /// majority is reachable again.
     MetaUnavailable,
     /// The copy, fixup or verify pass failed (an endpoint died or a
     /// partition outlasted the retry budget).
@@ -120,9 +142,6 @@ pub struct MigrationReport {
     pub sealed_ns: Nanos,
     /// Whole-migration virtual time (start committed → commit).
     pub total_ns: Nanos,
-    /// What recovery over the copied pool found (expected: all keys
-    /// intact — the source was drained before the copy froze).
-    pub recovery: RecoveryReport,
 }
 
 /// A one-sided verb with timeout retries (transient partitions): up to
@@ -204,79 +223,6 @@ impl Copier<'_> {
     }
 }
 
-/// Everything the abort path needs to unwind.
-struct Unwind<'a> {
-    mc: &'a mut MetaClient,
-    shard: usize,
-    to: usize,
-    src: &'a Arc<ServerShared>,
-    sealed: bool,
-}
-
-impl Unwind<'_> {
-    fn abort(&mut self, plane: &Plane, err: MigrateError) -> MigrateError {
-        if self.sealed {
-            self.src.unseal();
-        }
-        plane.clear_staged();
-        let deadline = sim::now() + sim::millis(2);
-        let outcome = self.mc.propose(
-            &MetaCmd::MigrateAbort {
-                shard: self.shard as u32,
-            },
-            deadline,
-        );
-        if matches!(outcome, ProposeOutcome::Unavailable) {
-            // The abort may never have reached a majority. Both endpoints
-            // are (or may be) alive, so the death sweep will never free
-            // the slot for us — park the abort for `Store::reconcile`
-            // to re-propose once a metadata majority is reachable.
-            plane.note_unacked_abort(self.shard, self.to);
-        }
-        plane.stats.migrations_aborted.inc();
-        err
-    }
-}
-
-/// The commit proposal came back `Unavailable` — ambiguous: the command
-/// may have replicated before the ack was lost (or the leader died and
-/// the command died with it). Resolve against the authoritative map: an
-/// owner flip to `to` means it committed; a slot that is no longer ours
-/// means it provably did not and can no longer (the death sweep's
-/// auto-abort won the race); a slot still holding this exact migration
-/// is resolved by **re-proposing the commit** — `MigrateCommit` is
-/// idempotent against its own slot, so the first application flips
-/// ownership and a resurfacing original finds the slot cleared and
-/// no-ops. `None` means the metadata service stayed unreachable for the
-/// whole bound and the outcome is still unknown.
-fn resolve_commit(mc: &mut MetaClient, shard: usize, to: usize) -> Option<Result<u64, ()>> {
-    let deadline = sim::now() + sim::millis(3);
-    while sim::now() < deadline {
-        if let Some(state) = mc.get_map(sim::now() + sim::millis(1)) {
-            if state.placement.node_of_shard(shard) == to {
-                return Some(Ok(state.placement.epoch));
-            }
-            if state.migrating != Some((shard as u32, to as u32)) {
-                return Some(Err(()));
-            }
-            if let ProposeOutcome::Committed(state) = mc.propose(
-                &MetaCmd::MigrateCommit {
-                    shard: shard as u32,
-                },
-                sim::now() + sim::millis(1),
-            ) {
-                return Some(if state.placement.node_of_shard(shard) == to {
-                    Ok(state.placement.epoch)
-                } else {
-                    Err(())
-                });
-            }
-        }
-        sim::sleep(sim::micros(20));
-    }
-    None
-}
-
 impl Store {
     /// Live-migrate `shard` to data node `to`. Runs the full protocol in
     /// the calling (simulated) process; client traffic may keep flowing
@@ -292,44 +238,43 @@ impl Store {
         let src = Arc::clone(seat.server.shared());
         let src_node = src.node.clone();
         let src_mr = seat.server.desc().mr;
+        let ours = Some((shard as u32, to as u32));
 
+        // Step 1: record the migration, then replicate the intent. The
+        // record comes first, so a start whose ack is lost ends in an
+        // abort rather than holding the slot.
+        let dest_pool = Arc::new(PmemPool::new(layout.total_len()));
+        let recorded = plane.record(Migration {
+            shard,
+            to,
+            epoch: 0,
+            pool: Arc::clone(&dest_pool),
+            want: Want::Copying,
+        });
+        if !recorded {
+            return Err(MigrateError::Rejected);
+        }
         // The driver borrows the destination agent's fabric identity for
         // the control RPCs and the copy verbs.
         let local = self.agent_node(to).clone();
         let mut mc = MetaClient::new(self.fabric(), &local, self.meta_nodes());
-
-        // Step 1: replicate the intent.
-        match mc.propose(
+        let start = match mc.propose(
             &MetaCmd::MigrateStart {
                 shard: shard as u32,
                 to: to as u32,
             },
             sim::now() + sim::millis(2),
         ) {
-            // `apply` is total: a conflicting command ahead of ours can
-            // no-op it even though the proposal itself "committed". Trust
-            // the returned state, not the status.
-            ProposeOutcome::Committed(state)
-                if state.migrating == Some((shard as u32, to as u32)) => {}
-            ProposeOutcome::Committed(_) => return Err(MigrateError::Rejected),
-            ProposeOutcome::Rejected => {
-                // A driver that died after its start committed — or our
-                // own start whose ack was lost and which a retry now
-                // collides with — leaves the slot occupied. If the
-                // occupied slot IS this exact migration, adopt it
-                // instead of failing.
-                let ours = mc
-                    .get_map(sim::now() + sim::millis(1))
-                    .is_some_and(|s| s.migrating == Some((shard as u32, to as u32)));
-                if !ours {
-                    return Err(MigrateError::Rejected);
-                }
+            ProposeOutcome::Committed(state) if state.migrating == ours => state,
+            outcome => {
+                plane.record_mut(|m| m.want = Want::Abort);
+                return Err(match outcome {
+                    ProposeOutcome::Unavailable => MigrateError::MetaUnavailable,
+                    _ => MigrateError::Rejected,
+                });
             }
-            ProposeOutcome::Unavailable => return Err(MigrateError::MetaUnavailable),
-        }
-        // The slot is (again) ours: any abort a previous driver failed to
-        // deliver is obsolete, and re-proposing it would kill this run.
-        plane.clear_pending_abort();
+        };
+        plane.record_mut(|m| m.epoch = start.placement.epoch);
         // A backup of the shard on the destination is out of sync (the
         // metadata service refuses a start onto an in-sync one), and its
         // seat is about to take the copy: retire it, so no agent ever
@@ -339,39 +284,36 @@ impl Store {
         }
         self.stats().migrations_started.inc();
 
-        // Destination scaffolding: fresh pool, a listener so the driver's
-        // QP can connect, and a registration covering the whole pool.
-        // Offsets line up 1:1 with the source — both pools share one
-        // layout. Its pmem counters and tracer are the destination seat's,
-        // so the new owner's pool work shows under that seat.
+        // Every abort before the commit is proposed: the source was never
+        // flipped away, so the driver unseals it (a no-op before the seal)
+        // and settles the abort.
+        let abort = |mc: &mut MetaClient, err: MigrateError| {
+            src.unseal();
+            plane.record_mut(|m| m.want = Want::Abort);
+            plane.settle(mc, start.clone());
+            plane.stats.migrations_aborted.inc();
+            err
+        };
+
+        // Destination scaffolding: a listener so the driver's QP can
+        // connect, and a registration covering the whole pool. Offsets
+        // line up 1:1 with the source — both pools share one layout. Its
+        // pmem counters and tracer are the destination seat's, so the new
+        // owner's pool work shows under that seat.
         let dest_node: Node = self.seat_node(to, shard).clone();
         let dest_cfg = plane.seat_cfg(to, shard);
-        let dest_pool = Arc::new(PmemPool::new(layout.total_len()));
         dest_pool
             .stats()
             .register_prefixed(&dest_cfg.obs.registry, &dest_cfg.counter_prefix);
         dest_pool.set_tracer(dest_cfg.obs.tracer.clone());
         let _dest_listener = dest_node.listen_with(self.fabric(), false, 0);
         let dest_mr = dest_node.register_mr(&dest_pool, 0, layout.total_len());
-        // Park the pool in the control plane: it is the destination
-        // machine's NVM and must outlive this driver, whose borrowed
-        // endpoint may die with the destination mid-commit. See
-        // `Store::reconcile`.
-        plane.stage_pool(shard, to, Arc::clone(&dest_pool));
-
-        let mut unwind = Unwind {
-            mc: &mut mc,
-            shard,
-            to,
-            src: &src,
-            sealed: false,
-        };
 
         let (src_qp, dest_qp) = self
             .fabric()
             .connect(&local, &src_node)
             .and_then(|src_qp| Ok((src_qp, self.fabric().connect(&local, &dest_node)?)))
-            .map_err(|_| unwind.abort(plane, MigrateError::CopyFailed))?;
+            .map_err(|_| abort(&mut mc, MigrateError::CopyFailed))?;
         let copier = Copier {
             src_qp,
             src_mr,
@@ -388,7 +330,7 @@ impl Store {
         let snapshot_bytes = copier
             .pass(Pass::Copy, 0..log_base)
             .and_then(|table| Ok(table + copier.pass(Pass::Copy, log_base..head)?))
-            .map_err(|_| unwind.abort(plane, MigrateError::CopyFailed))?;
+            .map_err(|_| abort(&mut mc, MigrateError::CopyFailed))?;
 
         // Step 3: seal once no cleaning pass is in flight. A pass keeps
         // relocating objects and swapping pools on a sealed shard, so the
@@ -400,12 +342,11 @@ impl Store {
         let clean_deadline = sim::now() + sim::millis(100);
         while src.phase() != CleanPhase::Normal {
             if sim::now() >= clean_deadline {
-                return Err(unwind.abort(plane, MigrateError::CleanTimeout));
+                return Err(abort(&mut mc, MigrateError::CleanTimeout));
             }
             sim::sleep(sim::micros(50));
         }
         src.seal();
-        unwind.sealed = true;
         let t_sealed = sim::now();
 
         // Step 4: drain the verifier to the log head.
@@ -420,7 +361,7 @@ impl Store {
                 break;
             }
             if sim::now() >= drain_deadline || src.node.is_crashed() {
-                return Err(unwind.abort(plane, MigrateError::DrainTimeout));
+                return Err(abort(&mut mc, MigrateError::DrainTimeout));
             }
             sim::sleep(sim::micros(5));
         }
@@ -431,77 +372,53 @@ impl Store {
         let (fixup_bytes, verify_diff_bytes) = copier
             .pass(Pass::Fixup, 0..total)
             .and_then(|fixup| Ok((fixup, copier.pass(Pass::Verify, 0..total)?)))
-            .map_err(|_| unwind.abort(plane, MigrateError::CopyFailed))?;
+            .map_err(|_| abort(&mut mc, MigrateError::CopyFailed))?;
         if verify_diff_bytes != 0 {
             // The copy is not byte-identical to the frozen source: never
             // flip ownership onto it.
-            return Err(unwind.abort(plane, MigrateError::CopyFailed));
+            return Err(abort(&mut mc, MigrateError::CopyFailed));
         }
+        // The copy landed in the destination's volatile domain: persist it
+        // before ownership can flip onto it, so a destination that power-
+        // fails after the commit recovers the whole shard. Like the
+        // recovery that adopts it, this charges no virtual time.
+        dest_pool.persist(0, total);
 
-        // Step 6: adopt — ordinary recovery over the copied pool, then
-        // start serving (replaces the driver's scaffolding listener).
-        let (dest_server, recovery_report) = recovery::recover(
-            self.fabric(),
-            &dest_node,
-            Arc::clone(&dest_pool),
-            layout,
-            dest_cfg,
-        );
-        dest_server.start(self.fabric());
-
-        // Step 7a: decommission the source's read paths *before* the
+        // Step 6a: decommission the source's read paths *before* the
         // flip, so no straggler can be served stale bytes afterwards: pure
         // probes fall back to RPC, where the seal answers `WrongEpoch`.
         src.retire_reads();
 
-        // Park the recovered server beside its pool: if the commit's
-        // outcome is lost below, reconciliation can still promote (or
-        // wind down) a complete destination.
-        plane.stage_server(dest_server);
-
-        // Step 7b: the commit point — ownership flips here and only here.
-        let outcome = unwind.mc.propose(
-            &MetaCmd::MigrateCommit {
-                shard: shard as u32,
-            },
-            sim::now() + sim::millis(2),
-        );
-        let resolved = match outcome {
-            // Believe the flip only if the returned state shows it (apply
-            // is total, so a conflicting command ahead of ours can no-op
-            // the command under a "committed" status).
-            ProposeOutcome::Committed(state) if state.placement.node_of_shard(shard) == to => {
-                Some(Ok(state.placement.epoch))
+        // Step 6b: the commit point — ownership flips here and only here.
+        // The settle step proposes it and, once a committed state shows
+        // the flip, adopts the copy (step 7). Wait for a committed state
+        // to show the outcome either way.
+        plane.record_mut(|m| m.want = Want::Commit);
+        let deadline = sim::now() + sim::millis(3);
+        let mut state = Some(start);
+        let epoch = loop {
+            if let Some(s) = state.take() {
+                let s = plane.settle(&mut mc, s);
+                if s.placement.node_of_shard(shard) == to {
+                    break s.placement.epoch;
+                }
+                if s.migrating != ours {
+                    // Auto-aborted under us (an endpoint was declared
+                    // dead): the settle step dropped the record.
+                    plane.stats.migrations_aborted.inc();
+                    return Err(MigrateError::CommitRefused);
+                }
             }
-            // Everything else is ambiguous, not refused: `Unavailable`
-            // may have replicated before the ack was lost, and `Rejected`
-            // may be our own commit landing in a previous leader's state
-            // and the retry reaching its successor as a duplicate. Settle
-            // against the authoritative map.
-            _ => resolve_commit(unwind.mc, shard, to),
-        };
-        let epoch = match resolved {
-            Some(Ok(epoch)) => epoch,
-            Some(Err(())) => {
-                // Provably not committed and no longer committable.
-                return Err(unwind.abort(plane, MigrateError::CommitRefused));
-            }
-            None => {
+            if sim::now() >= deadline {
                 // Outcome unknown within the bound: consistency over
                 // availability. Serving the source could double-own the
-                // shard if the commit did land, so it stays sealed and
-                // the destination stays staged; `Store::reconcile`
-                // settles both once a metadata majority is reachable
-                // again.
+                // shard if the commit did land, so it stays sealed until
+                // the settle step learns the outcome.
                 return Err(MigrateError::MetaUnavailable);
             }
+            sim::sleep(sim::micros(20));
+            state = mc.get_map(sim::now() + sim::millis(1));
         };
-        // A concurrent reconciliation (a node restart racing this commit)
-        // may have settled the staging already; otherwise install the
-        // destination ourselves.
-        if let Some(dest_server) = plane.take_staged_server() {
-            self.install_seat(shard, to, dest_server);
-        }
         self.stats().migrations_committed.inc();
 
         Ok(MigrationReport {
@@ -514,7 +431,6 @@ impl Store {
             verify_diff_bytes,
             sealed_ns: sim::now() - t_sealed,
             total_ns: sim::now() - t_begin,
-            recovery: recovery_report,
         })
     }
 }

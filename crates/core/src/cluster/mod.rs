@@ -27,7 +27,7 @@
 //! commit, a promotion or a node restart installs the shard's new server
 //! as its seat.
 //!
-//! # Node agents and promotion
+//! # Node agents: promotion and settling migrations
 //!
 //! Each data node runs an agent that heartbeats the metadata leader and
 //! acts on the committed state every heartbeat is answered with:
@@ -38,7 +38,12 @@
 //!   seat ([`crate::repl`]);
 //! * when a shard this node serves lost its mirror, the agent commits
 //!   `BackupLost` and only then, if the committed placement still names
-//!   this node, lets the shard take writes again.
+//!   this node, lets the shard take writes again;
+//! * it runs the settle step on the plane's migration record, which
+//!   finishes a migration its driver could not (see [`migrate`]): it
+//!   installs the verified copy once the commit shows, re-proposes the
+//!   commit or abort the driver wants while the slot still holds the
+//!   migration, and drops the record once the slot has moved on.
 //!
 //! A shard without an in-sync backup survives its node's death the way
 //! the single-node system survives power failure: restart and recovery
@@ -152,26 +157,36 @@ pub(crate) struct MetaRoute {
     pub(crate) stats: Arc<ClusterStats>,
 }
 
-/// A migration's destination artifacts, parked in the control plane the
-/// moment the copy begins. This models the destination machine's NVM: the
-/// pool must outlive the migration *driver* (whose endpoint may die with
-/// the destination machine) so that a `MigrateCommit` the driver never
-/// learned the outcome of can still be settled afterwards — promoted
-/// from this staging if the metadata service says the move committed,
-/// abandoned if it aborted. See [`Store::reconcile`].
-pub(crate) struct StagedMigration {
-    shard: usize,
-    to: usize,
-    pool: Arc<PmemPool>,
-    /// The recovered destination server, parked just before the commit
-    /// window opens (present iff the driver reached step 6).
-    server: Option<Server>,
+/// What a migration's driver wants the settle step to finish.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Want {
+    /// The driver is still at work and settles the migration itself.
+    Copying,
+    /// The copy verified: commit the move.
+    Commit,
+    /// Abandon the move; the source stays the one owner.
+    Abort,
+}
+
+/// The one migration the plane records: written by the driver before it
+/// proposes the start, finished by [`Plane::settle`] from committed state.
+/// The destination pool models the destination machine's NVM, so it
+/// outlives the driver, whose borrowed endpoint may die with that machine.
+pub(crate) struct Migration {
+    pub(crate) shard: usize,
+    pub(crate) to: usize,
+    /// The placement epoch the start committed at (0 until it has).
+    pub(crate) epoch: u64,
+    /// The destination pool the copy fills.
+    pub(crate) pool: Arc<PmemPool>,
+    pub(crate) want: Want,
 }
 
 /// The control plane of a store on several data nodes or with backups:
-/// data seats, node agents, the replicated metadata service, and the
-/// migration staging.
+/// the metadata service, the node agents, and the migration record.
 pub(crate) struct Plane {
+    fabric: Arc<Fabric>,
+    seats: Arc<Seats>,
     /// Per-shard NVM geometry.
     layout: StoreLayout,
     /// Per-shard server template; each seat's counter prefix is its seat
@@ -184,15 +199,9 @@ pub(crate) struct Plane {
     agent_nodes: Vec<Node>,
     pub(crate) meta: MetaService,
     stats: Arc<ClusterStats>,
-    /// In-flight migration's destination artifacts (at most one — the
-    /// metadata service serializes migrations).
-    staged: Mutex<Option<StagedMigration>>,
-    /// A `MigrateAbort` whose proposal never reached a metadata majority:
-    /// `(shard, to)` of the dead migration still occupying the slot.
-    /// With both endpoints alive the death sweep will never free it, so
-    /// [`Store::reconcile`] re-proposes it once a majority is reachable
-    /// again.
-    pending_abort: Mutex<Option<(u32, u32)>>,
+    /// The migration being driven or settled (at most one: a driver that
+    /// finds a record is refused).
+    migration: Mutex<Option<Migration>>,
     stop: Arc<AtomicBool>,
 }
 
@@ -219,21 +228,14 @@ impl Plane {
     /// One [`Agent`] per data node. It survives crash/restart cycles of
     /// its node (heartbeats simply fail while the node is down),
     /// mirroring a host daemon that comes back with the machine.
-    pub(crate) fn spawn_agents(
-        &self,
-        fabric: &Arc<Fabric>,
-        seats: &Arc<Seats>,
-        backups: &[Option<Backup>],
-    ) {
+    pub(crate) fn spawn_agents(self: &Arc<Self>, backups: &[Option<Backup>]) {
         for (i, local) in self.agent_nodes.iter().enumerate() {
             let agent = Agent {
                 i,
-                fabric: Arc::clone(fabric),
                 local: local.clone(),
-                mc: MetaClient::new(fabric, local, self.meta.nodes()),
-                seats: Arc::clone(seats),
+                mc: MetaClient::new(&self.fabric, local, self.meta.nodes()),
                 backups: backups.to_vec(),
-                stop: Arc::clone(&self.stop),
+                plane: Arc::clone(self),
             };
             sim::spawn(&format!("efactory-agent-n{i}"), move || agent.run());
         }
@@ -243,86 +245,99 @@ impl Plane {
         self.stop.store(true, Ordering::Relaxed);
     }
 
-    /// Park a migration's destination pool (step 2 of the protocol; the
-    /// pool is the destination machine's NVM and must outlive the
-    /// driver).
-    pub(crate) fn stage_pool(&self, shard: usize, to: usize, pool: Arc<PmemPool>) {
-        // A dead driver's staging may still be parked here (its
-        // migration was auto-aborted and this is the retry): wind it
-        // down before installing ours.
-        self.clear_staged();
-        *self.staged.lock().unwrap() = Some(StagedMigration {
-            shard,
-            to,
-            pool,
-            server: None,
-        });
+    /// Record migration `m`; `false`, leaving the plane as it is, while
+    /// another migration is recorded.
+    pub(crate) fn record(&self, m: Migration) -> bool {
+        let mut rec = self.migration.lock().unwrap();
+        if rec.is_some() {
+            return false;
+        }
+        *rec = Some(m);
+        true
     }
 
-    /// Park the recovered destination server just before the commit
-    /// window opens (step 7 of the protocol).
-    pub(crate) fn stage_server(&self, server: Server) {
-        if let Some(st) = self.staged.lock().unwrap().as_mut() {
-            st.server = Some(server);
+    /// Update the recorded migration.
+    pub(crate) fn record_mut(&self, f: impl FnOnce(&mut Migration)) {
+        if let Some(m) = self.migration.lock().unwrap().as_mut() {
+            f(m);
         }
     }
 
-    /// Take the staged destination server back out (commit confirmed).
-    pub(crate) fn take_staged_server(&self) -> Option<Server> {
-        self.staged.lock().unwrap().take().and_then(|st| st.server)
+    /// Make `server` shard `g`'s seat on data node `owner`, and shut the
+    /// replaced instance down: its seal or deposition already stopped it
+    /// serving, but its handler and verifier would otherwise spin for the
+    /// rest of the simulation.
+    fn install_seat(&self, g: usize, owner: usize, server: Server) {
+        self.seats
+            .install(g, Seat { owner, server })
+            .server
+            .shutdown();
     }
 
-    /// Drop any staged migration (abort with a provably-uncommitted
-    /// flip). The staged server, if recovery already produced one, is
-    /// wound down.
-    pub(crate) fn clear_staged(&self) {
-        if let Some(st) = self.staged.lock().unwrap().take() {
-            if let Some(server) = st.server {
-                server.shutdown();
+    /// Recover shard `g` on data node `i` from `pool` and start serving
+    /// it there.
+    fn recover_seat(&self, i: usize, g: usize, pool: Arc<PmemPool>) -> RecoveryReport {
+        let node = &self.seat_nodes[i][g];
+        self.fabric.restart_node(node);
+        let (server, report) =
+            recovery::recover(&self.fabric, node, pool, self.layout, self.seat_cfg(i, g));
+        server.start(&self.fabric);
+        self.install_seat(g, i, server);
+        report
+    }
+
+    /// The settle step: finish the recorded migration as far as the
+    /// committed `state` allows, and return the newest committed state it
+    /// saw.
+    ///
+    /// * Once a placement newer than the start names the destination of a
+    ///   migration whose driver wants the commit, recover the verified
+    ///   copy there and install it as the seat — unless the destination
+    ///   machine is down, whose restart does it.
+    /// * While the slot still holds the recorded migration, re-propose the
+    ///   commit or abort the driver wants (nothing while it is copying).
+    /// * Once the slot has moved on without it, drop the record of a
+    ///   driver that is done, and unseal the source if the slot is empty.
+    ///
+    /// Without a record it does nothing, so a migration started with no
+    /// driver is left alone. Must run inside a simulated process.
+    pub(crate) fn settle(&self, mc: &mut MetaClient, mut state: MetaState) -> MetaState {
+        loop {
+            let mut rec = self.migration.lock().unwrap();
+            let Some(m) = rec.as_ref() else { return state };
+            if self.stop.load(Ordering::Relaxed) {
+                return state;
             }
-        }
-    }
-
-    /// Record a `MigrateAbort` whose proposal found no metadata majority
-    /// (see the field doc on `pending_abort`).
-    pub(crate) fn note_unacked_abort(&self, shard: usize, to: usize) {
-        *self.pending_abort.lock().unwrap() = Some((shard as u32, to as u32));
-    }
-
-    /// A new migration start supersedes any recorded unacked abort: the
-    /// slot either freed in the meantime or was re-adopted by the new
-    /// driver (same pair), and re-proposing the stale abort would kill
-    /// the live migration.
-    pub(crate) fn clear_pending_abort(&self) {
-        *self.pending_abort.lock().unwrap() = None;
-    }
-
-    /// Re-propose a dropped `MigrateAbort` if the slot still holds that
-    /// exact migration. Returns the (possibly post-abort) state staging
-    /// reconciliation should judge against.
-    fn resolve_pending_abort(&self, mc: &mut MetaClient, state: MetaState) -> MetaState {
-        let Some((shard, to)) = *self.pending_abort.lock().unwrap() else {
-            return state;
-        };
-        if state.migrating != Some((shard, to)) {
-            // Settled without us: the death sweep's auto-abort fired, or
-            // a new migration took the slot.
-            self.clear_pending_abort();
-            return state;
-        }
-        match mc.propose(
-            &MetaCmd::MigrateAbort { shard },
-            sim::now() + sim::millis(2),
-        ) {
-            meta::ProposeOutcome::Committed(s) => {
-                self.clear_pending_abort();
-                s
+            let (g, to) = (m.shard, m.to);
+            if m.want == Want::Commit
+                && state.placement.epoch > m.epoch
+                && state.placement.node_of_shard(g) == to
+            {
+                if !self.agent_nodes[to].is_crashed() {
+                    let m = rec.take().expect("checked above");
+                    self.recover_seat(to, g, m.pool);
+                }
+                return state;
             }
-            meta::ProposeOutcome::Rejected => {
-                self.clear_pending_abort();
-                state
+            if state.migrating != Some((g as u32, to as u32)) {
+                if m.want != Want::Copying {
+                    rec.take();
+                    if state.migrating.is_none() {
+                        self.seats.get(g).server.shared().unseal();
+                    }
+                }
+                return state;
             }
-            meta::ProposeOutcome::Unavailable => state,
+            let cmd = match m.want {
+                Want::Copying => return state,
+                Want::Commit => MetaCmd::MigrateCommit { shard: g as u32 },
+                Want::Abort => MetaCmd::MigrateAbort { shard: g as u32 },
+            };
+            drop(rec);
+            match mc.propose(&cmd, sim::now() + AGENT_HEARTBEAT) {
+                meta::ProposeOutcome::Committed(s) => state = s,
+                _ => return state,
+            }
         }
     }
 }
@@ -332,22 +347,21 @@ impl Plane {
 /// is answered with (see the module docs).
 struct Agent {
     i: usize,
-    fabric: Arc<Fabric>,
     local: Node,
     mc: MetaClient,
-    seats: Arc<Seats>,
     backups: Vec<Option<Backup>>,
-    stop: Arc<AtomicBool>,
+    plane: Arc<Plane>,
 }
 
 impl Agent {
     fn run(mut self) {
-        while !self.stop.load(Ordering::Relaxed) {
+        while !self.plane.stop.load(Ordering::Relaxed) {
             if !self.local.is_crashed() {
                 let deadline = sim::now() + AGENT_HEARTBEAT / 2;
                 if let Some(state) = self.mc.heartbeat(self.i, deadline) {
                     self.promote(&state);
                     self.report_lost_mirrors(&state);
+                    self.plane.settle(&mut self.mc, state);
                 }
             }
             sim::sleep(AGENT_HEARTBEAT);
@@ -358,24 +372,21 @@ impl Agent {
     /// fence each deposed owner first, then, once each claimed backup has
     /// drained, recover it and install it as the shard's seat.
     fn promote(&self, state: &MetaState) {
+        let p = &self.plane;
         let mut claimed = Vec::new();
         for (g, b) in self.backups.iter().enumerate() {
             let Some(b) = b else { continue };
             let here = b.data_node() == self.i && state.placement.node_of_shard(g) == self.i;
-            let seat = self.seats.get(g);
+            let seat = p.seats.get(g);
             if here && seat.owner != self.i && b.claim() {
                 seat.server.shared().depose();
                 claimed.push((g, b));
             }
         }
         for (g, b) in claimed {
-            let server = b.promote(&self.fabric);
-            let seat = Seat {
-                owner: self.i,
-                server: server.clone(),
-            };
-            self.seats.install(g, seat).server.shutdown();
-            if self.stop.load(Ordering::Relaxed) {
+            let server = b.promote(&p.fabric);
+            p.install_seat(g, self.i, server.clone());
+            if p.stop.load(Ordering::Relaxed) {
                 // The store shut down while the backup drained.
                 server.shutdown();
             }
@@ -392,7 +403,7 @@ impl Agent {
         let me = self.i;
         let unbacked_here =
             |s: &MetaState, g: usize| s.placement.node_of_shard(g) == me && s.backups[g].is_none();
-        for (g, seat) in self.seats.all().into_iter().enumerate() {
+        for (g, seat) in self.plane.seats.all().into_iter().enumerate() {
             let shared = seat.server.shared();
             if seat.owner != me
                 || state.placement.node_of_shard(g) != me
@@ -459,18 +470,19 @@ impl Store {
             meta_stats,
             Arc::clone(&stop),
         );
+        let seats = Arc::new(Seats::default());
         let plane = Plane {
+            fabric: Arc::clone(fabric),
+            seats: Arc::clone(&seats),
             layout,
             server,
             seat_nodes,
             agent_nodes,
             meta,
             stats,
-            staged: Mutex::new(None),
-            pending_abort: Mutex::new(None),
+            migration: Mutex::new(None),
             stop,
         };
-        let seats = Arc::new(Seats::default());
         let mut backups = Vec::with_capacity(shards);
         for g in 0..shards {
             let owner = init.placement.node_of_shard(g);
@@ -487,7 +499,7 @@ impl Store {
             fabric: Arc::clone(fabric),
             seats,
             backups,
-            plane: Some(Box::new(plane)),
+            plane: Some(Arc::new(plane)),
         }
     }
 
@@ -520,101 +532,12 @@ impl Store {
         &self.plane().seat_nodes[i][g]
     }
 
-    /// Install shard `g`'s new serving instance (migration commit or
-    /// node-restart recovery) as its seat, and decommission the replaced
-    /// instance: its seal/poison already stopped it serving, but its
-    /// handler and verifier processes would otherwise spin for the rest
-    /// of the simulation.
-    pub(crate) fn install_seat(&self, g: usize, owner: usize, server: Server) {
-        self.seats
-            .install(g, Seat { owner, server })
-            .server
-            .shutdown();
-    }
-
-    /// Recover shard `g` on data node `i` from `pool` and start serving
-    /// it there.
-    fn recover_seat(&self, i: usize, g: usize, pool: Arc<PmemPool>) -> RecoveryReport {
-        let p = self.plane();
-        let node = &p.seat_nodes[i][g];
-        self.fabric.restart_node(node);
-        let (server, report) =
-            recovery::recover(&self.fabric, node, pool, p.layout, p.seat_cfg(i, g));
-        server.start(&self.fabric);
-        self.install_seat(g, i, server);
-        report
-    }
-
-    /// Settle any staged migration against the authoritative placement:
-    /// promote the staged destination if the metadata service says the
-    /// move committed, abandon it (and unseal the surviving owner, which
-    /// a dead driver may have left sealed) if it aborted, leave it
-    /// parked while the migration is still marked in flight. Also
-    /// re-proposes a `MigrateAbort` the metadata service never acked
-    /// (the slot would otherwise stay occupied forever — no endpoint
-    /// died, so the death sweep never auto-aborts).
-    ///
-    /// [`restart_data_node`](Self::restart_data_node) runs this
-    /// automatically; call it directly after waiting out a convergence
-    /// window when no node restart is involved. Must run inside a
-    /// simulated process. No-op when nothing is staged or pending, or no
-    /// metadata majority is reachable.
-    pub fn reconcile(&self) {
-        let p = self.plane();
-        let staged_to = p.staged.lock().unwrap().as_ref().map(|st| st.to);
-        let pending_to = p.pending_abort.lock().unwrap().map(|(_, to)| to as usize);
-        let Some(local) = staged_to.or(pending_to) else {
-            return;
-        };
-        let mut mc = MetaClient::new(&self.fabric, &p.agent_nodes[local], p.meta.nodes());
-        if let Some(state) = mc.get_map(sim::now() + sim::millis(5)) {
-            let state = p.resolve_pending_abort(&mut mc, state);
-            self.reconcile_staged(&state);
-        }
-    }
-
-    fn reconcile_staged(&self, state: &MetaState) {
-        let p = self.plane();
-        let st = match p.staged.lock().unwrap().take() {
-            Some(st) => st,
-            None => return,
-        };
-        if state.placement.node_of_shard(st.shard) == st.to {
-            // The commit landed even though the driver never learned it.
-            // The staged pool holds the verified byte-identical copy; the
-            // staged server (if the destination machine survived) is
-            // already serving it.
-            match st.server {
-                Some(server) if !p.seat_nodes[st.to][st.shard].is_crashed() => {
-                    self.install_seat(st.shard, st.to, server);
-                }
-                _ => {
-                    // The destination machine power-failed after the
-                    // commit: this is its reboot path — ordinary recovery
-                    // over the surviving NVM copy.
-                    self.recover_seat(st.to, st.shard, st.pool);
-                }
-            }
-        } else if state.migrating.is_none() {
-            // Aborted (driver abort or the death detector's auto-abort):
-            // the old owner keeps the shard. A driver that died inside
-            // the commit window left it sealed — restore service.
-            if let Some(server) = st.server {
-                server.shutdown();
-            }
-            self.seat(st.shard).server.shared().unseal();
-        } else {
-            // Still marked in flight; not ours to settle yet.
-            *p.staged.lock().unwrap() = Some(st);
-        }
-    }
-
     /// Power-fail data node `i`: crash its agent endpoint and **every**
     /// seat endpoint the node hosts (in-flight DMA torn per `spec`) —
     /// the seats it currently owns, retired tombstone seats, and equally
-    /// the scaffolding seat of a migration *to* this node, so a staged
-    /// destination pool stops absorbing copy and fixup writes the
-    /// instant the machine dies. The metadata leader notices the
+    /// the scaffolding seat of a migration *to* this node, so the
+    /// recorded destination pool stops absorbing copy and fixup writes
+    /// the instant the machine dies. The metadata leader notices the
     /// heartbeat silence and commits `NodeDown`.
     pub fn crash_data_node(&self, i: usize, spec: CrashSpec, seed: u64) {
         let p = self.plane();
@@ -630,21 +553,19 @@ impl Store {
 
     /// Restart data node `i`: restart its fabric endpoints and run
     /// recovery over every owned shard's surviving NVM pool, then start
-    /// the recovered servers. The resuming agent heartbeats bring the
-    /// node back to `alive` in the metadata service. Must run inside a
+    /// the recovered servers, and run the settle step on the committed
+    /// state (a migration that committed onto this node while it was down
+    /// is installed here). The resuming agent heartbeats bring the node
+    /// back to `alive` in the metadata service. Must run inside a
     /// simulated process. Returns one recovery report per recovered
-    /// shard.
+    /// owned shard.
     pub fn restart_data_node(&self, i: usize) -> Vec<(usize, RecoveryReport)> {
         let p = self.plane();
         self.fabric.restart_node(&p.agent_nodes[i]);
-        // Consult the authoritative placement before trusting the local
-        // seat table: a migration whose driver died inside the commit
-        // window may have flipped ownership without the table hearing.
-        // Shards the metadata service says moved away are NOT recovered
-        // here (recovering them would double-own the shard); a staged
-        // destination copy this restart makes promotable is settled by
-        // the reconciliation below. With no majority reachable the seat
-        // table is the best available truth and recovery proceeds on it.
+        // Consult the committed placement before trusting the local seat
+        // table: a shard a migration moved away while this node was down
+        // is NOT recovered here (that would double-own it). With no
+        // majority reachable the seat table is the best available truth.
         let mut mc = MetaClient::new(&self.fabric, &p.agent_nodes[i], p.meta.nodes());
         let state = mc.get_map(sim::now() + sim::millis(5));
         let owned: Vec<(usize, Arc<PmemPool>)> = self
@@ -660,23 +581,20 @@ impl Store {
             })
             .map(|(g, s)| (g, Arc::clone(&s.server.shared().pool)))
             .collect();
-        if let Some(state) = state {
-            let state = p.resolve_pending_abort(&mut mc, state);
-            self.reconcile_staged(&state);
-        }
         let reports = owned
             .into_iter()
-            .map(|(g, pool)| (g, self.recover_seat(i, g, pool)))
+            .map(|(g, pool)| (g, p.recover_seat(i, g, pool)))
             .collect();
         // Reboot the node's remaining crashed endpoints (idle seats,
-        // tombstones, a migration scaffolding seat the machine failure
-        // took down) so future migrations can target them again. Runs
-        // AFTER the staging reconciliation above: its is_crashed() check
-        // must still observe the crash.
+        // tombstones, a migration destination the machine failure took
+        // down) so future migrations can target them again.
         for node in &p.seat_nodes[i] {
             if node.is_crashed() {
                 self.fabric.restart_node(node);
             }
+        }
+        if let Some(state) = state {
+            p.settle(&mut mc, state);
         }
         p.stats.node_restarts.inc();
         reports

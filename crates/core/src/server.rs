@@ -30,7 +30,7 @@ use std::sync::Arc;
 use efactory_checksum::crc32c;
 use efactory_obs::{Counter, Obs, Registry, Subsystem};
 use efactory_pmem::PmemPool;
-use efactory_rnic::{CostModel, Fabric, Incoming, Listener, Node, QpId, RemoteMr};
+use efactory_rnic::{CostModel, Fabric, Incoming, Listener, Node, QpError, QpId, RemoteMr};
 use efactory_sim as sim;
 use efactory_sim::Nanos;
 
@@ -732,7 +732,7 @@ fn run_handler(shared: &ServerShared, listener: &Listener) {
         // requests arrive.
         let msg = match listener.recv_deadline(sim::now() + sim::micros(100)) {
             Ok(m) => m,
-            Err(efactory_rnic::QpError::Timeout) => {
+            Err(QpError::Timeout) => {
                 if shared.stopping() {
                     return;
                 }
@@ -761,7 +761,7 @@ fn run_handler(shared: &ServerShared, listener: &Listener) {
             match dedup.get(&from) {
                 Some((last, reply)) if *last == id => {
                     shared.stats.dup_hits.inc();
-                    if listener.reply(from, reply.clone()).is_err() {
+                    if listener.reply(from, reply.clone()) == Err(QpError::Crashed) {
                         return;
                     }
                     continue;
@@ -822,7 +822,9 @@ fn run_handler(shared: &ServerShared, listener: &Listener) {
             }
             None => resp.encode(),
         };
-        if listener.reply(from, encoded).is_err() {
+        // A reply fails with `Disconnected` when the requesting QP is gone:
+        // skip it. Only a crash ends the handler.
+        if listener.reply(from, encoded) == Err(QpError::Crashed) {
             return;
         }
     }

@@ -89,7 +89,7 @@ pub struct Store {
     /// backups). Only the metadata service decides whether one may serve.
     pub(crate) backups: Vec<Option<Backup>>,
     /// The control plane: present on several data nodes or with backups.
-    pub(crate) plane: Option<Box<Plane>>,
+    pub(crate) plane: Option<Arc<Plane>>,
 }
 
 impl Store {
@@ -240,7 +240,7 @@ impl Store {
             seat.server.start_with(&self.fabric, mirror);
         }
         if let Some(p) = &self.plane {
-            p.spawn_agents(&self.fabric, &self.seats, &self.backups);
+            p.spawn_agents(&self.backups);
         }
     }
 

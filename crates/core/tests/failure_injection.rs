@@ -112,6 +112,46 @@ fn lost_clients_are_timed_out_and_reclaimed() {
 
 /// A client whose value write is *partial* (dies mid-stream): crash tears
 /// the write at the fabric level; the reader sees the previous version.
+/// A client that drops its QP with a request in flight must not take the
+/// shard's request handler down with it: the reply to the gone QP fails
+/// with `Disconnected`, and the handler skips it. (Regression: the
+/// handler exited, so every later request to the still-running node
+/// failed at once.)
+#[test]
+fn dropped_qp_with_a_request_in_flight_leaves_the_handler_serving() {
+    let mut simu = Sim::new(29);
+    let fabric = Fabric::new(CostModel::default());
+    let server_node = fabric.add_node("server");
+    let layout = StoreLayout::new(256, 64 * 1024, false);
+    let server = Server::format(&fabric, &server_node, layout, ServerConfig::default());
+    let f = Arc::clone(&fabric);
+    simu.spawn("main", move || {
+        server.start(&f);
+        let dropper = f.connect(&f.add_node("dropper"), &server_node).unwrap();
+        let get = Request::Get { key: b"k".to_vec() };
+        dropper.send(get.encode()).unwrap();
+        drop(dropper);
+        sim::sleep(sim::micros(50));
+
+        let client_node = f.add_node("client");
+        let desc = server.desc();
+        let client = Client::connect(
+            &f,
+            &client_node,
+            &server_node,
+            desc,
+            ClientConfig::default(),
+        )
+        .unwrap();
+        client
+            .put(b"k", b"v")
+            .expect("the handler must outlive a dropped QP");
+        assert_eq!(client.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
+        server.shutdown();
+    });
+    simu.run().expect_ok();
+}
+
 #[test]
 fn reader_never_sees_partially_written_values() {
     let mut simu = Sim::new(79);

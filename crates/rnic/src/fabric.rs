@@ -23,7 +23,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 use efactory_pmem::{CrashSpec, PmemPool, LINE};
 use efactory_sim as sim;
@@ -455,6 +455,7 @@ impl Fabric {
             links_down: Arc::clone(&self.links_down),
             faults: Arc::clone(&self.faults),
             tx: core.tx.clone(),
+            conns: Arc::downgrade(&core.conns),
             rx: reply_rx,
             events: event_rx,
         })
@@ -767,8 +768,19 @@ pub struct ClientQp {
     links_down: Arc<Mutex<HashSet<(NodeId, NodeId)>>>,
     faults: Arc<FaultTable>,
     tx: sim::Sender<Incoming>,
+    /// The listener's connection map this QP is entered in; dropping the
+    /// QP removes its entry.
+    conns: Weak<Mutex<HashMap<QpId, ConnTx>>>,
     rx: sim::Receiver<Vec<u8>>,
     events: sim::Receiver<Vec<u8>>,
+}
+
+impl Drop for ClientQp {
+    fn drop(&mut self) {
+        if let Some(conns) = self.conns.upgrade() {
+            conns.lock().remove(&self.id);
+        }
+    }
 }
 
 impl std::fmt::Debug for ClientQp {
@@ -1094,6 +1106,31 @@ mod tests {
             assert_eq!(&data, b"remote data");
             let cost = CostModel::default();
             assert_eq!(sim::now() - t0, cost.one_way(0) + cost.one_way(11));
+        });
+        sim.run().expect_ok();
+    }
+
+    #[test]
+    fn dropped_qps_leave_the_listeners_connection_map() {
+        let mut sim = Sim::new(0);
+        let fabric = Fabric::new(CostModel::default());
+        let server = fabric.add_node("server");
+        let client = fabric.add_node("client");
+        sim.spawn("main", move || {
+            let _listener = server.listen(&fabric, true);
+            let conns = || {
+                let listener = server.inner.listener.lock();
+                listener.as_ref().map_or(0, |core| core.conns.lock().len())
+            };
+            let kept = fabric.connect(&client, &server).unwrap();
+            for _ in 0..100 {
+                let redial = fabric.connect(&client, &server).unwrap();
+                assert_eq!(conns(), 2);
+                drop(redial);
+            }
+            assert_eq!(conns(), 1, "a re-dialed QP's entry outlived it");
+            drop(kept);
+            assert_eq!(conns(), 0);
         });
         sim.run().expect_ok();
     }

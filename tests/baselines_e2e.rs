@@ -66,6 +66,31 @@ roundtrip_test!(forca_roundtrip, Forca);
 
 /// SAW and IMM promise durability on PUT ack: an acked write must survive a
 /// worst-case crash.
+/// A client that drops its QP with a request in flight must not stop any
+/// system's request handler: the reply to the gone QP is skipped.
+#[test]
+fn dropped_qp_with_a_request_in_flight_leaves_every_handler_serving() {
+    use efactory::protocol::Request;
+    use Baseline::*;
+    for kind in [Saw, Imm, Erda, Forca, CaNoper, Rpc] {
+        in_sim(2, move |f| {
+            let sn = f.add_node("server");
+            let srv = BaselineServer::format(kind, f, &sn, layout());
+            srv.start(f);
+            let dropper = f.connect(&f.add_node("dropper"), &sn).unwrap();
+            let get = Request::Get { key: b"k".to_vec() };
+            dropper.send(get.encode()).unwrap();
+            drop(dropper);
+            sim::sleep(sim::micros(50));
+            let c = BaselineClient::connect(f, &f.add_node("client"), &srv).unwrap();
+            c.put(b"k", b"v")
+                .unwrap_or_else(|e| panic!("{kind:?}: handler gone after a dropped QP: {e:?}"));
+            assert_eq!(c.get(b"k").unwrap().as_deref(), Some(&b"v"[..]));
+            srv.shutdown();
+        });
+    }
+}
+
 macro_rules! durable_on_ack_test {
     ($name:ident, $kind:ident) => {
         #[test]

@@ -22,7 +22,7 @@ use efactory::store::{Store, StoreClient};
 use efactory_pmem::CrashSpec;
 use efactory_rnic::{CostModel, Fabric, FaultPlan};
 use efactory_sim as sim;
-use efactory_sim::{Nanos, Sim};
+use efactory_sim::{Nanos, RunOutcome, Sim};
 
 fn key(i: usize) -> Vec<u8> {
     format!("chaos-key-{i:04}").into_bytes()
@@ -289,8 +289,9 @@ fn meta_replica_crash_mid_migration_still_commits() {
         assert_eq!(report.verify_diff_bytes, 0);
         assert_eq!(cluster.owner_of(0), to);
 
-        // Bring the replica back (empty log; leader re-fills it) and check
-        // the converged view through the full quorum.
+        // Bring the replica back (it restores its durable term, vote,
+        // version and state) and check the converged view through the
+        // full quorum.
         cluster.restart_meta_replica(0);
         sim::sleep(sim::millis(1));
         assert_single_owner(cluster, 0, KEYS, "post-meta-restart");
@@ -709,11 +710,12 @@ fn stale_peer_reply_never_commits_an_append_both_peers_miss() {
 }
 
 /// An abort that finds no metadata majority must not leak the migration
-/// slot: the driver parks it and `Store::reconcile` re-proposes it
-/// once a quorum is back. (Regression: the abort used to be dropped
-/// after one best-effort attempt — with both endpoints alive the death
-/// sweep never auto-aborts, so the slot stayed occupied and every
-/// migration to a different destination was rejected forever.)
+/// slot: the driver's record wants the abort, and the node agents'
+/// settle step re-proposes it once a quorum is back, with no call from
+/// the test. (Regression: the abort used to be dropped after one
+/// best-effort attempt — with both endpoints alive the death sweep never
+/// auto-aborts, so the slot stayed occupied and every migration to a
+/// different destination was rejected forever.)
 #[test]
 fn unacked_abort_is_reproposed_once_meta_recovers() {
     with_cluster(1009, 3, 1, |cluster| {
@@ -749,39 +751,15 @@ fn unacked_abort_is_reproposed_once_meta_recovers() {
         );
         assert!(cluster.stats().migrations_aborted.get() >= 1);
 
-        // Metadata comes back with the slot still occupied (durable log)
-        // and both endpoints alive — nothing auto-frees it…
+        // Metadata comes back with the slot still occupied (durable
+        // state) and both endpoints alive, so the death sweep never frees
+        // it: the agents' settle step must.
         for r in 0..3 {
             cluster.restart_meta_replica(r);
         }
         cluster
             .fabric()
             .heal_link(cluster.agent_node(mid), cluster.seat_node(from, 0));
-        let probe = cluster.fabric().add_node("quorum-probe");
-        let mut mc = MetaClient::new(cluster.fabric(), &probe, cluster.meta_nodes());
-        let deadline = sim::now() + sim::millis(20);
-        let state = loop {
-            if let Some(s) = mc.get_map(sim::now() + sim::micros(500)) {
-                break s;
-            }
-            assert!(
-                sim::now() < deadline,
-                "restarted replicas never elected a leader"
-            );
-            sim::sleep(sim::micros(100));
-        };
-        assert_eq!(
-            state.migrating,
-            Some((0, mid as u32)),
-            "occupied slot must survive the metadata power failure"
-        );
-        assert!(
-            matches!(cluster.migrate(0, alt), Err(MigrateError::Rejected)),
-            "slot still occupied: a different destination must be refused"
-        );
-
-        // …until reconciliation re-proposes the parked abort.
-        cluster.reconcile();
         let state = await_converged(cluster, sim::now() + sim::millis(20));
         assert_eq!(state.placement.node_of_shard(0), from);
         let report = cluster
@@ -790,6 +768,81 @@ fn unacked_abort_is_reproposed_once_meta_recovers() {
         assert_eq!(report.verify_diff_bytes, 0);
         assert_single_owner(cluster, 0, KEYS, "post-abort-reproposal");
     });
+}
+
+/// The whole metadata service going dark mid-migration must not strand
+/// the shard. All three replicas power off for 5 ms at `t` µs into a
+/// migration, for every `t` from 0 to 96 µs in steps of 4, and restart.
+/// With no call beyond the restarts, within 20 ms of the restart the
+/// placement and the seat table agree with the slot empty, a fresh
+/// client writes and reads a seeded key, and the run ends after
+/// `shutdown`. (Regression: a start or commit whose outcome the blackout
+/// hid left the source sealed and the slot held, a landed commit waited
+/// for an explicit settle call, and a parked destination server outlived
+/// `shutdown`.)
+#[test]
+fn metadata_blackout_mid_migration_settles_by_itself() {
+    const SEEDED: usize = 16;
+    for t in (0..=96).step_by(4) {
+        let mut simu = Sim::new(301);
+        let fabric = Fabric::new(CostModel::default());
+        let cluster = Arc::new(format(&fabric, 2, 1));
+        simu.spawn("main", move || {
+            cluster.start();
+            sim::sleep(sim::millis(1));
+            let seeder = connect(&cluster, "seeder");
+            for i in 0..SEEDED {
+                seeder.put(&key(i), &value(i, 0)).unwrap();
+            }
+            let t_restart = sim::now() + sim::micros(t) + sim::millis(5);
+            let c2 = Arc::clone(&cluster);
+            let blackout = sim::spawn("meta-blackout", move || {
+                sim::sleep_until(t_restart - sim::millis(5));
+                for r in 0..3 {
+                    c2.crash_meta_replica(r, 0xB1AC_0000 + r as u64);
+                }
+                sim::sleep_until(t_restart);
+                for r in 0..3 {
+                    c2.restart_meta_replica(r);
+                }
+            });
+            // Either outcome is legal; what follows must hold for both.
+            let _ = cluster.migrate(0, 1);
+            blackout.join();
+
+            let probe = cluster.fabric().add_node("blackout-probe");
+            let mut mc = MetaClient::new(cluster.fabric(), &probe, cluster.meta_nodes());
+            loop {
+                let settled = mc.get_map(sim::now() + sim::micros(500)).is_some_and(|s| {
+                    s.migrating.is_none() && s.placement.node_of_shard(0) == cluster.owner_of(0)
+                });
+                if settled {
+                    break;
+                }
+                assert!(
+                    sim::now() < t_restart + sim::millis(20),
+                    "blackout at {t} µs: the migration never settled"
+                );
+                sim::sleep(sim::micros(100));
+            }
+            let c = connect(&cluster, "post-blackout");
+            for i in 0..SEEDED {
+                assert_eq!(
+                    c.get(&key(i)).unwrap(),
+                    Some(value(i, 0)),
+                    "blackout at {t} µs: key {i}"
+                );
+            }
+            c.put(&key(0), &value(0, 1))
+                .unwrap_or_else(|e| panic!("blackout at {t} µs: PUT failed: {e:?}"));
+            assert_eq!(c.get(&key(0)).unwrap(), Some(value(0, 1)));
+            cluster.shutdown();
+        });
+        match simu.run_until(sim::secs(1)) {
+            RunOutcome::Completed { .. } => {}
+            other => panic!("blackout at {t} µs: the run did not end after shutdown: {other:?}"),
+        }
+    }
 }
 
 /// One full faulted run: writer traffic + a destination kill and a link
