@@ -186,7 +186,7 @@ fn breakdown() -> Probe {
 
 /// **txn** — multi-key atomic commit cost vs singleton PUTs,
 /// snapshot-reader interference with the write path, and the cross-shard
-/// commit path. Three bounds:
+/// commit path. Four bounds:
 ///
 /// * **Commit overhead** — per-key throughput of 4-key atomic batches
 ///   (`Mix::TxnOnly`; one latency sample per written key) must stay
@@ -206,6 +206,12 @@ fn breakdown() -> Probe {
 ///   waiting on any, so a commit costs two round trips however many
 ///   shards it touches; one round trip per participant would fall below
 ///   the bound.
+/// * **Contended tail** — on those 4-shard batches, p99.9 may reach at
+///   most 10× p50. A prepare that meets another transaction's in-doubt
+///   version waits at the participant if it is the older (wait-die), and
+///   only the younger aborts and retries; answering every such prepare
+///   `Conflict`, so that both back off and retry whole, put the tail at
+///   about 50× p50.
 ///
 /// The YCSB-T runs (50% 4-key txns / 35% GET / 15% snapshot read) on 1
 /// and 4 shards are the mixed data points of the trajectory, with no
@@ -225,7 +231,7 @@ fn txn() -> Probe {
             spec(Mix::UpdateOnly, 2, 1),
         ),
         run("YCSB-T/256B", spec(Mix::T, 0, 1)),
-        run("Txn-only/256B/shards4", spec(Mix::TxnOnly, 0, 4)),
+        run(TXN_SHARDS4, spec(Mix::TxnOnly, 0, 4)),
         run("YCSB-T/256B/shards4", spec(Mix::T, 0, 4)),
     ];
     let overhead = Check {
@@ -244,10 +250,21 @@ fn txn() -> Probe {
     let scaling = Check {
         name: "txn_shard_scaling_x",
         limit: Bound::Min(1.0),
-        value: |r| r.get("Txn-only/256B/shards4").mops / r.get(TXN_ONLY).mops,
+        value: |r| r.get(TXN_SHARDS4).mops / r.get(TXN_ONLY).mops,
     };
-    probe("txn", runs, vec![overhead, interference, scaling])
+    let tail = Check {
+        name: "txn_contended_tail_x",
+        limit: Bound::Max(10.0),
+        value: |r| {
+            let all = &r.get(TXN_SHARDS4).all;
+            inflation(all.p50_ns, all.p999_ns)
+        },
+    };
+    probe("txn", runs, vec![overhead, interference, scaling, tail])
 }
+
+/// The 4-shard 4-key-batch run the shard-scaling and tail bounds read.
+const TXN_SHARDS4: &str = "Txn-only/256B/shards4";
 
 /// The 1-shard 4-key-batch run the overhead and shard-scaling bounds read.
 const TXN_ONLY: &str = "Txn-only/256B";

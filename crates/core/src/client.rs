@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use efactory_checksum::crc32c;
 use efactory_obs::{Counter, Obs, Registry, SpanGuard, Subsystem};
-use efactory_rnic::{ClientQp, Fabric, Node, QpError};
+use efactory_rnic::{ClientQp, Fabric, Node, QpError, RemoteMr};
 use efactory_sim as sim;
 use efactory_sim::Nanos;
 
@@ -46,7 +46,7 @@ use crate::hashtable::{find_in_window, fingerprint, BUCKET_LEN, NPROBE};
 use crate::layout::{self, flags, Fetched, ObjHeader, Read};
 use crate::protocol::{Event, Request, Response, Status, StoreError};
 use crate::server::StoreDesc;
-use crate::txn::{SnapOutcome, TxnKv};
+use crate::txn::TxnKv;
 
 /// The uniform client interface the experiment harness drives. All six
 /// systems of the paper's comparison (eFactory and the five baselines)
@@ -175,7 +175,7 @@ impl Stat {
         }
     }
 
-    fn inc(&self) {
+    pub(crate) fn inc(&self) {
         self.own.set(self.own.get() + 1);
         self.run.inc();
     }
@@ -325,6 +325,11 @@ impl Client {
     /// Counters.
     pub fn stats(&self) -> &ClientStats {
         &self.stats
+    }
+
+    /// This connection's queue-pair id, unique on its fabric.
+    pub(crate) fn qp_id(&self) -> u64 {
+        self.qp.id()
     }
 
     /// Sum of every retry counter. The routed client sums it across shards
@@ -755,10 +760,12 @@ impl Client {
     /// server's read-set validation convention).
     fn rpc_get_seq(&self, key: &[u8]) -> Result<(Option<Vec<u8>>, u32), StoreError> {
         for _ in 0..=MAX_RPC_RETRIES {
-            // An in-doubt head answers `Busy`: wait for the decision without
-            // spending the retry budget. The client sets no cap; the decide
-            // RPC or the server's presumed-abort sweep ends the wait. Each
-            // wait counts as a GET retry.
+            // The server parks a GET on an in-doubt head until the
+            // decision, and answers `Busy` once the wait reaches its
+            // `PARK_LIMIT`: ask again without spending the retry budget.
+            // The client sets no cap; the decide RPC or the server's
+            // presumed-abort sweep ends the wait. Each `Busy` counts as a
+            // GET retry.
             let (status, obj_off, klen, vlen) = loop {
                 let Response::Get {
                     status,
@@ -876,55 +883,17 @@ impl Client {
         self.post(req)
     }
 
-    /// Snapshot read: RPC chooses the version visible at `snap_ts`, then a
-    /// validated one-sided read fetches it — the same two-step shape as
-    /// the RPC GET path, but a validation mismatch reports `Busy` instead
-    /// of falling forward to a fresher version (that would break the
-    /// snapshot cut).
-    pub(crate) fn shard_snap_get(
+    /// The one-sided read of an object a `SnapGet` located on this shard:
+    /// the QP, the registration and the object's range, as one entry of a
+    /// [`ClientQp::rdma_read_all`] batch.
+    pub(crate) fn object_read(
         &self,
-        key: &[u8],
-        snap_ts: u64,
-    ) -> Result<SnapOutcome, StoreError> {
-        self.snap_get_ctr.inc();
-        let busy = |c: &Client| {
-            c.snap_retry_ctr.inc();
-            Ok(SnapOutcome::Busy)
-        };
-        let resp = self.rpc(&Request::SnapGet {
-            key: key.to_vec(),
-            snap_ts,
-        })?;
-        let Response::Get {
-            status,
-            obj_off,
-            klen,
-            vlen,
-        } = resp
-        else {
-            return Err(StoreError::Protocol);
-        };
-        match status {
-            Status::NotFound => return Ok(SnapOutcome::NotFound),
-            Status::Busy => return busy(self),
-            Status::Expired => return Ok(SnapOutcome::Expired),
-            Status::Ok => {}
-            s => return Err(StoreError::Status(s)),
-        }
+        obj_off: u64,
+        klen: u16,
+        vlen: u32,
+    ) -> (&ClientQp, &RemoteMr, usize, usize) {
         let size = layout::object_size(klen as usize, vlen as usize);
-        let obj = match self.qp.rdma_read(&self.desc.mr, obj_off as usize, size) {
-            Ok(obj) => obj,
-            Err(QpError::Timeout) => {
-                self.stats.op_retries.inc();
-                return busy(self);
-            }
-            Err(e) => return Err(StoreError::Qp(e)),
-        };
-        match Fetched::parse(&obj, key, klen, vlen).map(|f| f.read()) {
-            Some(Read::Value(v)) => Ok(SnapOutcome::Value(v.to_vec())),
-            Some(Read::Tombstone) => Ok(SnapOutcome::NotFound),
-            _ => busy(self),
-        }
+        (&self.qp, &self.desc.mr, obj_off as usize, size)
     }
 
     /// Read a key together with the version sequence number the server

@@ -68,4 +68,4 @@ pub use protocol::{Status, StoreError};
 pub use repl::{Backup, ReplStats, ReplTarget};
 pub use server::{Server, ServerConfig, ServerStats, StoreDesc};
 pub use store::{Routes, Seat, Store, StoreClient};
-pub use txn::{SnapOutcome, TxnKv, TxnSnapshot};
+pub use txn::{TxnKv, TxnSnapshot};

@@ -127,6 +127,10 @@ pub enum Request {
     TxnPrepare {
         /// Coordinator-chosen transaction id (unique per client QP).
         txn_id: u64,
+        /// Wait-die priority, `(first-attempt start ns, coordinator id)`:
+        /// smaller is older. Kept across the op's retries, so a transaction
+        /// that dies ages until it is the oldest, which waits instead.
+        prio: (u64, u64),
         /// Read set: `(key, observed seq)` pairs; `seq == 0` means the key
         /// was absent when read.
         reads: Vec<(Vec<u8>, u32)>,
@@ -366,11 +370,14 @@ impl Request {
             }
             Request::TxnPrepare {
                 txn_id,
+                prio,
                 reads,
                 puts,
             } => {
                 buf.push(OP_TXN_PREPARE);
                 buf.extend_from_slice(&txn_id.to_le_bytes());
+                buf.extend_from_slice(&prio.0.to_le_bytes());
+                buf.extend_from_slice(&prio.1.to_le_bytes());
                 put_reads(&mut buf, reads);
                 put_puts(&mut buf, puts);
             }
@@ -426,6 +433,7 @@ impl Request {
             }
             OP_TXN_PREPARE => Request::TxnPrepare {
                 txn_id: r.u64()?,
+                prio: (r.u64()?, r.u64()?),
                 reads: r.reads()?,
                 puts: r.puts()?,
             },
@@ -622,6 +630,7 @@ mod tests {
             },
             Request::TxnPrepare {
                 txn_id: 0x1122_3344_5566_7788,
+                prio: (123_456, 7),
                 reads: vec![(b"r1".to_vec(), 7), (b"".to_vec(), 0)],
                 puts: vec![(b"w1".to_vec(), vec![1; 64]), (b"w2".to_vec(), vec![])],
             },
@@ -715,6 +724,7 @@ mod tests {
         let reqs = [
             Request::TxnPrepare {
                 txn_id: 9,
+                prio: (9, 1),
                 reads: vec![(b"r".to_vec(), 3)],
                 puts: vec![(b"w".to_vec(), vec![5; 9])],
             },
@@ -819,6 +829,7 @@ mod tests {
         #[test]
         fn txn_roundtrips_any_fields(
             txn_id in any::<u64>(),
+            prio in (any::<u64>(), any::<u64>()),
             reads in proptest::collection::vec(
                 (proptest::collection::vec(any::<u8>(), 0..16), any::<u32>()), 0..5),
             puts in proptest::collection::vec(
@@ -827,7 +838,7 @@ mod tests {
         ) {
             let req = Request::TxnCommit { txn_id, reads: reads.clone(), puts: puts.clone() };
             prop_assert_eq!(Request::decode(&req.encode()), Some(req));
-            let req = Request::TxnPrepare { txn_id, reads, puts };
+            let req = Request::TxnPrepare { txn_id, prio, reads, puts };
             prop_assert_eq!(Request::decode(&req.encode()), Some(req));
         }
     }

@@ -202,6 +202,11 @@ pub struct ServerStats {
     pub snap_gets: Counter,
     /// Snapshot GETs answered `Busy` (in-doubt head or in-flight value).
     pub snap_busy: Counter,
+    /// Requests the handler parked in its wait list behind an in-doubt
+    /// version (each counted once, however often it re-parks).
+    pub txn_parked: Counter,
+    /// Total virtual ns requests spent parked.
+    pub txn_park_ns: Counter,
     /// Client data ops rejected with `WrongEpoch` while the shard was
     /// sealed for migration (the cluster client's retarget signal).
     pub wrong_epoch: Counter,
@@ -218,7 +223,7 @@ impl ServerStats {
     /// names — each shard of a sharded store registers its own counters
     /// (e.g. `shard2.server.puts`) in the one shared registry.
     pub fn register_prefixed(&self, reg: &Registry, prefix: &str) {
-        let pairs: [(&str, &Counter); 25] = [
+        let pairs: [(&str, &Counter); 27] = [
             ("server.puts", &self.puts),
             ("server.dels", &self.dels),
             ("server.gets", &self.gets),
@@ -249,6 +254,8 @@ impl ServerStats {
             ("server.txn.snap_captures", &self.snap_captures),
             ("server.txn.snap_gets", &self.snap_gets),
             ("server.txn.snap_busy", &self.snap_busy),
+            ("server.txn.parked", &self.txn_parked),
+            ("server.txn.park_ns", &self.txn_park_ns),
             ("server.wrong_epoch", &self.wrong_epoch),
         ];
         for (name, c) in pairs {
@@ -708,6 +715,27 @@ impl Server {
     }
 }
 
+/// How long a request may wait in the handler's wait list for an in-doubt
+/// version. A request still parked after this long is run as if waiting
+/// did not exist, which answers it `Busy` (or `Conflict`, for a
+/// transaction) if its version is still in doubt. Below
+/// [`crate::client::RPC_DEADLINE`], so a coordinator that dies mid-2PC
+/// costs its waiters a retry, never a client RPC timeout.
+pub const PARK_LIMIT: Nanos = sim::micros(250);
+const _: () = assert!(PARK_LIMIT < crate::client::RPC_DEADLINE);
+
+/// A request waiting in the handler's wait list for the in-doubt version
+/// at `blocker` to resolve.
+struct Parked {
+    from: QpId,
+    id: u64,
+    req: Request,
+    blocker: u64,
+    /// When it first parked; a re-park keeps it, so [`PARK_LIMIT`] bounds
+    /// the whole wait.
+    since: Nanos,
+}
+
 /// The request-handler loop.
 ///
 /// Requests arrive either in the legacy unframed encoding (baselines) or
@@ -720,28 +748,36 @@ impl Server {
 /// one is a stale duplicate still bouncing around the fabric — dropped.
 /// This is what turns the lossy fabric's at-least-once delivery into
 /// exactly-once request execution.
+///
+/// A framed request whose key holds an in-doubt version
+/// ([`crate::txn::park_blocker`]) is not answered at once: it parks in a
+/// wait list, in arrival order. After every request and on every receive
+/// timeout the handler re-runs, in that order, each parked request whose
+/// version a decide or a presumed-abort sweep (the handler's or the
+/// cleaner's) has resolved, and runs unparked each one older than
+/// [`PARK_LIMIT`]. A resend of a parked request is dropped, and so is a
+/// parked request once its QP sends a newer id (the client gave up on it).
 fn run_handler(shared: &ServerShared, listener: &Listener) {
-    // (last executed request id, its encoded framed reply) per connection.
-    let mut dedup: HashMap<QpId, (u64, Vec<u8>)> = HashMap::new();
+    let mut h = Handler {
+        shared,
+        listener,
+        dedup: HashMap::new(),
+        parked: Vec::new(),
+    };
     // Presumed-abort sweep deadline for in-doubt 2PC transactions. The
     // sweep is free (no virtual time) while no transaction is prepared, so
     // non-transactional workloads replay byte-identically.
     let mut next_sweep = sim::now() + shared.cfg.txn_abort_timeout;
     loop {
         // A periodic deadline lets the handler observe `stop` even when no
-        // requests arrive.
-        let msg = match listener.recv_deadline(sim::now() + sim::micros(100)) {
-            Ok(m) => m,
-            Err(QpError::Timeout) => {
-                if shared.stopping() {
-                    return;
-                }
-                if sim::now() >= next_sweep {
-                    crate::txn::sweep_expired(shared);
-                    next_sweep = sim::now() + shared.cfg.txn_abort_timeout;
-                }
-                continue;
-            }
+        // requests arrive; the oldest parked request may need one sooner.
+        let mut deadline = sim::now() + sim::micros(100);
+        if let Some(p) = h.parked.first() {
+            deadline = deadline.min(p.since + PARK_LIMIT);
+        }
+        let msg = match listener.recv_deadline(deadline) {
+            Ok(m) => Some(m),
+            Err(QpError::Timeout) => None,
             Err(_) => return, // disconnected or crashed
         };
         if shared.stopping() {
@@ -751,81 +787,175 @@ fn run_handler(shared: &ServerShared, listener: &Listener) {
             crate::txn::sweep_expired(shared);
             next_sweep = sim::now() + shared.cfg.txn_abort_timeout;
         }
-        let Incoming::Send { from, payload } = msg else {
-            continue; // eFactory does not use write_with_imm
-        };
-        let Some((req_id, req)) = Request::decode_any(&payload) else {
-            continue;
-        };
-        if let Some(id) = req_id {
-            match dedup.get(&from) {
-                Some((last, reply)) if *last == id => {
-                    shared.stats.dup_hits.inc();
-                    if listener.reply(from, reply.clone()) == Err(QpError::Crashed) {
-                        return;
-                    }
-                    continue;
+        // eFactory does not use write_with_imm.
+        if let Some(Incoming::Send { from, payload }) = msg {
+            if let Some((req_id, req)) = Request::decode_any(&payload) {
+                if h.receive(from, req_id, req).is_err() {
+                    return;
                 }
-                Some((last, _)) if *last > id => {
-                    shared.stats.dup_stale.inc();
-                    continue;
-                }
-                _ => {}
             }
         }
+        if h.unpark().is_err() {
+            return;
+        }
+    }
+}
+
+/// A node crash, the one reply failure that ends the handler.
+struct Crashed;
+
+/// The request handler's state.
+struct Handler<'a> {
+    shared: &'a ServerShared,
+    listener: &'a Listener,
+    /// (last executed request id, its encoded framed reply) per connection.
+    dedup: HashMap<QpId, (u64, Vec<u8>)>,
+    /// Requests waiting on an in-doubt version, in arrival order: a `Vec`,
+    /// so replays stay byte-identical.
+    parked: Vec<Parked>,
+}
+
+impl Handler<'_> {
+    /// Take one decoded request: answer a duplicate from the dedup table,
+    /// drop a stale or parked one, park it behind an in-doubt version, or
+    /// run it.
+    fn receive(&mut self, from: QpId, req_id: Option<u64>, req: Request) -> Result<(), Crashed> {
+        let shared = self.shared;
+        let Some(id) = req_id else {
+            return self.run(from, None, req);
+        };
+        // A newer id from this QP means its client gave up on anything older.
+        self.parked.retain(|p| p.from != from || p.id >= id);
+        if self.parked.iter().any(|p| p.from == from && p.id == id) {
+            return Ok(()); // a resend of a parked request
+        }
+        match self.dedup.get(&from) {
+            Some((last, reply)) if *last == id => {
+                shared.stats.dup_hits.inc();
+                return self.reply(from, reply.clone());
+            }
+            Some((last, _)) if *last > id => {
+                shared.stats.dup_stale.inc();
+                return Ok(());
+            }
+            _ => {}
+        }
+        if !shared.is_sealed() {
+            if let Some(blocker) = crate::txn::park_blocker(shared, &req) {
+                shared.stats.txn_parked.inc();
+                self.parked.push(Parked {
+                    from,
+                    id,
+                    req,
+                    blocker,
+                    since: sim::now(),
+                });
+                return Ok(());
+            }
+        }
+        self.run(from, Some(id), req)
+    }
+
+    /// Re-run, in arrival order, every parked request whose version is no
+    /// longer in doubt, and run every one parked for [`PARK_LIMIT`]
+    /// whatever its version. A re-run that meets another in-doubt version
+    /// parks again in its place.
+    fn unpark(&mut self) -> Result<(), Crashed> {
+        let shared = self.shared;
+        let mut i = 0;
+        while i < self.parked.len() {
+            let expired = sim::now() >= self.parked[i].since + PARK_LIMIT;
+            if !expired && shared.in_doubt(self.parked[i].blocker) {
+                i += 1;
+                continue;
+            }
+            let mut p = self.parked.remove(i);
+            if !expired {
+                if let Some(blocker) = crate::txn::park_blocker(shared, &p.req) {
+                    p.blocker = blocker;
+                    self.parked.insert(i, p);
+                    i += 1;
+                    continue;
+                }
+            }
+            let waited = sim::now() - p.since;
+            shared.stats.txn_park_ns.add(waited);
+            // Joined to the client's RPC span by (qp, req), like the
+            // handler spans: the critical-path fold's server `park` phase.
+            shared.cfg.obs.tracer.record_span_at(
+                Subsystem::Server,
+                "park",
+                p.since,
+                waited,
+                &[("qp", p.from), ("req", p.id)],
+            );
+            self.run(p.from, Some(p.id), p.req)?;
+        }
+        Ok(())
+    }
+
+    /// Execute one request, record a framed reply in the dedup table, and
+    /// send the reply.
+    fn run(&mut self, from: QpId, req_id: Option<u64>, req: Request) -> Result<(), Crashed> {
+        let shared = self.shared;
         // (qp, request-id) args on the handler spans join server-side
         // handling to the issuing client op in the critical-path fold.
         let rpc = (from, req_id.unwrap_or(0));
-        let resp =
-            if shared.sealed.load(Ordering::Relaxed) && !matches!(req, Request::TxnDecide { .. }) {
-                // Sealed for migration: reject with the retarget signal, in
-                // the response shape the issuing op expects. TxnDecide passes
-                // through — it resolves already-prepared 2PC state.
-                sim::work(shared.cost.cpu_req_handle_ns);
-                shared.stats.wrong_epoch.inc();
-                reject_wrong_epoch(&req)
-            } else {
-                match req {
-                    Request::Put { key, vlen, crc } => handle_put(shared, rpc, &key, vlen, crc),
-                    Request::Get { key } => handle_get(shared, rpc, &key),
-                    Request::Del { key } => handle_del(shared, rpc, &key),
-                    Request::TxnCommit {
-                        txn_id,
-                        ref reads,
-                        ref puts,
-                    } => crate::txn::handle_txn_commit(shared, rpc, txn_id, reads, puts),
-                    Request::TxnPrepare {
-                        txn_id,
-                        ref reads,
-                        ref puts,
-                    } => crate::txn::handle_txn_prepare(shared, rpc, txn_id, reads, puts),
-                    Request::TxnDecide {
-                        txn_id,
-                        commit,
-                        commit_ts,
-                    } => crate::txn::handle_txn_decide(shared, rpc, txn_id, commit, commit_ts),
-                    Request::SnapCapture => crate::txn::handle_snap_capture(shared, rpc),
-                    Request::SnapGet { ref key, snap_ts } => {
-                        crate::txn::handle_snap_get(shared, rpc, key, snap_ts)
-                    }
-                    // SAW/RPC-baseline opcodes are not part of eFactory.
-                    Request::Persist { .. } | Request::RpcPut { .. } => Response::Ack {
-                        status: Status::Corrupt,
-                    },
+        let resp = if shared.is_sealed() && !matches!(req, Request::TxnDecide { .. }) {
+            // Sealed for migration: reject with the retarget signal, in the
+            // response shape the issuing op expects. TxnDecide passes
+            // through — it resolves already-prepared 2PC state.
+            sim::work(shared.cost.cpu_req_handle_ns);
+            shared.stats.wrong_epoch.inc();
+            reject_wrong_epoch(&req)
+        } else {
+            match req {
+                Request::Put { key, vlen, crc } => handle_put(shared, rpc, &key, vlen, crc),
+                Request::Get { key } => handle_get(shared, rpc, &key),
+                Request::Del { key } => handle_del(shared, rpc, &key),
+                Request::TxnCommit {
+                    txn_id,
+                    ref reads,
+                    ref puts,
+                } => crate::txn::handle_txn_commit(shared, rpc, txn_id, reads, puts),
+                Request::TxnPrepare {
+                    txn_id,
+                    prio,
+                    ref reads,
+                    ref puts,
+                } => crate::txn::handle_txn_prepare(shared, rpc, txn_id, prio, reads, puts),
+                Request::TxnDecide {
+                    txn_id,
+                    commit,
+                    commit_ts,
+                } => crate::txn::handle_txn_decide(shared, rpc, txn_id, commit, commit_ts),
+                Request::SnapCapture => crate::txn::handle_snap_capture(shared, rpc),
+                Request::SnapGet { ref key, snap_ts } => {
+                    crate::txn::handle_snap_get(shared, rpc, key, snap_ts)
                 }
-            };
+                // SAW/RPC-baseline opcodes are not part of eFactory.
+                Request::Persist { .. } | Request::RpcPut { .. } => Response::Ack {
+                    status: Status::Corrupt,
+                },
+            }
+        };
         let encoded = match req_id {
             Some(id) => {
                 let framed = resp.encode_framed(id);
-                dedup.insert(from, (id, framed.clone()));
+                self.dedup.insert(from, (id, framed.clone()));
                 framed
             }
             None => resp.encode(),
         };
-        // A reply fails with `Disconnected` when the requesting QP is gone:
-        // skip it. Only a crash ends the handler.
-        if listener.reply(from, encoded) == Err(QpError::Crashed) {
-            return;
+        self.reply(from, encoded)
+    }
+
+    /// Send a reply. It fails with `Disconnected` when the requesting QP
+    /// is gone: skip it. Only a crash ends the handler.
+    fn reply(&self, to: QpId, reply: Vec<u8>) -> Result<(), Crashed> {
+        match self.listener.reply(to, reply) {
+            Err(QpError::Crashed) => Err(Crashed),
+            _ => Ok(()),
         }
     }
 }

@@ -10,8 +10,9 @@
 //! call is one attempt; `StoreClient::retry` is the one loop that
 //! re-attempts an op. On every topology it rides out transient
 //! `Busy`/`NoSpace` rejections (a pool filling up under cleaning pressure,
-//! a PUT on an in-doubt head, a primary whose mirror just failed) with 200
-//! waits of 50 µs. Stores differ only in how they re-resolve other errors:
+//! a PUT whose in-doubt head outlasted the handler's `PARK_LIMIT`, a
+//! primary whose mirror just failed) with 200 waits of 50 µs. Stores
+//! differ only in how they re-resolve other errors:
 //!
 //! * **static** (no backups, one data node): never — the error surfaces
 //!   to the caller;
@@ -29,7 +30,8 @@
 //! re-attempt inside the op. A pipeline slot records its op's root itself
 //! (submit → completion), so inside a slot the routed client opens none.
 //!
-//! A retried transaction runs under a fresh txn id. Before an attempt's
+//! A retried transaction runs under a fresh txn id, with the wait-die
+//! priority of its first attempt. Before an attempt's
 //! error surfaces, [`txn::put_all_routed`] aborts every participant it
 //! prepared and did not decide, so the retry never waits on that attempt's
 //! in-doubt heads. A participant that had already committed gets the same
@@ -144,6 +146,10 @@ pub struct StoreClient {
     /// plus the retries of connections since replaced, so
     /// [`retry_total`](Self::retry_total) never goes backwards.
     retries: Cell<u64>,
+    /// This client's coordinator id, the wait-die tie-break between
+    /// transactions that start at the same instant: the fabric-unique id
+    /// of its first connection.
+    coord: u64,
 }
 
 impl StoreClient {
@@ -183,6 +189,7 @@ impl StoreClient {
             resolve,
             next_txn_id: Cell::new(1),
             retries: Cell::new(0),
+            coord: 0,
         };
         for g in 0..shards {
             let mut backoff = Backoff::new();
@@ -199,6 +206,9 @@ impl StoreClient {
                 }
             };
             c.set_placement_epoch(epoch);
+            if g == 0 {
+                client.coord = c.qp_id();
+            }
             client.conns.push(RefCell::new(c));
             client.owners.get_mut().push(owner);
         }
@@ -405,8 +415,10 @@ impl RemoteKv for StoreClient {
 impl TxnKv for StoreClient {
     fn txn_put_all(&self, puts: &[(Vec<u8>, Vec<u8>)]) -> Result<u64, StoreError> {
         let first = puts.first().map_or(&[][..], |(k, _)| k.as_slice());
+        // Fixed at the first attempt, so a retried transaction ages.
+        let prio = (sim::now(), self.coord);
         self.committed(self.rooted(RootKind::Txn, Scope::All, first, || {
-            txn::put_all_routed(&self.shards(), &self.next_txn_id, puts)
+            txn::put_all_routed(&self.shards(), &self.next_txn_id, prio, puts)
         }))
     }
 
@@ -424,9 +436,14 @@ impl TxnKv for StoreClient {
         self.retry(Scope::All, || txn::snapshot_all(&self.shards()))
     }
 
-    fn snap_get(&self, key: &[u8], snap: &TxnSnapshot) -> Result<Option<Vec<u8>>, StoreError> {
-        self.rooted(RootKind::Snap, Scope::All, key, || {
-            txn::snap_get_routed(&self.shards(), key, snap)
+    fn snap_get(
+        &self,
+        keys: &[Vec<u8>],
+        snap: &TxnSnapshot,
+    ) -> Result<Vec<Option<Vec<u8>>>, StoreError> {
+        let first = keys.first().map_or(&[][..], Vec::as_slice);
+        self.rooted(RootKind::Snap, Scope::All, first, || {
+            txn::snap_get_all(&self.shards(), keys, snap)
         })
     }
 }

@@ -11,11 +11,12 @@
 //!
 //! **Staging** appends each write as a normal log version linked at the
 //! head of its key's chain, flagged `VALID | PENDING | DURABLE`. A
-//! `PENDING` head is *in-doubt*: the handler answers `Busy`, so plain GETs
-//! and snapshot reads wait, and writers back off (`Busy` / `Conflict`) —
-//! which preserves the invariant that chain order equals commit-timestamp
-//! order. Only a location-cache hit still serves the version it cached
-//! (the freshness trade-off `ClientConfig::loc_cache` states).
+//! `PENDING` head is *in-doubt*: the handler parks a request that meets
+//! one until the transaction is decided (`park_blocker`), so plain GETs,
+//! snapshot reads and writers wait at the participant — which preserves
+//! the invariant that chain order equals commit-timestamp order. Only a
+//! location-cache hit still serves the version it cached (the freshness
+//! trade-off `ClientConfig::loc_cache` states).
 //!
 //! **Commit point** is a durable *commit record*: a normal log allocation
 //! (never linked into the hash table) whose key is a magic prefix + txn id
@@ -32,12 +33,15 @@
 //! then `TxnDecide`), with a presumed-abort sweep reclaiming prepares whose
 //! coordinator died. Each phase is one fanned-out round: the client posts
 //! to every participant before it waits on any, so a commit costs two
-//! round trips however many shards it touches. The order of the prepares
-//! does not matter for deadlock freedom, because a prepare never waits: a
-//! participant whose key holds an in-doubt or newer head answers `Busy` or
-//! `Conflict` at once. The client drivers run one attempt of a routed op:
-//! an attempt that fails aborts every participant it prepared and did not
-//! decide, and the routed client retries the whole op under a fresh txn id.
+//! round trips however many shards it touches. A prepare that meets
+//! another transaction's in-doubt version waits by wait-die: it parks
+//! only if it is older than the holder, by the priority the coordinator
+//! keeps across the op's retries, and otherwise answers `Conflict`. Every
+//! wait goes from an older transaction to a younger one, so the prepares
+//! cannot deadlock in any order, and a transaction that dies only ages.
+//! The client drivers run one attempt of a routed op: an attempt that
+//! fails aborts every participant it prepared and did not decide, and the
+//! routed client retries the whole op under a fresh txn id.
 //!
 //! # Snapshots
 //!
@@ -46,7 +50,8 @@
 //! and returns it, so every *later* commit is strictly above the captured
 //! clock, and every commit acknowledged *before* the capture is at or
 //! below it. A multi-shard snapshot captures every shard's clock, all in
-//! one fanned-out round, and reads at `S = min(vector)`: a version is
+//! one fanned-out round, and reads at `S = min(vector)`, a key set at a
+//! time ([`TxnKv::snap_get`]): a version is
 //! visible iff its commit timestamp is `<= S`. Timestamps live in a
 //! per-shard in-memory map (rebuilt empty after a crash — recovered
 //! versions read as timestamp 0, i.e. visible in every snapshot, which is
@@ -54,19 +59,19 @@
 //! committed).
 
 use std::cell::{Cell, Ref};
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::Ordering;
 
 use efactory_checksum::crc32c;
 use efactory_obs::Subsystem;
 use efactory_pmem::PmemPool;
-use efactory_rnic::QpId;
+use efactory_rnic::{ClientQp, QpError, QpId};
 use efactory_sim as sim;
 
 use crate::client::Client;
 use crate::cluster::key_shard;
 use crate::hashtable::fingerprint;
-use crate::layout::{self, flags, ObjHeader, NIL};
+use crate::layout::{self, flags, Fetched, ObjHeader, Read, NIL};
 use crate::protocol::{Request, Response, Status, StoreError};
 use crate::server::{CleanPhase, ServerShared};
 
@@ -83,6 +88,10 @@ pub struct Prepared {
     /// Virtual time the prepare completed — the presumed-abort sweep
     /// reclaims entries older than [`crate::server::ServerConfig::txn_abort_timeout`].
     pub staged_at: sim::Nanos,
+    /// The transaction's wait-die priority (see [`Request::TxnPrepare`]):
+    /// a prepare that meets one of these versions waits only if it is
+    /// older.
+    pub prio: (u64, u64),
 }
 
 /// Per-shard transactional state (in-memory; rebuilt empty after a crash).
@@ -124,8 +133,9 @@ pub(crate) fn on_clean_swap(shared: &ServerShared) {
     txn.commit_ts.clear();
 }
 
-/// Earliest deadline after which `sweep_expired` may have work to do; the
-/// handler calls it from its receive loop.
+/// Presumed-abort sweep: abort every prepare staged longer than
+/// `txn_abort_timeout` ago. The handler calls it from its receive loop,
+/// and the cleaner when it waits on an overdue in-doubt head.
 pub(crate) fn sweep_expired(shared: &ServerShared) {
     let now = sim::now();
     let timeout = shared.cfg.txn_abort_timeout;
@@ -185,6 +195,70 @@ fn validate_reads(shared: &ServerShared, reads: &[(Vec<u8>, u32)]) -> Status {
         }
     }
     Status::Ok
+}
+
+/// The offset of `key`'s newest valid version when that version is in
+/// doubt (`VALID | PENDING`).
+fn in_doubt_version(shared: &ServerShared, key: &[u8]) -> Option<u64> {
+    let (_, entry) = shared.ht.lookup(&shared.pool, fingerprint(key))?;
+    let mut off = shared.current_off(&entry);
+    while off != 0 && off != NIL {
+        let hdr = ObjHeader::read_from(&shared.pool, off as usize);
+        if hdr.has(flags::VALID) {
+            return hdr.has(flags::PENDING).then_some(off);
+        }
+        off = hdr.pre_ptr;
+    }
+    None
+}
+
+/// The in-doubt version `req` waits for in the handler's wait list, or
+/// `None` when it runs now. GET, PUT, DEL, `SnapGet` and the fused
+/// `TxnCommit` wait on any in-doubt key they touch: they hold nothing
+/// while they wait, so they close no cycle of waits. A `TxnPrepare` waits
+/// by wait-die: only if it is older than every transaction holding one of
+/// its keys. A younger one runs and answers `Conflict` as before, and its
+/// coordinator aborts and retries under the same priority. `TxnDecide`
+/// and `SnapCapture` touch no key.
+pub(crate) fn park_blocker(shared: &ServerShared, req: &Request) -> Option<u64> {
+    let txn = shared.txn.lock().unwrap();
+    // Only a prepared transaction leaves a version in doubt between two
+    // requests: a fused commit stages and publishes inside one.
+    if txn.prepared.is_empty() {
+        return None;
+    }
+    match req {
+        Request::Get { key }
+        | Request::Del { key }
+        | Request::Put { key, .. }
+        | Request::SnapGet { key, .. } => in_doubt_version(shared, key),
+        Request::TxnCommit { reads, puts, .. } => reads
+            .iter()
+            .map(|(k, _)| k)
+            .chain(puts.iter().map(|(k, _)| k))
+            .find_map(|k| in_doubt_version(shared, k)),
+        Request::TxnPrepare {
+            prio, reads, puts, ..
+        } => {
+            let mut blocker = None;
+            for key in reads
+                .iter()
+                .map(|(k, _)| k)
+                .chain(puts.iter().map(|(k, _)| k))
+            {
+                let Some(off) = in_doubt_version(shared, key) else {
+                    continue;
+                };
+                let holder = txn.prepared.values().find(|p| p.offs.contains(&off));
+                if holder.is_none_or(|h| *prio >= h.prio) {
+                    return None; // not older than this holder: die
+                }
+                blocker.get_or_insert(off);
+            }
+            blocker
+        }
+        _ => None,
+    }
 }
 
 /// Stage one transactional write: append a fully persisted
@@ -348,6 +422,7 @@ pub(crate) fn handle_txn_prepare(
     shared: &ServerShared,
     rpc: (QpId, u64),
     txn_id: u64,
+    prio: (u64, u64),
     reads: &[(Vec<u8>, u32)],
     puts: &[(Vec<u8>, Vec<u8>)],
 ) -> Response {
@@ -400,6 +475,7 @@ pub(crate) fn handle_txn_prepare(
             Prepared {
                 offs,
                 staged_at: sim::now(),
+                prio,
             },
         );
         txn.watermark.max(sim::now())
@@ -489,8 +565,10 @@ pub(crate) fn handle_snap_capture(shared: &ServerShared, rpc: (QpId, u64)) -> Re
 
 /// MVCC snapshot read: serve the newest committed version with
 /// `commit_ts <= snap_ts`, without blocking writers. An in-doubt
-/// (`PENDING`) head returns `Busy` — Percolator-style read-blocks-on-lock,
-/// bounded by the decide RPC or the presumed-abort sweep. A chosen version
+/// (`PENDING`) head parks the request in the handler until the decide RPC
+/// or the presumed-abort sweep resolves it (Percolator-style
+/// read-blocks-on-lock), and returns `Busy` only once the wait reaches
+/// [`crate::server::PARK_LIMIT`]. A chosen version
 /// that is not yet durable (plain PUT whose one-sided value write is still
 /// landing) is persisted on demand, or `Busy` while the bytes are in
 /// flight.
@@ -631,20 +709,6 @@ pub struct TxnSnapshot {
     pub vector: Vec<u64>,
 }
 
-/// Outcome of a raw per-shard snapshot read.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapOutcome {
-    /// The value visible at the snapshot.
-    Value(Vec<u8>),
-    /// No version visible at the snapshot (absent or deleted).
-    NotFound,
-    /// In-doubt head or in-flight value — retry shortly.
-    Busy,
-    /// Snapshot older than the cleaner's compaction horizon — capture a
-    /// fresh one; retrying the same timestamp can never succeed.
-    Expired,
-}
-
 /// The transactional client surface. Object-safe so the harness can reach
 /// it through [`RemoteKv::txn`](crate::RemoteKv::txn).
 pub trait TxnKv {
@@ -661,9 +725,14 @@ pub trait TxnKv {
     ) -> Result<u64, StoreError>;
     /// Capture a consistent snapshot across all shards.
     fn snapshot(&self) -> Result<TxnSnapshot, StoreError>;
-    /// Read `key` as of `snap` — sees a consistent cut: a multi-key
-    /// transaction is either entirely visible or entirely invisible.
-    fn snap_get(&self, key: &[u8], snap: &TxnSnapshot) -> Result<Option<Vec<u8>>, StoreError>;
+    /// Read every key in `keys` as of `snap`, in order (`None` = absent or
+    /// deleted). The reads see a consistent cut: a multi-key transaction is
+    /// either entirely visible or entirely invisible.
+    fn snap_get(
+        &self,
+        keys: &[Vec<u8>],
+        snap: &TxnSnapshot,
+    ) -> Result<Vec<Option<Vec<u8>>>, StoreError>;
 }
 
 /// Bounded client-side retry budget for transactional conflicts/busy.
@@ -692,6 +761,7 @@ fn bump(next: &Cell<u64>) -> u64 {
 pub(crate) fn put_all_routed(
     clients: &[Ref<'_, Client>],
     next_txn_id: &Cell<u64>,
+    prio: (u64, u64),
     puts: &[(Vec<u8>, Vec<u8>)],
 ) -> Result<u64, StoreError> {
     let shards = clients.len();
@@ -730,6 +800,7 @@ pub(crate) fn put_all_routed(
         }
         let mut prepares: Vec<_> = round(clients, &touched, |i| Request::TxnPrepare {
             txn_id,
+            prio,
             reads: Vec::new(),
             puts: groups[i].clone(),
         })
@@ -903,25 +974,118 @@ pub(crate) fn snapshot_all(clients: &[Ref<'_, Client>]) -> Result<TxnSnapshot, S
     Ok(TxnSnapshot { ts, vector })
 }
 
-/// Routed snapshot read with bounded retry on in-doubt/in-flight versions.
-pub(crate) fn snap_get_routed(
+/// Snapshot read of every key in `keys` at `snap`, in waves. A wave posts
+/// one `SnapGet` to every shard with keys pending before it waits on any
+/// ([`round`]), then fetches every version the wave located with one batch
+/// of one-sided reads ([`ClientQp::rdma_read_all`]), so a scan costs a
+/// round trip and a read per wave, not per key. A key whose shard answers
+/// `Busy` (a value still in flight, or a wait past the handler's
+/// `PARK_LIMIT`), whose read times out or whose bytes fail the read check
+/// stays pending for the next wave, after [`TXN_BACKOFF`]: a mismatch
+/// never falls forward to a fresher version, which would break the
+/// snapshot cut. `Expired` (cleaning compacted past the snapshot; the
+/// caller must re-capture) or any other failure surfaces once the wave's
+/// replies are in, the first in shard order.
+pub(crate) fn snap_get_all(
     clients: &[Ref<'_, Client>],
-    key: &[u8],
+    keys: &[Vec<u8>],
     snap: &TxnSnapshot,
-) -> Result<Option<Vec<u8>>, StoreError> {
-    let c = &clients[key_shard(key, clients.len())];
-    for _ in 0..TXN_RETRY_LIMIT {
-        match c.shard_snap_get(key, snap.ts)? {
-            SnapOutcome::Value(v) => return Ok(Some(v)),
-            SnapOutcome::NotFound => return Ok(None),
-            SnapOutcome::Busy => sim::sleep(TXN_BACKOFF),
-            // Cleaning compacted past this snapshot while we held it:
-            // retrying the same timestamp can never succeed — the caller
-            // must re-capture.
-            SnapOutcome::Expired => return Err(StoreError::Status(Status::Expired)),
+) -> Result<Vec<Option<Vec<u8>>>, StoreError> {
+    let mut pending: Vec<VecDeque<usize>> = vec![VecDeque::new(); clients.len()];
+    for (i, key) in keys.iter().enumerate() {
+        pending[key_shard(key, clients.len())].push_back(i);
+    }
+    let mut out: Vec<Option<Option<Vec<u8>>>> = vec![None; keys.len()];
+    let mut busy_waves = 0;
+    loop {
+        let shards: Vec<usize> = (0..clients.len())
+            .filter(|&g| !pending[g].is_empty())
+            .collect();
+        if shards.is_empty() {
+            break;
+        }
+        let replies = round(clients, &shards, |g| Request::SnapGet {
+            key: keys[pending[g][0]].clone(),
+            snap_ts: snap.ts,
+        });
+        let (mut located, mut busy, mut failed) = (Vec::new(), false, None);
+        for (&g, reply) in shards.iter().zip(replies) {
+            let c = &clients[g];
+            c.snap_get_ctr.inc();
+            match reply {
+                Ok(Response::Get {
+                    status: Status::Ok,
+                    obj_off,
+                    klen,
+                    vlen,
+                }) => located.push((g, obj_off, klen, vlen)),
+                Ok(Response::Get {
+                    status: Status::NotFound,
+                    ..
+                }) => out[pending[g].pop_front().unwrap()] = Some(None),
+                Ok(Response::Get {
+                    status: Status::Busy,
+                    ..
+                }) => {
+                    c.snap_retry_ctr.inc();
+                    busy = true;
+                }
+                Ok(Response::Get { status, .. }) => {
+                    failed.get_or_insert(StoreError::Status(status));
+                }
+                Ok(_) => {
+                    failed.get_or_insert(StoreError::Protocol);
+                }
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
+        }
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        let reads: Vec<_> = located
+            .iter()
+            .map(|&(g, off, klen, vlen)| clients[g].object_read(off, klen, vlen))
+            .collect();
+        for (&(g, _, klen, vlen), obj) in located.iter().zip(ClientQp::rdma_read_all(&reads)) {
+            let c = &clients[g];
+            let i = pending[g][0];
+            let obj = match obj {
+                Ok(obj) => Some(obj),
+                Err(QpError::Timeout) => {
+                    c.stats().op_retries.inc();
+                    None
+                }
+                Err(e) => return Err(StoreError::Qp(e)),
+            };
+            let read = obj.as_deref().and_then(|obj| {
+                match Fetched::parse(obj, &keys[i], klen, vlen)?.read() {
+                    Read::Value(v) => Some(Some(v.to_vec())),
+                    Read::Tombstone => Some(None),
+                    Read::Stale | Read::NotYet => None,
+                }
+            });
+            let Some(value) = read else {
+                c.snap_retry_ctr.inc();
+                busy = true;
+                continue;
+            };
+            pending[g].pop_front();
+            out[i] = Some(value);
+        }
+        if busy {
+            busy_waves += 1;
+            if busy_waves == TXN_RETRY_LIMIT {
+                return Err(StoreError::Status(Status::Busy));
+            }
+            sim::sleep(TXN_BACKOFF);
         }
     }
-    Err(StoreError::Status(Status::Busy))
+    Ok(out
+        .into_iter()
+        .map(|v| v.expect("every key was read"))
+        .collect())
 }
 
 #[cfg(test)]

@@ -177,8 +177,10 @@ fn every_get_path_applies_the_one_read_check() {
                 want(GetOutcome::RpcOnly),
                 "{name}: RPC read"
             );
-            let from_snap = txn.snap_get(KEY, &snap);
-            let want_snap = served.ok_or(StoreError::Status(Status::Busy));
+            let from_snap = txn.snap_get(&[KEY.to_vec()], &snap);
+            let want_snap = served
+                .map(|v| vec![v])
+                .ok_or(StoreError::Status(Status::Busy));
             assert_eq!(from_snap, want_snap, "{name}: snapshot read");
         }
     });

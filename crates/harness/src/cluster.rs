@@ -699,16 +699,13 @@ fn run_serial(
                 // A cleaning pool swap expires open snapshots (the swap
                 // recycles old-pool offsets); re-capture and restart the
                 // scan — the retry latency is part of the measurement.
-                'scan: loop {
+                loop {
                     let snap = txn().snapshot().expect("snapshot capture failed");
-                    for k in &keys {
-                        match txn().snap_get(k, &snap) {
-                            Ok(_) => {}
-                            Err(StoreError::Status(Status::Expired)) => continue 'scan,
-                            Err(e) => panic!("snap get failed: {e:?}"),
-                        }
+                    match txn().snap_get(&keys, &snap) {
+                        Ok(_) => break,
+                        Err(StoreError::Status(Status::Expired)) => {}
+                        Err(e) => panic!("snap get failed: {e:?}"),
                     }
-                    break;
                 }
                 let dt = sim::now() - t0;
                 for _ in 0..keys.len() {
@@ -936,16 +933,14 @@ fn run_inner(
                 // only bounds how much scan load the probe applies.
                 while !stop.load(Ordering::Relaxed) {
                     let snap = kv.snapshot().expect("snap capture");
-                    for _ in 0..TXN_KEYS {
-                        // A cleaning pool swap expires the snapshot
-                        // mid-scan; abandon it and re-capture on the next
-                        // iteration (readers model periodic scans, not
-                        // exactly-once reads).
-                        match kv.snap_get(&wl.key(next_id()), &snap) {
-                            Ok(_) => {}
-                            Err(StoreError::Status(Status::Expired)) => break,
-                            Err(e) => panic!("snap get: {e:?}"),
-                        }
+                    let keys: Vec<Vec<u8>> = (0..TXN_KEYS).map(|_| wl.key(next_id())).collect();
+                    // A cleaning pool swap expires the snapshot mid-scan;
+                    // abandon it and re-capture on the next iteration
+                    // (readers model periodic scans, not exactly-once
+                    // reads).
+                    match kv.snap_get(&keys, &snap) {
+                        Ok(_) | Err(StoreError::Status(Status::Expired)) => {}
+                        Err(e) => panic!("snap get: {e:?}"),
                     }
                     sim::sleep(sim::micros(60));
                 }

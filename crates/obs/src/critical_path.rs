@@ -62,7 +62,7 @@ impl PhaseKind {
 pub fn phase_kind(name: &str) -> PhaseKind {
     match name {
         "backoff" => PhaseKind::Retry,
-        "req_queue" | "client_gap" | "window_wait" => PhaseKind::Queue,
+        "req_queue" | "park" | "client_gap" | "window_wait" => PhaseKind::Queue,
         _ => PhaseKind::Service,
     }
 }
@@ -223,6 +223,7 @@ pub fn fold(records: &[TraceRecord], cfg: &FoldConfig) -> Breakdown {
     let mut children: HashMap<u64, Vec<&TraceRecord>> = HashMap::new();
     let mut alloc_off: HashMap<u64, u64> = HashMap::new();
     let mut server_spans: HashMap<(u64, u64), &TraceRecord> = HashMap::new();
+    let mut park_spans: HashMap<(u64, u64), &TraceRecord> = HashMap::new();
     let mut verifier_by_off: HashMap<u64, Vec<&TraceRecord>> = HashMap::new();
     let mut repl_spans: Vec<&TraceRecord> = Vec::new();
 
@@ -239,9 +240,14 @@ pub fn fold(records: &[TraceRecord], cfg: &FoldConfig) -> Breakdown {
                     alloc_off.insert(r.op, off);
                 }
             }
-            (RecordKind::Span, _) if r.sub == Subsystem::Server => {
+            (RecordKind::Span, name) if r.sub == Subsystem::Server => {
                 if let (Some(qp), Some(req)) = (arg(r, "qp"), arg(r, "req")) {
-                    server_spans.insert((qp, req), r);
+                    let spans = if name == "park" {
+                        &mut park_spans
+                    } else {
+                        &mut server_spans
+                    };
+                    spans.insert((qp, req), r);
                 }
             }
             (RecordKind::Span, "crc_verify" | "flush") if r.sub == Subsystem::Verifier => {
@@ -285,23 +291,33 @@ pub fn fold(records: &[TraceRecord], cfg: &FoldConfig) -> Breakdown {
             });
         }
         for k in kids.iter().filter(|k| k.name == "rpc") {
-            let Some(sp) = (match (arg(k, "qp"), arg(k, "req")) {
-                (Some(qp), Some(req)) => server_spans.get(&(qp, req)).copied(),
-                _ => None,
-            }) else {
-                continue; // dedup resend: no handler span for this request
+            let Some(key) = arg(k, "qp").zip(arg(k, "req")) else {
+                continue;
             };
             let (r0, r1) = (k.ts.max(w0), (k.ts + k.dur).min(w1));
-            let (h0, h1) = (sp.ts.max(r0), (sp.ts + sp.dur).min(r1));
-            if h0 >= h1 {
-                continue;
+            // The handler span and, for a request that waited in the
+            // handler's wait list, the park before it. A dedup resend has
+            // neither.
+            let mut served: Option<(Nanos, Nanos)> = None;
+            for sp in [park_spans.get(&key), server_spans.get(&key)]
+                .into_iter()
+                .flatten()
+            {
+                let (h0, h1) = (sp.ts.max(r0), (sp.ts + sp.dur).min(r1));
+                if h0 >= h1 {
+                    continue;
+                }
+                ivs.push(Interval {
+                    start: h0,
+                    end: h1,
+                    sub: Subsystem::Server,
+                    phase: sp.name,
+                });
+                served = Some(served.map_or((h0, h1), |(s0, s1)| (s0.min(h0), s1.max(h1))));
             }
-            ivs.push(Interval {
-                start: h0,
-                end: h1,
-                sub: Subsystem::Server,
-                phase: sp.name,
-            });
+            let Some((h0, h1)) = served else {
+                continue;
+            };
             // Server dispatch queue: from the end of the last NIC send that
             // completed before handling started to the handler pickup.
             let send_end = kids
@@ -789,6 +805,38 @@ mod tests {
             .segments
             .iter()
             .any(|s| s.phase == "send" && s.kind == PhaseKind::Service));
+    }
+
+    #[test]
+    fn a_parked_request_folds_its_wait_as_a_server_queue_phase() {
+        let rpc = [("qp", 4), ("req", 9)];
+        let recs = vec![
+            span(1, Subsystem::Client, "op", 0, 100, &[("kind", 0)]),
+            span(1, Subsystem::Client, "rpc", 10, 80, &rpc),
+            span(1, Subsystem::Nic, "send", 10, 10, &[("bytes", 64)]),
+            span(0, Subsystem::Server, "park", 25, 30, &rpc),
+            span(0, Subsystem::Server, "rpc_get", 55, 15, &rpc),
+        ];
+        let b = fold(&recs, &FoldConfig::default());
+        assert_eq!(b.conservation_max_err_ns, 0);
+        let timeline: Vec<(&str, PhaseKind, Nanos, Nanos)> = b.exemplars[0]
+            .segments
+            .iter()
+            .map(|s| (s.phase, s.kind, s.start, s.dur))
+            .collect();
+        use PhaseKind::{Queue, Service};
+        assert_eq!(
+            timeline,
+            vec![
+                ("client_gap", Queue, 0, 10),
+                ("send", Service, 10, 10),
+                ("req_queue", Queue, 20, 5),
+                ("park", Queue, 25, 30),
+                ("rpc_get", Service, 55, 15),
+                ("reply_transit", Service, 70, 20),
+                ("client_gap", Queue, 90, 10),
+            ]
+        );
     }
 
     #[test]

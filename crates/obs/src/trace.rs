@@ -201,7 +201,7 @@ pub enum RootKind {
     Del,
     /// A transaction (multi-key commit or read-modify-write).
     Txn,
-    /// One key of a snapshot read.
+    /// A snapshot read of a key set (the capture itself is not an op).
     Snap,
 }
 

@@ -831,15 +831,23 @@ impl ClientQp {
     /// `Delay` draw adds its extra latency; a `Duplicate` draw is absorbed
     /// by the responder NIC's sequence check (no observable effect).
     fn one_sided_fault(&self) {
+        if let Some(extra) = self.one_sided_fault_delay() {
+            sim::sleep(extra);
+        }
+    }
+
+    /// The extra latency a one-sided verb's fault draw adds, counted but
+    /// not yet waited out; `None` when the verb is delivered as usual.
+    fn one_sided_fault_delay(&self) -> Option<Nanos> {
         match self.faults.draw(self.local.id(), self.remote.id()) {
-            Fate::Deliver | Fate::Duplicate => {}
+            Fate::Deliver | Fate::Duplicate => None,
             Fate::Drop => {
                 self.stats.fault_retrans.fetch_add(1, Ordering::Relaxed);
-                sim::sleep(self.cost.one_way(0) * 2);
+                Some(self.cost.one_way(0) * 2)
             }
             Fate::Delay(extra) => {
                 self.stats.fault_delayed.fetch_add(1, Ordering::Relaxed);
-                sim::sleep(extra);
+                Some(extra)
             }
         }
     }
@@ -947,19 +955,96 @@ impl ClientQp {
             .fetch_add(len as u64, Ordering::Relaxed);
         // Request reaches the remote NIC.
         sim::sleep(self.cost.one_way(0));
-        self.remote.guard()?;
-        let data = {
-            let mrs = self.remote.inner.mrs.lock();
-            let entry = self.resolve(&mrs, mr, off, len)?;
-            let mut buf = vec![0u8; len];
-            entry.pool.read(entry.base + off, &mut buf);
-            buf
-        };
+        let data = self.read_remote(mr, off, len)?;
         // Response streams back.
         sim::sleep(self.cost.one_way(len));
         self.local.guard()?;
         self.stats.probe.fire("rdma_read", len, start, probe_now());
         Ok(data)
+    }
+
+    /// The bytes a read request takes from the remote node's memory when it
+    /// reaches the remote NIC.
+    fn read_remote(&self, mr: &RemoteMr, off: usize, len: usize) -> Result<Vec<u8>, QpError> {
+        self.remote.guard()?;
+        let mrs = self.remote.inner.mrs.lock();
+        let entry = self.resolve(&mrs, mr, off, len)?;
+        let mut buf = vec![0u8; len];
+        entry.pool.read(entry.base + off, &mut buf);
+        Ok(buf)
+    }
+
+    /// A batch of one-sided RDMA reads, each `(qp, mr, off, len)`, posted
+    /// back to back and in flight together: the batch returns when its
+    /// slowest read completes, one result per read in order. Every post
+    /// after the first rides the first one's doorbell chain and charges
+    /// `cpu_send_post_batched_ns`. Each read is otherwise the read
+    /// [`rdma_read`](Self::rdma_read) issues on its own QP at its post
+    /// instant: its own guards, partition check, fault draw and verb
+    /// probe, its bytes sampled when its request reaches the remote NIC,
+    /// and its own completion instant.
+    pub fn rdma_read_all(
+        reads: &[(&ClientQp, &RemoteMr, usize, usize)],
+    ) -> Vec<Result<Vec<u8>, QpError>> {
+        /// One read's window: posted at `start`, sampled at `arrive`,
+        /// completed at `done`. `result` stays `Ok` and empty until the
+        /// read is sampled, unless its post failed.
+        struct Leg {
+            start: Nanos,
+            arrive: Nanos,
+            done: Nanos,
+            result: Result<Vec<u8>, QpError>,
+        }
+        let mut legs = Vec::with_capacity(reads.len());
+        for (n, &(qp, _, _, len)) in reads.iter().enumerate() {
+            if n > 0 {
+                sim::work(qp.cost.cpu_send_post_batched_ns);
+            }
+            let start = sim::now();
+            let mut leg = Leg {
+                start,
+                arrive: start,
+                done: start,
+                result: Ok(Vec::new()),
+            };
+            if let Err(e) = qp.guard_both() {
+                leg.result = Err(e);
+            } else if qp.link_down() {
+                // One wasted round trip ending in `Timeout`.
+                leg.done = start + qp.cost.one_way(0) * 2;
+                leg.result = Err(QpError::Timeout);
+            } else {
+                leg.arrive = start + qp.one_sided_fault_delay().unwrap_or(0) + qp.cost.one_way(0);
+                leg.done = leg.arrive + qp.cost.one_way(len);
+                qp.stats.rdma_reads.fetch_add(1, Ordering::Relaxed);
+                qp.stats
+                    .bytes_on_wire
+                    .fetch_add(len as u64, Ordering::Relaxed);
+            }
+            legs.push(leg);
+        }
+        // Sample each read's bytes as its request reaches the remote NIC,
+        // in arrival order.
+        let mut order: Vec<usize> = (0..legs.len())
+            .filter(|&i| legs[i].result.is_ok())
+            .collect();
+        order.sort_by_key(|&i| (legs[i].arrive, i));
+        for i in order {
+            let (qp, mr, off, len) = reads[i];
+            sim::sleep_until(legs[i].arrive);
+            legs[i].result = qp.read_remote(mr, off, len);
+        }
+        let end = legs.iter().map(|l| l.done).max().unwrap_or_else(sim::now);
+        sim::sleep_until(end);
+        legs.into_iter()
+            .zip(reads)
+            .map(|(leg, &(qp, _, _, len))| {
+                let data = leg.result?;
+                qp.local.guard()?;
+                qp.stats.probe.fire("rdma_read", len, leg.start, leg.done);
+                Ok(data)
+            })
+            .collect()
     }
 
     /// One-sided RDMA write. Returns when the ack arrives — which, per RDMA
@@ -1106,6 +1191,38 @@ mod tests {
             assert_eq!(&data, b"remote data");
             let cost = CostModel::default();
             assert_eq!(sim::now() - t0, cost.one_way(0) + cost.one_way(11));
+        });
+        sim.run().expect_ok();
+    }
+
+    #[test]
+    fn a_read_batch_overlaps_its_reads_and_ends_with_the_slowest() {
+        let mut sim = Sim::new(0);
+        let fabric = Fabric::new(CostModel::default());
+        let (a, b) = (fabric.add_node("a"), fabric.add_node("b"));
+        let client = fabric.add_node("client");
+        let (pool_a, mr_a) = pool_mr(&a, 4096);
+        let (pool_b, mr_b) = pool_mr(&b, 8192);
+        pool_a.write(100, b"small");
+        pool_b.write(0, &[7u8; 4096]);
+        sim.spawn("main", move || {
+            let _listeners = (a.listen(&fabric, true), b.listen(&fabric, true));
+            let qa = fabric.connect(&client, &a).unwrap();
+            let qb = fabric.connect(&client, &b).unwrap();
+            let t0 = sim::now();
+            let got = ClientQp::rdma_read_all(&[(&qa, &mr_a, 100, 5), (&qb, &mr_b, 0, 4096)]);
+            assert_eq!(got[0].as_deref(), Ok(&b"small"[..]));
+            assert_eq!(got[1].as_deref(), Ok(&[7u8; 4096][..]));
+            // The second read leaves one chained post later and ends last;
+            // serial reads would take both round trips.
+            let cost = CostModel::default();
+            let slowest = cost.cpu_send_post_batched_ns + cost.one_way(0) + cost.one_way(4096);
+            assert_eq!(sim::now() - t0, slowest);
+            assert_eq!(fabric.stats().rdma_reads.load(Ordering::Relaxed), 2);
+            // An out-of-bounds read fails alone.
+            let got = ClientQp::rdma_read_all(&[(&qa, &mr_a, 4090, 16), (&qb, &mr_b, 0, 1)]);
+            assert_eq!(got[0], Err(QpError::AccessViolation));
+            assert_eq!(got[1].as_deref(), Ok(&[7u8][..]));
         });
         sim.run().expect_ok();
     }

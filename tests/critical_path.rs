@@ -214,9 +214,9 @@ fn failover_tail_folds_whole_puts() {
 }
 
 /// Roots the fold must find for `spec`, from replaying each client's op
-/// stream: one per GET, PUT, and transaction, and one per key of a
-/// snapshot read (the capture itself is not an op). Also the kinds those
-/// roots carry.
+/// stream: one per GET, PUT, transaction and snapshot scan (one scan reads
+/// its whole key set; the capture itself is not an op). Also the kinds
+/// those roots carry.
 fn expected_roots(spec: &ExperimentSpec) -> (u64, Vec<RootKind>) {
     let wl = WorkloadConfig {
         mix: spec.mix,
@@ -230,7 +230,7 @@ fn expected_roots(spec: &ExperimentSpec) -> (u64, Vec<RootKind>) {
         let mut stream = OpStream::new(wl.clone(), spec.seed, cid as u64);
         for _ in 0..spec.ops_per_client {
             let (n, kind) = match stream.next_op() {
-                Op::SnapRead { keys } => (keys.len() as u64, RootKind::Snap),
+                Op::SnapRead { .. } => (1, RootKind::Snap),
                 Op::Get { .. } => (1, RootKind::Get),
                 Op::Put { .. } => (1, RootKind::Put),
                 Op::Txn { .. } => (1, RootKind::Txn),
@@ -246,7 +246,7 @@ fn expected_roots(spec: &ExperimentSpec) -> (u64, Vec<RootKind>) {
 
 /// Transactions and snapshot reads fold like any other op on every store
 /// shape, replicated ones included: exactly one root per GET, PUT,
-/// transaction, and snapshot-key read, each conserving its latency and
+/// transaction, and snapshot scan, each conserving its latency and
 /// labelled with a kind its mix issues.
 #[test]
 fn transactions_fold_one_root_per_op_on_every_topology() {

@@ -119,6 +119,12 @@ fn connect_txn(fabric: &Arc<Fabric>, name: &str, routes: &Routes) -> StoreClient
 
 /// Run one lane's concurrent workload and return the recorded history.
 fn run_lane(seed: u64, lane: Lane) -> History {
+    run_lane_parked(seed, lane).0
+}
+
+/// [`run_lane`], also returning how many requests the shards' handlers
+/// parked behind an in-doubt version.
+fn run_lane_parked(seed: u64, lane: Lane) -> (History, u64) {
     let mut simu = Sim::new(seed);
     let fabric = Fabric::new(CostModel::default());
     if lane.chaos {
@@ -148,6 +154,8 @@ fn run_lane(seed: u64, lane: Lane) -> History {
 
     let hist: Arc<Mutex<History>> = Arc::default();
     let out = Arc::clone(&hist);
+    let parked = Arc::new(Mutex::new(0));
+    let parked_out = Arc::clone(&parked);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
         store.start();
@@ -215,23 +223,20 @@ fn run_lane(seed: u64, lane: Lane) -> History {
                     // A cleaning pool swap expires open snapshots
                     // (`Status::Expired`); drop the partial read set and
                     // re-capture — the retried snapshot is a fresh event.
-                    let (capture_invoke, capture_complete, snap, reads) = 'cap: loop {
+                    let keys: Vec<Vec<u8>> = (0..KEYS).map(key).collect();
+                    let (capture_invoke, capture_complete, snap, values) = loop {
                         let capture_invoke = sim::now();
                         let snap = kv.snapshot().expect("snapshot");
                         let capture_complete = sim::now();
-                        let mut reads = Vec::with_capacity(KEYS);
-                        for i in 0..KEYS {
-                            match kv.snap_get(&key(i), &snap) {
-                                Ok(v) => reads.push((key(i), v)),
-                                Err(StoreError::Status(Status::Expired)) => {
-                                    sim::sleep(sim::micros(2));
-                                    continue 'cap;
-                                }
-                                Err(e) => panic!("snap get: {e:?}"),
+                        match kv.snap_get(&keys, &snap) {
+                            Ok(values) => break (capture_invoke, capture_complete, snap, values),
+                            Err(StoreError::Status(Status::Expired)) => {
+                                sim::sleep(sim::micros(2));
                             }
+                            Err(e) => panic!("snap get: {e:?}"),
                         }
-                        break (capture_invoke, capture_complete, snap, reads);
                     };
+                    let reads = keys.into_iter().zip(values).collect();
                     let reads_complete = sim::now();
                     out.lock().unwrap().snaps.push(SnapEvent {
                         client: rid,
@@ -277,10 +282,12 @@ fn run_lane(seed: u64, lane: Lane) -> History {
             let cleaned = store.stat_sum(|s| &s.cleanings);
             assert!(cleaned > 0, "cleaning lane ran zero cleaning passes");
         }
+        *parked_out.lock().unwrap() = store.stat_sum(|s| &s.txn_parked);
         store.shutdown();
     });
     simu.run().expect_ok();
-    Arc::try_unwrap(hist).unwrap().into_inner().unwrap()
+    let parked = *parked.lock().unwrap();
+    (Arc::try_unwrap(hist).unwrap().into_inner().unwrap(), parked)
 }
 
 /// Shard counts under test: `EF_TEST_SHARDS` env (comma-separated) or the
@@ -299,10 +306,12 @@ fn replicas_enabled() -> bool {
     std::env::var("EF_TEST_REPLICAS").map_or(true, |v| v.trim() != "0")
 }
 
+/// The multi-shard lanes must park requests behind in-doubt versions, so
+/// the checks below cover histories with parked (and re-run) requests.
 #[test]
 fn serial_histories_are_consistent_across_shards() {
     for shards in test_shards() {
-        let h = run_lane(
+        let (h, parked) = run_lane_parked(
             11 + shards as u64,
             Lane {
                 shards,
@@ -314,6 +323,9 @@ fn serial_histories_are_consistent_across_shards() {
         );
         assert_eq!(h.txns.len(), WRITERS * (TXNS_PER_WRITER + RMWS_PER_WRITER));
         assert_eq!(h.snaps.len(), SNAP_READERS * SNAPS_PER_READER);
+        if shards >= 4 {
+            assert!(parked > 0, "{shards} shards: no request parked");
+        }
         checker::assert_consistent(&h);
     }
 }
@@ -548,11 +560,9 @@ fn pipelined_txn_history_is_consistent() {
                     let capture_invoke = sim::now();
                     let snap = kv.snapshot().expect("snapshot");
                     let capture_complete = sim::now();
-                    let mut reads = Vec::with_capacity(KEYS);
-                    for i in 0..KEYS {
-                        let v = kv.snap_get(&key(i), &snap).expect("snap get");
-                        reads.push((key(i), v));
-                    }
+                    let keys: Vec<Vec<u8>> = (0..KEYS).map(key).collect();
+                    let values = kv.snap_get(&keys, &snap).expect("snap get");
+                    let reads = keys.into_iter().zip(values).collect();
                     out.lock().unwrap().snaps.push(SnapEvent {
                         client: 0,
                         capture_invoke,

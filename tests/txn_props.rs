@@ -17,9 +17,9 @@
 //!   one key never lose an update: the final counter equals the total
 //!   number of committed increments.
 //! * **One round trip per round** — a cross-shard commit's prepare and
-//!   decide rounds and a snapshot's clock capture fan out to every
-//!   participant at once, so their latency does not grow with the number
-//!   of shards they touch.
+//!   decide rounds, a snapshot's clock capture and each wave of a
+//!   snapshot read fan out to every participant at once, so their latency
+//!   does not grow with the number of shards they touch.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -147,14 +147,13 @@ fn check_no_torn_snapshot(seed: u64, shards: usize, width: usize, txns: usize, r
                             snap.ts
                         ));
                     }
-                    let mut tags = Vec::with_capacity(width);
-                    for i in 0..width {
-                        let v = kv
-                            .snap_get(&key(i), &snap)
-                            .expect("snap get")
-                            .expect("key preloaded");
-                        tags.push(tag_of(&v));
-                    }
+                    let keys: Vec<Vec<u8>> = (0..width).map(key).collect();
+                    let tags: Vec<u64> = kv
+                        .snap_get(&keys, &snap)
+                        .expect("snap get")
+                        .iter()
+                        .map(|v| tag_of(v.as_deref().expect("key preloaded")))
+                        .collect();
                     if tags.iter().any(|&t| t != tags[0]) {
                         report(format!(
                             "torn snapshot read: tags {tags:?} under S={}",
@@ -259,11 +258,23 @@ proptest! {
     }
 }
 
-/// Latencies on an idle store of `shards` shards (no cleaning, one
-/// client): a 4-key `txn_put_all` whose keys land on `spread` distinct
-/// shards, one key per shard round-robin, and a snapshot capture. Each is
-/// timed on its second run, after the first has created the keys.
-fn idle_latencies(shards: usize, spread: usize) -> (Nanos, Nanos) {
+/// Latencies on an idle store, each timed on its second run, after the
+/// first has created the keys.
+struct Idle {
+    /// A 4-key `txn_put_all`.
+    commit: Nanos,
+    /// A snapshot capture.
+    capture: Nanos,
+    /// A snapshot read of the 4 keys.
+    scan: Nanos,
+    /// A snapshot read of the first key alone.
+    scan1: Nanos,
+}
+
+/// [`Idle`] latencies on a store of `shards` shards (no cleaning, one
+/// client), for 4 keys that land on `spread` distinct shards, one key per
+/// shard round-robin.
+fn idle_latencies(shards: usize, spread: usize) -> Idle {
     let mut simu = Sim::new(5);
     let fabric = Fabric::new(CostModel::default());
     let layout = StoreLayout::new(1024, 1 << 20, false);
@@ -281,8 +292,8 @@ fn idle_latencies(shards: usize, spread: usize) -> (Nanos, Nanos) {
         }
         i += 1;
     }
-    let puts: Vec<(Vec<u8>, Vec<u8>)> = keys.into_iter().map(|k| (k, vec![7; 64])).collect();
-    let out: Arc<Mutex<Option<(Nanos, Nanos)>>> = Arc::default();
+    let puts: Vec<(Vec<u8>, Vec<u8>)> = keys.iter().map(|k| (k.clone(), vec![7; 64])).collect();
+    let out: Arc<Mutex<Option<Idle>>> = Arc::default();
     let out2 = Arc::clone(&out);
     let f = Arc::clone(&fabric);
     simu.spawn("main", move || {
@@ -301,7 +312,19 @@ fn idle_latencies(shards: usize, spread: usize) -> (Nanos, Nanos) {
         let capture = timed(&|| {
             kv.snapshot().expect("snapshot");
         });
-        *out2.lock().unwrap() = Some((commit, capture));
+        let snap = kv.snapshot().expect("snapshot");
+        let scan = timed(&|| {
+            kv.snap_get(&keys, &snap).expect("snapshot read");
+        });
+        let scan1 = timed(&|| {
+            kv.snap_get(&keys[..1], &snap).expect("snapshot read");
+        });
+        *out2.lock().unwrap() = Some(Idle {
+            commit,
+            capture,
+            scan,
+            scan1,
+        });
         store.shutdown();
     });
     simu.run().expect_ok();
@@ -311,18 +334,29 @@ fn idle_latencies(shards: usize, spread: usize) -> (Nanos, Nanos) {
 
 /// A fanned-out round costs one round trip, not one per participant: a
 /// 4-key commit spread over 4 shards stays within 1.25x of one spread over
-/// 2, and a 4-shard snapshot capture within 1.25x of a 1-shard one.
+/// 2, a 4-shard snapshot capture within 1.25x of a 1-shard one, and a
+/// 4-key snapshot read over 4 shards within 1.25x of a 1-key read.
 #[test]
 fn a_round_costs_one_round_trip_not_one_per_participant() {
-    let (commit4, capture4) = idle_latencies(4, 4);
-    let (commit2, _) = idle_latencies(4, 2);
-    let (_, capture1) = idle_latencies(1, 1);
+    let four = idle_latencies(4, 4);
+    let two = idle_latencies(4, 2);
+    let one = idle_latencies(1, 1);
     assert!(
-        commit4 * 4 <= commit2 * 5,
-        "a commit over 4 shards took {commit4} ns, over 2 shards {commit2} ns"
+        four.commit * 4 <= two.commit * 5,
+        "a commit over 4 shards took {} ns, over 2 shards {} ns",
+        four.commit,
+        two.commit
     );
     assert!(
-        capture4 * 4 <= capture1 * 5,
-        "a 4-shard snapshot took {capture4} ns, a 1-shard one {capture1} ns"
+        four.capture * 4 <= one.capture * 5,
+        "a 4-shard snapshot took {} ns, a 1-shard one {} ns",
+        four.capture,
+        one.capture
+    );
+    assert!(
+        four.scan * 4 <= four.scan1 * 5,
+        "a 4-key snapshot read over 4 shards took {} ns, a 1-key read {} ns",
+        four.scan,
+        four.scan1
     );
 }
